@@ -31,7 +31,7 @@ from .experiments import (
     write_report,
 )
 from .expressions import ExpressionError, parse_coefficient
-from .spectral import make_grid
+from .spectral import GridSizeError, make_grid
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
@@ -143,6 +143,45 @@ def _convert(tag: str, raw: str, where: str, violations: list):
     return None
 
 
+def _bona_smith_violations(values: dict) -> list[str]:
+    """Truncation sweeps that leave nothing to measure on the run's grid.
+
+    P_<=n keeps every |k| <= n in full, so a cutoff at or above the largest
+    wavenumber the solves keep gives zero datum tail and zero difference
+    (the structure ratio would divide by zero), and a reference no finer
+    than a cutoff gives zero difference.
+    """
+    try:
+        grid = make_grid(values["grid"]["half_width"], values["grid"]["num_points"])
+    except GridSizeError:
+        return []  # reported when the run builds its grid
+    ex = values["experiment"]
+    n_sweep = ex.get("n_sweep", ExperimentSpec.n_sweep)
+    reference_n = ex.get("reference_n", ExperimentSpec.reference_n)
+    if values["solver"]["dealias"]:
+        kept = grid.dealias_mask.copy()
+    else:
+        kept = np.ones(grid.num_points, bool)
+    kept[grid.nyquist_index] = False  # the solver drops the unpaired mode
+    k_top = float(np.abs(grid.wavenumbers[kept]).max())
+    violations = []
+    if not n_sweep:
+        violations.append("[experiment] n_sweep: needs at least one cutoff")
+    useless = [n for n in n_sweep if not 0 < n < k_top]
+    if useless:
+        violations.append(
+            f"[experiment] n_sweep: cutoffs {', '.join(map(str, useless))} do not "
+            f"truncate the datum; the runs keep |k| <= {k_top:g} on this grid "
+            f"(k_max = {grid.k_max:g}), so each cutoff must lie in (0, {k_top:g})"
+        )
+    if n_sweep and reference_n <= max(n_sweep):
+        violations.append(
+            f"[experiment] reference_n = {reference_n} must exceed every n_sweep "
+            f"cutoff (largest {max(n_sweep)}; k_max = {grid.k_max:g})"
+        )
+    return violations
+
+
 @dataclass
 class RunConfig:
     values: dict  # canonical section -> key -> parsed value
@@ -205,6 +244,8 @@ def parse_config(path) -> RunConfig:
         if key not in values.get(section, {}):
             violations.append(f"[{section}] missing required key {key!r}")
 
+    if not violations and values["experiment"]["kind"] == "bona_smith":
+        violations.extend(_bona_smith_violations(values))
     if violations:
         raise ConfigError(violations)
 

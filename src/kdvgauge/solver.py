@@ -1,22 +1,27 @@
 """Time integration for both equation forms, residual checks, norm monitors.
 
-Two pseudospectral paths:
+One pseudospectral RK4 advances both forms, written as c' = L c + N(c, t)
+with a diagonal Fourier symbol L:
 
 * original form   u_t + alpha u_xxx + beta u_xx + gamma u_x + delta u
                   = epsilon u u_x
-  advanced with classical explicit RK4; the step-size rule is
+  L = 0, so the step is classical explicit RK4; the step-size rule is
   dt <= 1 / (max|alpha| k_max^3) with the dealiased band's k_max.
 
 * transformed form  v_t + v_xxx - b v_xx + c v_x + d v = e v v_x + f v^2
-  advanced with integrating-factor RK4: the third-derivative semigroup is
-  applied exactly through the multiplier exp(i k^3 dt); the remaining terms
-  (b v_xx enters with the dissipative sign for b >= 0) are explicit, with
-  quadratic products dealiased.
+  L = i k^3, so the step is integrating-factor RK4: the third-derivative
+  semigroup is applied exactly through the multiplier exp(i k^3 dt); the
+  remaining terms (b v_xx enters with the dissipative sign for b >= 0) are
+  explicit, with quadratic products dealiased.
 
-Time-dependent coefficients are re-sampled at the RK stage times, which
-preserves fourth order.  Blow-up is detected from the sup-norm at monitor
-times against a configurable cap and is deterministic for a fixed
-configuration.
+N is read from a per-form table of coefficient -> (derivative order, sign).
+Real fields step on the Hermitian half spectrum (rfft/irfft) with the
+unpaired Nyquist mode held at zero; every derivative a right-hand side
+needs comes from one batched inverse transform, and terms whose coefficient
+is identically zero are skipped.  Time-dependent coefficients are
+re-sampled at the RK stage times, which preserves fourth order.  Blow-up is
+detected from the sup-norm at monitor times against a configurable cap and
+is deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from scipy.integrate import simpson
 
 from .coefficients import CoefficientSet
@@ -34,7 +40,6 @@ from .gauge import GaugeSystem, TransformedCoefficients
 from .spectral import (
     Grid,
     SpectralState,
-    dealias,
     derivative,
     edge_mass_fraction,
     sobolev_norm,
@@ -116,50 +121,165 @@ class NormReport:
     hs_nonincreasing: bool
 
 
-# -- right-hand sides ----------------------------------------------------
+# -- the spectral RK4 core ------------------------------------------------
+
+# equation form -> coefficient name -> (derivative order p, sign, quadratic):
+# the explicit right-hand side is the sum of  sign * coef * D^p u, times u
+# for the quadratic terms.  The transformed form's -v_xxx is not listed: it
+# is the linear symbol i k^3 that the integrating factor applies exactly.
+_TERMS = {
+    "original": {
+        "alpha": (3, -1.0, False),
+        "beta": (2, -1.0, False),
+        "gamma": (1, -1.0, False),
+        "delta": (0, -1.0, False),
+        "epsilon": (1, 1.0, True),
+    },
+    "transformed": {
+        "b": (2, 1.0, False),
+        "c": (1, -1.0, False),
+        "d": (0, -1.0, False),
+        "e": (1, 1.0, True),
+        "f": (0, 1.0, True),
+    },
+}
 
 
-def _rhs_original(chat, grid: Grid, co: dict, mask, real_field: bool = True) -> np.ndarray:
-    n = grid.num_points
-    ik = 1j * grid.wavenumbers
-    u = np.fft.ifft(chat * n)
-    d1 = np.fft.ifft(ik * chat * n)
-    d2 = np.fft.ifft(ik**2 * chat * n)
-    d3 = np.fft.ifft(ik**3 * chat * n)
-    if real_field:
-        u, d1, d2, d3 = u.real, d1.real, d2.real, d3.real
-    rhs = (
-        -co["alpha"] * d3
-        - co["beta"] * d2
-        - co["gamma"] * d1
-        - co["delta"] * u
-        + co["epsilon"] * u * d1
-    )
-    out = np.fft.fft(rhs) / n
-    if mask is not None:
-        out = np.where(mask, out, 0.0)
-    return out
+class _Spectrum:
+    """The transform pair of one grid and field type, with its (ik)^p rows.
+
+    Real fields live on the Hermitian half spectrum (rfft/irfft, the last
+    entry is the Nyquist mode); complex fields on the full spectrum.  Both
+    keep the package normalization u(x) = sum_k c(k) exp(ikx).  `keep` is
+    the 0/1 row applied to every right-hand side: the 2/3 mask when
+    dealiasing, and for real fields the unpaired Nyquist mode, which cannot
+    stay real under the phase rotation (None when every mode is kept).
+    """
+
+    def __init__(self, grid: Grid, real_field: bool, dealias_products: bool):
+        n = grid.num_points
+        self.grid = grid
+        self.n = n
+        self.real_field = real_field
+        size = n // 2 + 1 if real_field else n
+        k = grid.wavenumbers[:size]
+        self.k = k
+        self.rows = np.stack([(1j * k) ** p for p in range(4)])
+        keep = grid.dealias_mask[:size].copy() if dealias_products else np.ones(size, bool)
+        if real_field:
+            keep[grid.nyquist_index] = False
+        self.keep = None if keep.all() else keep.astype(float)
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        if self.real_field:
+            return scipy.fft.rfft(values, norm="forward")
+        return scipy.fft.fft(values, norm="forward")
+
+    def inverse(self, spectra: np.ndarray) -> np.ndarray:
+        """Physical values of one spectrum, or of each row of a 2-D stack."""
+        if self.real_field:
+            return scipy.fft.irfft(spectra, self.n, norm="forward")
+        return scipy.fft.ifft(spectra, norm="forward")
+
+    def derivative(self, values: np.ndarray, order: int) -> np.ndarray:
+        return self.inverse(self.rows[order] * self.forward(values))
+
+    def restrict(self, coefficients: np.ndarray) -> np.ndarray:
+        """This layout's copy of a full normalized spectrum."""
+        return coefficients[: self.k.size].copy()
+
+    def state(self, coefficients: np.ndarray) -> SpectralState:
+        """Full-spectrum state from this layout (conjugate mirror if real)."""
+        if not self.real_field:
+            return SpectralState(self.grid, coefficients.copy(), False)
+        full = np.empty(self.n, dtype=complex)
+        m = coefficients.size
+        full[:m] = coefficients
+        full[m:] = np.conj(coefficients[self.n - m : 0 : -1])
+        return SpectralState(self.grid, full, True)
 
 
-def _rhs_transformed(chat, grid: Grid, co: dict, mask, real_field: bool = True) -> np.ndarray:
-    n = grid.num_points
-    ik = 1j * grid.wavenumbers
-    v = np.fft.ifft(chat * n)
-    d1 = np.fft.ifft(ik * chat * n)
-    d2 = np.fft.ifft(ik**2 * chat * n)
-    if real_field:
-        v, d1, d2 = v.real, d1.real, d2.real
-    rhs = (
-        co["b"] * d2
-        - co["c"] * d1
-        - co["d"] * v
-        + co["e"] * v * d1
-        + co["f"] * v * v
-    )
-    out = np.fft.fft(rhs) / n
-    if mask is not None:
-        out = np.where(mask, out, 0.0)
-    return out
+class _RK4:
+    """One RK4 for both forms: c' = L c + N(c, t) with a diagonal symbol L.
+
+    L is None for the original form (classical RK4, every term explicit) and
+    i k^3 for the transformed form (integrating-factor RK4, the dispersion
+    applied exactly).  N reads the form's term table; terms whose sampled
+    coefficient is identically zero are dropped once per coefficient sample,
+    and every derivative order N needs comes from one batched inverse FFT.
+    """
+
+    _FACTOR_CACHE = 4  # regular step plus a few shortened landing steps
+
+    def __init__(self, spectrum: _Spectrum, form: str, sampler):
+        self.spectrum = spectrum
+        self.sampler = sampler
+        self.terms = _TERMS[form]
+        self.symbol = 1j * spectrum.k**3 if form == "transformed" else None
+        self._factors: dict[float, tuple] = {}
+        self._plan_source = None
+        self._plan = None
+        self._zero = np.zeros(spectrum.k.size, dtype=complex)
+
+    def _integrating_factors(self, dt: float) -> tuple:
+        """(exp(L dt/2), exp(L dt)), cached per step size."""
+        if self.symbol is None:
+            return 1.0, 1.0
+        hit = self._factors.get(dt)
+        if hit is None:
+            if len(self._factors) >= self._FACTOR_CACHE:
+                self._factors.pop(next(iter(self._factors)))
+            hit = (np.exp(self.symbol * (0.5 * dt)), np.exp(self.symbol * dt))
+            self._factors[dt] = hit
+        return hit
+
+    def _plan_for(self, co: dict):
+        """(derivative rows, linear terms, quadratic terms, slot of u) of one
+        coefficient sample, or None when every term vanishes."""
+        if co is self._plan_source:
+            return self._plan
+        orders: list[int] = []
+
+        def slot(order: int) -> int:
+            if order not in orders:
+                orders.append(order)
+            return orders.index(order)
+
+        linear, quadratic = [], []
+        for name, (order, sign, is_quadratic) in self.terms.items():
+            coef = co[name]
+            if np.any(coef):
+                (quadratic if is_quadratic else linear).append((sign * coef, slot(order)))
+        field_slot = slot(0) if quadratic else None
+        plan = None
+        if orders:
+            plan = (self.spectrum.rows[orders], linear, quadratic, field_slot)
+        self._plan_source, self._plan = co, plan
+        return plan
+
+    def rhs(self, chat: np.ndarray, t: float) -> np.ndarray:
+        plan = self._plan_for(self.sampler.at(t))
+        if plan is None:
+            return self._zero
+        rows, linear, quadratic, field_slot = plan
+        fields = self.spectrum.inverse(rows * chat)
+        total = sum(coef * fields[i] for coef, i in linear)
+        if quadratic:
+            total = total + fields[field_slot] * sum(coef * fields[i] for coef, i in quadratic)
+        out = self.spectrum.forward(total)
+        if self.spectrum.keep is not None:
+            out *= self.spectrum.keep
+        return out
+
+    def step(self, chat: np.ndarray, t: float, dt: float) -> np.ndarray:
+        e_half, e_full = self._integrating_factors(dt)
+        half = 0.5 * dt
+        shifted = e_half * chat
+        n1 = self.rhs(chat, t)
+        n2 = self.rhs(shifted + half * (e_half * n1), t + half)
+        n3 = self.rhs(shifted + half * n2, t + half)
+        n4 = self.rhs(e_full * chat + dt * (e_half * n3), t + dt)
+        return e_full * chat + (dt / 6.0) * (e_full * n1 + 2.0 * (e_half * (n2 + n3)) + n4)
 
 
 class _OriginalSampler:
@@ -227,26 +347,18 @@ class _TransformedSampler:
         return self._pack(self._system.coefficients_at(float(t)))
 
 
+def _step(state: SpectralState, form: str, sampler, t: float, dt: float,
+          dealias_products: bool) -> SpectralState:
+    spectrum = _Spectrum(state.grid, state.is_real_field, dealias_products)
+    chat = _RK4(spectrum, form, sampler).step(spectrum.restrict(state.coefficients), t, dt)
+    return spectrum.state(chat)
+
+
 def step_original(
     u: SpectralState, cset: CoefficientSet, t: float, dt: float, dealias_products: bool = True
 ) -> SpectralState:
     """One explicit RK4 step of the original form."""
-    sampler = _OriginalSampler(cset, u.grid)
-    mask = u.grid.dealias_mask if dealias_products else None
-    chat = _rk4(u.coefficients, u.grid, sampler, t, dt, mask, _rhs_original,
-                u.is_real_field)
-    return SpectralState(u.grid, chat, u.is_real_field)
-
-
-def _rk4(chat, grid, sampler, t, dt, mask, rhs, real_field: bool = True) -> np.ndarray:
-    c0 = sampler.at(t)
-    c1 = sampler.at(t + 0.5 * dt)
-    c2 = sampler.at(t + dt)
-    k1 = rhs(chat, grid, c0, mask, real_field)
-    k2 = rhs(chat + 0.5 * dt * k1, grid, c1, mask, real_field)
-    k3 = rhs(chat + 0.5 * dt * k2, grid, c1, mask, real_field)
-    k4 = rhs(chat + dt * k3, grid, c2, mask, real_field)
-    return chat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return _step(u, "original", _OriginalSampler(cset, u.grid), t, dt, dealias_products)
 
 
 def step_transformed(
@@ -259,24 +371,7 @@ def step_transformed(
     """One integrating-factor RK4 step of the transformed form."""
     if not v.grid.compatible_with(coeffs.grid):
         raise ValueError("coefficients sampled on a different grid")
-    sampler = _TransformedSampler(coeffs)
-    mask = v.grid.dealias_mask if dealias_products else None
-    chat = _ifrk4(v.coefficients, v.grid, sampler, t, dt, mask, v.is_real_field)
-    return SpectralState(v.grid, chat, v.is_real_field)
-
-
-def _ifrk4(chat, grid, sampler, t, dt, mask, real_field: bool = True) -> np.ndarray:
-    k = grid.wavenumbers
-    E = np.exp(1j * k**3 * dt)
-    E2 = np.exp(1j * k**3 * (0.5 * dt))
-    c0 = sampler.at(t)
-    c1 = sampler.at(t + 0.5 * dt)
-    c2 = sampler.at(t + dt)
-    n1 = _rhs_transformed(chat, grid, c0, mask, real_field)
-    n2 = _rhs_transformed(E2 * chat + 0.5 * dt * E2 * n1, grid, c1, mask, real_field)
-    n3 = _rhs_transformed(E2 * chat + 0.5 * dt * n2, grid, c1, mask, real_field)
-    n4 = _rhs_transformed(E * chat + dt * E2 * n3, grid, c2, mask, real_field)
-    return E * chat + (dt / 6.0) * (E * n1 + 2.0 * E2 * (n2 + n3) + n4)
+    return _step(v, "transformed", _TransformedSampler(coeffs), t, dt, dealias_products)
 
 
 def auto_dt(
@@ -334,6 +429,14 @@ def _dissipation_term(
     return -total
 
 
+def _seminorm_cumulative(dissipation: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of the seminorm integrand -dissipation."""
+    g = -dissipation
+    if times.size < 2:
+        return np.zeros(1)
+    return np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(times))])
+
+
 def solve(
     u0: SpectralState,
     config: SolverConfig,
@@ -352,13 +455,11 @@ def solve(
         if not isinstance(problem, CoefficientSet):
             raise TypeError("original-form solves need a CoefficientSet")
         sampler = _OriginalSampler(problem, grid)
-        rhs_kind = "original"
         b_monitor = None
     else:
         sampler = _TransformedSampler(problem)
         if not grid.compatible_with(sampler.grid):
             raise ValueError("initial state does not live on the problem's grid")
-        rhs_kind = "transformed"
 
         def b_monitor(tnow: float) -> np.ndarray:
             return np.clip(sampler.at(tnow)["b"], 0.0, None)
@@ -373,17 +474,18 @@ def solve(
     else:
         cap = float(config.blowup_threshold)
 
-    mask = grid.dealias_mask if config.dealias else None
-    chat = u0.coefficients.copy()
+    spectrum = _Spectrum(grid, u0.is_real_field, config.dealias)
+    integrator = _RK4(spectrum, config.equation_form, sampler)
+    chat = spectrum.restrict(u0.coefficients)
     chat[grid.nyquist_index] = 0.0  # unpaired mode cannot stay real under phase rotation
-    if mask is not None:
+    if spectrum.keep is not None:
         # with dealiasing the resolved band is 2/3 of Nyquist; data beyond it
         # would be frozen by the masked right-hand side, so drop it up front
-        chat = np.where(mask, chat, 0.0)
+        chat *= spectrum.keep
 
     bank = ProjectorBank(grid)
     times = [0.0]
-    states = [SpectralState(grid, chat.copy(), u0.is_real_field)]
+    states = [spectrum.state(chat)]
     sups = [sup0]
     hs = [sobolev_norm(states[0], config.s)]
     diss = [
@@ -423,11 +525,7 @@ def solve(
     while t < config.t_final - eps_t:
         upper = config.t_final if next_target is None else min(next_target, config.t_final)
         step = min(dt, upper - t)
-        if rhs_kind == "original":
-            chat = _rk4(chat, grid, sampler, t, step, mask, _rhs_original,
-                        u0.is_real_field)
-        else:
-            chat = _ifrk4(chat, grid, sampler, t, step, mask, u0.is_real_field)
+        chat = integrator.step(chat, t, step)
         t += step
         steps_since_monitor += 1
 
@@ -439,8 +537,7 @@ def solve(
         at_stride = targets is None and steps_since_monitor >= config.monitor_stride
         at_end = t >= config.t_final - eps_t
         if at_target or at_stride or at_end:
-            state = SpectralState(grid, chat.copy(), u0.is_real_field)
-            record(state, t)
+            record(spectrum.state(chat), t)
             steps_since_monitor = 0
             if at_target:
                 next_target = next(target_iter, None)
@@ -450,13 +547,6 @@ def solve(
 
     times_arr = np.asarray(times)
     diss_arr = np.asarray(diss)
-    g = -diss_arr  # seminorm integrand is the negated dissipation term
-    if times_arr.size > 1:
-        cum = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(times_arr))]
-        )
-    else:
-        cum = np.zeros(1)
     if config.warn_domain_edge and edge_max > EDGE_MASS_WARN:
         warnings.warn(
             f"solution mass in the outer 10% of the domain reached "
@@ -473,7 +563,7 @@ def solve(
         hs_norms=np.asarray(hs),
         sup_norms=np.asarray(sups),
         dissipation=diss_arr,
-        seminorm_cumulative=cum,
+        seminorm_cumulative=_seminorm_cumulative(diss_arr, times_arr),
         blowup=blowup,
         blowup_time=blowup_time,
         edge_mass_max=edge_max,
@@ -531,8 +621,6 @@ def weak_residual(traj: Trajectory, phi, problem, form: str) -> float:
     """
     grid = traj.grid
     x = grid.x
-    n = grid.num_points
-    ik = 1j * grid.wavenumbers
     T = float(traj.times[-1])
 
     edge = np.abs(x) >= 0.9 * grid.half_width
@@ -544,8 +632,7 @@ def weak_residual(traj: Trajectory, phi, problem, form: str) -> float:
         if np.abs(np.asarray(phi.value(float(tt), x))[edge]).max() > 1e-10 * pmax:
             raise ValueError("test field must vanish near the domain edge")
 
-    def ddx(vals, order):
-        return np.fft.ifft(ik**order * (np.fft.fft(vals) / n) * n).real
+    ddx = _Spectrum(grid, real_field=True, dealias_products=False).derivative
 
     if form == "original":
         sampler = _OriginalSampler(problem, grid)
@@ -603,17 +690,10 @@ def energy_monitor(traj: Trajectory, s: float, b_field: np.ndarray) -> NormRepor
     bank = ProjectorBank(grid)
     hs = np.array([sobolev_norm(st, s) for st in traj.states])
     diss = np.array([_dissipation_term(st, b, s, bank) for st in traj.states])
-    g = -diss
-    if traj.times.size > 1:
-        cum = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(traj.times))]
-        )
-    else:
-        cum = np.zeros(1)
     return NormReport(
         times=traj.times,
         hs_norms=hs,
-        seminorm_cumulative=cum,
+        seminorm_cumulative=_seminorm_cumulative(diss, traj.times),
         dissipation=diss,
         dissipation_nonpositive=bool(np.all(diss <= 1e-12)),
         hs_nonincreasing=bool(np.all(np.diff(hs) <= 1e-12 * max(hs.max(), 1.0))),

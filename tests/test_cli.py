@@ -326,6 +326,24 @@ packet_launch = 6
         assert code == 2
         assert "power of two" in capsys.readouterr().out
 
+    def test_untruncating_bona_smith_sweep_refused(self, tmp_path, capsys):
+        # default grid (8*pi, 512 points): k_max = 32, and the dealiased runs
+        # keep |k| <= 21.25, so the default cutoffs 32, 64 and 128 leave no
+        # datum tail and no difference to measure
+        cfg_path = write_cfg(tmp_path, "[experiment]\nkind = bona_smith\n", "bs.cfg")
+        code = main(["run", str(cfg_path), "-o", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "n_sweep" in err and "32, 64, 128" in err and "k_max = 32" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_bona_smith_reference_must_be_finer(self, tmp_path):
+        cfg_text = KIND_CONFIGS["bona_smith"].replace("reference_n = 128", "reference_n = 64")
+        with pytest.raises(ConfigError, match="reference_n = 64 must exceed"):
+            parse_config(write_cfg(tmp_path, cfg_text, "bs.cfg"))
+        # the accepted sweep itself parses
+        parse_config(write_cfg(tmp_path, KIND_CONFIGS["bona_smith"], "ok.cfg"))
+
 
 class TestSplitConfig:
     def test_softplus_strategy_builds_valid_split(self, tmp_path):

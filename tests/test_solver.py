@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdvgauge.coefficients import CoefficientSet
 from kdvgauge.gauge import GaugeSystem, TransformedCoefficients, forward_transform
@@ -413,3 +415,167 @@ class TestStageTimeSampling:
         order2 = np.log2(errs[1] / errs[2])
         assert order1 == pytest.approx(4.0, abs=0.4)
         assert order2 == pytest.approx(4.0, abs=0.4)
+
+
+# -- reference: the complex-FFT RK4 / integrating-factor RK4 ----------------
+
+
+def _reference_rhs(form, chat, k, co, mask, real_field):
+    n = chat.size
+    u, d1, d2, d3 = (np.fft.ifft((1j * k) ** p * chat * n) for p in range(4))
+    if real_field:
+        u, d1, d2, d3 = u.real, d1.real, d2.real, d3.real
+    if form == "original":
+        rhs = (-co["alpha"] * d3 - co["beta"] * d2 - co["gamma"] * d1
+               - co["delta"] * u + co["epsilon"] * u * d1)
+    else:
+        rhs = (co["b"] * d2 - co["c"] * d1 - co["d"] * u
+               + co["e"] * u * d1 + co["f"] * u * u)
+    out = np.fft.fft(rhs) / n
+    return out if mask is None else np.where(mask, out, 0.0)
+
+
+def _reference_step(form, chat, k, coeffs_at, t, dt, mask, real_field):
+    def rhs(c, tt):
+        return _reference_rhs(form, c, k, coeffs_at(tt), mask, real_field)
+
+    if form == "original":  # classical RK4
+        k1 = rhs(chat, t)
+        k2 = rhs(chat + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = rhs(chat + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = rhs(chat + dt * k3, t + dt)
+        return chat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    E = np.exp(1j * k**3 * dt)
+    E2 = np.exp(1j * k**3 * (0.5 * dt))
+    n1 = rhs(chat, t)
+    n2 = rhs(E2 * chat + 0.5 * dt * E2 * n1, t + 0.5 * dt)
+    n3 = rhs(E2 * chat + 0.5 * dt * n2, t + 0.5 * dt)
+    n4 = rhs(E * chat + dt * E2 * n3, t + dt)
+    return E * chat + (dt / 6.0) * (E * n1 + 2.0 * E2 * (n2 + n3) + n4)
+
+
+def _reference_solve(u0, form, coeffs_at, t_final, dt, monitor_times, dealias):
+    """Final coefficients after landing on every monitor time, as `solve` does."""
+    grid = u0.grid
+    mask = grid.dealias_mask if dealias else None
+    chat = u0.coefficients.copy()
+    chat[grid.nyquist_index] = 0.0
+    if mask is not None:
+        chat = np.where(mask, chat, 0.0)
+    targets = iter(sorted(monitor_times))
+    target = next(targets, None)
+    t, eps = 0.0, 1e-12 * t_final
+    while t < t_final - eps:
+        upper = t_final if target is None else min(target, t_final)
+        step = min(dt, upper - t)
+        chat = _reference_step(form, chat, grid.wavenumbers, coeffs_at, t, step,
+                               mask, u0.is_real_field)
+        t += step
+        if target is not None and t >= target - eps:
+            target = next(targets, None)
+    return chat
+
+
+# coefficients that all drift in time; the gauge straightens them for the
+# transformed form, so b..f are time-dependent there too
+_DRIFTING = dict(
+    alpha="2+0.5*cos(t)*sech(x/4)^2",
+    beta="0.2*sech(x/4)^2-0.1*sech(x/8)^2",
+    gamma="0.1*sech(x/4)^2",
+    delta="0.05",
+    epsilon="1",
+    beta1="0.2*sech(x/4)^2",
+    beta2="-0.1*sech(x/8)^2",
+    alpha0=0.4,
+)
+
+
+class TestCoreMatchesReference:
+    T = 0.004
+    DT = 5e-4
+    MONITOR = (0.0013, 0.0026, 0.0037)  # none on the dt lattice
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        g = make_grid(16 * np.pi, 256)
+        cs = CoefficientSet.from_strings(**_DRIFTING)
+        system = GaugeSystem(cs, g, image_grid=g)
+
+        def original_at(t):
+            return {name: np.asarray(getattr(cs, name).eval(t, g.x), dtype=float)
+                    for name in ("alpha", "beta", "gamma", "delta", "epsilon")}
+
+        def transformed_at(t):
+            tc = system.coefficients_at(t)
+            return {"b": tc.b, "c": tc.c, "d": tc.d, "e": tc.e, "f": tc.f}
+
+        return g, {"original": (cs, original_at), "transformed": (system, transformed_at)}
+
+    @pytest.mark.parametrize("form", ["original", "transformed"])
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_final_state_matches(self, setting, form, dealias):
+        g, problems = setting
+        problem, coeffs_at = problems[form]
+        u0 = SpectralState.from_physical(g, 0.8 * np.exp(-(((g.x - 1.0) / 3.0) ** 2)))
+        cfg = SolverConfig(form, t_final=self.T, dt=self.DT, s=1.0, dealias=dealias)
+        traj = solve(u0, cfg, problem, monitor_times=self.MONITOR)
+        want = _reference_solve(u0, form, coeffs_at, self.T, self.DT, self.MONITOR,
+                                dealias)
+        got = traj.final_state.coefficients
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert traj.times[1:-1].tolist() == pytest.approx(list(self.MONITOR), abs=1e-15)
+        assert all(state.check_hermitian() for state in traj.states)
+
+    @pytest.mark.parametrize("form", ["original", "transformed"])
+    def test_single_step_matches_on_complex_field(self, setting, form):
+        # complex fields take the full-spectrum transform pair
+        g, problems = setting
+        problem, coeffs_at = problems[form]
+        rng = np.random.default_rng(7)
+        noise = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+        state = SpectralState(g, np.where(np.abs(g.wavenumbers) < 4.0, 1e-2 * noise, 0.0),
+                              is_real_field=False)
+        t = 0.1
+        if form == "original":
+            got = step_original(state, problem, t, self.DT)
+            sample = coeffs_at
+        else:
+            got = step_transformed(state, problem.coefficients_at(t), t, self.DT)
+            frozen = coeffs_at(t)
+
+            def sample(_t):
+                return frozen
+
+        want = _reference_step(form, state.coefficients, g.wavenumbers, sample, t,
+                               self.DT, g.dealias_mask, False)
+        assert np.abs(got.coefficients - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestConservationProperty:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        amplitude=st.floats(0.1, 1.0),
+        band=st.floats(1.0, 3.0),
+        form=st.sampled_from(["original", "transformed"]),
+    )
+    def test_l2_and_mass_conserved_for_constant_kdv(self, seed, amplitude, band, form):
+        # random real datum with Gaussian spectral decay; u_t + u_xxx = -6 u u_x
+        # conserves the L2 norm and the mass
+        g = make_grid(np.pi, 64)
+        k = g.wavenumbers
+        rng = np.random.default_rng(seed)
+        c = (rng.standard_normal(64) + 1j * rng.standard_normal(64)) * np.exp(-(k / band) ** 2)
+        u0 = SpectralState.from_physical(g, np.fft.ifft(c * 64).real)
+        u0 = (amplitude / np.abs(u0.physical()).max()) * u0
+        if form == "original":
+            problem, dt = CoefficientSet.constant_kdv(-6.0), 2e-5
+        else:
+            problem, dt = TransformedCoefficients.constant_kdv(g, epsilon=-6.0), 1e-4
+        cfg = SolverConfig(form, t_final=0.005, dt=dt, s=1.0, warn_domain_edge=False)
+        traj = solve(u0, cfg, problem, monitor_times=[0.0025, 0.005])
+        l2s = np.array([l2_norm(state) for state in traj.states])
+        ms = np.array([mass(state) for state in traj.states])
+        assert not traj.blowup
+        assert np.abs(l2s - l2s[0]).max() <= 1e-9 * l2s[0]
+        assert np.abs(ms - ms[0]).max() <= 1e-12 * l2s[0]
