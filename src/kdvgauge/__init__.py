@@ -27,8 +27,8 @@ from .gauge import (
     TransformedCoefficients,
     build_gauge_map,
     compute_A,
-    compute_h,
     forward_transform,
+    gauge_weight,
     image_grid_for,
     inverse_transform,
     invert_A,

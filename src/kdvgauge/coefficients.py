@@ -147,10 +147,6 @@ class CoefficientSet:
                 cache[name] = self.derived("gauge_ratio").dx()
             elif name == "gauge_ratio_xx":
                 cache[name] = self.derived("gauge_ratio_x").dx()
-            elif name == "b_closed":  # -beta2 * alpha^(-2/3), before pullback
-                cache[name] = -1.0 * self.beta2 * self.alpha ** (-2.0 / 3.0)
-            elif name == "b_closed_x":
-                cache[name] = self.derived("b_closed").dx()
             else:
                 raise KeyError(name)
         return cache[name]

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, SpectralState, inner_product
+from .spectral import Grid, SpectralState, derivative, inner_product
 
 __all__ = [
     "bump_eta",
     "bump_eta_prime",
-    "BumpFunction",
     "DyadicProjector",
     "ProjectorBank",
     "project",
@@ -89,17 +88,6 @@ def bump_eta_prime(xi) -> np.ndarray:
         qp = (dnum * den - num * dden) / den**2
     out = np.where((a > 1.0) & (a < 2.0), qp * np.sign(x), 0.0)
     return float(out[0]) if scalar else out
-
-
-@dataclass(frozen=True)
-class BumpFunction:
-    """The fixed transition profile as a callable pair (value, derivative)."""
-
-    def __call__(self, xi):
-        return bump_eta(xi)
-
-    def derivative(self, xi):
-        return bump_eta_prime(xi)
 
 
 @dataclass(frozen=True)
@@ -191,6 +179,26 @@ def zygmund_norm(field: SpectralState, s: float) -> float:
     return best
 
 
+def _nonnegative_weight(b_field) -> np.ndarray:
+    """The weight as floats clipped at zero; rejects negative samples beyond
+    round-off."""
+    b = np.asarray(b_field, dtype=float)
+    scale = max(1.0, float(np.abs(b).max()))
+    if b.min() < -1e-10 * scale:
+        raise ValueError(f"negative weight samples: min b = {b.min():.3e}")
+    return np.clip(b, 0.0, None)
+
+
+def _b_energy(state: SpectralState, b: np.ndarray, s: float, bank: ProjectorBank) -> float:
+    """sum_N (1+N)^{2s} int b |P_N u_x|^2 dx for one state and a weight b >= 0."""
+    ux = derivative(state, 1)
+    total = 0.0
+    for N in bank.dyadic_ns:
+        piece = np.abs(project(ux, bank.p_n(N)).physical())
+        total += (1.0 + N) ** (2.0 * s) * state.grid.dx * float(np.sum(b * piece * piece))
+    return total
+
+
 def weighted_b_seminorm(trajectory, b_field: np.ndarray, theta: float) -> float:
     """Trajectory seminorm sum_N (1+N)^(2 theta) ||sqrt(b) P_N u_x||^2 over time.
 
@@ -198,30 +206,16 @@ def weighted_b_seminorm(trajectory, b_field: np.ndarray, theta: float) -> float:
     states' grid (1D, or 2D with one row per stored time).  Negative weight
     samples beyond round-off are rejected.
     """
-    from .spectral import derivative as _dx
-
     states = trajectory.states
     times = np.asarray(trajectory.times, dtype=float)
     if len(states) == 0:
         return 0.0
     grid = states[0].grid
-    b = np.asarray(b_field, dtype=float)
+    b = _nonnegative_weight(b_field)
     if b.ndim == 1:
         b = np.broadcast_to(b, (len(states), grid.num_points))
-    scale = max(1.0, float(np.abs(b).max()))
-    if b.min() < -1e-10 * scale:
-        raise ValueError(f"negative weight samples: min b = {b.min():.3e}")
-    b = np.clip(b, 0.0, None)
     bank = ProjectorBank(grid)
-    weights = np.array([(1.0 + N) ** (2.0 * theta) for N in bank.dyadic_ns])
-    g = np.empty(len(states))
-    for i, state in enumerate(states):
-        ux = _dx(state, 1)
-        acc = 0.0
-        for w, N in zip(weights, bank.dyadic_ns):
-            piece = project(ux, bank.p_n(N)).physical()
-            acc += w * grid.dx * float(np.sum(b[i] * np.abs(piece) ** 2))
-        g[i] = acc
+    g = np.array([_b_energy(state, b[i], theta, bank) for i, state in enumerate(states)])
     if len(states) == 1:
         total = g[0] * 0.0
     else:

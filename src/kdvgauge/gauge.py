@@ -20,6 +20,12 @@ through A^-1.  The log-derivative of h satisfies
 which is used for the h-derivative recurrences (h_xx/h = r^2 + r_x, etc.)
 and makes b = -beta2 alpha^(-2/3) hold to round-off, hence b >= 0 whenever
 beta2 <= 0.
+
+A slice samples only what the solvers and transports read: A on the source
+grid, h on the source grid (inverse transport) and at the pullback points
+A^-1(image nodes) (forward transport), both from the one closed form in
+`gauge_weight`; the h-derivatives and A_t enter only b..f, at the pullback
+points, through the cached derived forms of the coefficient set.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ __all__ = [
     "TransformedCoefficients",
     "compute_A",
     "invert_A",
-    "compute_h",
+    "gauge_weight",
     "build_gauge_map",
     "image_grid_for",
     "transform_coefficients",
@@ -45,19 +51,15 @@ __all__ = [
     "inverse_transform",
     "gauge_weight_log_time_derivative",
     "GaugeSystem",
-    "dump_gauge_csv",
 ]
 
 EDGE_MASS_LIMIT = 1e-6
 INVERSION_TOL = 1e-11
 
 
-def compute_A(
-    alpha: CoefficientExpr, t: float, grid: Grid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the straightening map and its time derivative on the grid.
+def compute_A(alpha: CoefficientExpr, t: float, grid: Grid) -> np.ndarray:
+    """Sample the straightening map A(t, x) = int_0^x alpha^(-1/3) on the grid.
 
-    A(t, x) = int_0^x alpha^(-1/3); A_t integrates d/dt(alpha^(-1/3)).
     Rejects non-coercive alpha.
     """
     a_vals = np.asarray(alpha.eval(float(t), grid.x), dtype=float)
@@ -69,39 +71,27 @@ def compute_A(
     A = anchored_cumulative(lambda y: inv_cbrt.eval(float(t), y), grid.x)
     if np.any(np.diff(A) <= 0.0):
         raise ValueError("straightening map is not strictly increasing")
-    if alpha.depends_on_t:
-        A_t = anchored_cumulative(lambda y: inv_cbrt.dt().eval(float(t), y), grid.x)
-    else:
-        A_t = np.zeros_like(A)
-    return A, A_t
+    return A
 
 
-def compute_h(
-    alpha: CoefficientExpr, beta1: CoefficientExpr, t: float, grid: Grid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gauge weight h and its first three x-derivatives on the grid.
+def gauge_weight(cset: CoefficientSet, t: float, points: np.ndarray) -> np.ndarray:
+    """The gauge weight h(t, p) at ascending points p, from the closed form.
 
-    h is the closed form above; the derivatives come from the ratio
-    r = h_x/h via h_x = h r, h_xx = h (r^2 + r_x), h_xxx = h (r^3 + 3 r r_x
-    + r_xx), so no sampled differentiation is involved.
+    h = [alpha(t,0)/alpha(t,p)]^(1/3) exp((1/3) int_0^p beta1/alpha); its
+    x-derivatives follow from r = h_x/h (`cset.derived("gauge_ratio")`), so
+    no sampled differentiation is involved.
     """
-    a0 = float(alpha.eval(float(t), 0.0))
+    t = float(t)
+    pts = np.asarray(points, dtype=float)
+    a0 = float(cset.alpha.eval(t, 0.0))
     if a0 <= 0.0:
         raise ValueError("alpha(t, 0) must be positive")
-    a_vals = np.asarray(alpha.eval(float(t), grid.x), dtype=float)
+    a_vals = np.asarray(cset.alpha.eval(t, pts), dtype=float)
     if a_vals.min() <= 0.0:
-        raise ValueError("alpha must be strictly positive on the grid")
-    ratio1 = beta1 / alpha
-    integral = anchored_cumulative(lambda y: ratio1.eval(float(t), y), grid.x)
-    h = (a0 / a_vals) ** (1.0 / 3.0) * np.exp(integral / 3.0)
-    r_expr = (beta1 - alpha.dx()) / (3.0 * alpha)
-    r = np.asarray(r_expr.eval(float(t), grid.x), dtype=float)
-    rx = np.asarray(r_expr.dx().eval(float(t), grid.x), dtype=float)
-    rxx = np.asarray(r_expr.dx(2).eval(float(t), grid.x), dtype=float)
-    h_x = h * r
-    h_2x = h * (r * r + rx)
-    h_3x = h * (r**3 + 3.0 * r * rx + rxx)
-    return h, h_x, h_2x, h_3x
+        raise ValueError("alpha must be strictly positive at the sample points")
+    ratio1 = cset.derived("ratio1")
+    integral = anchored_cumulative(lambda y: np.asarray(ratio1.eval(t, y)), pts)
+    return (a0 / a_vals) ** (1.0 / 3.0) * np.exp(integral / 3.0)
 
 
 @dataclass
@@ -113,11 +103,7 @@ class GaugeMap:
     image_grid: Grid
     cset: CoefficientSet
     A_samples: np.ndarray
-    A_t_samples: np.ndarray
     h_samples: np.ndarray
-    h_x: np.ndarray
-    h_2x: np.ndarray
-    h_3x: np.ndarray
     A_inverse_samples: np.ndarray  # pullback points for the image nodes
     inverse_clamped: np.ndarray  # image nodes outside the sampled A-range
     h_at_inverse: np.ndarray
@@ -189,7 +175,7 @@ def image_grid_for(
     """
     reach = 0.0
     for t in np.atleast_1d(np.asarray(times, dtype=float)):
-        A, _ = compute_A(cset.alpha, float(t), source_grid)
+        A = compute_A(cset.alpha, float(t), source_grid)
         reach = max(reach, abs(A[0]), abs(A[-1]))
     H = reach * (1.0 + padding)
     return make_grid(H, num_points or source_grid.num_points)
@@ -198,36 +184,22 @@ def image_grid_for(
 def build_gauge_map(
     cset: CoefficientSet, t: float, source_grid: Grid, image_grid: Grid
 ) -> GaugeMap:
-    A, A_t = compute_A(cset.alpha, t, source_grid)
-    h, h_x, h_2x, h_3x = compute_h(cset.alpha, cset.beta1, t, source_grid)
     gmap = GaugeMap(
         t=float(t),
         source_grid=source_grid,
         image_grid=image_grid,
         cset=cset,
-        A_samples=A,
-        A_t_samples=A_t,
-        h_samples=h,
-        h_x=h_x,
-        h_2x=h_2x,
-        h_3x=h_3x,
+        A_samples=compute_A(cset.alpha, t, source_grid),
+        h_samples=gauge_weight(cset, t, source_grid.x),
         A_inverse_samples=np.zeros(image_grid.num_points),
         inverse_clamped=np.zeros(image_grid.num_points, dtype=bool),
         h_at_inverse=np.ones(image_grid.num_points),
     )
     lo, hi = gmap.a_range
     xi = image_grid.x
-    clamped = (xi < lo) | (xi > hi)
-    y = invert_A(gmap, np.clip(xi, lo, hi))
-    gmap.A_inverse_samples = np.asarray(y)
-    gmap.inverse_clamped = clamped
-    a0 = float(cset.alpha.eval(gmap.t, 0.0))
-    a_at = np.asarray(cset.alpha.eval(gmap.t, gmap.A_inverse_samples), dtype=float)
-    ratio1 = cset.derived("ratio1")
-    integral = anchored_cumulative(
-        lambda z: np.asarray(ratio1.eval(gmap.t, z)), gmap.A_inverse_samples
-    )
-    gmap.h_at_inverse = (a0 / a_at) ** (1.0 / 3.0) * np.exp(integral / 3.0)
+    gmap.inverse_clamped = (xi < lo) | (xi > hi)
+    gmap.A_inverse_samples = np.asarray(invert_A(gmap, np.clip(xi, lo, hi)))
+    gmap.h_at_inverse = gauge_weight(cset, t, gmap.A_inverse_samples)
     return gmap
 
 
@@ -262,8 +234,6 @@ class TransformedCoefficients:
     d: np.ndarray
     e: np.ndarray
     f: np.ndarray
-    b_x: np.ndarray
-    b_2x: np.ndarray
     pullback_points: np.ndarray
     clamped: np.ndarray
 
@@ -274,7 +244,7 @@ class TransformedCoefficients:
         return cls(
             t=t, grid=grid, b=z.copy(), c=z.copy(), d=z.copy(),
             e=np.full(grid.num_points, float(epsilon)), f=z.copy(),
-            b_x=z.copy(), b_2x=z.copy(), pullback_points=grid.x.copy(),
+            pullback_points=grid.x.copy(),
             clamped=np.zeros(grid.num_points, dtype=bool),
         )
 
@@ -345,20 +315,9 @@ def transform_coefficients(
     e = ep / (cbrt * h)
     f = -ep * hx_h / h
 
-    # b-derivatives from the closed form s(y) = -beta2 alpha^(-2/3) by the
-    # chain rule with dA^-1/dx = alpha^(1/3)
-    s = cset.derived("b_closed")
-    sx = cset.derived("b_closed_x")
-    sxx = s.dx(2)
-    b_x = np.asarray(sx.eval(t, y), dtype=float) * cbrt
-    b_2x = (
-        np.asarray(sxx.eval(t, y), dtype=float) * cbrt
-        + np.asarray(sx.eval(t, y), dtype=float) * (al_x / (3.0 * al ** (2.0 / 3.0)))
-    ) * cbrt
-
     out = TransformedCoefficients(
         t=t, grid=image_grid, b=b, c=c, d=d, e=e, f=f,
-        b_x=b_x, b_2x=b_2x, pullback_points=y, clamped=gmap.inverse_clamped.copy(),
+        pullback_points=y, clamped=gmap.inverse_clamped.copy(),
     )
     out.validate()
     return out
@@ -447,21 +406,3 @@ class GaugeSystem:
             self._trim(self._coeffs)
         return self._coeffs[key]
 
-
-def dump_gauge_csv(gmap: GaugeMap, tcoeffs: TransformedCoefficients, fh) -> None:
-    """Write one time slice as CSV rows (x, A, A_inv, h, h_x, h_2x, h_3x, b..f).
-
-    Columns A and h* are sampled on the source grid at x; A_inv and b..f on
-    the image grid at the same row index.
-    """
-    fh.write(
-        "x,A,A_inv,h,h_x,h_2x,h_3x,b,c,d,e,f\n"
-    )
-    n = gmap.source_grid.num_points
-    for j in range(n):
-        row = (
-            gmap.source_grid.x[j], gmap.A_samples[j], gmap.A_inverse_samples[j],
-            gmap.h_samples[j], gmap.h_x[j], gmap.h_2x[j], gmap.h_3x[j],
-            tcoeffs.b[j], tcoeffs.c[j], tcoeffs.d[j], tcoeffs.e[j], tcoeffs.f[j],
-        )
-        fh.write(",".join(format(v, ".17g") for v in row) + "\n")

@@ -26,7 +26,6 @@ is deterministic for a fixed configuration.
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass
 
@@ -35,15 +34,9 @@ import scipy.fft
 from scipy.integrate import simpson
 
 from .coefficients import CoefficientSet
-from .dyadic import ProjectorBank, bump_eta, bump_eta_prime, project
+from .dyadic import ProjectorBank, _b_energy, _nonnegative_weight, bump_eta, bump_eta_prime
 from .gauge import GaugeSystem, TransformedCoefficients
-from .spectral import (
-    Grid,
-    SpectralState,
-    derivative,
-    edge_mass_fraction,
-    sobolev_norm,
-)
+from .spectral import Grid, SpectralState, edge_mass_fraction, sobolev_norm
 
 __all__ = [
     "SolverConfig",
@@ -56,10 +49,6 @@ __all__ = [
     "weak_residual",
     "energy_monitor",
     "SpaceTimeBump",
-    "save_snapshot",
-    "load_snapshot",
-    "write_norms_csv",
-    "write_solution_csv",
 ]
 
 
@@ -95,7 +84,7 @@ class Trajectory:
     states: list
     hs_norms: np.ndarray
     sup_norms: np.ndarray
-    dissipation: np.ndarray  # -sum_N (1+N)^{2s} int b (P_N u_x)^2, per sample
+    dissipation: np.ndarray  # -sum_N (1+N)^{2s} int b |P_N u_x|^2, per sample
     seminorm_cumulative: np.ndarray  # running weighted seminorm squared
     blowup: bool = False
     blowup_time: float | None = None
@@ -415,20 +404,6 @@ def auto_dt(
     return min(candidates)
 
 
-def _dissipation_term(
-    state: SpectralState, b: np.ndarray, s: float, bank: ProjectorBank
-) -> float:
-    """-sum_N (1+N)^{2s} int b (P_N u_x)^2 dx  (non-positive for b >= 0)."""
-    ux = derivative(state, 1)
-    total = 0.0
-    for N in bank.dyadic_ns:
-        piece = project(ux, bank.p_n(N)).physical()
-        total += (1.0 + N) ** (2.0 * s) * state.grid.dx * float(
-            np.sum(b * piece * piece)
-        )
-    return -total
-
-
 def _seminorm_cumulative(dissipation: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Running trapezoid integral of the seminorm integrand -dissipation."""
     g = -dissipation
@@ -468,12 +443,6 @@ def solve(
     if not dt > 0:
         raise ValueError("dt must be positive")
 
-    sup0 = float(np.abs(u0.physical()).max())
-    if config.blowup_threshold == "auto":
-        cap = 1e6 * max(sup0, 1e-300)
-    else:
-        cap = float(config.blowup_threshold)
-
     spectrum = _Spectrum(grid, u0.is_real_field, config.dealias)
     integrator = _RK4(spectrum, config.equation_form, sampler)
     chat = spectrum.restrict(u0.coefficients)
@@ -484,16 +453,8 @@ def solve(
         chat *= spectrum.keep
 
     bank = ProjectorBank(grid)
-    times = [0.0]
-    states = [spectrum.state(chat)]
-    sups = [sup0]
-    hs = [sobolev_norm(states[0], config.s)]
-    diss = [
-        _dissipation_term(states[0], b_monitor(0.0), config.s, bank)
-        if b_monitor is not None
-        else 0.0
-    ]
-    edge_max = edge_mass_fraction(states[0])
+    times, states, sups, hs, diss = [], [], [], [], []
+    edge_max = 0.0
 
     if monitor_times is not None:
         targets = sorted({float(tm) for tm in np.asarray(monitor_times) if tm > 0})
@@ -512,11 +473,18 @@ def solve(
         sups.append(float(np.abs(state.physical()).max()))
         hs.append(sobolev_norm(state, config.s))
         diss.append(
-            _dissipation_term(state, b_monitor(tnow), config.s, bank)
+            -_b_energy(state, b_monitor(tnow), config.s, bank)
             if b_monitor is not None
             else 0.0
         )
         edge_max = max(edge_max, edge_mass_fraction(state))
+
+    # the stored datum is the truncated one, and so are its norms and the cap
+    record(spectrum.state(chat), 0.0)
+    if config.blowup_threshold == "auto":
+        cap = 1e6 * max(sups[0], 1e-300)
+    else:
+        cap = float(config.blowup_threshold)
 
     eps_t = 1e-12 * config.t_final
     target_iter = iter(targets) if targets is not None else None
@@ -681,15 +649,10 @@ def energy_monitor(traj: Trajectory, s: float, b_field: np.ndarray) -> NormRepor
     Reports whether the dyadic dissipation term stays non-positive (it must
     for b >= 0) and whether the H^s norm is nonincreasing.
     """
-    grid = traj.grid
-    b = np.asarray(b_field, dtype=float)
-    scale = max(1.0, float(np.abs(b).max()))
-    if b.min() < -1e-10 * scale:
-        raise ValueError(f"negative weight samples: min b = {b.min():.3e}")
-    b = np.clip(b, 0.0, None)
-    bank = ProjectorBank(grid)
+    b = _nonnegative_weight(b_field)
+    bank = ProjectorBank(traj.grid)
     hs = np.array([sobolev_norm(st, s) for st in traj.states])
-    diss = np.array([_dissipation_term(st, b, s, bank) for st in traj.states])
+    diss = np.array([-_b_energy(st, b, s, bank) for st in traj.states])
     return NormReport(
         times=traj.times,
         hs_norms=hs,
@@ -699,54 +662,3 @@ def energy_monitor(traj: Trajectory, s: float, b_field: np.ndarray) -> NormRepor
         hs_nonincreasing=bool(np.all(np.diff(hs) <= 1e-12 * max(hs.max(), 1.0))),
     )
 
-
-# -- persistence ---------------------------------------------------------
-
-_SNAP_HEADER = struct.Struct("<qdd")  # n (int64), half_width, t — little endian
-
-
-def save_snapshot(state: SpectralState, t: float, path) -> None:
-    """Binary state snapshot: header {n, L, t}, then (re, im) float64 pairs."""
-    with open(path, "wb") as fh:
-        fh.write(_SNAP_HEADER.pack(state.grid.num_points, state.grid.half_width, t))
-        inter = np.empty(2 * state.grid.num_points)
-        inter[0::2] = state.coefficients.real
-        inter[1::2] = state.coefficients.imag
-        fh.write(inter.astype("<f8").tobytes())
-
-
-def load_snapshot(path) -> tuple[SpectralState, float]:
-    with open(path, "rb") as fh:
-        n, half_width, t = _SNAP_HEADER.unpack(fh.read(_SNAP_HEADER.size))
-        raw = np.frombuffer(fh.read(16 * n), dtype="<f8")
-    coeffs = raw[0::2] + 1j * raw[1::2]
-    grid = Grid(half_width, int(n))
-    return SpectralState(grid, coeffs.astype(complex), True), float(t)
-
-
-def write_norms_csv(traj: Trajectory, fh, header_lines=()) -> None:
-    for line in header_lines:
-        fh.write(f"# {line}\n")
-    fh.write("t,hs_norm,seminorm_cumulative,sup_norm,dissipation\n")
-    for i in range(len(traj.times)):
-        row = (
-            traj.times[i],
-            traj.hs_norms[i],
-            traj.seminorm_cumulative[i],
-            traj.sup_norms[i],
-            traj.dissipation[i],
-        )
-        fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-
-
-def write_solution_csv(traj: Trajectory, fh, header_lines=(), stride: int = 1) -> None:
-    for line in header_lines:
-        fh.write(f"# {line}\n")
-    fh.write("t,x,u\n")
-    for i in range(0, len(traj.times), stride):
-        t = traj.times[i]
-        u = traj.states[i].physical()
-        for j in range(traj.grid.num_points):
-            fh.write(
-                f"{format(t, '.17g')},{format(traj.grid.x[j], '.17g')},{format(u[j], '.17g')}\n"
-            )

@@ -293,18 +293,6 @@ class TestResonance:
             assert abs(om - fac) <= 1e-12 * max(1.0, abs(om))
 
 
-class TestBumpFunctionWrapper:
-    def test_callable_pair(self):
-        from kdvgauge.dyadic import BumpFunction
-
-        bump = BumpFunction()
-        assert bump(0.7) == 1.0
-        assert bump(2.2) == 0.0
-        h = 1e-6
-        fd = (bump(1.4 + h) - bump(1.4 - h)) / (2 * h)
-        assert bump.derivative(1.4) == pytest.approx(fd, abs=1e-5)
-
-
 class TestHighLowComplement:
     def test_geq_complements_leq_half(self):
         g = make_grid(np.pi, 256)

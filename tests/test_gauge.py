@@ -1,20 +1,19 @@
 """Straightening map, gauge weight, transformed coefficients, transport."""
 
-import io
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from kdvgauge.coefficients import CoefficientSet
+from kdvgauge.coefficients import CoefficientSet, anchored_cumulative
 from kdvgauge.expressions import parse_coefficient
 from kdvgauge.gauge import (
     GaugeSystem,
     build_gauge_map,
     compute_A,
-    compute_h,
-    dump_gauge_csv,
     forward_transform,
+    gauge_weight,
     gauge_weight_log_time_derivative,
     image_grid_for,
     inverse_transform,
@@ -36,22 +35,34 @@ def tanh_set() -> CoefficientSet:
     return CoefficientSet.from_strings(**TANH_SET)
 
 
+def weight_and_derivatives(cs: CoefficientSet, t: float, x: np.ndarray):
+    """h from the closed form and h_x, h_xx, h_xxx from the recurrences in
+    r = h_x/h (the derived forms transform_coefficients reads)."""
+    h = gauge_weight(cs, t, x)
+    r, rx, rxx = (
+        np.asarray(cs.derived(name).eval(t, x), dtype=float)
+        for name in ("gauge_ratio", "gauge_ratio_x", "gauge_ratio_xx")
+    )
+    return h, h * r, h * (r * r + rx), h * (r**3 + 3.0 * r * rx + rxx)
+
+
 class TestComputeA:
     def test_identity(self):
         g = make_grid(8 * np.pi, 128)
-        A, A_t = compute_A(parse_coefficient("1"), 0.0, g)
+        A = compute_A(parse_coefficient("1"), 0.0, g)
         assert np.abs(A - g.x).max() < 1e-13
-        assert np.abs(A_t).max() == 0.0
+        inv_cbrt_t = CoefficientSet.from_strings(alpha="1").derived("alpha_inv_cbrt_t")
+        assert np.abs(inv_cbrt_t.eval(0.0, g.x)).max() == 0.0
 
     def test_dilation(self):
         g = make_grid(8 * np.pi, 128)
-        A, _ = compute_A(parse_coefficient("8"), 0.0, g)
+        A = compute_A(parse_coefficient("8"), 0.0, g)
         assert np.abs(A - g.x / 2).max() < 1e-13
 
     def test_against_adaptive_quadrature(self):
         alpha = parse_coefficient("2+tanh(x)")
         g = make_grid(8 * np.pi, 256)
-        A, _ = compute_A(alpha, 0.0, g)
+        A = compute_A(alpha, 0.0, g)
         fn = lambda y: (2 + np.tanh(y)) ** (-1.0 / 3.0)
         for idx in (0, 50, 128, 200, 255):
             want, _ = quad(fn, 0.0, g.x[idx], limit=200)
@@ -60,13 +71,14 @@ class TestComputeA:
         assert A[128] == 0.0  # anchored at the origin node
 
     def test_time_derivative_matches_fd(self):
-        alpha = parse_coefficient("2+0.5*cos(t)*sech(x/4)^2")
+        # A_t as transform_coefficients builds it: the anchored integral of
+        # d/dt alpha^(-1/3)
+        cs = CoefficientSet.from_strings(alpha="2+0.5*cos(t)*sech(x/4)^2", alpha0=0.4)
         g = make_grid(8 * np.pi, 128)
         t, h = 0.3, 1e-5
-        _, A_t = compute_A(alpha, t, g)
-        Ap, _ = compute_A(alpha, t + h, g)
-        Am, _ = compute_A(alpha, t - h, g)
-        fd = (Ap - Am) / (2 * h)
+        inv_cbrt_t = cs.derived("alpha_inv_cbrt_t")
+        A_t = anchored_cumulative(lambda y: np.asarray(inv_cbrt_t.eval(t, y)), g.x)
+        fd = (compute_A(cs.alpha, t + h, g) - compute_A(cs.alpha, t - h, g)) / (2 * h)
         assert np.abs(A_t - fd).max() < 1e-8
 
     def test_rejects_nonpositive_alpha(self):
@@ -113,30 +125,31 @@ class TestInvertA:
 
 
 class TestComputeH:
+    """The closed form of `gauge_weight` and the h-derivative recurrences."""
+
     def test_trivial_gauge(self):
+        cs = CoefficientSet.from_strings(alpha="1", beta1="0", beta2="0")
         g = make_grid(8 * np.pi, 128)
-        h, hx, h2x, h3x = compute_h(
-            parse_coefficient("1"), parse_coefficient("0"), 0.0, g
-        )
+        h, hx, h2x, h3x = weight_and_derivatives(cs, 0.0, g.x)
         assert np.abs(h - 1.0).max() < 1e-14
         for arr in (hx, h2x, h3x):
             assert np.abs(arr).max() < 1e-14
 
     def test_exponential_gauge(self):
         # alpha = 1, beta1 = 3: h = exp(x), so h_x / h = 1
+        cs = CoefficientSet.from_strings(alpha="1", beta="3", beta1="3", beta2="0")
         g = make_grid(2.0, 64)
-        h, hx, h2x, h3x = compute_h(
-            parse_coefficient("1"), parse_coefficient("3"), 0.0, g
-        )
+        h, hx, h2x, h3x = weight_and_derivatives(cs, 0.0, g.x)
         assert np.abs(h - np.exp(g.x)).max() < 1e-10 * np.exp(2.0)
         assert np.abs(hx / h - 1.0).max() < 1e-12
         assert np.abs(h3x / h - 1.0).max() < 1e-12
 
     def test_against_quadrature_oracle(self):
-        alpha = parse_coefficient("2+tanh(x)")
-        beta1 = parse_coefficient("sech(x)^2")
+        cs = CoefficientSet.from_strings(
+            alpha="2+tanh(x)", beta="sech(x)^2", beta1="sech(x)^2", beta2="0"
+        )
         g = make_grid(8 * np.pi, 256)
-        h, hx, _, _ = compute_h(alpha, beta1, 0.0, g)
+        h = gauge_weight(cs, 0.0, g.x)
         a0 = 2 + np.tanh(0.0)
         fn = lambda y: (1 / np.cosh(y) ** 2) / (2 + np.tanh(y))
         for idx in (10, 128, 230):
@@ -148,10 +161,14 @@ class TestComputeH:
         # derivative recurrences vs spectral differentiation of sampled h;
         # fields chosen wrap-continuous (alpha even-tailed, beta1 odd) so
         # the sampled h is itself spectrally clean
-        alpha = parse_coefficient("2+0.5*sech(x/4)^2")
-        beta1 = parse_coefficient("0.3*x*sech(x/4)^2")
+        cs = CoefficientSet.from_strings(
+            alpha="2+0.5*sech(x/4)^2",
+            beta="0.3*x*sech(x/4)^2",
+            beta1="0.3*x*sech(x/4)^2",
+            beta2="0",
+        )
         g = make_grid(32 * np.pi, 1024)
-        h, hx, h2x, h3x = compute_h(alpha, beta1, 0.0, g)
+        h, hx, h2x, h3x = weight_and_derivatives(cs, 0.0, g.x)
         state = SpectralState.from_physical(g, h - h[0])
         for order, want in ((1, hx), (2, h2x), (3, h3x)):
             got = derivative(state, order).physical()
@@ -162,8 +179,19 @@ class TestComputeH:
     def test_positivity(self):
         cs = tanh_set()
         g = make_grid(16 * np.pi, 256)
-        h, *_ = compute_h(cs.alpha, cs.beta1, 0.0, g)
+        h = gauge_weight(cs, 0.0, g.x)
         assert h.min() > 0.0
+
+    @pytest.mark.parametrize(
+        "alpha, match",
+        [("x", r"alpha\(t, 0\) must be positive"), ("1+2*tanh(x)", "strictly positive")],
+        ids=["vanishing_at_origin", "negative_left_of_origin"],
+    )
+    def test_rejects_nonpositive_alpha(self, alpha, match):
+        cs = CoefficientSet.from_strings(alpha=alpha)
+        g = make_grid(np.pi, 32)
+        with pytest.raises(ValueError, match=match):
+            gauge_weight(cs, 0.0, g.x)
 
 
 class TestTransformedCoefficients:
@@ -200,19 +228,6 @@ class TestTransformedCoefficients:
         assert np.abs(tc.b - want).max() < 1e-8 * scale
         assert tc.b.min() >= -1e-10
 
-    def test_b_derivatives_consistent(self):
-        # chain-rule fields vs spectral differentiation of sampled b
-        cs = tanh_set()
-        g = make_grid(32 * np.pi, 512)
-        system = GaugeSystem(cs, g)
-        tc = system.coefficients_at(0.0)
-        state = SpectralState.from_physical(tc.grid, tc.b)
-        interior = np.abs(tc.grid.x) < 0.5 * tc.grid.half_width
-        got = derivative(state, 1).physical()
-        assert np.abs(got[interior] - tc.b_x[interior]).max() < 1e-6
-        got2 = derivative(state, 2).physical()
-        assert np.abs(got2[interior] - tc.b_2x[interior]).max() < 1e-5
-
     def test_time_dependent_weight_drift(self):
         # oracle: finite differences in t of the sampled log gauge weight
         cs = CoefficientSet.from_strings(
@@ -225,8 +240,8 @@ class TestTransformedCoefficients:
         g = make_grid(16 * np.pi, 256)
         t, step = 0.4, 1e-5
         got = gauge_weight_log_time_derivative(cs, t, g.x)
-        hp, *_ = compute_h(cs.alpha, cs.beta1, t + step, g)
-        hm, *_ = compute_h(cs.alpha, cs.beta1, t - step, g)
+        hp = gauge_weight(cs, t + step, g.x)
+        hm = gauge_weight(cs, t - step, g.x)
         fd = (np.log(hp) - np.log(hm)) / (2 * step)
         assert np.abs(got - fd).max() < 1e-8
 
@@ -290,19 +305,6 @@ class TestTransport:
         with pytest.raises(ValueError, match="edge"):
             forward_transform(wide, gm)
 
-    def test_dump_csv_columns(self):
-        cs = tanh_set()
-        g = make_grid(16 * np.pi, 64)
-        system = GaugeSystem(cs, g)
-        gm = system.map_at(0.0)
-        tc = system.coefficients_at(0.0)
-        buf = io.StringIO()
-        dump_gauge_csv(gm, tc, buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "x,A,A_inv,h,h_x,h_2x,h_3x,b,c,d,e,f"
-        assert len(lines) == 1 + 64
-        assert len(lines[1].split(",")) == 12
-
 
 class TestWeightOrientation:
     def test_forward_transform_multiplies_by_weight(self):
@@ -321,3 +323,57 @@ class TestWeightOrientation:
         core = np.abs(g.x) <= 5.0  # far field is round-off amplified by h
         err = np.abs(v.physical()[core] - want[core]).max()
         assert err < 1e-9 * np.abs(want[core]).max()
+
+
+def _param(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda v: round(v, 4))
+
+
+class TestGaugeProperties:
+    """Random coercive sets alpha = a0 + a1 sech^2(x/w), beta1 = c1 sech^2(x/w1),
+    beta2 = -c2 sech^2(x/w2) <= 0."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        a0=_param(0.5, 3.0),
+        a1_rel=_param(-0.3, 0.5),
+        w=_param(3.0, 6.0),
+        c1=_param(-0.5, 0.5),
+        w1=_param(3.0, 6.0),
+        c2=_param(0.0, 0.5),
+        w2=_param(3.0, 6.0),
+    )
+    def test_b_identity_ratio_and_round_trip(self, a0, a1_rel, w, c1, w1, c2, w2):
+        a1 = round(a1_rel * a0, 4)
+        beta1 = f"({c1:.4f})*sech(x/{w1:.4f})^2"
+        beta2 = f"-({c2:.4f})*sech(x/{w2:.4f})^2"
+        cs = CoefficientSet.from_strings(
+            alpha=f"{a0:.4f}+({a1:.4f})*sech(x/{w:.4f})^2",
+            beta=f"{beta1}+{beta2}",
+            beta1=beta1,
+            beta2=beta2,
+            alpha0=min(a0 + min(a1, 0.0), 1.0 / (a0 + max(a1, 0.0))),
+        )
+        g = make_grid(8 * np.pi, 256)
+        system = GaugeSystem(cs, g)
+
+        # b = -beta2 alpha^(-2/3) at the pullback points
+        tc = system.coefficients_at(0.0)
+        y = tc.pullback_points
+        want = c2 / np.cosh(y / w2) ** 2 * (a0 + a1 / np.cosh(y / w) ** 2) ** (-2.0 / 3.0)
+        assert np.abs(tc.b - want).max() < 1e-8 * max(1.0, np.abs(want).max())
+
+        # h_x / h = r, with h_x from fourth-order differences of the closed form
+        x = g.x[np.abs(g.x) < 0.5 * g.half_width]
+        step = 1e-3
+        offsets = np.array([-2.0, -1.0, 1.0, 2.0]) * step
+        h = gauge_weight(cs, 0.0, (x[:, None] + offsets[None, :]).ravel()).reshape(-1, 4)
+        h_x = (h[:, 0] - 8.0 * h[:, 1] + 8.0 * h[:, 2] - h[:, 3]) / (12.0 * step)
+        r = np.asarray(cs.derived("gauge_ratio").eval(0.0, x), dtype=float)
+        assert np.abs(h_x / gauge_weight(cs, 0.0, x) - r).max() < 1e-8 * max(1.0, np.abs(r).max())
+
+        # forward then inverse transport is the identity
+        gm = system.map_at(0.0)
+        u = gaussian_state(g, 1.0, 1.0)
+        back = inverse_transform(forward_transform(u, gm), gm)
+        assert l2_norm(back - u) <= 1e-8 * l2_norm(u)

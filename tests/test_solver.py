@@ -1,4 +1,6 @@
-"""Time stepping, blow-up detection, weak residuals, monitors, persistence."""
+"""Time stepping, blow-up detection, weak residuals, monitors."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -6,19 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvgauge.coefficients import CoefficientSet
+from kdvgauge.dyadic import ProjectorBank
 from kdvgauge.gauge import GaugeSystem, TransformedCoefficients, forward_transform
 from kdvgauge.solver import (
     SolverConfig,
     SpaceTimeBump,
     auto_dt,
     energy_monitor,
-    load_snapshot,
-    save_snapshot,
     solve,
     step_original,
     step_transformed,
     weak_residual,
-    write_norms_csv,
 )
 from kdvgauge.spectral import SpectralState, l2_norm, make_grid, mass
 from kdvgauge.experiments import (
@@ -142,6 +142,41 @@ class TestSolve:
         assert np.all(traj.hs_norms == 0.0)
         assert np.all(traj.sup_norms == 0.0)
         assert not traj.blowup
+
+    def test_first_row_describes_the_stored_datum(self):
+        # cos(25x) lies beyond the dealiased band (|k| <= 21.3 on 64 points),
+        # so the stored datum is cos(2x) alone, and so is its sup-norm
+        g = make_grid(np.pi, 64)
+        tc = TransformedCoefficients.constant_kdv(g, epsilon=0.0)
+        u0 = SpectralState.from_physical(g, np.cos(2 * g.x) + np.cos(25 * g.x))
+        cfg = SolverConfig("transformed", t_final=0.01, dt=1e-3, s=1.0,
+                           warn_domain_edge=False)
+        traj = solve(u0, cfg, tc)
+        assert traj.sup_norms[0] == np.abs(traj.states[0].physical()).max()
+        assert traj.sup_norms[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_complex_datum_dissipation_is_parseval(self):
+        # constant b: int b |P_N u_x|^2 = b 2L sum_k |phi_N(k) k c_k|^2
+        g = make_grid(np.pi, 64)
+        b = 0.3
+        tc = TransformedCoefficients.constant_kdv(g, epsilon=0.0)
+        tc.b = np.full(64, b)
+        coeffs = np.zeros(64, dtype=complex)
+        coeffs[[1, 3, -5, 7]] = [0.5 + 0.2j, -0.3j, 0.25, 0.1 - 0.1j]
+        u0 = SpectralState(g, coeffs, False)
+        cfg = SolverConfig("transformed", t_final=0.01, dt=1e-3, s=1.0,
+                           warn_domain_edge=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = solve(u0, cfg, tc)
+        bank = ProjectorBank(g)
+        k = g.wavenumbers
+        c = traj.states[0].coefficients
+        want = -b * 2 * np.pi * sum(
+            (1.0 + N) ** 2 * np.sum(np.abs(bank.p_n(N).symbol * k * c) ** 2)
+            for N in bank.dyadic_ns
+        )
+        assert traj.dissipation[0] == pytest.approx(want, rel=1e-12)
 
     def test_temporal_convergence_sixteenfold(self):
         # halving dt shrinks the self-convergence error about 16x
@@ -295,74 +330,6 @@ class TestEnergyMonitor:
         base = rep.hs_norms[0] ** 2
         assert total.max() <= 2.0 * base
         assert total.min() >= 0.5 * base
-
-
-class TestPersistence:
-    def test_snapshot_roundtrip(self, tmp_path):
-        g = make_grid(2.5, 64)
-        rng = np.random.default_rng(0)
-        st = SpectralState.from_physical(g, rng.standard_normal(64))
-        path = tmp_path / "state.bin"
-        save_snapshot(st, 0.75, path)
-        back, t = load_snapshot(path)
-        assert t == 0.75
-        assert back.grid.num_points == 64
-        assert back.grid.half_width == pytest.approx(2.5)
-        assert np.abs(back.coefficients - st.coefficients).max() == 0.0
-
-    def test_snapshot_layout_little_endian(self, tmp_path):
-        import struct
-
-        g = make_grid(1.0, 16)
-        st = SpectralState.zero(g)
-        st.coefficients[1] = 0.5 + 0.25j
-        path = tmp_path / "state.bin"
-        save_snapshot(st, 2.0, path)
-        raw = path.read_bytes()
-        n, L, t = struct.unpack("<qdd", raw[:24])
-        assert (n, L, t) == (16, 1.0, 2.0)
-        pairs = np.frombuffer(raw[24:], dtype="<f8")
-        assert pairs.size == 32
-        assert pairs[2] == 0.5 and pairs[3] == 0.25
-
-    def test_norms_csv(self, tmp_path):
-        import io
-
-        g = make_grid(np.pi, 64)
-        tc = TransformedCoefficients.constant_kdv(g)
-        u0 = gaussian_state(g, 0.2, 0.4)
-        cfg = SolverConfig("transformed", t_final=0.05, dt=1e-3, s=1.0,
-                           warn_domain_edge=False)
-        traj = solve(u0, cfg, tc, monitor_times=[0.025, 0.05])
-        buf = io.StringIO()
-        write_norms_csv(traj, buf, header_lines=["run_id: abc"])
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "# run_id: abc"
-        assert lines[1] == "t,hs_norm,seminorm_cumulative,sup_norm,dissipation"
-        assert len(lines) == 2 + len(traj.times)
-
-
-class TestSolutionDump:
-    def test_solution_csv_slabs(self):
-        import io
-
-        g = make_grid(np.pi, 64)
-        tc = TransformedCoefficients.constant_kdv(g)
-        u0 = gaussian_state(g, 0.2, 0.4)
-        cfg = SolverConfig("transformed", t_final=0.02, dt=1e-3, s=1.0,
-                           warn_domain_edge=False)
-        traj = solve(u0, cfg, tc, monitor_times=[0.01, 0.02])
-        import kdvgauge.solver as solver_mod
-
-        buf = io.StringIO()
-        solver_mod.write_solution_csv(traj, buf, header_lines=["run_id: z"])
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "# run_id: z"
-        assert lines[1] == "t,x,u"
-        assert len(lines) == 2 + len(traj.times) * 64
-        first = lines[2].split(",")
-        assert float(first[0]) == 0.0
-        assert float(first[1]) == pytest.approx(-np.pi)
 
 
 class TestTrajectoryInvariants:
