@@ -19,6 +19,7 @@ import difflib
 import hashlib
 import json
 import sys
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from .experiments import (
     write_report,
 )
 from .expressions import ExpressionError, parse_coefficient
-from .spectral import GridSizeError, make_grid
+from .spectral import Grid, GridSizeError, make_grid
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
@@ -143,7 +144,7 @@ def _convert(tag: str, raw: str, where: str, violations: list):
     return None
 
 
-def _bona_smith_violations(values: dict) -> list[str]:
+def _bona_smith_violations(values: dict, grid: Grid) -> list[str]:
     """Truncation sweeps that leave nothing to measure on the run's grid.
 
     P_<=n keeps every |k| <= n in full, so a cutoff at or above the largest
@@ -151,10 +152,6 @@ def _bona_smith_violations(values: dict) -> list[str]:
     (the structure ratio would divide by zero), and a reference no finer
     than a cutoff gives zero difference.
     """
-    try:
-        grid = make_grid(values["grid"]["half_width"], values["grid"]["num_points"])
-    except GridSizeError:
-        return []  # reported when the run builds its grid
     ex = values["experiment"]
     n_sweep = ex.get("n_sweep", ExperimentSpec.n_sweep)
     reference_n = ex.get("reference_n", ExperimentSpec.reference_n)
@@ -180,6 +177,34 @@ def _bona_smith_violations(values: dict) -> list[str]:
             f"cutoff (largest {max(n_sweep)}; k_max = {grid.k_max:g})"
         )
     return violations
+
+
+def _wavepacket_violations(values: dict, grid: Grid) -> list[str]:
+    """Carrier sweeps the packet study cannot run on the run's grid.
+
+    The traversal time is 2 launch / (3 alpha xi0^2), so xi0 must be
+    positive, and the packet's carrier must sit below two thirds of the
+    Nyquist wavenumber, or the undealiased runs evolve an aliased packet.
+    """
+    xi0_sweep = values["experiment"].get("xi0_sweep", ExperimentSpec.xi0_sweep)
+    k_top = (2.0 / 3.0) * grid.k_max
+    if not xi0_sweep:
+        return [
+            f"[experiment] xi0_sweep: needs at least one carrier in (0, {k_top:g}) "
+            f"(k_max = {grid.k_max:g})"
+        ]
+    bad = [xi0 for xi0 in xi0_sweep if not 0 < xi0 < k_top]
+    if not bad:
+        return []
+    return [
+        f"[experiment] xi0_sweep: carriers {', '.join(f'{x:g}' for x in bad)} lie "
+        f"outside (0, {k_top:g}); each must be positive and below two thirds "
+        f"of k_max = {grid.k_max:g} on this grid"
+    ]
+
+
+# experiment kind -> parse-time check of its sweep against the run's grid
+_SWEEP_CHECKS = {"bona_smith": _bona_smith_violations, "wavepacket": _wavepacket_violations}
 
 
 @dataclass
@@ -244,8 +269,14 @@ def parse_config(path) -> RunConfig:
         if key not in values.get(section, {}):
             violations.append(f"[{section}] missing required key {key!r}")
 
-    if not violations and values["experiment"]["kind"] == "bona_smith":
-        violations.extend(_bona_smith_violations(values))
+    sweep_check = None if violations else _SWEEP_CHECKS.get(values["experiment"]["kind"])
+    if sweep_check is not None:
+        try:
+            grid = make_grid(values["grid"]["half_width"], values["grid"]["num_points"])
+        except GridSizeError:
+            pass  # reported when the run builds its grid
+        else:
+            violations.extend(sweep_check(values, grid))
     if violations:
         raise ConfigError(violations)
 
@@ -316,8 +347,13 @@ def run(
     allow_hypothesis_violation: bool = False,
     gnuplot: bool = False,
     stream=None,
+    show_traceback: bool = False,
 ) -> int:
-    """Hypothesis gate, experiment dispatch, output emission."""
+    """Hypothesis gate, experiment dispatch, output emission.
+
+    An unexpected exception is reported as one `error: ...` line (exit 2),
+    preceded by its full traceback when `show_traceback` is set.
+    """
     out = stream or sys.stdout
     try:
         grid = make_grid(config.values["grid"]["half_width"],
@@ -358,6 +394,8 @@ def run(
     except ConfigError:
         raise
     except Exception as exc:  # noqa: BLE001 -- boundary: report and signal exit 2
+        if show_traceback:
+            out.write(traceback.format_exc())
         out.write(f"error: {exc}\n")
         return 2
 
@@ -380,6 +418,10 @@ def main(argv=None) -> int:
 
     p_check = sub.add_parser("check", help="hypothesis check only")
     p_check.add_argument("config")
+
+    for p in (p_run, p_check):
+        p.add_argument("--traceback", action="store_true",
+                       help="print the full traceback of an unexpected error")
 
     sub.add_parser("list-experiments", help="print the experiment kinds")
 
@@ -405,6 +447,8 @@ def main(argv=None) -> int:
                 config.cset, grid, config.values["solver"]["t_final"], t_samples=5
             )
         except Exception as exc:  # noqa: BLE001
+            if args.traceback:
+                traceback.print_exc(file=sys.stderr)
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(hyp.format_text())
@@ -416,6 +460,7 @@ def main(argv=None) -> int:
         seed_override=args.seed,
         allow_hypothesis_violation=args.allow_hypothesis_violation,
         gnuplot=args.gnuplot,
+        show_traceback=args.traceback,
     )
 
 

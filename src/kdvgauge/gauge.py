@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientSet, anchored_cumulative
+from .coefficients import _GL_NODES, _GL_WEIGHTS, CoefficientSet, anchored_cumulative
 from .expressions import CoefficientExpr
 from .spectral import Grid, SpectralState, edge_mass_fraction, interpolate, make_grid
 
@@ -114,8 +114,6 @@ class GaugeMap:
         gx = self.source_grid.x
         idx = np.clip(np.searchsorted(gx, pts, side="right") - 1, 0, gx.size - 1)
         inv_cbrt = self.cset.derived("alpha_inv_cbrt")
-        from .coefficients import _GL_NODES, _GL_WEIGHTS  # shared rule
-
         a = gx[idx]
         halves = 0.5 * (pts - a)
         mids = 0.5 * (pts + a)

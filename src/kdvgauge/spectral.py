@@ -210,20 +210,33 @@ def interpolate(state: SpectralState, query_points: np.ndarray) -> np.ndarray:
 
     Exact to round-off for band-limited fields; reproduces stored samples at
     grid nodes.
+
+    The phase sum u(y) = sum_k c(k) exp(i k o), o = y + half_width, is
+    factorized: in fftshift order mode p = a*B + b has wavenumber
+    (p - n/2) dk, so exp(i (p - n/2) dk o) = exp(i (a*B - n/2) dk o)
+    * exp(i b dk o) with B a power of two near sqrt(n).  With Lo the m x B
+    table of the second factor, Hi the m x n/B table of the first and C the
+    shifted coefficients as an (n/B) x B array, u = rowsum(Hi * (Lo @ C.T)).
+    That is m (B + n/B) complex exponentials instead of m n, the m n
+    multiply-adds in one matrix product, and O(m sqrt(n)) working memory.
+    Every term is still summed exactly once, and both factors take their
+    wavenumbers from `grid.wavenumbers`, so the result is the dense sum
+    exp(i k o) @ c to round-off.
     """
     scalar = np.isscalar(query_points) or np.ndim(query_points) == 0
-    y = state.grid.fold(np.atleast_1d(np.asarray(query_points, dtype=float)))
-    k = state.grid.wavenumbers
-    c = state.coefficients
+    grid = state.grid
+    y = grid.fold(np.atleast_1d(np.asarray(query_points, dtype=float)))
+    n = grid.num_points
+    block = 1 << (n.bit_length() // 2)
+    k = grid.wavenumbers
     # stored coefficients are indexed from the first node, so evaluation
     # phases are taken relative to x = -half_width
-    offset = y + state.grid.half_width
-    out = np.empty(y.shape[0], dtype=complex)
-    chunk = 512
-    for start in range(0, y.shape[0], chunk):
-        stop = min(start + chunk, y.shape[0])
-        phases = np.exp(1j * np.outer(offset[start:stop], k))
-        out[start:stop] = phases @ c
+    offset = y + grid.half_width
+    lo = np.exp(1j * np.outer(offset, k[:block]))
+    # negative indices reach (a*B - n/2) dk in numpy FFT order
+    hi = np.exp(1j * np.outer(offset, k[np.arange(-(n // 2), n // 2, block)]))
+    table = np.fft.fftshift(state.coefficients).reshape(n // block, block)
+    out = np.einsum("ij,ij->i", hi, lo @ table.T)
     if state.is_real_field:
         out = out.real
     return out[0] if scalar else out

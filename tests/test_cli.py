@@ -344,6 +344,68 @@ packet_launch = 6
         # the accepted sweep itself parses
         parse_config(write_cfg(tmp_path, KIND_CONFIGS["bona_smith"], "ok.cfg"))
 
+    @pytest.mark.parametrize("sweep", ["0, 10", "-8", ""])
+    def test_wavepacket_sweep_without_positive_carriers_refused(
+        self, tmp_path, capsys, sweep
+    ):
+        # the traversal time 2 launch / (3 alpha xi0^2) needs xi0 > 0; xi0 = 0
+        # used to exit 2 with a bare "float division by zero", and an empty
+        # sweep with "max() arg is an empty sequence"
+        cfg_text = KIND_CONFIGS["wavepacket"].replace("xi0_sweep = 8", f"xi0_sweep = {sweep}")
+        cfg_path = write_cfg(tmp_path, cfg_text, "wp.cfg")
+        code = main(["run", str(cfg_path), "-o", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "[experiment] xi0_sweep" in err and "k_max = 16" in err
+        assert "division" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_aliased_wavepacket_carrier_refused(self, tmp_path):
+        # default grid (8*pi, 512 points): k_max = 32, so a carrier at 40 is
+        # beyond the resolved band and the study would report a meaningless FAIL
+        cfg_path = write_cfg(
+            tmp_path, "[experiment]\nkind = wavepacket\nxi0_sweep = 10, 40\n", "wp.cfg"
+        )
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg_path)
+        text = "\n".join(err.value.violations)
+        assert "[experiment] xi0_sweep: carriers 40 " in text and "k_max = 32" in text
+        # the default sweep (10, 15, 20 at k_max = 32) and the kind config
+        # (8 at k_max = 16) stay accepted
+        parse_config(write_cfg(tmp_path, "[experiment]\nkind = wavepacket\n", "default.cfg"))
+        parse_config(write_cfg(tmp_path, KIND_CONFIGS["wavepacket"], "ok.cfg"))
+
+
+class TestTraceback:
+    @pytest.mark.parametrize("flag", [[], ["--traceback"]])
+    def test_run_catch_all(self, tmp_path, capsys, monkeypatch, flag):
+        def explode(spec):
+            raise RuntimeError("forced failure inside the run")
+
+        monkeypatch.setattr("kdvgauge.cli.run_experiment", explode)
+        cfg_path = write_cfg(tmp_path, SURVEY)
+        code = main(["run", str(cfg_path), "-o", str(tmp_path / "out"), *flag])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert out.endswith("error: forced failure inside the run\n")
+        if flag:
+            assert out.startswith("Traceback (most recent call last):")
+            assert "in explode" in out
+        else:
+            assert out == "error: forced failure inside the run\n"
+
+    @pytest.mark.parametrize("flag", [[], ["--traceback"]])
+    def test_check_catch_all(self, tmp_path, capsys, monkeypatch, flag):
+        def explode(*args, **kwargs):
+            raise RuntimeError("forced failure inside the check")
+
+        monkeypatch.setattr("kdvgauge.cli.check_hypotheses", explode)
+        code = main(["check", str(write_cfg(tmp_path, SURVEY)), *flag])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: forced failure inside the check\n")
+        assert ("Traceback (most recent call last):" in err) == bool(flag)
+
 
 class TestSplitConfig:
     def test_softplus_strategy_builds_valid_split(self, tmp_path):

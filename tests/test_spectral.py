@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdvgauge.spectral import (
     GridSizeError,
@@ -147,6 +149,61 @@ class TestInterpolate:
         assert interpolate(st, 0.3 + 2 * np.pi) == pytest.approx(
             np.sin(0.3), abs=1e-10
         )
+
+
+def dense_interpolate(state, query_points):
+    """Reference: the dense m x n phase-matrix sum, one exp per (point, mode)."""
+    scalar = np.isscalar(query_points) or np.ndim(query_points) == 0
+    y = state.grid.fold(np.atleast_1d(np.asarray(query_points, dtype=float)))
+    k = state.grid.wavenumbers
+    c = state.coefficients
+    offset = y + state.grid.half_width
+    out = np.empty(y.shape[0], dtype=complex)
+    chunk = 512
+    for start in range(0, y.shape[0], chunk):
+        stop = min(start + chunk, y.shape[0])
+        phases = np.exp(1j * np.outer(offset[start:stop], k))
+        out[start:stop] = phases @ c
+    if state.is_real_field:
+        out = out.real
+    return out[0] if scalar else out
+
+
+class TestInterpolateMatchesDense:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log2n=st.integers(4, 10),
+        half_width=st.floats(0.5, 100.0),
+        real=st.booleans(),
+        nyquist=st.floats(0.1, 2.0) | st.floats(-2.0, -0.1),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_matches_dense_sum(self, log2n, half_width, real, nyquist, seed):
+        n = 2**log2n
+        g = make_grid(half_width, n)
+        rng = np.random.default_rng(seed)
+        if real:
+            state = SpectralState.from_physical(g, rng.standard_normal(n))
+            state.coefficients[n // 2] = nyquist
+        else:
+            coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            coeffs[n // 2] = nyquist * (1.0 + 1j)
+            state = SpectralState(g, coeffs, False)
+        L = half_width
+        # inside and outside [-L, L) (folding), the nodes, and the fold edges
+        query = np.concatenate([
+            rng.uniform(-3.0 * L, 3.0 * L, 97), g.x[::max(1, n // 16)],
+            [-L, L, 3.0 * L, -5.0 * L + 1e-3],
+        ])
+        got = interpolate(state, query)
+        want = dense_interpolate(state, query)
+        assert np.isrealobj(got) == real and got.shape == query.shape
+        # |u| <= sum |c|: the scale of the sum and of its round-off
+        scale = np.abs(state.coefficients).sum()
+        assert np.abs(got - want).max() <= 1e-13 * scale
+        one = interpolate(state, float(query[0]))
+        assert np.ndim(one) == 0
+        assert abs(one - dense_interpolate(state, float(query[0]))) <= 1e-13 * scale
 
 
 class TestDealias:
