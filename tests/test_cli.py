@@ -377,34 +377,31 @@ packet_launch = 6
 
 
 class TestTraceback:
-    @pytest.mark.parametrize("flag", [[], ["--traceback"]])
-    def test_run_catch_all(self, tmp_path, capsys, monkeypatch, flag):
+    def test_run_catch_all(self, tmp_path, capsys, monkeypatch):
         def explode(spec):
             raise RuntimeError("forced failure inside the run")
 
         monkeypatch.setattr("kdvgauge.cli.run_experiment", explode)
         cfg_path = write_cfg(tmp_path, SURVEY)
-        code = main(["run", str(cfg_path), "-o", str(tmp_path / "out"), *flag])
+        code = main(["run", str(cfg_path), "-o", str(tmp_path / "out")])
         assert code == 2
-        out = capsys.readouterr().out
-        assert out.endswith("error: forced failure inside the run\n")
-        if flag:
-            assert out.startswith("Traceback (most recent call last):")
-            assert "in explode" in out
-        else:
-            assert out == "error: forced failure inside the run\n"
+        captured = capsys.readouterr()
+        assert captured.out == "error: forced failure inside the run\n"
+        assert captured.err.startswith("Traceback (most recent call last):")
+        assert "in explode" in captured.err
 
-    @pytest.mark.parametrize("flag", [[], ["--traceback"]])
-    def test_check_catch_all(self, tmp_path, capsys, monkeypatch, flag):
+    def test_check_catch_all(self, tmp_path, capsys, monkeypatch):
         def explode(*args, **kwargs):
             raise RuntimeError("forced failure inside the check")
 
         monkeypatch.setattr("kdvgauge.cli.check_hypotheses", explode)
-        code = main(["check", str(write_cfg(tmp_path, SURVEY)), *flag])
+        code = main(["check", str(write_cfg(tmp_path, SURVEY))])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.endswith("error: forced failure inside the check\n")
-        assert ("Traceback (most recent call last):" in err) == bool(flag)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("Traceback (most recent call last):")
+        assert "in explode" in captured.err
+        assert captured.err.endswith("\nerror: forced failure inside the check\n")
 
 
 class TestSplitConfig:
