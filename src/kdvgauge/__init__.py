@@ -7,7 +7,7 @@ from .coefficients import (
     HypothesisReport,
     anchored_cumulative,
     check_hypotheses,
-    split_beta,
+    softplus_split,
 )
 from .dyadic import (
     ProjectorBank,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientSet, check_hypotheses, split_beta
+from .coefficients import CoefficientSet, check_hypotheses, softplus_split
 from .experiments import (
     EXPERIMENT_KINDS,
     ExperimentSpec,
@@ -207,8 +207,40 @@ def _wavepacket_violations(values: dict, grid: Grid) -> list[str]:
     ]
 
 
+def _band_sweep_violations(values: dict, grid: Grid) -> list[str]:
+    """Band sweeps the commutator survey cannot run.
+
+    The survey works on its own grid of max(num_points, 8 max(band_sweep))
+    points, which must be a power of two; the double-bracket slope fit and
+    the identity draws use the bands >= 8, and the fit needs two of them.
+    """
+    sweep = values["experiment"].get("band_sweep", ExperimentSpec.band_sweep)
+    violations = []
+    bad = [n for n in sweep if n <= 0]
+    if bad:
+        violations.append(
+            f"[experiment] band_sweep: bands {', '.join(map(str, bad))} are not positive"
+        )
+    if len({n for n in sweep if n >= 8}) < 2:
+        violations.append(
+            "[experiment] band_sweep: needs at least two distinct bands >= 8 "
+            "(the double-bracket slope fit and the identity draws use only those)"
+        )
+    size = max(grid.num_points, 8 * max(sweep, default=0))
+    if size & (size - 1):
+        violations.append(
+            f"[experiment] band_sweep: the survey grid has max(num_points, "
+            f"8 * max(band_sweep)) = {size} points, which is not a power of two"
+        )
+    return violations
+
+
 # experiment kind -> parse-time check of its sweep against the run's grid
-_SWEEP_CHECKS = {"bona_smith": _bona_smith_violations, "wavepacket": _wavepacket_violations}
+_SWEEP_CHECKS = {
+    "bona_smith": _bona_smith_violations,
+    "wavepacket": _wavepacket_violations,
+    "commutator_survey": _band_sweep_violations,
+}
 
 
 @dataclass
@@ -294,7 +326,7 @@ def parse_config(path) -> RunConfig:
     try:
         beta_expr = parse_coefficient(co["beta"])
         if sp["strategy"] == "softplus":
-            b1, b2 = split_beta(beta_expr, "softplus", kappa=sp["kappa"])
+            b1, b2 = softplus_split(beta_expr, sp["kappa"])
             b1_text, b2_text = "<softplus>", "<softplus>"
         else:
             b1_text = sp.get("beta1", co["beta"])

@@ -27,7 +27,7 @@ from .spectral import Grid
 
 __all__ = [
     "CoefficientSet",
-    "split_beta",
+    "softplus_split",
     "check_hypotheses",
     "HypothesisEntry",
     "HypothesisReport",
@@ -170,32 +170,20 @@ class CoefficientSet:
                 )
 
 
-def split_beta(
-    beta: CoefficientExpr,
-    strategy: str,
-    kappa: float = 10.0,
-    beta1: CoefficientExpr | None = None,
-    beta2: CoefficientExpr | None = None,
+def softplus_split(
+    beta: CoefficientExpr, kappa: float = 10.0
 ) -> tuple[CoefficientExpr, CoefficientExpr]:
-    """Produce a smooth split beta = beta1 + beta2 with beta2 <= 0.
+    """Smooth split beta = beta1 + beta2 with beta2 <= 0, for `strategy = softplus`.
 
-    "user_provided" passes the given pair through; "softplus" builds
-    beta1 = log(1 + exp(kappa beta)) / kappa, which is positive, smooth and
-    exceeds beta, leaving beta2 = beta - beta1 <= 0.  The exponential is
-    evaluated directly, so |kappa * beta| must stay below ~700 on the
-    domain (bounded beta is a standing assumption); screening catches the
-    rest.
+    beta1 = log(1 + exp(kappa beta)) / kappa is positive, smooth and exceeds
+    beta, leaving beta2 = beta - beta1 <= 0.  The exponential is evaluated
+    directly, so |kappa * beta| must stay below ~700 on the domain (bounded
+    beta is a standing assumption); screening catches the rest.
     """
-    if strategy == "user_provided":
-        if beta1 is None or beta2 is None:
-            raise ValueError("user_provided split needs explicit beta1 and beta2")
-        return beta1, beta2
-    if strategy == "softplus":
-        if not kappa > 0:
-            raise ValueError("softplus sharpness kappa must be positive")
-        soft = ((kappa * beta).apply("exp") + 1.0).apply("log") / kappa
-        return soft, beta - soft
-    raise ValueError(f"unknown split strategy {strategy!r}")
+    if not kappa > 0:
+        raise ValueError("softplus sharpness kappa must be positive")
+    soft = ((kappa * beta).apply("exp") + 1.0).apply("log") / kappa
+    return soft, beta - soft
 
 
 @dataclass

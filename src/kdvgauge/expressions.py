@@ -11,7 +11,8 @@ Grammar (infix, `^` is power, right associative):
 
 Expressions are immutable after parse; evaluation is pure, vectorized over
 numpy arrays, and thread-safe.  Derivative trees are produced symbolically
-and cached per (t-order, x-order) up to t-order 1 and x-order 4.
+and cached per (t-order, x-order) up to t-order 1 and x-order 4; `eval`
+and the `dx`/`dt` expressions both read that one cache.
 """
 
 from __future__ import annotations
@@ -494,16 +495,10 @@ class CoefficientExpr:
         return self._derivatives[key]
 
     def dx(self, order: int = 1) -> "CoefficientExpr":
-        node = self.root
-        for _ in range(order):
-            node = _diff(node, "x")
-        return CoefficientExpr(node)
+        return CoefficientExpr(self._tree(0, order))
 
     def dt(self, order: int = 1) -> "CoefficientExpr":
-        node = self.root
-        for _ in range(order):
-            node = _diff(node, "t")
-        return CoefficientExpr(node)
+        return CoefficientExpr(self._tree(order, 0))
 
     # evaluation ------------------------------------------------------------
 

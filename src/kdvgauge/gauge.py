@@ -50,6 +50,7 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "gauge_weight_log_time_derivative",
+    "TimeSlices",
     "GaugeSystem",
 ]
 
@@ -355,11 +356,39 @@ def inverse_transform(v: SpectralState, gmap: GaugeMap) -> SpectralState:
     return SpectralState.from_physical(gmap.source_grid, u)
 
 
-class GaugeSystem:
-    """Per-time gauge maps and transformed coefficients, built on demand.
+SLICE_CACHE = 8  # slices a TimeSlices keeps; one RK4 step reads three stage times
 
-    Slices are independent, so construction per time is trivially
-    parallelizable; this implementation keeps a small cache keyed by time.
+
+class TimeSlices:
+    """Slices `build(t)` keyed by time, for the RK stage times of a solve.
+
+    A time is keyed as round(t, 14) and its slice is built at the key, so
+    stage times that agree to 14 decimals share one slice; with `frozen`
+    every time maps to the one slice at 0.0.  The newest SLICE_CACHE slices
+    are kept, oldest evicted first, and a hit returns the same object.
+    """
+
+    def __init__(self, build, frozen: bool):
+        self._build = build
+        self._frozen = frozen
+        self._slices: dict = {}
+
+    def __call__(self, t: float):
+        key = 0.0 if self._frozen else round(float(t), 14)
+        hit = self._slices.get(key)
+        if hit is None:
+            if len(self._slices) >= SLICE_CACHE:
+                self._slices.pop(next(iter(self._slices)))
+            hit = self._slices[key] = self._build(key)
+        return hit
+
+
+class GaugeSystem:
+    """Gauge maps and transformed coefficients at any time, built on demand.
+
+    `map_at(t)` and `coefficients_at(t)` are two TimeSlices over one image
+    grid: frozen coefficient sets build one slice of each for all times,
+    time-dependent ones a slice per 14-decimal time key.
     """
 
     def __init__(
@@ -375,32 +404,10 @@ class GaugeSystem:
         self.image_grid = image_grid or image_grid_for(
             cset, source_grid, times=times, padding=padding
         )
-        self._maps: dict[float, GaugeMap] = {}
-        self._coeffs: dict[float, TransformedCoefficients] = {}
-
-    def _trim(self, cache: dict, keep: int = 8) -> None:
-        while len(cache) > keep:
-            cache.pop(next(iter(cache)))
-
-    def _key(self, t: float) -> float:
-        # frozen coefficients produce one slice for all times
-        return 0.0 if not self.cset.is_time_dependent else round(float(t), 14)
-
-    def map_at(self, t: float) -> GaugeMap:
-        key = self._key(t)
-        if key not in self._maps:
-            self._maps[key] = build_gauge_map(
-                self.cset, key, self.source_grid, self.image_grid
-            )
-            self._trim(self._maps)
-        return self._maps[key]
-
-    def coefficients_at(self, t: float) -> TransformedCoefficients:
-        key = self._key(t)
-        if key not in self._coeffs:
-            self._coeffs[key] = transform_coefficients(
-                self.cset, self.map_at(key), self.image_grid
-            )
-            self._trim(self._coeffs)
-        return self._coeffs[key]
-
+        frozen = not cset.is_time_dependent
+        self.map_at = TimeSlices(
+            lambda t: build_gauge_map(cset, t, source_grid, self.image_grid), frozen
+        )
+        self.coefficients_at = TimeSlices(
+            lambda t: transform_coefficients(cset, self.map_at(t), self.image_grid), frozen
+        )

@@ -14,20 +14,23 @@ with a diagonal Fourier symbol L:
   remaining terms (b v_xx enters with the dissipative sign for b >= 0) are
   explicit, with quadratic products dealiased.
 
-N is read from a per-form table of coefficient -> (derivative order, sign).
-Real fields step on the Hermitian half spectrum (rfft/irfft) with the
-unpaired Nyquist mode held at zero; every derivative a right-hand side
-needs comes from one batched inverse transform, and terms whose coefficient
-is identically zero are skipped.  Time-dependent coefficients are
-re-sampled at the RK stage times, which preserves fourth order.  Blow-up is
-detected from the sup-norm at monitor times against a configurable cap and
-is deterministic for a fixed configuration.
+N is read from a per-form table of coefficient -> (derivative order, sign),
+and the weak residual reads the same table.  Real fields step on the
+Hermitian half spectrum (rfft/irfft) with the unpaired Nyquist mode held at
+zero; every derivative a right-hand side needs comes from one batched
+inverse transform, and terms whose coefficient is identically zero are
+skipped.  Time-dependent coefficients are re-sampled at the RK stage times,
+which preserves fourth order; `_sampler` serves them through a
+`gauge.TimeSlices` cache keyed by time to 14 decimals.  Blow-up is detected
+from the sup-norm at monitor times against a configurable cap and is
+deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.fft
@@ -35,7 +38,7 @@ from scipy.integrate import simpson
 
 from .coefficients import CoefficientSet
 from .dyadic import ProjectorBank, _b_energy, _nonnegative_weight, bump_eta, bump_eta_prime
-from .gauge import GaugeSystem, TransformedCoefficients
+from .gauge import GaugeSystem, TimeSlices, TransformedCoefficients
 from .spectral import Grid, SpectralState, edge_mass_fraction, sobolev_norm
 
 __all__ = [
@@ -236,7 +239,7 @@ class _RK4:
 
         linear, quadratic = [], []
         for name, (order, sign, is_quadratic) in self.terms.items():
-            coef = co[name]
+            coef = getattr(co, name)
             if np.any(coef):
                 (quadratic if is_quadratic else linear).append((sign * coef, slot(order)))
         field_slot = slot(0) if quadratic else None
@@ -247,7 +250,7 @@ class _RK4:
         return plan
 
     def rhs(self, chat: np.ndarray, t: float) -> np.ndarray:
-        plan = self._plan_for(self.sampler.at(t))
+        plan = self._plan_for(self.sampler(t))
         if plan is None:
             return self._zero
         rows, linear, quadratic, field_slot = plan
@@ -271,83 +274,52 @@ class _RK4:
         return e_full * chat + (dt / 6.0) * (e_full * n1 + 2.0 * (e_half * (n2 + n3)) + n4)
 
 
-class _OriginalSampler:
-    """Coefficient arrays of the original form at arbitrary times, cached."""
-
-    def __init__(self, cset: CoefficientSet, grid: Grid):
-        self.cset = cset
-        self.grid = grid
-        self._cache: dict[float, dict] = {}
-        self._static = None
-        if not cset.is_time_dependent:
-            self._static = self._build(0.0)
-
-    def _build(self, t: float) -> dict:
-        x = self.grid.x
-        return {
-            "alpha": np.asarray(self.cset.alpha.eval(t, x), dtype=float),
-            "beta": np.asarray(self.cset.beta.eval(t, x), dtype=float),
-            "gamma": np.asarray(self.cset.gamma.eval(t, x), dtype=float),
-            "delta": np.asarray(self.cset.delta.eval(t, x), dtype=float),
-            "epsilon": np.asarray(self.cset.epsilon.eval(t, x), dtype=float),
-        }
-
-    def at(self, t: float) -> dict:
-        if self._static is not None:
-            return self._static
-        key = round(float(t), 14)
-        if key not in self._cache:
-            if len(self._cache) > 8:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[key] = self._build(float(t))
-        return self._cache[key]
+def _original_slice(cset: CoefficientSet, grid: Grid, t: float) -> SimpleNamespace:
+    """The original form's coefficients sampled on the grid at time t."""
+    return SimpleNamespace(**{
+        name: np.asarray(getattr(cset, name).eval(t, grid.x), dtype=float)
+        for name in _TERMS["original"]
+    })
 
 
-class _TransformedSampler:
-    """Arrays b..f at arbitrary times, frozen or via a gauge system."""
+def _sampler(problem, form: str, grid: Grid):
+    """t -> the form's coefficient slice (fields named as in _TERMS) on `grid`.
 
-    def __init__(self, problem):
-        if isinstance(problem, TransformedCoefficients):
-            self._static = self._pack(problem)
-            self._system = None
-            self.grid = problem.grid
-            self.b_array = problem.b
-        elif isinstance(problem, GaugeSystem):
-            self._system = problem
-            self.grid = problem.image_grid
-            if problem.cset.is_time_dependent:
-                self._static = None
-            else:
-                tc = problem.coefficients_at(0.0)
-                self._static = self._pack(tc)
-            self.b_array = problem.coefficients_at(0.0).b
-        else:
-            raise TypeError(
-                "transformed solves need TransformedCoefficients or a GaugeSystem"
-            )
-
-    @staticmethod
-    def _pack(tc: TransformedCoefficients) -> dict:
-        return {"b": tc.b, "c": tc.c, "d": tc.d, "e": tc.e, "f": tc.f}
-
-    def at(self, t: float) -> dict:
-        if self._static is not None:
-            return self._static
-        return self._pack(self._system.coefficients_at(float(t)))
+    Time-dependent slices come from a TimeSlices, so a hit returns the same
+    object and the RK4 term plan is reused; frozen coefficients give one
+    slice for every t.
+    """
+    if form == "original":
+        if not isinstance(problem, CoefficientSet):
+            raise TypeError("original-form solves need a CoefficientSet")
+        return TimeSlices(
+            lambda t: _original_slice(problem, grid, t), not problem.is_time_dependent
+        )
+    if form != "transformed":
+        raise ValueError(f"unknown form {form!r}")
+    if isinstance(problem, TransformedCoefficients):
+        problem_grid, sampler = problem.grid, lambda t: problem
+    elif isinstance(problem, GaugeSystem):
+        problem_grid, sampler = problem.image_grid, problem.coefficients_at
+    else:
+        raise TypeError("transformed solves need TransformedCoefficients or a GaugeSystem")
+    if not grid.compatible_with(problem_grid):
+        raise ValueError("field does not live on the problem's grid")
+    return sampler
 
 
-def _step(state: SpectralState, form: str, sampler, t: float, dt: float,
+def _step(state: SpectralState, form: str, problem, t: float, dt: float,
           dealias_products: bool) -> SpectralState:
     spectrum = _Spectrum(state.grid, state.is_real_field, dealias_products)
-    chat = _RK4(spectrum, form, sampler).step(spectrum.restrict(state.coefficients), t, dt)
-    return spectrum.state(chat)
+    integrator = _RK4(spectrum, form, _sampler(problem, form, state.grid))
+    return spectrum.state(integrator.step(spectrum.restrict(state.coefficients), t, dt))
 
 
 def step_original(
     u: SpectralState, cset: CoefficientSet, t: float, dt: float, dealias_products: bool = True
 ) -> SpectralState:
     """One explicit RK4 step of the original form."""
-    return _step(u, "original", _OriginalSampler(cset, u.grid), t, dt, dealias_products)
+    return _step(u, "original", cset, t, dt, dealias_products)
 
 
 def step_transformed(
@@ -358,9 +330,7 @@ def step_transformed(
     dealias_products: bool = True,
 ) -> SpectralState:
     """One integrating-factor RK4 step of the transformed form."""
-    if not v.grid.compatible_with(coeffs.grid):
-        raise ValueError("coefficients sampled on a different grid")
-    return _step(v, "transformed", _TransformedSampler(coeffs), t, dt, dealias_products)
+    return _step(v, "transformed", coeffs, t, dt, dealias_products)
 
 
 def auto_dt(
@@ -374,31 +344,30 @@ def auto_dt(
     kb = (2.0 / 3.0) * grid.k_max if config.dealias else grid.k_max
     sup0 = float(np.abs(u0.physical()).max())
     candidates = [config.t_final]
+    co = _sampler(problem, config.equation_form, grid)(0.0)
     if config.equation_form == "original":
-        co = _OriginalSampler(problem, grid).at(0.0)
-        amax = float(np.abs(co["alpha"]).max())
+        amax = float(np.abs(co.alpha).max())
         candidates.append(1.0 / (amax * kb**3))
-        bmax = float(np.abs(co["beta"]).max())
+        bmax = float(np.abs(co.beta).max())
         if bmax > 0:
             candidates.append(1.0 / (bmax * kb**2))
-        gmax = float(np.abs(co["gamma"]).max())
+        gmax = float(np.abs(co.gamma).max())
         if gmax > 0:
             candidates.append(1.0 / (gmax * kb))
-        emax = float(np.abs(co["epsilon"]).max())
+        emax = float(np.abs(co.epsilon).max())
         if emax * sup0 > 0:
             candidates.append(1.0 / (4.0 * emax * sup0 * kb))
     else:
-        co = _TransformedSampler(problem).at(0.0)
-        bmax = float(co["b"].max())
+        bmax = float(co.b.max())
         if bmax > 0:
             candidates.append(1.0 / (bmax * kb**2))
-        cmax = float(np.abs(co["c"]).max())
+        cmax = float(np.abs(co.c).max())
         if cmax > 0:
             candidates.append(1.0 / (cmax * kb))
-        emax = float(np.abs(co["e"]).max())
+        emax = float(np.abs(co.e).max())
         if emax * sup0 > 0:
             candidates.append(1.0 / (4.0 * emax * sup0 * kb))
-        dmax = float(np.abs(co["d"]).max()) + float(np.abs(co["f"]).max()) * max(sup0, 1.0)
+        dmax = float(np.abs(co.d).max()) + float(np.abs(co.f).max()) * max(sup0, 1.0)
         if dmax > 0:
             candidates.append(0.5 / dmax)
     return min(candidates)
@@ -426,19 +395,7 @@ def solve(
     land exactly on them; otherwise every monitor_stride-th step is stored.
     """
     grid = u0.grid
-    if config.equation_form == "original":
-        if not isinstance(problem, CoefficientSet):
-            raise TypeError("original-form solves need a CoefficientSet")
-        sampler = _OriginalSampler(problem, grid)
-        b_monitor = None
-    else:
-        sampler = _TransformedSampler(problem)
-        if not grid.compatible_with(sampler.grid):
-            raise ValueError("initial state does not live on the problem's grid")
-
-        def b_monitor(tnow: float) -> np.ndarray:
-            return np.clip(sampler.at(tnow)["b"], 0.0, None)
-
+    sampler = _sampler(problem, config.equation_form, grid)
     dt = auto_dt(config, grid, problem, u0) if config.dt == "auto" else float(config.dt)
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -473,8 +430,8 @@ def solve(
         sups.append(float(np.abs(state.physical()).max()))
         hs.append(sobolev_norm(state, config.s))
         diss.append(
-            -_b_energy(state, b_monitor(tnow), config.s, bank)
-            if b_monitor is not None
+            -_b_energy(state, np.clip(sampler(tnow).b, 0.0, None), config.s, bank)
+            if config.equation_form == "transformed"
             else 0.0
         )
         edge_max = max(edge_max, edge_mass_fraction(state))
@@ -586,6 +543,12 @@ def weak_residual(traj: Trajectory, phi, problem, form: str) -> float:
     phi needs .value(t, x_array) and .dt_value(t, x_array), compact support
     inside [0, T) x interior.  The residual includes the initial-datum term
     and is near zero (quadrature floor) for genuine solutions.
+
+    The equation is read from the form's term table, sampled at every
+    monitor time.  Each term sign * coef * D^p u is moved onto phi by parts:
+    a linear term gives -sign (-1)^p u D^p(coef phi), a quadratic term
+    (p <= 1, with u u_x = (u^2)_x / 2) gives -sign (-1/2)^p u^2 D^p(coef phi),
+    and the transformed form adds -u phi_xxx for its dispersion.
     """
     grid = traj.grid
     x = grid.x
@@ -601,40 +564,26 @@ def weak_residual(traj: Trajectory, phi, problem, form: str) -> float:
             raise ValueError("test field must vanish near the domain edge")
 
     ddx = _Spectrum(grid, real_field=True, dealias_products=False).derivative
-
-    if form == "original":
-        sampler = _OriginalSampler(problem, grid)
-    elif form == "transformed":
-        sampler = _TransformedSampler(problem)
-    else:
-        raise ValueError(f"unknown form {form!r}")
+    sampler = _sampler(problem, form, grid)
 
     g = np.empty(len(traj.times))
     for i, (tt, state) in enumerate(zip(traj.times, traj.states)):
         tt = float(tt)
         u = state.physical()
         p = np.asarray(phi.value(tt, x), dtype=float)
-        pt = np.asarray(phi.dt_value(tt, x), dtype=float)
-        co = sampler.at(tt)
-        if form == "original":
-            lin = u * (
-                -pt
-                - ddx(co["alpha"] * p, 3)
-                + ddx(co["beta"] * p, 2)
-                - ddx(co["gamma"] * p, 1)
-                + co["delta"] * p
-            )
-            quad = 0.5 * u * u * ddx(co["epsilon"] * p, 1)
-        else:
-            lin = u * (
-                -pt
-                - ddx(p, 3)
-                - ddx(co["b"] * p, 2)
-                - ddx(co["c"] * p, 1)
-                + co["d"] * p
-            )
-            quad = u * u * (0.5 * ddx(co["e"] * p, 1) - co["f"] * p)
-        g[i] = grid.dx * float(np.sum(lin + quad))
+        co = sampler(tt)
+        lin = -np.asarray(phi.dt_value(tt, x), dtype=float)
+        if form == "transformed":
+            lin = lin - ddx(p, 3)  # the dispersion the integrating factor applies
+        quad = 0.0
+        for name, (order, sign, is_quadratic) in _TERMS[form].items():
+            weighted = getattr(co, name) * p
+            moved = weighted if order == 0 else ddx(weighted, order)
+            if is_quadratic:
+                quad = quad + (-sign * (-0.5) ** order) * moved
+            else:
+                lin = lin + (-sign * (-1.0) ** order) * moved
+        g[i] = grid.dx * float(np.sum(u * lin + u * u * quad))
 
     space_time = float(simpson(g, x=traj.times))
     u0 = traj.states[0].physical()

@@ -376,6 +376,44 @@ packet_launch = 6
         parse_config(write_cfg(tmp_path, KIND_CONFIGS["wavepacket"], "ok.cfg"))
 
 
+    @pytest.mark.parametrize(
+        "sweep, reason",
+        [
+            ("", "at least two distinct bands >= 8"),
+            ("0, 8, 16", "bands 0 are not positive"),
+            ("-8, 8, 16", "bands -8 are not positive"),
+            ("4", "at least two distinct bands >= 8"),
+            ("4, 8", "at least two distinct bands >= 8"),
+            ("8, 100", "= 800 points, which is not a power of two"),
+        ],
+    )
+    def test_unrunnable_band_sweep_refused(self, tmp_path, capsys, sweep, reason):
+        # each used to exit 2 from inside the run: the empty sweep with "max()
+        # arg is an empty sequence", 4 and 4, 8 with "slope fit needs at least
+        # two points", and 8, 100 with a survey grid of 800 points
+        cfg_text = SURVEY.replace("band_sweep = 8, 16, 32", f"band_sweep = {sweep}")
+        cfg_path = write_cfg(tmp_path, cfg_text, "survey.cfg")
+        code = main(["run", str(cfg_path), "-o", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: [experiment] band_sweep: " in captured.err
+        assert reason in captured.err
+        assert all(line.startswith("config error: ") for line in captured.err.splitlines())
+        assert not (tmp_path / "out").exists()
+
+    def test_runnable_band_sweeps_parse(self, tmp_path):
+        # SURVEY and VIOLATING, and the default sweep 4, ..., 256 on the
+        # default 512-point grid (a survey grid of 2048 points)
+        for name, text in [
+            ("survey", SURVEY),
+            ("violating", VIOLATING),
+            ("default", "[experiment]\nkind = commutator_survey\n"),
+        ]:
+            cfg = parse_config(write_cfg(tmp_path, text, f"{name}.cfg"))
+            assert cfg.kind == "commutator_survey"
+
+
 class TestTraceback:
     def test_run_catch_all(self, tmp_path, capsys, monkeypatch):
         def explode(spec):

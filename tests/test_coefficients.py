@@ -8,7 +8,7 @@ from kdvgauge.coefficients import (
     CoefficientSet,
     anchored_cumulative,
     check_hypotheses,
-    split_beta,
+    softplus_split,
 )
 from kdvgauge.expressions import parse_coefficient
 from kdvgauge.spectral import make_grid
@@ -47,20 +47,20 @@ class TestAnchoredCumulative:
 class TestSplitBeta:
     def test_softplus_negative_beta(self):
         beta = parse_coefficient("-1")
-        b1, b2 = split_beta(beta, "softplus", kappa=10.0)
+        b1, b2 = softplus_split(beta, kappa=10.0)
         x = np.linspace(-5, 5, 11)
         assert np.abs(b1.eval(0.0, x)).max() <= 1e-4
         assert np.allclose(b2.eval(0.0, x), -1.0, atol=1e-4)
 
     def test_softplus_zero_beta(self):
         beta = parse_coefficient("0")
-        b1, b2 = split_beta(beta, "softplus", kappa=10.0)
+        b1, b2 = softplus_split(beta, kappa=10.0)
         assert b1.eval(0.0, 0.0) == pytest.approx(np.log(2.0) / 10.0, rel=1e-12)
         assert b2.eval(0.0, 0.0) == pytest.approx(-np.log(2.0) / 10.0, rel=1e-12)
 
     def test_softplus_invariants(self):
         beta = parse_coefficient("0.3*sin(x)")
-        b1, b2 = split_beta(beta, "softplus", kappa=10.0)
+        b1, b2 = softplus_split(beta, kappa=10.0)
         x = np.linspace(-6, 6, 101)
         assert np.abs(b1.eval(0.0, x) + b2.eval(0.0, x) - beta.eval(0.0, x)).max() < 1e-10
         assert b2.eval(0.0, x).max() <= 0.0
@@ -68,20 +68,9 @@ class TestSplitBeta:
     def test_user_provided_sech_bound(self):
         # beta = sech^2 with beta1 = beta: the gauge integral is tanh, bounded by 2
         beta = parse_coefficient("sech(x)^2")
-        b1, b2 = split_beta(
-            beta, "user_provided", beta1=beta, beta2=parse_coefficient("0")
-        )
         pts = np.linspace(-30, 30, 129)
-        integral = anchored_cumulative(lambda y: b1.eval(0.0, y), pts)
+        integral = anchored_cumulative(lambda y: beta.eval(0.0, y), pts)
         assert np.abs(integral).max() <= 2.0
-
-    def test_user_provided_requires_pair(self):
-        with pytest.raises(ValueError, match="explicit"):
-            split_beta(parse_coefficient("0"), "user_provided")
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError, match="strategy"):
-            split_beta(parse_coefficient("0"), "positive_part")
 
 
 class TestCoefficientSet:

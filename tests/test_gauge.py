@@ -9,7 +9,9 @@ from scipy.integrate import quad
 from kdvgauge.coefficients import CoefficientSet, anchored_cumulative
 from kdvgauge.expressions import parse_coefficient
 from kdvgauge.gauge import (
+    SLICE_CACHE,
     GaugeSystem,
+    TimeSlices,
     build_gauge_map,
     compute_A,
     forward_transform,
@@ -377,3 +379,64 @@ class TestGaugeProperties:
         u = gaussian_state(g, 1.0, 1.0)
         back = inverse_transform(forward_transform(u, gm), gm)
         assert l2_norm(back - u) <= 1e-8 * l2_norm(u)
+
+
+class TestTimeSlices:
+    @staticmethod
+    def _recording(frozen):
+        built = []
+
+        def build(t):
+            built.append(t)
+            return [t]  # a fresh object per build
+
+        return TimeSlices(build, frozen), built
+
+    def test_frozen_builds_once_for_any_time(self):
+        slices, built = self._recording(frozen=True)
+        first = slices(0.37)
+        assert all(slices(t) is first for t in (0.0, 0.37, 1.5, -2.0, 1e6))
+        assert built == [0.0]
+
+    def test_times_equal_to_14_decimals_share_a_slice(self):
+        slices, built = self._recording(frozen=False)
+        first = slices(0.1 + 0.2)  # 0.30000000000000004
+        assert slices(0.3) is first
+        assert built == [0.3]  # built at the key, not at the raw time
+        assert slices(0.3 + 1e-13) is not first  # 0.30000000000009996
+        assert built == [0.3, 0.3000000000001]
+
+    def test_holds_the_newest_eight(self):
+        assert SLICE_CACHE == 8
+        slices, built = self._recording(frozen=False)
+        first = [slices(float(i)) for i in range(8)]
+        assert all(slices(float(i)) is first[i] for i in range(8))  # hits
+        assert len(built) == 8
+        slices(8.0)  # the ninth distinct time evicts the oldest, t = 0
+        assert all(slices(float(i)) is first[i] for i in range(1, 8))
+        assert len(built) == 9
+        assert slices(0.0) is not first[0]
+        assert built[-1] == 0.0
+
+    def test_never_holds_more_than_eight(self):
+        slices, built = self._recording(frozen=False)
+        for i in range(20):
+            slices(0.01 * i)
+        newest = [slices(0.01 * i) for i in range(12, 20)]
+        assert len(built) == 20  # the newest eight are all hits
+        assert slices(0.11) not in newest
+        assert len(built) == 21  # the ninth newest was evicted
+
+    def test_gauge_system_slices_follow_time_dependence(self):
+        g = make_grid(8 * np.pi, 64)
+        frozen = GaugeSystem(CoefficientSet.from_strings(**TANH_SET), g, image_grid=g)
+        assert frozen.map_at(0.0) is frozen.map_at(0.25)
+        assert frozen.coefficients_at(0.1) is frozen.coefficients_at(0.0)
+        drifting = GaugeSystem(
+            CoefficientSet.from_strings(alpha="2+0.5*cos(t)*sech(x/4)^2", alpha0=0.4),
+            g, image_grid=g,
+        )
+        late = drifting.coefficients_at(0.25)
+        assert late.t == 0.25 and drifting.map_at(0.25).t == 0.25
+        assert drifting.coefficients_at(0.25 + 1e-16) is late
+        assert drifting.coefficients_at(0.0) is not late

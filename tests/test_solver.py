@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kdvgauge import solver as solver_module
 from kdvgauge.coefficients import CoefficientSet
 from kdvgauge.dyadic import ProjectorBank
 from kdvgauge.gauge import GaugeSystem, TransformedCoefficients, forward_transform
@@ -516,6 +517,28 @@ class TestCoreMatchesReference:
         want = _reference_step(form, state.coefficients, g.wavenumbers, sample, t,
                                self.DT, g.dealias_mask, False)
         assert np.abs(got.coefficients - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestTermPlanReuse:
+    def test_time_dependent_transformed_solve_reuses_plan_on_hits(self, monkeypatch):
+        # four steps read the stage times 0, dt/2, dt/2, dt, dt, 3dt/2, ...:
+        # 16 right-hand sides on 9 distinct times, and a slice cache hit must
+        # hand back the same coefficients so the term plan is not rebuilt
+        g = make_grid(16 * np.pi, 128)
+        system = GaugeSystem(CoefficientSet.from_strings(**_DRIFTING), g, image_grid=g)
+        rebuilt = []
+        plan_for = solver_module._RK4._plan_for
+
+        def spy(self, co):
+            rebuilt.append(co is not self._plan_source)
+            return plan_for(self, co)
+
+        monkeypatch.setattr(solver_module._RK4, "_plan_for", spy)
+        u0 = SpectralState.from_physical(g, 0.8 * np.exp(-(((g.x - 1.0) / 3.0) ** 2)))
+        dt = 5e-4
+        solve(u0, SolverConfig("transformed", t_final=4 * dt, dt=dt, s=1.0), system)
+        assert len(rebuilt) == 16
+        assert sum(rebuilt) == 9
 
 
 class TestConservationProperty:

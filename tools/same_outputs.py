@@ -1,0 +1,160 @@
+"""Compare the CLI outputs of the working tree against a git revision.
+
+Usage, from the root of a checkout:
+
+    python3 tools/same_outputs.py REF
+
+Runs `kdvgauge run` on every run config of tests/test_cli.py (MINIMAL,
+SURVEY and each KIND_CONFIGS entry) and on the soliton, drift_oracle and
+static_oracle workloads of perfbench/workloads.py at seed 1, once with the
+working tree's `src/` and once with REF's, which is exported with
+`git archive` into a temporary directory.  Both sides run the working
+tree's configs.  Prints "identical" per config, or every moved CSV/JSON
+cell with its absolute change; exits 1 if anything moved or a run's exit
+code differs.  Runs one process at a time.
+"""
+
+import argparse
+import ast
+import csv
+import importlib.util
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
+WORKLOADS = ("soliton", "drift_oracle", "static_oracle")
+
+
+def _module(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _literals(path: Path, names) -> dict:
+    """The literal values assigned to `names` at the top level of a file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in names
+    }
+
+
+def configs() -> dict:
+    """name -> config text, from the working tree."""
+    cli_tests = _literals(
+        ROOT / "tests" / "test_cli.py", ("MINIMAL", "SURVEY", "KIND_CONFIGS")
+    )
+    workloads = _module(ROOT / "perfbench" / "workloads.py")
+    out = {"MINIMAL": cli_tests["MINIMAL"], "SURVEY": cli_tests["SURVEY"]}
+    for kind, text in sorted(cli_tests["KIND_CONFIGS"].items()):
+        out[f"KIND_CONFIGS[{kind}]"] = text
+    for name in WORKLOADS:
+        out[name] = workloads.WORKLOADS[name][0].format(seed=SEED)
+    return out
+
+
+def export(ref: str, dest: Path) -> None:
+    """Write the committed tree of `ref` to `dest`."""
+    blob = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", ref], check=True, capture_output=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def run(src: Path, cfg: Path, out: Path) -> int:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    done = subprocess.run(
+        [sys.executable, "-m", "kdvgauge.cli", "run", str(cfg), "-o", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    return done.returncode
+
+
+def _cells(path: Path) -> dict:
+    """(location) -> value of every CSV cell or JSON leaf of one file."""
+    if path.suffix == ".json":
+        flat = {}
+
+        def walk(node, where):
+            if isinstance(node, dict):
+                for key, val in node.items():
+                    walk(val, f"{where}.{key}")
+            elif isinstance(node, list):
+                for i, val in enumerate(node):
+                    walk(val, f"{where}[{i}]")
+            else:
+                flat[where] = node
+
+        walk(json.loads(path.read_text(encoding="utf-8")), "")
+        return flat
+    rows = csv.reader(io.StringIO(path.read_text(encoding="utf-8")))
+    return {f"row {r} col {c}": v for r, row in enumerate(rows) for c, v in enumerate(row)}
+
+
+def _change(old, new) -> str:
+    try:
+        return f"{old} -> {new} (|change| {abs(float(new) - float(old)):.3g})"
+    except (TypeError, ValueError):
+        return f"{old!r} -> {new!r}"
+
+
+def moved_cells(ours: Path, theirs: Path) -> list[str]:
+    lines = []
+    names = sorted({p.name for p in ours.iterdir()} | {p.name for p in theirs.iterdir()})
+    for name in names:
+        a, b = theirs / name, ours / name
+        if not (a.exists() and b.exists()):
+            lines.append(f"{name}: only in {'REF' if a.exists() else 'working tree'}")
+            continue
+        if a.read_bytes() == b.read_bytes():
+            continue
+        old, new = _cells(a), _cells(b)
+        for key in sorted(old.keys() | new.keys()):
+            if old.get(key) != new.get(key):
+                lines.append(f"{name} {key}: {_change(old.get(key), new.get(key))}")
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("ref", help="git revision to compare against, e.g. HEAD~")
+    args = ap.parse_args(argv)
+    moved = False
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        tmp = Path(tmp)
+        export(args.ref, tmp / "ref")
+        for name, text in configs().items():
+            cfg = tmp / "run.cfg"
+            cfg.write_text(text, encoding="utf-8")
+            out_ref, out_new = tmp / f"{name}.ref", tmp / f"{name}.new"
+            code_ref = run(tmp / "ref" / "src", cfg, out_ref)
+            code_new = run(ROOT / "src", cfg, out_new)
+            lines = []
+            if code_ref != code_new:
+                lines.append(f"exit code {code_ref} -> {code_new}")
+            if out_ref.is_dir() and out_new.is_dir():
+                lines += moved_cells(out_new, out_ref)
+            elif out_ref.is_dir() != out_new.is_dir():
+                lines.append("outputs written on one side only")
+            moved = moved or bool(lines)
+            print(f"{name}: " + ("identical" if not lines else "MOVED"), flush=True)
+            for line in lines:
+                print(f"  {line}", flush=True)
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
