@@ -127,7 +127,10 @@ def _convert(tag: str, raw: str, where: str, violations: list):
             expr = parse_coefficient(raw)
             if expr.depends_on_t or expr.depends_on_x:
                 raise ValueError("must be a constant expression")
-            return float(expr.eval(0.0, 0.0))
+            value = float(expr.eval(0.0, 0.0))
+            if not np.isfinite(value):
+                raise ValueError(f"must be finite, got {value}")
+            return value
         if tag == "expr":
             parse_coefficient(raw)  # validated here, parsed again at build
             return raw
@@ -376,6 +379,19 @@ def parse_config(path) -> RunConfig:
     )
 
 
+def _screened_grid(config: RunConfig) -> Grid:
+    """The run's grid, once every coefficient field is screened for poles on it.
+
+    Each field and its derivatives of orders x, xx and t must be finite on
+    the grid at t = 0, t_final/2 and t_final; the first that is not raises an
+    ExpressionError naming its expression.  `run` and `check` both call this
+    before the hypothesis check, so both refuse the same configs.
+    """
+    grid = make_grid(config.values["grid"]["half_width"], config.values["grid"]["num_points"])
+    config.cset.screen(np.linspace(0.0, config.values["solver"]["t_final"], 3), grid.x)
+    return grid
+
+
 def run(
     config: RunConfig,
     output_dir,
@@ -391,13 +407,8 @@ def run(
     """
     out = stream or sys.stdout
     try:
-        grid = make_grid(config.values["grid"]["half_width"],
-                         config.values["grid"]["num_points"])
+        grid = _screened_grid(config)
         t_final = config.values["solver"]["t_final"]
-        times = np.linspace(0.0, t_final, 3)
-        for name in ("alpha", "beta", "gamma", "delta", "epsilon", "beta1", "beta2"):
-            getattr(config.cset, name).screen(times, grid.x)
-
         hyp = check_hypotheses(config.cset, grid, t_final, t_samples=5)
         violating = not hyp.passed
         if violating and not allow_hypothesis_violation:
@@ -471,8 +482,7 @@ def main(argv=None) -> int:
 
     if args.command == "check":
         try:
-            grid = make_grid(config.values["grid"]["half_width"],
-                             config.values["grid"]["num_points"])
+            grid = _screened_grid(config)
             hyp = check_hypotheses(
                 config.cset, grid, config.values["solver"]["t_final"], t_samples=5
             )

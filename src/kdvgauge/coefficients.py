@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expressions import CoefficientExpr, parse_coefficient
+from .expressions import CoefficientExpr, ExpressionError, Program, parse_coefficient
 from .spectral import Grid
 
 __all__ = [
@@ -39,6 +39,45 @@ __all__ = [
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 
+class _AnchoredRule:
+    """The quadrature of `anchored_cumulative` on ascending points.
+
+    `nodes` are the 5 Gauss nodes of each cell between consecutive points
+    (with x = 0 inserted as an exact anchor), flattened; `integrate` turns
+    an integrand sampled there into int_0^p for each point p.  One rule
+    serves every integrand wanted on the same points.
+    """
+
+    def __init__(self, points: np.ndarray):
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 1:
+            raise ValueError("points must be one-dimensional")
+        if np.any(np.diff(pts) < 0):
+            raise ValueError("points must be sorted ascending")
+        self.size = pts.size
+        grid = np.concatenate([pts, [0.0]])
+        self._order = np.argsort(grid, kind="stable")
+        sorted_pts = grid[self._order]
+        a = sorted_pts[:-1]
+        b = sorted_pts[1:]
+        self._halves = 0.5 * (b - a)
+        mids = 0.5 * (a + b)
+        self.nodes = (mids[:, None] + self._halves[:, None] * _GL_NODES[None, :]).ravel()
+        self._anchor = int(np.searchsorted(sorted_pts, 0.0, side="left"))
+
+    def integrate(self, values) -> np.ndarray:
+        if self.size == 0:
+            return np.zeros(0)
+        vals = np.asarray(values).reshape(-1, _GL_NODES.size)
+        seg = self._halves * (vals @ _GL_WEIGHTS)
+        cum = np.concatenate([[0.0], np.cumsum(seg)])
+        # exact: the anchor slot holds int_{sorted_pts[0]}^{0}
+        cum = cum - cum[self._anchor]
+        out = np.empty(self.size + 1)
+        out[self._order] = cum
+        return out[: self.size]
+
+
 def anchored_cumulative(fn, points: np.ndarray) -> np.ndarray:
     """Cumulative integral int_0^p fn for each p, anchored exactly at 0.
 
@@ -46,30 +85,13 @@ def anchored_cumulative(fn, points: np.ndarray) -> np.ndarray:
     so the result vanishes there regardless of where the nodes fall.  `fn`
     must accept numpy arrays.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 1:
-        raise ValueError("points must be one-dimensional")
-    if pts.size == 0:
+    rule = _AnchoredRule(points)
+    if rule.size == 0:
         return np.zeros(0)
-    if np.any(np.diff(pts) < 0):
-        raise ValueError("points must be sorted ascending")
-    grid = np.concatenate([pts, [0.0]])
-    order = np.argsort(grid, kind="stable")
-    sorted_pts = grid[order]
-    a = sorted_pts[:-1]
-    b = sorted_pts[1:]
-    halves = 0.5 * (b - a)
-    mids = 0.5 * (a + b)
-    nodes = mids[:, None] + halves[:, None] * _GL_NODES[None, :]
-    vals = fn(nodes.ravel()).reshape(nodes.shape)
-    seg = halves * (vals @ _GL_WEIGHTS)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    anchor = int(np.searchsorted(sorted_pts, 0.0, side="left"))
-    # exact: the anchor slot holds int_{sorted_pts[0]}^{0}
-    cum = cum - cum[anchor]
-    out = np.empty(grid.size)
-    out[order] = cum
-    return out[: pts.size]
+    return rule.integrate(fn(rule.nodes))
+
+
+_FIELDS = ("alpha", "beta", "gamma", "delta", "epsilon", "beta1", "beta2")
 
 
 @dataclass
@@ -85,6 +107,7 @@ class CoefficientSet:
     beta2: CoefficientExpr
     alpha0: float = 1.0
     _derived: dict = field(default_factory=dict, repr=False)
+    _programs: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_strings(
@@ -122,18 +145,20 @@ class CoefficientSet:
 
     @property
     def is_time_dependent(self) -> bool:
-        return any(
-            e.depends_on_t
-            for e in (self.alpha, self.beta, self.gamma, self.delta, self.epsilon,
-                      self.beta1, self.beta2)
-        )
+        return any(getattr(self, name).depends_on_t for name in _FIELDS)
 
     # derived closed forms shared by the gauge machinery -------------------
 
     def derived(self, name: str) -> CoefficientExpr:
         cache = self._derived
         if name not in cache:
-            if name == "alpha_inv_cbrt":
+            if name == "alpha_x":
+                cache[name] = self.alpha.dx()
+            elif name == "alpha_xx":
+                cache[name] = self.alpha.dx(2)
+            elif name == "alpha_t":
+                cache[name] = self.alpha.dt()
+            elif name == "alpha_inv_cbrt":
                 cache[name] = self.alpha ** (-1.0 / 3.0)
             elif name == "alpha_inv_cbrt_t":
                 cache[name] = self.derived("alpha_inv_cbrt").dt()
@@ -150,6 +175,34 @@ class CoefficientSet:
             else:
                 raise KeyError(name)
         return cache[name]
+
+    def sample(self, names: tuple, t, x) -> list:
+        """The named fields at (t, x), from one program compiled per `names`.
+
+        A name is a coefficient field or a `derived` form.  Subexpressions
+        the fields share (every gauge form is built from alpha) are
+        evaluated once per call; each value equals `<field>.eval(t, x)` bit
+        for bit.
+        """
+        program = self._programs.get(names)
+        if program is None:
+            program = self._programs[names] = Program([
+                (getattr(self, n) if n in _FIELDS else self.derived(n)).root
+                for n in names
+            ])
+        return program(t, x)
+
+    def screen(self, times, x) -> None:
+        """Screen every field (`CoefficientExpr.screen`) on times x points.
+
+        The ExpressionError of the first singular field is prefixed with
+        the field's name (a softplus split has no source text to quote).
+        """
+        for name in _FIELDS:
+            try:
+                getattr(self, name).screen(times, x)
+            except ExpressionError as exc:
+                raise ExpressionError(f"{name}: {exc}") from None
 
     def validate_split(self, x: np.ndarray, times, tol: float = 1e-10) -> None:
         """Assert beta1 + beta2 == beta and beta2 <= 0 on the samples."""

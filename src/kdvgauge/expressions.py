@@ -13,16 +13,29 @@ Expressions are immutable after parse; evaluation is pure, vectorized over
 numpy arrays, and thread-safe.  Derivative trees are produced symbolically
 and cached per (t-order, x-order) up to t-order 1 and x-order 4; `eval`
 and the `dx`/`dt` expressions both read that one cache.
+
+Nodes are hash-consed as they are built: one live node per (operation,
+children), constants keyed by their bit pattern, and t/x dependence stored
+on each node when it is made.  A derivative tree written out in full can be
+ten times its distinct node count, so sharing is what keeps evaluation
+cheap.  There is one evaluator, `Program`: a set of roots compiled into a
+flat instruction list with one slot per distinct subexpression.
+`CoefficientExpr.eval` runs the single-root program kept on the node, and a
+caller that samples several fields at the same points (one gauge slice)
+compiles them into one program, so what the fields share is computed once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import struct
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ExpressionError", "CoefficientExpr", "parse_coefficient"]
+__all__ = ["ExpressionError", "CoefficientExpr", "Program", "parse_coefficient"]
 
 MAX_DT_ORDER = 1
 MAX_DX_ORDER = 4
@@ -39,43 +52,73 @@ class ExpressionError(ValueError):
 
 
 # -- AST -----------------------------------------------------------------
+#
+# Nodes are hash-consed: each constructor returns the one live node for its
+# (kind, fields, children), so equal subexpressions are the same object and
+# compare by identity.  Constants are keyed by their float64 bit pattern
+# (0.0 and -0.0 stay apart).  The table holds nodes weakly, so a tree that
+# nothing else references is freed with its entries.
+
+_INTERN: "weakref.WeakValueDictionary[tuple, _Node]" = weakref.WeakValueDictionary()
 
 
 class _Node:
-    __slots__ = ()
+    __slots__ = ("depends_on_t", "depends_on_x", "program", "__weakref__")
 
 
-@dataclass(frozen=True)
+def _interned(cls, key: tuple, depends_on_t: bool, depends_on_x: bool, **fields):
+    """The live node of `key`, built with `fields` if there is none."""
+    node = _INTERN.get(key)
+    if node is None:
+        node = object.__new__(cls)
+        node.depends_on_t, node.depends_on_x = depends_on_t, depends_on_x
+        node.program = None  # single-root Program, compiled on first eval
+        for name, value in fields.items():
+            setattr(node, name, value)
+        _INTERN[key] = node
+    return node
+
+
 class _Const(_Node):
-    value: float
+    __slots__ = ("value",)
+
+    def __new__(cls, value: float):
+        value = float(value)
+        return _interned(cls, ("const", struct.pack("<d", value)), False, False, value=value)
 
 
-@dataclass(frozen=True)
 class _Var(_Node):
-    name: str  # 't' or 'x'
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str):  # 't' or 'x'
+        return _interned(cls, ("var", name), name == "t", name == "x", name=name)
 
 
-@dataclass(frozen=True)
 class _BinOp(_Node):
-    op: str  # '+', '-', '*', '/', '^'
-    left: _Node
-    right: _Node
+    __slots__ = ("op", "left", "right")
+
+    def __new__(cls, op: str, left: _Node, right: _Node):  # op in + - * / ^
+        return _interned(
+            cls, (op, left, right),
+            left.depends_on_t or right.depends_on_t,
+            left.depends_on_x or right.depends_on_x,
+            op=op, left=left, right=right,
+        )
 
 
-@dataclass(frozen=True)
 class _Call(_Node):
-    func: str
-    arg: _Node
+    __slots__ = ("func", "arg")
+
+    def __new__(cls, func: str, arg: _Node):
+        return _interned(
+            cls, (func, arg), arg.depends_on_t, arg.depends_on_x, func=func, arg=arg
+        )
 
 
 _FUNCS = ("exp", "log", "tanh", "sech", "sin", "cos")
 
 _ZERO = _Const(0.0)
 _ONE = _Const(1.0)
-
-
-def _const(v: float) -> _Const:
-    return _Const(float(v))
 
 
 def _is_const(n: _Node, v: float | None = None) -> bool:
@@ -88,7 +131,7 @@ def _add(a: _Node, b: _Node) -> _Node:
     if _is_const(b, 0.0):
         return a
     if isinstance(a, _Const) and isinstance(b, _Const):
-        return _const(a.value + b.value)
+        return _Const(a.value + b.value)
     return _BinOp("+", a, b)
 
 
@@ -96,7 +139,7 @@ def _sub(a: _Node, b: _Node) -> _Node:
     if _is_const(b, 0.0):
         return a
     if isinstance(a, _Const) and isinstance(b, _Const):
-        return _const(a.value - b.value)
+        return _Const(a.value - b.value)
     return _BinOp("-", a, b)
 
 
@@ -108,7 +151,7 @@ def _mul(a: _Node, b: _Node) -> _Node:
     if _is_const(b, 1.0):
         return a
     if isinstance(a, _Const) and isinstance(b, _Const):
-        return _const(a.value * b.value)
+        return _Const(a.value * b.value)
     return _BinOp("*", a, b)
 
 
@@ -118,7 +161,7 @@ def _div(a: _Node, b: _Node) -> _Node:
     if _is_const(b, 1.0):
         return a
     if isinstance(a, _Const) and isinstance(b, _Const) and b.value != 0.0:
-        return _const(a.value / b.value)
+        return _Const(a.value / b.value)
     return _BinOp("/", a, b)
 
 
@@ -128,10 +171,14 @@ def _pow(a: _Node, b: _Node) -> _Node:
     if _is_const(b, 0.0):
         return _ONE
     if isinstance(a, _Const) and isinstance(b, _Const):
+        # fold only a finite real result; 0^(-1), (-8)^(1/3) and overflows
+        # stay nodes and evaluate to inf or nan, which screening reports
         try:
-            return _const(a.value**b.value)
-        except (OverflowError, ValueError):
-            pass
+            value = a.value**b.value
+        except (OverflowError, ZeroDivisionError):
+            value = None
+        if isinstance(value, float) and math.isfinite(value):
+            return _Const(value)
     return _BinOp("^", a, b)
 
 
@@ -154,11 +201,11 @@ def _diff(node: _Node, var: str) -> _Node:
         if node.op == "*":
             return _add(_mul(da, b), _mul(a, db))
         if node.op == "/":
-            return _div(_sub(_mul(da, b), _mul(a, db)), _pow(b, _const(2.0)))
+            return _div(_sub(_mul(da, b), _mul(a, db)), _pow(b, _Const(2.0)))
         if node.op == "^":
             if isinstance(b, _Const):
                 return _mul(
-                    _mul(b, _pow(a, _const(b.value - 1.0))), da
+                    _mul(b, _pow(a, _Const(b.value - 1.0))), da
                 )
             # general a^b = exp(b log a)
             return _mul(
@@ -172,80 +219,115 @@ def _diff(node: _Node, var: str) -> _Node:
         elif node.func == "log":
             return _div(du, u)
         elif node.func == "tanh":
-            outer = _pow(_call("sech", u), _const(2.0))
+            outer = _pow(_call("sech", u), _Const(2.0))
         elif node.func == "sech":
-            outer = _mul(_const(-1.0), _mul(_call("sech", u), _call("tanh", u)))
+            outer = _mul(_Const(-1.0), _mul(_call("sech", u), _call("tanh", u)))
         elif node.func == "sin":
             outer = _call("cos", u)
         elif node.func == "cos":
-            outer = _mul(_const(-1.0), _call("sin", u))
+            outer = _mul(_Const(-1.0), _call("sin", u))
         else:  # pragma: no cover
             raise ExpressionError(f"cannot differentiate {node.func}")
         return _mul(outer, du)
     raise ExpressionError(f"cannot differentiate node {node!r}")  # pragma: no cover
 
 
-def _eval(node: _Node, t, x):
-    if isinstance(node, _Const):
-        return node.value
-    if isinstance(node, _Var):
-        return t if node.name == "t" else x
+# -- compiled programs ---------------------------------------------------
+
+
+def _sech(u):
+    return 1.0 / np.cosh(u)
+
+
+# the float operation of each node kind; Python operators on the operands,
+# so a scalar (t, x) keeps Python-float semantics
+_OPERATIONS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": np.power,
+    "exp": np.exp,
+    "log": np.log,
+    "tanh": np.tanh,
+    "sech": _sech,
+    "sin": np.sin,
+    "cos": np.cos,
+}
+
+
+def _children(node: _Node) -> tuple:
     if isinstance(node, _BinOp):
-        a = _eval(node.left, t, x)
-        b = _eval(node.right, t, x)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return a / b
-        if node.op == "^":
-            with np.errstate(invalid="ignore"):
-                return np.power(a, b)
+        return (node.left, node.right)
     if isinstance(node, _Call):
-        u = _eval(node.arg, t, x)
-        if node.func == "exp":
-            with np.errstate(over="ignore"):
-                return np.exp(u)
-        if node.func == "log":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.log(u)
-        if node.func == "tanh":
-            return np.tanh(u)
-        if node.func == "sech":
-            return 1.0 / np.cosh(u)
-        if node.func == "sin":
-            return np.sin(u)
-        if node.func == "cos":
-            return np.cos(u)
-    raise ExpressionError(f"cannot evaluate node {node!r}")  # pragma: no cover
+        return (node.arg,)
+    return ()
 
 
-def _has_pole_risk(node: _Node) -> bool:
-    if isinstance(node, _BinOp):
-        if node.op == "/":
-            return True
-        if node.op == "^" and (
-            not isinstance(node.right, _Const) or node.right.value < 0
-        ):
-            return True
-        return _has_pole_risk(node.left) or _has_pole_risk(node.right)
-    if isinstance(node, _Call):
-        return node.func == "log" or _has_pole_risk(node.arg)
-    return False
+def _topological(roots) -> list:
+    """The distinct nodes under `roots`, each after its operands."""
+    order: list[_Node] = []
+    done: set[_Node] = set()
+    stack = [(root, False) for root in reversed(roots)]
+    while stack:
+        node, expanded = stack.pop()
+        if node in done:
+            continue
+        if expanded:
+            done.add(node)
+            order.append(node)
+        else:
+            stack.append((node, True))
+            stack.extend((c, False) for c in reversed(_children(node)))
+    return order
 
 
-def _depends_on(node: _Node, var: str) -> bool:
-    if isinstance(node, _Var):
-        return node.name == var
-    if isinstance(node, _BinOp):
-        return _depends_on(node.left, var) or _depends_on(node.right, var)
-    if isinstance(node, _Call):
-        return _depends_on(node.arg, var)
-    return False
+class Program:
+    """A set of roots compiled into one flat instruction list.
+
+    Slot 0 holds t, slot 1 holds x, then one slot per distinct constant and
+    one per distinct operation node, in topological order, so a subexpression
+    shared by several roots (or repeated within one) is evaluated once per
+    call.  Each instruction applies its node's float operation to the slots
+    of its operands; one np.errstate ignores divide, invalid and overflow
+    for the whole pass, and poles come out as inf or nan for screening.
+    Calling the program returns one value per root: an array shaped like x
+    when x is an array (a constant root is broadcast), else a scalar.
+    """
+
+    __slots__ = ("_constants", "_code", "_outputs")
+
+    def __init__(self, roots):
+        order = _topological(roots)
+        constants = [n for n in order if isinstance(n, _Const)]
+        operations = [n for n in order if isinstance(n, (_BinOp, _Call))]
+        slot = {n: (0 if n.name == "t" else 1) for n in order if isinstance(n, _Var)}
+        slot.update((n, 2 + i) for i, n in enumerate(constants))
+        slot.update((n, 2 + len(constants) + i) for i, n in enumerate(operations))
+        self._constants = [n.value for n in constants]
+        self._code = [
+            (_OPERATIONS[n.op], slot[n.left], slot[n.right])
+            if isinstance(n, _BinOp)
+            else (_OPERATIONS[n.func], slot[n.arg], -1)
+            for n in operations
+        ]
+        self._outputs = [slot[root] for root in roots]
+
+    def __len__(self) -> int:
+        """Instructions per call: the distinct operation nodes of the roots."""
+        return len(self._code)
+
+    def __call__(self, t, x) -> list:
+        values = [t, x, *self._constants]
+        push = values.append
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for operation, a, b in self._code:
+                push(operation(values[a]) if b < 0 else operation(values[a], values[b]))
+        out = [values[i] for i in self._outputs]
+        if np.ndim(x) > 0:
+            shape = np.shape(x)
+            out = [np.full(shape, float(v)) if np.ndim(v) == 0 else v for v in out]
+        return out
 
 
 # -- tokenizer / parser --------------------------------------------------
@@ -350,7 +432,7 @@ class _Parser:
         if tok.kind == "OP" and tok.text in "+-":
             self.advance()
             inner = self.unary()
-            return inner if tok.text == "+" else _mul(_const(-1.0), inner)
+            return inner if tok.text == "+" else _mul(_Const(-1.0), inner)
         return self.power()
 
     def power(self) -> _Node:
@@ -365,7 +447,7 @@ class _Parser:
         tok = self.advance()
         if tok.kind == "NUMBER":
             try:
-                return _const(float(tok.text))
+                return _Const(float(tok.text))
             except ValueError:
                 raise ExpressionError(f"bad number {tok.text!r}", tok.column)
         if tok.kind == "IDENT":
@@ -373,7 +455,7 @@ class _Parser:
             if name in ("t", "x"):
                 return _Var(name)
             if name == "pi":
-                return _const(math.pi)
+                return _Const(math.pi)
             if name in _FUNCS:
                 open_tok = self.peek()
                 if open_tok.kind != "LPAREN":
@@ -419,26 +501,25 @@ class _Parser:
 class CoefficientExpr:
     """Immutable expression of (t, x) with cached symbolic derivatives."""
 
-    __slots__ = ("root", "text", "has_division", "_derivatives")
+    __slots__ = ("root", "text", "_derivatives")
 
     def __init__(self, root: _Node, text: str | None = None):
         self.root = root
         self.text = text
-        self.has_division = _has_pole_risk(root)
         self._derivatives: dict[tuple[int, int], _Node] = {(0, 0): root}
 
     # construction helpers ------------------------------------------------
 
     @classmethod
     def constant(cls, value: float) -> "CoefficientExpr":
-        return cls(_const(value), repr(float(value)))
+        return cls(_Const(value), repr(float(value)))
 
     @staticmethod
     def _coerce(other) -> "_Node":
         if isinstance(other, CoefficientExpr):
             return other.root
         if isinstance(other, (int, float)):
-            return _const(other)
+            return _Const(other)
         raise TypeError(f"cannot combine expression with {type(other)!r}")
 
     def __add__(self, other):
@@ -469,7 +550,7 @@ class CoefficientExpr:
         return CoefficientExpr(_pow(self.root, self._coerce(other)))
 
     def __neg__(self):
-        return CoefficientExpr(_mul(_const(-1.0), self.root))
+        return CoefficientExpr(_mul(_Const(-1.0), self.root))
 
     def apply(self, func: str) -> "CoefficientExpr":
         if func not in _FUNCS:
@@ -508,21 +589,20 @@ class CoefficientExpr:
         `x` may be a numpy array; broadcasting follows numpy rules.
         """
         node = self._tree(dt_order, dx_order)
-        out = _eval(node, t, x)
-        if np.ndim(x) > 0 and np.ndim(out) == 0:
-            out = np.full(np.shape(x), float(out))
-        return out
+        if node.program is None:
+            node.program = Program((node,))
+        return node.program(t, x)[0]
 
     def __call__(self, t, x):
         return self.eval(t, x)
 
     @property
     def depends_on_t(self) -> bool:
-        return _depends_on(self.root, "t")
+        return self.root.depends_on_t
 
     @property
     def depends_on_x(self) -> bool:
-        return _depends_on(self.root, "x")
+        return self.root.depends_on_x
 
     def screen(self, t_values, x_values) -> None:
         """Evaluate value and low-order derivatives on samples; raise on poles."""
@@ -545,8 +625,8 @@ def parse_coefficient(text: str) -> CoefficientExpr:
     """Parse an infix expression of t and x into a CoefficientExpr.
 
     Raises ExpressionError with a 1-based column on syntax errors and
-    unknown identifiers; division and log forms are flagged on the result
-    for later pole screening.
+    unknown identifiers.  Poles are not judged here: `screen` finds them by
+    evaluation.
     """
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError("empty expression", 1)

@@ -34,7 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import _GL_NODES, _GL_WEIGHTS, CoefficientSet, anchored_cumulative
+from .coefficients import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    CoefficientSet,
+    _AnchoredRule,
+    anchored_cumulative,
+)
 from .expressions import CoefficientExpr
 from .spectral import Grid, SpectralState, edge_mass_fraction, interpolate, make_grid
 
@@ -54,6 +60,17 @@ __all__ = [
     "GaugeSystem",
 ]
 
+# what a slice samples at the pullback points A^-1(image nodes): alpha with
+# the derivatives b..f and h_t/h read, the lower-order fields, and the
+# log-derivative r = h_x/h with the two x-derivatives of the h recurrences
+_PULLBACK_FIELDS = (
+    "alpha", "alpha_x", "alpha_xx", "alpha_t", "beta", "gamma", "delta", "epsilon",
+    "gauge_ratio", "gauge_ratio_x", "gauge_ratio_xx",
+)
+# the integrands of A_t and of h_t/h, sampled at the Gauss nodes of the
+# pullback points
+_TIME_INTEGRANDS = ("alpha_inv_cbrt_t", "ratio1_t")
+
 EDGE_MASS_LIMIT = 1e-6
 INVERSION_TOL = 1e-11
 
@@ -63,13 +80,20 @@ def compute_A(alpha: CoefficientExpr, t: float, grid: Grid) -> np.ndarray:
 
     Rejects non-coercive alpha.
     """
-    a_vals = np.asarray(alpha.eval(float(t), grid.x), dtype=float)
+    t = float(t)
+    _check_alpha_positive(np.asarray(alpha.eval(t, grid.x), dtype=float))
+    inv_cbrt = alpha ** (-1.0 / 3.0)
+    return _increasing(anchored_cumulative(lambda y: inv_cbrt.eval(t, y), grid.x))
+
+
+def _check_alpha_positive(a_vals: np.ndarray) -> None:
     if a_vals.min() <= 0.0:
         raise ValueError(
             f"alpha must be strictly positive; min sampled value {a_vals.min():.3e}"
         )
-    inv_cbrt = alpha ** (-1.0 / 3.0)
-    A = anchored_cumulative(lambda y: inv_cbrt.eval(float(t), y), grid.x)
+
+
+def _increasing(A: np.ndarray) -> np.ndarray:
     if np.any(np.diff(A) <= 0.0):
         raise ValueError("straightening map is not strictly increasing")
     return A
@@ -84,15 +108,21 @@ def gauge_weight(cset: CoefficientSet, t: float, points: np.ndarray) -> np.ndarr
     """
     t = float(t)
     pts = np.asarray(points, dtype=float)
+    rule = _AnchoredRule(pts)
+    ratio1 = cset.derived("ratio1").eval(t, rule.nodes)
+    return _weight(cset, t, np.asarray(cset.alpha.eval(t, pts), dtype=float), rule, ratio1)
+
+
+def _weight(
+    cset: CoefficientSet, t: float, a_vals: np.ndarray, rule: _AnchoredRule, ratio1
+) -> np.ndarray:
+    """h from alpha at the points and beta1/alpha at the Gauss nodes of `rule`."""
     a0 = float(cset.alpha.eval(t, 0.0))
     if a0 <= 0.0:
         raise ValueError("alpha(t, 0) must be positive")
-    a_vals = np.asarray(cset.alpha.eval(t, pts), dtype=float)
     if a_vals.min() <= 0.0:
         raise ValueError("alpha must be strictly positive at the sample points")
-    ratio1 = cset.derived("ratio1")
-    integral = anchored_cumulative(lambda y: np.asarray(ratio1.eval(t, y)), pts)
-    return (a0 / a_vals) ** (1.0 / 3.0) * np.exp(integral / 3.0)
+    return (a0 / a_vals) ** (1.0 / 3.0) * np.exp(rule.integrate(ratio1) / 3.0)
 
 
 @dataclass
@@ -183,13 +213,20 @@ def image_grid_for(
 def build_gauge_map(
     cset: CoefficientSet, t: float, source_grid: Grid, image_grid: Grid
 ) -> GaugeMap:
+    t = float(t)
+    x = source_grid.x
+    a_vals = np.asarray(cset.alpha.eval(t, x), dtype=float)
+    _check_alpha_positive(a_vals)
+    # A and h on the source grid integrate over the same Gauss nodes
+    rule = _AnchoredRule(x)
+    inv_cbrt, ratio1 = cset.sample(("alpha_inv_cbrt", "ratio1"), t, rule.nodes)
     gmap = GaugeMap(
-        t=float(t),
+        t=t,
         source_grid=source_grid,
         image_grid=image_grid,
         cset=cset,
-        A_samples=compute_A(cset.alpha, t, source_grid),
-        h_samples=gauge_weight(cset, t, source_grid.x),
+        A_samples=_increasing(rule.integrate(inv_cbrt)),
+        h_samples=_weight(cset, t, a_vals, rule, ratio1),
         A_inverse_samples=np.zeros(image_grid.num_points),
         inverse_clamped=np.zeros(image_grid.num_points, dtype=bool),
         h_at_inverse=np.ones(image_grid.num_points),
@@ -211,15 +248,29 @@ def gauge_weight_log_time_derivative(
     anchored integral of d/dt(beta1/alpha); points must be sorted ascending.
     """
     pts = np.asarray(points, dtype=float)
+    al, al_t = (np.asarray(v, dtype=float) for v in cset.sample(("alpha", "alpha_t"), t, pts))
+    return _time_derivatives(cset, t, pts, al, al_t)[1]
+
+
+def _time_derivatives(
+    cset: CoefficientSet, t: float, points: np.ndarray, al: np.ndarray, al_t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A_t and h_t/h at ascending points, given alpha and alpha_t there.
+
+    Both integrands, d/dt alpha^(-1/3) and d/dt(beta1/alpha), are sampled
+    by one program on the one set of Gauss nodes of the points.
+    """
     if not cset.is_time_dependent:
-        return np.zeros_like(pts)
-    al = np.asarray(cset.alpha.eval(t, pts), dtype=float)
-    al_t = np.asarray(cset.alpha.eval(t, pts, dt_order=1), dtype=float)
-    al0 = float(cset.alpha.eval(t, 0.0))
-    al_t0 = float(cset.alpha.eval(t, 0.0, dt_order=1))
-    ratio1_t = cset.derived("ratio1_t")
-    integral = anchored_cumulative(lambda z: np.asarray(ratio1_t.eval(t, z)), pts)
-    return (al_t0 / al0 - al_t / al) / 3.0 + integral / 3.0
+        return np.zeros_like(points), np.zeros_like(points)
+    rule = _AnchoredRule(points)
+    inv_cbrt_t, ratio1_t = cset.sample(_TIME_INTEGRANDS, t, rule.nodes)
+    if cset.alpha.depends_on_t:
+        A_t = rule.integrate(inv_cbrt_t)
+    else:
+        A_t = np.zeros_like(points)
+    al0, al_t0 = (float(v) for v in cset.sample(("alpha", "alpha_t"), t, 0.0))
+    ht_h = (al_t0 / al0 - al_t / al) / 3.0 + rule.integrate(ratio1_t) / 3.0
+    return A_t, ht_h
 
 
 @dataclass
@@ -268,29 +319,16 @@ def transform_coefficients(
         raise ValueError("gauge map was built for a different image grid")
     t = gmap.t
     y = gmap.A_inverse_samples
-    al = np.asarray(cset.alpha.eval(t, y), dtype=float)
-    al_x = np.asarray(cset.alpha.eval(t, y, dx_order=1), dtype=float)
-    al_2x = np.asarray(cset.alpha.eval(t, y, dx_order=2), dtype=float)
-    be = np.asarray(cset.beta.eval(t, y), dtype=float)
-    ga = np.asarray(cset.gamma.eval(t, y), dtype=float)
-    de = np.asarray(cset.delta.eval(t, y), dtype=float)
-    ep = np.asarray(cset.epsilon.eval(t, y), dtype=float)
+    al, al_x, al_2x, al_t, be, ga, de, ep, r, rx, rxx = (
+        np.asarray(v, dtype=float) for v in cset.sample(_PULLBACK_FIELDS, t, y)
+    )
     h = gmap.h_at_inverse
-    r_expr = cset.derived("gauge_ratio")
-    r = np.asarray(r_expr.eval(t, y), dtype=float)
-    rx = np.asarray(cset.derived("gauge_ratio_x").eval(t, y), dtype=float)
-    rxx = np.asarray(cset.derived("gauge_ratio_xx").eval(t, y), dtype=float)
     hx_h = r
     h2x_h = r * r + rx
     h3x_h = r**3 + 3.0 * r * rx + rxx
 
     # A_t and h_t/h at the pullback points (anchored quadratures in y)
-    if cset.alpha.depends_on_t:
-        inv_cbrt_t = cset.derived("alpha_inv_cbrt_t")
-        A_t = anchored_cumulative(lambda z: np.asarray(inv_cbrt_t.eval(t, z)), y)
-    else:
-        A_t = np.zeros_like(y)
-    ht_h = gauge_weight_log_time_derivative(cset, t, y)
+    A_t, ht_h = _time_derivatives(cset, t, y, al, al_t)
 
     cbrt = al ** (1.0 / 3.0)
     b = cbrt * (-be / al + al_x / al + 3.0 * hx_h)

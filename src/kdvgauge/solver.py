@@ -276,9 +276,10 @@ class _RK4:
 
 def _original_slice(cset: CoefficientSet, grid: Grid, t: float) -> SimpleNamespace:
     """The original form's coefficients sampled on the grid at time t."""
+    names = tuple(_TERMS["original"])
     return SimpleNamespace(**{
-        name: np.asarray(getattr(cset, name).eval(t, grid.x), dtype=float)
-        for name in _TERMS["original"]
+        name: np.asarray(value, dtype=float)
+        for name, value in zip(names, cset.sample(names, t, grid.x))
     })
 
 

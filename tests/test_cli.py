@@ -1,6 +1,7 @@
 """Config ingestion, schema diagnostics, run orchestration, determinism."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -412,6 +413,55 @@ packet_launch = 6
         ]:
             cfg = parse_config(write_cfg(tmp_path, text, f"{name}.cfg"))
             assert cfg.kind == "commutator_survey"
+
+
+    @pytest.mark.parametrize("alpha", ["0", "-1"])
+    def test_nonpositive_alpha_fails_coercivity(self, tmp_path, capsys, alpha):
+        # folding 0^(-1/3) and (-1)^(-1/3) in derived("alpha_inv_cbrt") used
+        # to end both commands with "error: 0.0 cannot be raised to a negative
+        # power" or "float() argument must be ... not 'complex'"
+        cfg_path = write_cfg(tmp_path, MINIMAL.replace("alpha = 1", f"alpha = {alpha}"))
+        assert main(["check", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert re.search(r"H1 coercivity +FAIL", captured.out)
+        assert "error" not in captured.out + captured.err
+        assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert re.search(r"H1 coercivity +FAIL", captured.out)
+        assert "hypothesis check failed" in captured.out
+        assert "error" not in captured.out + captured.err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "beta",
+        [
+            "0^(-1)*x",  # used to escape parse_config as a ZeroDivisionError
+            "log(0-1)*sech(x)^2",  # NaN everywhere: check printed PASS, exit 0
+        ],
+    )
+    def test_singular_coefficient_refused_by_check_and_run(self, tmp_path, capsys, beta):
+        cfg_path = write_cfg(tmp_path, MINIMAL.replace("alpha = 1", f"alpha = 1\nbeta = {beta}"))
+        parse_config(cfg_path)
+        named = f"error: beta: expression '{beta}' is singular on the requested domain"
+        assert main(["check", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
+        assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith(named)
+        assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("half_width", ["0^(-1)", "(-8)^(1/3)"])
+    def test_nonfinite_constant_refused(self, tmp_path, capsys, half_width):
+        # unfolded powers evaluate to inf and nan; a grid of infinite width
+        # would pass check with -inf extremals, and nan would reach make_grid
+        cfg_path = write_cfg(tmp_path, MINIMAL + f"\n[grid]\nhalf_width = {half_width}\n")
+        assert main(["check", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: [grid] half_width: must be finite, got ")
 
 
 class TestTraceback:

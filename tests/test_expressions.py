@@ -1,9 +1,27 @@
 """Expression parsing, symbolic derivatives, and their finite-difference oracle."""
 
+import gc
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from kdvgauge.expressions import CoefficientExpr, ExpressionError, parse_coefficient
+from kdvgauge.coefficients import CoefficientSet
+from kdvgauge.expressions import (
+    _FUNCS,
+    _INTERN,
+    CoefficientExpr,
+    ExpressionError,
+    Program,
+    _BinOp,
+    _Call,
+    _Const,
+    _diff,
+    _Var,
+    parse_coefficient,
+)
 
 
 class TestParsing:
@@ -48,10 +66,6 @@ class TestParsing:
     def test_scientific_numbers(self):
         e = parse_coefficient("1.5e-3*x")
         assert e.eval(0.0, 2.0) == pytest.approx(3e-3)
-
-    def test_division_flagged(self):
-        assert parse_coefficient("1/(1+x^2)").has_division
-        assert not parse_coefficient("2+tanh(x)").has_division
 
     def test_vectorized_eval(self):
         e = parse_coefficient("sin(x)*cos(t)")
@@ -138,3 +152,211 @@ class TestAlgebraAndScreening:
         assert parse_coefficient("sin(t)*x").depends_on_x
         assert not parse_coefficient("3.5").depends_on_t
         assert not CoefficientExpr.constant(2.0).depends_on_x
+
+
+class TestPowerFolding:
+    def test_finite_real_powers_fold(self):
+        assert parse_coefficient("2^3^2").root is _Const(512.0)
+        assert parse_coefficient("(-2)^3").root is _Const(-8.0)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("0^(-1)", math.inf),  # was an uncaught ZeroDivisionError
+            ("(-8)^(1/3)", math.nan),  # was a complex constant, refused
+            ("10^400", math.inf),  # OverflowError
+            ("0^(-1)*x", math.nan),  # inf * 0 at x = 0
+        ],
+    )
+    def test_unfoldable_powers_stay_nodes(self, text, value):
+        e = parse_coefficient(text)
+        assert isinstance(e.root, _BinOp)
+        got = e.eval(0.0, 0.0)
+        assert got == value or (math.isnan(value) and math.isnan(got))
+        with pytest.raises(ExpressionError, match="singular"):
+            e.screen([0.0], np.linspace(-1, 1, 5))
+
+    @pytest.mark.parametrize("alpha", ["0", "-1"])
+    def test_nonpositive_constant_alpha_builds_its_gauge_forms(self, alpha):
+        # derived("alpha_inv_cbrt") used to raise while folding 0^(-1/3)
+        # or (-1)^(-1/3); now the coercivity check gets to judge alpha
+        cs = CoefficientSet.from_strings(alpha=alpha)
+        assert isinstance(cs.derived("alpha_inv_cbrt").root, _BinOp)
+        assert not np.all(np.isfinite(cs.derived("alpha_inv_cbrt").eval(0.0, 0.0)))
+
+
+class TestHashConsing:
+    def test_equal_subexpressions_are_one_node(self):
+        a = parse_coefficient("2 + 0.5*sech(x/4)^2")
+        b = parse_coefficient("(2 + 0.5*sech(x/4)^2)")
+        assert a.root is b.root
+        assert (a ** (-1.0 / 3.0)).root is CoefficientSet.from_strings(
+            alpha="2 + 0.5*sech(x/4)^2"
+        ).derived("alpha_inv_cbrt").root
+
+    def test_signed_zeros_stay_apart(self):
+        assert _Const(-0.0) is not _Const(0.0)
+        assert math.copysign(1.0, _Const(-0.0).value) == -1.0
+        assert _Const(0.0) is _Const(0) and _Const(-0.0) is _Const(-0.0)
+
+    def test_dead_trees_leave_the_table(self):
+        gc.collect()
+        before = len(_INTERN)
+        e = parse_coefficient("exp(sin(x*1.2345)) / (3.25 + cos(t*x))")
+        e.eval(0.1, np.linspace(-1.0, 1.0, 4), dx_order=2)
+        assert len(_INTERN) > before
+        del e
+        assert len(_INTERN) == before  # freed by reference counting alone
+
+    def test_dependence_flags_of_derivative_trees(self):
+        e = parse_coefficient("2 + 0.5*cos(t)*sech(x/4)^2")
+        assert e.root.depends_on_t and e.root.depends_on_x
+        assert e.dt().depends_on_t and e.dt().depends_on_x
+        c = parse_coefficient("cos(t)")
+        assert c.depends_on_t and not c.depends_on_x
+        assert not c.dx().depends_on_t  # the zero constant
+
+    def test_shared_subexpressions_are_evaluated_once(self):
+        cs = CoefficientSet.from_strings(
+            alpha="2+0.5*cos(t)*sech(x/4)^2", beta1="0.2*sech(x/4)^2", alpha0=0.4
+        )
+        names = ("gauge_ratio", "gauge_ratio_x", "gauge_ratio_xx")
+        roots = [cs.derived(n).root for n in names]
+        together = len(Program(roots))
+        assert together < sum(len(Program([r])) for r in roots)
+        x = np.linspace(-3.0, 3.0, 9)
+        for got, name in zip(cs.sample(names, 0.3, x), names):
+            assert got.tobytes() == cs.derived(name).eval(0.3, x).tobytes()
+
+
+# -- the compiled program against the recursive walker it replaced --------
+#
+# Trees are nested tuples: ("const", v), ("var", "t" | "x"), (op, a, b) for
+# op in + - * / ^, and (func, a).  The walker below is the evaluator that
+# preceded compiled programs, kept as the oracle; it walks the tuples, so it
+# shares nothing with the nodes' interning.
+
+
+def _walk(tree, t, x):
+    kind = tree[0]
+    if kind == "const":
+        return tree[1]
+    if kind == "var":
+        return t if tree[1] == "t" else x
+    if kind in _FUNCS:
+        u = _walk(tree[1], t, x)
+        if kind == "exp":
+            with np.errstate(over="ignore"):
+                return np.exp(u)
+        if kind == "log":
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.log(u)
+        if kind == "tanh":
+            return np.tanh(u)
+        if kind == "sech":
+            return 1.0 / np.cosh(u)
+        if kind == "sin":
+            return np.sin(u)
+        return np.cos(u)
+    a = _walk(tree[1], t, x)
+    b = _walk(tree[2], t, x)
+    if kind == "+":
+        return a + b
+    if kind == "-":
+        return a - b
+    if kind == "*":
+        return a * b
+    if kind == "/":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return a / b
+    with np.errstate(invalid="ignore"):
+        return np.power(a, b)
+
+
+def _reference(tree, t, x):
+    """The walker's value as `CoefficientExpr.eval` returned it, or the
+    exception it raised (Python floats divide by zero with an error)."""
+    try:
+        with np.errstate(all="ignore"):  # quiet only; no value changes
+            out = _walk(tree, t, x)
+    except ZeroDivisionError as exc:
+        return type(exc)
+    if np.ndim(x) > 0 and np.ndim(out) == 0:
+        out = np.full(np.shape(x), float(out))
+    return out
+
+
+def _node(tree):
+    """The node of a tuple tree, built without any folding."""
+    kind = tree[0]
+    if kind == "const":
+        return _Const(tree[1])
+    if kind == "var":
+        return _Var(tree[1])
+    if kind in _FUNCS:
+        return _Call(kind, _node(tree[1]))
+    return _BinOp(kind, _node(tree[1]), _node(tree[2]))
+
+
+def _tuple(node):
+    if isinstance(node, _Const):
+        return ("const", node.value)
+    if isinstance(node, _Var):
+        return ("var", node.name)
+    if isinstance(node, _Call):
+        return (node.func, _tuple(node.arg))
+    return (node.op, _tuple(node.left), _tuple(node.right))
+
+
+def _assert_bit_equal(got, want):
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+_LEAVES = st.one_of(
+    st.sampled_from([("var", "x"), ("var", "t")]),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -1.0 / 3.0]).map(lambda v: ("const", v)),
+    st.floats(-4.0, 4.0).map(lambda v: ("const", v)),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from("+-*/^"), kids, kids),
+        st.tuples(st.sampled_from(_FUNCS), kids),
+    ),
+    max_leaves=10,
+)
+_X = np.array([-2.5, -1.0, -0.0, 0.0, 0.25, 1.0, 3.0])
+
+
+def _run(roots, t, x) -> list:
+    """Program(roots) at (t, x), or the exception type once per root."""
+    try:
+        return Program(roots)(t, x)
+    except ZeroDivisionError as exc:
+        return [type(exc)] * len(roots)
+
+
+class TestProgramMatchesWalker:
+    @settings(max_examples=150, deadline=None)
+    @given(tree=_TREES, t=st.sampled_from([0.0, -0.0, 0.3, -1.7]), x=st.sampled_from([0.0, -0.0, 0.7]))
+    @example(tree=("/", ("var", "x"), ("const", -0.0)), t=0.0, x=0.7)
+    @example(tree=("*", ("sin", ("const", -0.0)), ("exp", ("var", "x"))), t=0.0, x=-0.0)
+    def test_bit_equal_on_random_trees_and_their_derivatives(self, tree, t, x):
+        node = _node(tree)
+        # the tree with its derivative trees: each root alone (the program
+        # eval keeps on a node), and all in one program, at scalar and array x
+        roots = [node, _diff(node, "x"), _diff(node, "t"), _diff(_diff(node, "x"), "x")]
+        for point in (x, _X):
+            want = [_reference(tree, t, point)]
+            want += [_reference(_tuple(root), t, point) for root in roots[1:]]
+            for root, expected in zip(roots, want):
+                _assert_bit_equal(_run([root], t, point)[0], expected)
+            together = _run(roots, t, point)
+            if not isinstance(together[0], type):  # else one root raised
+                for got, expected in zip(together, want):
+                    _assert_bit_equal(got, expected)

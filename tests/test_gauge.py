@@ -12,6 +12,7 @@ from kdvgauge.gauge import (
     SLICE_CACHE,
     GaugeSystem,
     TimeSlices,
+    _time_derivatives,
     build_gauge_map,
     compute_A,
     forward_transform,
@@ -376,6 +377,76 @@ class TestGaugeProperties:
 
         # forward then inverse transport is the identity
         gm = system.map_at(0.0)
+        u = gaussian_state(g, 1.0, 1.0)
+        back = inverse_transform(forward_transform(u, gm), gm)
+        assert l2_norm(back - u) <= 1e-8 * l2_norm(u)
+
+
+class TestTimeDependentGaugeProperties:
+    """Random coercive drifting sets alpha = a0 + a1 cos(t) sech^2(x/w),
+    beta1 = c1 (1 + s1 sin(t)) sech^2(x/w1), beta2 = -c2 sech^2(x/w2) <= 0,
+    at a time t off the origin: the slices a time-dependent transformed
+    solve builds at every stage time."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        a0=_param(0.5, 3.0),
+        a1_rel=_param(-0.3, 0.5).filter(lambda v: abs(v) >= 0.05),
+        w=_param(3.0, 6.0),
+        c1=_param(-0.5, 0.5),
+        s1=_param(-0.5, 0.5),
+        w1=_param(3.0, 6.0),
+        c2=_param(0.0, 0.5),
+        w2=_param(3.0, 6.0),
+        t=_param(0.1, 1.0),
+    )
+    def test_slice_identities_and_round_trip(self, a0, a1_rel, w, c1, s1, w1, c2, w2, t):
+        a1 = round(a1_rel * a0, 4)
+        beta1 = f"({c1:.4f})*(1+({s1:.4f})*sin(t))*sech(x/{w1:.4f})^2"
+        beta2 = f"-({c2:.4f})*sech(x/{w2:.4f})^2"
+        cs = CoefficientSet.from_strings(
+            alpha=f"{a0:.4f}+({a1:.4f})*cos(t)*sech(x/{w:.4f})^2",
+            beta=f"{beta1}+{beta2}",
+            beta1=beta1,
+            beta2=beta2,
+            alpha0=min(a0 - abs(a1), 1.0 / (a0 + abs(a1))),
+        )
+        g = make_grid(8 * np.pi, 256)
+        system = GaugeSystem(cs, g, times=(0.0, t))
+        alpha_at = lambda y: a0 + a1 * np.cos(t) / np.cosh(y / w) ** 2
+
+        # b = -beta2 alpha^(-2/3) at the pullback points of the slice at t
+        tc = system.coefficients_at(t)
+        assert tc.t == t
+        y = tc.pullback_points
+        want = c2 / np.cosh(y / w2) ** 2 * alpha_at(y) ** (-2.0 / 3.0)
+        assert np.abs(tc.b - want).max() < 1e-8 * max(1.0, np.abs(want).max())
+
+        x = g.x[np.abs(g.x) < 0.5 * g.half_width]
+        step = 1e-3
+
+        def fourth_order(f):
+            """f' at 0 from f(-2s), f(-s), f(s), f(2s)."""
+            return (f(-2 * step) - 8.0 * f(-step) + 8.0 * f(step) - f(2 * step)) / (12.0 * step)
+
+        # h_x / h = r, against differences of the closed form in x
+        h = gauge_weight(cs, t, x)
+        r = np.asarray(cs.derived("gauge_ratio").eval(t, x), dtype=float)
+        h_x = fourth_order(lambda s: gauge_weight(cs, t, x + s))
+        assert np.abs(h_x / h - r).max() < 1e-8 * max(1.0, np.abs(r).max())
+
+        # h_t / h and A_t as transform_coefficients takes them, against
+        # centred differences in t of log h and of A
+        al, al_t = cs.sample(("alpha", "alpha_t"), t, g.x)
+        A_t, ht_h = _time_derivatives(cs, t, g.x, al, al_t)
+        assert np.array_equal(ht_h, gauge_weight_log_time_derivative(cs, t, g.x))
+        log_h_t = fourth_order(lambda s: np.log(gauge_weight(cs, t + s, g.x)))
+        assert np.abs(ht_h - log_h_t).max() < 1e-8 * max(1.0, np.abs(log_h_t).max())
+        fd_A_t = fourth_order(lambda s: compute_A(cs.alpha, t + s, g))
+        assert np.abs(A_t - fd_A_t).max() < 1e-8 * max(1.0, np.abs(fd_A_t).max())
+
+        # forward then inverse transport at t is the identity
+        gm = system.map_at(t)
         u = gaussian_state(g, 1.0, 1.0)
         back = inverse_transform(forward_transform(u, gm), gm)
         assert l2_norm(back - u) <= 1e-8 * l2_norm(u)
