@@ -153,7 +153,8 @@ def _bona_smith_violations(values: dict, grid: Grid) -> list[str]:
     P_<=n keeps every |k| <= n in full, so a cutoff at or above the largest
     wavenumber the solves keep gives zero datum tail and zero difference
     (the structure ratio would divide by zero), and a reference no finer
-    than a cutoff gives zero difference.
+    than a cutoff gives zero difference. The rate fit needs two distinct
+    cutoffs.
     """
     ex = values["experiment"]
     n_sweep = ex.get("n_sweep", ExperimentSpec.n_sweep)
@@ -165,8 +166,10 @@ def _bona_smith_violations(values: dict, grid: Grid) -> list[str]:
     kept[grid.nyquist_index] = False  # the solver drops the unpaired mode
     k_top = float(np.abs(grid.wavenumbers[kept]).max())
     violations = []
-    if not n_sweep:
-        violations.append("[experiment] n_sweep: needs at least one cutoff")
+    if len(set(n_sweep)) < 2:
+        violations.append(
+            "[experiment] n_sweep: needs at least two distinct cutoffs (the rate fit)"
+        )
     useless = [n for n in n_sweep if not 0 < n < k_top]
     if useless:
         violations.append(
@@ -238,11 +241,45 @@ def _band_sweep_violations(values: dict, grid: Grid) -> list[str]:
     return violations
 
 
+def _dt_sweep_violations(values: dict, grid: Grid) -> list[str]:
+    """Step-size sweeps the temporal-order fit cannot use.
+
+    The fit takes the differences of runs at successive step sizes, which
+    scale as C (1 - r^p) dt_j^p only when every dt_{j+1} / dt_j is the one
+    ratio r < 1; a slope needs two differences, so three step sizes. The
+    grid plays no part.
+    """
+    sweep = values["experiment"].get("dt_sweep", ExperimentSpec.dt_sweep)
+    violations = []
+    if len(sweep) < 3:
+        violations.append(
+            "[experiment] dt_sweep: needs at least three step sizes (the order "
+            "fit takes the differences of successive runs, and a slope needs two)"
+        )
+    bad = [dt for dt in sweep if not (np.isfinite(dt) and dt > 0)]
+    if bad:
+        violations.append(
+            f"[experiment] dt_sweep: step sizes {', '.join(f'{dt:g}' for dt in bad)} "
+            f"are not positive and finite"
+        )
+    elif len(sweep) >= 2:
+        ratios = [b / a for a, b in zip(sweep, sweep[1:])]
+        r = ratios[0]
+        if not all(q < 1.0 and abs(q - r) <= 1e-9 * r for q in ratios):
+            violations.append(
+                f"[experiment] dt_sweep: must decrease by one common ratio (each "
+                f"dt_{{j+1}} / dt_j below 1, all equal to within 1e-9 relative); "
+                f"the ratios are {', '.join(f'{q:.10g}' for q in ratios)}"
+            )
+    return violations
+
+
 # experiment kind -> parse-time check of its sweep against the run's grid
 _SWEEP_CHECKS = {
     "bona_smith": _bona_smith_violations,
     "wavepacket": _wavepacket_violations,
     "commutator_survey": _band_sweep_violations,
+    "soliton_benchmark": _dt_sweep_violations,
 }
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import trapezoid
 
 from .spectral import Grid, SpectralState, derivative, inner_product
 
@@ -219,7 +220,7 @@ def weighted_b_seminorm(trajectory, b_field: np.ndarray, theta: float) -> float:
     if len(states) == 1:
         total = g[0] * 0.0
     else:
-        total = np.trapezoid(g, times)
+        total = trapezoid(g, times)  # np.trapezoid needs numpy 2
     return float(np.sqrt(max(total, 0.0)))
 
 

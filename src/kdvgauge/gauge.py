@@ -55,7 +55,6 @@ __all__ = [
     "transform_coefficients",
     "forward_transform",
     "inverse_transform",
-    "gauge_weight_log_time_derivative",
     "TimeSlices",
     "GaugeSystem",
 ]
@@ -237,19 +236,6 @@ def build_gauge_map(
     gmap.A_inverse_samples = np.asarray(invert_A(gmap, np.clip(xi, lo, hi)))
     gmap.h_at_inverse = gauge_weight(cset, t, gmap.A_inverse_samples)
     return gmap
-
-
-def gauge_weight_log_time_derivative(
-    cset: CoefficientSet, t: float, points: np.ndarray
-) -> np.ndarray:
-    """h_t / h from the differentiated closed form (no time differencing).
-
-    Equals (1/3)[alpha_t(t,0)/alpha(t,0) - alpha_t/alpha] plus (1/3) of the
-    anchored integral of d/dt(beta1/alpha); points must be sorted ascending.
-    """
-    pts = np.asarray(points, dtype=float)
-    al, al_t = (np.asarray(v, dtype=float) for v in cset.sample(("alpha", "alpha_t"), t, pts))
-    return _time_derivatives(cset, t, pts, al, al_t)[1]
 
 
 def _time_derivatives(

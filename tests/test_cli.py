@@ -345,6 +345,16 @@ packet_launch = 6
         # the accepted sweep itself parses
         parse_config(write_cfg(tmp_path, KIND_CONFIGS["bona_smith"], "ok.cfg"))
 
+    @pytest.mark.parametrize("sweep", ["8", "8, 8"])
+    def test_bona_smith_sweep_needs_two_cutoffs(self, tmp_path, sweep):
+        # one cutoff used to end in a bare "slope fit needs at least two
+        # points", and a repeated one in a PASS from a degenerate fit
+        cfg_text = KIND_CONFIGS["bona_smith"].replace(
+            "n_sweep = 8, 16, 32, 64", f"n_sweep = {sweep}"
+        )
+        with pytest.raises(ConfigError, match="n_sweep: needs at least two distinct cutoffs"):
+            parse_config(write_cfg(tmp_path, cfg_text, "bs.cfg"))
+
     @pytest.mark.parametrize("sweep", ["0, 10", "-8", ""])
     def test_wavepacket_sweep_without_positive_carriers_refused(
         self, tmp_path, capsys, sweep
@@ -414,6 +424,41 @@ packet_launch = 6
             cfg = parse_config(write_cfg(tmp_path, text, f"{name}.cfg"))
             assert cfg.kind == "commutator_survey"
 
+
+    @pytest.mark.parametrize(
+        "sweep, reason",
+        [
+            ("1e-4", "needs at least three step sizes"),
+            ("-1e-4, 1e-4", "step sizes -0.0001 are not positive and finite"),
+            ("1e-4, 1e-4", "the ratios are 1\n"),
+            ("4e-4, nan, 1e-4", "step sizes nan are not positive and finite"),
+            ("4e-4, 2e-4, 1.5e-4", "must decrease by one common ratio"),
+            ("1e-4, 2e-4, 4e-4", "the ratios are 2, 2\n"),
+        ],
+    )
+    def test_unrunnable_dt_sweep_refused(self, tmp_path, capsys, sweep, reason):
+        # 1e-4 used to exit 2 from inside the run with "slope fit needs at
+        # least two points", -1e-4, 1e-4 with "dt must be positive", and
+        # 1e-4, 1e-4 ran and FAILed with a meaningless slope; the order fit
+        # on successive differences needs a geometric, decreasing sweep
+        cfg_path = write_cfg(tmp_path, MINIMAL + f"dt_sweep = {sweep}\n", "sol.cfg")
+        code = main(["run", str(cfg_path), "-o", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: [experiment] dt_sweep: " in captured.err
+        assert reason in captured.err
+        assert all(line.startswith("config error: ") for line in captured.err.splitlines())
+        assert not (tmp_path / "out").exists()
+
+    def test_geometric_dt_sweeps_parse(self, tmp_path):
+        # MINIMAL runs the default sweep 4e-4 * 10^(-j/4), j = 0..4
+        for name, text in [
+            ("minimal", MINIMAL),
+            ("halving", MINIMAL + "dt_sweep = 4e-4, 2e-4, 1e-4, 5e-5\n"),
+        ]:
+            cfg = parse_config(write_cfg(tmp_path, text, f"{name}.cfg"))
+            assert cfg.kind == "soliton_benchmark"
 
     @pytest.mark.parametrize("alpha", ["0", "-1"])
     def test_nonpositive_alpha_fails_coercivity(self, tmp_path, capsys, alpha):

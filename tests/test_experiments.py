@@ -19,9 +19,10 @@ from kdvgauge.experiments import (
     run_experiment,
     run_wavepacket,
     spectrum_state,
+    successive_difference_order,
     write_report,
 )
-from kdvgauge.spectral import l2_norm, make_grid, sobolev_norm
+from kdvgauge.spectral import SpectralState, l2_norm, make_grid, sobolev_norm
 
 
 class TestFitLoglog:
@@ -37,6 +38,29 @@ class TestFitLoglog:
         ys = np.array([1.0, 0.9, 0.1, 0.3])
         _, _, resid = fit_loglog(xs, ys)
         assert resid > 0.1
+
+    @pytest.mark.parametrize("xs", [[4.0, 4.0], [2.0, 2.0, 2.0]])
+    def test_refuses_repeated_abscissae(self, xs):
+        # polyfit on one distinct abscissa returns a slope that means nothing
+        with pytest.raises(ValueError, match="distinct abscissae"):
+            fit_loglog(xs, np.arange(1.0, len(xs) + 1.0))
+
+
+class TestSuccessiveDifferenceOrder:
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("ratio", [10 ** (-1 / 4), 0.5])
+    def test_recovers_order_on_geometric_sweeps(self, p, ratio):
+        # u_dt = u* + C dt^p w: every successive difference is
+        # C (1 - r^p) dt_j^p w up to rounding, whatever the field u*
+        g = make_grid(np.pi, 64)
+        u_star = SpectralState.from_physical(g, np.exp(-g.x**2))
+        w = SpectralState.from_physical(g, np.sin(g.x) + 0.5 * np.cos(3 * g.x))
+        dts = [0.5 * ratio**j for j in range(5)]
+        finals = [u_star + (2.0 * dt**p) * w for dt in dts]
+        rows, slope, resid = successive_difference_order(dts, finals)
+        assert [r[0] for r in rows] == dts[:-1]
+        assert slope == pytest.approx(p, abs=1e-9)
+        assert resid < 1e-9
 
 
 class TestInitialData:
@@ -280,6 +304,17 @@ class TestSingleLevelSweep:
         assert "refinement_order" not in rep.slopes
         assert any("single-level" in n for n in rep.notes)
         assert rep.passed  # identity gauge: tiny path difference
+
+    def test_repeated_level_is_single_level(self):
+        # one distinct grid gives no refinement to fit
+        cs = CoefficientSet.from_strings(alpha="1", epsilon="0")
+        spec = ExperimentSpec(
+            kind="transform_consistency", cset=cs, half_width=8 * np.pi,
+            refine_sweep=(256, 256), t_final=0.05, gaussian_width=1.0,
+        )
+        rep = run_transform_consistency(spec)
+        assert "refinement_order" not in rep.slopes
+        assert any("single-level" in n for n in rep.notes)
 
     def test_fit_loglog_needs_two_points(self):
         with pytest.raises(ValueError, match="two points"):
