@@ -40,8 +40,6 @@ from .solver import (
     Trajectory,
     energy_monitor,
     solve,
-    step_original,
-    step_transformed,
     weak_residual,
 )
 from .spectral import (

@@ -5,7 +5,9 @@ Configs are INI-style documents with sections [grid], [coefficients],
 typed schema.  Unknown keys are rejected with a spelling suggestion, and
 every violation in the file is reported, not just the first.  A run is
 identified by the SHA-256 of its canonical parsed content, so identical
-configs produce byte-identical outputs.
+configs produce byte-identical outputs.  The [experiment] keys are those
+of the named kind's spec (`experiments.EXPERIMENTS`); a key of another kind
+is refused with the name of the kind that owns it.
 
 Exit codes: 0 all verdicts pass, 1 failed verdicts, 2 errors (including a
 failed hypothesis check without --allow-hypothesis-violation).
@@ -20,17 +22,12 @@ import hashlib
 import json
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .coefficients import CoefficientSet, check_hypotheses, softplus_split
-from .experiments import (
-    EXPERIMENT_KINDS,
-    ExperimentSpec,
-    run_experiment,
-    write_report,
-)
+from .experiments import EXPERIMENTS, ExperimentSpec, run_experiment, write_report
 from .expressions import ExpressionError, parse_coefficient
 from .spectral import Grid, GridSizeError, make_grid
 
@@ -45,7 +42,7 @@ class ConfigError(ValueError):
         super().__init__("\n".join(self.violations))
 
 
-# key -> (type tag, default); None default means "required"
+# key -> (type tag, default); a None default is never written into the values
 _SCHEMA = {
     "grid": {
         "half_width": ("const", "8*pi"),
@@ -73,35 +70,15 @@ _SCHEMA = {
         "blowup_threshold": ("float_or_auto", "auto"),
         "monitor_stride": ("int", "10"),
     },
+    # the kind's own knobs are added from its spec (_experiment_schema)
     "experiment": {
-        "kind": ("choice:" + ",".join(EXPERIMENT_KINDS), None),
+        "kind": ("choice:" + ",".join(EXPERIMENTS), None),
         "seed": ("int", "0"),
-        "refine_sweep": ("int_list", None),
-        "gaussian_width": ("float", None),
-        "gaussian_amplitude": ("float", None),
-        "n_sweep": ("int_list", None),
-        "reference_n": ("int", None),
-        "spectrum_decay_offset": ("float", None),
-        "xi0_sweep": ("float_list", None),
-        "region_half_width": ("float", None),
-        "region_beta0": ("float", None),
-        "region_smoothing": ("float", None),
-        "packet_width": ("float", None),
-        "packet_launch": ("float", None),
-        "perturbation_sizes": ("float_list", None),
-        "band_sweep": ("int_list", None),
-        "draws": ("int", None),
-        "identity_draws": ("int", None),
-        "resonance_draws": ("int", None),
-        "kappa": ("float", None),
-        "order_kappa": ("float", None),
-        "dt_sweep": ("float_list", None),
-        "order_t_final": ("float", None),
     },
 }
 
-# keys without schema defaults that still have required-at-build semantics
-_REQUIRED = {("experiment", "kind")}
+# knob annotation -> type tag
+_TAGS = {int: "int", float: "float", tuple[int, ...]: "int_list", tuple[float, ...]: "float_list"}
 
 
 def _convert(tag: str, raw: str, where: str, violations: list):
@@ -147,161 +124,36 @@ def _convert(tag: str, raw: str, where: str, violations: list):
     return None
 
 
-def _bona_smith_violations(values: dict, grid: Grid) -> list[str]:
-    """Truncation sweeps that leave nothing to measure on the run's grid.
-
-    P_<=n keeps every |k| <= n in full, so a cutoff at or above the largest
-    wavenumber the solves keep gives zero datum tail and zero difference
-    (the structure ratio would divide by zero), and a reference no finer
-    than a cutoff gives zero difference. The rate fit needs two distinct
-    cutoffs.
-    """
-    ex = values["experiment"]
-    n_sweep = ex.get("n_sweep", ExperimentSpec.n_sweep)
-    reference_n = ex.get("reference_n", ExperimentSpec.reference_n)
-    if values["solver"]["dealias"]:
-        kept = grid.dealias_mask.copy()
-    else:
-        kept = np.ones(grid.num_points, bool)
-    kept[grid.nyquist_index] = False  # the solver drops the unpaired mode
-    k_top = float(np.abs(grid.wavenumbers[kept]).max())
-    violations = []
-    if len(set(n_sweep)) < 2:
-        violations.append(
-            "[experiment] n_sweep: needs at least two distinct cutoffs (the rate fit)"
-        )
-    useless = [n for n in n_sweep if not 0 < n < k_top]
-    if useless:
-        violations.append(
-            f"[experiment] n_sweep: cutoffs {', '.join(map(str, useless))} do not "
-            f"truncate the datum; the runs keep |k| <= {k_top:g} on this grid "
-            f"(k_max = {grid.k_max:g}), so each cutoff must lie in (0, {k_top:g})"
-        )
-    if n_sweep and reference_n <= max(n_sweep):
-        violations.append(
-            f"[experiment] reference_n = {reference_n} must exceed every n_sweep "
-            f"cutoff (largest {max(n_sweep)}; k_max = {grid.k_max:g})"
-        )
-    return violations
-
-
-def _wavepacket_violations(values: dict, grid: Grid) -> list[str]:
-    """Carrier sweeps the packet study cannot run on the run's grid.
-
-    The traversal time is 2 launch / (3 alpha xi0^2), so xi0 must be
-    positive. The study is linear (epsilon = 0), so a carrier is resolved up
-    to k_max; the bound of two thirds of k_max is a margin for the packet's
-    Gaussian band around xi0 and the spread added by the pointwise product
-    with beta, which the undealiased runs fold back near k_max. On the
-    default grid (k_max = 32) the gains at xi0 = 21 and 25 stay within 3% of
-    the gain at 10, and the gain at 30 falls by a third.
-    """
-    xi0_sweep = values["experiment"].get("xi0_sweep", ExperimentSpec.xi0_sweep)
-    k_top = (2.0 / 3.0) * grid.k_max
-    if not xi0_sweep:
-        return [
-            f"[experiment] xi0_sweep: needs at least one carrier in (0, {k_top:g}) "
-            f"(k_max = {grid.k_max:g})"
-        ]
-    bad = [xi0 for xi0 in xi0_sweep if not 0 < xi0 < k_top]
-    if not bad:
-        return []
-    return [
-        f"[experiment] xi0_sweep: carriers {', '.join(f'{x:g}' for x in bad)} lie "
-        f"outside (0, {k_top:g}); each must be positive and below two thirds "
-        f"of k_max = {grid.k_max:g} on this grid"
-    ]
-
-
-def _band_sweep_violations(values: dict, grid: Grid) -> list[str]:
-    """Band sweeps the commutator survey cannot run.
-
-    The survey works on its own grid of max(num_points, 8 max(band_sweep))
-    points, which must be a power of two; the double-bracket slope fit and
-    the identity draws use the bands >= 8, and the fit needs two of them.
-    """
-    sweep = values["experiment"].get("band_sweep", ExperimentSpec.band_sweep)
-    violations = []
-    bad = [n for n in sweep if n <= 0]
-    if bad:
-        violations.append(
-            f"[experiment] band_sweep: bands {', '.join(map(str, bad))} are not positive"
-        )
-    if len({n for n in sweep if n >= 8}) < 2:
-        violations.append(
-            "[experiment] band_sweep: needs at least two distinct bands >= 8 "
-            "(the double-bracket slope fit and the identity draws use only those)"
-        )
-    size = max(grid.num_points, 8 * max(sweep, default=0))
-    if size & (size - 1):
-        violations.append(
-            f"[experiment] band_sweep: the survey grid has max(num_points, "
-            f"8 * max(band_sweep)) = {size} points, which is not a power of two"
-        )
-    return violations
-
-
-def _dt_sweep_violations(values: dict, grid: Grid) -> list[str]:
-    """Step-size sweeps the temporal-order fit cannot use.
-
-    The fit takes the differences of runs at successive step sizes, which
-    scale as C (1 - r^p) dt_j^p only when every dt_{j+1} / dt_j is the one
-    ratio r < 1; a slope needs two differences, so three step sizes. The
-    grid plays no part.
-    """
-    sweep = values["experiment"].get("dt_sweep", ExperimentSpec.dt_sweep)
-    violations = []
-    if len(sweep) < 3:
-        violations.append(
-            "[experiment] dt_sweep: needs at least three step sizes (the order "
-            "fit takes the differences of successive runs, and a slope needs two)"
-        )
-    bad = [dt for dt in sweep if not (np.isfinite(dt) and dt > 0)]
-    if bad:
-        violations.append(
-            f"[experiment] dt_sweep: step sizes {', '.join(f'{dt:g}' for dt in bad)} "
-            f"are not positive and finite"
-        )
-    elif len(sweep) >= 2:
-        ratios = [b / a for a, b in zip(sweep, sweep[1:])]
-        r = ratios[0]
-        if not all(q < 1.0 and abs(q - r) <= 1e-9 * r for q in ratios):
-            violations.append(
-                f"[experiment] dt_sweep: must decrease by one common ratio (each "
-                f"dt_{{j+1}} / dt_j below 1, all equal to within 1e-9 relative); "
-                f"the ratios are {', '.join(f'{q:.10g}' for q in ratios)}"
-            )
-    return violations
-
-
-# experiment kind -> parse-time check of its sweep against the run's grid
-_SWEEP_CHECKS = {
-    "bona_smith": _bona_smith_violations,
-    "wavepacket": _wavepacket_violations,
-    "commutator_survey": _band_sweep_violations,
-    "soliton_benchmark": _dt_sweep_violations,
-}
+def _experiment_schema(kind: str) -> dict:
+    """kind, seed, and the knobs of `kind`, which have no schema default: the
+    spec holds it, so a default never enters the hashed values."""
+    knobs = EXPERIMENTS[kind][0].knobs() if kind in EXPERIMENTS else {}
+    return {**_SCHEMA["experiment"], **{k: (_TAGS[t], None) for k, t in knobs.items()}}
 
 
 @dataclass
 class RunConfig:
     values: dict  # canonical section -> key -> parsed value
-    cset: CoefficientSet
-    spec_kwargs: dict
+    spec: ExperimentSpec
     run_id: str
     config_hash: str
 
     @property
     def kind(self) -> str:
-        return self.values["experiment"]["kind"]
+        return self.spec.kind
+
+    @property
+    def cset(self) -> CoefficientSet:
+        return self.spec.cset
 
 
 def parse_config(path) -> RunConfig:
     """Read, validate and canonicalize a config file.
 
     Raises ConfigError listing every violation: unknown sections/keys (with
-    a spelling suggestion), type failures, and expression errors with their
-    source column.
+    a spelling suggestion), [experiment] keys of another kind (with the
+    kinds that own them), type failures, expression errors with their
+    source column, and the spec's own `violations` on the run's grid.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -312,20 +164,29 @@ def parse_config(path) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError([f"malformed config: {exc}"])
 
+    kind = parser.get("experiment", "kind", fallback="").strip()
+    schema = dict(_SCHEMA, experiment=_experiment_schema(kind))
     violations: list[str] = []
     values: dict[str, dict] = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
-            hint = difflib.get_close_matches(section, _SCHEMA.keys(), n=1)
+        if section not in schema:
+            hint = difflib.get_close_matches(section, schema.keys(), n=1)
             extra = f"; did you mean [{hint[0]}]?" if hint else ""
             violations.append(f"unknown section [{section}]{extra}")
             continue
-        known = _SCHEMA[section]
+        known = schema[section]
         for key, raw in parser.items(section):
             if key not in known:
-                hint = difflib.get_close_matches(key, known.keys(), n=1)
-                extra = f"; did you mean {hint[0]!r}?" if hint else ""
-                violations.append(f"[{section}] unknown key {key!r}{extra}")
+                owners = [k for k, (spec, _) in EXPERIMENTS.items() if key in spec.knobs()]
+                if section != "experiment" or not owners:
+                    hint = difflib.get_close_matches(key, known.keys(), n=1)
+                    extra = f"; did you mean {hint[0]!r}?" if hint else ""
+                    violations.append(f"[{section}] unknown key {key!r}{extra}")
+                elif kind in EXPERIMENTS:  # else the kind itself is refused
+                    violations.append(
+                        f"[experiment] {key}: a knob of {' and '.join(owners)}, "
+                        f"not of {kind}"
+                    )
                 continue
             tag, _default = known[key]
             parsed = _convert(tag, raw, f"[{section}] {key}", violations)
@@ -333,7 +194,7 @@ def parse_config(path) -> RunConfig:
                 values.setdefault(section, {})[key] = parsed
 
     # defaults
-    for section, keys in _SCHEMA.items():
+    for section, keys in schema.items():
         for key, (tag, default) in keys.items():
             if default is None:
                 continue
@@ -341,18 +202,8 @@ def parse_config(path) -> RunConfig:
                 parsed = _convert(tag, default, f"[{section}] {key} (default)", violations)
                 values.setdefault(section, {})[key] = parsed
 
-    for section, key in _REQUIRED:
-        if key not in values.get(section, {}):
-            violations.append(f"[{section}] missing required key {key!r}")
-
-    sweep_check = None if violations else _SWEEP_CHECKS.get(values["experiment"]["kind"])
-    if sweep_check is not None:
-        try:
-            grid = make_grid(values["grid"]["half_width"], values["grid"]["num_points"])
-        except GridSizeError:
-            pass  # reported when the run builds its grid
-        else:
-            violations.extend(sweep_check(values, grid))
+    if not kind:
+        violations.append("[experiment] missing required key 'kind'")
     if violations:
         raise ConfigError(violations)
 
@@ -388,45 +239,37 @@ def parse_config(path) -> RunConfig:
     values.setdefault("split", {})["beta1"] = b1_text
     values["split"]["beta2"] = b2_text
 
+    solver = {k: v for k, v in values["solver"].items() if k != "monitor_stride"}  # read by no kind
+    knobs = {k: v for k, v in values["experiment"].items() if k != "kind"}
+    spec = EXPERIMENTS[kind][0](cset=cset, **values["grid"], **solver, **knobs)
+    try:
+        grid = make_grid(spec.half_width, spec.num_points)
+    except GridSizeError:
+        pass  # reported when the run builds its grid
+    else:
+        violations = spec.violations(grid)
+        if violations:
+            raise ConfigError(violations)
+
     canonical = json.dumps(values, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    ex = dict(values["experiment"])
-    kind = ex.pop("kind")
-    seed = ex.pop("seed")
-    spec_kwargs = dict(
-        kind=kind,
-        seed=seed,
-        half_width=values["grid"]["half_width"],
-        num_points=values["grid"]["num_points"],
-        s=values["solver"]["s"],
-        t_final=values["solver"]["t_final"],
-        dt=values["solver"]["dt"],
-        dealias=values["solver"]["dealias"],
-        blowup_threshold=values["solver"]["blowup_threshold"],
-        monitor_stride=values["solver"]["monitor_stride"],
-        **ex,
-    )
-    return RunConfig(
-        values=values,
-        cset=cset,
-        spec_kwargs=spec_kwargs,
-        run_id=digest[:12],
-        config_hash=digest,
-    )
+    return RunConfig(values=values, spec=spec, run_id=digest[:12], config_hash=digest)
 
 
-def _screened_grid(config: RunConfig) -> Grid:
-    """The run's grid, once every coefficient field is screened for poles on it.
+def _screened(config: RunConfig) -> tuple[Grid, CoefficientSet]:
+    """The run's grid and the coefficient set its experiment integrates, once
+    every field of that set is screened for poles on the grid.
 
     Each field and its derivatives of orders x, xx and t must be finite on
     the grid at t = 0, t_final/2 and t_final; the first that is not raises an
     ExpressionError naming its expression.  `run` and `check` both call this
-    before the hypothesis check, so both refuse the same configs.
+    before the hypothesis check, so both screen and gate the same set.
     """
-    grid = make_grid(config.values["grid"]["half_width"], config.values["grid"]["num_points"])
-    config.cset.screen(np.linspace(0.0, config.values["solver"]["t_final"], 3), grid.x)
-    return grid
+    spec = config.spec
+    grid = make_grid(spec.half_width, spec.num_points)
+    cset = spec.integrated_cset()
+    cset.screen(np.linspace(0.0, spec.t_final, 3), grid.x)
+    return grid, cset
 
 
 def run(
@@ -444,9 +287,8 @@ def run(
     """
     out = stream or sys.stdout
     try:
-        grid = _screened_grid(config)
-        t_final = config.values["solver"]["t_final"]
-        hyp = check_hypotheses(config.cset, grid, t_final, t_samples=5)
+        grid, cset = _screened(config)
+        hyp = check_hypotheses(cset, grid, config.spec.t_final, t_samples=5)
         violating = not hyp.passed
         if violating and not allow_hypothesis_violation:
             out.write(hyp.format_text() + "\n")
@@ -456,11 +298,9 @@ def run(
             )
             return 2
 
-        kwargs = dict(config.spec_kwargs)
+        spec = replace(config.spec, hypothesis_violating=violating)
         if seed_override is not None:
-            kwargs["seed"] = int(seed_override)
-        kwargs["hypothesis_violating"] = violating
-        spec = ExperimentSpec(cset=config.cset, **kwargs)
+            spec = replace(spec, seed=int(seed_override))
         report = run_experiment(spec)
         run_id = config.run_id if seed_override is None else (
             hashlib.sha256(
@@ -506,7 +346,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     if args.command == "list-experiments":
-        for kind in EXPERIMENT_KINDS:
+        for kind in EXPERIMENTS:
             print(kind)
         return 0
 
@@ -519,10 +359,8 @@ def main(argv=None) -> int:
 
     if args.command == "check":
         try:
-            grid = _screened_grid(config)
-            hyp = check_hypotheses(
-                config.cset, grid, config.values["solver"]["t_final"], t_samples=5
-            )
+            grid, cset = _screened(config)
+            hyp = check_hypotheses(cset, grid, config.spec.t_final, t_samples=5)
         except Exception as exc:  # noqa: BLE001
             traceback.print_exc(file=sys.stderr)
             print(f"error: {exc}", file=sys.stderr)

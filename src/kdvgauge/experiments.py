@@ -27,8 +27,9 @@ monotonicity since they are not power laws.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from pathlib import Path
+from typing import ClassVar, get_type_hints
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from .solver import (
     weak_residual,
 )
 from .spectral import (
+    Grid,
     SpectralState,
     derivative as spectral_derivative,
     l2_norm,
@@ -61,7 +63,14 @@ from .spectral import (
 )
 
 __all__ = [
+    "EXPERIMENTS",
     "ExperimentSpec",
+    "TransformConsistencySpec",
+    "BonaSmithSpec",
+    "WavepacketSpec",
+    "ContinuitySpec",
+    "CommutatorSurveySpec",
+    "SolitonBenchmarkSpec",
     "ExperimentReport",
     "Verdict",
     "run_experiment",
@@ -81,17 +90,7 @@ __all__ = [
     "random_smooth_field",
     "envelope_peak",
     "write_report",
-    "EXPERIMENT_KINDS",
 ]
-
-EXPERIMENT_KINDS = (
-    "transform_consistency",
-    "bona_smith",
-    "wavepacket",
-    "continuity",
-    "commutator_survey",
-    "soliton_benchmark",
-)
 
 
 @dataclass
@@ -102,9 +101,16 @@ class Verdict:
     threshold: str  # human-readable statement of the gate
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
-    kind: str
+    """What every experiment kind reads: the coefficient set, the [grid] and
+    [solver] settings, the seed and the hypothesis watermark.
+
+    Each kind is a subclass that adds its own [experiment] knobs with their
+    defaults, and may override `violations` and `integrated_cset`.
+    """
+
+    kind: ClassVar[str]
     cset: CoefficientSet
     half_width: float = 8.0 * np.pi
     num_points: int = 512
@@ -113,42 +119,23 @@ class ExperimentSpec:
     dt: float | str = "auto"
     dealias: bool = True
     blowup_threshold: float | str = "auto"
-    monitor_stride: int = 10
     seed: int = 0
     hypothesis_violating: bool = False
-    # transform consistency
-    refine_sweep: tuple = (256, 512, 1024)
-    gaussian_width: float = 2.0
-    gaussian_amplitude: float = 1.0
-    # bona-smith
-    n_sweep: tuple = (8, 16, 32, 64, 128)
-    reference_n: int = 512
-    spectrum_decay_offset: float = 0.6
-    # wavepacket
-    xi0_sweep: tuple = (10.0, 15.0, 20.0)
-    region_half_width: float = 2.0
-    region_beta0: float = 0.225
-    region_smoothing: float = 0.3
-    packet_width: float = 1.5
-    packet_launch: float = 8.0
-    # continuity
-    perturbation_sizes: tuple = (1e-2, 1e-3, 1e-4)
-    # commutator survey
-    band_sweep: tuple = (4, 8, 16, 32, 64, 128, 256)
-    draws: int = 50
-    identity_draws: int = 100
-    resonance_draws: int = 1000
-    # soliton
-    kappa: float = 1.0
-    order_kappa: float = 2.0
-    dt_sweep: tuple = tuple(4e-4 * 10 ** (-j / 4) for j in range(5))
-    order_t_final: float = 0.1
 
-    def __post_init__(self) -> None:
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ValueError(
-                f"unknown experiment kind {self.kind!r}; choose from {EXPERIMENT_KINDS}"
-            )
+    @classmethod
+    def knobs(cls) -> dict:
+        """The kind's own [experiment] keys -> their annotated types."""
+        hints = get_type_hints(cls)
+        shared = {f.name for f in fields(ExperimentSpec)}
+        return {f.name: hints[f.name] for f in fields(cls) if f.name not in shared}
+
+    def violations(self, grid: Grid) -> list[str]:
+        """Parse-time reasons, each naming its key, why the run cannot go on `grid`."""
+        return []
+
+    def integrated_cset(self) -> CoefficientSet:
+        """The coefficient set the run integrates, which the hypothesis gate checks."""
+        return self.cset
 
 
 @dataclass
@@ -279,7 +266,15 @@ def _require_constant_benchmark(spec: ExperimentSpec, grid) -> TransformedCoeffi
 # -- experiments ----------------------------------------------------------
 
 
-def run_transform_consistency(spec: ExperimentSpec) -> ExperimentReport:
+@dataclass(frozen=True)
+class TransformConsistencySpec(ExperimentSpec):
+    kind: ClassVar[str] = "transform_consistency"
+    refine_sweep: tuple[int, ...] = (256, 512, 1024)
+    gaussian_width: float = 2.0
+    gaussian_amplitude: float = 1.0
+
+
+def run_transform_consistency(spec: TransformConsistencySpec) -> ExperimentReport:
     """Mutual-oracle comparison of the two solution paths."""
     report = ExperimentReport(kind=spec.kind, watermark=spec.hypothesis_violating)
     T = spec.t_final
@@ -341,7 +336,49 @@ def run_transform_consistency(spec: ExperimentSpec) -> ExperimentReport:
     return report
 
 
-def run_bona_smith(spec: ExperimentSpec) -> ExperimentReport:
+@dataclass(frozen=True)
+class BonaSmithSpec(ExperimentSpec):
+    kind: ClassVar[str] = "bona_smith"
+    n_sweep: tuple[int, ...] = (8, 16, 32, 64, 128)
+    reference_n: int = 512
+    spectrum_decay_offset: float = 0.6
+
+    def violations(self, grid: Grid) -> list[str]:
+        """Truncation sweeps that leave nothing to measure on the run's grid.
+
+        P_<=n keeps every |k| <= n in full, so a cutoff at or above the largest
+        wavenumber the solves keep gives zero datum tail and zero difference
+        (the structure ratio would divide by zero), and a reference no finer
+        than a cutoff gives zero difference. The rate fit needs two distinct
+        cutoffs.
+        """
+        if self.dealias:
+            kept = grid.dealias_mask.copy()
+        else:
+            kept = np.ones(grid.num_points, bool)
+        kept[grid.nyquist_index] = False  # the solver drops the unpaired mode
+        k_top = float(np.abs(grid.wavenumbers[kept]).max())
+        violations = []
+        if len(set(self.n_sweep)) < 2:
+            violations.append(
+                "[experiment] n_sweep: needs at least two distinct cutoffs (the rate fit)"
+            )
+        useless = [n for n in self.n_sweep if not 0 < n < k_top]
+        if useless:
+            violations.append(
+                f"[experiment] n_sweep: cutoffs {', '.join(map(str, useless))} do not "
+                f"truncate the datum; the runs keep |k| <= {k_top:g} on this grid "
+                f"(k_max = {grid.k_max:g}), so each cutoff must lie in (0, {k_top:g})"
+            )
+        if self.n_sweep and self.reference_n <= max(self.n_sweep):
+            violations.append(
+                f"[experiment] reference_n = {self.reference_n} must exceed every "
+                f"n_sweep cutoff (largest {max(self.n_sweep)}; k_max = {grid.k_max:g})"
+            )
+        return violations
+
+
+def run_bona_smith(spec: BonaSmithSpec) -> ExperimentReport:
     """Rate of convergence from frequency-truncated data."""
     report = ExperimentReport(kind=spec.kind, watermark=spec.hypothesis_violating)
     grid = make_grid(spec.half_width, spec.num_points)
@@ -405,7 +442,79 @@ def run_bona_smith(spec: ExperimentSpec) -> ExperimentReport:
     return report
 
 
-def run_wavepacket(spec: ExperimentSpec) -> ExperimentReport:
+@dataclass(frozen=True)
+class WavepacketSpec(ExperimentSpec):
+    kind: ClassVar[str] = "wavepacket"
+    xi0_sweep: tuple[float, ...] = (10.0, 15.0, 20.0)
+    region_half_width: float = 2.0
+    region_beta0: float = 0.225
+    region_smoothing: float = 0.3
+    packet_width: float = 1.5
+    packet_launch: float = 8.0
+
+    def _alpha(self) -> float | None:
+        """The config's alpha when it is a positive finite constant, else None."""
+        alpha = self.cset.alpha
+        if alpha.depends_on_x or alpha.depends_on_t:
+            return None
+        a0 = float(alpha.eval(0.0, 0.0))
+        return a0 if np.isfinite(a0) and a0 > 0 else None
+
+    def violations(self, grid: Grid) -> list[str]:
+        """Carrier sweeps the packet study cannot run on the run's grid.
+
+        The traversal time is 2 launch / (3 alpha xi0^2), so alpha must be a
+        positive constant and xi0 positive. The study is linear (epsilon = 0),
+        so a carrier is resolved up to k_max; the bound of two thirds of k_max
+        is a margin for the packet's Gaussian band around xi0 and the spread
+        added by the pointwise product with beta, which the undealiased runs
+        fold back near k_max. On the default grid (k_max = 32) the gains at
+        xi0 = 21 and 25 stay within 3% of the gain at 10, and the gain at 30
+        falls by a third.
+        """
+        violations = []
+        if self._alpha() is None:
+            violations.append(
+                f"[coefficients] alpha: the wavepacket study needs a positive constant "
+                f"alpha, got {self.cset.alpha.text!r}"
+            )
+        k_top = (2.0 / 3.0) * grid.k_max
+        bad = [xi0 for xi0 in self.xi0_sweep if not 0 < xi0 < k_top]
+        if not self.xi0_sweep:
+            violations.append(
+                f"[experiment] xi0_sweep: needs at least one carrier in (0, {k_top:g}) "
+                f"(k_max = {grid.k_max:g})"
+            )
+        elif bad:
+            violations.append(
+                f"[experiment] xi0_sweep: carriers {', '.join(f'{x:g}' for x in bad)} "
+                f"lie outside (0, {k_top:g}); each must be positive and below two "
+                f"thirds of k_max = {grid.k_max:g} on this grid"
+            )
+        return violations
+
+    def integrated_cset(self) -> CoefficientSet:
+        """The config's constant alpha with the study's own anti-diffusion
+        region, beta = beta0 (tanh((x+R)/w) - tanh((x-R)/w)) / 2, and
+        epsilon = 0; the config's beta, gamma, delta and epsilon are not read.
+        """
+        a0 = self._alpha()
+        if a0 is None:
+            raise ValueError("wavepacket study needs a positive constant alpha")
+        R, beta0, w = self.region_half_width, self.region_beta0, self.region_smoothing
+        if beta0 > 0:
+            beta_text = (
+                f"{0.5 * beta0!r}*(tanh((x+{R!r})/{w!r}) - tanh((x-{R!r})/{w!r}))"
+            )
+        else:
+            beta_text = "0"
+        return CoefficientSet.from_strings(
+            alpha=repr(a0), beta=beta_text, epsilon="0",
+            alpha0=min(a0, 1.0 / a0),
+        )
+
+
+def run_wavepacket(spec: WavepacketSpec) -> ExperimentReport:
     """Packet amplitude gain across a compact anti-diffusion region.
 
     The run is linear (epsilon = 0).  The measured gain is the ratio of
@@ -414,23 +523,10 @@ def run_wavepacket(spec: ExperimentSpec) -> ExperimentReport:
     spreading from the bookkeeping.
     """
     report = ExperimentReport(kind=spec.kind, watermark=spec.hypothesis_violating)
-    a_vals = spec.cset.alpha
-    if a_vals.depends_on_x or a_vals.depends_on_t:
-        raise ValueError("wavepacket study needs constant alpha")
-    a0 = float(a_vals.eval(0.0, 0.0))
+    cset = spec.integrated_cset()
+    a0 = float(cset.alpha.eval(0.0, 0.0))
     R = spec.region_half_width
     beta0 = spec.region_beta0
-    w = spec.region_smoothing
-    if beta0 > 0:
-        beta_text = (
-            f"{0.5 * beta0!r}*(tanh((x+{R!r})/{w!r}) - tanh((x-{R!r})/{w!r}))"
-        )
-    else:
-        beta_text = "0"
-    cset = CoefficientSet.from_strings(
-        alpha=repr(a0), beta=beta_text, epsilon="0",
-        alpha0=min(a0, 1.0 / a0),
-    )
     grid = make_grid(spec.half_width, spec.num_points)
     heuristic = float(np.exp(2.0 * R * beta0 / a0))
     rows = []
@@ -473,7 +569,20 @@ def run_wavepacket(spec: ExperimentSpec) -> ExperimentReport:
     return report
 
 
-def run_continuity(spec: ExperimentSpec) -> ExperimentReport:
+@dataclass(frozen=True)
+class _SolitonDatumSpec(ExperimentSpec):
+    """The knob of the kinds whose datum is a KdV soliton."""
+
+    kappa: float = 1.0
+
+
+@dataclass(frozen=True)
+class ContinuitySpec(_SolitonDatumSpec):
+    kind: ClassVar[str] = "continuity"
+    perturbation_sizes: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
+
+
+def run_continuity(spec: ContinuitySpec) -> ExperimentReport:
     """Flow-map stability under initial perturbations of shrinking size."""
     report = ExperimentReport(kind=spec.kind, watermark=spec.hypothesis_violating)
     grid = make_grid(spec.half_width, spec.num_points)
@@ -517,7 +626,43 @@ def run_continuity(spec: ExperimentSpec) -> ExperimentReport:
     return report
 
 
-def run_commutator_survey(spec: ExperimentSpec) -> ExperimentReport:
+@dataclass(frozen=True)
+class CommutatorSurveySpec(ExperimentSpec):
+    kind: ClassVar[str] = "commutator_survey"
+    band_sweep: tuple[int, ...] = (4, 8, 16, 32, 64, 128, 256)
+    draws: int = 50
+    identity_draws: int = 100
+    resonance_draws: int = 1000
+
+    def violations(self, grid: Grid) -> list[str]:
+        """Band sweeps the commutator survey cannot run.
+
+        The survey works on its own grid of max(num_points, 8 max(band_sweep))
+        points, which must be a power of two; the double-bracket slope fit and
+        the identity draws use the bands >= 8, and the fit needs two of them.
+        """
+        sweep = self.band_sweep
+        violations = []
+        bad = [n for n in sweep if n <= 0]
+        if bad:
+            violations.append(
+                f"[experiment] band_sweep: bands {', '.join(map(str, bad))} are not positive"
+            )
+        if len({n for n in sweep if n >= 8}) < 2:
+            violations.append(
+                "[experiment] band_sweep: needs at least two distinct bands >= 8 "
+                "(the double-bracket slope fit and the identity draws use only those)"
+            )
+        size = max(grid.num_points, 8 * max(sweep, default=0))
+        if size & (size - 1):
+            violations.append(
+                f"[experiment] band_sweep: the survey grid has max(num_points, "
+                f"8 * max(band_sweep)) = {size} points, which is not a power of two"
+            )
+        return violations
+
+
+def run_commutator_survey(spec: CommutatorSurveySpec) -> ExperimentReport:
     """Empirical commutator constants, identity residual, resonance check."""
     report = ExperimentReport(kind=spec.kind, watermark=spec.hypothesis_violating)
     grid = make_grid(np.pi, max(spec.num_points, 8 * max(spec.band_sweep)))
@@ -615,7 +760,47 @@ def run_commutator_survey(spec: ExperimentSpec) -> ExperimentReport:
     return report
 
 
-def run_soliton_benchmark(spec: ExperimentSpec) -> ExperimentReport:
+@dataclass(frozen=True)
+class SolitonBenchmarkSpec(_SolitonDatumSpec):
+    kind: ClassVar[str] = "soliton_benchmark"
+    order_kappa: float = 2.0
+    dt_sweep: tuple[float, ...] = tuple(4e-4 * 10 ** (-j / 4) for j in range(5))
+    order_t_final: float = 0.1
+
+    def violations(self, grid: Grid) -> list[str]:
+        """Step-size sweeps the temporal-order fit cannot use.
+
+        The fit takes the differences of runs at successive step sizes, which
+        scale as C (1 - r^p) dt_j^p only when every dt_{j+1} / dt_j is the one
+        ratio r < 1; a slope needs two differences, so three step sizes. The
+        grid plays no part.
+        """
+        sweep = self.dt_sweep
+        violations = []
+        if len(sweep) < 3:
+            violations.append(
+                "[experiment] dt_sweep: needs at least three step sizes (the order "
+                "fit takes the differences of successive runs, and a slope needs two)"
+            )
+        bad = [dt for dt in sweep if not (np.isfinite(dt) and dt > 0)]
+        if bad:
+            violations.append(
+                f"[experiment] dt_sweep: step sizes {', '.join(f'{dt:g}' for dt in bad)} "
+                f"are not positive and finite"
+            )
+        elif len(sweep) >= 2:
+            ratios = [b / a for a, b in zip(sweep, sweep[1:])]
+            r = ratios[0]
+            if not all(q < 1.0 and abs(q - r) <= 1e-9 * r for q in ratios):
+                violations.append(
+                    f"[experiment] dt_sweep: must decrease by one common ratio (each "
+                    f"dt_{{j+1}} / dt_j below 1, all equal to within 1e-9 relative); "
+                    f"the ratios are {', '.join(f'{q:.10g}' for q in ratios)}"
+                )
+        return violations
+
+
+def run_soliton_benchmark(spec: SolitonBenchmarkSpec) -> ExperimentReport:
     """Travelling-wave accuracy, conservation, and temporal order."""
     report = ExperimentReport(kind=spec.kind, watermark=spec.hypothesis_violating)
     grid = make_grid(spec.half_width, spec.num_points)
@@ -686,7 +871,7 @@ def run_soliton_benchmark(spec: ExperimentSpec) -> ExperimentReport:
     report.slopes["temporal_order"] = {"slope": slope, "residual": resid}
     report.verdict(
         "temporal_order_fourth", abs(slope - 4.0) <= 0.3 and resid <= 0.1, slope,
-        "temporal convergence slope 4 +/- 0.3 over the dt decade, residual <= 0.1",
+        "temporal convergence slope 4 +/- 0.3 over the dt sweep, residual <= 0.1",
     )
     report.notes.append(
         f"temporal order fitted on the L2 differences of successive runs of the "
@@ -705,18 +890,22 @@ def run_soliton_benchmark(spec: ExperimentSpec) -> ExperimentReport:
     return report
 
 
-_RUNNERS = {
-    "transform_consistency": run_transform_consistency,
-    "bona_smith": run_bona_smith,
-    "wavepacket": run_wavepacket,
-    "continuity": run_continuity,
-    "commutator_survey": run_commutator_survey,
-    "soliton_benchmark": run_soliton_benchmark,
+# kind -> (spec class, runner), in the order `kdvgauge list-experiments` prints
+EXPERIMENTS = {
+    spec.kind: (spec, runner)
+    for spec, runner in (
+        (TransformConsistencySpec, run_transform_consistency),
+        (BonaSmithSpec, run_bona_smith),
+        (WavepacketSpec, run_wavepacket),
+        (ContinuitySpec, run_continuity),
+        (CommutatorSurveySpec, run_commutator_survey),
+        (SolitonBenchmarkSpec, run_soliton_benchmark),
+    )
 }
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
-    return _RUNNERS[spec.kind](spec)
+    return EXPERIMENTS[spec.kind][1](spec)
 
 
 # -- report emission ------------------------------------------------------

@@ -45,8 +45,6 @@ __all__ = [
     "SolverConfig",
     "Trajectory",
     "NormReport",
-    "step_original",
-    "step_transformed",
     "solve",
     "auto_dt",
     "weak_residual",
@@ -307,31 +305,6 @@ def _sampler(problem, form: str, grid: Grid):
     if not grid.compatible_with(problem_grid):
         raise ValueError("field does not live on the problem's grid")
     return sampler
-
-
-def _step(state: SpectralState, form: str, problem, t: float, dt: float,
-          dealias_products: bool) -> SpectralState:
-    spectrum = _Spectrum(state.grid, state.is_real_field, dealias_products)
-    integrator = _RK4(spectrum, form, _sampler(problem, form, state.grid))
-    return spectrum.state(integrator.step(spectrum.restrict(state.coefficients), t, dt))
-
-
-def step_original(
-    u: SpectralState, cset: CoefficientSet, t: float, dt: float, dealias_products: bool = True
-) -> SpectralState:
-    """One explicit RK4 step of the original form."""
-    return _step(u, "original", cset, t, dt, dealias_products)
-
-
-def step_transformed(
-    v: SpectralState,
-    coeffs: TransformedCoefficients,
-    t: float,
-    dt: float,
-    dealias_products: bool = True,
-) -> SpectralState:
-    """One integrating-factor RK4 step of the transformed form."""
-    return _step(v, "transformed", coeffs, t, dt, dealias_products)
 
 
 def auto_dt(

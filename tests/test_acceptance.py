@@ -11,7 +11,11 @@ import numpy as np
 
 from kdvgauge.coefficients import CoefficientSet, check_hypotheses
 from kdvgauge.experiments import (
-    ExperimentSpec,
+    BonaSmithSpec,
+    CommutatorSurveySpec,
+    SolitonBenchmarkSpec,
+    TransformConsistencySpec,
+    WavepacketSpec,
     gaussian_state,
     run_bona_smith,
     run_commutator_survey,
@@ -95,8 +99,8 @@ def test_criterion_1_gauge_identity_suite():
 def test_criterion_2_transform_consistency():
     started = time.time()
     cset = CoefficientSet.from_strings(**GAUGE_SUITE["tanh_benchmark"])
-    spec = ExperimentSpec(
-        kind="transform_consistency", cset=cset, half_width=32 * np.pi,
+    spec = TransformConsistencySpec(
+        cset=cset, half_width=32 * np.pi,
         refine_sweep=(256, 512, 1024), t_final=0.5, s=1.0,
     )
     report = run_transform_consistency(spec)
@@ -116,8 +120,8 @@ def test_criterion_2_transform_consistency():
 def test_criterion_3_commutator_suite():
     started = time.time()
     cset = CoefficientSet.constant_kdv()
-    spec = ExperimentSpec(
-        kind="commutator_survey", cset=cset, num_points=2048,
+    spec = CommutatorSurveySpec(
+        cset=cset, num_points=2048,
         band_sweep=(4, 8, 16, 32, 64, 128, 256), draws=50,
         identity_draws=100, resonance_draws=1000, seed=2024,
     )
@@ -142,8 +146,8 @@ def test_criterion_4_resonance_identity():
     if report is None:
         cset = CoefficientSet.constant_kdv()
         report = run_commutator_survey(
-            ExperimentSpec(
-                kind="commutator_survey", cset=cset, num_points=512,
+            CommutatorSurveySpec(
+                cset=cset, num_points=512,
                 band_sweep=(8, 16), draws=2, identity_draws=2,
                 resonance_draws=1000, seed=2024,
             )
@@ -162,8 +166,8 @@ def test_criterion_4_resonance_identity():
 def test_criterion_5_soliton_benchmark():
     started = time.time()
     cset = CoefficientSet.constant_kdv(-6.0)
-    spec = ExperimentSpec(
-        kind="soliton_benchmark", cset=cset, half_width=8 * np.pi,
+    spec = SolitonBenchmarkSpec(
+        cset=cset, half_width=8 * np.pi,
         num_points=512, t_final=0.5, dt="auto", kappa=1.0,
     )
     report = run_soliton_benchmark(spec)
@@ -220,8 +224,8 @@ def test_criterion_6_dissipation_sign():
 def test_criterion_7_bona_smith_rate():
     started = time.time()
     cset = CoefficientSet.constant_kdv(-6.0)
-    spec = ExperimentSpec(
-        kind="bona_smith", cset=cset, half_width=np.pi, num_points=4096,
+    spec = BonaSmithSpec(
+        cset=cset, half_width=np.pi, num_points=4096,
         s=1.0, t_final=0.1, n_sweep=(8, 16, 32, 64, 128), reference_n=512,
         spectrum_decay_offset=0.6, seed=7,
     )
@@ -240,8 +244,8 @@ def test_criterion_7_bona_smith_rate():
 def test_criterion_8_antidiffusion_compensation():
     started = time.time()
     cset = CoefficientSet.from_strings(alpha="1", epsilon="0")
-    spec = ExperimentSpec(
-        kind="wavepacket", cset=cset, half_width=16 * np.pi, num_points=1024,
+    spec = WavepacketSpec(
+        cset=cset, half_width=16 * np.pi, num_points=1024,
         xi0_sweep=(10.0, 15.0, 20.0), region_half_width=2.0,
         region_beta0=0.225, region_smoothing=0.3, packet_width=1.5,
         packet_launch=8.0,
@@ -253,8 +257,8 @@ def test_criterion_8_antidiffusion_compensation():
     ratios = [g / heuristic for g in gains]
     factor_ok = all(0.5 <= r <= 2.0 for r in ratios)
 
-    spec0 = ExperimentSpec(
-        kind="wavepacket", cset=cset, half_width=16 * np.pi, num_points=1024,
+    spec0 = WavepacketSpec(
+        cset=cset, half_width=16 * np.pi, num_points=1024,
         xi0_sweep=(10.0, 15.0, 20.0), region_beta0=0.0, packet_width=1.5,
         packet_launch=8.0,
     )

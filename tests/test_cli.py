@@ -5,8 +5,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdvgauge.cli import ConfigError, main, parse_config, run
+from kdvgauge.experiments import EXPERIMENTS
 
 MINIMAL = """
 [coefficients]
@@ -578,3 +581,134 @@ kind = commutator_survey
 """
         with pytest.raises(ConfigError, match="strategy = user"):
             parse_config(write_cfg(tmp_path, cfg_text, "bad.cfg"))
+
+
+# config_sha256 of each run config, as the flat-schema parser computed them:
+# a canonical form that moved would change every run id
+PINNED_SHA256 = {
+    "MINIMAL": "e6ba40471a0c481207decc7e9ae8be3d2aa98c931d0ae3d431bc035e880c0e67",
+    "SURVEY": "a46b2eb1262753fdcc265ab633b2519727c94d7f7f255d225926b84fb95eed3a",
+    "VIOLATING": "12115b14331405fcf25f9cc9d04d58a18d5d987c8c702eb875efa66aea08ce93",
+    "transform_consistency": "f4d192c62257373c3257368a551649e019bff3d616c5908cc45b01c1234d1d67",
+    "bona_smith": "968918fa68e5e1bb462f53ee8f9fbc3c94212b57c81795fd502c40baf96b660f",
+    "wavepacket": "21ab92458b5cf9f95e01681109f5be53b31855d146a47a5ac7d0e0e51f2c50bb",
+    "continuity": "5bd0fccaa1ef1cc4178ad7be06049d2bdc13fd61d6d13326873e570420054065",
+}
+
+# one parsing config per kind
+KIND_BASES = {
+    "soliton_benchmark": MINIMAL,
+    "commutator_survey": SURVEY,
+    **KIND_CONFIGS,
+}
+
+# kind -> a knob of other kinds, and the kinds that own it
+FOREIGN_KNOBS = {
+    "soliton_benchmark": ("n_sweep = 8, 16", "bona_smith"),
+    "commutator_survey": ("dt_sweep = 4e-4, 2e-4, 1e-4", "soliton_benchmark"),
+    "transform_consistency": ("xi0_sweep = 8", "wavepacket"),
+    "bona_smith": ("kappa = 2", "continuity and soliton_benchmark"),
+    "wavepacket": ("band_sweep = 8, 16", "commutator_survey"),
+    "continuity": ("refine_sweep = 256", "transform_consistency"),
+}
+
+KNOB_TYPES = {
+    name: typ for spec, _ in EXPERIMENTS.values() for name, typ in spec.knobs().items()
+}
+
+_INTS = st.integers(-(10**6), 10**6)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+KNOB_VALUES = {
+    int: _INTS,
+    float: _FLOATS,
+    tuple[int, ...]: st.lists(_INTS, max_size=4).map(tuple),
+    tuple[float, ...]: st.lists(_FLOATS, max_size=4).map(tuple),
+}
+
+
+def _knob_text(value) -> str:
+    return ", ".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+
+
+class TestKindSchemas:
+    @pytest.mark.parametrize("name", sorted(PINNED_SHA256))
+    def test_config_hash_pinned(self, tmp_path, name):
+        text = {"MINIMAL": MINIMAL, "SURVEY": SURVEY, "VIOLATING": VIOLATING,
+                **KIND_CONFIGS}[name]
+        assert parse_config(write_cfg(tmp_path, text)).config_hash == PINNED_SHA256[name]
+
+    def test_registry_pairs_each_kind_with_its_spec_and_runner(self, tmp_path):
+        assert list(EXPERIMENTS) == [
+            "transform_consistency", "bona_smith", "wavepacket", "continuity",
+            "commutator_survey", "soliton_benchmark",
+        ]
+        for kind, (spec, runner) in EXPERIMENTS.items():
+            assert spec.kind == kind
+            assert runner.__name__ == f"run_{kind}"
+            cfg = parse_config(write_cfg(tmp_path, KIND_BASES[kind], f"{kind}.cfg"))
+            assert type(cfg.spec) is spec and cfg.kind == kind
+
+    @pytest.mark.parametrize("kind", sorted(FOREIGN_KNOBS))
+    def test_foreign_knob_refused_naming_its_owner(self, tmp_path, capsys, kind):
+        line, owners = FOREIGN_KNOBS[kind]
+        key = line.split(" = ")[0]
+        cfg_path = write_cfg(tmp_path, KIND_BASES[kind] + line + "\n")
+        assert main(["check", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: [experiment] {key}: a knob of {owners}, not of {kind}\n" in err
+
+    def test_knob_typo_suggested_from_own_knobs(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown key 'dt_swep'; did you mean 'dt_sweep'"):
+            parse_config(write_cfg(tmp_path, MINIMAL + "dt_swep = 1e-4\n"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(sorted(EXPERIMENTS)), draw=st.data())
+    def test_random_knobs_parse_or_name_every_foreign_key(self, tmp_path_factory, kind, draw):
+        keys = draw.draw(st.lists(st.sampled_from(sorted(KNOB_TYPES)), unique=True, max_size=6))
+        knobs = {key: draw.draw(KNOB_VALUES[KNOB_TYPES[key]]) for key in keys}
+        text = f"[experiment]\nkind = {kind}\n" + "".join(
+            f"{key} = {_knob_text(value)}\n" for key, value in knobs.items()
+        )
+        spec = EXPERIMENTS[kind][0]
+        foreign = [key for key in keys if key not in spec.knobs()]
+        cfg_path = tmp_path_factory.getbasetemp() / "knobs.cfg"
+        cfg_path.write_text(text)
+        try:
+            cfg = parse_config(cfg_path)
+        except ConfigError as err:
+            refused = "\n".join(err.violations)
+            for key in foreign:
+                assert f"[experiment] {key}: a knob of " in refused
+            if not foreign:  # refused by the kind's own check of its knobs
+                assert "a knob of" not in refused and "unknown key" not in refused
+            return
+        assert not foreign
+        assert type(cfg.spec) is spec
+        assert {key: getattr(cfg.spec, key) for key in keys} == knobs
+
+    def test_wavepacket_needs_constant_alpha(self, tmp_path):
+        cfg_text = KIND_CONFIGS["wavepacket"].replace(
+            "alpha = 1", "alpha = 1+0.5*sech(x)^2\nalpha0 = 0.5"
+        )
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_cfg(tmp_path, cfg_text))
+        assert err.value.violations == [
+            "[coefficients] alpha: the wavepacket study needs a positive constant "
+            "alpha, got '1+0.5*sech(x)^2'"
+        ]
+
+    def test_wavepacket_gate_checks_the_region_set(self, tmp_path, capsys):
+        # the study builds its own beta; the config's beta = 1 (which fails
+        # the gauge hypotheses) is never integrated, so it neither gates the
+        # run nor moves a data row
+        rows = {}
+        for name, text in [
+            ("kind", KIND_CONFIGS["wavepacket"]),
+            ("beta", KIND_CONFIGS["wavepacket"].replace("epsilon = 0", "epsilon = 0\nbeta = 1")),
+        ]:
+            cfg_path = write_cfg(tmp_path, text, f"{name}.cfg")
+            assert main(["check", str(cfg_path)]) == 0
+            assert main(["run", str(cfg_path), "-o", str(tmp_path / name)]) == 0
+            lines = (tmp_path / name / "gains.csv").read_text().splitlines()
+            rows[name] = [ln for ln in lines if not ln.startswith("#")]
+        assert rows["beta"] == rows["kind"]

@@ -8,8 +8,12 @@ import pytest
 from kdvgauge.coefficients import CoefficientSet
 from kdvgauge.dyadic import ProjectorBank, project
 from kdvgauge.experiments import (
+    BonaSmithSpec,
+    CommutatorSurveySpec,
+    ContinuitySpec,
+    TransformConsistencySpec,
+    WavepacketSpec,
     run_transform_consistency,
-    ExperimentSpec,
     envelope_peak,
     exact_soliton_values,
     fit_loglog,
@@ -101,8 +105,8 @@ class TestBonaSmith:
     def test_band_limited_datum_collapses(self):
         # if the datum already sits below every cutoff, all runs coincide
         cs = CoefficientSet.constant_kdv(-6.0)
-        spec = ExperimentSpec(
-            kind="bona_smith", cset=cs, half_width=np.pi, num_points=256,
+        spec = BonaSmithSpec(
+            cset=cs, half_width=np.pi, num_points=256,
             t_final=0.02, n_sweep=(16, 32), reference_n=64, seed=1,
         )
         g = make_grid(np.pi, 256)
@@ -126,8 +130,8 @@ class TestBonaSmith:
 
     def test_rate_small_case(self):
         cs = CoefficientSet.constant_kdv(-6.0)
-        spec = ExperimentSpec(
-            kind="bona_smith", cset=cs, half_width=np.pi, num_points=1024,
+        spec = BonaSmithSpec(
+            cset=cs, half_width=np.pi, num_points=1024,
             t_final=0.05, n_sweep=(8, 16, 32, 64), reference_n=128, seed=3,
         )
         rep = run_bona_smith(spec)
@@ -137,7 +141,7 @@ class TestBonaSmith:
 
     def test_rejects_variable_coefficients(self):
         cs = CoefficientSet.from_strings(alpha="2+tanh(x)", alpha0=0.3)
-        spec = ExperimentSpec(kind="bona_smith", cset=cs)
+        spec = BonaSmithSpec(cset=cs)
         with pytest.raises(ValueError, match="alpha identically 1"):
             run_bona_smith(spec)
 
@@ -145,8 +149,8 @@ class TestBonaSmith:
 class TestWavepacket:
     def test_no_region_unit_gain(self):
         cs = CoefficientSet.from_strings(alpha="1", epsilon="0")
-        spec = ExperimentSpec(
-            kind="wavepacket", cset=cs, half_width=16 * np.pi, num_points=512,
+        spec = WavepacketSpec(
+            cset=cs, half_width=16 * np.pi, num_points=512,
             xi0_sweep=(8.0,), region_beta0=0.0, packet_launch=6.0,
         )
         rep = run_wavepacket(spec)
@@ -157,8 +161,8 @@ class TestWavepacket:
         # one carrier, small case: gain should approach
         # exp(integral beta / (3 alpha)) = exp(2 R beta0 / 3)
         cs = CoefficientSet.from_strings(alpha="1", epsilon="0")
-        spec = ExperimentSpec(
-            kind="wavepacket", cset=cs, half_width=16 * np.pi, num_points=1024,
+        spec = WavepacketSpec(
+            cset=cs, half_width=16 * np.pi, num_points=1024,
             xi0_sweep=(12.0,), region_beta0=0.3, region_half_width=1.5,
             packet_launch=6.0,
         )
@@ -183,8 +187,8 @@ class TestContinuity:
 
     def test_linear_ratio_exactly_stable(self):
         cs = CoefficientSet.from_strings(alpha="1", epsilon="0")
-        spec = ExperimentSpec(
-            kind="continuity", cset=cs, half_width=8 * np.pi, num_points=256,
+        spec = ContinuitySpec(
+            cset=cs, half_width=8 * np.pi, num_points=256,
             t_final=0.2,
         )
         rep = run_continuity(spec)
@@ -194,8 +198,8 @@ class TestContinuity:
 
     def test_soliton_base_bounded(self):
         cs = CoefficientSet.constant_kdv(-6.0)
-        spec = ExperimentSpec(
-            kind="continuity", cset=cs, half_width=8 * np.pi, num_points=256,
+        spec = ContinuitySpec(
+            cset=cs, half_width=8 * np.pi, num_points=256,
             t_final=0.2,
         )
         rep = run_continuity(spec)
@@ -205,8 +209,8 @@ class TestContinuity:
 class TestReportEmission:
     def _tiny_report(self):
         cs = CoefficientSet.constant_kdv()
-        spec = ExperimentSpec(
-            kind="commutator_survey", cset=cs, num_points=256,
+        spec = CommutatorSurveySpec(
+            cset=cs, num_points=256,
             band_sweep=(8, 16, 32), draws=4, identity_draws=6,
             resonance_draws=50, seed=5,
         )
@@ -260,13 +264,6 @@ class TestReportEmission:
         assert any("sign" in note for note in rep.notes)
 
 
-class TestSpecValidation:
-    def test_unknown_kind_rejected(self):
-        cs = CoefficientSet.constant_kdv()
-        with pytest.raises(ValueError, match="unknown experiment kind"):
-            ExperimentSpec(kind="frobnicate", cset=cs)
-
-
 class TestTimeDependentGaugePath:
     @pytest.mark.slow
     def test_mutual_oracle_with_drifting_coefficients(self):
@@ -283,8 +280,8 @@ class TestTimeDependentGaugePath:
             epsilon="1",
             alpha0=0.4,
         )
-        spec = ExperimentSpec(
-            kind="transform_consistency", cset=cs, half_width=16 * np.pi,
+        spec = TransformConsistencySpec(
+            cset=cs, half_width=16 * np.pi,
             refine_sweep=(256, 512), t_final=0.1, s=1.0, gaussian_width=1.5,
         )
         rep = run_transform_consistency(spec)
@@ -296,8 +293,8 @@ class TestTimeDependentGaugePath:
 class TestSingleLevelSweep:
     def test_no_fit_for_one_level(self):
         cs = CoefficientSet.from_strings(alpha="1", epsilon="0")
-        spec = ExperimentSpec(
-            kind="transform_consistency", cset=cs, half_width=8 * np.pi,
+        spec = TransformConsistencySpec(
+            cset=cs, half_width=8 * np.pi,
             refine_sweep=(256,), t_final=0.05, gaussian_width=1.0,
         )
         rep = run_transform_consistency(spec)
@@ -308,8 +305,8 @@ class TestSingleLevelSweep:
     def test_repeated_level_is_single_level(self):
         # one distinct grid gives no refinement to fit
         cs = CoefficientSet.from_strings(alpha="1", epsilon="0")
-        spec = ExperimentSpec(
-            kind="transform_consistency", cset=cs, half_width=8 * np.pi,
+        spec = TransformConsistencySpec(
+            cset=cs, half_width=8 * np.pi,
             refine_sweep=(256, 256), t_final=0.05, gaussian_width=1.0,
         )
         rep = run_transform_consistency(spec)

@@ -17,8 +17,6 @@ from kdvgauge.solver import (
     auto_dt,
     energy_monitor,
     solve,
-    step_original,
-    step_transformed,
     weak_residual,
 )
 from kdvgauge.spectral import SpectralState, l2_norm, make_grid, mass
@@ -27,6 +25,12 @@ from kdvgauge.experiments import (
     gaussian_state,
     soliton_state,
 )
+
+
+def one_step(state, form, problem, dt, dealias=True):
+    """The state after one RK4 step from t = 0: a solve to t_final = dt."""
+    cfg = SolverConfig(form, t_final=dt, dt=dt, dealias=dealias, warn_domain_edge=False)
+    return solve(state, cfg, problem).final_state
 
 
 class TestStepTransformed:
@@ -38,7 +42,7 @@ class TestStepTransformed:
         idx = np.argmin(np.abs(g.wavenumbers - kmode))
         v.coefficients[idx] = 1.0
         dt = 1e-3
-        out = step_transformed(v, tc, 0.0, dt, dealias_products=False)
+        out = one_step(v, "transformed", tc, dt, dealias=False)
         want = np.exp(1j * kmode**3 * dt)
         assert abs(out.coefficients[idx] - want) < 1e-14
         others = np.abs(out.coefficients)
@@ -55,7 +59,7 @@ class TestStepTransformed:
         idx = np.argmin(np.abs(g.wavenumbers - kmode))
         v.coefficients[idx] = 1.0
         dt = 1e-3
-        out = step_transformed(v, tc, 0.0, dt, dealias_products=False)
+        out = one_step(v, "transformed", tc, dt, dealias=False)
         got = abs(out.coefficients[idx])
         assert abs(got - np.exp(-(kmode**2) * dt)) < 1e-12
 
@@ -76,7 +80,7 @@ class TestStepOriginal:
         g = make_grid(np.pi, 64)
         cs = CoefficientSet.from_strings(alpha="1", epsilon="3")
         u = SpectralState.zero(g)
-        out = step_original(u, cs, 0.0, 1e-3)
+        out = one_step(u, "original", cs, 1e-3)
         assert np.abs(out.coefficients).max() == 0.0
 
     def test_linear_phase_advance(self):
@@ -87,7 +91,7 @@ class TestStepOriginal:
         idx = np.argmin(np.abs(g.wavenumbers - kmode))
         u.coefficients[idx] = 1.0
         dt = 1e-3
-        out = step_original(u, cs, 0.0, dt, dealias_products=False)
+        out = one_step(u, "original", cs, dt, dealias=False)
         want = np.exp(1j * kmode**3 * dt)
         # plain RK4: phase defect O((k^3 dt)^5)
         assert abs(out.coefficients[idx] - want) < (kmode**3 * dt) ** 5
@@ -371,12 +375,12 @@ class TestStageTimeSampling:
         errs = []
         dts = (4e-3, 2e-3, 1e-3)
         for dt in dts:
-            u = SpectralState(g, np.zeros(16, dtype=complex), is_real_field=False)
-            u.coefficients[idx] = 1.0
-            t, steps = 0.0, int(round(0.4 / dt))
-            for _ in range(steps):
-                u = step_original(u, cs, t, dt, dealias_products=False)
-                t += dt
+            u0 = SpectralState(g, np.zeros(16, dtype=complex), is_real_field=False)
+            u0.coefficients[idx] = 1.0
+            cfg = SolverConfig("original", t_final=0.4, dt=dt, dealias=False,
+                               warn_domain_edge=False)
+            traj = solve(u0, cfg, cs)
+            u, t = traj.final_state, traj.times[-1]
             want = np.exp(1j * (kmode**3 * t - kmode * np.sin(t)))
             errs.append(abs(u.coefficients[idx] - want))
         order1 = np.log2(errs[0] / errs[1])
@@ -503,18 +507,17 @@ class TestCoreMatchesReference:
         noise = rng.standard_normal(256) + 1j * rng.standard_normal(256)
         state = SpectralState(g, np.where(np.abs(g.wavenumbers) < 4.0, 1e-2 * noise, 0.0),
                               is_real_field=False)
-        t = 0.1
-        if form == "original":
-            got = step_original(state, problem, t, self.DT)
+        if form == "original":  # drifting coefficients, sampled from t = 0
+            got = one_step(state, form, problem, self.DT)
             sample = coeffs_at
-        else:
-            got = step_transformed(state, problem.coefficients_at(t), t, self.DT)
-            frozen = coeffs_at(t)
+        else:  # the slice at t = 0.1, frozen
+            got = one_step(state, form, problem.coefficients_at(0.1), self.DT)
+            frozen = coeffs_at(0.1)
 
             def sample(_t):
                 return frozen
 
-        want = _reference_step(form, state.coefficients, g.wavenumbers, sample, t,
+        want = _reference_step(form, state.coefficients, g.wavenumbers, sample, 0.0,
                                self.DT, g.dealias_mask, False)
         assert np.abs(got.coefficients - want).max() <= 1e-12 * np.abs(want).max()
 

@@ -5,8 +5,10 @@ Usage, from the root of a checkout:
     python3 tools/same_outputs.py REF
 
 Runs `kdvgauge run` on every run config of tests/test_cli.py (MINIMAL,
-SURVEY and each KIND_CONFIGS entry) and on the soliton, drift_oracle and
-static_oracle workloads of perfbench/workloads.py at seed 1, once with the
+SURVEY and each KIND_CONFIGS entry), on SURVEY again with `--seed 9`, on
+VIOLATING with `--allow-hypothesis-violation`, and on the soliton,
+drift_oracle and static_oracle workloads of perfbench/workloads.py at seed
+1, once with the
 working tree's `src/` and once with REF's, which is exported with
 `git archive` into a temporary directory.  Both sides run the working
 tree's configs.  Prints "identical" per config, or every moved CSV/JSON
@@ -50,16 +52,24 @@ def _literals(path: Path, names) -> dict:
 
 
 def configs() -> dict:
-    """name -> config text, from the working tree."""
+    """name -> (config text, extra `kdvgauge run` arguments), from the
+    working tree."""
     cli_tests = _literals(
-        ROOT / "tests" / "test_cli.py", ("MINIMAL", "SURVEY", "KIND_CONFIGS")
+        ROOT / "tests" / "test_cli.py", ("MINIMAL", "SURVEY", "VIOLATING", "KIND_CONFIGS")
     )
     workloads = _module(ROOT / "perfbench" / "workloads.py")
-    out = {"MINIMAL": cli_tests["MINIMAL"], "SURVEY": cli_tests["SURVEY"]}
+    out = {
+        "MINIMAL": (cli_tests["MINIMAL"], []),
+        "SURVEY": (cli_tests["SURVEY"], []),
+        "SURVEY --seed 9": (cli_tests["SURVEY"], ["--seed", "9"]),
+        "VIOLATING --allow-hypothesis-violation": (
+            cli_tests["VIOLATING"], ["--allow-hypothesis-violation"]
+        ),
+    }
     for kind, text in sorted(cli_tests["KIND_CONFIGS"].items()):
-        out[f"KIND_CONFIGS[{kind}]"] = text
+        out[f"KIND_CONFIGS[{kind}]"] = (text, [])
     for name in WORKLOADS:
-        out[name] = workloads.WORKLOADS[name][0].format(seed=SEED)
+        out[name] = (workloads.WORKLOADS[name][0].format(seed=SEED), [])
     return out
 
 
@@ -72,12 +82,12 @@ def export(ref: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run(src: Path, cfg: Path, out: Path) -> int:
+def run(src: Path, cfg: Path, out: Path, args: list) -> int:
     env = dict(os.environ, PYTHONPATH=str(src))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     done = subprocess.run(
-        [sys.executable, "-m", "kdvgauge.cli", "run", str(cfg), "-o", str(out)],
+        [sys.executable, "-m", "kdvgauge.cli", "run", str(cfg), "-o", str(out), *args],
         env=env, capture_output=True, text=True,
     )
     return done.returncode
@@ -136,12 +146,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         tmp = Path(tmp)
         export(args.ref, tmp / "ref")
-        for name, text in configs().items():
+        for i, (name, (text, run_args)) in enumerate(configs().items()):
             cfg = tmp / "run.cfg"
             cfg.write_text(text, encoding="utf-8")
-            out_ref, out_new = tmp / f"{name}.ref", tmp / f"{name}.new"
-            code_ref = run(tmp / "ref" / "src", cfg, out_ref)
-            code_new = run(ROOT / "src", cfg, out_new)
+            out_ref, out_new = tmp / f"{i}.ref", tmp / f"{i}.new"
+            code_ref = run(tmp / "ref" / "src", cfg, out_ref, run_args)
+            code_new = run(ROOT / "src", cfg, out_new, run_args)
             lines = []
             if code_ref != code_new:
                 lines.append(f"exit code {code_ref} -> {code_new}")
