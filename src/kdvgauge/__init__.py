@@ -17,7 +17,6 @@ from .dyadic import (
     double_commutator,
     project,
     resonance_omega3,
-    weighted_b_seminorm,
     zygmund_norm,
 )
 from .expressions import CoefficientExpr, ExpressionError, parse_coefficient
@@ -38,7 +37,6 @@ from .solver import (
     SolverConfig,
     SpaceTimeBump,
     Trajectory,
-    energy_monitor,
     solve,
     weak_residual,
 )

@@ -54,20 +54,20 @@ _SCHEMA = {
         "gamma": ("expr", "0"),
         "delta": ("expr", "0"),
         "epsilon": ("expr", "1"),
-        "alpha0": ("float", "1.0"),
+        "alpha0": ("positive", "1.0"),
     },
     "split": {
         "strategy": ("choice:user,softplus", "user"),
         "beta1": ("expr", None),
         "beta2": ("expr", None),
-        "kappa": ("float", "10.0"),
+        "kappa": ("positive", "10.0"),
     },
     "solver": {
-        "dt": ("float_or_auto", "auto"),
-        "t_final": ("float", "0.5"),
+        "dt": ("positive_or_auto", "auto"),
+        "t_final": ("positive", "0.5"),
         "s": ("float", "1.0"),
         "dealias": ("bool", "true"),
-        "blowup_threshold": ("float_or_auto", "auto"),
+        "blowup_threshold": ("positive_or_auto", "auto"),
         "monitor_stride": ("int", "10"),
     },
     # the kind's own knobs are added from its spec (_experiment_schema)
@@ -94,8 +94,13 @@ def _convert(tag: str, raw: str, where: str, violations: list):
             if low in ("false", "no", "off", "0"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if tag == "float_or_auto":
-            return "auto" if raw.strip().lower() == "auto" else float(raw)
+        if tag == "positive_or_auto" and raw.strip().lower() == "auto":
+            return "auto"
+        if tag.startswith("positive"):
+            value = float(raw)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"must be positive and finite, got {value:g}")
+            return value
         if tag == "int_list":
             return tuple(int(v.strip()) for v in raw.split(",") if v.strip())
         if tag == "float_list":
@@ -152,8 +157,9 @@ def parse_config(path) -> RunConfig:
 
     Raises ConfigError listing every violation: unknown sections/keys (with
     a spelling suggestion), [experiment] keys of another kind (with the
-    kinds that own them), type failures, expression errors with their
-    source column, and the spec's own `violations` on the run's grid.
+    kinds that own them), type failures and base values out of range (each
+    naming its key), expression errors with their source column, a grid
+    that cannot be built, and the spec's own `violations` on the run's grid.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -244,12 +250,11 @@ def parse_config(path) -> RunConfig:
     spec = EXPERIMENTS[kind][0](cset=cset, **values["grid"], **solver, **knobs)
     try:
         grid = make_grid(spec.half_width, spec.num_points)
-    except GridSizeError:
-        pass  # reported when the run builds its grid
-    else:
-        violations = spec.violations(grid)
-        if violations:
-            raise ConfigError(violations)
+    except GridSizeError as exc:  # its message starts with the key
+        raise ConfigError([f"[grid] {exc}"])
+    violations = spec.violations(grid)
+    if violations:
+        raise ConfigError(violations)
 
     canonical = json.dumps(values, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()

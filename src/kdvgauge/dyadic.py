@@ -1,4 +1,4 @@
-"""Dyadic frequency projectors, Zygmund and weighted norms, commutators.
+"""Dyadic frequency projectors, Zygmund norm, dissipation sum, commutators.
 
 The building block is a fixed smooth even bump eta with eta = 1 on [-1, 1]
 and support in [-2, 2], realized with the standard exp(-1/t) transition so
@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .spectral import Grid, SpectralState, derivative, inner_product
 
@@ -31,7 +30,6 @@ __all__ = [
     "ProjectorBank",
     "project",
     "zygmund_norm",
-    "weighted_b_seminorm",
     "commutator",
     "double_commutator",
     "comcom_residual",
@@ -180,16 +178,6 @@ def zygmund_norm(field: SpectralState, s: float) -> float:
     return best
 
 
-def _nonnegative_weight(b_field) -> np.ndarray:
-    """The weight as floats clipped at zero; rejects negative samples beyond
-    round-off."""
-    b = np.asarray(b_field, dtype=float)
-    scale = max(1.0, float(np.abs(b).max()))
-    if b.min() < -1e-10 * scale:
-        raise ValueError(f"negative weight samples: min b = {b.min():.3e}")
-    return np.clip(b, 0.0, None)
-
-
 def _b_energy(state: SpectralState, b: np.ndarray, s: float, bank: ProjectorBank) -> float:
     """sum_N (1+N)^{2s} int b |P_N u_x|^2 dx for one state and a weight b >= 0."""
     ux = derivative(state, 1)
@@ -198,30 +186,6 @@ def _b_energy(state: SpectralState, b: np.ndarray, s: float, bank: ProjectorBank
         piece = np.abs(project(ux, bank.p_n(N)).physical())
         total += (1.0 + N) ** (2.0 * s) * state.grid.dx * float(np.sum(b * piece * piece))
     return total
-
-
-def weighted_b_seminorm(trajectory, b_field: np.ndarray, theta: float) -> float:
-    """Trajectory seminorm sum_N (1+N)^(2 theta) ||sqrt(b) P_N u_x||^2 over time.
-
-    `trajectory` needs `.times` and `.states`; b_field is sampled on the
-    states' grid (1D, or 2D with one row per stored time).  Negative weight
-    samples beyond round-off are rejected.
-    """
-    states = trajectory.states
-    times = np.asarray(trajectory.times, dtype=float)
-    if len(states) == 0:
-        return 0.0
-    grid = states[0].grid
-    b = _nonnegative_weight(b_field)
-    if b.ndim == 1:
-        b = np.broadcast_to(b, (len(states), grid.num_points))
-    bank = ProjectorBank(grid)
-    g = np.array([_b_energy(state, b[i], theta, bank) for i, state in enumerate(states)])
-    if len(states) == 1:
-        total = g[0] * 0.0
-    else:
-        total = trapezoid(g, times)  # np.trapezoid needs numpy 2
-    return float(np.sqrt(max(total, 0.0)))
 
 
 # -- commutators --------------------------------------------------------------

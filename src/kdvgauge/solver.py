@@ -37,25 +37,24 @@ import scipy.fft
 from scipy.integrate import simpson
 
 from .coefficients import CoefficientSet
-from .dyadic import ProjectorBank, _b_energy, _nonnegative_weight, bump_eta, bump_eta_prime
+from .dyadic import ProjectorBank, _b_energy, bump_eta, bump_eta_prime
 from .gauge import GaugeSystem, TimeSlices, TransformedCoefficients
 from .spectral import Grid, SpectralState, edge_mass_fraction, sobolev_norm
 
 __all__ = [
     "SolverConfig",
     "Trajectory",
-    "NormReport",
     "solve",
     "auto_dt",
     "weak_residual",
-    "energy_monitor",
     "SpaceTimeBump",
 ]
 
 
 @dataclass
 class SolverConfig:
-    equation_form: str  # "original" | "transformed"
+    """How to integrate; the equation form comes from the problem's type."""
+
     t_final: float
     dt: float | str = "auto"
     s: float = 1.0
@@ -65,8 +64,6 @@ class SolverConfig:
     warn_domain_edge: bool = True  # off for genuinely periodic (torus-native) data
 
     def __post_init__(self) -> None:
-        if self.equation_form not in ("original", "transformed"):
-            raise ValueError(f"unknown equation form {self.equation_form!r}")
         if not self.t_final > 0:
             raise ValueError("t_final must be positive")
         if self.monitor_stride < 1:
@@ -78,8 +75,11 @@ EDGE_MASS_WARN = 1e-6
 
 @dataclass
 class Trajectory:
+    """A solve's record at each stored time: the state, its H^s and sup
+    norms, and the dyadic dissipation the energy estimate pairs with H^s.
+    """
+
     grid: Grid
-    s: float
     equation_form: str
     times: np.ndarray
     states: list
@@ -99,16 +99,6 @@ class Trajectory:
     def domain_size_suspect(self) -> bool:
         """True when solution mass reached the outer 10% of the domain."""
         return self.edge_mass_max > EDGE_MASS_WARN
-
-
-@dataclass
-class NormReport:
-    times: np.ndarray
-    hs_norms: np.ndarray
-    seminorm_cumulative: np.ndarray
-    dissipation: np.ndarray
-    dissipation_nonpositive: bool
-    hs_nonincreasing: bool
 
 
 # -- the spectral RK4 core ------------------------------------------------
@@ -281,36 +271,37 @@ def _original_slice(cset: CoefficientSet, grid: Grid, t: float) -> SimpleNamespa
     })
 
 
-def _sampler(problem, form: str, grid: Grid):
-    """t -> the form's coefficient slice (fields named as in _TERMS) on `grid`.
+def _sampler(problem, grid: Grid) -> tuple:
+    """(form, t -> the form's coefficient slice on `grid`), the form read from
+    the problem's type: a CoefficientSet is the original form,
+    TransformedCoefficients (time-frozen) or a GaugeSystem the transformed.
 
     Time-dependent slices come from a TimeSlices, so a hit returns the same
-    object and the RK4 term plan is reused; frozen coefficients give one
-    slice for every t.
+    object and the RK4 term plan is reused (fields named as in _TERMS);
+    frozen coefficients give one slice for every t.
     """
-    if form == "original":
-        if not isinstance(problem, CoefficientSet):
-            raise TypeError("original-form solves need a CoefficientSet")
-        return TimeSlices(
+    if isinstance(problem, CoefficientSet):
+        return "original", TimeSlices(
             lambda t: _original_slice(problem, grid, t), not problem.is_time_dependent
         )
-    if form != "transformed":
-        raise ValueError(f"unknown form {form!r}")
     if isinstance(problem, TransformedCoefficients):
         problem_grid, sampler = problem.grid, lambda t: problem
     elif isinstance(problem, GaugeSystem):
         problem_grid, sampler = problem.image_grid, problem.coefficients_at
     else:
-        raise TypeError("transformed solves need TransformedCoefficients or a GaugeSystem")
+        raise TypeError(
+            "a problem is a CoefficientSet (original form), or TransformedCoefficients "
+            f"or a GaugeSystem (transformed form), not {type(problem).__name__}"
+        )
     if not grid.compatible_with(problem_grid):
         raise ValueError("field does not live on the problem's grid")
-    return sampler
+    return "transformed", sampler
 
 
 def auto_dt(
     config: SolverConfig, grid: Grid, problem, u0: SpectralState
 ) -> float:
-    """Step size from the explicit stability rules of the active form.
+    """Step size from the explicit stability rules of the problem's form.
 
     Uses the retained (dealiased) band's largest wavenumber; modes beyond
     it are identically zero during the run.
@@ -318,8 +309,9 @@ def auto_dt(
     kb = (2.0 / 3.0) * grid.k_max if config.dealias else grid.k_max
     sup0 = float(np.abs(u0.physical()).max())
     candidates = [config.t_final]
-    co = _sampler(problem, config.equation_form, grid)(0.0)
-    if config.equation_form == "original":
+    form, sampler = _sampler(problem, grid)
+    co = sampler(0.0)
+    if form == "original":
         amax = float(np.abs(co.alpha).max())
         candidates.append(1.0 / (amax * kb**3))
         bmax = float(np.abs(co.beta).max())
@@ -365,17 +357,17 @@ def solve(
 
     `problem` is a CoefficientSet for the original form, and either
     TransformedCoefficients (time-frozen) or a GaugeSystem for the
-    transformed form.  If `monitor_times` is given, steps are shortened to
+    transformed form; its type selects the form.  If `monitor_times` is given, steps are shortened to
     land exactly on them; otherwise every monitor_stride-th step is stored.
     """
     grid = u0.grid
-    sampler = _sampler(problem, config.equation_form, grid)
+    form, sampler = _sampler(problem, grid)
     dt = auto_dt(config, grid, problem, u0) if config.dt == "auto" else float(config.dt)
     if not dt > 0:
         raise ValueError("dt must be positive")
 
     spectrum = _Spectrum(grid, u0.is_real_field, config.dealias)
-    integrator = _RK4(spectrum, config.equation_form, sampler)
+    integrator = _RK4(spectrum, form, sampler)
     chat = spectrum.restrict(u0.coefficients)
     chat[grid.nyquist_index] = 0.0  # unpaired mode cannot stay real under phase rotation
     if spectrum.keep is not None:
@@ -405,7 +397,7 @@ def solve(
         hs.append(sobolev_norm(state, config.s))
         diss.append(
             -_b_energy(state, np.clip(sampler(tnow).b, 0.0, None), config.s, bank)
-            if config.equation_form == "transformed"
+            if form == "transformed"
             else 0.0
         )
         edge_max = max(edge_max, edge_mass_fraction(state))
@@ -455,8 +447,7 @@ def solve(
         )
     return Trajectory(
         grid=grid,
-        s=config.s,
-        equation_form=config.equation_form,
+        equation_form=form,
         times=times_arr,
         states=states,
         hs_norms=np.asarray(hs),
@@ -478,28 +469,15 @@ class SpaceTimeBump:
     Space factor: bump((x - x0)/x_width), one inside |x - x0| <= x_width and
     zero outside twice that; time factor bump(t / t_width) is one near t = 0
     (so the initial-datum term is exercised) and vanishes for t >= 2 t_width.
-    An optional cosine modulation roughens the profile.
     """
 
-    def __init__(
-        self,
-        x0: float = 0.0,
-        x_width: float = 5.0,
-        t_width: float = 0.2,
-        modulation_k: float = 0.0,
-        amplitude: float = 1.0,
-    ):
+    def __init__(self, x0: float = 0.0, x_width: float = 5.0, t_width: float = 0.2):
         self.x0 = x0
         self.x_width = x_width
         self.t_width = t_width
-        self.modulation_k = modulation_k
-        self.amplitude = amplitude
 
     def _space(self, x):
-        s = bump_eta((x - self.x0) / self.x_width)
-        if self.modulation_k:
-            s = s * np.cos(self.modulation_k * (x - self.x0))
-        return self.amplitude * s
+        return bump_eta((x - self.x0) / self.x_width)
 
     def value(self, t: float, x):
         return self._space(x) * bump_eta(t / self.t_width)
@@ -507,16 +485,15 @@ class SpaceTimeBump:
     def dt_value(self, t: float, x):
         return self._space(x) * bump_eta_prime(t / self.t_width) / self.t_width
 
-    def support_dies_by(self) -> float:
-        return 2.0 * self.t_width
 
-
-def weak_residual(traj: Trajectory, phi, problem, form: str) -> float:
+def weak_residual(traj: Trajectory, phi, problem) -> float:
     """Space-time residual of the weak formulation against a test field.
 
     phi needs .value(t, x_array) and .dt_value(t, x_array), compact support
     inside [0, T) x interior.  The residual includes the initial-datum term
-    and is near zero (quadrature floor) for genuine solutions.
+    and is near zero (quadrature floor) for genuine solutions.  `problem`
+    is what `solve` integrated, or one of the same form; a problem of the
+    other form is refused with a TypeError.
 
     The equation is read from the form's term table, sampled at every
     monitor time.  Each term sign * coef * D^p u is moved onto phi by parts:
@@ -527,6 +504,12 @@ def weak_residual(traj: Trajectory, phi, problem, form: str) -> float:
     grid = traj.grid
     x = grid.x
     T = float(traj.times[-1])
+    form, sampler = _sampler(problem, grid)
+    if form != traj.equation_form:
+        raise TypeError(
+            f"a {traj.equation_form}-form trajectory needs a problem of that form, "
+            f"not a {type(problem).__name__}"
+        )
 
     edge = np.abs(x) >= 0.9 * grid.half_width
     probe = np.abs(np.asarray(phi.value(0.0, x)))
@@ -538,7 +521,6 @@ def weak_residual(traj: Trajectory, phi, problem, form: str) -> float:
             raise ValueError("test field must vanish near the domain edge")
 
     ddx = _Spectrum(grid, real_field=True, dealias_products=False).derivative
-    sampler = _sampler(problem, form, grid)
 
     g = np.empty(len(traj.times))
     for i, (tt, state) in enumerate(zip(traj.times, traj.states)):
@@ -564,24 +546,3 @@ def weak_residual(traj: Trajectory, phi, problem, form: str) -> float:
     p0 = np.asarray(phi.value(0.0, x), dtype=float)
     init_term = grid.dx * float(np.sum(u0 * p0))
     return space_time - init_term
-
-
-def energy_monitor(traj: Trajectory, s: float, b_field: np.ndarray) -> NormReport:
-    """Recompute the H^s series and weighted-seminorm bookkeeping.
-
-    Reports whether the dyadic dissipation term stays non-positive (it must
-    for b >= 0) and whether the H^s norm is nonincreasing.
-    """
-    b = _nonnegative_weight(b_field)
-    bank = ProjectorBank(traj.grid)
-    hs = np.array([sobolev_norm(st, s) for st in traj.states])
-    diss = np.array([-_b_energy(st, b, s, bank) for st in traj.states])
-    return NormReport(
-        times=traj.times,
-        hs_norms=hs,
-        seminorm_cumulative=_seminorm_cumulative(diss, traj.times),
-        dissipation=diss,
-        dissipation_nonpositive=bool(np.all(diss <= 1e-12)),
-        hs_nonincreasing=bool(np.all(np.diff(hs) <= 1e-12 * max(hs.max(), 1.0))),
-    )
-

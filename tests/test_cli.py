@@ -282,6 +282,97 @@ kind = continuity
 }
 
 
+def _with_line(text: str, section: str, line: str) -> str:
+    """`text` with `line` added to its [section], appended if absent."""
+    header = f"[{section}]\n"
+    if header in text:
+        return text.replace(header, header + line + "\n", 1)
+    return text + f"\n{header}{line}\n"
+
+
+# case -> (config, the refusal that names its key); each used to pass `check`
+# and end `run` in a bare error or a verdict with nothing to measure
+REFUSED_VALUES = {
+    "soliton alpha": (
+        MINIMAL.replace("alpha = 1", "alpha = 2\nalpha0 = 0.5"),
+        "[coefficients] alpha: soliton_benchmark needs alpha identically 1, got '2'",
+    ),
+    "soliton epsilon": (
+        MINIMAL.replace("epsilon = -6", "epsilon = 0"),
+        "[coefficients] epsilon: soliton_benchmark needs a nonzero constant epsilon",
+    ),
+    "bona_smith gamma": (
+        _with_line(KIND_CONFIGS["bona_smith"], "coefficients", "gamma = 0.3*sech(x)^2"),
+        "[coefficients] gamma: bona_smith needs gamma identically 0",
+    ),
+    "continuity epsilon(t)": (
+        KIND_CONFIGS["continuity"].replace("epsilon = -6", "epsilon = -6*cos(t)"),
+        "[coefficients] epsilon: continuity needs time-independent coefficients",
+    ),
+    "alpha0": (
+        _with_line(MINIMAL, "coefficients", "alpha0 = 0"),
+        "[coefficients] alpha0: must be positive and finite, got 0",
+    ),
+    "softplus kappa": (
+        _with_line(SURVEY, "split", "strategy = softplus\nkappa = -1"),
+        "[split] kappa: must be positive and finite, got -1",
+    ),
+    "t_final": (
+        _with_line(MINIMAL, "solver", "t_final = 0"),
+        "[solver] t_final: must be positive and finite, got 0",
+    ),
+    "dt": (
+        _with_line(MINIMAL, "solver", "dt = -1e-3"),
+        "[solver] dt: must be positive and finite, got -0.001",
+    ),
+    "blowup_threshold": (
+        _with_line(MINIMAL, "solver", "blowup_threshold = -1"),
+        "[solver] blowup_threshold: must be positive and finite, got -1",
+    ),
+    "num_points": (
+        _with_line(MINIMAL, "grid", "num_points = 100"),
+        "[grid] num_points must be a power of two >= 16, got 100",
+    ),
+    "draws": (
+        SURVEY.replace("draws = 4", "draws = 0"),
+        "[experiment] draws: must be positive and finite, got 0",
+    ),
+    "identity_draws": (
+        SURVEY.replace("identity_draws = 6", "identity_draws = 0"),
+        "[experiment] identity_draws: must be positive and finite, got 0",
+    ),
+    "resonance_draws": (
+        SURVEY.replace("resonance_draws = 50", "resonance_draws = 0"),
+        "[experiment] resonance_draws: must be positive and finite, got 0",
+    ),
+    "perturbation_sizes": (
+        KIND_CONFIGS["continuity"] + "perturbation_sizes = 0.01, 0\n",
+        "[experiment] perturbation_sizes: needs two or more distinct sizes, each "
+        "positive and finite, got 0.01, 0",
+    ),
+    "soliton kappa": (
+        MINIMAL + "kappa = 0\n",
+        "[experiment] kappa: must be nonzero and finite, got 0",
+    ),
+    "refine_sweep": (
+        KIND_CONFIGS["transform_consistency"].replace("refine_sweep = 256, 512", "refine_sweep = 100"),
+        "[experiment] refine_sweep: size 100: num_points must be a power of two >= 16",
+    ),
+    "gaussian_width": (
+        KIND_CONFIGS["transform_consistency"] + "gaussian_width = 0\n",
+        "[experiment] gaussian_width: must be positive and finite, got 0",
+    ),
+    "packet_width": (
+        KIND_CONFIGS["wavepacket"] + "packet_width = 0\n",
+        "[experiment] packet_width: must be positive and finite, got 0",
+    ),
+    "packet_launch": (
+        KIND_CONFIGS["wavepacket"].replace("packet_launch = 6", "packet_launch = 0"),
+        "[experiment] packet_launch: must be positive and finite, got 0",
+    ),
+}
+
+
 class TestAllKindsEndToEnd:
     @pytest.mark.slow
     @pytest.mark.parametrize("kind", sorted(KIND_CONFIGS))
@@ -324,11 +415,42 @@ packet_launch = 6
         assert any(v["name"] == "gain_matches_heuristic" for v in failed)
 
     def test_bad_grid_size_exits_two(self, tmp_path, capsys):
+        # refused when parsed, naming the key; the run used to end in a bare
+        # "error: num_points must be a power of two", and check in a traceback
         cfg_text = MINIMAL + "\n[grid]\nnum_points = 100\n"
         cfg_path = write_cfg(tmp_path, cfg_text, "grid.cfg")
         code = main(["run", str(cfg_path), "-o", str(tmp_path / "out")])
         assert code == 2
-        assert "power of two" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: [grid] num_points must be a power of two >= 16, got 100\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_VALUES))
+    def test_unrunnable_value_refused_naming_its_key(self, tmp_path, capsys, case):
+        cfg_text, named = REFUSED_VALUES[case]
+        assert main(["check", str(write_cfg(tmp_path, cfg_text))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error: {named}" in captured.err
+        assert all(line.startswith("config error: ") for line in captured.err.splitlines())
+
+    def test_blown_up_solve_fails_the_run(self, tmp_path):
+        # a sup-norm cap below the soliton's height stops every solve at its
+        # first monitor time, T/8; the ratios of the truncated runs used to
+        # PASS ratio_bounded with exit 0
+        cfg_text = KIND_CONFIGS["continuity"].replace(
+            "t_final = 0.2", "t_final = 0.2\nblowup_threshold = 1e-3"
+        )
+        cfg_path = write_cfg(tmp_path, cfg_text, "capped.cfg")
+        assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 1
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        verdicts = {v["name"]: v for v in summary["verdicts"]}
+        assert verdicts["no_blowup"]["passed"] is False
+        assert verdicts["no_blowup"]["value"] == pytest.approx(0.2 / 8, rel=1e-12)
+        assert [v["name"] for v in summary["verdicts"]].count("no_blowup") == 1
 
     def test_untruncating_bona_smith_sweep_refused(self, tmp_path, capsys):
         # default grid (8*pi, 512 points): k_max = 32, and the dealiased runs
@@ -467,8 +589,9 @@ packet_launch = 6
     def test_nonpositive_alpha_fails_coercivity(self, tmp_path, capsys, alpha):
         # folding 0^(-1/3) and (-1)^(-1/3) in derived("alpha_inv_cbrt") used
         # to end both commands with "error: 0.0 cannot be raised to a negative
-        # power" or "float() argument must be ... not 'complex'"
-        cfg_path = write_cfg(tmp_path, MINIMAL.replace("alpha = 1", f"alpha = {alpha}"))
+        # power" or "float() argument must be ... not 'complex'"; the survey
+        # reads no coefficient, so only the hypothesis gate refuses this alpha
+        cfg_path = write_cfg(tmp_path, SURVEY.replace("alpha = 1", f"alpha = {alpha}"))
         assert main(["check", str(cfg_path)]) == 1
         captured = capsys.readouterr()
         assert re.search(r"H1 coercivity +FAIL", captured.out)
@@ -626,6 +749,17 @@ KNOB_VALUES = {
 }
 
 
+# base key -> (section, values to draw); any float, and "auto" where accepted
+_BASE_FLOATS = st.floats() | st.sampled_from([0.0, -1.0, 1e-300, 1e300])
+BASE_KEYS = {
+    "t_final": ("solver", _BASE_FLOATS),
+    "dt": ("solver", _BASE_FLOATS | st.just("auto")),
+    "blowup_threshold": ("solver", _BASE_FLOATS | st.just("auto")),
+    "alpha0": ("coefficients", _BASE_FLOATS),
+    "kappa": ("split", _BASE_FLOATS),
+}
+
+
 def _knob_text(value) -> str:
     return ", ".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
 
@@ -685,6 +819,35 @@ class TestKindSchemas:
         assert not foreign
         assert type(cfg.spec) is spec
         assert {key: getattr(cfg.spec, key) for key in keys} == knobs
+
+    @settings(max_examples=200, deadline=None)
+    @given(base=st.sampled_from([MINIMAL, SURVEY]), draw=st.data())
+    def test_random_base_values_parse_or_name_the_key(self, tmp_path_factory, base, draw):
+        # every drawn value either parses or is refused by a ConfigError that
+        # names its key; a value is valid when positive and finite (or auto)
+        keys = draw.draw(st.lists(st.sampled_from(sorted(BASE_KEYS)), unique=True, max_size=5))
+        values = {key: draw.draw(BASE_KEYS[key][1]) for key in keys}
+        text = base
+        for key, value in values.items():
+            section = BASE_KEYS[key][0]
+            if key == "kappa":
+                text = _with_line(text, section, "strategy = softplus")
+            text = _with_line(text, section, f"{key} = {value}")
+        invalid = [
+            key for key, value in values.items()
+            if value != "auto" and not (np.isfinite(value) and value > 0)
+        ]
+        cfg_path = tmp_path_factory.getbasetemp() / "base.cfg"
+        cfg_path.write_text(text)
+        try:
+            parse_config(cfg_path)
+        except ConfigError as err:
+            refused = "\n".join(err.violations)
+            assert invalid, refused
+            for key in invalid:
+                assert f"[{BASE_KEYS[key][0]}] {key}: must be positive and finite" in refused
+            return
+        assert not invalid
 
     def test_wavepacket_needs_constant_alpha(self, tmp_path):
         cfg_text = KIND_CONFIGS["wavepacket"].replace(

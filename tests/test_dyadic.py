@@ -5,6 +5,7 @@ import pytest
 
 from kdvgauge.dyadic import (
     ProjectorBank,
+    _b_energy,
     bump_eta,
     bump_eta_prime,
     commutator,
@@ -12,7 +13,6 @@ from kdvgauge.dyadic import (
     double_commutator,
     project,
     resonance_omega3,
-    weighted_b_seminorm,
     zygmund_norm,
 )
 from kdvgauge.experiments import fit_loglog, random_smooth_field
@@ -137,51 +137,36 @@ class TestZygmund:
         assert zygmund_norm(f, 0.0) == pytest.approx(1.0, rel=1e-12)
 
 
-class _FrozenTrajectory:
-    def __init__(self, times, states):
-        self.times = np.asarray(times)
-        self.states = states
-
-
 class TestWeightedSeminorm:
+    """Closed forms of the dyadic dissipation sum sum_N (1+N)^(2s) int b |P_N u_x|^2."""
+
     def test_zero_weight(self):
         g = make_grid(np.pi, 64)
         st = SpectralState.from_physical(g, np.sin(g.x))
-        traj = _FrozenTrajectory([0.0, 0.5, 1.0], [st, st, st])
-        assert weighted_b_seminorm(traj, np.zeros(64), 0.0) == 0.0
+        assert _b_energy(st, np.zeros(64), 0.0, ProjectorBank(g)) == 0.0
 
     def test_stationary_single_mode(self):
-        # u = sin(x), b = 1, theta = 0, T = 1: ||cos||^2 * T = pi
+        # u = sin(x), b = 1, s = 0: only P_1 acts on k = 1, with symbol 1,
+        # so the sum is ||cos||^2 = pi
         g = make_grid(np.pi, 64)
         st = SpectralState.from_physical(g, np.sin(g.x))
-        times = np.linspace(0, 1, 5)
-        traj = _FrozenTrajectory(times, [st] * 5)
-        val = weighted_b_seminorm(traj, np.ones(64), 0.0)
-        assert val**2 == pytest.approx(np.pi, rel=1e-12)
+        val = _b_energy(st, np.ones(64), 0.0, ProjectorBank(g))
+        assert val == pytest.approx(np.pi, rel=1e-12)
 
     def test_single_mode_closed_form(self):
         # oracle: for one mode at k the only active band has symbol phi_N(k);
-        # theta = -1 weights it by (1+N)^{-2}
+        # s = -1 weights it by (1+N)^{-2}
         g = make_grid(np.pi, 64)
         kmode = 2
         st = SpectralState.from_physical(g, np.sin(kmode * g.x))
-        times = np.linspace(0, 1, 3)
-        traj = _FrozenTrajectory(times, [st] * 3)
-        got = weighted_b_seminorm(traj, np.ones(64), -1.0)
-        ux_sq = np.pi * kmode**2  # ||d/dx sin(kx)||^2 on [-pi, pi)
         bank = ProjectorBank(g)
+        got = _b_energy(st, np.ones(64), -1.0, bank)
+        ux_sq = np.pi * kmode**2  # ||d/dx sin(kx)||^2 on [-pi, pi)
         want = sum(
             (1.0 + N) ** (-2.0) * (bank.p_n(N).symbol[kmode]) ** 2 * ux_sq
             for N in bank.dyadic_ns
         )
-        assert got**2 == pytest.approx(want, rel=1e-10)
-
-    def test_negative_weight_rejected(self):
-        g = make_grid(np.pi, 64)
-        st = SpectralState.from_physical(g, np.sin(g.x))
-        traj = _FrozenTrajectory([0.0, 1.0], [st, st])
-        with pytest.raises(ValueError, match="negative weight"):
-            weighted_b_seminorm(traj, np.full(64, -0.5), 0.0)
+        assert got == pytest.approx(want, rel=1e-10)
 
 
 class TestCommutators:

@@ -118,7 +118,7 @@ class TestBonaSmith:
         from kdvgauge.solver import SolverConfig, solve
 
         tc = TransformedCoefficients.constant_kdv(g, epsilon=-6.0)
-        cfg = SolverConfig("transformed", t_final=0.02, dt=1e-4, s=1.0,
+        cfg = SolverConfig(t_final=0.02, dt=1e-4, s=1.0,
                            warn_domain_edge=False)
         monitor = np.linspace(0, 0.02, 5)[1:]
         t16 = solve(project(low, bank.p_leq(16)), cfg, tc, monitor_times=monitor)
@@ -180,7 +180,7 @@ class TestContinuity:
         g = make_grid(8 * np.pi, 256)
         tc = TransformedCoefficients.constant_kdv(g, epsilon=-6.0)
         u0 = soliton_state(g, 1.0, -6.0)
-        cfg = SolverConfig("transformed", t_final=0.1, dt=5e-4, s=1.0)
+        cfg = SolverConfig(t_final=0.1, dt=5e-4, s=1.0)
         a = solve(u0, cfg, tc).final_state
         b = solve(u0.copy(), cfg, tc).final_state
         assert l2_norm(a - b) == 0.0
