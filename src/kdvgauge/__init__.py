@@ -5,7 +5,6 @@ verification experiments."""
 from .coefficients import (
     CoefficientSet,
     HypothesisReport,
-    anchored_cumulative,
     check_hypotheses,
     softplus_split,
 )
@@ -17,7 +16,6 @@ from .dyadic import (
     double_commutator,
     project,
     resonance_omega3,
-    zygmund_norm,
 )
 from .expressions import CoefficientExpr, ExpressionError, parse_coefficient
 from .gauge import (
@@ -25,7 +23,6 @@ from .gauge import (
     GaugeSystem,
     TransformedCoefficients,
     build_gauge_map,
-    compute_A,
     forward_transform,
     gauge_weight,
     image_grid_for,
@@ -44,7 +41,6 @@ from .spectral import (
     Grid,
     GridSizeError,
     SpectralState,
-    dealias,
     derivative,
     interpolate,
     l2_norm,

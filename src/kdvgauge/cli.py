@@ -26,10 +26,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coefficients import CoefficientSet, check_hypotheses, softplus_split
+from .coefficients import CoefficientSet, HypothesisReport, check_hypotheses, softplus_split
 from .experiments import EXPERIMENTS, ExperimentSpec, run_experiment, write_report
 from .expressions import ExpressionError, parse_coefficient
-from .spectral import Grid, GridSizeError, make_grid
+from .spectral import GridSizeError, make_grid
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
@@ -261,20 +261,20 @@ def parse_config(path) -> RunConfig:
     return RunConfig(values=values, spec=spec, run_id=digest[:12], config_hash=digest)
 
 
-def _screened(config: RunConfig) -> tuple[Grid, CoefficientSet]:
-    """The run's grid and the coefficient set its experiment integrates, once
-    every field of that set is screened for poles on the grid.
+def _gate(config: RunConfig) -> HypothesisReport:
+    """The hypothesis report on the coefficient set the run's experiment
+    integrates, once every field of that set is screened for poles.
 
     Each field and its derivatives of orders x, xx and t must be finite on
     the grid at t = 0, t_final/2 and t_final; the first that is not raises an
-    ExpressionError naming its expression.  `run` and `check` both call this
-    before the hypothesis check, so both screen and gate the same set.
+    ExpressionError naming it.  `run` and `check` both gate through here, so
+    both screen and check the same set, with the same 5 sample times.
     """
     spec = config.spec
     grid = make_grid(spec.half_width, spec.num_points)
     cset = spec.integrated_cset()
     cset.screen(np.linspace(0.0, spec.t_final, 3), grid.x)
-    return grid, cset
+    return check_hypotheses(cset, grid, spec.t_final, t_samples=5)
 
 
 def run(
@@ -292,8 +292,7 @@ def run(
     """
     out = stream or sys.stdout
     try:
-        grid, cset = _screened(config)
-        hyp = check_hypotheses(cset, grid, config.spec.t_final, t_samples=5)
+        hyp = _gate(config)
         violating = not hyp.passed
         if violating and not allow_hypothesis_violation:
             out.write(hyp.format_text() + "\n")
@@ -364,8 +363,7 @@ def main(argv=None) -> int:
 
     if args.command == "check":
         try:
-            grid, cset = _screened(config)
-            hyp = check_hypotheses(cset, grid, config.spec.t_final, t_samples=5)
+            hyp = _gate(config)
         except Exception as exc:  # noqa: BLE001
             traceback.print_exc(file=sys.stderr)
             print(f"error: {exc}", file=sys.stderr)

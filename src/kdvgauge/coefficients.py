@@ -31,7 +31,6 @@ __all__ = [
     "check_hypotheses",
     "HypothesisEntry",
     "HypothesisReport",
-    "anchored_cumulative",
 ]
 
 # 5-point Gauss-Legendre rule on [-1, 1]; degree-9 exactness keeps the
@@ -40,12 +39,13 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 
 class _AnchoredRule:
-    """The quadrature of `anchored_cumulative` on ascending points.
+    """Cumulative integrals int_0^p on ascending points p, anchored exactly at 0.
 
     `nodes` are the 5 Gauss nodes of each cell between consecutive points
-    (with x = 0 inserted as an exact anchor), flattened; `integrate` turns
-    an integrand sampled there into int_0^p for each point p.  One rule
-    serves every integrand wanted on the same points.
+    (with x = 0 inserted as an exact anchor, so every integral vanishes
+    there wherever the points fall), flattened; `integrate` turns an
+    integrand sampled there into int_0^p for each point p.  One rule serves
+    every integrand wanted on the same points.
     """
 
     def __init__(self, points: np.ndarray):
@@ -76,19 +76,6 @@ class _AnchoredRule:
         out = np.empty(self.size + 1)
         out[self._order] = cum
         return out[: self.size]
-
-
-def anchored_cumulative(fn, points: np.ndarray) -> np.ndarray:
-    """Cumulative integral int_0^p fn for each p, anchored exactly at 0.
-
-    `points` must be sorted ascending; x = 0 is inserted as an exact anchor
-    so the result vanishes there regardless of where the nodes fall.  `fn`
-    must accept numpy arrays.
-    """
-    rule = _AnchoredRule(points)
-    if rule.size == 0:
-        return np.zeros(0)
-    return rule.integrate(fn(rule.nodes))
 
 
 _FIELDS = ("alpha", "beta", "gamma", "delta", "epsilon", "beta1", "beta2")
@@ -196,31 +183,14 @@ class CoefficientSet:
         """Screen every field (`CoefficientExpr.screen`) on times x points.
 
         The ExpressionError of the first singular field is prefixed with
-        the field's name (a softplus split has no source text to quote).
+        the field's name, which is all that names a field built without
+        source text (a softplus split).
         """
         for name in _FIELDS:
             try:
                 getattr(self, name).screen(times, x)
             except ExpressionError as exc:
                 raise ExpressionError(f"{name}: {exc}") from None
-
-    def validate_split(self, x: np.ndarray, times, tol: float = 1e-10) -> None:
-        """Assert beta1 + beta2 == beta and beta2 <= 0 on the samples."""
-        x = np.asarray(x, dtype=float)
-        for t in np.atleast_1d(np.asarray(times, dtype=float)):
-            b = np.asarray(self.beta.eval(float(t), x))
-            b1 = np.asarray(self.beta1.eval(float(t), x))
-            b2 = np.asarray(self.beta2.eval(float(t), x))
-            scale = max(1.0, float(np.abs(b).max()))
-            gap = float(np.abs(b1 + b2 - b).max())
-            if gap > tol * scale:
-                raise ValueError(
-                    f"beta1 + beta2 deviates from beta by {gap:.3e} at t={t:g}"
-                )
-            if float(b2.max()) > 1e-12 * scale:
-                raise ValueError(
-                    f"beta2 must be <= 0 everywhere; max {float(b2.max()):.3e} at t={t:g}"
-                )
 
 
 def softplus_split(
@@ -283,7 +253,7 @@ class HypothesisReport:
         return "\n".join([head] + ["  " + e.format_line() for e in self.entries])
 
 
-def _boundary_trend(values: np.ndarray, objective: np.ndarray) -> bool:
+def _boundary_trend(objective: np.ndarray) -> bool:
     """True when the objective peaks at an edge and keeps growing there."""
     n = objective.size
     w = max(2, n // 10)
@@ -295,46 +265,51 @@ def _boundary_trend(values: np.ndarray, objective: np.ndarray) -> bool:
     return bool(grow_left or grow_right)
 
 
+def _track(times, x, objectives) -> tuple[float, tuple[float, float], bool]:
+    """The sup over (t, x) of one objective given per sample time, the (t, x)
+    where it is attained, and whether it keeps growing at an edge at any time."""
+    best, loc, growing = -np.inf, (0.0, 0.0), False
+    for t, obj in zip(times, objectives):
+        i = int(np.argmax(obj))
+        if obj[i] > best:
+            best, loc = float(obj[i]), (t, float(x[i]))
+        growing = growing or _boundary_trend(obj)
+    return best, loc, growing
+
+
+# the gate's fields on the grid, and its integrands at the grid's Gauss
+# nodes: d/dt alpha^(-1/3) (H2), d/dt(beta1/alpha) (H3a), beta1/alpha (H3b, H4)
+_GATE_FIELDS = ("alpha", "beta", "beta1", "beta2")
+_GATE_INTEGRANDS = ("alpha_inv_cbrt_t", "ratio1_t", "ratio1")
+
+
 def check_hypotheses(
     cset: CoefficientSet, grid: Grid, T: float, t_samples: int = 5
 ) -> HypothesisReport:
     """Evaluate H1-H4 and the split validity on [0, T] x grid.
 
-    Sup-type integrals are computed with the anchored cumulative rule; the
-    H2 integrand is taken in the d/dt(alpha^(-1/3)) form, which equals
-    -(1/3) alpha^(-4/3) alpha_t, so both stated variants are covered up to
-    the constant factor.
+    Sup-type integrals are anchored cumulative integrals over one rule on
+    the grid; at each sample time one program samples the fields on the
+    grid and one the integrands at the rule's nodes, and int_0^x beta1/alpha
+    serves both H3b and H4.  The H2 integrand is taken in the
+    d/dt(alpha^(-1/3)) form, which equals -(1/3) alpha^(-4/3) alpha_t, so
+    both stated variants are covered up to the constant factor.
     """
     x = grid.x
-    times = np.linspace(0.0, T, max(2, int(t_samples)))
-    inv_cbrt_t = cset.derived("alpha_inv_cbrt_t")
-    ratio1 = cset.derived("ratio1")
-    ratio1_t = cset.derived("ratio1_t")
-
-    def track(fn_objective, signed_values_fn):
-        best = -np.inf
-        best_loc = (0.0, 0.0)
-        growing = False
-        for t in times:
-            vals = signed_values_fn(float(t))
-            obj = fn_objective(vals)
-            i = int(np.argmax(obj))
-            if obj[i] > best:
-                best = float(obj[i])
-                best_loc = (float(t), float(x[i]))
-            growing = growing or _boundary_trend(vals, obj)
-        return best, best_loc, growing
+    times = [float(t) for t in np.linspace(0.0, T, max(2, int(t_samples)))]
+    rule = _AnchoredRule(x)
+    fields = [cset.sample(_GATE_FIELDS, t, x) for t in times]
+    integrands = [cset.sample(_GATE_INTEGRANDS, t, rule.nodes) for t in times]
 
     entries: list[HypothesisEntry] = []
 
     # H1: coercivity window
     a_min, a_max = np.inf, -np.inf
     loc_min = (0.0, 0.0)
-    for t in times:
-        a = np.asarray(cset.alpha.eval(float(t), x), dtype=float)
+    for t, (a, _, _, _) in zip(times, fields):
         i = int(np.argmin(a))
         if a[i] < a_min:
-            a_min, loc_min = float(a[i]), (float(t), float(x[i]))
+            a_min, loc_min = float(a[i]), (t, float(x[i]))
         a_max = max(a_max, float(a.max()))
     slack = 1e-12 * max(1.0, abs(a_min), abs(a_max))
     h1_ok = (a_min >= cset.alpha0 - slack) and (a_max <= 1.0 / cset.alpha0 + slack)
@@ -351,9 +326,7 @@ def check_hypotheses(
 
     # H2: | int_0^x d/dt alpha^(-1/3) |
     if cset.alpha.depends_on_t:
-        ext, loc, grow = track(
-            np.abs, lambda t: anchored_cumulative(lambda y: inv_cbrt_t.eval(t, y), x)
-        )
+        ext, loc, grow = _track(times, x, [np.abs(rule.integrate(v[0])) for v in integrands])
         note = "equivalent to -(1/3) int alpha^(-4/3) alpha_t"
     else:
         ext, loc, grow = 0.0, (0.0, 0.0), False
@@ -362,19 +335,17 @@ def check_hypotheses(
 
     # H3a: | int_0^x d/dt (beta1/alpha) |
     if cset.beta1.depends_on_t or cset.alpha.depends_on_t:
-        ext, loc, grow = track(
-            np.abs, lambda t: anchored_cumulative(lambda y: ratio1_t.eval(t, y), x)
-        )
+        ext, loc, grow = _track(times, x, [np.abs(rule.integrate(v[1])) for v in integrands])
         note = ""
     else:
         ext, loc, grow = 0.0, (0.0, 0.0), False
         note = "ratio time-independent: integrand identically 0"
     entries.append(HypothesisEntry("H3a gauge drift", not grow, ext, loc, grow, note))
 
+    gauge = [rule.integrate(v[2]) for v in integrands]  # int_0^x beta1/alpha
+
     # H3b: - int_0^x beta1/alpha bounded above
-    ext, loc, grow = track(
-        lambda v: v, lambda t: -anchored_cumulative(lambda y: ratio1.eval(t, y), x)
-    )
+    ext, loc, grow = _track(times, x, [-g for g in gauge])
     entries.append(
         HypothesisEntry(
             "H3b gauge bounded below",
@@ -387,9 +358,7 @@ def check_hypotheses(
     )
 
     # H4: | int_0^x beta1/alpha | bounded (classical two-sided gauge)
-    ext, loc, grow = track(
-        np.abs, lambda t: anchored_cumulative(lambda y: ratio1.eval(t, y), x)
-    )
+    ext, loc, grow = _track(times, x, [np.abs(g) for g in gauge])
     entries.append(
         HypothesisEntry(
             "H4 two-sided gauge", not grow, ext, loc, grow, "needed for Hadamard well-posedness"
@@ -401,15 +370,12 @@ def check_hypotheses(
     split_note = "beta1 + beta2 = beta and beta2 <= 0 on samples"
     worst = 0.0
     worst_loc = (0.0, 0.0)
-    for t in times:
-        b = np.asarray(cset.beta.eval(float(t), x), dtype=float)
-        b1 = np.asarray(cset.beta1.eval(float(t), x), dtype=float)
-        b2 = np.asarray(cset.beta2.eval(float(t), x), dtype=float)
+    for t, (_, b, b1, b2) in zip(times, fields):
         scale = max(1.0, float(np.abs(b).max()))
         gap = np.abs(b1 + b2 - b)
         i = int(np.argmax(gap))
         if gap[i] > worst:
-            worst, worst_loc = float(gap[i]), (float(t), float(x[i]))
+            worst, worst_loc = float(gap[i]), (t, float(x[i]))
         if gap[i] > 1e-10 * scale or float(b2.max()) > 1e-12 * scale:
             split_ok = False
             split_note = f"split defect {gap[i]:.3e} or positive beta2 {float(b2.max()):.3e}"

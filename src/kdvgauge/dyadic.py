@@ -1,4 +1,4 @@
-"""Dyadic frequency projectors, Zygmund norm, dissipation sum, commutators.
+"""Dyadic frequency projectors, dissipation sum, commutators.
 
 The building block is a fixed smooth even bump eta with eta = 1 on [-1, 1]
 and support in [-2, 2], realized with the standard exp(-1/t) transition so
@@ -29,7 +29,6 @@ __all__ = [
     "DyadicProjector",
     "ProjectorBank",
     "project",
-    "zygmund_norm",
     "commutator",
     "double_commutator",
     "comcom_residual",
@@ -129,8 +128,6 @@ class ProjectorBank:
         elif kind == "P_ll_N":
             # concrete gap: everything at or below N/8
             sym = bump_eta(8.0 * k / N) if N >= 8 else np.zeros_like(k)
-        elif kind == "P_geq_N":
-            sym = np.ones_like(k) if N <= 1 else 1.0 - bump_eta(2.0 * k / N)
         elif kind == "tilde_P_N":
             sym = np.zeros_like(k)
             K = max(1, N // 4)
@@ -152,9 +149,6 @@ class ProjectorBank:
     def p_ll(self, N: int) -> DyadicProjector:
         return self._build("P_ll_N", N)
 
-    def p_geq(self, N: int) -> DyadicProjector:
-        return self._build("P_geq_N", N)
-
     def p_tilde(self, N: int) -> DyadicProjector:
         return self._build("tilde_P_N", N)
 
@@ -165,17 +159,6 @@ def project(field: SpectralState, projector: DyadicProjector) -> SpectralState:
     return SpectralState(
         field.grid, field.coefficients * projector.symbol, field.is_real_field
     )
-
-
-def zygmund_norm(field: SpectralState, s: float) -> float:
-    """sup over dyadic N of N^s * max |P_N field| in physical space."""
-    bank = ProjectorBank(field.grid)
-    best = 0.0
-    for N in bank.dyadic_ns:
-        piece = project(field, bank.p_n(N))
-        amp = float(np.abs(piece.physical()).max())
-        best = max(best, N**s * amp)
-    return best
 
 
 def _b_energy(state: SpectralState, b: np.ndarray, s: float, bank: ProjectorBank) -> float:

@@ -576,7 +576,8 @@ def run_wavepacket(spec: WavepacketSpec) -> ExperimentReport:
     for xi0 in spec.xi0_sweep:
         u0 = packet_state(grid, xi0, spec.packet_width, center=spec.packet_launch)
         T = 2.0 * spec.packet_launch / (3.0 * a0 * xi0**2)
-        cfg = SolverConfig(t_final=T, dt=spec.dt, s=spec.s, dealias=False)
+        cfg = SolverConfig(t_final=T, dt=spec.dt, s=spec.s, dealias=False,
+                           blowup_threshold=spec.blowup_threshold)
         traj = report.solved(solve(u0, cfg, cset))
         # dispersion-only reference by the exact multiplier (alpha constant)
         k = grid.wavenumbers
@@ -928,6 +929,7 @@ def run_soliton_benchmark(spec: SolitonBenchmarkSpec) -> ExperimentReport:
     finals = []
     for dt_k in spec.dt_sweep:
         cfg_k = SolverConfig(t_final=spec.order_t_final, dt=dt_k, s=spec.s,
+                             dealias=spec.dealias, blowup_threshold=spec.blowup_threshold,
                              monitor_stride=10**9)
         finals.append(report.solved(solve(u0_ord, cfg_k, tc)).final_state)
     order_rows, slope, resid = successive_difference_order(spec.dt_sweep, finals)

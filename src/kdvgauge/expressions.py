@@ -611,10 +611,10 @@ class CoefficientExpr:
             for orders in ((0, 0), (0, 1), (0, 2), (1, 0)):
                 vals = np.asarray(self.eval(float(t), x, *orders))
                 if not np.all(np.isfinite(vals)):
+                    what = f"expression {self.text!r}" if self.text else "built expression"
                     raise ExpressionError(
-                        f"expression {self.text or ''!r} is singular on the "
-                        f"requested domain (non-finite at t={t:g}, derivative "
-                        f"orders {orders})"
+                        f"{what} is singular on the requested domain "
+                        f"(non-finite at t={t:g}, derivative orders {orders})"
                     )
 
     def __repr__(self) -> str:

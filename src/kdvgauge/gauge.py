@@ -34,20 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import (
-    _GL_NODES,
-    _GL_WEIGHTS,
-    CoefficientSet,
-    _AnchoredRule,
-    anchored_cumulative,
-)
-from .expressions import CoefficientExpr
+from .coefficients import _GL_NODES, _GL_WEIGHTS, CoefficientSet, _AnchoredRule
 from .spectral import Grid, SpectralState, edge_mass_fraction, interpolate, make_grid
 
 __all__ = [
     "GaugeMap",
     "TransformedCoefficients",
-    "compute_A",
     "invert_A",
     "gauge_weight",
     "build_gauge_map",
@@ -72,30 +64,6 @@ _TIME_INTEGRANDS = ("alpha_inv_cbrt_t", "ratio1_t")
 
 EDGE_MASS_LIMIT = 1e-6
 INVERSION_TOL = 1e-11
-
-
-def compute_A(alpha: CoefficientExpr, t: float, grid: Grid) -> np.ndarray:
-    """Sample the straightening map A(t, x) = int_0^x alpha^(-1/3) on the grid.
-
-    Rejects non-coercive alpha.
-    """
-    t = float(t)
-    _check_alpha_positive(np.asarray(alpha.eval(t, grid.x), dtype=float))
-    inv_cbrt = alpha ** (-1.0 / 3.0)
-    return _increasing(anchored_cumulative(lambda y: inv_cbrt.eval(t, y), grid.x))
-
-
-def _check_alpha_positive(a_vals: np.ndarray) -> None:
-    if a_vals.min() <= 0.0:
-        raise ValueError(
-            f"alpha must be strictly positive; min sampled value {a_vals.min():.3e}"
-        )
-
-
-def _increasing(A: np.ndarray) -> np.ndarray:
-    if np.any(np.diff(A) <= 0.0):
-        raise ValueError("straightening map is not strictly increasing")
-    return A
 
 
 def gauge_weight(cset: CoefficientSet, t: float, points: np.ndarray) -> np.ndarray:
@@ -188,6 +156,26 @@ def invert_A(gmap: GaugeMap, y) -> np.ndarray | float:
     return float(x[0]) if scalar else x
 
 
+def _straighten(cset: CoefficientSet, t: float, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """A = int_0^x alpha^(-1/3) and h on the grid, from one program over the
+    Gauss nodes of one anchored rule.
+
+    Rejects alpha that is not positive on the grid and an A that is not
+    strictly increasing.
+    """
+    a_vals = np.asarray(cset.alpha.eval(t, grid.x), dtype=float)
+    if a_vals.min() <= 0.0:
+        raise ValueError(
+            f"alpha must be strictly positive; min sampled value {a_vals.min():.3e}"
+        )
+    rule = _AnchoredRule(grid.x)
+    inv_cbrt, ratio1 = cset.sample(("alpha_inv_cbrt", "ratio1"), t, rule.nodes)
+    A = rule.integrate(inv_cbrt)
+    if np.any(np.diff(A) <= 0.0):
+        raise ValueError("straightening map is not strictly increasing")
+    return A, _weight(cset, t, a_vals, rule, ratio1)
+
+
 def image_grid_for(
     cset: CoefficientSet,
     source_grid: Grid,
@@ -203,7 +191,7 @@ def image_grid_for(
     """
     reach = 0.0
     for t in np.atleast_1d(np.asarray(times, dtype=float)):
-        A = compute_A(cset.alpha, float(t), source_grid)
+        A, _ = _straighten(cset, float(t), source_grid)
         reach = max(reach, abs(A[0]), abs(A[-1]))
     H = reach * (1.0 + padding)
     return make_grid(H, num_points or source_grid.num_points)
@@ -213,19 +201,14 @@ def build_gauge_map(
     cset: CoefficientSet, t: float, source_grid: Grid, image_grid: Grid
 ) -> GaugeMap:
     t = float(t)
-    x = source_grid.x
-    a_vals = np.asarray(cset.alpha.eval(t, x), dtype=float)
-    _check_alpha_positive(a_vals)
-    # A and h on the source grid integrate over the same Gauss nodes
-    rule = _AnchoredRule(x)
-    inv_cbrt, ratio1 = cset.sample(("alpha_inv_cbrt", "ratio1"), t, rule.nodes)
+    A, h = _straighten(cset, t, source_grid)
     gmap = GaugeMap(
         t=t,
         source_grid=source_grid,
         image_grid=image_grid,
         cset=cset,
-        A_samples=_increasing(rule.integrate(inv_cbrt)),
-        h_samples=_weight(cset, t, a_vals, rule, ratio1),
+        A_samples=A,
+        h_samples=h,
         A_inverse_samples=np.zeros(image_grid.num_points),
         inverse_clamped=np.zeros(image_grid.num_points, dtype=bool),
         h_at_inverse=np.ones(image_grid.num_points),

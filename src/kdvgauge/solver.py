@@ -89,16 +89,11 @@ class Trajectory:
     seminorm_cumulative: np.ndarray  # running weighted seminorm squared
     blowup: bool = False
     blowup_time: float | None = None
-    edge_mass_max: float = 0.0
+    edge_mass_max: float = 0.0  # above EDGE_MASS_WARN the domain is too small
 
     @property
     def final_state(self) -> SpectralState:
         return self.states[-1]
-
-    @property
-    def domain_size_suspect(self) -> bool:
-        """True when solution mass reached the outer 10% of the domain."""
-        return self.edge_mass_max > EDGE_MASS_WARN
 
 
 # -- the spectral RK4 core ------------------------------------------------

@@ -26,8 +26,6 @@ __all__ = [
     "l2_norm",
     "mass",
     "interpolate",
-    "dealias",
-    "multiply",
     "inner_product",
     "edge_mass_fraction",
 ]
@@ -240,20 +238,6 @@ def interpolate(state: SpectralState, query_points: np.ndarray) -> np.ndarray:
     if state.is_real_field:
         out = out.real
     return out[0] if scalar else out
-
-
-def dealias(state: SpectralState) -> SpectralState:
-    """Zero all modes with |k| above two thirds of the Nyquist wavenumber."""
-    coeffs = np.where(state.grid.dealias_mask, state.coefficients, 0.0)
-    return SpectralState(state.grid, coeffs, state.is_real_field)
-
-
-def multiply(a: SpectralState, b: SpectralState, dealias_result: bool = True) -> SpectralState:
-    """Pointwise product in physical space, optionally 2/3-rule dealiased."""
-    a._check_same_grid(b)
-    prod = a.physical() * b.physical()
-    out = SpectralState.from_physical(a.grid, prod)
-    return dealias(out) if dealias_result else out
 
 
 def edge_mass_fraction(state: SpectralState, edge_fraction: float = 0.1) -> float:

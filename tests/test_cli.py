@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvgauge.cli import ConfigError, main, parse_config, run
+from kdvgauge.coefficients import check_hypotheses
 from kdvgauge.experiments import EXPERIMENTS
+from kdvgauge.spectral import make_grid
 
 MINIMAL = """
 [coefficients]
@@ -623,6 +625,19 @@ packet_launch = 6
         assert captured.out.startswith(named)
         assert not (tmp_path / "out").exists()
 
+    def test_singular_built_field_named_without_empty_quote(self, tmp_path, capsys):
+        # kappa = 5e-324 parses (positive, finite) but log(2) / kappa is inf:
+        # the softplus beta1 has no source text, so the refusal names the field
+        text = SURVEY.replace("alpha = 1", "alpha = 1\nbeta = 0.2*sech(x)^2")
+        cfg_path = write_cfg(tmp_path, text + "\n[split]\nstrategy = softplus\nkappa = 5e-324\n")
+        assert main(["check", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line = captured.err.splitlines()[-1]
+        assert line.startswith("error: beta1: ")
+        assert "singular on the requested domain" in line
+        assert "''" not in line
+
 
     @pytest.mark.parametrize("half_width", ["0^(-1)", "(-8)^(1/3)"])
     def test_nonfinite_constant_refused(self, tmp_path, capsys, half_width):
@@ -686,8 +701,9 @@ identity_draws = 2
 resonance_draws = 10
 """
         cfg = parse_config(write_cfg(tmp_path, cfg_text, "sp.cfg"))
-        x = np.linspace(-10, 10, 41)
-        cfg.cset.validate_split(x, [0.0])
+        grid = make_grid(cfg.spec.half_width, cfg.spec.num_points)
+        rep = check_hypotheses(cfg.cset, grid, cfg.spec.t_final)
+        assert rep.entry("split validity").passed
 
     def test_softplus_with_explicit_pair_rejected(self, tmp_path):
         cfg_text = """

@@ -1,4 +1,4 @@
-"""Dyadic projectors, norms, commutators, and the resonance function."""
+"""Dyadic projectors, the dissipation sum, commutators, and the resonance function."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from kdvgauge.dyadic import (
     double_commutator,
     project,
     resonance_omega3,
-    zygmund_norm,
 )
 from kdvgauge.experiments import fit_loglog, random_smooth_field
 from kdvgauge.spectral import SpectralState, derivative, l2_norm, make_grid
@@ -92,7 +91,7 @@ class TestProjectors:
         g = make_grid(np.pi, 128)
         bank = ProjectorBank(g)
         for N in bank.dyadic_ns:
-            for kind in ("p_n", "p_leq", "p_ll", "p_geq", "p_tilde"):
+            for kind in ("p_n", "p_leq", "p_ll", "p_tilde"):
                 sym = getattr(bank, kind)(N).symbol
                 assert sym.min() >= -1e-15
                 assert sym.max() <= 1.0 + 1e-12
@@ -118,23 +117,6 @@ class TestProjectors:
             )
             ratio = total / l2_norm(f) ** 2
             assert 1.0 <= ratio <= 7.0
-
-
-class TestZygmund:
-    def test_zero_field(self):
-        g = make_grid(np.pi, 64)
-        assert zygmund_norm(SpectralState.zero(g), 1.5) == 0.0
-
-    def test_single_dyadic_mode(self):
-        # e^{i 8x}: only the N=8 band is active with symbol 1
-        g = make_grid(np.pi, 64)
-        f = SpectralState.from_physical(g, np.exp(1j * 8 * g.x))
-        assert zygmund_norm(f, 1.0) == pytest.approx(8.0, rel=1e-12)
-
-    def test_constant_field(self):
-        g = make_grid(np.pi, 64)
-        f = SpectralState.from_physical(g, np.ones(64))
-        assert zygmund_norm(f, 0.0) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestWeightedSeminorm:
@@ -276,12 +258,3 @@ class TestResonance:
             om = resonance_omega3(x1, x2, x3)
             fac = 3.0 * (x1 + x2) * (x2 + x3) * (x1 + x3)
             assert abs(om - fac) <= 1e-12 * max(1.0, abs(om))
-
-
-class TestHighLowComplement:
-    def test_geq_complements_leq_half(self):
-        g = make_grid(np.pi, 256)
-        bank = ProjectorBank(g)
-        for N in (4, 16, 64):
-            total = bank.p_geq(N).symbol + bank.p_leq(N // 2).symbol
-            assert np.abs(total - 1.0).max() < 1e-12

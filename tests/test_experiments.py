@@ -11,6 +11,7 @@ from kdvgauge.experiments import (
     BonaSmithSpec,
     CommutatorSurveySpec,
     ContinuitySpec,
+    SolitonBenchmarkSpec,
     TransformConsistencySpec,
     WavepacketSpec,
     run_transform_consistency,
@@ -21,6 +22,7 @@ from kdvgauge.experiments import (
     run_bona_smith,
     run_continuity,
     run_experiment,
+    run_soliton_benchmark,
     run_wavepacket,
     spectrum_state,
     successive_difference_order,
@@ -262,6 +264,47 @@ class TestReportEmission:
     def test_sign_note_in_survey(self):
         rep = self._tiny_report()
         assert any("sign" in note for note in rep.notes)
+
+
+class TestSolverSettingsReachEverySolve:
+    """The run's [solver] dealias and blowup_threshold reach each solve."""
+
+    @staticmethod
+    def _recorded_configs(monkeypatch, runner, spec):
+        import kdvgauge.experiments as experiments
+
+        configs = []
+        solve = experiments.solve
+
+        def recording(u0, cfg, *args, **kwargs):
+            configs.append(cfg)
+            return solve(u0, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "solve", recording)
+        runner(spec)
+        return configs
+
+    def test_soliton_benchmark_order_sweep(self, monkeypatch):
+        spec = SolitonBenchmarkSpec(
+            cset=CoefficientSet.constant_kdv(-6.0), num_points=256, t_final=0.01,
+            dt=1e-3, dealias=False, blowup_threshold=50.0,
+            order_t_final=0.004, dt_sweep=(1e-3, 5e-4, 2.5e-4),
+        )
+        configs = self._recorded_configs(monkeypatch, run_soliton_benchmark, spec)
+        assert len(configs) == 4  # the benchmark run and three sweep runs
+        assert all(cfg.dealias is False for cfg in configs)
+        assert all(cfg.blowup_threshold == 50.0 for cfg in configs)
+
+    def test_wavepacket_keeps_its_undealiased_runs(self, monkeypatch):
+        spec = WavepacketSpec(
+            cset=CoefficientSet.from_strings(alpha="1", epsilon="0"),
+            half_width=16 * np.pi, num_points=256, xi0_sweep=(4.0,),
+            region_beta0=0.0, packet_launch=6.0, blowup_threshold=50.0,
+        )
+        configs = self._recorded_configs(monkeypatch, run_wavepacket, spec)
+        assert len(configs) == 1
+        assert configs[0].dealias is False
+        assert configs[0].blowup_threshold == 50.0
 
 
 class TestTimeDependentGaugePath:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from kdvgauge.coefficients import CoefficientSet, anchored_cumulative
+from kdvgauge.coefficients import CoefficientSet
 from kdvgauge.expressions import parse_coefficient
 from kdvgauge.gauge import (
     SLICE_CACHE,
@@ -14,7 +14,6 @@ from kdvgauge.gauge import (
     TimeSlices,
     _time_derivatives,
     build_gauge_map,
-    compute_A,
     forward_transform,
     gauge_weight,
     image_grid_for,
@@ -48,23 +47,33 @@ def weight_and_derivatives(cs: CoefficientSet, t: float, x: np.ndarray):
     return h, h * r, h * (r * r + rx), h * (r**3 + 3.0 * r * rx + rxx)
 
 
+def straightening(cs: CoefficientSet, t: float, g, image_grid=None) -> np.ndarray:
+    """A = int_0^x alpha^(-1/3) on the source grid, as the gauge map at t samples it."""
+    if image_grid is None:
+        image_grid = image_grid_for(cs, g, times=(t,))
+    return build_gauge_map(cs, t, g, image_grid).A_samples
+
+
 class TestComputeA:
+    """The straightening map A of a gauge map, and its time derivative."""
+
     def test_identity(self):
         g = make_grid(8 * np.pi, 128)
-        A = compute_A(parse_coefficient("1"), 0.0, g)
+        cs = CoefficientSet.from_strings(alpha="1")
+        A = straightening(cs, 0.0, g)
         assert np.abs(A - g.x).max() < 1e-13
-        inv_cbrt_t = CoefficientSet.from_strings(alpha="1").derived("alpha_inv_cbrt_t")
+        inv_cbrt_t = cs.derived("alpha_inv_cbrt_t")
         assert np.abs(inv_cbrt_t.eval(0.0, g.x)).max() == 0.0
 
     def test_dilation(self):
         g = make_grid(8 * np.pi, 128)
-        A = compute_A(parse_coefficient("8"), 0.0, g)
+        A = straightening(CoefficientSet.from_strings(alpha="8", alpha0=0.125), 0.0, g)
         assert np.abs(A - g.x / 2).max() < 1e-13
 
     def test_against_adaptive_quadrature(self):
-        alpha = parse_coefficient("2+tanh(x)")
+        cs = CoefficientSet.from_strings(alpha="2+tanh(x)", alpha0=0.3)
         g = make_grid(8 * np.pi, 256)
-        A = compute_A(alpha, 0.0, g)
+        A = straightening(cs, 0.0, g)
         fn = lambda y: (2 + np.tanh(y)) ** (-1.0 / 3.0)
         for idx in (0, 50, 128, 200, 255):
             want, _ = quad(fn, 0.0, g.x[idx], limit=200)
@@ -78,15 +87,15 @@ class TestComputeA:
         cs = CoefficientSet.from_strings(alpha="2+0.5*cos(t)*sech(x/4)^2", alpha0=0.4)
         g = make_grid(8 * np.pi, 128)
         t, h = 0.3, 1e-5
-        inv_cbrt_t = cs.derived("alpha_inv_cbrt_t")
-        A_t = anchored_cumulative(lambda y: np.asarray(inv_cbrt_t.eval(t, y)), g.x)
-        fd = (compute_A(cs.alpha, t + h, g) - compute_A(cs.alpha, t - h, g)) / (2 * h)
+        al, al_t = cs.sample(("alpha", "alpha_t"), t, g.x)
+        A_t, _ = _time_derivatives(cs, t, g.x, al, al_t)
+        fd = (straightening(cs, t + h, g) - straightening(cs, t - h, g)) / (2 * h)
         assert np.abs(A_t - fd).max() < 1e-8
 
     def test_rejects_nonpositive_alpha(self):
         g = make_grid(np.pi, 32)
         with pytest.raises(ValueError, match="positive"):
-            compute_A(parse_coefficient("tanh(x)"), 0.0, g)
+            image_grid_for(CoefficientSet.from_strings(alpha="tanh(x)"), g)
 
 
 class TestInvertA:
@@ -441,7 +450,7 @@ class TestTimeDependentGaugeProperties:
         A_t, ht_h = _time_derivatives(cs, t, g.x, al, al_t)
         log_h_t = fourth_order(lambda s: np.log(gauge_weight(cs, t + s, g.x)))
         assert np.abs(ht_h - log_h_t).max() < 1e-8 * max(1.0, np.abs(log_h_t).max())
-        fd_A_t = fourth_order(lambda s: compute_A(cs.alpha, t + s, g))
+        fd_A_t = fourth_order(lambda s: straightening(cs, t + s, g, system.image_grid))
         assert np.abs(A_t - fd_A_t).max() < 1e-8 * max(1.0, np.abs(fd_A_t).max())
 
         # forward then inverse transport at t is the identity

@@ -10,15 +10,20 @@ VIOLATING with `--allow-hypothesis-violation`, and on the soliton,
 drift_oracle and static_oracle workloads of perfbench/workloads.py at seed
 1, once with the
 working tree's `src/` and once with REF's, which is exported with
-`git archive` into a temporary directory.  Both sides run the working
-tree's configs.  Prints "identical" per config, or every moved CSV/JSON
-cell with its absolute change; exits 1 if anything moved or a run's exit
-code differs.  Runs one process at a time.
+`git archive` into a temporary directory.  `kdvgauge check` runs on each
+config too, since the hypothesis report it prints is in no output file;
+its exit code, stdout and stderr are compared, stderr without the
+indented traceback frames, which move with any edit of the code.
+Both sides run the working tree's configs.  Prints "identical" per config,
+or every moved CSV/JSON cell with its absolute change and every differing
+`check` line; exits 1 if anything moved or an exit code differs.  Runs
+one process at a time.
 """
 
 import argparse
 import ast
 import csv
+import difflib
 import importlib.util
 import io
 import json
@@ -82,15 +87,39 @@ def export(ref: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run(src: Path, cfg: Path, out: Path, args: list) -> int:
+def kdvgauge(src: Path, args: list) -> subprocess.CompletedProcess:
+    """One `kdvgauge` process on the package under `src`, one BLAS thread;
+    `src` is written as <src> in its output, where tracebacks name it."""
     env = dict(os.environ, PYTHONPATH=str(src))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     done = subprocess.run(
-        [sys.executable, "-m", "kdvgauge.cli", "run", str(cfg), "-o", str(out), *args],
-        env=env, capture_output=True, text=True,
+        [sys.executable, "-m", "kdvgauge.cli", *args], env=env, capture_output=True, text=True,
     )
-    return done.returncode
+    done.stdout = done.stdout.replace(str(src), "<src>")
+    done.stderr = done.stderr.replace(str(src), "<src>")
+    return done
+
+
+def _stream_lines(done: subprocess.CompletedProcess, stream: str) -> list[str]:
+    """The lines of one stream; stderr without its indented lines, the
+    traceback frames and warning sources that name code locations."""
+    lines = getattr(done, stream).splitlines()
+    return [line for line in lines if stream == "stdout" or not line[:1].isspace()]
+
+
+def check_differences(ref: subprocess.CompletedProcess, new: subprocess.CompletedProcess) -> list[str]:
+    """The exit code and the stdout/stderr lines of two `check` runs that differ."""
+    lines = []
+    if ref.returncode != new.returncode:
+        lines.append(f"check exit code {ref.returncode} -> {new.returncode}")
+    for stream in ("stdout", "stderr"):
+        diff = difflib.unified_diff(
+            _stream_lines(ref, stream), _stream_lines(new, stream), lineterm="", n=0,
+        )
+        lines += [f"check {stream} {line}" for line in diff
+                  if line[:1] in "+-" and line[:3] not in ("---", "+++")]
+    return lines
 
 
 def _cells(path: Path) -> dict:
@@ -150,15 +179,19 @@ def main(argv=None) -> int:
             cfg = tmp / "run.cfg"
             cfg.write_text(text, encoding="utf-8")
             out_ref, out_new = tmp / f"{i}.ref", tmp / f"{i}.new"
-            code_ref = run(tmp / "ref" / "src", cfg, out_ref, run_args)
-            code_new = run(ROOT / "src", cfg, out_new, run_args)
+            run_ref = kdvgauge(tmp / "ref" / "src", ["run", str(cfg), "-o", str(out_ref), *run_args])
+            run_new = kdvgauge(ROOT / "src", ["run", str(cfg), "-o", str(out_new), *run_args])
             lines = []
-            if code_ref != code_new:
-                lines.append(f"exit code {code_ref} -> {code_new}")
+            if run_ref.returncode != run_new.returncode:
+                lines.append(f"exit code {run_ref.returncode} -> {run_new.returncode}")
             if out_ref.is_dir() and out_new.is_dir():
                 lines += moved_cells(out_new, out_ref)
             elif out_ref.is_dir() != out_new.is_dir():
                 lines.append("outputs written on one side only")
+            lines += check_differences(
+                kdvgauge(tmp / "ref" / "src", ["check", str(cfg)]),
+                kdvgauge(ROOT / "src", ["check", str(cfg)]),
+            )
             moved = moved or bool(lines)
             print(f"{name}: " + ("identical" if not lines else "MOVED"), flush=True)
             for line in lines:
