@@ -68,7 +68,6 @@ _SCHEMA = {
         "s": ("float", "1.0"),
         "dealias": ("bool", "true"),
         "blowup_threshold": ("positive_or_auto", "auto"),
-        "monitor_stride": ("int", "10"),
     },
     # the kind's own knobs are added from its spec (_experiment_schema)
     "experiment": {
@@ -245,9 +244,8 @@ def parse_config(path) -> RunConfig:
     values.setdefault("split", {})["beta1"] = b1_text
     values["split"]["beta2"] = b2_text
 
-    solver = {k: v for k, v in values["solver"].items() if k != "monitor_stride"}  # read by no kind
     knobs = {k: v for k, v in values["experiment"].items() if k != "kind"}
-    spec = EXPERIMENTS[kind][0](cset=cset, **values["grid"], **solver, **knobs)
+    spec = EXPERIMENTS[kind][0](cset=cset, **values["grid"], **values["solver"], **knobs)
     try:
         grid = make_grid(spec.half_width, spec.num_points)
     except GridSizeError as exc:  # its message starts with the key

@@ -44,12 +44,21 @@ from .dyadic import (
     resonance_omega3,
 )
 from .gauge import GaugeSystem, TransformedCoefficients, forward_transform
-from .solver import SolverConfig, SpaceTimeBump, Trajectory, auto_dt, solve, weak_residual
+from .solver import (
+    EDGE_MASS_WARN,
+    SolverConfig,
+    SpaceTimeBump,
+    Trajectory,
+    auto_dt,
+    solve,
+    weak_residual,
+)
 from .spectral import (
     Grid,
     GridSizeError,
     SpectralState,
     derivative as spectral_derivative,
+    edge_mass_fraction,
     l2_norm,
     make_grid,
     mass,
@@ -513,6 +522,13 @@ class WavepacketSpec(ExperimentSpec):
         fold back near k_max. On the default grid (k_max = 32) the gains at
         xi0 = 21 and 25 stay within 3% of the gain at 10, and the gain at 30
         falls by a third.
+
+        Once those checks pass, each carrier's packet must be nonzero and keep
+        its edge mass (`spectral.edge_mass_fraction`) at most the solver's
+        EDGE_MASS_WARN, both as the datum and as its dispersion-only image at
+        the traversal time; a packet that reaches the periodic wrap would
+        make the gains meaningless (launched at 30 on the default grid, the
+        spread across the default sweep reads 0.43).
         """
         violations = []
         if self._alpha() is None:
@@ -533,7 +549,44 @@ class WavepacketSpec(ExperimentSpec):
                 f"lie outside (0, {k_top:g}); each must be positive and below two "
                 f"thirds of k_max = {grid.k_max:g} on this grid"
             )
-        return violations + _refused(self, ("packet_width", "packet_launch"))
+        violations += _refused(self, ("packet_width", "packet_launch"))
+        if violations:
+            return violations
+        reached = []
+        with np.errstate(all="ignore"):  # a packet out of scale is refused below
+            for xi0 in self.xi0_sweep:
+                datum, image, T = self._packet(grid, xi0)
+                for when, state in (("at launch", datum), (f"at t = {T:.4g}", image)):
+                    edge = edge_mass_fraction(state)
+                    if not np.any(state.coefficients):
+                        reached.append(f"xi0 = {xi0:g} is zero on the grid {when}")
+                        break
+                    if not edge <= EDGE_MASS_WARN:
+                        reached.append(f"xi0 = {xi0:g} has edge mass {edge:.2g} {when}")
+                        break
+        if reached:
+            violations.append(
+                f"[experiment] packet_launch, packet_width: each packet must be "
+                f"nonzero and keep its mass off the outer 10% of the domain (edge "
+                f"mass <= {EDGE_MASS_WARN:g}) from launch to the traversal time; "
+                f"launched at {self.packet_launch:g} with width {self.packet_width:g} "
+                f"on half_width {grid.half_width:g}, {'; '.join(reached)}"
+            )
+        return violations
+
+    def _packet(self, grid: Grid, xi0: float) -> tuple:
+        """(datum, its dispersion-only image, traversal time) of carrier xi0.
+
+        The packet launched at packet_launch travels left at group speed
+        3 alpha xi0^2, so the traversal time 2 launch / (3 alpha xi0^2) takes
+        it to -launch; the image is the datum under the exact multiplier
+        exp(i alpha k^3 T) of u_t + alpha u_xxx = 0 (alpha constant).
+        """
+        a0 = self._alpha()
+        u0 = packet_state(grid, xi0, self.packet_width, center=self.packet_launch)
+        T = 2.0 * self.packet_launch / (3.0 * a0 * xi0**2)
+        k = grid.wavenumbers
+        return u0, SpectralState(grid, u0.coefficients * np.exp(1j * a0 * k**3 * T), True), T
 
     def integrated_cset(self) -> CoefficientSet:
         """The config's constant alpha with the study's own anti-diffusion
@@ -574,16 +627,10 @@ def run_wavepacket(spec: WavepacketSpec) -> ExperimentReport:
     rows = []
     gains = []
     for xi0 in spec.xi0_sweep:
-        u0 = packet_state(grid, xi0, spec.packet_width, center=spec.packet_launch)
-        T = 2.0 * spec.packet_launch / (3.0 * a0 * xi0**2)
+        u0, ref, T = spec._packet(grid, xi0)
         cfg = SolverConfig(t_final=T, dt=spec.dt, s=spec.s, dealias=False,
                            blowup_threshold=spec.blowup_threshold)
         traj = report.solved(solve(u0, cfg, cset))
-        # dispersion-only reference by the exact multiplier (alpha constant)
-        k = grid.wavenumbers
-        ref = SpectralState(
-            grid, u0.coefficients * np.exp(1j * a0 * k**3 * T), True
-        )
         gain = envelope_peak(traj.final_state) / envelope_peak(ref)
         gains.append(gain)
         rows.append([xi0, T, gain, heuristic, gain / heuristic])

@@ -1,13 +1,18 @@
 """Config ingestion, schema diagnostics, run orchestration, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kdvgauge
 from kdvgauge.cli import ConfigError, main, parse_config, run
 from kdvgauge.coefficients import check_hypotheses
 from kdvgauge.experiments import EXPERIMENTS
@@ -208,6 +213,27 @@ class TestMain:
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg"), "-o", str(tmp_path)]) == 2
 
+    @pytest.mark.slow
+    def test_run_and_check_without_scipy(self, tmp_path):
+        # scipy is only a test oracle: with every scipy import blocked, both
+        # commands complete.  A subprocess, because other test modules have
+        # imported scipy into this interpreter already.
+        cfg, out = str(write_cfg(tmp_path, MINIMAL)), str(tmp_path / "out")
+        program = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from kdvgauge.cli import main\n"
+            f"codes = [main(['check', {cfg!r}]), main(['run', {cfg!r}, '-o', {out!r}])]\n"
+            "print('exit codes', codes)\n"
+        )
+        path = [str(Path(kdvgauge.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        done = subprocess.run(
+            [sys.executable, "-c", program], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "exit codes [0, 0]", done.stdout + done.stderr
+
 
 KIND_CONFIGS = {
     "transform_consistency": """
@@ -371,6 +397,15 @@ REFUSED_VALUES = {
     "packet_launch": (
         KIND_CONFIGS["wavepacket"].replace("packet_launch = 6", "packet_launch = 0"),
         "[experiment] packet_launch: must be positive and finite, got 0",
+    ),
+    # launched at 30 on the default grid (half_width 8 pi) the packet sits at
+    # the edge, where the gains measure the periodic wrap
+    "packet at the edge": (
+        "[experiment]\nkind = wavepacket\npacket_launch = 30\n",
+        "[experiment] packet_launch, packet_width: each packet must be nonzero and "
+        "keep its mass off the outer 10% of the domain (edge mass <= 1e-06) from "
+        "launch to the traversal time; launched at 30 with width 1.5 on half_width "
+        "25.1327, xi0 = 10 has edge mass 1 at launch",
     ),
 }
 
@@ -722,16 +757,16 @@ kind = commutator_survey
             parse_config(write_cfg(tmp_path, cfg_text, "bad.cfg"))
 
 
-# config_sha256 of each run config, as the flat-schema parser computed them:
-# a canonical form that moved would change every run id
+# config_sha256 of each run config: a canonical form that moved would change
+# every run id
 PINNED_SHA256 = {
-    "MINIMAL": "e6ba40471a0c481207decc7e9ae8be3d2aa98c931d0ae3d431bc035e880c0e67",
-    "SURVEY": "a46b2eb1262753fdcc265ab633b2519727c94d7f7f255d225926b84fb95eed3a",
-    "VIOLATING": "12115b14331405fcf25f9cc9d04d58a18d5d987c8c702eb875efa66aea08ce93",
-    "transform_consistency": "f4d192c62257373c3257368a551649e019bff3d616c5908cc45b01c1234d1d67",
-    "bona_smith": "968918fa68e5e1bb462f53ee8f9fbc3c94212b57c81795fd502c40baf96b660f",
-    "wavepacket": "21ab92458b5cf9f95e01681109f5be53b31855d146a47a5ac7d0e0e51f2c50bb",
-    "continuity": "5bd0fccaa1ef1cc4178ad7be06049d2bdc13fd61d6d13326873e570420054065",
+    "MINIMAL": "bd011ce259513fa4b5386fb0779f595c60468d69e9607e4a86fd75ce97660bd2",
+    "SURVEY": "0575fc8e6aa8e47fc26702c7a8ce49715ff4ee63702d7b30db4392d4178c7a98",
+    "VIOLATING": "b4e9ca2980de71d3966f8f7b8bd4bf53b090156e4343d4815324c0b0d81cb93e",
+    "transform_consistency": "363dcc4b6e311bcc5ebf2f3a1f7231bb5ba0891af81834cbc46b624cb3d96c4a",
+    "bona_smith": "11b0d94a1739cfe1372abc5f630e6c2a26c49828253f84c62fd2a3951274126e",
+    "wavepacket": "9494d5300c7dd59df7df7f045f3cdabde00296d50b30c26cd29f17bde0c31484",
+    "continuity": "7e9e5da18970cbba20d9260da1779667b1a051b113370489c9ba4c0a0be861f7",
 }
 
 # one parsing config per kind

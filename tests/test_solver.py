@@ -4,8 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import simpson
 
 from kdvgauge import solver as solver_module
 from kdvgauge.coefficients import CoefficientSet
@@ -15,6 +17,7 @@ from kdvgauge.solver import (
     EDGE_MASS_WARN,
     SolverConfig,
     SpaceTimeBump,
+    _simpson,
     auto_dt,
     solve,
     weak_residual,
@@ -316,6 +319,39 @@ class TestWeakResidual:
         late = SpaceTimeBump(x0=0.0, x_width=0.5, t_width=0.2)  # alive at T
         with pytest.raises(ValueError, match="final time"):
             weak_residual(traj, late, tc)
+
+
+_SCIPY_CARTWRIGHT = tuple(int(v) for v in scipy.__version__.split(".")[:2]) >= (1, 11)
+
+
+class TestSimpson:
+    @pytest.mark.parametrize("parity", ["odd", "even"])
+    @pytest.mark.parametrize("spacing", ["random", "uniform"])
+    def test_matches_scipy(self, parity, spacing):
+        # odd counts: scipy's composite rule for irregular spacing, bit for
+        # bit under every scipy; even counts: the last-interval correction of
+        # scipy >= 1.11 (scipy 1.10 averages two end rules instead), which is
+        # exact on quadratics
+        rng = np.random.default_rng(7)
+        counts = range(3, 242, 2) if parity == "odd" else range(4, 241, 2)
+        for n in counts:
+            if spacing == "random":
+                x = np.cumsum(rng.uniform(0.05, 1.0, n)) - 3.0
+            else:
+                x = np.linspace(-1.0, 2.0, n)
+            a, b, c = rng.normal(size=3)
+            quadratic = a + b * x + c * x**2
+            if parity == "even":
+
+                def antiderivative(s):
+                    return a * s + b * s**2 / 2 + c * s**3 / 3
+
+                exact = antiderivative(x[-1]) - antiderivative(x[0])
+                scale = (abs(a) + abs(b) + abs(c)) * (x[-1] - x[0]) * (1 + x[-1] ** 2)
+                assert abs(_simpson(quadratic, x) - exact) <= 1e-13 * scale, n
+            if parity == "odd" or _SCIPY_CARTWRIGHT:
+                for y in (quadratic, rng.normal(size=n)):
+                    assert _simpson(y, x) == simpson(y, x=x), n
 
 
 class TestEnergyMonitor:
