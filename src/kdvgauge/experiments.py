@@ -45,7 +45,6 @@ from .dyadic import (
 )
 from .gauge import GaugeSystem, TransformedCoefficients, forward_transform
 from .solver import (
-    EDGE_MASS_WARN,
     SolverConfig,
     SpaceTimeBump,
     Trajectory,
@@ -54,6 +53,7 @@ from .solver import (
     weak_residual,
 )
 from .spectral import (
+    EDGE_MASS_LIMIT,
     Grid,
     GridSizeError,
     SpectralState,
@@ -337,31 +337,10 @@ class TransformConsistencySpec(ExperimentSpec):
 def run_transform_consistency(spec: TransformConsistencySpec) -> ExperimentReport:
     """Mutual-oracle comparison of the two solution paths."""
     report = ExperimentReport(kind=spec.kind, watermark=spec.hypothesis_violating)
-    T = spec.t_final
     # dense monitors: the weak-residual time quadrature needs to resolve the
     # test bump's transition
-    monitor = np.linspace(0.0, T, 81)[1:]
-    rows = []
-    for n in spec.refine_sweep:
-        grid = make_grid(spec.half_width, n)
-        u0 = gaussian_state(grid, spec.gaussian_amplitude, spec.gaussian_width)
-        system = GaugeSystem(spec.cset, grid, times=np.linspace(0.0, T, 3))
-        cfg = SolverConfig(t_final=T, dt=spec.dt, s=spec.s, dealias=spec.dealias,
-                           blowup_threshold=spec.blowup_threshold)
-        traj_o = report.solved(solve(u0, cfg, spec.cset, monitor_times=monitor))
-        v0 = forward_transform(u0, system.map_at(0.0))
-        traj_t = report.solved(solve(v0, cfg, system, monitor_times=monitor))
-        disc = 0.0
-        for i, t in enumerate(traj_o.times):
-            vm = forward_transform(traj_o.states[i], system.map_at(float(t)))
-            disc = max(disc, l2_norm(vm - traj_t.states[i]))
-        bump_o = SpaceTimeBump(x0=0.0, x_width=0.2 * grid.half_width, t_width=0.4 * T)
-        res_o = weak_residual(traj_o, bump_o, spec.cset)
-        bump_t = SpaceTimeBump(
-            x0=0.0, x_width=0.2 * system.image_grid.half_width, t_width=0.4 * T
-        )
-        res_t = weak_residual(traj_t, bump_t, system)
-        rows.append([n, disc, res_o, res_t])
+    monitor = np.linspace(0.0, spec.t_final, 81)[1:]
+    rows = [_consistency_row(spec, report, n, monitor) for n in spec.refine_sweep]
     report.add_table(
         "discrepancy", ["n", "sup_t_l2_discrepancy", "weak_residual_original",
                         "weak_residual_transformed"], rows
@@ -389,6 +368,39 @@ def run_transform_consistency(spec: TransformConsistencySpec) -> ExperimentRepor
     else:
         report.notes.append("single-level sweep: no refinement fit")
     return report
+
+
+def _consistency_row(
+    spec: TransformConsistencySpec, report: ExperimentReport, n: int, monitor: np.ndarray
+) -> list:
+    """[n, sup_t L2 discrepancy, weak residual of each form] on the n-point grid.
+
+    The gauge system keeps its slices at 0 and the monitor times, which the
+    discrepancy loop and the transformed weak residual revisit after the
+    solve, so each is built once.  The grid's trajectories and system are
+    released on return, before the next grid is solved.
+    """
+    T = spec.t_final
+    grid = make_grid(spec.half_width, n)
+    u0 = gaussian_state(grid, spec.gaussian_amplitude, spec.gaussian_width)
+    system = GaugeSystem(spec.cset, grid, times=np.linspace(0.0, T, 3),
+                         keep=np.concatenate([[0.0], monitor]))
+    cfg = SolverConfig(t_final=T, dt=spec.dt, s=spec.s, dealias=spec.dealias,
+                       blowup_threshold=spec.blowup_threshold)
+    traj_o = report.solved(solve(u0, cfg, spec.cset, monitor_times=monitor))
+    v0 = forward_transform(u0, system.map_at(0.0))
+    traj_t = report.solved(solve(v0, cfg, system, monitor_times=monitor))
+    disc = 0.0
+    for i, t in enumerate(traj_o.times):
+        vm = forward_transform(traj_o.states[i], system.map_at(float(t)))
+        disc = max(disc, l2_norm(vm - traj_t.states[i]))
+    bump_o = SpaceTimeBump(x0=0.0, x_width=0.2 * grid.half_width, t_width=0.4 * T)
+    res_o = weak_residual(traj_o, bump_o, spec.cset)
+    bump_t = SpaceTimeBump(
+        x0=0.0, x_width=0.2 * system.image_grid.half_width, t_width=0.4 * T
+    )
+    res_t = weak_residual(traj_t, bump_t, system)
+    return [n, disc, res_o, res_t]
 
 
 @dataclass(frozen=True)
@@ -524,10 +536,10 @@ class WavepacketSpec(ExperimentSpec):
         falls by a third.
 
         Once those checks pass, each carrier's packet must be nonzero and keep
-        its edge mass (`spectral.edge_mass_fraction`) at most the solver's
-        EDGE_MASS_WARN, both as the datum and as its dispersion-only image at
-        the traversal time; a packet that reaches the periodic wrap would
-        make the gains meaningless (launched at 30 on the default grid, the
+        its edge mass (`spectral.edge_mass_fraction`) at most
+        `spectral.EDGE_MASS_LIMIT`, both as the datum and as its
+        dispersion-only image at the traversal time; a packet that reaches
+        the periodic wrap would make the gains meaningless (launched at 30 on the default grid, the
         spread across the default sweep reads 0.43).
         """
         violations = []
@@ -561,14 +573,14 @@ class WavepacketSpec(ExperimentSpec):
                     if not np.any(state.coefficients):
                         reached.append(f"xi0 = {xi0:g} is zero on the grid {when}")
                         break
-                    if not edge <= EDGE_MASS_WARN:
+                    if not edge <= EDGE_MASS_LIMIT:
                         reached.append(f"xi0 = {xi0:g} has edge mass {edge:.2g} {when}")
                         break
         if reached:
             violations.append(
                 f"[experiment] packet_launch, packet_width: each packet must be "
                 f"nonzero and keep its mass off the outer 10% of the domain (edge "
-                f"mass <= {EDGE_MASS_WARN:g}) from launch to the traversal time; "
+                f"mass <= {EDGE_MASS_LIMIT:g}) from launch to the traversal time; "
                 f"launched at {self.packet_launch:g} with width {self.packet_width:g} "
                 f"on half_width {grid.half_width:g}, {'; '.join(reached)}"
             )

@@ -21,21 +21,35 @@ which is used for the h-derivative recurrences (h_xx/h = r^2 + r_x, etc.)
 and makes b = -beta2 alpha^(-2/3) hold to round-off, hence b >= 0 whenever
 beta2 <= 0.
 
-A slice samples only what the solvers and transports read: A on the source
-grid, h on the source grid (inverse transport) and at the pullback points
-A^-1(image nodes) (forward transport), both from the one closed form in
-`gauge_weight`; the h-derivatives and A_t enter only b..f, at the pullback
-points, through the cached derived forms of the coefficient set.
+A slice samples only what the solvers and transports read: A on the
+source grid, and at the pullback points A^-1(image nodes) h (forward
+transport) with the drift terms A_t and h_t/h (b..f); h on the source grid
+(inverse transport) is built when first read.  h comes from the one closed
+form of `gauge_weight`; at the pullback points it shares one anchored rule,
+and one program over that rule's Gauss nodes, with the two time integrals
+of the drift terms.  The h-derivatives enter only b..f, through the cached
+derived forms of the coefficient set.
+
+`GaugeSystem` serves slices by time through two `TimeSlices` caches, which
+keep the times they are told to keep and the newest few others.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .coefficients import _GL_NODES, _GL_WEIGHTS, CoefficientSet, _AnchoredRule
-from .spectral import Grid, SpectralState, edge_mass_fraction, interpolate, make_grid
+from .spectral import (
+    EDGE_MASS_LIMIT,
+    Grid,
+    SpectralState,
+    edge_mass_fraction,
+    interpolate,
+    make_grid,
+)
 
 __all__ = [
     "GaugeMap",
@@ -51,18 +65,17 @@ __all__ = [
     "GaugeSystem",
 ]
 
-# what a slice samples at the pullback points A^-1(image nodes): alpha with
-# the derivatives b..f and h_t/h read, the lower-order fields, and the
-# log-derivative r = h_x/h with the two x-derivatives of the h recurrences
+# what b..f read at the pullback points A^-1(image nodes): alpha with its
+# x-derivatives, the lower-order fields, and the log-derivative r = h_x/h
+# with the two x-derivatives of the h recurrences
 _PULLBACK_FIELDS = (
-    "alpha", "alpha_x", "alpha_xx", "alpha_t", "beta", "gamma", "delta", "epsilon",
+    "alpha", "alpha_x", "alpha_xx", "beta", "gamma", "delta", "epsilon",
     "gauge_ratio", "gauge_ratio_x", "gauge_ratio_xx",
 )
-# the integrands of A_t and of h_t/h, sampled at the Gauss nodes of the
-# pullback points
+# the integrands of A_t and of h_t/h, sampled with beta1/alpha (for h) at
+# the Gauss nodes of the pullback points
 _TIME_INTEGRANDS = ("alpha_inv_cbrt_t", "ratio1_t")
 
-EDGE_MASS_LIMIT = 1e-6
 INVERSION_TOL = 1e-11
 
 
@@ -101,13 +114,20 @@ class GaugeMap:
     image_grid: Grid
     cset: CoefficientSet
     A_samples: np.ndarray
-    h_samples: np.ndarray
     A_inverse_samples: np.ndarray  # pullback points for the image nodes
     inverse_clamped: np.ndarray  # image nodes outside the sampled A-range
     h_at_inverse: np.ndarray
+    A_t_at_inverse: np.ndarray  # the drift terms of b..f at the pullback points
+    ht_h_at_inverse: np.ndarray
 
     def a_of(self, points: np.ndarray) -> np.ndarray:
         """Evaluate A at arbitrary source points (node anchor + one cell)."""
+        return self._a_and_slope(points, with_slope=False)
+
+    def _a_and_slope(self, points: np.ndarray, with_slope: bool = True):
+        """A at the points from alpha^(-1/3) at the Gauss nodes of each
+        point's cell; with `with_slope`, (A, A') with A' = alpha^(-1/3) at the
+        points from the same program call."""
         pts = np.atleast_1d(np.asarray(points, dtype=float))
         gx = self.source_grid.x
         idx = np.clip(np.searchsorted(gx, pts, side="right") - 1, 0, gx.size - 1)
@@ -115,10 +135,19 @@ class GaugeMap:
         a = gx[idx]
         halves = 0.5 * (pts - a)
         mids = 0.5 * (pts + a)
-        nodes = mids[:, None] + halves[:, None] * _GL_NODES[None, :]
-        vals = np.asarray(inv_cbrt.eval(self.t, nodes.ravel())).reshape(nodes.shape)
-        seg = halves * (vals @ _GL_WEIGHTS)
-        return self.A_samples[idx] + seg
+        nodes = (mids[:, None] + halves[:, None] * _GL_NODES[None, :]).ravel()
+        if with_slope:
+            nodes = np.concatenate([nodes, pts])
+        vals = np.asarray(inv_cbrt.eval(self.t, nodes))
+        m = _GL_NODES.size * pts.size
+        seg = halves * (vals[:m].reshape(-1, _GL_NODES.size) @ _GL_WEIGHTS)
+        A = self.A_samples[idx] + seg
+        return (A, vals[m:]) if with_slope else A
+
+    @cached_property
+    def h_samples(self) -> np.ndarray:
+        """h on the source grid, built when the inverse transport first reads it."""
+        return gauge_weight(self.cset, self.t, self.source_grid.x)
 
     @property
     def a_range(self) -> tuple[float, float]:
@@ -128,9 +157,10 @@ class GaugeMap:
 def invert_A(gmap: GaugeMap, y) -> np.ndarray | float:
     """Solve A(t, x) = y by monotone bracketing plus Newton.
 
-    A' = alpha^(-1/3) supplies the exact Newton slope; convergence to
-    |A(x) - y| < 1e-11 is verified.  Raises for y outside the sampled range
-    (solution mass touching the domain edge).
+    A' = alpha^(-1/3) supplies the exact Newton slope; each iteration takes
+    the residual and the slope from one program call.  Convergence to
+    |A(x) - y| < 1e-11 is verified on the last residual.  Raises for y
+    outside the sampled range (solution mass touching the domain edge).
     """
     scalar = np.isscalar(y) or np.ndim(y) == 0
     yv = np.atleast_1d(np.asarray(y, dtype=float))
@@ -143,22 +173,21 @@ def invert_A(gmap: GaugeMap, y) -> np.ndarray | float:
     yv = np.clip(yv, lo, hi)
     gx = gmap.source_grid.x
     x = np.interp(yv, gmap.A_samples, gx)
-    inv_cbrt = gmap.cset.derived("alpha_inv_cbrt")
-    for _ in range(8):
-        res = gmap.a_of(x) - yv
-        if np.abs(res).max() < 0.1 * INVERSION_TOL:
+    for update in range(9):  # at most eight Newton updates, each one checked
+        A, slope = gmap._a_and_slope(x)
+        res = A - yv
+        if update == 8 or np.abs(res).max() < 0.1 * INVERSION_TOL:
             break
-        slope = np.asarray(inv_cbrt.eval(gmap.t, x), dtype=float)
         x = np.clip(x - res / slope, gx[0], gx[-1])
-    res = np.abs(gmap.a_of(x) - yv).max()
+    res = np.abs(res).max()
     if res > INVERSION_TOL:
         raise RuntimeError(f"inversion stalled: residual {res:.3e}")
     return float(x[0]) if scalar else x
 
 
-def _straighten(cset: CoefficientSet, t: float, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """A = int_0^x alpha^(-1/3) and h on the grid, from one program over the
-    Gauss nodes of one anchored rule.
+def _straighten(cset: CoefficientSet, t: float, grid: Grid) -> np.ndarray:
+    """A = int_0^x alpha^(-1/3) on the grid, over the Gauss nodes of one
+    anchored rule.
 
     Rejects alpha that is not positive on the grid and an A that is not
     strictly increasing.
@@ -169,11 +198,10 @@ def _straighten(cset: CoefficientSet, t: float, grid: Grid) -> tuple[np.ndarray,
             f"alpha must be strictly positive; min sampled value {a_vals.min():.3e}"
         )
     rule = _AnchoredRule(grid.x)
-    inv_cbrt, ratio1 = cset.sample(("alpha_inv_cbrt", "ratio1"), t, rule.nodes)
-    A = rule.integrate(inv_cbrt)
+    A = rule.integrate(cset.derived("alpha_inv_cbrt").eval(t, rule.nodes))
     if np.any(np.diff(A) <= 0.0):
         raise ValueError("straightening map is not strictly increasing")
-    return A, _weight(cset, t, a_vals, rule, ratio1)
+    return A
 
 
 def image_grid_for(
@@ -191,7 +219,7 @@ def image_grid_for(
     """
     reach = 0.0
     for t in np.atleast_1d(np.asarray(times, dtype=float)):
-        A, _ = _straighten(cset, float(t), source_grid)
+        A = _straighten(cset, float(t), source_grid)
         reach = max(reach, abs(A[0]), abs(A[-1]))
     H = reach * (1.0 + padding)
     return make_grid(H, num_points or source_grid.num_points)
@@ -201,45 +229,53 @@ def build_gauge_map(
     cset: CoefficientSet, t: float, source_grid: Grid, image_grid: Grid
 ) -> GaugeMap:
     t = float(t)
-    A, h = _straighten(cset, t, source_grid)
+    A = _straighten(cset, t, source_grid)
+    n = image_grid.num_points
     gmap = GaugeMap(
         t=t,
         source_grid=source_grid,
         image_grid=image_grid,
         cset=cset,
         A_samples=A,
-        h_samples=h,
-        A_inverse_samples=np.zeros(image_grid.num_points),
-        inverse_clamped=np.zeros(image_grid.num_points, dtype=bool),
-        h_at_inverse=np.ones(image_grid.num_points),
+        A_inverse_samples=np.zeros(n),
+        inverse_clamped=np.zeros(n, dtype=bool),
+        h_at_inverse=np.ones(n),
+        A_t_at_inverse=np.zeros(n),
+        ht_h_at_inverse=np.zeros(n),
     )
     lo, hi = gmap.a_range
     xi = image_grid.x
     gmap.inverse_clamped = (xi < lo) | (xi > hi)
     gmap.A_inverse_samples = np.asarray(invert_A(gmap, np.clip(xi, lo, hi)))
-    gmap.h_at_inverse = gauge_weight(cset, t, gmap.A_inverse_samples)
+    gmap.h_at_inverse, gmap.A_t_at_inverse, gmap.ht_h_at_inverse = _weight_and_drift(
+        cset, t, gmap.A_inverse_samples
+    )
     return gmap
 
 
-def _time_derivatives(
-    cset: CoefficientSet, t: float, points: np.ndarray, al: np.ndarray, al_t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """A_t and h_t/h at ascending points, given alpha and alpha_t there.
+def _weight_and_drift(
+    cset: CoefficientSet, t: float, points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """h, A_t and h_t/h at ascending points, over one anchored rule.
 
-    Both integrands, d/dt alpha^(-1/3) and d/dt(beta1/alpha), are sampled
-    by one program on the one set of Gauss nodes of the points.
+    beta1/alpha (for h) and the two drift integrands, d/dt alpha^(-1/3)
+    and d/dt(beta1/alpha), are sampled by one program on the rule's Gauss
+    nodes.  The rule is dropped on return, so a kept slice holds only the
+    three arrays.  Coefficients independent of t have no drift.
     """
+    pts = np.asarray(points, dtype=float)
     if not cset.is_time_dependent:
-        return np.zeros_like(points), np.zeros_like(points)
-    rule = _AnchoredRule(points)
-    inv_cbrt_t, ratio1_t = cset.sample(_TIME_INTEGRANDS, t, rule.nodes)
+        return gauge_weight(cset, t, pts), np.zeros_like(pts), np.zeros_like(pts)
+    rule = _AnchoredRule(pts)
+    ratio1, inv_cbrt_t, ratio1_t = cset.sample(("ratio1",) + _TIME_INTEGRANDS, t, rule.nodes)
+    al, al_t = (np.asarray(v, dtype=float) for v in cset.sample(("alpha", "alpha_t"), t, pts))
     if cset.alpha.depends_on_t:
         A_t = rule.integrate(inv_cbrt_t)
     else:
-        A_t = np.zeros_like(points)
+        A_t = np.zeros_like(pts)
     al0, al_t0 = (float(v) for v in cset.sample(("alpha", "alpha_t"), t, 0.0))
     ht_h = (al_t0 / al0 - al_t / al) / 3.0 + rule.integrate(ratio1_t) / 3.0
-    return A_t, ht_h
+    return _weight(cset, t, al, rule, ratio1), A_t, ht_h
 
 
 @dataclass
@@ -288,16 +324,14 @@ def transform_coefficients(
         raise ValueError("gauge map was built for a different image grid")
     t = gmap.t
     y = gmap.A_inverse_samples
-    al, al_x, al_2x, al_t, be, ga, de, ep, r, rx, rxx = (
+    al, al_x, al_2x, be, ga, de, ep, r, rx, rxx = (
         np.asarray(v, dtype=float) for v in cset.sample(_PULLBACK_FIELDS, t, y)
     )
     h = gmap.h_at_inverse
     hx_h = r
     h2x_h = r * r + rx
     h3x_h = r**3 + 3.0 * r * rx + rxx
-
-    # A_t and h_t/h at the pullback points (anchored quadratures in y)
-    A_t, ht_h = _time_derivatives(cset, t, y, al, al_t)
+    A_t, ht_h = gmap.A_t_at_inverse, gmap.ht_h_at_inverse
 
     cbrt = al ** (1.0 / 3.0)
     b = cbrt * (-be / al + al_x / al + 3.0 * hx_h)
@@ -363,7 +397,7 @@ def inverse_transform(v: SpectralState, gmap: GaugeMap) -> SpectralState:
     return SpectralState.from_physical(gmap.source_grid, u)
 
 
-SLICE_CACHE = 8  # slices a TimeSlices keeps; one RK4 step reads three stage times
+SLICE_CACHE = 8  # other slices a TimeSlices keeps; one RK4 step reads three stage times
 
 
 class TimeSlices:
@@ -371,22 +405,27 @@ class TimeSlices:
 
     A time is keyed as round(t, 14) and its slice is built at the key, so
     stage times that agree to 14 decimals share one slice; with `frozen`
-    every time maps to the one slice at 0.0.  The newest SLICE_CACHE slices
-    are kept, oldest evicted first, and a hit returns the same object.
+    every time maps to the one slice at 0.0.  The slices at the `keep`
+    times (keyed the same way) are never evicted; of the others the newest
+    SLICE_CACHE are kept, oldest evicted first.  A hit returns the same
+    object.
     """
 
-    def __init__(self, build, frozen: bool):
+    def __init__(self, build, frozen: bool, keep=()):
         self._build = build
         self._frozen = frozen
-        self._slices: dict = {}
+        self._keep = frozenset(round(float(t), 14) for t in keep)
+        self._kept: dict = {}
+        self._recent: dict = {}
 
     def __call__(self, t: float):
         key = 0.0 if self._frozen else round(float(t), 14)
-        hit = self._slices.get(key)
+        store = self._kept if key in self._keep else self._recent
+        hit = store.get(key)
         if hit is None:
-            if len(self._slices) >= SLICE_CACHE:
-                self._slices.pop(next(iter(self._slices)))
-            hit = self._slices[key] = self._build(key)
+            if store is self._recent and len(store) >= SLICE_CACHE:
+                store.pop(next(iter(store)))
+            hit = store[key] = self._build(key)
         return hit
 
 
@@ -395,7 +434,11 @@ class GaugeSystem:
 
     `map_at(t)` and `coefficients_at(t)` are two TimeSlices over one image
     grid: frozen coefficient sets build one slice of each for all times,
-    time-dependent ones a slice per 14-decimal time key.
+    time-dependent ones a slice per 14-decimal time key, and both caches
+    keep the slices at the `keep` times for the life of the system (times a
+    caller revisits after a solve, such as its monitor times).  `times`
+    only sizes the image grid.  The caches' builders hold no reference to
+    the system, so a dropped system is freed without the cyclic collector.
     """
 
     def __init__(
@@ -405,16 +448,17 @@ class GaugeSystem:
         image_grid: Grid | None = None,
         times=(0.0,),
         padding: float = 0.05,
+        keep=(),
     ):
         self.cset = cset
         self.source_grid = source_grid
-        self.image_grid = image_grid or image_grid_for(
+        self.image_grid = image_grid = image_grid or image_grid_for(
             cset, source_grid, times=times, padding=padding
         )
         frozen = not cset.is_time_dependent
-        self.map_at = TimeSlices(
-            lambda t: build_gauge_map(cset, t, source_grid, self.image_grid), frozen
+        self.map_at = map_at = TimeSlices(
+            lambda t: build_gauge_map(cset, t, source_grid, image_grid), frozen, keep
         )
         self.coefficients_at = TimeSlices(
-            lambda t: transform_coefficients(cset, self.map_at(t), self.image_grid), frozen
+            lambda t: transform_coefficients(cset, map_at(t), image_grid), frozen, keep
         )

@@ -37,7 +37,7 @@ import numpy as np
 from .coefficients import CoefficientSet
 from .dyadic import ProjectorBank, _b_energy, bump_eta, bump_eta_prime
 from .gauge import GaugeSystem, TimeSlices, TransformedCoefficients
-from .spectral import Grid, SpectralState, edge_mass_fraction, sobolev_norm
+from .spectral import EDGE_MASS_LIMIT, Grid, SpectralState, edge_mass_fraction, sobolev_norm
 
 __all__ = [
     "SolverConfig",
@@ -68,9 +68,6 @@ class SolverConfig:
             raise ValueError("monitor_stride must be >= 1")
 
 
-EDGE_MASS_WARN = 1e-6
-
-
 @dataclass
 class Trajectory:
     """A solve's record at each stored time: the state, its H^s and sup
@@ -87,7 +84,7 @@ class Trajectory:
     seminorm_cumulative: np.ndarray  # running weighted seminorm squared
     blowup: bool = False
     blowup_time: float | None = None
-    edge_mass_max: float = 0.0  # above EDGE_MASS_WARN the domain is too small
+    edge_mass_max: float = 0.0  # above EDGE_MASS_LIMIT the domain is too small
 
     @property
     def final_state(self) -> SpectralState:
@@ -431,10 +428,10 @@ def solve(
 
     times_arr = np.asarray(times)
     diss_arr = np.asarray(diss)
-    if config.warn_domain_edge and edge_max > EDGE_MASS_WARN:
+    if config.warn_domain_edge and edge_max > EDGE_MASS_LIMIT:
         warnings.warn(
             f"solution mass in the outer 10% of the domain reached "
-            f"{edge_max:.2e} (> {EDGE_MASS_WARN:g}); enlarge half_width",
+            f"{edge_max:.2e} (> {EDGE_MASS_LIMIT:g}); enlarge half_width",
             RuntimeWarning,
             stacklevel=2,
         )

@@ -28,6 +28,7 @@ __all__ = [
     "interpolate",
     "inner_product",
     "edge_mass_fraction",
+    "EDGE_MASS_LIMIT",
 ]
 
 
@@ -240,11 +241,16 @@ def interpolate(state: SpectralState, query_points: np.ndarray) -> np.ndarray:
     return out[0] if scalar else out
 
 
+# above this edge mass the domain is too small: the solver warns, the
+# transports refuse, and the wavepacket config is refused
+EDGE_MASS_LIMIT = 1e-6
+
+
 def edge_mass_fraction(state: SpectralState, edge_fraction: float = 0.1) -> float:
     """Fraction of the squared field sitting in the outer part of the domain.
 
     Used to monitor that localized solutions stay away from the periodic
-    wrap; values above ~1e-6 mean the domain is too small.
+    wrap; values above EDGE_MASS_LIMIT mean the domain is too small.
     """
     u = np.abs(state.physical()) ** 2
     L = state.grid.half_width

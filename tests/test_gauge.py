@@ -1,5 +1,8 @@
 """Straightening map, gauge weight, transformed coefficients, transport."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,7 @@ from kdvgauge.gauge import (
     SLICE_CACHE,
     GaugeSystem,
     TimeSlices,
-    _time_derivatives,
+    _weight_and_drift,
     build_gauge_map,
     forward_transform,
     gauge_weight,
@@ -82,13 +85,12 @@ class TestComputeA:
         assert A[128] == 0.0  # anchored at the origin node
 
     def test_time_derivative_matches_fd(self):
-        # A_t as transform_coefficients builds it: the anchored integral of
+        # A_t as a gauge slice builds it: the anchored integral of
         # d/dt alpha^(-1/3)
         cs = CoefficientSet.from_strings(alpha="2+0.5*cos(t)*sech(x/4)^2", alpha0=0.4)
         g = make_grid(8 * np.pi, 128)
         t, h = 0.3, 1e-5
-        al, al_t = cs.sample(("alpha", "alpha_t"), t, g.x)
-        A_t, _ = _time_derivatives(cs, t, g.x, al, al_t)
+        _, A_t, _ = _weight_and_drift(cs, t, g.x)
         fd = (straightening(cs, t + h, g) - straightening(cs, t - h, g)) / (2 * h)
         assert np.abs(A_t - fd).max() < 1e-8
 
@@ -250,8 +252,7 @@ class TestTransformedCoefficients:
         )
         g = make_grid(16 * np.pi, 256)
         t, step = 0.4, 1e-5
-        al, al_t = cs.sample(("alpha", "alpha_t"), t, g.x)
-        got = _time_derivatives(cs, t, g.x, al, al_t)[1]
+        got = _weight_and_drift(cs, t, g.x)[2]
         hp = gauge_weight(cs, t + step, g.x)
         hm = gauge_weight(cs, t - step, g.x)
         fd = (np.log(hp) - np.log(hm)) / (2 * step)
@@ -444,10 +445,9 @@ class TestTimeDependentGaugeProperties:
         h_x = fourth_order(lambda s: gauge_weight(cs, t, x + s))
         assert np.abs(h_x / h - r).max() < 1e-8 * max(1.0, np.abs(r).max())
 
-        # h_t / h and A_t as transform_coefficients takes them, against
+        # h_t / h and A_t as a gauge slice builds them, against
         # centred differences in t of log h and of A
-        al, al_t = cs.sample(("alpha", "alpha_t"), t, g.x)
-        A_t, ht_h = _time_derivatives(cs, t, g.x, al, al_t)
+        _, A_t, ht_h = _weight_and_drift(cs, t, g.x)
         log_h_t = fourth_order(lambda s: np.log(gauge_weight(cs, t + s, g.x)))
         assert np.abs(ht_h - log_h_t).max() < 1e-8 * max(1.0, np.abs(log_h_t).max())
         fd_A_t = fourth_order(lambda s: straightening(cs, t + s, g, system.image_grid))
@@ -505,6 +505,45 @@ class TestTimeSlices:
         assert len(built) == 20  # the newest eight are all hits
         assert slices(0.11) not in newest
         assert len(built) == 21  # the ninth newest was evicted
+
+    def test_kept_keys_are_built_once_and_never_evicted(self):
+        built = []
+        slices = TimeSlices(lambda t: built.append(t) or [t], False, keep=(0.1 + 0.2, 2.0))
+        kept = slices(0.3)  # kept keys are rounded like every other key
+        for i in range(3 * SLICE_CACHE):
+            slices(10.0 + i)
+        assert slices(0.3) is kept and slices(0.1 + 0.2) is kept
+        late = slices(2.0)  # kept, though first asked after the FIFO filled
+        for i in range(3 * SLICE_CACHE):
+            slices(100.0 + i)
+        assert slices(2.0) is late
+        assert built.count(0.3) == 1 and built.count(2.0) == 1
+        assert len(built) == 2 + 6 * SLICE_CACHE
+
+    def test_other_keys_keep_the_fifo_beside_kept_ones(self):
+        built = []
+        slices = TimeSlices(lambda t: built.append(t) or [t], False, keep=(0.5,))
+        first = [slices(float(i)) for i in range(SLICE_CACHE)]
+        slices(0.5)  # a kept key takes no FIFO slot
+        assert all(slices(float(i)) is first[i] for i in range(SLICE_CACHE))
+        slices(float(SLICE_CACHE))  # the ninth other key evicts the oldest
+        assert slices(0.0) is not first[0]
+        assert built == [*map(float, range(SLICE_CACHE)), 0.5, float(SLICE_CACHE), 0.0]
+
+    def test_dropped_gauge_system_is_freed_without_the_collector(self):
+        g = make_grid(8 * np.pi, 64)
+        cs = CoefficientSet.from_strings(alpha="2+0.5*cos(t)*sech(x/4)^2", alpha0=0.4)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            system = GaugeSystem(cs, g, image_grid=g, keep=(0.0,))
+            ref = weakref.ref(system.map_at(0.0))
+            system.coefficients_at(0.25)
+            del system
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_gauge_system_slices_follow_time_dependence(self):
         g = make_grid(8 * np.pi, 64)

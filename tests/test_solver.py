@@ -14,7 +14,7 @@ from kdvgauge.coefficients import CoefficientSet
 from kdvgauge.dyadic import ProjectorBank
 from kdvgauge.gauge import GaugeSystem, TransformedCoefficients, forward_transform
 from kdvgauge.solver import (
-    EDGE_MASS_WARN,
+    EDGE_MASS_LIMIT,
     SolverConfig,
     SpaceTimeBump,
     _simpson,
@@ -418,7 +418,7 @@ class TestTrajectoryInvariants:
         with _w.catch_warnings(record=True) as caught:
             _w.simplefilter("always")
             traj = solve(wide, cfg, tc)
-        assert traj.edge_mass_max > EDGE_MASS_WARN
+        assert traj.edge_mass_max > EDGE_MASS_LIMIT
         assert any("outer 10%" in str(c.message) for c in caught)
 
 
