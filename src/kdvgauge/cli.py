@@ -29,6 +29,7 @@ import numpy as np
 from .coefficients import CoefficientSet, HypothesisReport, check_hypotheses, softplus_split
 from .experiments import EXPERIMENTS, ExperimentSpec, run_experiment, write_report
 from .expressions import ExpressionError, parse_coefficient
+from .solver import SolverConfig
 from .spectral import GridSizeError, make_grid
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
@@ -42,11 +43,12 @@ class ConfigError(ValueError):
         super().__init__("\n".join(self.violations))
 
 
-# key -> (type tag, default); a None default is never written into the values
+# key -> (type tag, default); a None default is never written into the values,
+# except in [grid] and [solver], whose defaults are the spec's Grid and SolverConfig
 _SCHEMA = {
     "grid": {
-        "half_width": ("const", "8*pi"),
-        "num_points": ("int", "512"),
+        "half_width": ("const", None),
+        "num_points": ("int", None),
     },
     "coefficients": {
         "alpha": ("expr", "1"),
@@ -63,11 +65,11 @@ _SCHEMA = {
         "kappa": ("positive", "10.0"),
     },
     "solver": {
-        "dt": ("positive_or_auto", "auto"),
-        "t_final": ("positive", "0.5"),
-        "s": ("float", "1.0"),
-        "dealias": ("bool", "true"),
-        "blowup_threshold": ("positive_or_auto", "auto"),
+        "dt": ("positive_or_auto", None),
+        "t_final": ("positive", None),
+        "s": ("float", None),
+        "dealias": ("bool", None),
+        "blowup_threshold": ("positive_or_auto", None),
     },
     # the kind's own knobs are added from its spec (_experiment_schema)
     "experiment": {
@@ -198,14 +200,16 @@ def parse_config(path) -> RunConfig:
             if parsed is not None:
                 values.setdefault(section, {})[key] = parsed
 
-    # defaults
+    # defaults; an omitted [grid] or [solver] key is hashed with the spec's default
     for section, keys in schema.items():
+        given = values.setdefault(section, {})
         for key, (tag, default) in keys.items():
-            if default is None:
+            if key in given:
                 continue
-            if key not in values.get(section, {}):
-                parsed = _convert(tag, default, f"[{section}] {key} (default)", violations)
-                values.setdefault(section, {})[key] = parsed
+            if section in ("grid", "solver"):
+                given[key] = getattr(getattr(ExperimentSpec, section), key)
+            elif default is not None:
+                given[key] = _convert(tag, default, f"[{section}] {key} (default)", violations)
 
     if not kind:
         violations.append("[experiment] missing required key 'kind'")
@@ -244,13 +248,14 @@ def parse_config(path) -> RunConfig:
     values.setdefault("split", {})["beta1"] = b1_text
     values["split"]["beta2"] = b2_text
 
-    knobs = {k: v for k, v in values["experiment"].items() if k != "kind"}
-    spec = EXPERIMENTS[kind][0](cset=cset, **values["grid"], **values["solver"], **knobs)
     try:
-        grid = make_grid(spec.half_width, spec.num_points)
+        grid = make_grid(**values["grid"])
     except GridSizeError as exc:  # its message starts with the key
         raise ConfigError([f"[grid] {exc}"])
-    violations = spec.violations(grid)
+    knobs = {k: v for k, v in values["experiment"].items() if k != "kind"}
+    solver = SolverConfig(**values["solver"])
+    spec = EXPERIMENTS[kind][0](cset=cset, grid=grid, solver=solver, **knobs)
+    violations = spec.violations()
     if violations:
         raise ConfigError(violations)
 
@@ -268,11 +273,10 @@ def _gate(config: RunConfig) -> HypothesisReport:
     ExpressionError naming it.  `run` and `check` both gate through here, so
     both screen and check the same set, with the same 5 sample times.
     """
-    spec = config.spec
-    grid = make_grid(spec.half_width, spec.num_points)
+    spec, t_final = config.spec, config.spec.solver.t_final
     cset = spec.integrated_cset()
-    cset.screen(np.linspace(0.0, spec.t_final, 3), grid.x)
-    return check_hypotheses(cset, grid, spec.t_final, t_samples=5)
+    cset.screen(np.linspace(0.0, t_final, 3), spec.grid.x)
+    return check_hypotheses(cset, spec.grid, t_final, t_samples=5)
 
 
 def run(

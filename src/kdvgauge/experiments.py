@@ -106,22 +106,20 @@ class Verdict:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """What every experiment kind reads: the coefficient set, the [grid] and
-    [solver] settings, the seed and the hypothesis watermark.
+    """What every experiment kind reads: the coefficient set, the run's grid
+    and solver settings, the seed and the hypothesis watermark.
 
-    Each kind is a subclass that adds its own [experiment] knobs with their
-    defaults, and may override `violations` and `integrated_cset`.
+    `grid` and `solver` are the [grid] and [solver] sections, and their
+    defaults are those of the config.  A runner passes `solver` to each solve
+    unchanged, or replaces only what its study fixes.  Each kind is a
+    subclass that adds its own [experiment] knobs with their defaults, and
+    may override `violations` and `integrated_cset`.
     """
 
     kind: ClassVar[str]
     cset: CoefficientSet
-    half_width: float = 8.0 * np.pi
-    num_points: int = 512
-    s: float = 1.0
-    t_final: float = 0.5
-    dt: float | str = "auto"
-    dealias: bool = True
-    blowup_threshold: float | str = "auto"
+    grid: Grid = make_grid(8.0 * np.pi, 512)
+    solver: SolverConfig = SolverConfig()
     seed: int = 0
     hypothesis_violating: bool = False
 
@@ -132,8 +130,8 @@ class ExperimentSpec:
         shared = {f.name for f in fields(ExperimentSpec)}
         return {f.name: hints[f.name] for f in fields(cls) if f.name not in shared}
 
-    def violations(self, grid: Grid) -> list[str]:
-        """Parse-time reasons, each naming its key, why the run cannot go on `grid`."""
+    def violations(self) -> list[str]:
+        """Parse-time reasons, each naming its key, why the run cannot go on its grid."""
         return []
 
     def integrated_cset(self) -> CoefficientSet:
@@ -274,7 +272,7 @@ class _ConstantKdVSpec(ExperimentSpec):
     """The kinds that integrate u_t + u_xxx = epsilon u u_x with epsilon
     independent of t, on the transformed form's constant-dispersion path."""
 
-    def violations(self, grid: Grid) -> list[str]:
+    def violations(self) -> list[str]:
         """Coefficients that path would not integrate: any that depend on t,
         and alpha other than 1 or beta, gamma, delta other than 0 on the grid.
         A field that is not finite there is left to the pole screen."""
@@ -282,7 +280,7 @@ class _ConstantKdVSpec(ExperimentSpec):
         for name, want in (("alpha", 1.0), ("beta", 0.0), ("gamma", 0.0),
                            ("delta", 0.0), ("epsilon", None)):
             expr = getattr(self.cset, name)
-            values = np.asarray(expr.eval(0.0, grid.x), dtype=float)
+            values = np.asarray(expr.eval(0.0, self.grid.x), dtype=float)
             if expr.depends_on_t:
                 need = "time-independent coefficients"
             elif want is not None and np.all(np.isfinite(values)) and (
@@ -294,12 +292,13 @@ class _ConstantKdVSpec(ExperimentSpec):
             violations.append(f"[coefficients] {name}: {self.kind} needs {need}, got {expr.text!r}")
         return violations
 
-    def constant_kdv(self, grid: Grid) -> TransformedCoefficients:
+    def constant_kdv(self) -> TransformedCoefficients:
         """The run's coefficients b = c = d = f = 0 and e = epsilon on the
         grid; a set the path would not integrate is refused."""
-        refused = _ConstantKdVSpec.violations(self, grid)  # not the kind's own checks
+        refused = _ConstantKdVSpec.violations(self)  # not the kind's own checks
         if refused:
             raise ValueError("; ".join(refused))
+        grid = self.grid
         tc = TransformedCoefficients.constant_kdv(grid, epsilon=0.0)
         tc.e = np.asarray(self.cset.epsilon.eval(0.0, grid.x), dtype=float) * np.ones(
             grid.num_points
@@ -317,7 +316,7 @@ class TransformConsistencySpec(ExperimentSpec):
     gaussian_width: float = 2.0
     gaussian_amplitude: float = 1.0
 
-    def violations(self, grid: Grid) -> list[str]:
+    def violations(self) -> list[str]:
         """Sweeps and data that leave the comparison nothing to measure: every
         size must build a grid of the run's width, and the Gaussian datum needs
         a positive width and a nonzero amplitude (a zero datum has zero
@@ -327,7 +326,7 @@ class TransformConsistencySpec(ExperimentSpec):
             violations.append("[experiment] refine_sweep: needs at least one grid size")
         for n in self.refine_sweep:
             try:
-                make_grid(self.half_width, n)
+                make_grid(self.grid.half_width, n)
             except GridSizeError as exc:
                 violations.append(f"[experiment] refine_sweep: size {n}: {exc}")
         return (violations + _refused(self, ("gaussian_width",))
@@ -339,7 +338,7 @@ def run_transform_consistency(spec: TransformConsistencySpec) -> ExperimentRepor
     report = ExperimentReport(kind=spec.kind, watermark=spec.hypothesis_violating)
     # dense monitors: the weak-residual time quadrature needs to resolve the
     # test bump's transition
-    monitor = np.linspace(0.0, spec.t_final, 81)[1:]
+    monitor = np.linspace(0.0, spec.solver.t_final, 81)[1:]
     rows = [_consistency_row(spec, report, n, monitor) for n in spec.refine_sweep]
     report.add_table(
         "discrepancy", ["n", "sup_t_l2_discrepancy", "weak_residual_original",
@@ -380,16 +379,14 @@ def _consistency_row(
     solve, so each is built once.  The grid's trajectories and system are
     released on return, before the next grid is solved.
     """
-    T = spec.t_final
-    grid = make_grid(spec.half_width, n)
+    T = spec.solver.t_final
+    grid = make_grid(spec.grid.half_width, n)
     u0 = gaussian_state(grid, spec.gaussian_amplitude, spec.gaussian_width)
     system = GaugeSystem(spec.cset, grid, times=np.linspace(0.0, T, 3),
                          keep=np.concatenate([[0.0], monitor]))
-    cfg = SolverConfig(t_final=T, dt=spec.dt, s=spec.s, dealias=spec.dealias,
-                       blowup_threshold=spec.blowup_threshold)
-    traj_o = report.solved(solve(u0, cfg, spec.cset, monitor_times=monitor))
+    traj_o = report.solved(solve(u0, spec.solver, spec.cset, monitor_times=monitor))
     v0 = forward_transform(u0, system.map_at(0.0))
-    traj_t = report.solved(solve(v0, cfg, system, monitor_times=monitor))
+    traj_t = report.solved(solve(v0, spec.solver, system, monitor_times=monitor))
     disc = 0.0
     for i, t in enumerate(traj_o.times):
         vm = forward_transform(traj_o.states[i], system.map_at(float(t)))
@@ -410,7 +407,7 @@ class BonaSmithSpec(_ConstantKdVSpec):
     reference_n: int = 512
     spectrum_decay_offset: float = 0.6
 
-    def violations(self, grid: Grid) -> list[str]:
+    def violations(self) -> list[str]:
         """Truncation sweeps that leave nothing to measure on the run's grid.
 
         P_<=n keeps every |k| <= n in full, so a cutoff at or above the largest
@@ -419,13 +416,14 @@ class BonaSmithSpec(_ConstantKdVSpec):
         than a cutoff gives zero difference. The rate fit needs two distinct
         cutoffs.
         """
-        if self.dealias:
+        grid = self.grid
+        if self.solver.dealias:
             kept = grid.dealias_mask.copy()
         else:
             kept = np.ones(grid.num_points, bool)
         kept[grid.nyquist_index] = False  # the solver drops the unpaired mode
         k_top = float(np.abs(grid.wavenumbers[kept]).max())
-        violations = super().violations(grid)
+        violations = super().violations()
         if len(set(self.n_sweep)) < 2:
             violations.append(
                 "[experiment] n_sweep: needs at least two distinct cutoffs (the rate fit)"
@@ -448,16 +446,13 @@ class BonaSmithSpec(_ConstantKdVSpec):
 def run_bona_smith(spec: BonaSmithSpec) -> ExperimentReport:
     """Rate of convergence from frequency-truncated data."""
     report = ExperimentReport(kind=spec.kind, watermark=spec.hypothesis_violating)
-    grid = make_grid(spec.half_width, spec.num_points)
-    tc = spec.constant_kdv(grid)
+    grid, s = spec.grid, spec.solver.s
+    tc = spec.constant_kdv()
     rng = np.random.default_rng(spec.seed)
-    u0 = spectrum_state(grid, spec.s, spec.spectrum_decay_offset, rng, target_hs=1.0)
+    u0 = spectrum_state(grid, s, spec.spectrum_decay_offset, rng, target_hs=1.0)
     bank = ProjectorBank(grid)
-    T = spec.t_final
-    monitor = np.linspace(0.0, T, 9)[1:]
-    cfg = SolverConfig(t_final=T, dt=spec.dt, s=spec.s, dealias=spec.dealias,
-                       blowup_threshold=spec.blowup_threshold,
-                       warn_domain_edge=False)  # datum fills the torus
+    monitor = np.linspace(0.0, spec.solver.t_final, 9)[1:]
+    cfg = replace(spec.solver, warn_domain_edge=False)  # datum fills the torus
 
     u0_ref = project(u0, bank.p_leq(spec.reference_n))
     if cfg.dt == "auto":
@@ -470,14 +465,14 @@ def run_bona_smith(spec: BonaSmithSpec) -> ExperimentReport:
         u0_n = project(u0, bank.p_leq(n))
         traj_n = report.solved(solve(u0_n, cfg, tc, monitor_times=monitor))
         diff = max(
-            sobolev_norm(a - b, spec.s - 1.0)
+            sobolev_norm(a - b, s - 1.0)
             for a, b in zip(traj_n.states, traj_ref.states)
         )
         diff_hs = max(
-            sobolev_norm(a - b, spec.s)
+            sobolev_norm(a - b, s)
             for a, b in zip(traj_n.states, traj_ref.states)
         )
-        tail = sobolev_norm(u0 - u0_n, spec.s)
+        tail = sobolev_norm(u0 - u0_n, s)
         # structure of the smoothing-for-rate trade: the top-norm difference
         # is controlled by the datum tail plus n times the lower-norm one
         structure_ratio = diff_hs / (tail + n * diff)
@@ -522,7 +517,7 @@ class WavepacketSpec(ExperimentSpec):
         a0 = float(alpha.eval(0.0, 0.0))
         return a0 if np.isfinite(a0) and a0 > 0 else None
 
-    def violations(self, grid: Grid) -> list[str]:
+    def violations(self) -> list[str]:
         """Carrier sweeps and packets the study cannot run on the run's grid.
 
         The traversal time is 2 launch / (3 alpha xi0^2), so alpha must be a
@@ -542,7 +537,7 @@ class WavepacketSpec(ExperimentSpec):
         the periodic wrap would make the gains meaningless (launched at 30 on the default grid, the
         spread across the default sweep reads 0.43).
         """
-        violations = []
+        grid, violations = self.grid, []
         if self._alpha() is None:
             violations.append(
                 f"[coefficients] alpha: the wavepacket study needs a positive constant "
@@ -567,7 +562,7 @@ class WavepacketSpec(ExperimentSpec):
         reached = []
         with np.errstate(all="ignore"):  # a packet out of scale is refused below
             for xi0 in self.xi0_sweep:
-                datum, image, T = self._packet(grid, xi0)
+                datum, image, T = self._packet(xi0)
                 for when, state in (("at launch", datum), (f"at t = {T:.4g}", image)):
                     edge = edge_mass_fraction(state)
                     if not np.any(state.coefficients):
@@ -586,7 +581,7 @@ class WavepacketSpec(ExperimentSpec):
             )
         return violations
 
-    def _packet(self, grid: Grid, xi0: float) -> tuple:
+    def _packet(self, xi0: float) -> tuple:
         """(datum, its dispersion-only image, traversal time) of carrier xi0.
 
         The packet launched at packet_launch travels left at group speed
@@ -594,7 +589,7 @@ class WavepacketSpec(ExperimentSpec):
         it to -launch; the image is the datum under the exact multiplier
         exp(i alpha k^3 T) of u_t + alpha u_xxx = 0 (alpha constant).
         """
-        a0 = self._alpha()
+        a0, grid = self._alpha(), self.grid
         u0 = packet_state(grid, xi0, self.packet_width, center=self.packet_launch)
         T = 2.0 * self.packet_launch / (3.0 * a0 * xi0**2)
         k = grid.wavenumbers
@@ -634,14 +629,12 @@ def run_wavepacket(spec: WavepacketSpec) -> ExperimentReport:
     a0 = float(cset.alpha.eval(0.0, 0.0))
     R = spec.region_half_width
     beta0 = spec.region_beta0
-    grid = make_grid(spec.half_width, spec.num_points)
     heuristic = float(np.exp(2.0 * R * beta0 / a0))
     rows = []
     gains = []
     for xi0 in spec.xi0_sweep:
-        u0, ref, T = spec._packet(grid, xi0)
-        cfg = SolverConfig(t_final=T, dt=spec.dt, s=spec.s, dealias=False,
-                           blowup_threshold=spec.blowup_threshold)
+        u0, ref, T = spec._packet(xi0)
+        cfg = replace(spec.solver, t_final=T, dealias=False)
         traj = report.solved(solve(u0, cfg, cset))
         gain = envelope_peak(traj.final_state) / envelope_peak(ref)
         gains.append(gain)
@@ -683,11 +676,11 @@ class ContinuitySpec(_SolitonDatumSpec):
     kind: ClassVar[str] = "continuity"
     perturbation_sizes: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
 
-    def violations(self, grid: Grid) -> list[str]:
+    def violations(self) -> list[str]:
         """Size sweeps the sensitivity verdict cannot use: each ratio divides
         the difference by its size, and the verdict compares ratios, so it
         needs two distinct sizes, each positive and finite."""
-        violations = super().violations(grid)
+        violations = super().violations()
         sizes = self.perturbation_sizes
         if len(set(sizes)) < 2 or not all(np.isfinite(e) and e > 0 for e in sizes):
             violations.append(
@@ -700,27 +693,24 @@ class ContinuitySpec(_SolitonDatumSpec):
 def run_continuity(spec: ContinuitySpec) -> ExperimentReport:
     """Flow-map stability under initial perturbations of shrinking size."""
     report = ExperimentReport(kind=spec.kind, watermark=spec.hypothesis_violating)
-    grid = make_grid(spec.half_width, spec.num_points)
-    tc = spec.constant_kdv(grid)
+    grid, s = spec.grid, spec.solver.s
+    tc = spec.constant_kdv()
     linear = bool(np.abs(tc.e).max() == 0.0)
     if linear:
         base = gaussian_state(grid, 1.0, 1.0)
     else:
         base = soliton_state(grid, spec.kappa, e=float(tc.e[0]))
     direction = gaussian_state(grid, 1.0, 1.0, center=1.0)
-    direction = (1.0 / sobolev_norm(direction, spec.s)) * direction
-    T = spec.t_final
-    monitor = np.linspace(0.0, T, 9)[1:]
-    cfg = SolverConfig(t_final=T, dt=spec.dt, s=spec.s, dealias=spec.dealias,
-                       blowup_threshold=spec.blowup_threshold)
-    traj_base = report.solved(solve(base, cfg, tc, monitor_times=monitor))
+    direction = (1.0 / sobolev_norm(direction, s)) * direction
+    monitor = np.linspace(0.0, spec.solver.t_final, 9)[1:]
+    traj_base = report.solved(solve(base, spec.solver, tc, monitor_times=monitor))
     rows = []
     ratios = []
     for eps in spec.perturbation_sizes:
         pert = base + eps * direction
-        traj_p = report.solved(solve(pert, cfg, tc, monitor_times=monitor))
+        traj_p = report.solved(solve(pert, spec.solver, tc, monitor_times=monitor))
         diff = max(
-            sobolev_norm(a - b, spec.s)
+            sobolev_norm(a - b, s)
             for a, b in zip(traj_p.states, traj_base.states)
         )
         ratios.append(diff / eps)
@@ -748,7 +738,7 @@ class CommutatorSurveySpec(ExperimentSpec):
     identity_draws: int = 100
     resonance_draws: int = 1000
 
-    def violations(self, grid: Grid) -> list[str]:
+    def violations(self) -> list[str]:
         """Band sweeps the commutator survey cannot run.
 
         The survey works on its own grid of max(num_points, 8 max(band_sweep))
@@ -767,7 +757,7 @@ class CommutatorSurveySpec(ExperimentSpec):
                 "[experiment] band_sweep: needs at least two distinct bands >= 8 "
                 "(the double-bracket slope fit and the identity draws use only those)"
             )
-        size = max(grid.num_points, 8 * max(sweep, default=0))
+        size = max(self.grid.num_points, 8 * max(sweep, default=0))
         if size & (size - 1):
             violations.append(
                 f"[experiment] band_sweep: the survey grid has max(num_points, "
@@ -779,7 +769,7 @@ class CommutatorSurveySpec(ExperimentSpec):
 def run_commutator_survey(spec: CommutatorSurveySpec) -> ExperimentReport:
     """Empirical commutator constants, identity residual, resonance check."""
     report = ExperimentReport(kind=spec.kind, watermark=spec.hypothesis_violating)
-    grid = make_grid(np.pi, max(spec.num_points, 8 * max(spec.band_sweep)))
+    grid = make_grid(np.pi, max(spec.grid.num_points, 8 * max(spec.band_sweep)))
     bank = ProjectorBank(grid)
     rng = np.random.default_rng(spec.seed)
 
@@ -881,7 +871,7 @@ class SolitonBenchmarkSpec(_SolitonDatumSpec):
     dt_sweep: tuple[float, ...] = tuple(4e-4 * 10 ** (-j / 4) for j in range(5))
     order_t_final: float = 0.1
 
-    def violations(self, grid: Grid) -> list[str]:
+    def violations(self) -> list[str]:
         """Coefficients, waves and step-size sweeps the verdicts cannot use.
 
         The soliton's amplitude is -12 kappa^2 / epsilon, so epsilon must be
@@ -892,11 +882,11 @@ class SolitonBenchmarkSpec(_SolitonDatumSpec):
         two differences, so three step sizes.
         """
         sweep = self.dt_sweep
-        violations = super().violations(grid) + _refused(
+        violations = super().violations() + _refused(
             self, ("kappa", "order_kappa"), lambda v: v != 0, "nonzero"
         )
         eps = self.cset.epsilon
-        e = np.asarray(eps.eval(0.0, grid.x), dtype=float)
+        e = np.asarray(eps.eval(0.0, self.grid.x), dtype=float)
         if not eps.depends_on_t and np.all(np.isfinite(e)) and (
             e[0] == 0.0 or np.abs(e - e[0]).max() > 1e-12
         ):
@@ -930,17 +920,14 @@ class SolitonBenchmarkSpec(_SolitonDatumSpec):
 def run_soliton_benchmark(spec: SolitonBenchmarkSpec) -> ExperimentReport:
     """Travelling-wave accuracy, conservation, and temporal order."""
     report = ExperimentReport(kind=spec.kind, watermark=spec.hypothesis_violating)
-    grid = make_grid(spec.half_width, spec.num_points)
-    tc = spec.constant_kdv(grid)
+    grid = spec.grid
+    tc = spec.constant_kdv()
     e_val = float(tc.e[0])
     kappa = spec.kappa
     center = -1.0
     u0 = soliton_state(grid, kappa, e=e_val, center=center)
-    T = spec.t_final
-    dt = 1e-4 if spec.dt == "auto" else spec.dt
-    monitor = np.linspace(0.0, T, 6)[1:]
-    cfg = SolverConfig(t_final=T, dt=dt, s=spec.s, dealias=spec.dealias,
-                       blowup_threshold=spec.blowup_threshold)
+    cfg = replace(spec.solver, dt=1e-4) if spec.solver.dt == "auto" else spec.solver
+    monitor = np.linspace(0.0, cfg.t_final, 6)[1:]
     traj = report.solved(solve(u0, cfg, tc, monitor_times=monitor))
     report.add_table(
         "norms",
@@ -987,9 +974,7 @@ def run_soliton_benchmark(spec: SolitonBenchmarkSpec) -> ExperimentReport:
     u0_ord = soliton_state(grid, kap_ord, e=e_val, center=-1.0)
     finals = []
     for dt_k in spec.dt_sweep:
-        cfg_k = SolverConfig(t_final=spec.order_t_final, dt=dt_k, s=spec.s,
-                             dealias=spec.dealias, blowup_threshold=spec.blowup_threshold,
-                             monitor_stride=10**9)
+        cfg_k = replace(spec.solver, t_final=spec.order_t_final, dt=dt_k)
         finals.append(report.solved(solve(u0_ord, cfg_k, tc)).final_state)
     order_rows, slope, resid = successive_difference_order(spec.dt_sweep, finals)
     report.add_table("temporal_order", ["dt", "l2_successive_difference"], order_rows)

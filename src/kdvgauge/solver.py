@@ -22,8 +22,9 @@ inverse transform, and terms whose coefficient is identically zero are
 skipped.  Time-dependent coefficients are re-sampled at the RK stage times,
 which preserves fourth order; `_sampler` serves them through a
 `gauge.TimeSlices` cache keyed by time to 14 decimals.  Blow-up is detected
-from the sup-norm at monitor times against a configurable cap and is
-deterministic for a fixed configuration.
+from the sup-norm against a configurable cap, at the monitor times or every
+CAP_CHECK_STRIDE steps when none are given, and is deterministic for a fixed
+configuration.
 """
 
 from __future__ import annotations
@@ -49,23 +50,23 @@ __all__ = [
 ]
 
 
-@dataclass
-class SolverConfig:
-    """How to integrate; the equation form comes from the problem's type."""
+CAP_CHECK_STRIDE = 10  # steps between cap checks of a solve without monitor times
 
-    t_final: float
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """How to integrate, with the [solver] defaults; the form comes from the problem."""
+
+    t_final: float = 0.5
     dt: float | str = "auto"
     s: float = 1.0
     dealias: bool = True
     blowup_threshold: float | str = "auto"  # cap on sup-norm; "auto" = 1e6 x initial
-    monitor_stride: int = 10
     warn_domain_edge: bool = True  # off for genuinely periodic (torus-native) data
 
     def __post_init__(self) -> None:
         if not self.t_final > 0:
             raise ValueError("t_final must be positive")
-        if self.monitor_stride < 1:
-            raise ValueError("monitor_stride must be >= 1")
 
 
 @dataclass
@@ -347,8 +348,12 @@ def solve(
 
     `problem` is a CoefficientSet for the original form, and either
     TransformedCoefficients (time-frozen) or a GaugeSystem for the
-    transformed form; its type selects the form.  If `monitor_times` is given, steps are shortened to
-    land exactly on them; otherwise every monitor_stride-th step is stored.
+    transformed form; its type selects the form.  An experiment passes its
+    spec's `solver` as `config`, or a copy with only the fields its study
+    fixes replaced.  If `monitor_times` is given,
+    steps are shortened to land exactly on them and each is stored; otherwise
+    only the datum and the final state are, and the sup-norm cap and the edge
+    mass are checked every CAP_CHECK_STRIDE steps.
     """
     grid = u0.grid
     form, sampler = _sampler(problem, grid)
@@ -369,31 +374,35 @@ def solve(
     times, states, sups, hs, diss = [], [], [], [], []
     edge_max = 0.0
 
-    if monitor_times is not None:
-        targets = sorted({float(tm) for tm in np.asarray(monitor_times) if tm > 0})
-    else:
-        targets = None
+    targets = None if monitor_times is None else sorted(
+        {float(tm) for tm in np.asarray(monitor_times) if tm > 0}
+    )
 
     t = 0.0
     blowup = False
     blowup_time = None
-    steps_since_monitor = 0
+    steps = 0
 
-    def record(state: SpectralState, tnow: float) -> None:
+    def measure(state: SpectralState) -> float:
+        """Count the edge mass of `state` and return its sup-norm."""
         nonlocal edge_max
+        edge_max = max(edge_max, edge_mass_fraction(state))
+        return float(np.abs(state.physical()).max())
+
+    def record(state: SpectralState, tnow: float, sup: float) -> None:
         times.append(tnow)
         states.append(state)
-        sups.append(float(np.abs(state.physical()).max()))
+        sups.append(sup)
         hs.append(sobolev_norm(state, config.s))
         diss.append(
             -_b_energy(state, np.clip(sampler(tnow).b, 0.0, None), config.s, bank)
             if form == "transformed"
             else 0.0
         )
-        edge_max = max(edge_max, edge_mass_fraction(state))
 
     # the stored datum is the truncated one, and so are its norms and the cap
-    record(spectrum.state(chat), 0.0)
+    state = spectrum.state(chat)
+    record(state, 0.0, measure(state))
     if config.blowup_threshold == "auto":
         cap = 1e6 * max(sups[0], 1e-300)
     else:
@@ -408,21 +417,22 @@ def solve(
         step = min(dt, upper - t)
         chat = integrator.step(chat, t, step)
         t += step
-        steps_since_monitor += 1
+        steps += 1
 
         if not np.all(np.isfinite(chat)):
             blowup, blowup_time = True, t
             break
 
         at_target = next_target is not None and t >= next_target - eps_t
-        at_stride = targets is None and steps_since_monitor >= config.monitor_stride
         at_end = t >= config.t_final - eps_t
-        if at_target or at_stride or at_end:
-            record(spectrum.state(chat), t)
-            steps_since_monitor = 0
+        if at_target or at_end or (targets is None and steps % CAP_CHECK_STRIDE == 0):
+            state = spectrum.state(chat)
+            sup = measure(state)
+            if at_target or at_end or sup > cap:
+                record(state, t, sup)
             if at_target:
                 next_target = next(target_iter, None)
-            if sups[-1] > cap:
+            if sup > cap:
                 blowup, blowup_time = True, t
                 break
 

@@ -45,15 +45,16 @@ class Grid:
     """Uniform periodic grid on [-half_width, half_width).
 
     Derived arrays (nodes, wavenumbers, dealias mask) are computed once and
-    shared read-only; the instance is safe to use across threads.
+    shared read-only; the instance is safe to use across threads.  Grids
+    compare and hash by their sizing alone.
     """
 
     half_width: float
     num_points: int
-    dx: float = field(init=False)
-    x: np.ndarray = field(init=False, repr=False)
-    wavenumbers: np.ndarray = field(init=False, repr=False)
-    dealias_mask: np.ndarray = field(init=False, repr=False)
+    dx: float = field(init=False, compare=False)
+    x: np.ndarray = field(init=False, repr=False, compare=False)
+    wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
+    dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.half_width > 0:

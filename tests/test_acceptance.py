@@ -100,8 +100,8 @@ def test_criterion_2_transform_consistency():
     started = time.time()
     cset = CoefficientSet.from_strings(**GAUGE_SUITE["tanh_benchmark"])
     spec = TransformConsistencySpec(
-        cset=cset, half_width=32 * np.pi,
-        refine_sweep=(256, 512, 1024), t_final=0.5, s=1.0,
+        cset=cset, grid=make_grid(32 * np.pi, 512),
+        refine_sweep=(256, 512, 1024), solver=SolverConfig(t_final=0.5, s=1.0),
     )
     report = run_transform_consistency(spec)
     rows = report.tables["discrepancy"][1]
@@ -121,7 +121,7 @@ def test_criterion_3_commutator_suite():
     started = time.time()
     cset = CoefficientSet.constant_kdv()
     spec = CommutatorSurveySpec(
-        cset=cset, num_points=2048,
+        cset=cset, grid=make_grid(8 * np.pi, 2048),
         band_sweep=(4, 8, 16, 32, 64, 128, 256), draws=50,
         identity_draws=100, resonance_draws=1000, seed=2024,
     )
@@ -147,7 +147,7 @@ def test_criterion_4_resonance_identity():
         cset = CoefficientSet.constant_kdv()
         report = run_commutator_survey(
             CommutatorSurveySpec(
-                cset=cset, num_points=512,
+                cset=cset, grid=make_grid(8 * np.pi, 512),
                 band_sweep=(8, 16), draws=2, identity_draws=2,
                 resonance_draws=1000, seed=2024,
             )
@@ -167,8 +167,8 @@ def test_criterion_5_soliton_benchmark():
     started = time.time()
     cset = CoefficientSet.constant_kdv(-6.0)
     spec = SolitonBenchmarkSpec(
-        cset=cset, half_width=8 * np.pi,
-        num_points=512, t_final=0.5, dt="auto", kappa=1.0,
+        cset=cset, grid=make_grid(8 * np.pi, 512),
+        solver=SolverConfig(t_final=0.5, dt="auto"), kappa=1.0,
     )
     report = run_soliton_benchmark(spec)
     vals = {v.name: v for v in report.verdicts}
@@ -224,8 +224,8 @@ def test_criterion_7_bona_smith_rate():
     started = time.time()
     cset = CoefficientSet.constant_kdv(-6.0)
     spec = BonaSmithSpec(
-        cset=cset, half_width=np.pi, num_points=4096,
-        s=1.0, t_final=0.1, n_sweep=(8, 16, 32, 64, 128), reference_n=512,
+        cset=cset, grid=make_grid(np.pi, 4096),
+        solver=SolverConfig(s=1.0, t_final=0.1), n_sweep=(8, 16, 32, 64, 128), reference_n=512,
         spectrum_decay_offset=0.6, seed=7,
     )
     report = run_bona_smith(spec)
@@ -244,7 +244,7 @@ def test_criterion_8_antidiffusion_compensation():
     started = time.time()
     cset = CoefficientSet.from_strings(alpha="1", epsilon="0")
     spec = WavepacketSpec(
-        cset=cset, half_width=16 * np.pi, num_points=1024,
+        cset=cset, grid=make_grid(16 * np.pi, 1024),
         xi0_sweep=(10.0, 15.0, 20.0), region_half_width=2.0,
         region_beta0=0.225, region_smoothing=0.3, packet_width=1.5,
         packet_launch=8.0,
@@ -257,7 +257,7 @@ def test_criterion_8_antidiffusion_compensation():
     factor_ok = all(0.5 <= r <= 2.0 for r in ratios)
 
     spec0 = WavepacketSpec(
-        cset=cset, half_width=16 * np.pi, num_points=1024,
+        cset=cset, grid=make_grid(16 * np.pi, 1024),
         xi0_sweep=(10.0, 15.0, 20.0), region_beta0=0.0, packet_width=1.5,
         packet_launch=8.0,
     )

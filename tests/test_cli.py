@@ -16,6 +16,7 @@ import kdvgauge
 from kdvgauge.cli import ConfigError, main, parse_config, run
 from kdvgauge.coefficients import check_hypotheses
 from kdvgauge.experiments import EXPERIMENTS
+from kdvgauge.solver import SolverConfig
 from kdvgauge.spectral import make_grid
 
 MINIMAL = """
@@ -309,6 +310,27 @@ kind = continuity
 """,
 }
 
+# every [solver] key set explicitly, none at its default
+EXPLICIT_SOLVER = """
+[grid]
+half_width = 8*pi
+num_points = 256
+
+[coefficients]
+alpha = 1
+epsilon = -6
+
+[solver]
+t_final = 0.1
+dt = 1e-4
+s = 2
+dealias = false
+blowup_threshold = 1e3
+
+[experiment]
+kind = continuity
+"""
+
 
 def _with_line(text: str, section: str, line: str) -> str:
     """`text` with `line` added to its [section], appended if absent."""
@@ -488,6 +510,19 @@ packet_launch = 6
         assert verdicts["no_blowup"]["passed"] is False
         assert verdicts["no_blowup"]["value"] == pytest.approx(0.2 / 8, rel=1e-12)
         assert [v["name"] for v in summary["verdicts"]].count("no_blowup") == 1
+
+    def test_unmonitored_blowup_time_pinned(self, tmp_path):
+        # the wavepacket's solves store no monitor times; at dt = 1e-3 the
+        # undealiased run crosses the cap at a step where it is checked, one
+        # of every CAP_CHECK_STRIDE
+        cfg_text = _with_line(KIND_CONFIGS["wavepacket"], "solver", "dt = 1e-3")
+        cfg_path = write_cfg(tmp_path, cfg_text, "wp.cfg")
+        with pytest.warns(RuntimeWarning, match="outer 10%"):
+            assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 1
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        verdicts = {v["name"]: v for v in summary["verdicts"]}
+        assert verdicts["no_blowup"]["passed"] is False
+        assert verdicts["no_blowup"]["value"] == 0.02000000000000001
 
     def test_untruncating_bona_smith_sweep_refused(self, tmp_path, capsys):
         # default grid (8*pi, 512 points): k_max = 32, and the dealiased runs
@@ -736,8 +771,7 @@ identity_draws = 2
 resonance_draws = 10
 """
         cfg = parse_config(write_cfg(tmp_path, cfg_text, "sp.cfg"))
-        grid = make_grid(cfg.spec.half_width, cfg.spec.num_points)
-        rep = check_hypotheses(cfg.cset, grid, cfg.spec.t_final)
+        rep = check_hypotheses(cfg.cset, cfg.spec.grid, cfg.spec.solver.t_final)
         assert rep.entry("split validity").passed
 
     def test_softplus_with_explicit_pair_rejected(self, tmp_path):
@@ -841,6 +875,15 @@ class TestKindSchemas:
         assert main(["check", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert f"config error: [experiment] {key}: a knob of {owners}, not of {kind}\n" in err
+
+    def test_explicit_solver_values_reach_the_spec(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, EXPLICIT_SOLVER)
+        spec = parse_config(cfg_path).spec
+        assert spec.grid == make_grid(8 * np.pi, 256)
+        assert spec.solver == SolverConfig(
+            t_final=0.1, dt=1e-4, s=2.0, dealias=False, blowup_threshold=1e3
+        )
+        assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 0
 
     def test_knob_typo_suggested_from_own_knobs(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown key 'dt_swep'; did you mean 'dt_sweep'"):

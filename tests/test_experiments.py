@@ -1,6 +1,7 @@
 """Experiment runners, fits, initial data, and report emission."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from kdvgauge.experiments import (
     successive_difference_order,
     write_report,
 )
+from kdvgauge.solver import SolverConfig
 from kdvgauge.spectral import SpectralState, l2_norm, make_grid, sobolev_norm
 
 
@@ -109,8 +111,8 @@ class TestBonaSmith:
         # if the datum already sits below every cutoff, all runs coincide
         cs = CoefficientSet.constant_kdv(-6.0)
         spec = BonaSmithSpec(
-            cset=cs, half_width=np.pi, num_points=256,
-            t_final=0.02, n_sweep=(16, 32), reference_n=64, seed=1,
+            cset=cs, grid=make_grid(np.pi, 256),
+            solver=SolverConfig(t_final=0.02), n_sweep=(16, 32), reference_n=64, seed=1,
         )
         g = make_grid(np.pi, 256)
         bank = ProjectorBank(g)
@@ -118,7 +120,7 @@ class TestBonaSmith:
         u0 = spectrum_state(g, 1.0, 0.6, rng, target_hs=0.5)
         low = project(u0, bank.p_leq(8))
         from kdvgauge.gauge import TransformedCoefficients
-        from kdvgauge.solver import SolverConfig, solve
+        from kdvgauge.solver import solve
 
         tc = TransformedCoefficients.constant_kdv(g, epsilon=-6.0)
         cfg = SolverConfig(t_final=0.02, dt=1e-4, s=1.0,
@@ -134,8 +136,8 @@ class TestBonaSmith:
     def test_rate_small_case(self):
         cs = CoefficientSet.constant_kdv(-6.0)
         spec = BonaSmithSpec(
-            cset=cs, half_width=np.pi, num_points=1024,
-            t_final=0.05, n_sweep=(8, 16, 32, 64), reference_n=128, seed=3,
+            cset=cs, grid=make_grid(np.pi, 1024),
+            solver=SolverConfig(t_final=0.05), n_sweep=(8, 16, 32, 64), reference_n=128, seed=3,
         )
         rep = run_bona_smith(spec)
         slope = rep.slopes["bona_smith_rate"]["slope"]
@@ -153,7 +155,7 @@ class TestWavepacket:
     def test_no_region_unit_gain(self):
         cs = CoefficientSet.from_strings(alpha="1", epsilon="0")
         spec = WavepacketSpec(
-            cset=cs, half_width=16 * np.pi, num_points=512,
+            cset=cs, grid=make_grid(16 * np.pi, 512),
             xi0_sweep=(8.0,), region_beta0=0.0, packet_launch=6.0,
         )
         rep = run_wavepacket(spec)
@@ -165,7 +167,7 @@ class TestWavepacket:
         # exp(integral beta / (3 alpha)) = exp(2 R beta0 / 3)
         cs = CoefficientSet.from_strings(alpha="1", epsilon="0")
         spec = WavepacketSpec(
-            cset=cs, half_width=16 * np.pi, num_points=1024,
+            cset=cs, grid=make_grid(16 * np.pi, 1024),
             xi0_sweep=(12.0,), region_beta0=0.3, region_half_width=1.5,
             packet_launch=6.0,
         )
@@ -177,7 +179,7 @@ class TestWavepacket:
 class TestContinuity:
     def test_zero_perturbation_is_exact(self):
         from kdvgauge.gauge import TransformedCoefficients
-        from kdvgauge.solver import SolverConfig, solve
+        from kdvgauge.solver import solve
         from kdvgauge.experiments import soliton_state
 
         g = make_grid(8 * np.pi, 256)
@@ -191,8 +193,8 @@ class TestContinuity:
     def test_linear_ratio_exactly_stable(self):
         cs = CoefficientSet.from_strings(alpha="1", epsilon="0")
         spec = ContinuitySpec(
-            cset=cs, half_width=8 * np.pi, num_points=256,
-            t_final=0.2,
+            cset=cs, grid=make_grid(8 * np.pi, 256),
+            solver=SolverConfig(t_final=0.2),
         )
         rep = run_continuity(spec)
         ratios = [row[2] for row in rep.tables["sensitivity"][1]]
@@ -202,8 +204,8 @@ class TestContinuity:
     def test_soliton_base_bounded(self):
         cs = CoefficientSet.constant_kdv(-6.0)
         spec = ContinuitySpec(
-            cset=cs, half_width=8 * np.pi, num_points=256,
-            t_final=0.2,
+            cset=cs, grid=make_grid(8 * np.pi, 256),
+            solver=SolverConfig(t_final=0.2),
         )
         rep = run_continuity(spec)
         assert rep.passed
@@ -213,7 +215,7 @@ class TestReportEmission:
     def _tiny_report(self):
         cs = CoefficientSet.constant_kdv()
         spec = CommutatorSurveySpec(
-            cset=cs, num_points=256,
+            cset=cs, grid=make_grid(8 * np.pi, 256),
             band_sweep=(8, 16, 32), draws=4, identity_draws=6,
             resonance_draws=50, seed=5,
         )
@@ -268,7 +270,12 @@ class TestReportEmission:
 
 
 class TestSolverSettingsReachEverySolve:
-    """The run's [solver] dealias and blowup_threshold reach each solve."""
+    """Each solve gets the spec's `solver`, apart from the fields its kind
+    replaces: bona_smith's edge warning and shared auto step, the
+    wavepacket's traversal time and undealiased runs, the soliton run's
+    auto step and the order sweep's time and steps."""
+
+    SOLVER = SolverConfig(t_final=0.01, dt=1e-3, s=2.0, dealias=False, blowup_threshold=50.0)
 
     @staticmethod
     def _recorded_configs(monkeypatch, runner, spec):
@@ -287,25 +294,60 @@ class TestSolverSettingsReachEverySolve:
 
     def test_soliton_benchmark_order_sweep(self, monkeypatch):
         spec = SolitonBenchmarkSpec(
-            cset=CoefficientSet.constant_kdv(-6.0), num_points=256, t_final=0.01,
-            dt=1e-3, dealias=False, blowup_threshold=50.0,
-            order_t_final=0.004, dt_sweep=(1e-3, 5e-4, 2.5e-4),
+            cset=CoefficientSet.constant_kdv(-6.0), grid=make_grid(8 * np.pi, 256),
+            solver=self.SOLVER, order_t_final=0.004, dt_sweep=(1e-3, 5e-4, 2.5e-4),
         )
         configs = self._recorded_configs(monkeypatch, run_soliton_benchmark, spec)
         assert len(configs) == 4  # the benchmark run and three sweep runs
-        assert all(cfg.dealias is False for cfg in configs)
-        assert all(cfg.blowup_threshold == 50.0 for cfg in configs)
+        assert configs[0] == spec.solver
+        assert configs[1:] == [
+            replace(spec.solver, t_final=0.004, dt=dt) for dt in spec.dt_sweep
+        ]
+
+    def test_soliton_benchmark_auto_step(self, monkeypatch):
+        spec = SolitonBenchmarkSpec(
+            cset=CoefficientSet.constant_kdv(-6.0), grid=make_grid(8 * np.pi, 256),
+            solver=replace(self.SOLVER, dt="auto"), order_t_final=0.004,
+            dt_sweep=(1e-3, 5e-4, 2.5e-4),
+        )
+        configs = self._recorded_configs(monkeypatch, run_soliton_benchmark, spec)
+        assert configs[0] == replace(spec.solver, dt=1e-4)
 
     def test_wavepacket_keeps_its_undealiased_runs(self, monkeypatch):
         spec = WavepacketSpec(
             cset=CoefficientSet.from_strings(alpha="1", epsilon="0"),
-            half_width=16 * np.pi, num_points=256, xi0_sweep=(4.0,),
-            region_beta0=0.0, packet_launch=6.0, blowup_threshold=50.0,
+            grid=make_grid(16 * np.pi, 256), xi0_sweep=(4.0,), region_beta0=0.0,
+            packet_launch=6.0, solver=replace(self.SOLVER, dealias=True),
         )
         configs = self._recorded_configs(monkeypatch, run_wavepacket, spec)
-        assert len(configs) == 1
-        assert configs[0].dealias is False
-        assert configs[0].blowup_threshold == 50.0
+        T = 2.0 * 6.0 / (3.0 * 4.0**2)
+        assert configs == [replace(spec.solver, t_final=T, dealias=False)]
+
+    def test_bona_smith_shares_one_auto_step(self, monkeypatch):
+        spec = BonaSmithSpec(
+            cset=CoefficientSet.constant_kdv(-6.0), grid=make_grid(np.pi, 256),
+            solver=replace(self.SOLVER, dt="auto"), n_sweep=(16, 32), reference_n=64,
+        )
+        configs = self._recorded_configs(monkeypatch, run_bona_smith, spec)
+        assert len(configs) == 3  # the reference and two cutoffs
+        assert isinstance(configs[0].dt, float)
+        assert configs == 3 * [replace(spec.solver, warn_domain_edge=False, dt=configs[0].dt)]
+
+    def test_continuity(self, monkeypatch):
+        spec = ContinuitySpec(
+            cset=CoefficientSet.constant_kdv(-6.0), grid=make_grid(8 * np.pi, 256),
+            solver=self.SOLVER,
+        )
+        configs = self._recorded_configs(monkeypatch, run_continuity, spec)
+        assert configs == 4 * [spec.solver]  # the base and three perturbations
+
+    def test_transform_consistency(self, monkeypatch):
+        spec = TransformConsistencySpec(
+            cset=CoefficientSet.from_strings(alpha="1", epsilon="0"),
+            grid=make_grid(8 * np.pi, 256), solver=self.SOLVER, refine_sweep=(64,),
+        )
+        configs = self._recorded_configs(monkeypatch, run_transform_consistency, spec)
+        assert configs == 2 * [spec.solver]  # the original and transformed forms
 
 
 class TestTimeDependentGaugePath:
@@ -338,8 +380,8 @@ class TestTimeDependentGaugePath:
             alpha0=0.4,
         )
         spec = TransformConsistencySpec(
-            cset=cs, half_width=16 * np.pi,
-            refine_sweep=(256, 512), t_final=0.1, s=1.0, gaussian_width=1.5,
+            cset=cs, grid=make_grid(16 * np.pi, 512),
+            refine_sweep=(256, 512), solver=SolverConfig(t_final=0.1, s=1.0), gaussian_width=1.5,
         )
         rep = run_transform_consistency(spec)
         rows = rep.tables["discrepancy"][1]
@@ -355,8 +397,8 @@ class TestSingleLevelSweep:
     def test_no_fit_for_one_level(self):
         cs = CoefficientSet.from_strings(alpha="1", epsilon="0")
         spec = TransformConsistencySpec(
-            cset=cs, half_width=8 * np.pi,
-            refine_sweep=(256,), t_final=0.05, gaussian_width=1.0,
+            cset=cs, grid=make_grid(8 * np.pi, 512),
+            refine_sweep=(256,), solver=SolverConfig(t_final=0.05), gaussian_width=1.0,
         )
         rep = run_transform_consistency(spec)
         assert "refinement_order" not in rep.slopes
@@ -367,8 +409,8 @@ class TestSingleLevelSweep:
         # one distinct grid gives no refinement to fit
         cs = CoefficientSet.from_strings(alpha="1", epsilon="0")
         spec = TransformConsistencySpec(
-            cset=cs, half_width=8 * np.pi,
-            refine_sweep=(256, 256), t_final=0.05, gaussian_width=1.0,
+            cset=cs, grid=make_grid(8 * np.pi, 512),
+            refine_sweep=(256, 256), solver=SolverConfig(t_final=0.05), gaussian_width=1.0,
         )
         rep = run_transform_consistency(spec)
         assert "refinement_order" not in rep.slopes

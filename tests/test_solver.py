@@ -133,14 +133,27 @@ class TestSolve:
         u0 = SpectralState.from_physical(g, 0.01 * np.cos(k0 * g.x))
         cfg = SolverConfig(t_final=3.0, dt=1e-3, s=1.0,
                            dealias=False, blowup_threshold=10.0,
-                           monitor_stride=5, warn_domain_edge=False)
+                           warn_domain_edge=False)
         traj = solve(u0, cfg, cs)
         assert traj.blowup
         predicted = np.log(10.0 / 0.01) / (0.5 * k0**2)
         assert traj.blowup_time == pytest.approx(predicted, abs=0.02)
+        # unmonitored: the cap is checked every CAP_CHECK_STRIDE steps, and the
+        # state that crossed it is stored after the datum
+        assert round(traj.blowup_time / 1e-3) % solver_module.CAP_CHECK_STRIDE == 0
+        assert traj.times.tolist() == [0.0, traj.blowup_time] and traj.sup_norms[-1] > 10.0
         # determinism: identical config flags the identical time
         traj2 = solve(u0, cfg, cs)
         assert traj2.blowup_time == traj.blowup_time
+
+    def test_unmonitored_solve_stores_datum_and_final_state(self):
+        g = make_grid(8 * np.pi, 128)
+        tc = TransformedCoefficients.constant_kdv(g, epsilon=-6.0)
+        u0 = soliton_state(g, 1.0, -6.0)
+        traj = solve(u0, SolverConfig(t_final=0.05, dt=1e-3), tc)
+        assert traj.times.tolist() == [0.0, pytest.approx(0.05, abs=1e-15)]
+        assert len(traj.states) == len(traj.hs_norms) == len(traj.sup_norms) == 2
+        assert not traj.blowup
 
     def test_zero_data_zero_norms(self):
         g = make_grid(np.pi, 64)
@@ -191,13 +204,11 @@ class TestSolve:
         g = make_grid(8 * np.pi, 256)
         tc = TransformedCoefficients.constant_kdv(g, epsilon=-6.0)
         u0 = soliton_state(g, 2.0, -6.0, center=-1.0)
-        ref_cfg = SolverConfig(t_final=0.05, dt=1e-5, s=1.0,
-                               monitor_stride=10**9)
+        ref_cfg = SolverConfig(t_final=0.05, dt=1e-5, s=1.0)
         ref = solve(u0, ref_cfg, tc).final_state
         errs = []
         for dt in (4e-4, 2e-4):
-            cfg = SolverConfig(t_final=0.05, dt=dt, s=1.0,
-                               monitor_stride=10**9)
+            cfg = SolverConfig(t_final=0.05, dt=dt, s=1.0)
             errs.append(l2_norm(solve(u0, cfg, tc).final_state - ref))
         ratio = errs[0] / errs[1]
         assert ratio == pytest.approx(16.0, rel=0.25)

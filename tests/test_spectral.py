@@ -46,6 +46,22 @@ class TestMakeGrid:
         body = k[1:]
         assert np.allclose(body, -body[::-1])
 
+    def test_equal_sizing_compares_and_hashes_equal(self):
+        # the derived arrays are left out, so comparing grids never compares arrays
+        a, b = make_grid(1, 16), make_grid(1, 16)
+        assert a == b and hash(a) == hash(b)
+        assert a != make_grid(1, 32) and a != make_grid(2, 16)
+
+    def test_spec_with_a_rebuilt_grid_is_equal(self):
+        from dataclasses import replace
+
+        from kdvgauge.coefficients import CoefficientSet
+        from kdvgauge.experiments import ContinuitySpec
+
+        spec = ContinuitySpec(cset=CoefficientSet.constant_kdv(-6.0), grid=make_grid(np.pi, 64))
+        assert replace(spec, grid=make_grid(np.pi, 64)) == spec
+        assert replace(spec, grid=make_grid(np.pi, 128)) != spec
+
     def test_nodes_contain_origin(self):
         g = make_grid(7.3, 128)
         assert 0.0 in g.x

@@ -5,7 +5,7 @@ Usage, from the root of a checkout:
     python3 tools/same_outputs.py REF
 
 Runs `kdvgauge run` on every run config of tests/test_cli.py (MINIMAL,
-SURVEY and each KIND_CONFIGS entry), on SURVEY again with `--seed 9`, on
+SURVEY, EXPLICIT_SOLVER and each KIND_CONFIGS entry), on SURVEY again with `--seed 9`, on
 VIOLATING with `--allow-hypothesis-violation`, and on the soliton,
 drift_oracle and static_oracle workloads of perfbench/workloads.py at seed
 1, once with the
@@ -60,13 +60,15 @@ def configs() -> dict:
     """name -> (config text, extra `kdvgauge run` arguments), from the
     working tree."""
     cli_tests = _literals(
-        ROOT / "tests" / "test_cli.py", ("MINIMAL", "SURVEY", "VIOLATING", "KIND_CONFIGS")
+        ROOT / "tests" / "test_cli.py",
+        ("MINIMAL", "SURVEY", "VIOLATING", "EXPLICIT_SOLVER", "KIND_CONFIGS"),
     )
     workloads = _module(ROOT / "perfbench" / "workloads.py")
     out = {
         "MINIMAL": (cli_tests["MINIMAL"], []),
         "SURVEY": (cli_tests["SURVEY"], []),
         "SURVEY --seed 9": (cli_tests["SURVEY"], ["--seed", "9"]),
+        "EXPLICIT_SOLVER": (cli_tests["EXPLICIT_SOLVER"], []),
         "VIOLATING --allow-hypothesis-violation": (
             cli_tests["VIOLATING"], ["--allow-hypothesis-violation"]
         ),
