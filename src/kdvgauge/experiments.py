@@ -43,7 +43,7 @@ from .dyadic import (
     project,
     resonance_omega3,
 )
-from .gauge import GaugeSystem, TransformedCoefficients, forward_transform
+from .gauge import GaugeSystem, TransformedCoefficients, forward_transform, forward_transforms
 from .solver import (
     SolverConfig,
     SpaceTimeBump,
@@ -387,10 +387,10 @@ def _consistency_row(
     traj_o = report.solved(solve(u0, spec.solver, spec.cset, monitor_times=monitor))
     v0 = forward_transform(u0, system.map_at(0.0))
     traj_t = report.solved(solve(v0, spec.solver, system, monitor_times=monitor))
+    moved = forward_transforms(traj_o.states, (system.map_at(float(t)) for t in traj_o.times))
     disc = 0.0
-    for i, t in enumerate(traj_o.times):
-        vm = forward_transform(traj_o.states[i], system.map_at(float(t)))
-        disc = max(disc, l2_norm(vm - traj_t.states[i]))
+    for vm, vt in zip(moved, traj_t.states):
+        disc = max(disc, l2_norm(vm - vt))
     bump_o = SpaceTimeBump(x0=0.0, x_width=0.2 * grid.half_width, t_width=0.4 * T)
     res_o = weak_residual(traj_o, bump_o, spec.cset)
     bump_t = SpaceTimeBump(

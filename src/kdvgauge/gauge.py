@@ -45,6 +45,7 @@ from .coefficients import _GL_NODES, _GL_WEIGHTS, CoefficientSet, _AnchoredRule
 from .spectral import (
     EDGE_MASS_LIMIT,
     Grid,
+    Interpolant,
     SpectralState,
     edge_mass_fraction,
     interpolate,
@@ -60,6 +61,7 @@ __all__ = [
     "image_grid_for",
     "transform_coefficients",
     "forward_transform",
+    "forward_transforms",
     "inverse_transform",
     "TimeSlices",
     "GaugeSystem",
@@ -370,17 +372,32 @@ def forward_transform(u: SpectralState, gmap: GaugeMap) -> SpectralState:
     spectral accuracy through the composition.  Rejects fields whose outer
     10% of the source domain carries more than 1e-6 of the mass.
     """
-    if not u.grid.compatible_with(gmap.source_grid):
-        raise ValueError("field does not live on the gauge map's source grid")
-    frac = edge_mass_fraction(u)
-    if frac > EDGE_MASS_LIMIT:
-        raise ValueError(
-            f"solution mass at the source-domain edge ({frac:.2e}) exceeds {EDGE_MASS_LIMIT:g}"
-        )
-    vals = interpolate(u, gmap.A_inverse_samples)
-    v = gmap.h_at_inverse * vals
-    v = np.where(gmap.inverse_clamped, 0.0, v)
-    return SpectralState.from_physical(gmap.image_grid, v)
+    return next(forward_transforms((u,), (gmap,)))
+
+
+def forward_transforms(states, gmaps):
+    """`forward_transform` of each state through its map, lazily, in order.
+
+    States in a row that share one map (the same object) share one
+    `Interpolant` of its pullback points; each state is still checked for
+    its grid and edge mass.  Only the current map's tables are held, and
+    they are dropped before the next map's are built.
+    """
+    plan = mapped = None
+    for u, gmap in zip(states, gmaps):
+        if not u.grid.compatible_with(gmap.source_grid):
+            raise ValueError("field does not live on the gauge map's source grid")
+        frac = edge_mass_fraction(u)
+        if frac > EDGE_MASS_LIMIT:
+            raise ValueError(
+                f"solution mass at the source-domain edge ({frac:.2e}) exceeds {EDGE_MASS_LIMIT:g}"
+            )
+        if gmap is not mapped:
+            plan = None
+            plan, mapped = Interpolant(gmap.source_grid, gmap.A_inverse_samples), gmap
+        v = gmap.h_at_inverse * plan(u)
+        v = np.where(gmap.inverse_clamped, 0.0, v)
+        yield SpectralState.from_physical(gmap.image_grid, v)
 
 
 def inverse_transform(v: SpectralState, gmap: GaugeMap) -> SpectralState:

@@ -38,7 +38,7 @@ import numpy as np
 from .coefficients import CoefficientSet
 from .dyadic import ProjectorBank, _b_energy, bump_eta, bump_eta_prime
 from .gauge import GaugeSystem, TimeSlices, TransformedCoefficients
-from .spectral import EDGE_MASS_LIMIT, Grid, SpectralState, edge_mass_fraction, sobolev_norm
+from .spectral import EDGE_MASS_LIMIT, Grid, SpectralState, _edge_mass, sobolev_norm
 
 __all__ = [
     "SolverConfig",
@@ -386,8 +386,9 @@ def solve(
     def measure(state: SpectralState) -> float:
         """Count the edge mass of `state` and return its sup-norm."""
         nonlocal edge_max
-        edge_max = max(edge_max, edge_mass_fraction(state))
-        return float(np.abs(state.physical()).max())
+        values = state.physical()
+        edge_max = max(edge_max, _edge_mass(grid, values))
+        return float(np.abs(values).max())
 
     def record(state: SpectralState, tnow: float, sup: float) -> None:
         times.append(tnow)
@@ -439,9 +440,15 @@ def solve(
     times_arr = np.asarray(times)
     diss_arr = np.asarray(diss)
     if config.warn_domain_edge and edge_max > EDGE_MASS_LIMIT:
+        # mass that reaches the edge of a blown-up solve comes from the
+        # unstable step, not from a domain that is too small
+        advice = (
+            f"the solve blew up at t = {blowup_time:.6g}, so the step may be unstable"
+            if blowup else "enlarge half_width"
+        )
         warnings.warn(
             f"solution mass in the outer 10% of the domain reached "
-            f"{edge_max:.2e} (> {EDGE_MASS_LIMIT:g}); enlarge half_width",
+            f"{edge_max:.2e} (> {EDGE_MASS_LIMIT:g}); {advice}",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -476,14 +483,15 @@ class SpaceTimeBump:
         self.x_width = x_width
         self.t_width = t_width
 
-    def _space(self, x):
-        return bump_eta((x - self.x0) / self.x_width)
-
-    def value(self, t: float, x):
-        return self._space(x) * bump_eta(t / self.t_width)
-
-    def dt_value(self, t: float, x):
-        return self._space(x) * bump_eta_prime(t / self.t_width) / self.t_width
+    def on(self, x) -> tuple:
+        """(t -> phi(t, x), t -> phi_t(t, x)) at the points x, with the space
+        factor sampled once."""
+        space = bump_eta((x - self.x0) / self.x_width)
+        tau = self.t_width
+        return (
+            lambda t: space * bump_eta(t / tau),
+            lambda t: space * bump_eta_prime(t / tau) / tau,
+        )
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:
@@ -522,11 +530,12 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
 def weak_residual(traj: Trajectory, phi, problem) -> float:
     """Space-time residual of the weak formulation against a test field.
 
-    phi needs .value(t, x_array) and .dt_value(t, x_array), compact support
-    inside [0, T) x interior.  The residual includes the initial-datum term
-    and is near zero (quadrature floor) for genuine solutions.  `problem`
-    is what `solve` integrated, or one of the same form; a problem of the
-    other form is refused with a TypeError.
+    phi needs .on(x_array), returning phi(t, x_array) and phi_t(t, x_array)
+    as functions of t, with compact support inside [0, T) x interior.  The
+    residual includes the initial-datum term and is near zero (quadrature
+    floor) for genuine solutions.  `problem` is what `solve` integrated, or
+    one of the same form; a problem of the other form is refused with a
+    TypeError.
 
     The equation is read from the form's term table, sampled at every
     monitor time.  Each term sign * coef * D^p u is moved onto phi by parts:
@@ -544,13 +553,14 @@ def weak_residual(traj: Trajectory, phi, problem) -> float:
             f"not a {type(problem).__name__}"
         )
 
+    value, dt_value = phi.on(x)
     edge = np.abs(x) >= 0.9 * grid.half_width
-    probe = np.abs(np.asarray(phi.value(0.0, x)))
+    probe = np.abs(np.asarray(value(0.0)))
     pmax = max(probe.max(), 1e-300)
-    if np.abs(np.asarray(phi.value(T, x))).max() > 1e-10 * pmax:
+    if np.abs(np.asarray(value(T))).max() > 1e-10 * pmax:
         raise ValueError("test field must vanish before the final time")
     for tt in traj.times[:: max(1, len(traj.times) // 8)]:
-        if np.abs(np.asarray(phi.value(float(tt), x))[edge]).max() > 1e-10 * pmax:
+        if np.abs(np.asarray(value(float(tt)))[edge]).max() > 1e-10 * pmax:
             raise ValueError("test field must vanish near the domain edge")
 
     ddx = _Spectrum(grid, real_field=True, dealias_products=False).derivative
@@ -559,9 +569,9 @@ def weak_residual(traj: Trajectory, phi, problem) -> float:
     for i, (tt, state) in enumerate(zip(traj.times, traj.states)):
         tt = float(tt)
         u = state.physical()
-        p = np.asarray(phi.value(tt, x), dtype=float)
+        p = np.asarray(value(tt), dtype=float)
         co = sampler(tt)
-        lin = -np.asarray(phi.dt_value(tt, x), dtype=float)
+        lin = -np.asarray(dt_value(tt), dtype=float)
         if form == "transformed":
             lin = lin - ddx(p, 3)  # the dispersion the integrating factor applies
         quad = 0.0
@@ -576,6 +586,6 @@ def weak_residual(traj: Trajectory, phi, problem) -> float:
 
     space_time = float(_simpson(g, traj.times))
     u0 = traj.states[0].physical()
-    p0 = np.asarray(phi.value(0.0, x), dtype=float)
+    p0 = np.asarray(value(0.0), dtype=float)
     init_term = grid.dx * float(np.sum(u0 * p0))
     return space_time - init_term

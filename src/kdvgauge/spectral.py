@@ -26,6 +26,7 @@ __all__ = [
     "l2_norm",
     "mass",
     "interpolate",
+    "Interpolant",
     "inner_product",
     "edge_mass_fraction",
     "EDGE_MASS_LIMIT",
@@ -205,11 +206,13 @@ def inner_product(a: SpectralState, b: SpectralState) -> float:
     return float(val.real * 2.0 * a.grid.half_width)
 
 
-def interpolate(state: SpectralState, query_points: np.ndarray) -> np.ndarray:
-    """Trigonometric interpolation at arbitrary points (folded periodically).
+class Interpolant:
+    """Trigonometric interpolation of fields on one grid at fixed points.
 
-    Exact to round-off for band-limited fields; reproduces stored samples at
-    grid nodes.
+    Query points are folded periodically.  Exact to round-off for
+    band-limited fields; reproduces stored samples at grid nodes.  The phase
+    tables are built once and applied to every state passed in, so fields
+    transported through one map share them.
 
     The phase sum u(y) = sum_k c(k) exp(i k o), o = y + half_width, is
     factorized: in fftshift order mode p = a*B + b has wavenumber
@@ -223,22 +226,35 @@ def interpolate(state: SpectralState, query_points: np.ndarray) -> np.ndarray:
     wavenumbers from `grid.wavenumbers`, so the result is the dense sum
     exp(i k o) @ c to round-off.
     """
+
+    def __init__(self, grid: Grid, query_points: np.ndarray):
+        self.grid = grid
+        y = grid.fold(np.atleast_1d(np.asarray(query_points, dtype=float)))
+        n = grid.num_points
+        self.block = block = 1 << (n.bit_length() // 2)
+        k = grid.wavenumbers
+        # stored coefficients are indexed from the first node, so evaluation
+        # phases are taken relative to x = -half_width
+        offset = y + grid.half_width
+        self.lo = np.exp(1j * np.outer(offset, k[:block]))
+        # negative indices reach (a*B - n/2) dk in numpy FFT order
+        self.hi = np.exp(1j * np.outer(offset, k[np.arange(-(n // 2), n // 2, block)]))
+
+    def __call__(self, state: SpectralState) -> np.ndarray:
+        """The field's values at the query points (real for a real field)."""
+        if not state.grid.compatible_with(self.grid):
+            raise ValueError("field does not live on the interpolant's grid")
+        n = self.grid.num_points
+        table = np.fft.fftshift(state.coefficients).reshape(n // self.block, self.block)
+        out = np.einsum("ij,ij->i", self.hi, self.lo @ table.T)
+        return out.real if state.is_real_field else out
+
+
+def interpolate(state: SpectralState, query_points: np.ndarray) -> np.ndarray:
+    """The field at arbitrary points, through a one-off `Interpolant`; a
+    scalar query gives a scalar."""
     scalar = np.isscalar(query_points) or np.ndim(query_points) == 0
-    grid = state.grid
-    y = grid.fold(np.atleast_1d(np.asarray(query_points, dtype=float)))
-    n = grid.num_points
-    block = 1 << (n.bit_length() // 2)
-    k = grid.wavenumbers
-    # stored coefficients are indexed from the first node, so evaluation
-    # phases are taken relative to x = -half_width
-    offset = y + grid.half_width
-    lo = np.exp(1j * np.outer(offset, k[:block]))
-    # negative indices reach (a*B - n/2) dk in numpy FFT order
-    hi = np.exp(1j * np.outer(offset, k[np.arange(-(n // 2), n // 2, block)]))
-    table = np.fft.fftshift(state.coefficients).reshape(n // block, block)
-    out = np.einsum("ij,ij->i", hi, lo @ table.T)
-    if state.is_real_field:
-        out = out.real
+    out = Interpolant(state.grid, query_points)(state)
     return out[0] if scalar else out
 
 
@@ -253,9 +269,14 @@ def edge_mass_fraction(state: SpectralState, edge_fraction: float = 0.1) -> floa
     Used to monitor that localized solutions stay away from the periodic
     wrap; values above EDGE_MASS_LIMIT mean the domain is too small.
     """
-    u = np.abs(state.physical()) ** 2
-    L = state.grid.half_width
-    outer = np.abs(state.grid.x) >= (1.0 - edge_fraction) * L
+    return _edge_mass(state.grid, state.physical(), edge_fraction)
+
+
+def _edge_mass(grid: Grid, values: np.ndarray, edge_fraction: float = 0.1) -> float:
+    """`edge_mass_fraction` of a field from its physical values on `grid`."""
+    u = np.abs(values) ** 2
+    L = grid.half_width
+    outer = np.abs(grid.x) >= (1.0 - edge_fraction) * L
     total = u.sum()
     if total == 0.0:
         return 0.0

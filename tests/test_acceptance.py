@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from kdvgauge import gauge
 from kdvgauge.coefficients import CoefficientSet, check_hypotheses
 from kdvgauge.experiments import (
     BonaSmithSpec,
@@ -96,14 +97,26 @@ def test_criterion_1_gauge_identity_suite():
     )
 
 
-def test_criterion_2_transform_consistency():
+def test_criterion_2_transform_consistency(monkeypatch):
     started = time.time()
     cset = CoefficientSet.from_strings(**GAUGE_SUITE["tanh_benchmark"])
     spec = TransformConsistencySpec(
         cset=cset, grid=make_grid(32 * np.pi, 512),
         refine_sweep=(256, 512, 1024), solver=SolverConfig(t_final=0.5, s=1.0),
     )
+    tables = []
+    interpolant = gauge.Interpolant
+
+    def counted(grid, query_points):
+        tables.append(grid.num_points)
+        return interpolant(grid, query_points)
+
+    monkeypatch.setattr(gauge, "Interpolant", counted)
     report = run_transform_consistency(spec)
+    # static coefficients: one map per grid, so the datum's transport and the
+    # discrepancy loop's 81 transports build at most two phase tables per grid
+    assert sorted(set(tables)) == list(spec.refine_sweep)
+    assert all(tables.count(n) <= 2 for n in spec.refine_sweep)
     rows = report.tables["discrepancy"][1]
     finest = rows[-1][1]
     order = -report.slopes["refinement_order"]["slope"]

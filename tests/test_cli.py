@@ -517,12 +517,17 @@ packet_launch = 6
         # of every CAP_CHECK_STRIDE
         cfg_text = _with_line(KIND_CONFIGS["wavepacket"], "solver", "dt = 1e-3")
         cfg_path = write_cfg(tmp_path, cfg_text, "wp.cfg")
-        with pytest.warns(RuntimeWarning, match="outer 10%"):
+        with pytest.warns(RuntimeWarning, match="outer 10%") as caught:
             assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 1
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         verdicts = {v["name"]: v for v in summary["verdicts"]}
         assert verdicts["no_blowup"]["passed"] is False
         assert verdicts["no_blowup"]["value"] == 0.02000000000000001
+        # the packet stays off the edge until the unstable step blows it up,
+        # so the warning names the blow-up and not the domain
+        edge = [str(w.message) for w in caught if "outer 10%" in str(w.message)]
+        assert edge and all("blew up at t = 0.02" in m and "step may be unstable" in m for m in edge)
+        assert not any("half_width" in m for m in edge)
 
     def test_untruncating_bona_smith_sweep_refused(self, tmp_path, capsys):
         # default grid (8*pi, 512 points): k_max = 32, and the dealiased runs

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from kdvgauge import gauge
 from kdvgauge.coefficients import CoefficientSet
 from kdvgauge.expressions import parse_coefficient
 from kdvgauge.gauge import (
@@ -18,6 +19,7 @@ from kdvgauge.gauge import (
     _weight_and_drift,
     build_gauge_map,
     forward_transform,
+    forward_transforms,
     gauge_weight,
     image_grid_for,
     inverse_transform,
@@ -317,6 +319,60 @@ class TestTransport:
         wide = SpectralState.from_physical(g, np.ones(128))
         with pytest.raises(ValueError, match="edge"):
             forward_transform(wide, gm)
+
+
+class TestSharedTransport:
+    """`forward_transforms` shares one Interpolant over a run of one map."""
+
+    @staticmethod
+    def _counted(monkeypatch) -> list:
+        built = []
+        original = gauge.Interpolant
+
+        def counted(grid, query_points):
+            built.append(grid.num_points)
+            return original(grid, query_points)
+
+        monkeypatch.setattr(gauge, "Interpolant", counted)
+        return built
+
+    @staticmethod
+    def _states(g, count):
+        return [gaussian_state(g, 1.0 + 0.1 * i, 1.0 + 0.05 * i) for i in range(count)]
+
+    def test_equals_one_at_a_time(self, monkeypatch):
+        g = make_grid(16 * np.pi, 256)
+        system = GaugeSystem(tanh_set(), g)
+        gm = system.map_at(0.0)
+        states = self._states(g, 4)
+        built = self._counted(monkeypatch)
+        moved = list(forward_transforms(states, [gm] * len(states)))
+        assert built == [256]  # one run of one map: one set of tables
+        for u, v in zip(states, moved):
+            assert np.array_equal(v.coefficients, forward_transform(u, gm).coefficients)
+
+    def test_alternating_maps_rebuild(self, monkeypatch):
+        cs = CoefficientSet.from_strings(alpha="2+0.5*cos(t)*sech(x/4)^2", alpha0=0.4)
+        g = make_grid(16 * np.pi, 256)
+        system = GaugeSystem(cs, g, times=(0.0, 0.5))
+        maps = [system.map_at(t) for t in (0.0, 0.5, 0.5, 0.0)]
+        assert maps[0] is not maps[1]
+        states = self._states(g, 4)
+        built = self._counted(monkeypatch)
+        moved = list(forward_transforms(states, maps))
+        assert len(built) == 3  # a new table per change of map
+        for u, gm, v in zip(states, maps, moved):
+            assert np.array_equal(v.coefficients, forward_transform(u, gm).coefficients)
+
+    def test_edge_mass_refused_in_a_run(self):
+        cs = CoefficientSet.from_strings(alpha="1")
+        g = make_grid(8 * np.pi, 128)
+        gm = build_gauge_map(cs, 0.0, g, image_grid_for(cs, g, padding=0.0))
+        wide = SpectralState.from_physical(g, np.ones(128))
+        moved = forward_transforms([gaussian_state(g, 1.0, 1.0), wide], [gm, gm])
+        next(moved)
+        with pytest.raises(ValueError, match="edge"):
+            next(moved)
 
 
 class TestWeightOrientation:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from kdvgauge.spectral import (
     GridSizeError,
+    Interpolant,
     SpectralState,
     derivative,
     edge_mass_fraction,
@@ -219,6 +220,28 @@ class TestInterpolateMatchesDense:
         one = interpolate(state, float(query[0]))
         assert np.ndim(one) == 0
         assert abs(one - dense_interpolate(state, float(query[0]))) <= 1e-13 * scale
+
+
+class TestInterpolant:
+    def test_shared_tables_match_each_state(self):
+        g = make_grid(6.0, 256)
+        rng = np.random.default_rng(5)
+        query = rng.uniform(-9.0, 9.0, 200)
+        states = [SpectralState.from_physical(g, rng.standard_normal(256)) for _ in range(3)]
+        states.append(SpectralState(g, rng.standard_normal(256) + 1j * rng.standard_normal(256), False))
+        shared = Interpolant(g, query)
+        for state in states:
+            got = shared(state)
+            assert np.array_equal(got, interpolate(state, query))
+            scale = np.abs(state.coefficients).sum()
+            assert np.abs(got - dense_interpolate(state, query)).max() <= 1e-13 * scale
+
+    def test_other_grid_refused(self):
+        shared = Interpolant(make_grid(6.0, 64), [0.1, 0.2])
+        with pytest.raises(ValueError, match="grid"):
+            shared(SpectralState.zero(make_grid(6.0, 128)))
+        with pytest.raises(ValueError, match="grid"):
+            shared(SpectralState.zero(make_grid(7.0, 64)))
 
 
 class TestDealias:
