@@ -156,9 +156,7 @@ class ProjectorBank:
 def project(field: SpectralState, projector: DyadicProjector) -> SpectralState:
     if not field.grid.compatible_with(projector.grid):
         raise ValueError("projector was built for a different grid")
-    return SpectralState(
-        field.grid, field.coefficients * projector.symbol, field.is_real_field
-    )
+    return SpectralState(field.grid, field.coefficients * projector.symbol)
 
 
 def _b_energy(state: SpectralState, b: np.ndarray, s: float, bank: ProjectorBank) -> float:
@@ -187,17 +185,13 @@ def _truncated_product(f: SpectralState, g: SpectralState) -> SpectralState:
     f._check_same_grid(g)
     n = f.grid.num_points
     half = n // 2
-    ff = np.fft.ifft(_pad_coefficients(f.coefficients, n) * (2 * n))
-    gg = np.fft.ifft(_pad_coefficients(g.coefficients, n) * (2 * n))
-    if f.is_real_field:
-        ff = ff.real
-    if g.is_real_field:
-        gg = gg.real
+    ff = np.fft.ifft(_pad_coefficients(f.coefficients, n) * (2 * n)).real
+    gg = np.fft.ifft(_pad_coefficients(g.coefficients, n) * (2 * n)).real
     prod_hat = np.fft.fft(ff * gg) / (2 * n)
     out = np.empty(n, dtype=complex)
     out[:half] = prod_hat[:half]
     out[half:] = prod_hat[-half:]
-    return SpectralState(f.grid, out, f.is_real_field and g.is_real_field)
+    return SpectralState(f.grid, out)
 
 
 def _commutator_low(f_low: SpectralState, g: SpectralState, pn: DyadicProjector) -> SpectralState:

@@ -239,9 +239,9 @@ def spectrum_state(grid, s, decay_offset, rng, target_hs=1.0) -> SpectralState:
     c[pos] = (1.0 + np.abs(k[pos])) ** (-(s + decay_offset)) * np.exp(1j * phases)
     neg = (n - pos) % n
     c[neg] = np.conj(c[pos])
-    state = SpectralState(grid, c, True)
+    state = SpectralState(grid, c)
     norm = sobolev_norm(state, s)
-    return SpectralState(grid, c * (target_hs / norm), True)
+    return SpectralState(grid, c * (target_hs / norm))
 
 
 def random_smooth_field(grid, rng, decay=1.0, amplitude=1.0) -> SpectralState:
@@ -593,7 +593,7 @@ class WavepacketSpec(ExperimentSpec):
         u0 = packet_state(grid, xi0, self.packet_width, center=self.packet_launch)
         T = 2.0 * self.packet_launch / (3.0 * a0 * xi0**2)
         k = grid.wavenumbers
-        return u0, SpectralState(grid, u0.coefficients * np.exp(1j * a0 * k**3 * T), True), T
+        return u0, SpectralState(grid, u0.coefficients * np.exp(1j * a0 * k**3 * T)), T
 
     def integrated_cset(self) -> CoefficientSet:
         """The config's constant alpha with the study's own anti-diffusion

@@ -211,7 +211,6 @@ def image_grid_for(
     source_grid: Grid,
     times=(0.0,),
     padding: float = 0.05,
-    num_points: int | None = None,
 ) -> Grid:
     """One fixed grid covering the image of the source domain under A.
 
@@ -224,7 +223,7 @@ def image_grid_for(
         A = _straighten(cset, float(t), source_grid)
         reach = max(reach, abs(A[0]), abs(A[-1]))
     H = reach * (1.0 + padding)
-    return make_grid(H, num_points or source_grid.num_points)
+    return make_grid(H, source_grid.num_points)
 
 
 def build_gauge_map(
@@ -291,8 +290,6 @@ class TransformedCoefficients:
     d: np.ndarray
     e: np.ndarray
     f: np.ndarray
-    pullback_points: np.ndarray
-    clamped: np.ndarray
 
     @classmethod
     def constant_kdv(cls, grid: Grid, epsilon: float = -6.0, t: float = 0.0):
@@ -301,8 +298,6 @@ class TransformedCoefficients:
         return cls(
             t=t, grid=grid, b=z.copy(), c=z.copy(), d=z.copy(),
             e=np.full(grid.num_points, float(epsilon)), f=z.copy(),
-            pullback_points=grid.x.copy(),
-            clamped=np.zeros(grid.num_points, dtype=bool),
         )
 
     def validate(self) -> None:
@@ -313,21 +308,18 @@ class TransformedCoefficients:
             )
 
 
-def transform_coefficients(
-    cset: CoefficientSet, gmap: GaugeMap, image_grid: Grid
-) -> TransformedCoefficients:
-    """Pull every source quantity back through A^-1 and assemble b..f.
+def transform_coefficients(gmap: GaugeMap) -> TransformedCoefficients:
+    """Pull every source quantity of the map's coefficient set back through
+    A^-1 and assemble b..f on its image grid at its time.
 
     Image nodes outside the sampled A-range (the 5% padding collar) reuse
     the boundary pullback point, i.e. the coefficients are extended by
     their edge values; localized runs never exercise that collar.
     """
-    if not gmap.image_grid.compatible_with(image_grid):
-        raise ValueError("gauge map was built for a different image grid")
     t = gmap.t
-    y = gmap.A_inverse_samples
     al, al_x, al_2x, be, ga, de, ep, r, rx, rxx = (
-        np.asarray(v, dtype=float) for v in cset.sample(_PULLBACK_FIELDS, t, y)
+        np.asarray(v, dtype=float)
+        for v in gmap.cset.sample(_PULLBACK_FIELDS, t, gmap.A_inverse_samples)
     )
     h = gmap.h_at_inverse
     hx_h = r
@@ -357,10 +349,7 @@ def transform_coefficients(
     e = ep / (cbrt * h)
     f = -ep * hx_h / h
 
-    out = TransformedCoefficients(
-        t=t, grid=image_grid, b=b, c=c, d=d, e=e, f=f,
-        pullback_points=y, clamped=gmap.inverse_clamped.copy(),
-    )
+    out = TransformedCoefficients(t=t, grid=gmap.image_grid, b=b, c=c, d=d, e=e, f=f)
     out.validate()
     return out
 
@@ -464,18 +453,17 @@ class GaugeSystem:
         source_grid: Grid,
         image_grid: Grid | None = None,
         times=(0.0,),
-        padding: float = 0.05,
         keep=(),
     ):
         self.cset = cset
         self.source_grid = source_grid
         self.image_grid = image_grid = image_grid or image_grid_for(
-            cset, source_grid, times=times, padding=padding
+            cset, source_grid, times=times
         )
         frozen = not cset.is_time_dependent
         self.map_at = map_at = TimeSlices(
             lambda t: build_gauge_map(cset, t, source_grid, image_grid), frozen, keep
         )
         self.coefficients_at = TimeSlices(
-            lambda t: transform_coefficients(cset, map_at(t), image_grid), frozen, keep
+            lambda t: transform_coefficients(map_at(t)), frozen, keep
         )

@@ -15,9 +15,9 @@ with a diagonal Fourier symbol L:
   explicit, with quadratic products dealiased.
 
 N is read from a per-form table of coefficient -> (derivative order, sign),
-and the weak residual reads the same table.  Real fields step on the
-Hermitian half spectrum (rfft/irfft) with the unpaired Nyquist mode held at
-zero; every derivative a right-hand side needs comes from one batched
+and the weak residual reads the same table.  Fields are real and step on
+the Hermitian half spectrum (rfft/irfft) with the unpaired Nyquist mode held
+at zero; every derivative a right-hand side needs comes from one batched
 inverse transform, and terms whose coefficient is identically zero are
 skipped.  Time-dependent coefficients are re-sampled at the RK stage times,
 which preserves fourth order; `_sampler` serves them through a
@@ -117,40 +117,33 @@ _TERMS = {
 
 
 class _Spectrum:
-    """The transform pair of one grid and field type, with its (ik)^p rows.
+    """The real-field transform pair of one grid, with its (ik)^p rows.
 
-    Real fields live on the Hermitian half spectrum (rfft/irfft, the last
-    entry is the Nyquist mode); complex fields on the full spectrum.  Both
-    keep the package normalization u(x) = sum_k c(k) exp(ikx).  `keep` is
-    the 0/1 row applied to every right-hand side: the 2/3 mask when
-    dealiasing, and for real fields the unpaired Nyquist mode, which cannot
-    stay real under the phase rotation (None when every mode is kept).
+    Fields live on the Hermitian half spectrum (rfft/irfft, the last entry
+    is the Nyquist mode) in the package normalization
+    u(x) = sum_k c(k) exp(ikx).  `keep` is the 0/1 row applied to every
+    right-hand side: the 2/3 mask when dealiasing, and always without the
+    unpaired Nyquist mode, which cannot stay real under the phase rotation.
     """
 
-    def __init__(self, grid: Grid, real_field: bool, dealias_products: bool):
+    def __init__(self, grid: Grid, dealias_products: bool):
         n = grid.num_points
         self.grid = grid
         self.n = n
-        self.real_field = real_field
-        size = n // 2 + 1 if real_field else n
+        size = n // 2 + 1
         k = grid.wavenumbers[:size]
         self.k = k
         self.rows = np.stack([(1j * k) ** p for p in range(4)])
         keep = grid.dealias_mask[:size].copy() if dealias_products else np.ones(size, bool)
-        if real_field:
-            keep[grid.nyquist_index] = False
-        self.keep = None if keep.all() else keep.astype(float)
+        keep[grid.nyquist_index] = False
+        self.keep = keep.astype(float)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
-        if self.real_field:
-            return np.fft.rfft(values, norm="forward")
-        return np.fft.fft(values, norm="forward")
+        return np.fft.rfft(values, norm="forward")
 
     def inverse(self, spectra: np.ndarray) -> np.ndarray:
         """Physical values of one spectrum, or of each row of a 2-D stack."""
-        if self.real_field:
-            return np.fft.irfft(spectra, self.n, norm="forward")
-        return np.fft.ifft(spectra, norm="forward")
+        return np.fft.irfft(spectra, self.n, norm="forward")
 
     def derivative(self, values: np.ndarray, order: int) -> np.ndarray:
         return self.inverse(self.rows[order] * self.forward(values))
@@ -160,14 +153,12 @@ class _Spectrum:
         return coefficients[: self.k.size].copy()
 
     def state(self, coefficients: np.ndarray) -> SpectralState:
-        """Full-spectrum state from this layout (conjugate mirror if real)."""
-        if not self.real_field:
-            return SpectralState(self.grid, coefficients.copy(), False)
+        """Full-spectrum state from the half spectrum, by conjugate mirror."""
         full = np.empty(self.n, dtype=complex)
         m = coefficients.size
         full[:m] = coefficients
         full[m:] = np.conj(coefficients[self.n - m : 0 : -1])
-        return SpectralState(self.grid, full, True)
+        return SpectralState(self.grid, full)
 
 
 class _RK4:
@@ -238,8 +229,7 @@ class _RK4:
         if quadratic:
             total = total + fields[field_slot] * sum(coef * fields[i] for coef, i in quadratic)
         out = self.spectrum.forward(total)
-        if self.spectrum.keep is not None:
-            out *= self.spectrum.keep
+        out *= self.spectrum.keep
         return out
 
     def step(self, chat: np.ndarray, t: float, dt: float) -> np.ndarray:
@@ -361,14 +351,13 @@ def solve(
     if not dt > 0:
         raise ValueError("dt must be positive")
 
-    spectrum = _Spectrum(grid, u0.is_real_field, config.dealias)
+    spectrum = _Spectrum(grid, config.dealias)
     integrator = _RK4(spectrum, form, sampler)
     chat = spectrum.restrict(u0.coefficients)
     chat[grid.nyquist_index] = 0.0  # unpaired mode cannot stay real under phase rotation
-    if spectrum.keep is not None:
-        # with dealiasing the resolved band is 2/3 of Nyquist; data beyond it
-        # would be frozen by the masked right-hand side, so drop it up front
-        chat *= spectrum.keep
+    # with dealiasing the resolved band is 2/3 of Nyquist; data beyond it
+    # would be frozen by the masked right-hand side, so drop it up front
+    chat *= spectrum.keep
 
     bank = ProjectorBank(grid)
     times, states, sups, hs, diss = [], [], [], [], []
@@ -563,7 +552,7 @@ def weak_residual(traj: Trajectory, phi, problem) -> float:
         if np.abs(np.asarray(value(float(tt)))[edge]).max() > 1e-10 * pmax:
             raise ValueError("test field must vanish near the domain edge")
 
-    ddx = _Spectrum(grid, real_field=True, dealias_products=False).derivative
+    ddx = _Spectrum(grid, dealias_products=False).derivative
 
     g = np.empty(len(traj.times))
     for i, (tt, state) in enumerate(zip(traj.times, traj.states)):

@@ -103,11 +103,10 @@ def make_grid(half_width: float, num_points: int) -> Grid:
 
 @dataclass
 class SpectralState:
-    """A scalar field stored by its normalized Fourier coefficients."""
+    """A real scalar field stored by its normalized Fourier coefficients."""
 
     grid: Grid
     coefficients: np.ndarray
-    is_real_field: bool = True
 
     @classmethod
     def from_physical(cls, grid: Grid, values: np.ndarray) -> "SpectralState":
@@ -116,23 +115,22 @@ class SpectralState:
             raise ValueError(
                 f"field shape {values.shape} does not match grid ({grid.num_points},)"
             )
-        is_real = not np.iscomplexobj(values)
-        coeffs = np.fft.fft(values) / grid.num_points
-        return cls(grid=grid, coefficients=coeffs, is_real_field=is_real)
+        if np.iscomplexobj(values):
+            raise ValueError("fields are real; got complex values")
+        return cls(grid=grid, coefficients=np.fft.fft(values) / grid.num_points)
 
     @classmethod
     def zero(cls, grid: Grid) -> "SpectralState":
-        return cls(grid, np.zeros(grid.num_points, dtype=complex), True)
+        return cls(grid, np.zeros(grid.num_points, dtype=complex))
 
     def physical(self) -> np.ndarray:
-        vals = np.fft.ifft(self.coefficients * self.grid.num_points)
-        return vals.real if self.is_real_field else vals
+        return np.fft.ifft(self.coefficients * self.grid.num_points).real
 
     def copy(self) -> "SpectralState":
-        return SpectralState(self.grid, self.coefficients.copy(), self.is_real_field)
+        return SpectralState(self.grid, self.coefficients.copy())
 
     def check_hermitian(self, rtol: float = 1e-12) -> bool:
-        """Conjugate symmetry c(-k) = conj(c(k)) up to rtol (real fields)."""
+        """Conjugate symmetry c(-k) = conj(c(k)) up to rtol."""
         c = self.coefficients
         n = self.grid.num_points
         idx = np.arange(1, n)
@@ -142,24 +140,14 @@ class SpectralState:
 
     def __add__(self, other: "SpectralState") -> "SpectralState":
         self._check_same_grid(other)
-        return SpectralState(
-            self.grid,
-            self.coefficients + other.coefficients,
-            self.is_real_field and other.is_real_field,
-        )
+        return SpectralState(self.grid, self.coefficients + other.coefficients)
 
     def __sub__(self, other: "SpectralState") -> "SpectralState":
         self._check_same_grid(other)
-        return SpectralState(
-            self.grid,
-            self.coefficients - other.coefficients,
-            self.is_real_field and other.is_real_field,
-        )
+        return SpectralState(self.grid, self.coefficients - other.coefficients)
 
     def __rmul__(self, scalar: float) -> "SpectralState":
-        return SpectralState(
-            self.grid, scalar * self.coefficients, self.is_real_field
-        )
+        return SpectralState(self.grid, scalar * self.coefficients)
 
     def _check_same_grid(self, other: "SpectralState") -> None:
         if not self.grid.compatible_with(other.grid):
@@ -169,17 +157,15 @@ class SpectralState:
 def derivative(state: SpectralState, order: int = 1) -> SpectralState:
     """Spectral derivative: multiply coefficients by (i k)^order.
 
-    The unpaired Nyquist mode is zeroed for real fields so that odd-order
-    derivatives stay real-valued.
+    The unpaired Nyquist mode is zeroed so that odd-order derivatives stay
+    real-valued.
     """
     if order < 1:
         raise ValueError("derivative order must be >= 1")
     k = state.grid.wavenumbers
     coeffs = state.coefficients * (1j * k) ** order
-    if state.is_real_field:
-        coeffs = coeffs.copy()
-        coeffs[state.grid.nyquist_index] = 0.0
-    return SpectralState(state.grid, coeffs, state.is_real_field)
+    coeffs[state.grid.nyquist_index] = 0.0
+    return SpectralState(state.grid, coeffs)
 
 
 def sobolev_norm(state: SpectralState, s: float) -> float:
@@ -241,13 +227,13 @@ class Interpolant:
         self.hi = np.exp(1j * np.outer(offset, k[np.arange(-(n // 2), n // 2, block)]))
 
     def __call__(self, state: SpectralState) -> np.ndarray:
-        """The field's values at the query points (real for a real field)."""
+        """The field's values at the query points."""
         if not state.grid.compatible_with(self.grid):
             raise ValueError("field does not live on the interpolant's grid")
         n = self.grid.num_points
         table = np.fft.fftshift(state.coefficients).reshape(n // self.block, self.block)
         out = np.einsum("ij,ij->i", self.hi, self.lo @ table.T)
-        return out.real if state.is_real_field else out
+        return out.real
 
 
 def interpolate(state: SpectralState, query_points: np.ndarray) -> np.ndarray:
@@ -263,20 +249,19 @@ def interpolate(state: SpectralState, query_points: np.ndarray) -> np.ndarray:
 EDGE_MASS_LIMIT = 1e-6
 
 
-def edge_mass_fraction(state: SpectralState, edge_fraction: float = 0.1) -> float:
-    """Fraction of the squared field sitting in the outer part of the domain.
+def edge_mass_fraction(state: SpectralState) -> float:
+    """Fraction of the squared field sitting in the outer 10% of the domain.
 
     Used to monitor that localized solutions stay away from the periodic
     wrap; values above EDGE_MASS_LIMIT mean the domain is too small.
     """
-    return _edge_mass(state.grid, state.physical(), edge_fraction)
+    return _edge_mass(state.grid, state.physical())
 
 
-def _edge_mass(grid: Grid, values: np.ndarray, edge_fraction: float = 0.1) -> float:
+def _edge_mass(grid: Grid, values: np.ndarray) -> float:
     """`edge_mass_fraction` of a field from its physical values on `grid`."""
     u = np.abs(values) ** 2
-    L = grid.half_width
-    outer = np.abs(grid.x) >= (1.0 - edge_fraction) * L
+    outer = np.abs(grid.x) >= 0.9 * grid.half_width
     total = u.sum()
     if total == 0.0:
         return 0.0

@@ -79,7 +79,7 @@ def test_criterion_1_gauge_identity_suite():
             tc = system.coefficients_at(t)
             worst_bmin = min(worst_bmin, float(tc.b.min()))
             # independent closed form: -beta2 alpha^(-2/3) at the pullback
-            y = tc.pullback_points
+            y = gmap.A_inverse_samples
             b2 = np.asarray(cset.beta2.eval(t, y), dtype=float)
             al = np.asarray(cset.alpha.eval(t, y), dtype=float)
             want = -b2 * al ** (-2.0 / 3.0)

@@ -70,10 +70,10 @@ class TestProjectors:
         assert np.abs(total - f.coefficients).max() < 1e-12
 
     def test_band_symbol_value(self):
-        # P_4 on e^{i 5x}: coefficient is phi(5/4) = eta(5/4) - eta(5/2)
+        # P_4 on cos(5x): the +5 coefficient is scaled by phi(5/4) = eta(5/4) - eta(5/2)
         g = make_grid(np.pi, 64)
         bank = ProjectorBank(g)
-        f = SpectralState.from_physical(g, np.exp(1j * 5 * g.x))
+        f = SpectralState.from_physical(g, np.cos(5 * g.x))
         p = project(f, bank.p_n(4))
         idx = np.argmin(np.abs(g.wavenumbers - 5))
         want = (bump_eta(5 / 4) - bump_eta(5 / 2)) * f.coefficients[idx]
@@ -169,9 +169,7 @@ class TestCommutators:
         g = random_smooth_field(self.grid, self.rng, decay=1.0)
         N = 32
         tilde = self.bank.p_tilde(N)
-        g_out = SpectralState(
-            self.grid, g.coefficients * (tilde.symbol == 0.0), True
-        )
+        g_out = SpectralState(self.grid, g.coefficients * (tilde.symbol == 0.0))
         assert l2_norm(commutator(f, g_out, N, self.bank)) < 1e-13
 
     def test_single_bracket_bound(self):

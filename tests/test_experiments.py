@@ -363,9 +363,9 @@ class TestTimeDependentGaugePath:
             built["map"].append((source_grid.num_points, t))
             return build_map(cset, t, source_grid, image_grid)
 
-        def counted_coefficients(cset, gmap, image_grid):
+        def counted_coefficients(gmap):
             built["coefficients"].append((gmap.source_grid.num_points, gmap.t))
-            return transform(cset, gmap, image_grid)
+            return transform(gmap)
 
         monkeypatch.setattr(gauge, "build_gauge_map", counted_map)
         monkeypatch.setattr(gauge, "transform_coefficients", counted_coefficients)

@@ -237,7 +237,7 @@ class TestTransformedCoefficients:
         g = make_grid(32 * np.pi, 512)
         system = GaugeSystem(cs, g)
         tc = system.coefficients_at(0.0)
-        y = tc.pullback_points
+        y = system.map_at(0.0).A_inverse_samples
         want = 0.2 / np.cosh(y / 4) ** 2 * (2 + 0.5 * np.tanh(y / 4)) ** (-2 / 3)
         scale = max(1.0, np.abs(want).max())
         assert np.abs(tc.b - want).max() < 1e-8 * scale
@@ -428,7 +428,7 @@ class TestGaugeProperties:
 
         # b = -beta2 alpha^(-2/3) at the pullback points
         tc = system.coefficients_at(0.0)
-        y = tc.pullback_points
+        y = system.map_at(0.0).A_inverse_samples
         want = c2 / np.cosh(y / w2) ** 2 * (a0 + a1 / np.cosh(y / w) ** 2) ** (-2.0 / 3.0)
         assert np.abs(tc.b - want).max() < 1e-8 * max(1.0, np.abs(want).max())
 
@@ -484,7 +484,7 @@ class TestTimeDependentGaugeProperties:
         # b = -beta2 alpha^(-2/3) at the pullback points of the slice at t
         tc = system.coefficients_at(t)
         assert tc.t == t
-        y = tc.pullback_points
+        y = system.map_at(t).A_inverse_samples
         want = c2 / np.cosh(y / w2) ** 2 * alpha_at(y) ** (-2.0 / 3.0)
         assert np.abs(tc.b - want).max() < 1e-8 * max(1.0, np.abs(want).max())
 
