@@ -19,12 +19,14 @@ and the weak residual reads the same table.  Fields are real and step on
 the Hermitian half spectrum (rfft/irfft) with the unpaired Nyquist mode held
 at zero; every derivative a right-hand side needs comes from one batched
 inverse transform, and terms whose coefficient is identically zero are
-skipped.  Time-dependent coefficients are re-sampled at the RK stage times,
-which preserves fourth order; `_sampler` serves them through a
-`gauge.TimeSlices` cache keyed by time to 14 decimals.  Blow-up is detected
-from the sup-norm against a configurable cap, at the monitor times or every
-CAP_CHECK_STRIDE steps when none are given, and is deterministic for a fixed
-configuration.
+skipped.  The step runs in place on work arrays allocated once per solve,
+with every complex product's operands in a fixed order, since numpy's
+complex multiply is not bitwise commutative (see `_RK4`).  Time-dependent
+coefficients are re-sampled at the RK stage times, which preserves fourth
+order; `_sampler` serves them through a `gauge.TimeSlices` cache keyed by
+time to 14 decimals.  Blow-up is detected from the sup-norm against a
+configurable cap, at the monitor times or every CAP_CHECK_STRIDE steps when
+none are given, and is deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -136,14 +138,16 @@ class _Spectrum:
         self.rows = np.stack([(1j * k) ** p for p in range(4)])
         keep = grid.dealias_mask[:size].copy() if dealias_products else np.ones(size, bool)
         keep[grid.nyquist_index] = False
-        self.keep = keep.astype(float)
+        # complex: numpy multiplies a complex by a real array in complex
+        # arithmetic, so this gives the same bits without a cast per call
+        self.keep = keep.astype(complex)
 
-    def forward(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.rfft(values, norm="forward")
+    def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.fft.rfft(values, norm="forward", out=out)
 
-    def inverse(self, spectra: np.ndarray) -> np.ndarray:
+    def inverse(self, spectra: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Physical values of one spectrum, or of each row of a 2-D stack."""
-        return np.fft.irfft(spectra, self.n, norm="forward")
+        return np.fft.irfft(spectra, self.n, norm="forward", out=out)
 
     def derivative(self, values: np.ndarray, order: int) -> np.ndarray:
         return self.inverse(self.rows[order] * self.forward(values))
@@ -161,6 +165,18 @@ class _Spectrum:
         return SpectralState(self.grid, full)
 
 
+def _sum_terms(terms: list, fields: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """sum(coef * fields[i] for coef, i in terms) into `out`, in table order.
+
+    Unlike `sum`, it starts from the first term rather than from 0, which
+    can differ only in the sign of a zero.
+    """
+    (coef, i), *rest = terms
+    np.multiply(coef, fields[i], out=out)
+    for coef, i in rest:
+        np.add(out, np.multiply(coef, fields[i], out=scratch), out=out)
+
+
 class _RK4:
     """One RK4 for both forms: c' = L c + N(c, t) with a diagonal symbol L.
 
@@ -169,6 +185,20 @@ class _RK4:
     applied exactly).  N reads the form's term table; terms whose sampled
     coefficient is identically zero are dropped once per coefficient sample,
     and every derivative order N needs comes from one batched inverse FFT.
+
+    The step runs in place: one set of work arrays is allocated with the
+    integrator (the stage input, exp(L dt/2) c, exp(L dt) c, n1..n4, four
+    (ik)^p-weighted spectra and their four fields, of which a plan with m
+    orders uses the first m, and the real-space sums of the terms), and every
+    stage, right-hand side and transform is written into them with `out=`,
+    so a plan rebuilt for each new coefficient slice allocates no work
+    array.  Every product takes the factor first (exp(L dt/2) * n2, never
+    n2 * exp(L dt/2)): a complex array times a complex array is not
+    bitwise commutative in numpy (measured with numpy 2.4:
+    swapped operands differ in the last bit in about a third of the entries
+    of a 257-mode half spectrum), and one swapped product moves the solution
+    in the 16th digit.  The original form's factors are 1.0, so it skips
+    their multiplies.  `step` returns a fresh array; no work array escapes.
     """
 
     _FACTOR_CACHE = 4  # regular step plus a few shortened landing steps
@@ -181,7 +211,14 @@ class _RK4:
         self._factors: dict[float, tuple] = {}
         self._plan_source = None
         self._plan = None
-        self._zero = np.zeros(spectrum.k.size, dtype=complex)
+        size, n = spectrum.k.size, spectrum.n
+        # stage input, exp(L dt/2) c, exp(L dt) c, n1..n4
+        self._stages = np.empty((7, size), dtype=complex)
+        # a plan with m orders uses the first m weighted spectra and fields
+        spectra, fields = np.empty((4, size), dtype=complex), np.empty((4, n))
+        self._batches = [(spectra[:m], fields[:m]) for m in range(5)]
+        # sums of the linear and the quadratic terms, and one term's product
+        self._sums = np.empty((3, n))
 
     def _integrating_factors(self, dt: float) -> tuple:
         """(exp(L dt/2), exp(L dt)), cached per step size."""
@@ -219,28 +256,62 @@ class _RK4:
         self._plan_source, self._plan = co, plan
         return plan
 
-    def rhs(self, chat: np.ndarray, t: float) -> np.ndarray:
+    def rhs(self, chat: np.ndarray, t: float, out: np.ndarray) -> None:
+        """Write N(chat, t) into `out`."""
         plan = self._plan_for(self.sampler(t))
         if plan is None:
-            return self._zero
+            out.fill(0.0)
+            return
         rows, linear, quadratic, field_slot = plan
-        fields = self.spectrum.inverse(rows * chat)
-        total = sum(coef * fields[i] for coef, i in linear)
+        spectra, fields = self._batches[len(rows)]
+        np.multiply(rows, chat, out=spectra)
+        self.spectrum.inverse(spectra, out=fields)
+        # total = linear sum + u * quadratic sum
+        total, products, term = self._sums
         if quadratic:
-            total = total + fields[field_slot] * sum(coef * fields[i] for coef, i in quadratic)
-        out = self.spectrum.forward(total)
+            _sum_terms(quadratic, fields, products, term)
+            if linear:
+                _sum_terms(linear, fields, total, term)
+                np.add(total, np.multiply(fields[field_slot], products, out=term), out=total)
+            else:
+                np.multiply(fields[field_slot], products, out=total)
+        else:
+            _sum_terms(linear, fields, total, term)
+        self.spectrum.forward(total, out=out)
         out *= self.spectrum.keep
-        return out
 
     def step(self, chat: np.ndarray, t: float, dt: float) -> np.ndarray:
         e_half, e_full = self._integrating_factors(dt)
         half = 0.5 * dt
-        shifted = e_half * chat
-        n1 = self.rhs(chat, t)
-        n2 = self.rhs(shifted + half * (e_half * n1), t + half)
-        n3 = self.rhs(shifted + half * n2, t + half)
-        n4 = self.rhs(e_full * chat + dt * (e_half * n3), t + dt)
-        return e_full * chat + (dt / 6.0) * (e_full * n1 + 2.0 * (e_half * (n2 + n3)) + n4)
+        stage, shifted, full, n1, n2, n3, n4 = self._stages
+        transformed = self.symbol is not None
+        if transformed:
+            np.multiply(e_half, chat, out=shifted)
+            np.multiply(e_full, chat, out=full)
+        else:
+            shifted = full = chat
+
+        self.rhs(chat, t, n1)
+        # shifted + half * (e_half * n1)
+        lead = np.multiply(e_half, n1, out=stage) if transformed else n1
+        np.add(shifted, np.multiply(half, lead, out=stage), out=stage)
+        self.rhs(stage, t + half, n2)
+        # shifted + half * n2
+        np.add(shifted, np.multiply(half, n2, out=stage), out=stage)
+        self.rhs(stage, t + half, n3)
+        # full + dt * (e_half * n3)
+        lead = np.multiply(e_half, n3, out=stage) if transformed else n3
+        np.add(full, np.multiply(dt, lead, out=stage), out=stage)
+        self.rhs(stage, t + dt, n4)
+
+        # full + (dt / 6) * (e_full * n1 + 2 * (e_half * (n2 + n3)) + n4)
+        np.add(n2, n3, out=n2)
+        if transformed:
+            np.multiply(e_half, n2, out=n2)
+            np.multiply(e_full, n1, out=n1)
+        np.add(n1, np.multiply(2.0, n2, out=n2), out=n1)
+        np.add(n1, n4, out=n1)
+        return np.add(full, np.multiply(dt / 6.0, n1, out=n1))
 
 
 def _original_slice(cset: CoefficientSet, grid: Grid, t: float) -> SimpleNamespace:

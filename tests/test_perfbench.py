@@ -70,4 +70,6 @@ def test_traced_run_yields_layer_metrics(tmp_path):
         json.loads(spans.read_text(encoding="utf-8")), stamp["end"] - stamp["dispatch"]
     )
     assert metrics["solver.steps"] > 0
+    # transforms bound at import would bypass the tracer's numpy.fft wrappers
+    assert metrics["fft.calls.solver"] > 0
     assert metrics["gauge.build_gauge_map.calls"] > 0

@@ -532,26 +532,28 @@ _DRIFTING = dict(
 )
 
 
+@pytest.fixture(scope="module")
+def setting():
+    """(grid, form -> (problem of the _DRIFTING set, t -> its coefficients))."""
+    g = make_grid(16 * np.pi, 256)
+    cs = CoefficientSet.from_strings(**_DRIFTING)
+    system = GaugeSystem(cs, g, image_grid=g)
+
+    def original_at(t):
+        return {name: np.asarray(getattr(cs, name).eval(t, g.x), dtype=float)
+                for name in ("alpha", "beta", "gamma", "delta", "epsilon")}
+
+    def transformed_at(t):
+        tc = system.coefficients_at(t)
+        return {"b": tc.b, "c": tc.c, "d": tc.d, "e": tc.e, "f": tc.f}
+
+    return g, {"original": (cs, original_at), "transformed": (system, transformed_at)}
+
+
 class TestCoreMatchesReference:
     T = 0.004
     DT = 5e-4
     MONITOR = (0.0013, 0.0026, 0.0037)  # none on the dt lattice
-
-    @pytest.fixture(scope="class")
-    def setting(self):
-        g = make_grid(16 * np.pi, 256)
-        cs = CoefficientSet.from_strings(**_DRIFTING)
-        system = GaugeSystem(cs, g, image_grid=g)
-
-        def original_at(t):
-            return {name: np.asarray(getattr(cs, name).eval(t, g.x), dtype=float)
-                    for name in ("alpha", "beta", "gamma", "delta", "epsilon")}
-
-        def transformed_at(t):
-            tc = system.coefficients_at(t)
-            return {"b": tc.b, "c": tc.c, "d": tc.d, "e": tc.e, "f": tc.f}
-
-        return g, {"original": (cs, original_at), "transformed": (system, transformed_at)}
 
     @pytest.mark.parametrize("form", ["original", "transformed"])
     @pytest.mark.parametrize("dealias", [True, False])
@@ -589,6 +591,111 @@ class TestTermPlanReuse:
         solve(u0, SolverConfig(t_final=4 * dt, dt=dt, s=1.0), system)
         assert len(rebuilt) == 16
         assert sum(rebuilt) == 9
+
+
+# -- oracle: the allocating RK4 step that the in-place one replaced ----------
+
+
+def _allocating_rhs(rk, chat, t):
+    plan = rk._plan_for(rk.sampler(t))
+    if plan is None:
+        return np.zeros(rk.spectrum.k.size, dtype=complex)
+    rows, linear, quadratic, field_slot = plan
+    fields = rk.spectrum.inverse(rows * chat)
+    total = sum(coef * fields[i] for coef, i in linear)
+    if quadratic:
+        total = total + fields[field_slot] * sum(coef * fields[i] for coef, i in quadratic)
+    out = rk.spectrum.forward(total)
+    out *= rk.spectrum.keep.real
+    return out
+
+
+def _allocating_step(rk, chat, t, dt):
+    e_half, e_full = rk._integrating_factors(dt)
+    half = 0.5 * dt
+    shifted = e_half * chat
+    n1 = _allocating_rhs(rk, chat, t)
+    n2 = _allocating_rhs(rk, shifted + half * (e_half * n1), t + half)
+    n3 = _allocating_rhs(rk, shifted + half * n2, t + half)
+    n4 = _allocating_rhs(rk, e_full * chat + dt * (e_half * n3), t + dt)
+    return e_full * chat + (dt / 6.0) * (e_full * n1 + 2.0 * (e_half * (n2 + n3)) + n4)
+
+
+def _integrator(problem, grid, dealias):
+    """A solve's RK4 for `problem` and its datum's kept half spectrum."""
+    form, sampler = solver_module._sampler(problem, grid)
+    spectrum = solver_module._Spectrum(grid, dealias)
+    u0 = SpectralState.from_physical(grid, 0.8 * np.exp(-(((grid.x - 1.0) / 3.0) ** 2)))
+    chat = spectrum.restrict(u0.coefficients)
+    chat[grid.nyquist_index] = 0.0
+    chat *= spectrum.keep
+    return solver_module._RK4(spectrum, form, sampler), chat
+
+
+def _frozen(setting, form):
+    """A time-independent problem of `form` on the setting's grid."""
+    if form == "original":
+        return CoefficientSet.from_strings(**dict(_DRIFTING, alpha="2+0.5*sech(x/4)^2"))
+    return setting[1]["transformed"][0].coefficients_at(0.0)
+
+
+class TestInPlaceStep:
+    DT = 5e-4
+
+    @pytest.mark.parametrize("form", ["original", "transformed"])
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("drifting", [True, False])
+    def test_matches_allocating_step_bit_for_bit(self, setting, form, dealias, drifting):
+        g, problems = setting
+        problem = problems[form][0] if drifting else _frozen(setting, form)
+        rk, chat = _integrator(problem, g, dealias)
+        start, want, t = chat.copy(), chat.copy(), 0.0
+        for dt in [self.DT] * 20 + [0.37 * self.DT]:  # 20 steps and a landing step
+            chat = rk.step(chat, t, dt)
+            want = _allocating_step(rk, want, t, dt)
+            t += dt
+            assert np.array_equal(chat, want)
+        assert not np.array_equal(chat, start)
+
+    def test_plan_without_terms_matches(self):
+        g = make_grid(np.pi, 64)
+        rk, chat = _integrator(TransformedCoefficients.constant_kdv(g, epsilon=0.0), g, True)
+        want = chat.copy()
+        for i in range(3):
+            chat = rk.step(chat, i * self.DT, self.DT)
+            want = _allocating_step(rk, want, i * self.DT, self.DT)
+            assert np.array_equal(chat, want)
+
+
+class TestNoWorkArrayEscapes:
+    @pytest.mark.parametrize("form", ["original", "transformed"])
+    def test_returned_step_survives_the_next(self, setting, form):
+        g, problems = setting
+        rk, chat = _integrator(problems[form][0], g, True)
+        held = rk.step(chat, 0.0, 5e-4)
+        kept = held.copy()
+        rk.step(held, 5e-4, 5e-4)
+        assert np.array_equal(held, kept)
+
+    @pytest.mark.parametrize("form", ["original", "transformed"])
+    def test_stored_states_and_reruns(self, setting, form):
+        g, problems = setting
+        problem = problems[form][0]
+        u0 = SpectralState.from_physical(g, 0.8 * np.exp(-(((g.x - 1.0) / 3.0) ** 2)))
+        cfg = SolverConfig(t_final=0.004, dt=5e-4, s=1.0)
+        monitor = (0.0013, 0.0026, 0.0037)
+        first = solve(u0, cfg, problem, monitor_times=monitor)
+        coefficients = [state.coefficients for state in first.states]
+        assert len(coefficients) == 5
+        for i, a in enumerate(coefficients):
+            for b in coefficients[i + 1 :]:
+                assert not np.shares_memory(a, b)
+        second = solve(u0, cfg, problem, monitor_times=monitor)
+        assert np.array_equal(first.times, second.times)
+        for a, b in zip(first.states, second.states):
+            assert np.array_equal(a.coefficients, b.coefficients)
+        for name in ("hs_norms", "sup_norms", "dissipation", "seminorm_cumulative"):
+            assert np.array_equal(getattr(first, name), getattr(second, name))
 
 
 class TestConservationProperty:
