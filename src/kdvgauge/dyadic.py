@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, SpectralState, derivative, inner_product
+from .spectral import Grid, SpectralState, derivative, inner_product, l2_norm
 
 __all__ = [
     "bump_eta",
@@ -90,7 +90,8 @@ def bump_eta_prime(xi) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DyadicProjector:
-    """Fourier multiplier with symbol sampled on a grid's wavenumbers."""
+    """Fourier multiplier with symbol sampled on a grid's half-band
+    wavenumbers (every symbol is even in k)."""
 
     N: int
     kind: str
@@ -172,26 +173,27 @@ def _b_energy(state: SpectralState, b: np.ndarray, s: float, bank: ProjectorBank
 # -- commutators --------------------------------------------------------------
 
 
-def _pad_coefficients(c: np.ndarray, n: int) -> np.ndarray:
-    half = n // 2
-    out = np.zeros(2 * n, dtype=complex)
-    out[:half] = c[:half]
-    out[-half:] = c[half:]
-    return out
-
-
 def _truncated_product(f: SpectralState, g: SpectralState) -> SpectralState:
-    """Alias-free pointwise product, truncated to the resolved band."""
+    """Alias-free pointwise product, truncated to the resolved band.
+
+    Both half spectra are padded to the 2n-point grid, where the n-point
+    Nyquist mode K is interior and carries half its coefficient at each of
+    +-K; the product's entry at K keeps its real part, the cos(K x) content
+    that the n-point grid resolves.
+    """
     f._check_same_grid(g)
     n = f.grid.num_points
-    half = n // 2
-    ff = np.fft.ifft(_pad_coefficients(f.coefficients, n) * (2 * n)).real
-    gg = np.fft.ifft(_pad_coefficients(g.coefficients, n) * (2 * n)).real
-    prod_hat = np.fft.fft(ff * gg) / (2 * n)
-    out = np.empty(n, dtype=complex)
-    out[:half] = prod_hat[:half]
-    out[half:] = prod_hat[-half:]
-    return SpectralState(f.grid, out)
+    size = n // 2 + 1
+
+    def padded(c: np.ndarray) -> np.ndarray:
+        out = np.zeros(n + 1, dtype=complex)
+        out[:size] = c
+        out[size - 1] *= 0.5
+        return np.fft.irfft(out, 2 * n, norm="forward")
+
+    prod = np.fft.rfft(padded(f.coefficients) * padded(g.coefficients), norm="forward")[:size]
+    prod[-1] = prod[-1].real
+    return SpectralState(f.grid, prod)
 
 
 def _commutator_low(f_low: SpectralState, g: SpectralState, pn: DyadicProjector) -> SpectralState:
@@ -238,10 +240,7 @@ def comcom_residual(
     gt = project(g, bank.p_tilde(N))
     rhs = 0.5 * inner_product(double_commutator(f, gt, N, bank), gt)
     f_low_sup = float(np.abs(project(f, bank.p_ll(N)).physical()).max())
-    gt_l2 = np.sqrt(
-        np.sum(np.abs(gt.coefficients) ** 2) * 2.0 * f.grid.half_width
-    )
-    eps = f_low_sup * gt_l2**2 + 1e-300
+    eps = f_low_sup * l2_norm(gt) ** 2 + 1e-300
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), eps)
 
 

@@ -231,14 +231,10 @@ def packet_state(grid, xi0, width=1.5, center=0.0, amplitude=1.0) -> SpectralSta
 
 def spectrum_state(grid, s, decay_offset, rng, target_hs=1.0) -> SpectralState:
     """Real field with |c(k)| ~ (1+|k|)^(-s-decay_offset), random phases."""
-    n = grid.num_points
-    k = grid.wavenumbers
-    c = np.zeros(n, dtype=complex)
-    pos = np.where(k > 0)[0]
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=pos.size)
-    c[pos] = (1.0 + np.abs(k[pos])) ** (-(s + decay_offset)) * np.exp(1j * phases)
-    neg = (n - pos) % n
-    c[neg] = np.conj(c[pos])
+    k = grid.wavenumbers[1:-1]  # zero mean, no Nyquist content
+    c = np.zeros(grid.wavenumbers.size, dtype=complex)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=k.size)
+    c[1:-1] = (1.0 + k) ** (-(s + decay_offset)) * np.exp(1j * phases)
     state = SpectralState(grid, c)
     norm = sobolev_norm(state, s)
     return SpectralState(grid, c * (target_hs / norm))
@@ -250,11 +246,10 @@ def random_smooth_field(grid, rng, decay=1.0, amplitude=1.0) -> SpectralState:
 
 def envelope_peak(state: SpectralState) -> float:
     """Peak of the analytic-signal magnitude (carrier-free amplitude)."""
-    k = state.grid.wavenumbers
-    c = state.coefficients
-    z = np.where(k > 0, 2.0 * c, 0.0)
-    z[0] = c[0]
-    analytic = np.fft.ifft(z * state.grid.num_points)
+    grid = state.grid
+    # the one-sided spectrum: c(0), then 2 c(k) for 0 < k below Nyquist
+    z = grid.multiplicity[:-1] * state.coefficients[:-1]
+    analytic = np.fft.ifft(z, grid.num_points, norm="forward")
     return float(np.abs(analytic).max())
 
 
@@ -417,12 +412,8 @@ class BonaSmithSpec(_ConstantKdVSpec):
         cutoffs.
         """
         grid = self.grid
-        if self.solver.dealias:
-            kept = grid.dealias_mask.copy()
-        else:
-            kept = np.ones(grid.num_points, bool)
-        kept[grid.nyquist_index] = False  # the solver drops the unpaired mode
-        k_top = float(np.abs(grid.wavenumbers[kept]).max())
+        k = grid.wavenumbers[:-1]  # the solver drops the unpaired Nyquist mode
+        k_top = float(k[grid.dealias_mask[:-1]].max() if self.solver.dealias else k.max())
         violations = super().violations()
         if len(set(self.n_sweep)) < 2:
             violations.append(
@@ -592,8 +583,9 @@ class WavepacketSpec(ExperimentSpec):
         a0, grid = self._alpha(), self.grid
         u0 = packet_state(grid, xi0, self.packet_width, center=self.packet_launch)
         T = 2.0 * self.packet_launch / (3.0 * a0 * xi0**2)
-        k = grid.wavenumbers
-        return u0, SpectralState(grid, u0.coefficients * np.exp(1j * a0 * k**3 * T)), T
+        image = u0.coefficients * np.exp(1j * a0 * grid.wavenumbers**3 * T)
+        image[-1] = 0.0  # the unpaired Nyquist mode cannot stay real, as in the solver
+        return u0, SpectralState(grid, image), T
 
     def integrated_cset(self) -> CoefficientSet:
         """The config's constant alpha with the study's own anti-diffusion
@@ -805,11 +797,7 @@ def run_commutator_survey(spec: CommutatorSurveySpec) -> ExperimentReport:
     f_fixed = SpectralState.from_physical(
         grid, np.sin(grid.x) + 0.5 * np.cos(grid.x)
     )
-    fxx_sup = float(
-        np.abs(np.fft.ifft(
-            (1j * grid.wavenumbers) ** 2 * f_fixed.coefficients * grid.num_points
-        ).real).max()
-    )
+    fxx_sup = float(np.abs(spectral_derivative(f_fixed, 2).physical()).max())
     commu2_rows = []
     sweep2 = [N for N in spec.band_sweep if N >= 8]
     for N in sweep2:

@@ -16,17 +16,18 @@ with a diagonal Fourier symbol L:
 
 N is read from a per-form table of coefficient -> (derivative order, sign),
 and the weak residual reads the same table.  Fields are real and step on
-the Hermitian half spectrum (rfft/irfft) with the unpaired Nyquist mode held
-at zero; every derivative a right-hand side needs comes from one batched
-inverse transform, and terms whose coefficient is identically zero are
-skipped.  The step runs in place on work arrays allocated once per solve,
-with every complex product's operands in a fixed order, since numpy's
-complex multiply is not bitwise commutative (see `_RK4`).  Time-dependent
-coefficients are re-sampled at the RK stage times, which preserves fourth
-order; `_sampler` serves them through a `gauge.TimeSlices` cache keyed by
-time to 14 decimals.  Blow-up is detected from the sup-norm against a
-configurable cap, at the monitor times or every CAP_CHECK_STRIDE steps when
-none are given, and is deterministic for a fixed configuration.
+their Hermitian half spectrum, the one layout of `spectral`, with the
+unpaired Nyquist mode held at zero; every derivative a right-hand side
+needs comes from one batched inverse transform, and terms whose
+coefficient is identically zero are skipped.  The step runs in place on
+work arrays allocated once per solve, with every complex product's operands
+in a fixed order, since numpy's complex multiply is not bitwise commutative
+(see `_RK4`).  Time-dependent coefficients are re-sampled at the RK stage
+times, which preserves fourth order; `_sampler` serves them through a
+`gauge.TimeSlices` cache keyed by time to 14 decimals.  Blow-up is detected
+from the sup-norm against a configurable cap, at the monitor times or every
+CAP_CHECK_STRIDE steps when none are given, and is deterministic for a fixed
+configuration.
 """
 
 from __future__ import annotations
@@ -121,23 +122,18 @@ _TERMS = {
 class _Spectrum:
     """The real-field transform pair of one grid, with its (ik)^p rows.
 
-    Fields live on the Hermitian half spectrum (rfft/irfft, the last entry
-    is the Nyquist mode) in the package normalization
-    u(x) = sum_k c(k) exp(ikx).  `keep` is the 0/1 row applied to every
+    Fields live on the grid's half spectrum (rfft/irfft in the package
+    normalization, see `spectral`).  `keep` is the 0/1 row applied to every
     right-hand side: the 2/3 mask when dealiasing, and always without the
     unpaired Nyquist mode, which cannot stay real under the phase rotation.
     """
 
     def __init__(self, grid: Grid, dealias_products: bool):
-        n = grid.num_points
-        self.grid = grid
-        self.n = n
-        size = n // 2 + 1
-        k = grid.wavenumbers[:size]
-        self.k = k
+        self.n = grid.num_points
+        self.k = k = grid.wavenumbers
         self.rows = np.stack([(1j * k) ** p for p in range(4)])
-        keep = grid.dealias_mask[:size].copy() if dealias_products else np.ones(size, bool)
-        keep[grid.nyquist_index] = False
+        keep = grid.dealias_mask.copy() if dealias_products else np.ones(k.size, bool)
+        keep[-1] = False
         # complex: numpy multiplies a complex by a real array in complex
         # arithmetic, so this gives the same bits without a cast per call
         self.keep = keep.astype(complex)
@@ -151,18 +147,6 @@ class _Spectrum:
 
     def derivative(self, values: np.ndarray, order: int) -> np.ndarray:
         return self.inverse(self.rows[order] * self.forward(values))
-
-    def restrict(self, coefficients: np.ndarray) -> np.ndarray:
-        """This layout's copy of a full normalized spectrum."""
-        return coefficients[: self.k.size].copy()
-
-    def state(self, coefficients: np.ndarray) -> SpectralState:
-        """Full-spectrum state from the half spectrum, by conjugate mirror."""
-        full = np.empty(self.n, dtype=complex)
-        m = coefficients.size
-        full[:m] = coefficients
-        full[m:] = np.conj(coefficients[self.n - m : 0 : -1])
-        return SpectralState(self.grid, full)
 
 
 def _sum_terms(terms: list, fields: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
@@ -424,11 +408,10 @@ def solve(
 
     spectrum = _Spectrum(grid, config.dealias)
     integrator = _RK4(spectrum, form, sampler)
-    chat = spectrum.restrict(u0.coefficients)
-    chat[grid.nyquist_index] = 0.0  # unpaired mode cannot stay real under phase rotation
-    # with dealiasing the resolved band is 2/3 of Nyquist; data beyond it
-    # would be frozen by the masked right-hand side, so drop it up front
-    chat *= spectrum.keep
+    # the unpaired Nyquist mode cannot stay real under the phase rotation,
+    # and with dealiasing the resolved band is 2/3 of Nyquist; data beyond it
+    # would be frozen by the masked right-hand side, so drop both up front
+    chat = u0.coefficients * spectrum.keep
 
     bank = ProjectorBank(grid)
     times, states, sups, hs, diss = [], [], [], [], []
@@ -462,7 +445,7 @@ def solve(
         )
 
     # the stored datum is the truncated one, and so are its norms and the cap
-    state = spectrum.state(chat)
+    state = SpectralState(grid, chat)
     record(state, 0.0, measure(state))
     if config.blowup_threshold == "auto":
         cap = 1e6 * max(sups[0], 1e-300)
@@ -487,7 +470,7 @@ def solve(
         at_target = next_target is not None and t >= next_target - eps_t
         at_end = t >= config.t_final - eps_t
         if at_target or at_end or (targets is None and steps % CAP_CHECK_STRIDE == 0):
-            state = spectrum.state(chat)
+            state = SpectralState(grid, chat)
             sup = measure(state)
             if at_target or at_end or sup > cap:
                 record(state, t, sup)

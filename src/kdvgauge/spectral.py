@@ -1,13 +1,17 @@
 """Uniform periodic grid and FFT-based spectral operations.
 
-Fields live on the torus [-half_width, half_width) with power-of-two
-sampling.  Spectral coefficients are stored normalized so that
+Fields are real and live on the torus [-half_width, half_width) with
+power-of-two sampling n.  Spectral coefficients are stored normalized so that
 
-    u(x) = sum_k c(k) exp(i k x)
+    u(x) = sum_k c(k) exp(i k x),   c(-k) = conj(c(k)),
 
-with wavenumbers k running over integer multiples of pi / half_width in
-numpy FFT ordering.  With this normalization the quadrature L2 norm equals
-(sum_k |c(k)|^2 * 2 * half_width)^(1/2) exactly (Parseval).
+and only the Hermitian half spectrum is kept: the n/2 + 1 coefficients of
+k = 0, dk, ..., (n/2) dk (rfft order, dk = pi / half_width, the last entry
+the Nyquist mode, k = 0 and Nyquist real).  Each interior mode stands for
+itself and its conjugate, so sums over the full spectrum weight each stored
+mode by `Grid.multiplicity` (1 at k = 0 and at Nyquist, 2 in between).  With
+this normalization the quadrature L2 norm equals
+(sum_k m(k) |c(k)|^2 * 2 * half_width)^(1/2) exactly (Parseval).
 """
 
 from __future__ import annotations
@@ -45,9 +49,9 @@ def _is_power_of_two(n: int) -> bool:
 class Grid:
     """Uniform periodic grid on [-half_width, half_width).
 
-    Derived arrays (nodes, wavenumbers, dealias mask) are computed once and
-    shared read-only; the instance is safe to use across threads.  Grids
-    compare and hash by their sizing alone.
+    Derived arrays (nodes, the half band's wavenumbers, their multiplicity,
+    dealias mask) are computed once and shared read-only; the instance is
+    safe to use across threads.  Grids compare and hash by their sizing alone.
     """
 
     half_width: float
@@ -55,6 +59,7 @@ class Grid:
     dx: float = field(init=False, compare=False)
     x: np.ndarray = field(init=False, repr=False, compare=False)
     wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
+    multiplicity: np.ndarray = field(init=False, repr=False, compare=False)
     dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -69,10 +74,13 @@ class Grid:
         object.__setattr__(
             self, "x", -self.half_width + dx * np.arange(self.num_points)
         )
-        k = 2.0 * np.pi * np.fft.fftfreq(self.num_points, d=dx)
+        k = 2.0 * np.pi * np.fft.rfftfreq(self.num_points, d=dx)
         object.__setattr__(self, "wavenumbers", k)
-        kmax = np.abs(k).max()
-        object.__setattr__(self, "dealias_mask", np.abs(k) <= (2.0 / 3.0) * kmax)
+        # every interior mode stands for itself and its conjugate
+        multiplicity = np.full(k.size, 2.0)
+        multiplicity[[0, -1]] = 1.0
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "dealias_mask", k <= (2.0 / 3.0) * k[-1])
 
     @property
     def k_max(self) -> float:
@@ -103,10 +111,31 @@ def make_grid(half_width: float, num_points: int) -> Grid:
 
 @dataclass
 class SpectralState:
-    """A real scalar field stored by its normalized Fourier coefficients."""
+    """A real scalar field stored by its normalized half spectrum.
+
+    The constructor refuses coefficients that are not the grid's half
+    spectrum, and a nonzero imaginary part at k = 0 or at Nyquist, where a
+    real field's coefficients are real.
+    """
 
     grid: Grid
     coefficients: np.ndarray
+
+    def __post_init__(self) -> None:
+        c = self.coefficients
+        size = self.grid.nyquist_index + 1
+        if np.shape(c) != (size,):
+            raise ValueError(
+                f"coefficients of shape {np.shape(c)} are not the half spectrum "
+                f"({size},) of a {self.grid.num_points}-point grid"
+            )
+        # not `!= 0`: a NaN end passes, so a field that is not finite reaches
+        # the check that names it (the wavepacket's edge-mass refusal)
+        if np.abs(c[0].imag) > 0 or np.abs(c[-1].imag) > 0:
+            raise ValueError(
+                "the k = 0 and Nyquist coefficients of a real field are real; got "
+                f"imaginary parts {c[0].imag:g} and {c[-1].imag:g}"
+            )
 
     @classmethod
     def from_physical(cls, grid: Grid, values: np.ndarray) -> "SpectralState":
@@ -117,26 +146,14 @@ class SpectralState:
             )
         if np.iscomplexobj(values):
             raise ValueError("fields are real; got complex values")
-        return cls(grid=grid, coefficients=np.fft.fft(values) / grid.num_points)
+        return cls(grid=grid, coefficients=np.fft.rfft(values, norm="forward"))
 
     @classmethod
     def zero(cls, grid: Grid) -> "SpectralState":
-        return cls(grid, np.zeros(grid.num_points, dtype=complex))
+        return cls(grid, np.zeros(grid.nyquist_index + 1, dtype=complex))
 
     def physical(self) -> np.ndarray:
-        return np.fft.ifft(self.coefficients * self.grid.num_points).real
-
-    def copy(self) -> "SpectralState":
-        return SpectralState(self.grid, self.coefficients.copy())
-
-    def check_hermitian(self, rtol: float = 1e-12) -> bool:
-        """Conjugate symmetry c(-k) = conj(c(k)) up to rtol."""
-        c = self.coefficients
-        n = self.grid.num_points
-        idx = np.arange(1, n)
-        err = np.abs(c[idx] - np.conj(c[n - idx])).max()
-        scale = max(np.abs(c).max(), 1e-300)
-        return bool(err <= rtol * scale + 1e-300) and abs(c[0].imag) <= rtol * scale
+        return np.fft.irfft(self.coefficients, self.grid.num_points, norm="forward")
 
     def __add__(self, other: "SpectralState") -> "SpectralState":
         self._check_same_grid(other)
@@ -169,9 +186,10 @@ def derivative(state: SpectralState, order: int = 1) -> SpectralState:
 
 
 def sobolev_norm(state: SpectralState, s: float) -> float:
-    """Discrete H^s norm: (sum_k (1+k^2)^s |c(k)|^2 * 2 half_width)^(1/2)."""
+    """Discrete H^s norm: (sum_k (1+k^2)^s |c(k)|^2 * 2 half_width)^(1/2),
+    summed over the full spectrum through the half band's multiplicity."""
     k = state.grid.wavenumbers
-    weights = (1.0 + k * k) ** s
+    weights = state.grid.multiplicity * (1.0 + k * k) ** s
     total = np.sum(weights * np.abs(state.coefficients) ** 2)
     return float(np.sqrt(total * 2.0 * state.grid.half_width))
 
@@ -188,8 +206,8 @@ def mass(state: SpectralState) -> float:
 def inner_product(a: SpectralState, b: SpectralState) -> float:
     """L2 inner product of two real fields via Parseval."""
     a._check_same_grid(b)
-    val = np.sum(a.coefficients * np.conj(b.coefficients))
-    return float(val.real * 2.0 * a.grid.half_width)
+    val = np.sum(a.grid.multiplicity * (a.coefficients * np.conj(b.coefficients)).real)
+    return float(val * 2.0 * a.grid.half_width)
 
 
 class Interpolant:
@@ -200,40 +218,42 @@ class Interpolant:
     tables are built once and applied to every state passed in, so fields
     transported through one map share them.
 
-    The phase sum u(y) = sum_k c(k) exp(i k o), o = y + half_width, is
-    factorized: in fftshift order mode p = a*B + b has wavenumber
-    (p - n/2) dk, so exp(i (p - n/2) dk o) = exp(i (a*B - n/2) dk o)
-    * exp(i b dk o) with B a power of two near sqrt(n).  With Lo the m x B
-    table of the second factor, Hi the m x n/B table of the first and C the
-    shifted coefficients as an (n/B) x B array, u = rowsum(Hi * (Lo @ C.T)).
-    That is m (B + n/B) complex exponentials instead of m n, the m n
-    multiply-adds in one matrix product, and O(m sqrt(n)) working memory.
-    Every term is still summed exactly once, and both factors take their
-    wavenumbers from `grid.wavenumbers`, so the result is the dense sum
-    exp(i k o) @ c to round-off.
+    On the half spectrum the field is u(y) = Re sum_k m(k) c(k) exp(i k o),
+    o = y + half_width, with m = `Grid.multiplicity`; the Nyquist term is
+    c_N cos(K o).  The n/2 modes below Nyquist are factorized: mode
+    p = a*B + b has wavenumber p dk, so exp(i p dk o) = exp(i a B dk o)
+    * exp(i b dk o) with B a power of two near sqrt(n/2).  With Lo the m x B
+    table of the second factor, Hi the m x n/(2B) table of the first and C
+    the weighted coefficients m(k) c(k) as an n/(2B) x B array,
+    u = Re rowsum(Hi * (Lo @ C.T)) + c_N cos(K o).  That is m (B + n/(2B))
+    complex exponentials instead of m n/2, the m n/2 multiply-adds in one
+    matrix product, and O(m sqrt(n)) working memory.  Every term is still
+    summed exactly once, and both factors take their wavenumbers from
+    `grid.wavenumbers`, so the result is the dense sum to round-off.
     """
 
     def __init__(self, grid: Grid, query_points: np.ndarray):
         self.grid = grid
         y = grid.fold(np.atleast_1d(np.asarray(query_points, dtype=float)))
-        n = grid.num_points
-        self.block = block = 1 << (n.bit_length() // 2)
+        half = grid.nyquist_index
+        self.block = block = 1 << (half.bit_length() // 2)
         k = grid.wavenumbers
         # stored coefficients are indexed from the first node, so evaluation
         # phases are taken relative to x = -half_width
         offset = y + grid.half_width
         self.lo = np.exp(1j * np.outer(offset, k[:block]))
-        # negative indices reach (a*B - n/2) dk in numpy FFT order
-        self.hi = np.exp(1j * np.outer(offset, k[np.arange(-(n // 2), n // 2, block)]))
+        self.hi = np.exp(1j * np.outer(offset, k[:half:block]))
+        self.nyquist = np.cos(offset * k[-1])
 
     def __call__(self, state: SpectralState) -> np.ndarray:
         """The field's values at the query points."""
         if not state.grid.compatible_with(self.grid):
             raise ValueError("field does not live on the interpolant's grid")
-        n = self.grid.num_points
-        table = np.fft.fftshift(state.coefficients).reshape(n // self.block, self.block)
-        out = np.einsum("ij,ij->i", self.hi, self.lo @ table.T)
-        return out.real
+        half = self.grid.nyquist_index
+        c = state.coefficients
+        table = (self.grid.multiplicity[:half] * c[:half]).reshape(half // self.block, self.block)
+        out = np.einsum("ij,ij->i", self.hi, self.lo @ table.T).real
+        return out + c[-1].real * self.nyquist
 
 
 def interpolate(state: SpectralState, query_points: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from kdvgauge.dyadic import (
     ProjectorBank,
     _b_energy,
+    _truncated_product,
     bump_eta,
     bump_eta_prime,
     commutator,
@@ -15,7 +16,7 @@ from kdvgauge.dyadic import (
     resonance_omega3,
 )
 from kdvgauge.experiments import fit_loglog, random_smooth_field
-from kdvgauge.spectral import SpectralState, derivative, l2_norm, make_grid
+from kdvgauge.spectral import Interpolant, SpectralState, derivative, l2_norm, make_grid
 
 
 class TestBump:
@@ -65,7 +66,7 @@ class TestProjectors:
         f = SpectralState.from_physical(g, rng.standard_normal(128))
         total = sum(
             (project(f, bank.p_n(N)).coefficients for N in bank.dyadic_ns),
-            start=np.zeros(128, dtype=complex),
+            start=np.zeros(65, dtype=complex),
         )
         assert np.abs(total - f.coefficients).max() < 1e-12
 
@@ -149,6 +150,23 @@ class TestWeightedSeminorm:
             for N in bank.dyadic_ns
         )
         assert got == pytest.approx(want, rel=1e-10)
+
+
+class TestTruncatedProduct:
+    def test_matches_product_of_interpolants_with_nyquist_content(self):
+        # oracle: both fields evaluated by their interpolants (Nyquist term
+        # c_N cos(K o)) at the nodes of the doubled grid, multiplied there,
+        # and cut back to the resolved band, real at Nyquist
+        g, fine = make_grid(2.0, 32), make_grid(2.0, 64)
+        rng = np.random.default_rng(4)
+        f = SpectralState.from_physical(g, rng.standard_normal(32))
+        h = SpectralState.from_physical(g, rng.standard_normal(32))
+        assert abs(f.coefficients[-1]) > 0.1 and abs(h.coefficients[-1]) > 0.1
+        on_fine = Interpolant(g, fine.x)
+        want = SpectralState.from_physical(fine, on_fine(f) * on_fine(h)).coefficients[:17]
+        want[-1] = want[-1].real
+        got = _truncated_product(f, h).coefficients
+        assert np.abs(got - want).max() < 1e-14 * np.abs(want).max()
 
 
 class TestCommutators:

@@ -11,6 +11,7 @@ from kdvgauge.spectral import (
     SpectralState,
     derivative,
     edge_mass_fraction,
+    inner_product,
     interpolate,
     l2_norm,
     make_grid,
@@ -28,8 +29,9 @@ class TestMakeGrid:
 
     def test_smallest_legal_grid(self):
         g = make_grid(np.pi, 16)
-        # integer wavenumbers -8..7 in fft order
-        assert sorted(g.wavenumbers) == pytest.approx(list(range(-8, 8)))
+        # the half band: integer wavenumbers 0..8, Nyquist last
+        assert g.wavenumbers == pytest.approx(list(range(9)))
+        assert g.multiplicity.tolist() == [1.0] + [2.0] * 7 + [1.0]
 
     @pytest.mark.parametrize("n", [1000, 15, 0, -64])
     def test_rejects_bad_num_points(self, n):
@@ -40,12 +42,11 @@ class TestMakeGrid:
         with pytest.raises(GridSizeError):
             make_grid(-1.0, 64)
 
-    def test_wavenumbers_symmetric_except_nyquist(self):
+    def test_half_band_ends_at_nyquist(self):
         g = make_grid(2.0, 64)
-        k = np.sort(g.wavenumbers)
-        assert k[0] == pytest.approx(-g.k_max)
-        body = k[1:]
-        assert np.allclose(body, -body[::-1])
+        k = g.wavenumbers
+        assert k.shape == (33,) and k[g.nyquist_index] == pytest.approx(g.k_max)
+        assert np.allclose(np.diff(k), np.pi / g.half_width)
 
     def test_equal_sizing_compares_and_hashes_equal(self):
         # the derived arrays are left out, so comparing grids never compares arrays
@@ -99,11 +100,16 @@ class TestDerivative:
         assert np.abs(twice.coefficients - once.coefficients).max() < 1e-12
 
     def test_real_field_stays_hermitian(self):
+        # the derivative's half spectrum is the spectrum of its real samples
         g = make_grid(np.pi, 64)
         rng = np.random.default_rng(1)
         st = SpectralState.from_physical(g, rng.standard_normal(64))
-        assert derivative(st, 1).check_hermitian()
-        assert derivative(st, 3).check_hermitian()
+        for order in (1, 3):
+            d = derivative(st, order)
+            again = SpectralState.from_physical(g, d.physical())
+            assert np.abs(again.coefficients - d.coefficients).max() < 1e-12 * np.abs(
+                d.coefficients
+            ).max()
 
 
 class TestSobolevNorm:
@@ -167,12 +173,21 @@ class TestInterpolate:
         )
 
 
+def full_spectrum(state):
+    """(wavenumbers, coefficients) of the full spectrum in numpy FFT order,
+    the half spectrum mirrored by conjugation; the Nyquist mode sits at -K."""
+    n = state.grid.num_points
+    half = state.coefficients
+    c = np.concatenate([half[:-1], np.conj(half[:0:-1])])
+    return 2.0 * np.pi * np.fft.fftfreq(n, d=state.grid.dx), c
+
+
 def dense_interpolate(state, query_points):
-    """Reference: the dense m x n phase-matrix sum, one exp per (point, mode)."""
+    """Reference: the dense m x n phase-matrix sum over the full spectrum,
+    one exp per (point, mode)."""
     scalar = np.isscalar(query_points) or np.ndim(query_points) == 0
     y = state.grid.fold(np.atleast_1d(np.asarray(query_points, dtype=float)))
-    k = state.grid.wavenumbers
-    c = state.coefficients
+    k, c = full_spectrum(state)
     offset = y + state.grid.half_width
     out = np.empty(y.shape[0], dtype=complex)
     chunk = 512
@@ -207,8 +222,9 @@ class TestInterpolateMatchesDense:
         got = interpolate(state, query)
         want = dense_interpolate(state, query)
         assert np.isrealobj(got) and got.shape == query.shape
-        # |u| <= sum |c|: the scale of the sum and of its round-off
-        scale = np.abs(state.coefficients).sum()
+        # |u| <= sum |c| over the full spectrum: the scale of the sum and of
+        # its round-off
+        scale = np.abs(full_spectrum(state)[1]).sum()
         assert np.abs(got - want).max() <= 1e-13 * scale
         one = interpolate(state, float(query[0]))
         assert np.ndim(one) == 0
@@ -225,7 +241,7 @@ class TestInterpolant:
         for state in states:
             got = shared(state)
             assert np.array_equal(got, interpolate(state, query))
-            scale = np.abs(state.coefficients).sum()
+            scale = np.abs(full_spectrum(state)[1]).sum()
             assert np.abs(got - dense_interpolate(state, query)).max() <= 1e-13 * scale
 
     def test_other_grid_refused(self):
@@ -234,6 +250,47 @@ class TestInterpolant:
             shared(SpectralState.zero(make_grid(6.0, 128)))
         with pytest.raises(ValueError, match="grid"):
             shared(SpectralState.zero(make_grid(7.0, 64)))
+
+
+class TestHalfSpectrumProperties:
+    """On random real fields with Nyquist content, the half spectrum agrees
+    with the samples it came from: transforms, norms, products, nodes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log2n=st.integers(4, 9),
+        half_width=st.floats(0.5, 50.0),
+        nyquist=st.floats(-2.0, 2.0),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_half_spectrum_matches_samples(self, log2n, half_width, nyquist, seed):
+        n = 2**log2n
+        g = make_grid(half_width, n)
+        rng = np.random.default_rng(seed)
+        alternating = (-1.0) ** np.arange(n)  # the Nyquist mode at the nodes
+        vals = rng.standard_normal(n) + nyquist * alternating
+        other = rng.standard_normal(n) + 0.5 * alternating
+        u = SpectralState.from_physical(g, vals)
+        w = SpectralState.from_physical(g, other)
+        assert u.coefficients.shape == (n // 2 + 1,)
+        # the Nyquist entry is the samples' alternating mean, and real
+        nyq = u.coefficients[-1]
+        assert abs(nyq - np.mean(alternating * vals)) <= 1e-14 * np.abs(vals).max()
+        assert nyq.imag == 0.0
+
+        again = SpectralState.from_physical(g, u.physical())
+        assert np.abs(again.coefficients - u.coefficients).max() <= 1e-14 * np.abs(vals).max()
+        assert np.abs(u.physical() - vals).max() <= 1e-13 * np.abs(vals).max()
+
+        quad = np.sqrt(np.sum(vals**2) * g.dx)
+        assert l2_norm(u) == pytest.approx(quad, rel=1e-13)
+        assert sobolev_norm(u, 0.0) == pytest.approx(quad, rel=1e-13)
+        bound = quad * np.sqrt(np.sum(other**2) * g.dx)
+        assert abs(inner_product(u, w) - np.sum(vals * other) * g.dx) <= 1e-13 * bound
+        assert abs(mass(u) - np.sum(vals) * g.dx) <= 1e-13 * np.sum(np.abs(vals)) * g.dx
+
+        at_nodes = Interpolant(g, g.x)(u)
+        assert np.abs(at_nodes - vals).max() <= 1e-13 * np.abs(full_spectrum(u)[1]).sum()
 
 
 class TestDealias:
@@ -266,13 +323,30 @@ class TestStateBookkeeping:
         with pytest.raises(ValueError, match="real"):
             SpectralState.from_physical(g, np.exp(1j * g.x))
 
-    def test_hermitian_check(self):
-        g = make_grid(1.5, 64)
-        st = SpectralState.from_physical(g, np.cos(np.pi * g.x / 1.5))
-        assert st.check_hermitian()
-        bad = st.copy()
-        bad.coefficients[3] += 1.0
-        assert not bad.check_hermitian()
+    def test_lone_mode_norm_matches_its_samples(self):
+        # c[1] = 1 stands for k = +-1, the real field 2 cos(x + pi), so both
+        # the norm and the samples' quadrature are sqrt(4 pi)
+        g = make_grid(np.pi, 16)
+        c = np.zeros(9, dtype=complex)
+        c[1] = 1.0
+        st = SpectralState(g, c)
+        assert np.abs(st.physical() + 2 * np.cos(g.x)).max() < 1e-14
+        quad = np.sqrt(np.sum(st.physical() ** 2) * g.dx)
+        assert l2_norm(st) == pytest.approx(quad, rel=1e-14)
+        assert l2_norm(st) == pytest.approx(np.sqrt(4 * np.pi), rel=1e-14)
+
+    def test_full_length_coefficients_refused(self):
+        g = make_grid(np.pi, 16)
+        with pytest.raises(ValueError, match=r"half spectrum \(9,\)"):
+            SpectralState(g, np.fft.fft(np.cos(g.x)) / 16)
+
+    @pytest.mark.parametrize("end", [0, -1])
+    def test_complex_end_coefficient_refused(self, end):
+        g = make_grid(np.pi, 16)
+        c = np.zeros(9, dtype=complex)
+        c[end] = 1.0 + 0.5j
+        with pytest.raises(ValueError, match="k = 0 and Nyquist"):
+            SpectralState(g, c)
 
     def test_edge_mass_localized_vs_wide(self):
         g = make_grid(10.0, 128)

@@ -15,9 +15,10 @@ config too, since the hypothesis report it prints is in no output file;
 its exit code, stdout and stderr are compared, stderr without the
 indented traceback frames, which move with any edit of the code.
 Both sides run the working tree's configs.  Prints "identical" per config,
-or every moved CSV/JSON cell with its absolute change and every differing
-`check` line; exits 1 if anything moved or an exit code differs.  Runs
-one process at a time.
+or every moved CSV/JSON cell with its absolute and relative change and every
+differing `check` line, then the config's largest relative change among the
+numeric cells whose REF value has magnitude >= 1e-6; exits 1 if anything
+moved or an exit code differs.  Runs one process at a time.
 """
 
 import argparse
@@ -145,15 +146,31 @@ def _cells(path: Path) -> dict:
     return {f"row {r} col {c}": v for r, row in enumerate(rows) for c, v in enumerate(row)}
 
 
-def _change(old, new) -> str:
+SUMMARY_FLOOR = 1e-6  # smaller cells sit at round-off, where relative change says little
+
+
+def _relative(old, new) -> float | None:
+    """|new - old| / |old| of two numeric cells; None if either is not a number."""
     try:
-        return f"{old} -> {new} (|change| {abs(float(new) - float(old)):.3g})"
+        old, new = float(old), float(new)
     except (TypeError, ValueError):
+        return None
+    if old == 0.0:
+        return 0.0 if new == 0.0 else float("inf")
+    return abs(new - old) / abs(old)
+
+
+def _change(old, new) -> str:
+    rel = _relative(old, new)
+    if rel is None:
         return f"{old!r} -> {new!r}"
+    return f"{old} -> {new} (|change| {abs(float(new) - float(old)):.3g}, relative {rel:.3g})"
 
 
-def moved_cells(ours: Path, theirs: Path) -> list[str]:
-    lines = []
+def moved_cells(ours: Path, theirs: Path) -> tuple[list[str], float | None]:
+    """A line per moved cell, and the largest relative change of a moved
+    numeric cell whose REF value has magnitude >= SUMMARY_FLOOR."""
+    lines, rels = [], []
     names = sorted({p.name for p in ours.iterdir()} | {p.name for p in theirs.iterdir()})
     for name in names:
         a, b = theirs / name, ours / name
@@ -166,7 +183,10 @@ def moved_cells(ours: Path, theirs: Path) -> list[str]:
         for key in sorted(old.keys() | new.keys()):
             if old.get(key) != new.get(key):
                 lines.append(f"{name} {key}: {_change(old.get(key), new.get(key))}")
-    return lines
+                rel = _relative(old.get(key), new.get(key))
+                if rel is not None and abs(float(old[key])) >= SUMMARY_FLOOR:
+                    rels.append(rel)
+    return lines, max(rels, default=None)
 
 
 def main(argv=None) -> int:
@@ -183,11 +203,12 @@ def main(argv=None) -> int:
             out_ref, out_new = tmp / f"{i}.ref", tmp / f"{i}.new"
             run_ref = kdvgauge(tmp / "ref" / "src", ["run", str(cfg), "-o", str(out_ref), *run_args])
             run_new = kdvgauge(ROOT / "src", ["run", str(cfg), "-o", str(out_new), *run_args])
-            lines = []
+            lines, worst = [], None
             if run_ref.returncode != run_new.returncode:
                 lines.append(f"exit code {run_ref.returncode} -> {run_new.returncode}")
             if out_ref.is_dir() and out_new.is_dir():
-                lines += moved_cells(out_new, out_ref)
+                cells, worst = moved_cells(out_new, out_ref)
+                lines += cells
             elif out_ref.is_dir() != out_new.is_dir():
                 lines.append("outputs written on one side only")
             lines += check_differences(
@@ -198,6 +219,12 @@ def main(argv=None) -> int:
             print(f"{name}: " + ("identical" if not lines else "MOVED"), flush=True)
             for line in lines:
                 print(f"  {line}", flush=True)
+            if lines:
+                print(
+                    f"  largest relative change (|REF value| >= {SUMMARY_FLOOR:g}): "
+                    + ("none" if worst is None else f"{worst:.3g}"),
+                    flush=True,
+                )
     return 1 if moved else 0
 
 
