@@ -521,7 +521,9 @@ class WavepacketSpec(ExperimentSpec):
         xi0 = 21 and 25 stay within 3% of the gain at 10, and the gain at 30
         falls by a third.
 
-        Once those checks pass, each carrier's packet must be nonzero and keep
+        Once those checks pass, each carrier's traversal time must be finite
+        and positive (with the default launch, a carrier below about 1e-154
+        overflows it to inf), and each carrier's packet must be nonzero and keep
         its edge mass (`spectral.edge_mass_fraction`) at most
         `spectral.EDGE_MASS_LIMIT`, both as the datum and as its
         dispersion-only image at the traversal time; a packet that reaches
@@ -550,6 +552,18 @@ class WavepacketSpec(ExperimentSpec):
         violations += _refused(self, ("packet_width", "packet_launch"))
         if violations:
             return violations
+        times = {xi0: self._traversal_time(xi0) for xi0 in self.xi0_sweep}
+        untimed = [
+            f"xi0 = {xi0:g} gives {T:g}"
+            for xi0, T in times.items()
+            if not (np.isfinite(T) and T > 0)
+        ]
+        if untimed:
+            return [
+                f"[experiment] xi0_sweep: each carrier's traversal time "
+                f"2 packet_launch / (3 alpha xi0^2) must be finite and positive; "
+                f"{'; '.join(untimed)}"
+            ]
         reached = []
         with np.errstate(all="ignore"):  # a packet out of scale is refused below
             for xi0 in self.xi0_sweep:
@@ -582,10 +596,16 @@ class WavepacketSpec(ExperimentSpec):
         """
         a0, grid = self._alpha(), self.grid
         u0 = packet_state(grid, xi0, self.packet_width, center=self.packet_launch)
-        T = 2.0 * self.packet_launch / (3.0 * a0 * xi0**2)
+        T = self._traversal_time(xi0)
         image = u0.coefficients * np.exp(1j * a0 * grid.wavenumbers**3 * T)
         image[-1] = 0.0  # the unpaired Nyquist mode cannot stay real, as in the solver
         return u0, SpectralState(grid, image), T
+
+    def _traversal_time(self, xi0: float) -> float:
+        """2 packet_launch / (3 alpha xi0^2), inf where the denominator
+        underflows to zero."""
+        denominator = 3.0 * self._alpha() * xi0**2
+        return 2.0 * self.packet_launch / denominator if denominator > 0 else float("inf")
 
     def integrated_cset(self) -> CoefficientSet:
         """The config's constant alpha with the study's own anti-diffusion

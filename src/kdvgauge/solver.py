@@ -19,7 +19,10 @@ and the weak residual reads the same table.  Fields are real and step on
 their Hermitian half spectrum, the one layout of `spectral`, with the
 unpaired Nyquist mode held at zero; every derivative a right-hand side
 needs comes from one batched inverse transform, and terms whose
-coefficient is identically zero are skipped.  The step runs in place on
+coefficient is identically zero are skipped.  A dealiased right-hand side
+whose one term is e u u_x with e constant in x (plain KdV) is taken in
+flux form, (e/2) (u^2)_x, from the inverse transform of u alone; under the
+2/3 rule both forms keep the same modes.  The step runs in place on
 work arrays allocated once per solve, with every complex product's operands
 in a fixed order, since numpy's complex multiply is not bitwise commutative
 (see `_RK4`).  Time-dependent coefficients are re-sampled at the RK stage
@@ -132,6 +135,7 @@ class _Spectrum:
         self.n = grid.num_points
         self.k = k = grid.wavenumbers
         self.rows = np.stack([(1j * k) ** p for p in range(4)])
+        self.dealiased = dealias_products
         keep = grid.dealias_mask.copy() if dealias_products else np.ones(k.size, bool)
         keep[-1] = False
         # complex: numpy multiplies a complex by a real array in complex
@@ -169,6 +173,11 @@ class _RK4:
     applied exactly).  N reads the form's term table; terms whose sampled
     coefficient is identically zero are dropped once per coefficient sample,
     and every derivative order N needs comes from one batched inverse FFT.
+    When the one term left is a quadratic u u_x whose coefficient e is
+    constant in x and products are dealiased, the plan is the flux row
+    (sign e / 2) (ik) keep instead: N = row * F[u^2] costs one inverse and
+    one forward transform of a single field.  The aliased modes of u^2 land
+    outside the 2/3 band, so this equals the product form up to round-off.
 
     The step runs in place: one set of work arrays is allocated with the
     integrator (the stage input, exp(L dt/2) c, exp(L dt) c, n1..n4, four
@@ -218,7 +227,8 @@ class _RK4:
 
     def _plan_for(self, co: dict):
         """(derivative rows, linear terms, quadratic terms, slot of u) of one
-        coefficient sample, or None when every term vanishes."""
+        coefficient sample, its flux row when that applies (see the class
+        docstring), or None when every term vanishes."""
         if co is self._plan_source:
             return self._plan
         orders: list[int] = []
@@ -237,6 +247,11 @@ class _RK4:
         plan = None
         if orders:
             plan = (self.spectrum.rows[orders], linear, quadratic, field_slot)
+        # plain KdV: the one term is u u_x, read from u_x and u (orders 1, 0)
+        if self.spectrum.dealiased and not linear and len(quadratic) == 1 and orders == [1, 0]:
+            e = np.ravel(quadratic[0][0])  # sign * coefficient
+            if np.all(e == e[0]):
+                plan = (0.5 * e[0]) * self.spectrum.rows[1] * self.spectrum.keep
         self._plan_source, self._plan = co, plan
         return plan
 
@@ -245,6 +260,13 @@ class _RK4:
         plan = self._plan_for(self.sampler(t))
         if plan is None:
             out.fill(0.0)
+            return
+        if isinstance(plan, np.ndarray):  # the flux row times F[u^2]
+            square = self._sums[0]
+            self.spectrum.inverse(chat, out=square)
+            np.multiply(square, square, out=square)
+            self.spectrum.forward(square, out=out)
+            np.multiply(plan, out, out=out)
             return
         rows, linear, quadratic, field_slot = plan
         spectra, fields = self._batches[len(rows)]

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kdvgauge
+from kdvgauge import solver as solver_module
 from kdvgauge.cli import ConfigError, main, parse_config, run
 from kdvgauge.coefficients import check_hypotheses
 from kdvgauge.experiments import EXPERIMENTS
@@ -148,6 +149,24 @@ class TestRun:
         norms = (tmp_path / "out" / "norms.csv").read_text().splitlines()
         header = [ln for ln in norms if not ln.startswith("#")][0]
         assert header == "t,hs_norm,seminorm_cumulative,sup_norm,dissipation"
+
+    def test_soliton_solves_take_the_flux_plan(self, tmp_path, monkeypatch):
+        # plain KdV with a constant e: every solve of the benchmark steps in
+        # flux form, one inverse transform per right-hand side, which is
+        # where the soliton workload's time goes
+        built = []
+        plan_for = solver_module._RK4._plan_for
+
+        def spy(self, co):
+            if co is not self._plan_source:
+                built.append(plan_for(self, co))
+            return plan_for(self, co)
+
+        monkeypatch.setattr(solver_module._RK4, "_plan_for", spy)
+        short = MINIMAL + "order_t_final = 0.004\n\n[solver]\nt_final = 0.01\n"
+        assert main(["run", str(write_cfg(tmp_path, short)), "-o", str(tmp_path / "out")]) == 0
+        assert len(built) == 6  # the monitored run and the five of the dt sweep
+        assert all(isinstance(plan, np.ndarray) for plan in built)
 
     def test_hypothesis_gate_blocks(self, tmp_path, capsys):
         cfg = parse_config(write_cfg(tmp_path, VIOLATING))
@@ -528,6 +547,23 @@ packet_launch = 6
         edge = [str(w.message) for w in caught if "outer 10%" in str(w.message)]
         assert edge and all("blew up at t = 0.02" in m and "step may be unstable" in m for m in edge)
         assert not any("half_width" in m for m in edge)
+
+    @pytest.mark.parametrize("sweep", ["1e-200, 10", "1e-155"])
+    def test_carrier_without_finite_traversal_time_refused(self, tmp_path, capsys, sweep):
+        # 2 launch / (3 alpha xi0^2) used to divide by zero at 1e-200, a bare
+        # ZeroDivisionError, and to overflow to inf at 1e-155, refused only as
+        # "edge mass nan at t = inf"
+        cfg_text = KIND_CONFIGS["wavepacket"].replace("xi0_sweep = 8", f"xi0_sweep = {sweep}")
+        cfg_path = write_cfg(tmp_path, cfg_text, "wp.cfg")
+        out = tmp_path / "out"
+        for argv in (["check", str(cfg_path)], ["run", str(cfg_path), "-o", str(out)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            text = captured.out + captured.err
+            assert "config error: [experiment] xi0_sweep: " in text
+            assert "traversal time" in text and "gives inf" in text
+            assert "Traceback" not in text
+        assert not out.exists()
 
     def test_untruncating_bona_smith_sweep_refused(self, tmp_path, capsys):
         # default grid (8*pi, 512 points): k_max = 32, and the dealiased runs

@@ -1,6 +1,7 @@
 """Time stepping, blow-up detection, weak residuals, monitors."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -615,6 +616,8 @@ def _allocating_rhs(rk, chat, t):
     plan = rk._plan_for(rk.sampler(t))
     if plan is None:
         return np.zeros(rk.spectrum.k.size, dtype=complex)
+    if isinstance(plan, np.ndarray):  # the flux row
+        return plan * rk.spectrum.forward(rk.spectrum.inverse(chat) ** 2)
     rows, linear, quadratic, field_slot = plan
     fields = rk.spectrum.inverse(rows * chat)
     total = sum(coef * fields[i] for coef, i in linear)
@@ -654,13 +657,25 @@ def _frozen(setting, form):
 class TestInPlaceStep:
     DT = 5e-4
 
-    @pytest.mark.parametrize("form", ["original", "transformed"])
-    @pytest.mark.parametrize("dealias", [True, False])
-    @pytest.mark.parametrize("drifting", [True, False])
+    @pytest.mark.parametrize(
+        "drifting, dealias, form",
+        [
+            (drifting, dealias, form)
+            for drifting in (True, False)
+            for dealias in (True, False)
+            for form in ("original", "transformed")
+        ]
+        + [(False, True, "constant_kdv")],  # the flux plan
+    )
     def test_matches_allocating_step_bit_for_bit(self, setting, form, dealias, drifting):
         g, problems = setting
-        problem = problems[form][0] if drifting else _frozen(setting, form)
+        if form == "constant_kdv":
+            problem = TransformedCoefficients.constant_kdv(g, -6.0)
+        else:
+            problem = problems[form][0] if drifting else _frozen(setting, form)
         rk, chat = _integrator(problem, g, dealias)
+        flux = isinstance(rk._plan_for(rk.sampler(0.0)), np.ndarray)
+        assert flux == (form == "constant_kdv")
         start, want, t = chat.copy(), chat.copy(), 0.0
         for dt in [self.DT] * 20 + [0.37 * self.DT]:  # 20 steps and a landing step
             chat = rk.step(chat, t, dt)
@@ -677,6 +692,61 @@ class TestInPlaceStep:
             chat = rk.step(chat, i * self.DT, self.DT)
             want = _allocating_step(rk, want, i * self.DT, self.DT)
             assert np.array_equal(chat, want)
+
+
+def _plan(problem, grid, dealias=True):
+    rk, _ = _integrator(problem, grid, dealias)
+    return rk._plan_for(rk.sampler(0.0))
+
+
+class TestFluxPlan:
+    """A lone u u_x term with a coefficient constant in x is taken in flux
+    form, (e/2) (u^2)_x, when products are dealiased, and only then."""
+
+    GRID = make_grid(8 * np.pi, 256)
+
+    def test_taken_for_constant_kdv(self):
+        g = self.GRID
+        plan = _plan(TransformedCoefficients.constant_kdv(g, -6.0), g)
+        assert isinstance(plan, np.ndarray)
+        keep = solver_module._Spectrum(g, True).keep
+        np.testing.assert_allclose(plan, -3.0 * (1j * g.wavenumbers) * keep, rtol=1e-15)
+
+    @pytest.mark.parametrize(
+        "case", ["undealiased", "e varies in x", "c beside e", "f beside e", "original form"]
+    )
+    def test_not_taken(self, case):
+        g = self.GRID
+        kdv = TransformedCoefficients.constant_kdv(g, -6.0)
+        bump = 0.1 / np.cosh(g.x) ** 2
+        problem, dealias = {
+            "undealiased": (kdv, False),
+            "e varies in x": (replace(kdv, e=kdv.e + bump), True),
+            "c beside e": (replace(kdv, c=bump), True),
+            "f beside e": (replace(kdv, f=bump), True),
+            "original form": (CoefficientSet.constant_kdv(-6.0), True),  # alpha is linear
+        }[case]
+        plan = _plan(problem, g, dealias)
+        assert isinstance(plan, tuple)  # (rows, linear, quadratic, slot of u)
+        assert len(plan[2]) == 1 + (case == "f beside e")
+
+    def test_one_rhs_matches_product_form(self):
+        # a random datum inside the kept band: the flux right-hand side
+        # against the complex-FFT reference, which forms e u u_x pointwise
+        g = self.GRID
+        tc = TransformedCoefficients.constant_kdv(g, -6.0)
+        rk, _ = _integrator(tc, g, True)
+        rng = np.random.default_rng(7)
+        size = g.wavenumbers.size
+        chat = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * rk.spectrum.keep
+        chat[0] = chat[0].real
+        got = np.empty_like(chat)
+        rk.rhs(chat, 0.0, got)
+        k = full_wavenumbers(g)
+        mask = np.abs(k) <= (2.0 / 3.0) * np.abs(k).max()
+        co = {name: getattr(tc, name) for name in "bcdef"}
+        want = _reference_rhs("transformed", full_spectrum(chat), k, co, mask)[:size]
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestNoWorkArrayEscapes:
