@@ -28,7 +28,6 @@ from .gauge import (
     image_grid_for,
     inverse_transform,
     invert_A,
-    transform_coefficients,
 )
 from .solver import (
     SolverConfig,

@@ -87,7 +87,10 @@ def _convert(tag: str, raw: str, where: str, violations: list):
         if tag == "int":
             return int(raw)
         if tag == "float":
-            return float(raw)
+            value = float(raw)
+            if not np.isfinite(value):
+                raise ValueError(f"must be finite, got {value:g}")
+            return value
         if tag == "bool":
             low = raw.strip().lower()
             if low in ("true", "yes", "on", "1"):

@@ -223,7 +223,9 @@ def soliton_state(grid, kappa=1.0, e=-6.0, center=0.0) -> SpectralState:
 
 
 def packet_state(grid, xi0, width=1.5, center=0.0, amplitude=1.0) -> SpectralState:
-    env = np.exp(-((grid.x - center) ** 2) / (2.0 * width**2))
+    # a numpy square: a width out of scale overflows to inf, a flat envelope
+    # that the spec's edge check refuses, instead of raising OverflowError
+    env = np.exp(-((grid.x - center) ** 2) / (2.0 * np.float64(width) ** 2))
     return SpectralState.from_physical(
         grid, amplitude * env * np.cos(xi0 * (grid.x - center))
     )

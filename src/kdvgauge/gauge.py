@@ -23,15 +23,17 @@ beta2 <= 0.
 
 A slice samples only what the solvers and transports read: A on the
 source grid, and at the pullback points A^-1(image nodes) h (forward
-transport) with the drift terms A_t and h_t/h (b..f); h on the source grid
-(inverse transport) is built when first read.  h comes from the one closed
-form of `gauge_weight`; at the pullback points it shares one anchored rule,
-and one program over that rule's Gauss nodes, with the two time integrals
-of the drift terms.  The h-derivatives enter only b..f, through the cached
-derived forms of the coefficient set.
+transport) and b..f; h on the source grid (inverse transport) is built
+when first read.  Per slice, three programs sample the coefficient set,
+each once: the pullback fields at the pullback points, beta1/alpha (for h)
+and the two time integrands of the drift terms A_t and h_t/h at the Gauss
+nodes of one anchored rule on those points, and alpha, alpha_t at x = 0.
+h comes from the one closed form of `gauge_weight`.  The h-derivatives
+enter only b..f, through the cached derived forms of the coefficient set.
 
-`GaugeSystem` serves slices by time through two `TimeSlices` caches, which
-keep the times they are told to keep and the newest few others.
+`GaugeSystem` serves slices by time through one `TimeSlices` cache, which
+keeps the times it is told to keep and the newest few others; a slice is
+one `GaugeMap`, which holds its b..f.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ __all__ = [
     "gauge_weight",
     "build_gauge_map",
     "image_grid_for",
-    "transform_coefficients",
     "forward_transform",
     "forward_transforms",
     "inverse_transform",
@@ -69,7 +70,7 @@ __all__ = [
 
 # what b..f read at the pullback points A^-1(image nodes): alpha with its
 # x-derivatives, the lower-order fields, and the log-derivative r = h_x/h
-# with the two x-derivatives of the h recurrences
+# with the two x-derivatives of the h recurrences (h_t/h also reads alpha_t)
 _PULLBACK_FIELDS = (
     "alpha", "alpha_x", "alpha_xx", "beta", "gamma", "delta", "epsilon",
     "gauge_ratio", "gauge_ratio_x", "gauge_ratio_xx",
@@ -92,14 +93,13 @@ def gauge_weight(cset: CoefficientSet, t: float, points: np.ndarray) -> np.ndarr
     pts = np.asarray(points, dtype=float)
     rule = _AnchoredRule(pts)
     ratio1 = cset.derived("ratio1").eval(t, rule.nodes)
-    return _weight(cset, t, np.asarray(cset.alpha.eval(t, pts), dtype=float), rule, ratio1)
+    a_vals = np.asarray(cset.alpha.eval(t, pts), dtype=float)
+    return _weight(float(cset.alpha.eval(t, 0.0)), a_vals, rule, ratio1)
 
 
-def _weight(
-    cset: CoefficientSet, t: float, a_vals: np.ndarray, rule: _AnchoredRule, ratio1
-) -> np.ndarray:
-    """h from alpha at the points and beta1/alpha at the Gauss nodes of `rule`."""
-    a0 = float(cset.alpha.eval(t, 0.0))
+def _weight(a0: float, a_vals: np.ndarray, rule: _AnchoredRule, ratio1) -> np.ndarray:
+    """h from alpha at 0 and at the points, and beta1/alpha at the Gauss
+    nodes of `rule`."""
     if a0 <= 0.0:
         raise ValueError("alpha(t, 0) must be positive")
     if a_vals.min() <= 0.0:
@@ -119,8 +119,7 @@ class GaugeMap:
     A_inverse_samples: np.ndarray  # pullback points for the image nodes
     inverse_clamped: np.ndarray  # image nodes outside the sampled A-range
     h_at_inverse: np.ndarray
-    A_t_at_inverse: np.ndarray  # the drift terms of b..f at the pullback points
-    ht_h_at_inverse: np.ndarray
+    coefficients: TransformedCoefficients  # b..f on the image grid
 
     def a_of(self, points: np.ndarray) -> np.ndarray:
         """Evaluate A at arbitrary source points (node anchor + one cell)."""
@@ -229,6 +228,11 @@ def image_grid_for(
 def build_gauge_map(
     cset: CoefficientSet, t: float, source_grid: Grid, image_grid: Grid
 ) -> GaugeMap:
+    """The slice at t: A, its inverse at the image nodes, h there, and b..f.
+
+    Image nodes outside the sampled A-range (the 5% padding collar) reuse
+    the boundary pullback point: b..f extend by their edge values there.
+    """
     t = float(t)
     A = _straighten(cset, t, source_grid)
     n = image_grid.num_points
@@ -241,42 +245,45 @@ def build_gauge_map(
         A_inverse_samples=np.zeros(n),
         inverse_clamped=np.zeros(n, dtype=bool),
         h_at_inverse=np.ones(n),
-        A_t_at_inverse=np.zeros(n),
-        ht_h_at_inverse=np.zeros(n),
+        coefficients=None,
     )
     lo, hi = gmap.a_range
     xi = image_grid.x
     gmap.inverse_clamped = (xi < lo) | (xi > hi)
     gmap.A_inverse_samples = np.asarray(invert_A(gmap, np.clip(xi, lo, hi)))
-    gmap.h_at_inverse, gmap.A_t_at_inverse, gmap.ht_h_at_inverse = _weight_and_drift(
-        cset, t, gmap.A_inverse_samples
-    )
+    pulled = _pullback(cset, t, gmap.A_inverse_samples)
+    gmap.h_at_inverse = pulled[0]
+    gmap.coefficients = _transformed(t, image_grid, *pulled)
     return gmap
 
 
-def _weight_and_drift(
-    cset: CoefficientSet, t: float, points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """h, A_t and h_t/h at ascending points, over one anchored rule.
+def _pullback(cset: CoefficientSet, t: float, points: np.ndarray) -> tuple:
+    """(h, A_t, h_t/h, the `_PULLBACK_FIELDS`) at ascending points.
 
-    beta1/alpha (for h) and the two drift integrands, d/dt alpha^(-1/3)
-    and d/dt(beta1/alpha), are sampled by one program on the rule's Gauss
-    nodes.  The rule is dropped on return, so a kept slice holds only the
-    three arrays.  Coefficients independent of t have no drift.
+    Three programs sample, each once: the pullback fields and alpha_t at
+    the points; beta1/alpha (for h) and, when the set depends on t, the two
+    drift integrands d/dt alpha^(-1/3) and d/dt(beta1/alpha) at the Gauss
+    nodes of one anchored rule; alpha and alpha_t at 0.  Coefficients
+    independent of t have no drift.
     """
     pts = np.asarray(points, dtype=float)
-    if not cset.is_time_dependent:
-        return gauge_weight(cset, t, pts), np.zeros_like(pts), np.zeros_like(pts)
+    *fields, al_t = (
+        np.asarray(v, dtype=float) for v in cset.sample(_PULLBACK_FIELDS + ("alpha_t",), t, pts)
+    )
+    drifting = cset.is_time_dependent
     rule = _AnchoredRule(pts)
-    ratio1, inv_cbrt_t, ratio1_t = cset.sample(("ratio1",) + _TIME_INTEGRANDS, t, rule.nodes)
-    al, al_t = (np.asarray(v, dtype=float) for v in cset.sample(("alpha", "alpha_t"), t, pts))
-    if cset.alpha.depends_on_t:
-        A_t = rule.integrate(inv_cbrt_t)
-    else:
-        A_t = np.zeros_like(pts)
+    ratio1, *drift = cset.sample(
+        ("ratio1",) + (_TIME_INTEGRANDS if drifting else ()), t, rule.nodes
+    )
     al0, al_t0 = (float(v) for v in cset.sample(("alpha", "alpha_t"), t, 0.0))
-    ht_h = (al_t0 / al0 - al_t / al) / 3.0 + rule.integrate(ratio1_t) / 3.0
-    return _weight(cset, t, al, rule, ratio1), A_t, ht_h
+    h = _weight(al0, fields[0], rule, ratio1)
+    zeros = np.zeros_like(pts)
+    if not drifting:
+        return h, zeros, zeros, fields
+    inv_cbrt_t, ratio1_t = drift
+    A_t = rule.integrate(inv_cbrt_t) if cset.alpha.depends_on_t else zeros
+    ht_h = (al_t0 / al0 - al_t / fields[0]) / 3.0 + rule.integrate(ratio1_t) / 3.0
+    return h, A_t, ht_h, fields
 
 
 @dataclass
@@ -308,24 +315,14 @@ class TransformedCoefficients:
             )
 
 
-def transform_coefficients(gmap: GaugeMap) -> TransformedCoefficients:
-    """Pull every source quantity of the map's coefficient set back through
-    A^-1 and assemble b..f on its image grid at its time.
-
-    Image nodes outside the sampled A-range (the 5% padding collar) reuse
-    the boundary pullback point, i.e. the coefficients are extended by
-    their edge values; localized runs never exercise that collar.
-    """
-    t = gmap.t
-    al, al_x, al_2x, be, ga, de, ep, r, rx, rxx = (
-        np.asarray(v, dtype=float)
-        for v in gmap.cset.sample(_PULLBACK_FIELDS, t, gmap.A_inverse_samples)
-    )
-    h = gmap.h_at_inverse
+def _transformed(
+    t: float, grid: Grid, h: np.ndarray, A_t: np.ndarray, ht_h: np.ndarray, fields
+) -> TransformedCoefficients:
+    """b..f on the image grid from `_pullback`'s h, drift terms and fields."""
+    al, al_x, al_2x, be, ga, de, ep, r, rx, rxx = fields
     hx_h = r
     h2x_h = r * r + rx
     h3x_h = r**3 + 3.0 * r * rx + rxx
-    A_t, ht_h = gmap.A_t_at_inverse, gmap.ht_h_at_inverse
 
     cbrt = al ** (1.0 / 3.0)
     b = cbrt * (-be / al + al_x / al + 3.0 * hx_h)
@@ -349,7 +346,7 @@ def transform_coefficients(gmap: GaugeMap) -> TransformedCoefficients:
     e = ep / (cbrt * h)
     f = -ep * hx_h / h
 
-    out = TransformedCoefficients(t=t, grid=gmap.image_grid, b=b, c=c, d=d, e=e, f=f)
+    out = TransformedCoefficients(t=t, grid=grid, b=b, c=c, d=d, e=e, f=f)
     out.validate()
     return out
 
@@ -436,15 +433,16 @@ class TimeSlices:
 
 
 class GaugeSystem:
-    """Gauge maps and transformed coefficients at any time, built on demand.
+    """Gauge slices at any time, built on demand.
 
-    `map_at(t)` and `coefficients_at(t)` are two TimeSlices over one image
-    grid: frozen coefficient sets build one slice of each for all times,
-    time-dependent ones a slice per 14-decimal time key, and both caches
-    keep the slices at the `keep` times for the life of the system (times a
-    caller revisits after a solve, such as its monitor times).  `times`
-    only sizes the image grid.  The caches' builders hold no reference to
-    the system, so a dropped system is freed without the cyclic collector.
+    `map_at(t)` is one TimeSlices over one image grid, and
+    `coefficients_at(t)` reads b..f from its slice: frozen coefficient sets
+    build one slice for all times, time-dependent ones a slice per 14-decimal
+    time key, and the slices at the `keep` times (times a caller revisits
+    after a solve, such as its monitor times) are kept for the life of the
+    system.  `times` only sizes the image grid.  The cache's builder holds no
+    reference to the system, so a dropped system is freed without the
+    cyclic collector.
     """
 
     def __init__(
@@ -460,10 +458,11 @@ class GaugeSystem:
         self.image_grid = image_grid = image_grid or image_grid_for(
             cset, source_grid, times=times
         )
-        frozen = not cset.is_time_dependent
-        self.map_at = map_at = TimeSlices(
-            lambda t: build_gauge_map(cset, t, source_grid, image_grid), frozen, keep
+        self.map_at = TimeSlices(
+            lambda t: build_gauge_map(cset, t, source_grid, image_grid),
+            not cset.is_time_dependent,
+            keep,
         )
-        self.coefficients_at = TimeSlices(
-            lambda t: transform_coefficients(map_at(t)), frozen, keep
-        )
+
+    def coefficients_at(self, t: float) -> TransformedCoefficients:
+        return self.map_at(t).coefficients

@@ -361,39 +361,30 @@ def auto_dt(
 ) -> float:
     """Step size from the explicit stability rules of the problem's form.
 
-    Uses the retained (dealiased) band's largest wavenumber; modes beyond
-    it are identically zero during the run.
+    Each term of `_TERMS[form]` with a nonzero coefficient caps dt: a linear
+    term of order p >= 1 at 1/(max|coef| kb^p), the quadratic u u_x at
+    1/(4 max|coef| sup|u0| kb); the order-0 rates (u^2 weighted by
+    max(sup|u0|, 1)) add up, and their sum caps dt at 0.5/rate.  kb is the
+    retained (dealiased) band's largest wavenumber; modes beyond it are
+    identically zero during the run.
     """
     kb = (2.0 / 3.0) * grid.k_max if config.dealias else grid.k_max
     sup0 = float(np.abs(u0.physical()).max())
     candidates = [config.t_final]
     form, sampler = _sampler(problem, grid)
     co = sampler(0.0)
-    if form == "original":
-        amax = float(np.abs(co.alpha).max())
-        candidates.append(1.0 / (amax * kb**3))
-        bmax = float(np.abs(co.beta).max())
-        if bmax > 0:
-            candidates.append(1.0 / (bmax * kb**2))
-        gmax = float(np.abs(co.gamma).max())
-        if gmax > 0:
-            candidates.append(1.0 / (gmax * kb))
-        emax = float(np.abs(co.epsilon).max())
-        if emax * sup0 > 0:
-            candidates.append(1.0 / (4.0 * emax * sup0 * kb))
-    else:
-        bmax = float(co.b.max())
-        if bmax > 0:
-            candidates.append(1.0 / (bmax * kb**2))
-        cmax = float(np.abs(co.c).max())
-        if cmax > 0:
-            candidates.append(1.0 / (cmax * kb))
-        emax = float(np.abs(co.e).max())
-        if emax * sup0 > 0:
-            candidates.append(1.0 / (4.0 * emax * sup0 * kb))
-        dmax = float(np.abs(co.d).max()) + float(np.abs(co.f).max()) * max(sup0, 1.0)
-        if dmax > 0:
-            candidates.append(0.5 / dmax)
+    rate = 0.0
+    for name, (order, _, is_quadratic) in _TERMS[form].items():
+        cmax = float(np.abs(getattr(co, name)).max())
+        if order == 0:
+            rate += cmax * max(sup0, 1.0) if is_quadratic else cmax
+        elif is_quadratic:
+            if cmax * sup0 > 0:
+                candidates.append(1.0 / (4.0 * cmax * sup0 * kb**order))
+        elif cmax > 0:
+            candidates.append(1.0 / (cmax * kb**order))
+    if rate > 0:
+        candidates.append(0.5 / rate)
     return min(candidates)
 
 

@@ -439,6 +439,13 @@ REFUSED_VALUES = {
         KIND_CONFIGS["wavepacket"].replace("packet_launch = 6", "packet_launch = 0"),
         "[experiment] packet_launch: must be positive and finite, got 0",
     ),
+    # width^2 overflows: the flat envelope reaches the edge (it used to end
+    # check in an OverflowError traceback)
+    "packet_width out of scale": (
+        "[experiment]\nkind = wavepacket\npacket_width = 1e200\n",
+        "[experiment] packet_launch, packet_width: each packet must be nonzero and "
+        "keep its mass off the outer 10% of the domain",
+    ),
     # launched at 30 on the default grid (half_width 8 pi) the packet sits at
     # the edge, where the gains measure the periodic wrap
     "packet at the edge": (
@@ -447,6 +454,37 @@ REFUSED_VALUES = {
         "keep its mass off the outer 10% of the domain (edge mass <= 1e-06) from "
         "launch to the traversal time; launched at 30 with width 1.5 on half_width "
         "25.1327, xi0 = 10 has edge mass 1 at launch",
+    ),
+}
+
+
+# case -> (config, the refusal that names the key of a value that is not
+# finite); each used to run a meaningless study or end in a bare error or a
+# traceback (a list knob's non-finite entry is refused by its kind's check)
+NONFINITE_VALUES = {
+    "bona_smith spectrum_decay_offset": (
+        KIND_CONFIGS["bona_smith"] + "spectrum_decay_offset = inf\n",
+        "[experiment] spectrum_decay_offset: must be finite, got inf",
+    ),
+    "wavepacket region_beta0": (
+        KIND_CONFIGS["wavepacket"].replace("region_beta0 = 0.3", "region_beta0 = inf"),
+        "[experiment] region_beta0: must be finite, got inf",
+    ),
+    "wavepacket region_half_width": (
+        KIND_CONFIGS["wavepacket"].replace("region_half_width = 1.5", "region_half_width = nan"),
+        "[experiment] region_half_width: must be finite, got nan",
+    ),
+    "continuity kappa": (
+        KIND_CONFIGS["continuity"] + "kappa = nan\n",
+        "[experiment] kappa: must be finite, got nan",
+    ),
+    "soliton order_t_final": (
+        MINIMAL + "order_t_final = inf\n",
+        "[experiment] order_t_final: must be finite, got inf",
+    ),
+    "solver s": (
+        _with_line(MINIMAL, "solver", "s = nan"),
+        "[solver] s: must be finite, got nan",
     ),
 }
 
@@ -514,6 +552,18 @@ packet_launch = 6
         assert captured.out == ""
         assert f"config error: {named}" in captured.err
         assert all(line.startswith("config error: ") for line in captured.err.splitlines())
+
+    @pytest.mark.parametrize("case", sorted(NONFINITE_VALUES))
+    def test_nonfinite_value_refused_naming_its_key(self, tmp_path, capsys, case):
+        cfg_text, named = NONFINITE_VALUES[case]
+        cfg_path = write_cfg(tmp_path, cfg_text)
+        for argv in (["check", str(cfg_path)], ["run", str(cfg_path), "-o", str(tmp_path / "out")]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"config error: {named}\n" in captured.err
+            assert all(line.startswith("config error: ") for line in captured.err.splitlines())
+        assert not (tmp_path / "out").exists()
 
     def test_blown_up_solve_fails_the_run(self, tmp_path):
         # a sup-norm cap below the soliton's height stops every solve at its

@@ -356,19 +356,14 @@ class TestTimeDependentGaugePath:
         # every coefficient depends on t; the transformed path rebuilds the
         # gauge at the RK stage times, so agreement with the original-form
         # discretization validates the drift terms (A_t and h_t/h) end to end
-        built = {"map": [], "coefficients": []}
-        build_map, transform = gauge.build_gauge_map, gauge.transform_coefficients
+        built = []
+        build_map = gauge.build_gauge_map
 
         def counted_map(cset, t, source_grid, image_grid):
-            built["map"].append((source_grid.num_points, t))
+            built.append((source_grid.num_points, t))
             return build_map(cset, t, source_grid, image_grid)
 
-        def counted_coefficients(gmap):
-            built["coefficients"].append((gmap.source_grid.num_points, gmap.t))
-            return transform(gmap)
-
         monkeypatch.setattr(gauge, "build_gauge_map", counted_map)
-        monkeypatch.setattr(gauge, "transform_coefficients", counted_coefficients)
         cs = CoefficientSet.from_strings(
             alpha="2+0.5*cos(t)*sech(x/4)^2",
             beta="0.2*sech(x/4)^2-0.1*sech(x/8)^2",
@@ -387,10 +382,10 @@ class TestTimeDependentGaugePath:
         rows = rep.tables["discrepancy"][1]
         assert rows[-1][1] < 1e-8
         assert rows[0][1] > rows[-1][1]
-        # each (grid, t) slice is built once: the 81 kept times 0 and the
-        # monitor times plus the 80 half steps, on each of the two grids
-        for keys in built.values():
-            assert len(keys) == len(set(keys)) == 2 * (81 + 80)
+        # each (grid, t) slice, map and b..f together, is built once: the 81
+        # kept times 0 and the monitor times plus the 80 half steps, on each
+        # of the two grids
+        assert len(built) == len(set(built)) == 2 * (81 + 80)
 
 
 class TestSingleLevelSweep:

@@ -16,7 +16,7 @@ from kdvgauge.gauge import (
     SLICE_CACHE,
     GaugeSystem,
     TimeSlices,
-    _weight_and_drift,
+    _pullback,
     build_gauge_map,
     forward_transform,
     forward_transforms,
@@ -43,7 +43,7 @@ def tanh_set() -> CoefficientSet:
 
 def weight_and_derivatives(cs: CoefficientSet, t: float, x: np.ndarray):
     """h from the closed form and h_x, h_xx, h_xxx from the recurrences in
-    r = h_x/h (the derived forms transform_coefficients reads)."""
+    r = h_x/h (the derived forms a gauge slice reads for b..f)."""
     h = gauge_weight(cs, t, x)
     r, rx, rxx = (
         np.asarray(cs.derived(name).eval(t, x), dtype=float)
@@ -92,7 +92,7 @@ class TestComputeA:
         cs = CoefficientSet.from_strings(alpha="2+0.5*cos(t)*sech(x/4)^2", alpha0=0.4)
         g = make_grid(8 * np.pi, 128)
         t, h = 0.3, 1e-5
-        _, A_t, _ = _weight_and_drift(cs, t, g.x)
+        _, A_t, _, _ = _pullback(cs, t, g.x)
         fd = (straightening(cs, t + h, g) - straightening(cs, t - h, g)) / (2 * h)
         assert np.abs(A_t - fd).max() < 1e-8
 
@@ -254,7 +254,7 @@ class TestTransformedCoefficients:
         )
         g = make_grid(16 * np.pi, 256)
         t, step = 0.4, 1e-5
-        got = _weight_and_drift(cs, t, g.x)[2]
+        got = _pullback(cs, t, g.x)[2]
         hp = gauge_weight(cs, t + step, g.x)
         hm = gauge_weight(cs, t - step, g.x)
         fd = (np.log(hp) - np.log(hm)) / (2 * step)
@@ -503,7 +503,7 @@ class TestTimeDependentGaugeProperties:
 
         # h_t / h and A_t as a gauge slice builds them, against
         # centred differences in t of log h and of A
-        _, A_t, ht_h = _weight_and_drift(cs, t, g.x)
+        _, A_t, ht_h, _ = _pullback(cs, t, g.x)
         log_h_t = fourth_order(lambda s: np.log(gauge_weight(cs, t + s, g.x)))
         assert np.abs(ht_h - log_h_t).max() < 1e-8 * max(1.0, np.abs(log_h_t).max())
         fd_A_t = fourth_order(lambda s: straightening(cs, t + s, g, system.image_grid))
@@ -614,3 +614,30 @@ class TestTimeSlices:
         assert late.t == 0.25 and drifting.map_at(0.25).t == 0.25
         assert drifting.coefficients_at(0.25 + 1e-16) is late
         assert drifting.coefficients_at(0.0) is not late
+        for system in (frozen, drifting):
+            for t in (0.0, 0.25):
+                assert system.coefficients_at(t) is system.map_at(t).coefficients
+
+    def test_drifting_slice_samples_the_pullback_points_once(self, monkeypatch):
+        # h, the drift terms and b..f all read one sample of A^-1(image nodes)
+        cs = CoefficientSet.from_strings(
+            alpha="2+0.5*cos(t)*sech(x/4)^2",
+            beta="0.2*sech(x/4)^2-0.1*sech(x/8)^2",
+            beta1="0.2*sech(x/4)^2",
+            beta2="-0.1*sech(x/8)^2",
+            alpha0=0.4,
+        )
+        g = make_grid(8 * np.pi, 64)
+        image_grid = image_grid_for(cs, g, times=(0.0, 0.3))
+        points = []
+        sample = CoefficientSet.sample
+
+        def spy(self, names, t, x):
+            points.append(np.array(x, dtype=float, copy=True))
+            return sample(self, names, t, x)
+
+        monkeypatch.setattr(CoefficientSet, "sample", spy)
+        gm = build_gauge_map(cs, 0.3, g, image_grid)
+        pulled = [x for x in points if np.array_equal(x, gm.A_inverse_samples)]
+        assert len(pulled) == 1
+        assert len(points) == 3  # the points, their rule's Gauss nodes, and x = 0

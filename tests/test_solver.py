@@ -251,6 +251,50 @@ class TestSolve:
         kb = (2.0 / 3.0) * g.k_max
         assert dt <= 1.0 / (2.5 * kb**3) + 1e-15
 
+    # form, the one term's coefficient, and its cap in (kb, sup|u0|); every
+    # other coefficient is zero, or alpha = 1e-9 in the original form
+    DT_CAPS = [
+        ("original", "alpha", 2.5, lambda kb, sup0: 1.0 / (2.5 * kb**3)),
+        ("original", "beta", 5.0, lambda kb, sup0: 1.0 / (5.0 * kb**2)),
+        ("original", "gamma", -3.0, lambda kb, sup0: 1.0 / (3.0 * kb)),
+        ("original", "delta", 7.0, lambda kb, sup0: 0.5 / 7.0),
+        ("original", "epsilon", -6.0, lambda kb, sup0: 1.0 / (4.0 * 6.0 * sup0 * kb)),
+        ("transformed", "b", 3.0, lambda kb, sup0: 1.0 / (3.0 * kb**2)),
+        ("transformed", "c", -2.0, lambda kb, sup0: 1.0 / (2.0 * kb)),
+        ("transformed", "d", -7.0, lambda kb, sup0: 0.5 / 7.0),
+        ("transformed", "e", 6.0, lambda kb, sup0: 1.0 / (4.0 * 6.0 * sup0 * kb)),
+        ("transformed", "f", 9.0, lambda kb, sup0: 0.5 / (9.0 * max(sup0, 1.0))),
+    ]
+
+    @pytest.mark.parametrize("form, name, value, cap", DT_CAPS, ids=[c[1] for c in DT_CAPS])
+    @pytest.mark.parametrize("height", [0.5, 3.0])
+    def test_auto_dt_each_term_alone_sets_dt(self, form, name, value, cap, height):
+        g = make_grid(8 * np.pi, 256)
+        u0 = gaussian_state(g, height)
+        cfg = SolverConfig(t_final=1.0, dt="auto")
+        if form == "original":
+            fields = {"alpha": "1e-9", "epsilon": "0", name: repr(value)}
+            problem = CoefficientSet.from_strings(**fields)
+        else:
+            z = np.zeros(g.num_points)
+            fields = {**dict.fromkeys("bcdef", z), name: np.full(g.num_points, value)}
+            problem = TransformedCoefficients(t=0.0, grid=g, **fields)
+        kb = (2.0 / 3.0) * g.k_max
+        sup0 = float(np.abs(u0.physical()).max())
+        assert auto_dt(cfg, g, problem, u0) == pytest.approx(cap(kb, sup0), rel=1e-14)
+
+    def test_auto_dt_adds_the_order_zero_rates(self):
+        g = make_grid(8 * np.pi, 256)
+        u0 = gaussian_state(g, 3.0)
+        z = np.zeros(g.num_points)
+        tc = TransformedCoefficients(
+            t=0.0, grid=g, b=z, c=z, d=np.full(g.num_points, 2.0), e=z,
+            f=np.full(g.num_points, -0.5),
+        )
+        sup0 = float(np.abs(u0.physical()).max())
+        dt = auto_dt(SolverConfig(t_final=1.0, dt="auto"), g, tc, u0)
+        assert dt == pytest.approx(0.5 / (2.0 + 0.5 * sup0), rel=1e-14)
+
     def test_identity_gauge_path_equivalence(self):
         # transporting the original-path solution through the identity gauge
         # matches the transformed-path solution within 10x scheme error
