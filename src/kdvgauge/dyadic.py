@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, SpectralState, derivative, inner_product, l2_norm
+from .spectral import Grid, SpectralState, inner_product, l2_norm
 
 __all__ = [
     "bump_eta",
@@ -160,13 +160,32 @@ def project(field: SpectralState, projector: DyadicProjector) -> SpectralState:
     return SpectralState(field.grid, field.coefficients * projector.symbol)
 
 
-def _b_energy(state: SpectralState, b: np.ndarray, s: float, bank: ProjectorBank) -> float:
-    """sum_N (1+N)^{2s} int b |P_N u_x|^2 dx for one state and a weight b >= 0."""
-    ux = derivative(state, 1)
-    total = 0.0
+def _b_energy(
+    coefficients: np.ndarray, b: np.ndarray, s: float, bank: ProjectorBank
+) -> np.ndarray:
+    """sum_N (1+N)^{2s} int b |P_N u_x|^2 dx for a weight b >= 0, per half
+    spectrum along the last axis of `coefficients` on the bank's grid.
+
+    `b` broadcasts against the fields, one row per spectrum or one for all.
+    Only elementwise operations, transforms and sums along the last axis
+    act, so each row's value is the one-row value bit for bit.
+    """
+    grid = bank.grid
+    ux = coefficients * (1j * grid.wavenumbers)
+    ux[..., grid.nyquist_index] = 0.0  # as `spectral.derivative`
+    total = np.zeros(ux.shape[:-1])
+    # one set of work arrays serves every band: a 16-row block at n = 1024
+    # otherwise leaves the heap about 1 MB larger after the ledger
+    spectra = np.empty_like(ux)
+    piece = np.empty(ux.shape[:-1] + (grid.num_points,))
+    weighted = np.empty_like(piece)
     for N in bank.dyadic_ns:
-        piece = np.abs(project(ux, bank.p_n(N)).physical())
-        total += (1.0 + N) ** (2.0 * s) * state.grid.dx * float(np.sum(b * piece * piece))
+        np.multiply(ux, bank.p_n(N).symbol, out=spectra)
+        np.fft.irfft(spectra, grid.num_points, norm="forward", out=piece)
+        np.abs(piece, out=piece)
+        np.multiply(b, piece, out=weighted)
+        weighted *= piece
+        total += (1.0 + N) ** (2.0 * s) * grid.dx * np.sum(weighted, axis=-1)
     return total
 
 

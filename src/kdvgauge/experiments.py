@@ -205,7 +205,9 @@ def successive_difference_order(dts, finals) -> tuple[list, float, float]:
 
 
 def gaussian_state(grid, amplitude=1.0, width=1.0, center=0.0) -> SpectralState:
-    vals = amplitude * np.exp(-((grid.x - center) ** 2) / (2.0 * width**2))
+    # a numpy square, as in packet_state: a width out of scale gives a flat
+    # datum that the spec's edge check refuses, not an OverflowError
+    vals = amplitude * np.exp(-((grid.x - center) ** 2) / (2.0 * np.float64(width) ** 2))
     return SpectralState.from_physical(grid, vals)
 
 
@@ -317,7 +319,11 @@ class TransformConsistencySpec(ExperimentSpec):
         """Sweeps and data that leave the comparison nothing to measure: every
         size must build a grid of the run's width, and the Gaussian datum needs
         a positive width and a nonzero amplitude (a zero datum has zero
-        discrepancy)."""
+        discrepancy).  Once those pass, the datum must keep its edge mass
+        (`spectral.edge_mass_fraction`) at most `spectral.EDGE_MASS_LIMIT` on
+        every grid of the sweep: a datum that reaches the periodic wrap ends
+        the run at the transports' edge check, or, with a width whose square
+        overflows, is flat."""
         violations = []
         if not self.refine_sweep:
             violations.append("[experiment] refine_sweep: needs at least one grid size")
@@ -326,8 +332,26 @@ class TransformConsistencySpec(ExperimentSpec):
                 make_grid(self.grid.half_width, n)
             except GridSizeError as exc:
                 violations.append(f"[experiment] refine_sweep: size {n}: {exc}")
-        return (violations + _refused(self, ("gaussian_width",))
-                + _refused(self, ("gaussian_amplitude",), lambda v: v != 0, "nonzero"))
+        violations += (_refused(self, ("gaussian_width",))
+                       + _refused(self, ("gaussian_amplitude",), lambda v: v != 0, "nonzero"))
+        if violations:
+            return violations
+        reached = []
+        with np.errstate(all="ignore"):  # a width out of scale is refused below
+            for n in self.refine_sweep:
+                grid = make_grid(self.grid.half_width, n)
+                # the fraction does not depend on the amplitude
+                edge = edge_mass_fraction(gaussian_state(grid, 1.0, self.gaussian_width))
+                if not edge <= EDGE_MASS_LIMIT:
+                    reached.append(f"n = {n} has edge mass {edge:.2g}")
+        if reached:
+            violations.append(
+                f"[experiment] gaussian_width: the Gaussian datum must keep its mass "
+                f"off the outer 10% of the domain (edge mass <= {EDGE_MASS_LIMIT:g}); "
+                f"width {self.gaussian_width:g} on half_width {self.grid.half_width:g}: "
+                f"{'; '.join(reached)}"
+            )
+        return violations
 
 
 def run_transform_consistency(spec: TransformConsistencySpec) -> ExperimentReport:

@@ -30,7 +30,10 @@ times, which preserves fourth order; `_sampler` serves them through a
 `gauge.TimeSlices` cache keyed by time to 14 decimals.  Blow-up is detected
 from the sup-norm against a configurable cap, at the monitor times or every
 CAP_CHECK_STRIDE steps when none are given, and is deterministic for a fixed
-configuration.
+configuration.  After the loop, the energy ledger (H^s norms and dyadic
+dissipation) and the weak residual take the stored states in blocks of
+STACK_ROWS, one call chain per block rather than one per state, each row
+equal to the one-state computation bit for bit.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 from .coefficients import CoefficientSet
 from .dyadic import ProjectorBank, _b_energy, bump_eta, bump_eta_prime
 from .gauge import GaugeSystem, TimeSlices, TransformedCoefficients
-from .spectral import EDGE_MASS_LIMIT, Grid, SpectralState, _edge_mass, sobolev_norm
+from .spectral import EDGE_MASS_LIMIT, Grid, SpectralState, _edge_mass, _sobolev_norms
 
 __all__ = [
     "SolverConfig",
@@ -57,6 +60,17 @@ __all__ = [
 
 
 CAP_CHECK_STRIDE = 10  # steps between cap checks of a solve without monitor times
+STACK_ROWS = 16  # stored states per block of the energy ledger and the weak residual
+
+
+def _blocks(count: int) -> list:
+    """Row slices of at most STACK_ROWS covering range(count) in order."""
+    return [slice(start, start + STACK_ROWS) for start in range(0, count, STACK_ROWS)]
+
+
+def _stacked(states: list, rows: slice) -> np.ndarray:
+    """The half spectra of `states[rows]` as a (rows, n/2 + 1) stack."""
+    return np.stack([state.coefficients for state in states[rows]])
 
 
 @dataclass(frozen=True)
@@ -149,8 +163,12 @@ class _Spectrum:
         """Physical values of one spectrum, or of each row of a 2-D stack."""
         return np.fft.irfft(spectra, self.n, norm="forward", out=out)
 
-    def derivative(self, values: np.ndarray, order: int) -> np.ndarray:
-        return self.inverse(self.rows[order] * self.forward(values))
+    def derivative(
+        self, values: np.ndarray, order: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """D^order of real values along the last axis, into `out` if given."""
+        spectra = self.forward(values)
+        return self.inverse(np.multiply(self.rows[order], spectra, out=spectra), out=out)
 
 
 def _sum_terms(terms: list, fields: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
@@ -396,6 +414,22 @@ def _seminorm_cumulative(dissipation: np.ndarray, times: np.ndarray) -> np.ndarr
     return np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(times))])
 
 
+def _ledger(grid: Grid, states: list, weights: list, s: float) -> tuple:
+    """(H^s norms, dissipation) of the stored states, over blocks of
+    STACK_ROWS: -sum_N (1+N)^{2s} int max(b, 0) |P_N u_x|^2 with each
+    state's b from `weights`, or zero when there are none (the original
+    form).  Each row equals the one-state value bit for bit."""
+    hs, diss = np.empty(len(states)), np.zeros(len(states))
+    bank = ProjectorBank(grid)
+    for rows in _blocks(len(states)):
+        stack = _stacked(states, rows)
+        hs[rows] = _sobolev_norms(grid, stack, s)
+        if weights:
+            b = np.stack(weights[rows])
+            diss[rows] = -_b_energy(stack, np.clip(b, 0.0, None, out=b), s, bank)
+    return hs, diss
+
+
 def solve(
     u0: SpectralState,
     config: SolverConfig,
@@ -426,8 +460,7 @@ def solve(
     # would be frozen by the masked right-hand side, so drop both up front
     chat = u0.coefficients * spectrum.keep
 
-    bank = ProjectorBank(grid)
-    times, states, sups, hs, diss = [], [], [], [], []
+    times, states, sups, weights = [], [], [], []
     edge_max = 0.0
 
     targets = None if monitor_times is None else sorted(
@@ -447,15 +480,13 @@ def solve(
         return float(np.abs(values).max())
 
     def record(state: SpectralState, tnow: float, sup: float) -> None:
+        """Store a state with its sup norm and, in the transformed form, the
+        b of its time's slice; the ledger reads them after the loop."""
         times.append(tnow)
         states.append(state)
         sups.append(sup)
-        hs.append(sobolev_norm(state, config.s))
-        diss.append(
-            -_b_energy(state, np.clip(sampler(tnow).b, 0.0, None), config.s, bank)
-            if form == "transformed"
-            else 0.0
-        )
+        if form == "transformed":
+            weights.append(sampler(tnow).b)
 
     # the stored datum is the truncated one, and so are its norms and the cap
     state = SpectralState(grid, chat)
@@ -494,7 +525,7 @@ def solve(
                 break
 
     times_arr = np.asarray(times)
-    diss_arr = np.asarray(diss)
+    hs, diss_arr = _ledger(grid, states, weights, config.s)
     if config.warn_domain_edge and edge_max > EDGE_MASS_LIMIT:
         # mass that reaches the edge of a blown-up solve comes from the
         # unstable step, not from a domain that is too small
@@ -513,7 +544,7 @@ def solve(
         equation_form=form,
         times=times_arr,
         states=states,
-        hs_norms=np.asarray(hs),
+        hs_norms=hs,
         sup_norms=np.asarray(sups),
         dissipation=diss_arr,
         seminorm_cumulative=_seminorm_cumulative(diss_arr, times_arr),
@@ -541,7 +572,9 @@ class SpaceTimeBump:
 
     def on(self, x) -> tuple:
         """(t -> phi(t, x), t -> phi_t(t, x)) at the points x, with the space
-        factor sampled once."""
+        factor sampled once.  A scalar t gives one row of values; a column of
+        times t[:, None] gives one row per time, each the scalar call's row
+        bit for bit."""
         space = bump_eta((x - self.x0) / self.x_width)
         tau = self.t_width
         return (
@@ -587,7 +620,9 @@ def weak_residual(traj: Trajectory, phi, problem) -> float:
     """Space-time residual of the weak formulation against a test field.
 
     phi needs .on(x_array), returning phi(t, x_array) and phi_t(t, x_array)
-    as functions of t, with compact support inside [0, T) x interior.  The
+    as functions of t, with compact support inside [0, T) x interior.  Both
+    functions take a scalar t or a column of times t[:, None], and give one
+    row per time, equal to the scalar call's row.  The
     residual includes the initial-datum term and is near zero (quadrature
     floor) for genuine solutions.  `problem` is what `solve` integrated, or
     one of the same form; a problem of the other form is refused with a
@@ -598,6 +633,12 @@ def weak_residual(traj: Trajectory, phi, problem) -> float:
     a linear term gives -sign (-1)^p u D^p(coef phi), a quadratic term
     (p <= 1, with u u_x = (u^2)_x / 2) gives -sign (-1/2)^p u^2 D^p(coef phi),
     and the transformed form adds -u phi_xxx for its dispersion.
+
+    The stored states are taken in blocks of STACK_ROWS times: one inverse
+    transform of the block's stacked spectra, phi and phi_t on the block's
+    column of times, the coefficient rows stacked from the slices, one
+    transform pair per derivative and one row sum give the time integrand g
+    at the block's times, each entry equal to the one-time value bit for bit.
     """
     grid = traj.grid
     x = grid.x
@@ -609,36 +650,48 @@ def weak_residual(traj: Trajectory, phi, problem) -> float:
             f"not a {type(problem).__name__}"
         )
 
+    times = np.asarray(traj.times, dtype=float)
     value, dt_value = phi.on(x)
     edge = np.abs(x) >= 0.9 * grid.half_width
     probe = np.abs(np.asarray(value(0.0)))
     pmax = max(probe.max(), 1e-300)
     if np.abs(np.asarray(value(T))).max() > 1e-10 * pmax:
         raise ValueError("test field must vanish before the final time")
-    for tt in traj.times[:: max(1, len(traj.times) // 8)]:
-        if np.abs(np.asarray(value(float(tt)))[edge]).max() > 1e-10 * pmax:
-            raise ValueError("test field must vanish near the domain edge")
+    probed = np.asarray(value(times[:: max(1, times.size // 8), None]))
+    if np.abs(probed[:, edge]).max() > 1e-10 * pmax:
+        raise ValueError("test field must vanish near the domain edge")
 
-    ddx = _Spectrum(grid, dealias_products=False).derivative
+    spectrum = _Spectrum(grid, dealias_products=False)
+    ddx = spectrum.derivative
 
-    g = np.empty(len(traj.times))
-    for i, (tt, state) in enumerate(zip(traj.times, traj.states)):
-        tt = float(tt)
-        u = state.physical()
+    # per block: g = dx * rowsum(u * lin + u^2 * quad), each array updated in
+    # place in the operation order of the one-time sum (a real product is
+    # bitwise commutative, so moved *= c is c * moved)
+    g = np.empty(times.size)
+    for rows in _blocks(times.size):
+        tt = times[rows, None]
         p = np.asarray(value(tt), dtype=float)
-        co = sampler(tt)
+        slices = [sampler(t) for t in times[rows].tolist()]
         lin = -np.asarray(dt_value(tt), dtype=float)
         if form == "transformed":
-            lin = lin - ddx(p, 3)  # the dispersion the integrating factor applies
-        quad = 0.0
+            lin -= ddx(p, 3)  # the dispersion the integrating factor applies
+        quad = np.zeros_like(p)
         for name, (order, sign, is_quadratic) in _TERMS[form].items():
-            weighted = getattr(co, name) * p
-            moved = weighted if order == 0 else ddx(weighted, order)
+            weighted = np.stack([getattr(co, name) for co in slices])
+            weighted *= p
+            moved = weighted if order == 0 else ddx(weighted, order, out=weighted)
             if is_quadratic:
-                quad = quad + (-sign * (-0.5) ** order) * moved
+                moved *= -sign * (-0.5) ** order
+                quad += moved
             else:
-                lin = lin + (-sign * (-1.0) ** order) * moved
-        g[i] = grid.dx * float(np.sum(u * lin + u * u * quad))
+                moved *= -sign * (-1.0) ** order
+                lin += moved
+        u = spectrum.inverse(_stacked(traj.states, rows))
+        lin *= u
+        quad *= np.multiply(u, u, out=u)
+        lin += quad
+        g[rows] = grid.dx * np.sum(lin, axis=-1)
+        del p, lin, quad, weighted, moved, u  # before the next block's arrays
 
     space_time = float(_simpson(g, traj.times))
     u0 = traj.states[0].physical()

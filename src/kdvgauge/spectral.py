@@ -188,10 +188,16 @@ def derivative(state: SpectralState, order: int = 1) -> SpectralState:
 def sobolev_norm(state: SpectralState, s: float) -> float:
     """Discrete H^s norm: (sum_k (1+k^2)^s |c(k)|^2 * 2 half_width)^(1/2),
     summed over the full spectrum through the half band's multiplicity."""
-    k = state.grid.wavenumbers
-    weights = state.grid.multiplicity * (1.0 + k * k) ** s
-    total = np.sum(weights * np.abs(state.coefficients) ** 2)
-    return float(np.sqrt(total * 2.0 * state.grid.half_width))
+    return float(_sobolev_norms(state.grid, state.coefficients, s))
+
+
+def _sobolev_norms(grid: Grid, coefficients: np.ndarray, s: float) -> np.ndarray:
+    """`sobolev_norm` of each half spectrum along the last axis of
+    `coefficients`; each row's sum is the one-row sum bit for bit."""
+    k = grid.wavenumbers
+    weights = grid.multiplicity * (1.0 + k * k) ** s
+    total = np.sum(weights * np.abs(coefficients) ** 2, axis=-1)
+    return np.sqrt(total * 2.0 * grid.half_width)
 
 
 def l2_norm(state: SpectralState) -> float:

@@ -431,6 +431,22 @@ REFUSED_VALUES = {
         KIND_CONFIGS["transform_consistency"] + "gaussian_width = 0\n",
         "[experiment] gaussian_width: must be positive and finite, got 0",
     ),
+    # width^2 overflows: the flat datum reaches the edge (it used to end run
+    # with "error: (34, 'Numerical result out of range')" and a traceback)
+    "gaussian_width out of scale": (
+        KIND_CONFIGS["transform_consistency"] + "gaussian_width = 1e200\n",
+        "[experiment] gaussian_width: the Gaussian datum must keep its mass off the "
+        "outer 10% of the domain (edge mass <= 1e-06); width 1e+200 on half_width "
+        "100.531: n = 256 has edge mass 0.098; n = 512 has edge mass 0.1",
+    ),
+    # wide enough to reach the edge of the half_width 32 pi grid, where the run
+    # used to end (exit 2) at the transports' source-domain edge check
+    "gaussian at the edge": (
+        KIND_CONFIGS["transform_consistency"] + "gaussian_width = 100\n",
+        "[experiment] gaussian_width: the Gaussian datum must keep its mass off the "
+        "outer 10% of the domain (edge mass <= 1e-06); width 100 on half_width "
+        "100.531: n = 256 has edge mass 0.053; n = 512 has edge mass 0.054",
+    ),
     "packet_width": (
         KIND_CONFIGS["wavepacket"] + "packet_width = 0\n",
         "[experiment] packet_width: must be positive and finite, got 0",

@@ -126,14 +126,14 @@ class TestWeightedSeminorm:
     def test_zero_weight(self):
         g = make_grid(np.pi, 64)
         st = SpectralState.from_physical(g, np.sin(g.x))
-        assert _b_energy(st, np.zeros(64), 0.0, ProjectorBank(g)) == 0.0
+        assert _b_energy(st.coefficients, np.zeros(64), 0.0, ProjectorBank(g)) == 0.0
 
     def test_stationary_single_mode(self):
         # u = sin(x), b = 1, s = 0: only P_1 acts on k = 1, with symbol 1,
         # so the sum is ||cos||^2 = pi
         g = make_grid(np.pi, 64)
         st = SpectralState.from_physical(g, np.sin(g.x))
-        val = _b_energy(st, np.ones(64), 0.0, ProjectorBank(g))
+        val = _b_energy(st.coefficients, np.ones(64), 0.0, ProjectorBank(g))
         assert val == pytest.approx(np.pi, rel=1e-12)
 
     def test_single_mode_closed_form(self):
@@ -143,7 +143,7 @@ class TestWeightedSeminorm:
         kmode = 2
         st = SpectralState.from_physical(g, np.sin(kmode * g.x))
         bank = ProjectorBank(g)
-        got = _b_energy(st, np.ones(64), -1.0, bank)
+        got = _b_energy(st.coefficients, np.ones(64), -1.0, bank)
         ux_sq = np.pi * kmode**2  # ||d/dx sin(kx)||^2 on [-pi, pi)
         want = sum(
             (1.0 + N) ** (-2.0) * (bank.p_n(N).symbol[kmode]) ** 2 * ux_sq

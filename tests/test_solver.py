@@ -12,7 +12,7 @@ from scipy.integrate import simpson
 
 from kdvgauge import solver as solver_module
 from kdvgauge.coefficients import CoefficientSet
-from kdvgauge.dyadic import ProjectorBank
+from kdvgauge.dyadic import ProjectorBank, project
 from kdvgauge.gauge import GaugeSystem, TransformedCoefficients, forward_transform
 from kdvgauge.solver import (
     EDGE_MASS_LIMIT,
@@ -23,7 +23,7 @@ from kdvgauge.solver import (
     solve,
     weak_residual,
 )
-from kdvgauge.spectral import SpectralState, l2_norm, make_grid, mass
+from kdvgauge.spectral import SpectralState, derivative, l2_norm, make_grid, mass
 from kdvgauge.experiments import (
     exact_soliton_values,
     gaussian_state,
@@ -852,3 +852,188 @@ class TestConservationProperty:
         assert not traj.blowup
         assert np.abs(l2s - l2s[0]).max() <= 1e-9 * l2s[0]
         assert np.abs(ms - ms[0]).max() <= 1e-12 * l2s[0]
+
+
+# -- oracle: the per-time analysis that the stacked one replaced -------------
+
+
+def _per_state_sobolev_norm(state, s):
+    k = state.grid.wavenumbers
+    weights = state.grid.multiplicity * (1.0 + k * k) ** s
+    total = np.sum(weights * np.abs(state.coefficients) ** 2)
+    return float(np.sqrt(total * 2.0 * state.grid.half_width))
+
+
+def _per_state_b_energy(state, b, s, bank):
+    ux = derivative(state, 1)
+    total = 0.0
+    for N in bank.dyadic_ns:
+        piece = np.abs(project(ux, bank.p_n(N)).physical())
+        total += (1.0 + N) ** (2.0 * s) * state.grid.dx * float(np.sum(b * piece * piece))
+    return total
+
+
+def _per_state_ledger(grid, states, weights, s):
+    """(hs_norms, dissipation) of `states`, one state at a time; the
+    dissipation is zero without weights (the original form)."""
+    bank = ProjectorBank(grid)
+    hs = [_per_state_sobolev_norm(state, s) for state in states]
+    diss = [
+        -_per_state_b_energy(state, np.clip(b, 0.0, None), s, bank)
+        for state, b in zip(states, weights)
+    ] if weights else [0.0] * len(states)
+    return np.asarray(hs), np.asarray(diss)
+
+
+def _weights(problem, traj):
+    """The b of each stored time's slice in the transformed form, else none."""
+    form, sampler = solver_module._sampler(problem, traj.grid)
+    return [sampler(float(t)).b for t in traj.times] if form == "transformed" else []
+
+
+def _per_time_weak_residual(traj, phi, problem):
+    """(residual, its time integrand g at the stored times)."""
+    grid = traj.grid
+    form, sampler = solver_module._sampler(problem, grid)
+    value, dt_value = phi.on(grid.x)
+    ddx = solver_module._Spectrum(grid, dealias_products=False).derivative
+    g = np.empty(len(traj.times))
+    for i, (tt, state) in enumerate(zip(traj.times, traj.states)):
+        tt = float(tt)
+        u = state.physical()
+        p = np.asarray(value(tt), dtype=float)
+        co = sampler(tt)
+        lin = -np.asarray(dt_value(tt), dtype=float)
+        if form == "transformed":
+            lin = lin - ddx(p, 3)
+        quad = 0.0
+        for name, (order, sign, is_quadratic) in solver_module._TERMS[form].items():
+            weighted = getattr(co, name) * p
+            moved = weighted if order == 0 else ddx(weighted, order)
+            if is_quadratic:
+                quad = quad + (-sign * (-0.5) ** order) * moved
+            else:
+                lin = lin + (-sign * (-1.0) ** order) * moved
+        g[i] = grid.dx * float(np.sum(u * lin + u * u * quad))
+    space_time = float(_simpson(g, traj.times))
+    u0 = traj.states[0].physical()
+    init_term = grid.dx * float(np.sum(u0 * np.asarray(value(0.0), dtype=float)))
+    return space_time - init_term, g
+
+
+def _first(traj, count):
+    """The trajectory cut to its first `count` stored times."""
+    return replace(
+        traj, times=traj.times[:count], states=traj.states[:count],
+        hs_norms=traj.hs_norms[:count], sup_norms=traj.sup_norms[:count],
+        dissipation=traj.dissipation[:count],
+        seminorm_cumulative=traj.seminorm_cumulative[:count],
+    )
+
+
+STORED = 81  # stored times of the stacked-analysis solves: five blocks and one row
+
+
+@pytest.fixture(scope="module")
+def stored(setting):
+    """(drifting, form) -> (problem, a solve storing STORED times)."""
+    g, problems = setting
+    u0 = SpectralState.from_physical(g, 0.8 * np.exp(-(((g.x - 1.0) / 3.0) ** 2)))
+    cfg = SolverConfig(t_final=0.004, dt=5e-4, s=1.0)
+    out = {}
+    for drifting in (True, False):
+        for form in ("original", "transformed"):
+            problem = problems[form][0] if drifting else _frozen(setting, form)
+            monitor = np.linspace(0.0, cfg.t_final, STORED)[1:]
+            out[drifting, form] = problem, solve(u0, cfg, problem, monitor_times=monitor)
+    return out
+
+
+CASES = [(drifting, form) for drifting in (True, False) for form in ("original", "transformed")]
+
+
+class TestStackedAnalysis:
+    """The ledger and the weak residual run over blocks of STACK_ROWS stored
+    times; each value equals the per-time computation bit for bit."""
+
+    def test_block_size(self):
+        assert solver_module.STACK_ROWS == 16
+        assert solver_module._blocks(33) == [slice(0, 16), slice(16, 32), slice(32, 48)]
+        assert solver_module._blocks(0) == []
+
+    @pytest.mark.parametrize("drifting, form", CASES)
+    def test_solve_ledger_matches_per_state(self, stored, drifting, form):
+        problem, traj = stored[drifting, form]
+        assert len(traj.times) == STORED
+        hs, diss = _per_state_ledger(traj.grid, traj.states, _weights(problem, traj), 1.0)
+        assert np.array_equal(traj.hs_norms, hs)
+        assert np.array_equal(traj.dissipation, diss)
+        assert np.any(diss != 0.0) == (form == "transformed")
+
+    @pytest.mark.parametrize("count", [1, 15, 16, 17, STORED])
+    @pytest.mark.parametrize("drifting, form", CASES)
+    def test_ledger_blocks_match_per_state(self, stored, drifting, form, count):
+        problem, traj = stored[drifting, form]
+        cut = _first(traj, count)
+        # b >= 0 here; the shift makes the clip at zero act
+        weights = [b - 0.5 * b.max() for b in _weights(problem, cut)]
+        for s in (1.0, -0.5):
+            hs, diss = solver_module._ledger(traj.grid, cut.states, weights, s)
+            want_hs, want_diss = _per_state_ledger(traj.grid, cut.states, weights, s)
+            assert hs.shape == diss.shape == (count,)
+            assert np.array_equal(hs, want_hs)
+            assert np.array_equal(diss, want_diss)
+
+    @pytest.mark.parametrize("count", [2, 15, 16, 17, STORED])
+    @pytest.mark.parametrize("drifting, form", CASES)
+    def test_weak_residual_matches_per_time(self, stored, drifting, form, count, monkeypatch):
+        # two times are the fewest a residual can use: the field must vanish
+        # at the last one.  The residual is a difference of O(1) integrals, so
+        # the integrand g handed to _simpson is compared as well
+        problem, traj = stored[drifting, form]
+        cut = _first(traj, count)
+        phi = SpaceTimeBump(x0=1.0, x_width=4.0, t_width=0.45 * float(cut.times[-1]))
+        want, want_g = _per_time_weak_residual(cut, phi, problem)
+        integrands = []
+        monkeypatch.setattr(
+            solver_module, "_simpson", lambda y, x: integrands.append(y.copy()) or _simpson(y, x)
+        )
+        got = weak_residual(cut, phi, problem)
+        assert got != 0.0
+        assert got == want
+        assert len(integrands) == 1 and np.array_equal(integrands[0], want_g)
+
+    @pytest.mark.parametrize("t", [0.0, 0.05, 0.13, 0.17, 0.2, 0.5])
+    def test_bump_column_of_times_matches_scalar_calls(self, t):
+        x = make_grid(8 * np.pi, 128).x
+        value, dt_value = SpaceTimeBump(x0=0.5, x_width=3.0, t_width=0.1).on(x)
+        times = np.array([0.0, t, 0.11, t, 0.19, 0.3])
+        for f in (value, dt_value):
+            stacked = f(times[:, None])
+            assert stacked.shape == (times.size, x.size)
+            for row, tt in zip(stacked, times.tolist()):
+                assert np.array_equal(row, f(tt))
+
+
+class TestStackedTransformsProperty:
+    """ROADMAP item 3's condition for stacks: each row of a stacked rfft,
+    irfft and last-axis sum is the one-row call's result bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log_n=st.integers(4, 12),
+        rows=st.integers(1, 81),
+        seed=st.integers(0, 2**31 - 1),
+        scale=st.sampled_from([1e-200, 1e-8, 1.0, 1e8, 1e200]),
+    )
+    def test_rows_match_per_row_calls(self, log_n, rows, seed, scale):
+        n = 2**log_n
+        rng = np.random.default_rng(seed)
+        values = scale * rng.standard_normal((rows, n))
+        spectra = np.fft.rfft(values, norm="forward")
+        back = np.fft.irfft(spectra, n, norm="forward")
+        sums = np.sum(values, axis=-1)
+        for i in range(rows):
+            assert np.array_equal(spectra[i], np.fft.rfft(values[i], norm="forward"))
+            assert np.array_equal(back[i], np.fft.irfft(spectra[i], n, norm="forward"))
+            assert sums[i] == np.sum(values[i])
