@@ -29,7 +29,7 @@ import numpy as np
 from .coefficients import CoefficientSet, HypothesisReport, check_hypotheses, softplus_split
 from .experiments import EXPERIMENTS, ExperimentSpec, run_experiment, write_report
 from .expressions import ExpressionError, parse_coefficient
-from .solver import SolverConfig
+from .solver import STEP_BUDGET, SolverConfig
 from .spectral import GridSizeError, make_grid
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
@@ -162,8 +162,10 @@ def parse_config(path) -> RunConfig:
     Raises ConfigError listing every violation: unknown sections/keys (with
     a spelling suggestion), [experiment] keys of another kind (with the
     kinds that own them), type failures and base values out of range (each
-    naming its key), expression errors with their source column, a grid
-    that cannot be built, and the spec's own `violations` on the run's grid.
+    naming its key), expression errors with their source column, an
+    explicit [solver] dt that would take more than STEP_BUDGET steps to
+    t_final, a grid that cannot be built, and the spec's own `violations` on
+    the run's grid.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -218,6 +220,12 @@ def parse_config(path) -> RunConfig:
         violations.append("[experiment] missing required key 'kind'")
     if violations:
         raise ConfigError(violations)
+    dt, t_final = values["solver"]["dt"], values["solver"]["t_final"]
+    if dt != "auto" and t_final / dt > STEP_BUDGET:
+        raise ConfigError([
+            f"[solver] dt: t_final / dt = {t_final / dt:.3g} steps exceeds the step "
+            f"budget of {STEP_BUDGET:g}; got dt = {dt:g} with t_final = {t_final:g}"
+        ])
 
     # assemble the coefficient set and split
     co = values["coefficients"]

@@ -45,6 +45,7 @@ from .dyadic import (
 )
 from .gauge import GaugeSystem, TransformedCoefficients, forward_transform, forward_transforms
 from .solver import (
+    STEP_BUDGET,
     SolverConfig,
     SpaceTimeBump,
     Trajectory,
@@ -549,8 +550,9 @@ class WavepacketSpec(ExperimentSpec):
 
         Once those checks pass, each carrier's traversal time must be finite
         and positive (with the default launch, a carrier below about 1e-154
-        overflows it to inf), and each carrier's packet must be nonzero and keep
-        its edge mass (`spectral.edge_mass_fraction`) at most
+        overflows it to inf), an explicit [solver] dt must reach the longest
+        in at most `solver.STEP_BUDGET` steps, and each carrier's packet must
+        be nonzero and keep its edge mass (`spectral.edge_mass_fraction`) at most
         `spectral.EDGE_MASS_LIMIT`, both as the datum and as its
         dispersion-only image at the traversal time; a packet that reaches
         the periodic wrap would make the gains meaningless (launched at 30 on the default grid, the
@@ -589,6 +591,14 @@ class WavepacketSpec(ExperimentSpec):
                 f"[experiment] xi0_sweep: each carrier's traversal time "
                 f"2 packet_launch / (3 alpha xi0^2) must be finite and positive; "
                 f"{'; '.join(untimed)}"
+            ]
+        # each solve steps to its traversal time, not to [solver] t_final
+        longest, dt = max(times.values()), self.solver.dt
+        if dt != "auto" and longest / dt > STEP_BUDGET:
+            return [
+                f"[solver] dt: the longest traversal time / dt = {longest / dt:.3g} steps "
+                f"exceeds the step budget of {STEP_BUDGET:g}; got dt = {dt:g} with "
+                f"traversal time {longest:g}"
             ]
         reached = []
         with np.errstate(all="ignore"):  # a packet out of scale is refused below

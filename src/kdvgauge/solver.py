@@ -61,6 +61,12 @@ __all__ = [
 
 CAP_CHECK_STRIDE = 10  # steps between cap checks of a solve without monitor times
 STACK_ROWS = 16  # stored states per block of the energy ledger and the weak residual
+# most steps an explicit [solver] dt may take to the end of a solve (t_final,
+# or a wavepacket's traversal time): far above the solves of the test and
+# benchmark configs (at most 5000, the soliton study's monitored run), and far
+# below the ratio near 2^53 at which t += dt stops advancing t in floating
+# point, where a solve never ends
+STEP_BUDGET = 10**7
 
 
 def _blocks(count: int) -> list:
@@ -136,6 +142,20 @@ _TERMS = {
 }
 
 
+try:  # the pocketfft ufuncs that np.fft.rfft/irfft call, bound once
+    from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
+except ImportError:  # a numpy without the private module: np.fft, same signature
+
+    def _rfft(values, fct, axes, out):
+        return np.fft.rfft(values, norm="forward", out=out)
+
+    def _irfft(spectra, fct, axes, out):
+        return np.fft.irfft(spectra, out.shape[-1], norm="forward", out=out)
+
+
+_LAST_AXIS = [(-1,), (), (-1,)]  # the transform's axes, as np.fft passes them
+
+
 class _Spectrum:
     """The real-field transform pair of one grid, with its (ik)^p rows.
 
@@ -143,6 +163,17 @@ class _Spectrum:
     normalization, see `spectral`).  `keep` is the 0/1 row applied to every
     right-hand side: the 2/3 mask when dealiasing, and always without the
     unpaired Nyquist mode, which cannot stay real under the phase rotation.
+
+    The pair calls numpy's pocketfft ufuncs `rfft_n_even` and `irfft`
+    directly, with the factor 1/n (exact, n being a power of two) and the
+    axes that `np.fft.rfft`/`irfft(norm="forward")` pass them, so it gives
+    their bits without their Python wrapper, which took a third of an
+    n = 512 transform.  The ufuncs take the length of the transformed axis from
+    `out`: a caller's `out` must hold n/2 + 1 modes or n points along the
+    last axis (nothing checks it; another length transforms a truncated or
+    padded field), and without one each method allocates it.  Where
+    `numpy.fft._pocketfft_umath` cannot be imported, `_rfft`/`_irfft` are
+    np.fft's pair under the ufuncs' signature, chosen at import.
     """
 
     def __init__(self, grid: Grid, dealias_products: bool):
@@ -157,11 +188,16 @@ class _Spectrum:
         self.keep = keep.astype(complex)
 
     def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return np.fft.rfft(values, norm="forward", out=out)
+        """Half spectra of real values along the last axis."""
+        if out is None:
+            out = np.empty(values.shape[:-1] + self.k.shape, dtype=complex)
+        return _rfft(values, 1.0 / self.n, axes=_LAST_AXIS, out=out)
 
     def inverse(self, spectra: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Physical values of one spectrum, or of each row of a 2-D stack."""
-        return np.fft.irfft(spectra, self.n, norm="forward", out=out)
+        if out is None:
+            out = np.empty(spectra.shape[:-1] + (self.n,))
+        return _irfft(spectra, 1.0, axes=_LAST_AXIS, out=out)
 
     def derivative(
         self, values: np.ndarray, order: int, out: np.ndarray | None = None
@@ -507,7 +543,7 @@ def solve(
         t += step
         steps += 1
 
-        if not np.all(np.isfinite(chat)):
+        if not np.isfinite(chat).all():
             blowup, blowup_time = True, t
             break
 

@@ -17,7 +17,7 @@ from kdvgauge import solver as solver_module
 from kdvgauge.cli import ConfigError, main, parse_config, run
 from kdvgauge.coefficients import check_hypotheses
 from kdvgauge.experiments import EXPERIMENTS
-from kdvgauge.solver import SolverConfig
+from kdvgauge.solver import STEP_BUDGET, SolverConfig
 from kdvgauge.spectral import make_grid
 
 MINIMAL = """
@@ -393,6 +393,27 @@ REFUSED_VALUES = {
     "dt": (
         _with_line(MINIMAL, "solver", "dt = -1e-3"),
         "[solver] dt: must be positive and finite, got -0.001",
+    ),
+    # t += dt stops advancing t once dt is below half an ulp of t, so the
+    # solve never ended (run was still going, with no output, at 15 s)
+    "dt beyond the step budget": (
+        _with_line(MINIMAL, "solver", "dt = 1e-300"),
+        "[solver] dt: t_final / dt = 5e+299 steps exceeds the step budget of 1e+07; "
+        "got dt = 1e-300 with t_final = 0.5",
+    ),
+    "t_final beyond the step budget": (
+        _with_line(MINIMAL, "solver", "t_final = 1e300\ndt = 1e-3"),
+        "[solver] dt: t_final / dt = 1e+303 steps exceeds the step budget of 1e+07; "
+        "got dt = 0.001 with t_final = 1e+300",
+    ),
+    # the wavepacket's solves step to the traversal time 0.25, not to t_final
+    "dt beyond the step budget of a traversal": (
+        _with_line(
+            KIND_CONFIGS["wavepacket"].replace("xi0_sweep = 8", "xi0_sweep = 4"),
+            "solver", "t_final = 1e-9\ndt = 1e-16",
+        ),
+        "[solver] dt: the longest traversal time / dt = 2.5e+15 steps exceeds the step "
+        "budget of 1e+07; got dt = 1e-16 with traversal time 0.25",
     ),
     "blowup_threshold": (
         _with_line(MINIMAL, "solver", "blowup_threshold = -1"),
@@ -1025,7 +1046,9 @@ class TestKindSchemas:
     @given(base=st.sampled_from([MINIMAL, SURVEY]), draw=st.data())
     def test_random_base_values_parse_or_name_the_key(self, tmp_path_factory, base, draw):
         # every drawn value either parses or is refused by a ConfigError that
-        # names its key; a value is valid when positive and finite (or auto)
+        # names its key; a value is valid when positive and finite (or auto),
+        # and valid values are refused, naming dt, when an explicit dt would
+        # take more than STEP_BUDGET steps to t_final
         keys = draw.draw(st.lists(st.sampled_from(sorted(BASE_KEYS)), unique=True, max_size=5))
         values = {key: draw.draw(BASE_KEYS[key][1]) for key in keys}
         text = base
@@ -1038,17 +1061,21 @@ class TestKindSchemas:
             key for key, value in values.items()
             if value != "auto" and not (np.isfinite(value) and value > 0)
         ]
+        dt, t_final = values.get("dt", "auto"), values.get("t_final", SolverConfig.t_final)
+        over_budget = not invalid and dt != "auto" and t_final / dt > STEP_BUDGET
         cfg_path = tmp_path_factory.getbasetemp() / "base.cfg"
         cfg_path.write_text(text)
         try:
             parse_config(cfg_path)
         except ConfigError as err:
             refused = "\n".join(err.violations)
-            assert invalid, refused
+            assert invalid or over_budget, refused
             for key in invalid:
                 assert f"[{BASE_KEYS[key][0]}] {key}: must be positive and finite" in refused
+            if over_budget:
+                assert refused.startswith("[solver] dt: t_final / dt = "), refused
             return
-        assert not invalid
+        assert not invalid and not over_budget
 
     def test_wavepacket_needs_constant_alpha(self, tmp_path):
         cfg_text = KIND_CONFIGS["wavepacket"].replace(

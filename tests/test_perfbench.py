@@ -70,6 +70,9 @@ def test_traced_run_yields_layer_metrics(tmp_path):
         json.loads(spans.read_text(encoding="utf-8")), stamp["end"] - stamp["dispatch"]
     )
     assert metrics["solver.steps"] > 0
-    # transforms bound at import would bypass the tracer's numpy.fft wrappers
+    # the tracer wraps numpy.fft's public names and so does not see the RK4's
+    # transforms (solver._Spectrum calls the pocketfft ufuncs bound at
+    # import); it counts solve's own np.fft calls, such as the
+    # SpectralState.physical() of each measured state
     assert metrics["fft.calls.solver"] > 0
     assert metrics["gauge.build_gauge_map.calls"] > 0

@@ -1,5 +1,7 @@
 """Time stepping, blow-up detection, weak residuals, monitors."""
 
+import importlib.util
+import sys
 import warnings
 from dataclasses import replace
 
@@ -1037,3 +1039,109 @@ class TestStackedTransformsProperty:
             assert np.array_equal(spectra[i], np.fft.rfft(values[i], norm="forward"))
             assert np.array_equal(back[i], np.fft.irfft(spectra[i], n, norm="forward"))
             assert sums[i] == np.sum(values[i])
+
+
+# -- the transform pair: numpy's pocketfft ufuncs, or np.fft's pair ----------
+
+# one field, and stacks of 1, 2, 16 and 81 rows
+_STACKS = [(), (1,), (2,), (16,), (81,)]
+
+
+def _fields_and_spectra(n, rows):
+    """Real fields and complex half spectra of `rows` leading shape on n points."""
+    rng = np.random.default_rng(n + sum(rows))
+    values = rng.standard_normal(rows + (n,))
+    spectra = rng.standard_normal(rows + (n // 2 + 1,)) * np.exp(
+        2j * np.pi * rng.random(rows + (n // 2 + 1,))
+    )
+    return values, spectra
+
+
+def _pair_outputs(spectrum, values, spectra):
+    """forward and inverse of one field set, without and with `out=`."""
+    outs = (np.empty(spectra.shape, dtype=complex), np.empty(values.shape))
+    return (
+        spectrum.forward(values),
+        spectrum.forward(values, out=outs[0]),
+        spectrum.inverse(spectra),
+        spectrum.inverse(spectra, out=outs[1]),
+    ), outs
+
+
+class TestTransformPair:
+    """`_Spectrum.forward`/`inverse` call numpy's pocketfft ufuncs where the
+    private module imports, and give np.fft.rfft/irfft(norm="forward")'s
+    bits either way."""
+
+    def test_ufunc_pair_selected_when_the_module_imports(self):
+        # on the declared numpy floor too: a signature there that the pair
+        # cannot call must fail here, not fall back unseen
+        try:
+            from numpy.fft import _pocketfft_umath
+        except ImportError:
+            assert not isinstance(solver_module._rfft, np.ufunc)
+            return
+        assert solver_module._rfft is _pocketfft_umath.rfft_n_even
+        assert solver_module._irfft is _pocketfft_umath.irfft
+
+    @pytest.mark.parametrize("rows", _STACKS)
+    @pytest.mark.parametrize("n", [2**p for p in range(4, 13)])
+    def test_matches_np_fft_bit_for_bit(self, n, rows):
+        spectrum = solver_module._Spectrum(make_grid(np.pi, n), dealias_products=False)
+        values, spectra = _fields_and_spectra(n, rows)
+        want_forward = np.fft.rfft(values, norm="forward")
+        want_inverse = np.fft.irfft(spectra, n, norm="forward")
+        got, outs = _pair_outputs(spectrum, values, spectra)
+        assert got[1] is outs[0] and got[3] is outs[1]
+        for result, want in zip(got, (want_forward, want_forward, want_inverse, want_inverse)):
+            assert result.dtype == want.dtype and result.shape == want.shape
+            assert np.array_equal(result, want)
+
+    def test_fallback_gives_the_same_bits(self, monkeypatch):
+        # a copy of the module imported as if numpy had no _pocketfft_umath
+        name = "kdvgauge._solver_without_pocketfft_umath"
+        monkeypatch.setitem(sys.modules, "numpy.fft._pocketfft_umath", None)
+        spec = importlib.util.spec_from_file_location(name, solver_module.__file__)
+        fallback = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, fallback)
+        spec.loader.exec_module(fallback)
+        assert not isinstance(fallback._rfft, np.ufunc)
+        for n in (16, 512, 4096):
+            for rows in ((), (2,), (81,)):
+                grid = make_grid(np.pi, n)
+                values, spectra = _fields_and_spectra(n, rows)
+                got, _ = _pair_outputs(fallback._Spectrum(grid, False), values, spectra)
+                want, _ = _pair_outputs(solver_module._Spectrum(grid, False), values, spectra)
+                for result, reference in zip(got, want):
+                    assert result.dtype == reference.dtype
+                    assert np.array_equal(result, reference)
+
+    @pytest.mark.parametrize("case", ["flux", "product, transformed", "product, original"])
+    def test_each_step_costs_four_inverse_and_four_forward_transforms(self, monkeypatch, case):
+        # the module-level bindings are the solver's one way to a transform
+        calls = {"forward": 0, "inverse": 0}
+
+        def counting(name, transform):
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return transform(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(solver_module, "_rfft", counting("forward", solver_module._rfft))
+        monkeypatch.setattr(solver_module, "_irfft", counting("inverse", solver_module._irfft))
+        g = make_grid(8 * np.pi, 128)
+        problem = {
+            "flux": TransformedCoefficients.constant_kdv(g, -6.0),
+            "product, transformed": TransformedCoefficients.constant_kdv(g, -6.0),
+            "product, original": CoefficientSet.from_strings(
+                **dict(_DRIFTING, alpha="2+0.5*sech(x/4)^2")
+            ),
+        }[case]
+        dealias = case != "product, transformed"  # undealiased KdV takes products
+        rk, _ = _integrator(problem, g, dealias)
+        assert isinstance(rk._plan_for(rk.sampler(0.0)), np.ndarray) == (case == "flux")
+        dt, steps = 2.0**-14, 5
+        u0 = SpectralState.from_physical(g, 0.8 * np.exp(-(((g.x - 1.0) / 3.0) ** 2)))
+        traj = solve(u0, SolverConfig(t_final=steps * dt, dt=dt, dealias=dealias), problem)
+        assert traj.times.tolist() == [0.0, steps * dt]
+        assert calls == {"forward": 4 * steps, "inverse": 4 * steps}
