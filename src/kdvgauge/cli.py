@@ -136,7 +136,7 @@ def _convert(tag: str, raw: str, where: str, violations: list):
 def _experiment_schema(kind: str) -> dict:
     """kind, seed, and the knobs of `kind`, which have no schema default: the
     spec holds it, so a default never enters the hashed values."""
-    knobs = EXPERIMENTS[kind][0].knobs() if kind in EXPERIMENTS else {}
+    knobs = EXPERIMENTS[kind].knobs() if kind in EXPERIMENTS else {}
     return {**_SCHEMA["experiment"], **{k: (_TAGS[t], None) for k, t in knobs.items()}}
 
 
@@ -189,7 +189,7 @@ def parse_config(path) -> RunConfig:
         known = schema[section]
         for key, raw in parser.items(section):
             if key not in known:
-                owners = [k for k, (spec, _) in EXPERIMENTS.items() if key in spec.knobs()]
+                owners = [k for k, spec in EXPERIMENTS.items() if key in spec.knobs()]
                 if section != "experiment" or not owners:
                     hint = difflib.get_close_matches(key, known.keys(), n=1)
                     extra = f"; did you mean {hint[0]!r}?" if hint else ""
@@ -235,29 +235,15 @@ def parse_config(path) -> RunConfig:
             ["[split] beta1/beta2 are only meaningful with strategy = user"]
         )
     try:
-        beta_expr = parse_coefficient(co["beta"])
-        if sp["strategy"] == "softplus":
-            b1, b2 = softplus_split(beta_expr, sp["kappa"])
-            b1_text, b2_text = "<softplus>", "<softplus>"
-        else:
-            b1_text = sp.get("beta1", co["beta"])
-            b2_text = sp.get("beta2", "0")
-            b1, b2 = parse_coefficient(b1_text), parse_coefficient(b2_text)
-        cset = CoefficientSet(
-            alpha=parse_coefficient(co["alpha"]),
-            beta=beta_expr,
-            gamma=parse_coefficient(co["gamma"]),
-            delta=parse_coefficient(co["delta"]),
-            epsilon=parse_coefficient(co["epsilon"]),
-            beta1=b1,
-            beta2=b2,
-            alpha0=co["alpha0"],
-        )
+        split = {key: sp[key] for key in ("beta1", "beta2") if key in sp}
+        cset = CoefficientSet.from_strings(**co, **split)
     except ExpressionError as exc:
         raise ConfigError([f"[coefficients]/[split]: {exc}"])
-
-    values.setdefault("split", {})["beta1"] = b1_text
-    values["split"]["beta2"] = b2_text
+    if sp["strategy"] == "softplus":
+        cset.beta1, cset.beta2 = softplus_split(cset.beta, sp["kappa"])
+        sp["beta1"] = sp["beta2"] = "<softplus>"
+    else:
+        sp["beta1"], sp["beta2"] = cset.beta1.text, cset.beta2.text
 
     try:
         grid = make_grid(**values["grid"])
@@ -265,7 +251,7 @@ def parse_config(path) -> RunConfig:
         raise ConfigError([f"[grid] {exc}"])
     knobs = {k: v for k, v in values["experiment"].items() if k != "kind"}
     solver = SolverConfig(**values["solver"])
-    spec = EXPERIMENTS[kind][0](cset=cset, grid=grid, solver=solver, **knobs)
+    spec = EXPERIMENTS[kind](cset=cset, grid=grid, solver=solver, **knobs)
     violations = spec.violations()
     if violations:
         raise ConfigError(violations)

@@ -105,23 +105,19 @@ class CoefficientSet:
         delta: str = "0",
         epsilon: str = "1",
         beta1: str | None = None,
-        beta2: str | None = None,
+        beta2: str = "0",
         alpha0: float = 1.0,
     ) -> "CoefficientSet":
+        """The set of these texts; beta1 defaults to beta, as in a config."""
         beta_expr = parse_coefficient(beta)
-        if beta1 is None and beta2 is None:
-            b1, b2 = beta_expr, parse_coefficient("0")
-        else:
-            b1 = parse_coefficient(beta1 if beta1 is not None else "0")
-            b2 = parse_coefficient(beta2 if beta2 is not None else "0")
         return cls(
             alpha=parse_coefficient(alpha),
             beta=beta_expr,
             gamma=parse_coefficient(gamma),
             delta=parse_coefficient(delta),
             epsilon=parse_coefficient(epsilon),
-            beta1=b1,
-            beta2=b2,
+            beta1=beta_expr if beta1 is None else parse_coefficient(beta1),
+            beta2=parse_coefficient(beta2),
             alpha0=float(alpha0),
         )
 

@@ -155,7 +155,7 @@ class ProjectorBank:
 
 
 def project(field: SpectralState, projector: DyadicProjector) -> SpectralState:
-    if not field.grid.compatible_with(projector.grid):
+    if field.grid != projector.grid:
         raise ValueError("projector was built for a different grid")
     return SpectralState(field.grid, field.coefficients * projector.symbol)
 

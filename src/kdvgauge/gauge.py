@@ -371,7 +371,7 @@ def forward_transforms(states, gmaps):
     """
     plan = mapped = None
     for u, gmap in zip(states, gmaps):
-        if not u.grid.compatible_with(gmap.source_grid):
+        if u.grid != gmap.source_grid:
             raise ValueError("field does not live on the gauge map's source grid")
         frac = edge_mass_fraction(u)
         if frac > EDGE_MASS_LIMIT:
@@ -388,7 +388,7 @@ def forward_transforms(states, gmaps):
 
 def inverse_transform(v: SpectralState, gmap: GaugeMap) -> SpectralState:
     """Transport back: u(x) = v(A(x)) / h(x)."""
-    if not v.grid.compatible_with(gmap.image_grid):
+    if v.grid != gmap.image_grid:
         raise ValueError("field does not live on the gauge map's image grid")
     frac = edge_mass_fraction(v)
     if frac > EDGE_MASS_LIMIT:

@@ -61,11 +61,11 @@ __all__ = [
 
 CAP_CHECK_STRIDE = 10  # steps between cap checks of a solve without monitor times
 STACK_ROWS = 16  # stored states per block of the energy ledger and the weak residual
-# most steps an explicit [solver] dt may take to the end of a solve (t_final,
-# or a wavepacket's traversal time): far above the solves of the test and
-# benchmark configs (at most 5000, the soliton study's monitored run), and far
-# below the ratio near 2^53 at which t += dt stops advancing t in floating
-# point, where a solve never ends
+# most steps a solve may take to its t_final, which `solve` checks once dt is
+# resolved and the parser checks for every dt a config states: far above the
+# solves of the test and benchmark configs (at most 5000, the soliton study's
+# monitored run), and far below the ratio near 2^53 at which t += dt stops
+# advancing t in floating point, where a solve never ends
 STEP_BUDGET = 10**7
 
 
@@ -405,7 +405,7 @@ def _sampler(problem, grid: Grid) -> tuple:
             "a problem is a CoefficientSet (original form), or TransformedCoefficients "
             f"or a GaugeSystem (transformed form), not {type(problem).__name__}"
         )
-    if not grid.compatible_with(problem_grid):
+    if grid != problem_grid:
         raise ValueError("field does not live on the problem's grid")
     return "transformed", sampler
 
@@ -481,13 +481,19 @@ def solve(
     fixes replaced.  If `monitor_times` is given,
     steps are shortened to land exactly on them and each is stored; otherwise
     only the datum and the final state are, and the sup-norm cap and the edge
-    mass are checked every CAP_CHECK_STRIDE steps.
+    mass are checked every CAP_CHECK_STRIDE steps.  A dt, given or `auto`,
+    that would take more than STEP_BUDGET steps to t_final is refused.
     """
     grid = u0.grid
     form, sampler = _sampler(problem, grid)
     dt = auto_dt(config, grid, problem, u0) if config.dt == "auto" else float(config.dt)
     if not dt > 0:
         raise ValueError("dt must be positive")
+    if config.t_final / dt > STEP_BUDGET:
+        raise ValueError(
+            f"t_final / dt = {config.t_final / dt:.3g} steps exceeds the step budget of "
+            f"{STEP_BUDGET:g}; got dt = {dt:g} with t_final = {config.t_final:g}"
+        )
 
     spectrum = _Spectrum(grid, config.dealias)
     integrator = _RK4(spectrum, form, sampler)
@@ -688,13 +694,12 @@ def weak_residual(traj: Trajectory, phi, problem) -> float:
 
     times = np.asarray(traj.times, dtype=float)
     value, dt_value = phi.on(x)
-    edge = np.abs(x) >= 0.9 * grid.half_width
     probe = np.abs(np.asarray(value(0.0)))
     pmax = max(probe.max(), 1e-300)
     if np.abs(np.asarray(value(T))).max() > 1e-10 * pmax:
         raise ValueError("test field must vanish before the final time")
     probed = np.asarray(value(times[:: max(1, times.size // 8), None]))
-    if np.abs(probed[:, edge]).max() > 1e-10 * pmax:
+    if np.abs(probed[:, grid.edge_mask]).max() > 1e-10 * pmax:
         raise ValueError("test field must vanish near the domain edge")
 
     spectrum = _Spectrum(grid, dealias_products=False)

@@ -50,8 +50,9 @@ class Grid:
     """Uniform periodic grid on [-half_width, half_width).
 
     Derived arrays (nodes, the half band's wavenumbers, their multiplicity,
-    dealias mask) are computed once and shared read-only; the instance is
-    safe to use across threads.  Grids compare and hash by their sizing alone.
+    the dealias and edge masks) are computed once and shared read-only; the
+    instance is safe to use across threads.  Grids compare and hash by their
+    sizing alone.
     """
 
     half_width: float
@@ -61,6 +62,7 @@ class Grid:
     wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
     multiplicity: np.ndarray = field(init=False, repr=False, compare=False)
     dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.half_width > 0:
@@ -71,9 +73,10 @@ class Grid:
             )
         dx = 2.0 * self.half_width / self.num_points
         object.__setattr__(self, "dx", dx)
-        object.__setattr__(
-            self, "x", -self.half_width + dx * np.arange(self.num_points)
-        )
+        x = -self.half_width + dx * np.arange(self.num_points)
+        object.__setattr__(self, "x", x)
+        # the outer 10% of the domain, where the edge mass is measured
+        object.__setattr__(self, "edge_mask", np.abs(x) >= 0.9 * self.half_width)
         k = 2.0 * np.pi * np.fft.rfftfreq(self.num_points, d=dx)
         object.__setattr__(self, "wavenumbers", k)
         # every interior mode stands for itself and its conjugate
@@ -95,13 +98,6 @@ class Grid:
         """Map arbitrary coordinates into [-half_width, half_width)."""
         L = self.half_width
         return np.mod(np.asarray(points, dtype=float) + L, 2.0 * L) - L
-
-    def compatible_with(self, other: "Grid") -> bool:
-        return (
-            self.num_points == other.num_points
-            and abs(self.half_width - other.half_width)
-            <= 1e-14 * max(1.0, self.half_width)
-        )
 
 
 def make_grid(half_width: float, num_points: int) -> Grid:
@@ -167,7 +163,7 @@ class SpectralState:
         return SpectralState(self.grid, scalar * self.coefficients)
 
     def _check_same_grid(self, other: "SpectralState") -> None:
-        if not self.grid.compatible_with(other.grid):
+        if self.grid != other.grid:
             raise ValueError("states live on incompatible grids")
 
 
@@ -253,7 +249,7 @@ class Interpolant:
 
     def __call__(self, state: SpectralState) -> np.ndarray:
         """The field's values at the query points."""
-        if not state.grid.compatible_with(self.grid):
+        if state.grid != self.grid:
             raise ValueError("field does not live on the interpolant's grid")
         half = self.grid.nyquist_index
         c = state.coefficients
@@ -287,8 +283,7 @@ def edge_mass_fraction(state: SpectralState) -> float:
 def _edge_mass(grid: Grid, values: np.ndarray) -> float:
     """`edge_mass_fraction` of a field from its physical values on `grid`."""
     u = np.abs(values) ** 2
-    outer = np.abs(grid.x) >= 0.9 * grid.half_width
     total = u.sum()
     if total == 0.0:
         return 0.0
-    return float(u[outer].sum() / total)
+    return float(u[grid.edge_mask].sum() / total)

@@ -18,11 +18,7 @@ from kdvgauge.experiments import (
     TransformConsistencySpec,
     WavepacketSpec,
     gaussian_state,
-    run_bona_smith,
-    run_commutator_survey,
-    run_soliton_benchmark,
-    run_transform_consistency,
-    run_wavepacket,
+    run_experiment,
 )
 from kdvgauge.gauge import GaugeSystem, TransformedCoefficients, forward_transform, inverse_transform
 from kdvgauge.solver import SolverConfig, solve
@@ -112,7 +108,7 @@ def test_criterion_2_transform_consistency(monkeypatch):
         return interpolant(grid, query_points)
 
     monkeypatch.setattr(gauge, "Interpolant", counted)
-    report = run_transform_consistency(spec)
+    report = run_experiment(spec)
     # static coefficients: one map per grid, so the datum's transport and the
     # discrepancy loop's 81 transports build at most two phase tables per grid
     assert sorted(set(tables)) == list(spec.refine_sweep)
@@ -138,7 +134,7 @@ def test_criterion_3_commutator_suite():
         band_sweep=(4, 8, 16, 32, 64, 128, 256), draws=50,
         identity_draws=100, resonance_draws=1000, seed=2024,
     )
-    report = run_commutator_survey(spec)
+    report = run_experiment(spec)
     comcom = next(v for v in report.verdicts if v.name == "comcom_identity")
     commu = next(v for v in report.verdicts if v.name == "commu_constant_bounded")
     commu2 = next(v for v in report.verdicts if v.name == "commu2_scaling")
@@ -158,7 +154,7 @@ def test_criterion_4_resonance_identity():
     report = globals().get("_SURVEY_REPORT")
     if report is None:
         cset = CoefficientSet.constant_kdv()
-        report = run_commutator_survey(
+        report = run_experiment(
             CommutatorSurveySpec(
                 cset=cset, grid=make_grid(8 * np.pi, 512),
                 band_sweep=(8, 16), draws=2, identity_draws=2,
@@ -183,7 +179,7 @@ def test_criterion_5_soliton_benchmark():
         cset=cset, grid=make_grid(8 * np.pi, 512),
         solver=SolverConfig(t_final=0.5, dt="auto"), kappa=1.0,
     )
-    report = run_soliton_benchmark(spec)
+    report = run_experiment(spec)
     vals = {v.name: v for v in report.verdicts}
     ok = all(
         vals[k].passed
@@ -241,7 +237,7 @@ def test_criterion_7_bona_smith_rate():
         solver=SolverConfig(s=1.0, t_final=0.1), n_sweep=(8, 16, 32, 64, 128), reference_n=512,
         spectrum_decay_offset=0.6, seed=7,
     )
-    report = run_bona_smith(spec)
+    report = run_experiment(spec)
     slope = report.slopes["bona_smith_rate"]["slope"]
     resid = report.slopes["bona_smith_rate"]["residual"]
     ok = slope <= -0.75 and resid <= 0.1
@@ -262,7 +258,7 @@ def test_criterion_8_antidiffusion_compensation():
         region_beta0=0.225, region_smoothing=0.3, packet_width=1.5,
         packet_launch=8.0,
     )
-    report = run_wavepacket(spec)
+    report = run_experiment(spec)
     gains = [row[2] for row in report.tables["gains"][1]]
     heuristic = report.tables["gains"][1][0][3]
     spread = max(gains) / min(gains) - 1.0
@@ -274,7 +270,7 @@ def test_criterion_8_antidiffusion_compensation():
         xi0_sweep=(10.0, 15.0, 20.0), region_beta0=0.0, packet_width=1.5,
         packet_launch=8.0,
     )
-    report0 = run_wavepacket(spec0)
+    report0 = run_experiment(spec0)
     gains0 = [row[2] for row in report0.tables["gains"][1]]
     off_ok = max(abs(g - 1.0) for g in gains0) <= 0.02
 

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 import kdvgauge
 from kdvgauge import solver as solver_module
 from kdvgauge.cli import ConfigError, main, parse_config, run
-from kdvgauge.coefficients import check_hypotheses
-from kdvgauge.experiments import EXPERIMENTS
+from kdvgauge.coefficients import CoefficientSet, check_hypotheses
+from kdvgauge.experiments import EXPERIMENTS, SolitonBenchmarkSpec
 from kdvgauge.solver import STEP_BUDGET, SolverConfig
 from kdvgauge.spectral import make_grid
 
@@ -476,6 +476,24 @@ REFUSED_VALUES = {
         KIND_CONFIGS["wavepacket"].replace("packet_launch = 6", "packet_launch = 0"),
         "[experiment] packet_launch: must be positive and finite, got 0",
     ),
+    # the order sweep's solves step to order_t_final, not to [solver] t_final
+    "soliton order_t_final": (
+        _with_line(MINIMAL, "experiment", "order_t_final = 0"),
+        "[experiment] order_t_final: must be positive and finite, got 0",
+    ),
+    "order sweep beyond the step budget": (
+        _with_line(MINIMAL, "experiment", "order_t_final = 1e9"),
+        "[experiment] order_t_final: order_t_final / min(dt_sweep) = 2.5e+13 steps "
+        "exceeds the step budget of 1e+07; got order_t_final = 1e+09 with "
+        "min(dt_sweep) = 4e-05",
+    ),
+    # under dt = auto the soliton study's monitored run steps at 1e-4
+    "auto soliton run beyond the step budget": (
+        _with_line(MINIMAL, "solver", "t_final = 1e4"),
+        "[solver] t_final: under dt = auto the soliton run steps at 0.0001, so "
+        "t_final / 0.0001 = 1e+08 steps exceeds the step budget of 1e+07; got "
+        "t_final = 10000",
+    ),
     # width^2 overflows: the flat envelope reaches the edge (it used to end
     # check in an OverflowError traceback)
     "packet_width out of scale": (
@@ -601,6 +619,20 @@ packet_launch = 6
             assert f"config error: {named}\n" in captured.err
             assert all(line.startswith("config error: ") for line in captured.err.splitlines())
         assert not (tmp_path / "out").exists()
+
+    def test_auto_dt_beyond_the_step_budget_ends_the_run(self, tmp_path, capsys):
+        # auto_dt gives 7.8e-10 on this grid, 2.6e8 steps per solve: the parser
+        # cannot see it, and the run used to go on for hours
+        cfg_text = KIND_CONFIGS["continuity"].replace("half_width = 8*pi", "half_width = 1e-5")
+        cfg_path = write_cfg(tmp_path, cfg_text)
+        assert main(["check", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 2
+        out = capsys.readouterr().out
+        assert out == (
+            "error: t_final / dt = 2.57e+08 steps exceeds the step budget of 1e+07; "
+            "got dt = 7.77124e-10 with t_final = 0.2\n"
+        )
 
     def test_blown_up_solve_fails_the_run(self, tmp_path):
         # a sup-norm cap below the soliton's height stops every solve at its
@@ -902,6 +934,17 @@ resonance_draws = 10
         rep = check_hypotheses(cfg.cset, cfg.spec.grid, cfg.spec.solver.t_final)
         assert rep.entry("split validity").passed
 
+    def test_beta2_alone_keeps_beta_as_beta1(self, tmp_path):
+        # the parser and CoefficientSet.from_strings build one set: beta1
+        # defaults to beta whatever beta2 is
+        cfg_text = _with_line(SURVEY, "coefficients", "beta = 0.2*sech(x)^2")
+        cfg_text = _with_line(cfg_text, "split", "beta2 = -0.1*sech(x)^2")
+        cfg = parse_config(write_cfg(tmp_path, cfg_text))
+        built = CoefficientSet.from_strings(beta="0.2*sech(x)^2", beta2="-0.1*sech(x)^2")
+        for cset in (cfg.cset, built):
+            assert (cset.beta1.text, cset.beta2.text) == ("0.2*sech(x)^2", "-0.1*sech(x)^2")
+        assert cfg.values["split"]["beta1"] == "0.2*sech(x)^2"
+
     def test_softplus_with_explicit_pair_rejected(self, tmp_path):
         cfg_text = """
 [coefficients]
@@ -949,7 +992,7 @@ FOREIGN_KNOBS = {
 }
 
 KNOB_TYPES = {
-    name: typ for spec, _ in EXPERIMENTS.values() for name, typ in spec.knobs().items()
+    name: typ for spec in EXPERIMENTS.values() for name, typ in spec.knobs().items()
 }
 
 _INTS = st.integers(-(10**6), 10**6)
@@ -977,6 +1020,37 @@ def _knob_text(value) -> str:
     return ", ".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
 
 
+README_TYPES = {"int": int, "float": float, "int list": tuple[int, ...],
+                "float list": tuple[float, ...]}
+
+
+def _readme_default(cell: str, typ):
+    """A default cell of README's knob table, as a value of the knob's type."""
+    formula = re.fullmatch(r"`(\S+) \* 10\^\(-j/(\d+)\)`, `j = 0\.\.(\d+)`", cell)
+    if formula:  # a geometric sweep, written as its formula
+        first, step, last = float(formula[1]), int(formula[2]), int(formula[3])
+        return tuple(first * 10 ** (-j / step) for j in range(last + 1))
+    text = cell.strip("`")
+    if typ in (int, float):
+        return typ(text)
+    return tuple(typ.__args__[0](v) for v in text.split(","))
+
+
+def readme_knobs() -> dict:
+    """kind -> knob -> (type, default), read from README's knob table."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| kind | knob | type | default | checked when parsed |")
+    table, kind = {}, None
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        kind = cells[0].strip("`") or kind
+        typ = README_TYPES[cells[2]]
+        table.setdefault(kind, {})[cells[1].strip("`")] = (typ, _readme_default(cells[3], typ))
+    return table
+
+
 class TestKindSchemas:
     @pytest.mark.parametrize("name", sorted(PINNED_SHA256))
     def test_config_hash_pinned(self, tmp_path, name):
@@ -984,16 +1058,22 @@ class TestKindSchemas:
                 **KIND_CONFIGS}[name]
         assert parse_config(write_cfg(tmp_path, text)).config_hash == PINNED_SHA256[name]
 
-    def test_registry_pairs_each_kind_with_its_spec_and_runner(self, tmp_path):
+    def test_registry_maps_each_kind_to_its_spec(self, tmp_path):
         assert list(EXPERIMENTS) == [
             "transform_consistency", "bona_smith", "wavepacket", "continuity",
             "commutator_survey", "soliton_benchmark",
         ]
-        for kind, (spec, runner) in EXPERIMENTS.items():
+        for kind, spec in EXPERIMENTS.items():
             assert spec.kind == kind
-            assert runner.__name__ == f"run_{kind}"
             cfg = parse_config(write_cfg(tmp_path, KIND_BASES[kind], f"{kind}.cfg"))
             assert type(cfg.spec) is spec and cfg.kind == kind
+
+    def test_readme_knob_table_matches_the_specs(self):
+        declared = {
+            kind: {name: (typ, getattr(spec, name)) for name, typ in spec.knobs().items()}
+            for kind, spec in EXPERIMENTS.items()
+        }
+        assert readme_knobs() == declared
 
     @pytest.mark.parametrize("kind", sorted(FOREIGN_KNOBS))
     def test_foreign_knob_refused_naming_its_owner(self, tmp_path, capsys, kind):
@@ -1025,7 +1105,7 @@ class TestKindSchemas:
         text = f"[experiment]\nkind = {kind}\n" + "".join(
             f"{key} = {_knob_text(value)}\n" for key, value in knobs.items()
         )
-        spec = EXPERIMENTS[kind][0]
+        spec = EXPERIMENTS[kind]
         foreign = [key for key in keys if key not in spec.knobs()]
         cfg_path = tmp_path_factory.getbasetemp() / "knobs.cfg"
         cfg_path.write_text(text)
@@ -1063,19 +1143,25 @@ class TestKindSchemas:
         ]
         dt, t_final = values.get("dt", "auto"), values.get("t_final", SolverConfig.t_final)
         over_budget = not invalid and dt != "auto" and t_final / dt > STEP_BUDGET
+        # the soliton study's monitored run steps at auto_step under dt = auto
+        auto_over = not invalid and dt == "auto" and base == MINIMAL and (
+            t_final / SolitonBenchmarkSpec.auto_step > STEP_BUDGET
+        )
         cfg_path = tmp_path_factory.getbasetemp() / "base.cfg"
         cfg_path.write_text(text)
         try:
             parse_config(cfg_path)
         except ConfigError as err:
             refused = "\n".join(err.violations)
-            assert invalid or over_budget, refused
+            assert invalid or over_budget or auto_over, refused
             for key in invalid:
                 assert f"[{BASE_KEYS[key][0]}] {key}: must be positive and finite" in refused
             if over_budget:
                 assert refused.startswith("[solver] dt: t_final / dt = "), refused
+            if auto_over:
+                assert refused.startswith("[solver] t_final: under dt = auto"), refused
             return
-        assert not invalid and not over_budget
+        assert not invalid and not over_budget and not auto_over
 
     def test_wavepacket_needs_constant_alpha(self, tmp_path):
         cfg_text = KIND_CONFIGS["wavepacket"].replace(

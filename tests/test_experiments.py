@@ -1,4 +1,4 @@
-"""Experiment runners, fits, initial data, and report emission."""
+"""Experiment studies, fits, initial data, and report emission."""
 
 import json
 from dataclasses import replace
@@ -16,16 +16,11 @@ from kdvgauge.experiments import (
     SolitonBenchmarkSpec,
     TransformConsistencySpec,
     WavepacketSpec,
-    run_transform_consistency,
     envelope_peak,
     exact_soliton_values,
     fit_loglog,
     packet_state,
-    run_bona_smith,
-    run_continuity,
     run_experiment,
-    run_soliton_benchmark,
-    run_wavepacket,
     spectrum_state,
     successive_difference_order,
     write_report,
@@ -139,7 +134,7 @@ class TestBonaSmith:
             cset=cs, grid=make_grid(np.pi, 1024),
             solver=SolverConfig(t_final=0.05), n_sweep=(8, 16, 32, 64), reference_n=128, seed=3,
         )
-        rep = run_bona_smith(spec)
+        rep = run_experiment(spec)
         slope = rep.slopes["bona_smith_rate"]["slope"]
         assert slope <= -0.75
         assert rep.passed
@@ -148,7 +143,7 @@ class TestBonaSmith:
         cs = CoefficientSet.from_strings(alpha="2+tanh(x)", alpha0=0.3)
         spec = BonaSmithSpec(cset=cs)
         with pytest.raises(ValueError, match="alpha identically 1"):
-            run_bona_smith(spec)
+            run_experiment(spec)
 
 
 class TestWavepacket:
@@ -158,7 +153,7 @@ class TestWavepacket:
             cset=cs, grid=make_grid(16 * np.pi, 512),
             xi0_sweep=(8.0,), region_beta0=0.0, packet_launch=6.0,
         )
-        rep = run_wavepacket(spec)
+        rep = run_experiment(spec)
         gain = rep.tables["gains"][1][0][2]
         assert gain == pytest.approx(1.0, abs=0.02)
 
@@ -171,7 +166,7 @@ class TestWavepacket:
             xi0_sweep=(12.0,), region_beta0=0.3, region_half_width=1.5,
             packet_launch=6.0,
         )
-        rep = run_wavepacket(spec)
+        rep = run_experiment(spec)
         gain = rep.tables["gains"][1][0][2]
         assert gain == pytest.approx(np.exp(2 * 1.5 * 0.3 / 3.0), rel=0.05)
 
@@ -196,7 +191,7 @@ class TestContinuity:
             cset=cs, grid=make_grid(8 * np.pi, 256),
             solver=SolverConfig(t_final=0.2),
         )
-        rep = run_continuity(spec)
+        rep = run_experiment(spec)
         ratios = [row[2] for row in rep.tables["sensitivity"][1]]
         assert max(ratios) / min(ratios) - 1.0 < 1e-10
         assert rep.passed
@@ -207,7 +202,7 @@ class TestContinuity:
             cset=cs, grid=make_grid(8 * np.pi, 256),
             solver=SolverConfig(t_final=0.2),
         )
-        rep = run_continuity(spec)
+        rep = run_experiment(spec)
         assert rep.passed
 
 
@@ -278,7 +273,7 @@ class TestSolverSettingsReachEverySolve:
     SOLVER = SolverConfig(t_final=0.01, dt=1e-3, s=2.0, dealias=False, blowup_threshold=50.0)
 
     @staticmethod
-    def _recorded_configs(monkeypatch, runner, spec):
+    def _recorded_configs(monkeypatch, spec):
         import kdvgauge.experiments as experiments
 
         configs = []
@@ -289,7 +284,7 @@ class TestSolverSettingsReachEverySolve:
             return solve(u0, cfg, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "solve", recording)
-        runner(spec)
+        run_experiment(spec)
         return configs
 
     def test_soliton_benchmark_order_sweep(self, monkeypatch):
@@ -297,7 +292,7 @@ class TestSolverSettingsReachEverySolve:
             cset=CoefficientSet.constant_kdv(-6.0), grid=make_grid(8 * np.pi, 256),
             solver=self.SOLVER, order_t_final=0.004, dt_sweep=(1e-3, 5e-4, 2.5e-4),
         )
-        configs = self._recorded_configs(monkeypatch, run_soliton_benchmark, spec)
+        configs = self._recorded_configs(monkeypatch, spec)
         assert len(configs) == 4  # the benchmark run and three sweep runs
         assert configs[0] == spec.solver
         assert configs[1:] == [
@@ -310,7 +305,7 @@ class TestSolverSettingsReachEverySolve:
             solver=replace(self.SOLVER, dt="auto"), order_t_final=0.004,
             dt_sweep=(1e-3, 5e-4, 2.5e-4),
         )
-        configs = self._recorded_configs(monkeypatch, run_soliton_benchmark, spec)
+        configs = self._recorded_configs(monkeypatch, spec)
         assert configs[0] == replace(spec.solver, dt=1e-4)
 
     def test_wavepacket_keeps_its_undealiased_runs(self, monkeypatch):
@@ -319,7 +314,7 @@ class TestSolverSettingsReachEverySolve:
             grid=make_grid(16 * np.pi, 256), xi0_sweep=(4.0,), region_beta0=0.0,
             packet_launch=6.0, solver=replace(self.SOLVER, dealias=True),
         )
-        configs = self._recorded_configs(monkeypatch, run_wavepacket, spec)
+        configs = self._recorded_configs(monkeypatch, spec)
         T = 2.0 * 6.0 / (3.0 * 4.0**2)
         assert configs == [replace(spec.solver, t_final=T, dealias=False)]
 
@@ -328,7 +323,7 @@ class TestSolverSettingsReachEverySolve:
             cset=CoefficientSet.constant_kdv(-6.0), grid=make_grid(np.pi, 256),
             solver=replace(self.SOLVER, dt="auto"), n_sweep=(16, 32), reference_n=64,
         )
-        configs = self._recorded_configs(monkeypatch, run_bona_smith, spec)
+        configs = self._recorded_configs(monkeypatch, spec)
         assert len(configs) == 3  # the reference and two cutoffs
         assert isinstance(configs[0].dt, float)
         assert configs == 3 * [replace(spec.solver, warn_domain_edge=False, dt=configs[0].dt)]
@@ -338,7 +333,7 @@ class TestSolverSettingsReachEverySolve:
             cset=CoefficientSet.constant_kdv(-6.0), grid=make_grid(8 * np.pi, 256),
             solver=self.SOLVER,
         )
-        configs = self._recorded_configs(monkeypatch, run_continuity, spec)
+        configs = self._recorded_configs(monkeypatch, spec)
         assert configs == 4 * [spec.solver]  # the base and three perturbations
 
     def test_transform_consistency(self, monkeypatch):
@@ -346,7 +341,7 @@ class TestSolverSettingsReachEverySolve:
             cset=CoefficientSet.from_strings(alpha="1", epsilon="0"),
             grid=make_grid(8 * np.pi, 256), solver=self.SOLVER, refine_sweep=(64,),
         )
-        configs = self._recorded_configs(monkeypatch, run_transform_consistency, spec)
+        configs = self._recorded_configs(monkeypatch, spec)
         assert configs == 2 * [spec.solver]  # the original and transformed forms
 
 
@@ -378,7 +373,7 @@ class TestTimeDependentGaugePath:
             cset=cs, grid=make_grid(16 * np.pi, 512),
             refine_sweep=(256, 512), solver=SolverConfig(t_final=0.1, s=1.0), gaussian_width=1.5,
         )
-        rep = run_transform_consistency(spec)
+        rep = run_experiment(spec)
         rows = rep.tables["discrepancy"][1]
         assert rows[-1][1] < 1e-8
         assert rows[0][1] > rows[-1][1]
@@ -395,7 +390,7 @@ class TestSingleLevelSweep:
             cset=cs, grid=make_grid(8 * np.pi, 512),
             refine_sweep=(256,), solver=SolverConfig(t_final=0.05), gaussian_width=1.0,
         )
-        rep = run_transform_consistency(spec)
+        rep = run_experiment(spec)
         assert "refinement_order" not in rep.slopes
         assert any("single-level" in n for n in rep.notes)
         assert rep.passed  # identity gauge: tiny path difference
@@ -407,7 +402,7 @@ class TestSingleLevelSweep:
             cset=cs, grid=make_grid(8 * np.pi, 512),
             refine_sweep=(256, 256), solver=SolverConfig(t_final=0.05), gaussian_width=1.0,
         )
-        rep = run_transform_consistency(spec)
+        rep = run_experiment(spec)
         assert "refinement_order" not in rep.slopes
         assert any("single-level" in n for n in rep.notes)
 
