@@ -44,7 +44,8 @@ class ConfigError(ValueError):
 
 
 # key -> (type tag, default); a None default is never written into the values,
-# except in [grid] and [solver], whose defaults are the spec's Grid and SolverConfig
+# except in [grid] and [solver], whose defaults are the spec's Grid and SolverConfig.
+# A tag may start with a value rule of _RULES ("positive float").
 _SCHEMA = {
     "grid": {
         "half_width": ("const", None),
@@ -56,20 +57,20 @@ _SCHEMA = {
         "gamma": ("expr", "0"),
         "delta": ("expr", "0"),
         "epsilon": ("expr", "1"),
-        "alpha0": ("positive", "1.0"),
+        "alpha0": ("positive float", "1.0"),
     },
     "split": {
         "strategy": ("choice:user,softplus", "user"),
         "beta1": ("expr", None),
         "beta2": ("expr", None),
-        "kappa": ("positive", "10.0"),
+        "kappa": ("positive float", "10.0"),
     },
     "solver": {
-        "dt": ("positive_or_auto", None),
-        "t_final": ("positive", None),
+        "dt": ("positive float_or_auto", None),
+        "t_final": ("positive float", None),
         "s": ("float", None),
         "dealias": ("bool", None),
-        "blowup_threshold": ("positive_or_auto", None),
+        "blowup_threshold": ("positive float_or_auto", None),
     },
     # the kind's own knobs are added from its spec (_experiment_schema)
     "experiment": {
@@ -81,51 +82,56 @@ _SCHEMA = {
 # knob annotation -> type tag
 _TAGS = {int: "int", float: "float", tuple[int, ...]: "int_list", tuple[float, ...]: "float_list"}
 
+# value rule -> what a value, or each entry of a list, must be besides finite
+_RULES = {"positive": lambda v: v > 0, "nonzero": lambda v: v != 0}
+
+
+def _value(tag: str, raw: str):
+    if tag == "int":
+        return int(raw)
+    if tag == "float_or_auto" and raw.strip().lower() == "auto":
+        return "auto"
+    if tag in ("float", "float_or_auto"):
+        return float(raw)
+    if tag == "bool":
+        low = raw.strip().lower()
+        if low in ("true", "yes", "on", "1"):
+            return True
+        if low in ("false", "no", "off", "0"):
+            return False
+        raise ValueError(f"not a boolean: {raw!r}")
+    if tag == "int_list":
+        return tuple(int(v.strip()) for v in raw.split(",") if v.strip())
+    if tag == "float_list":
+        return tuple(float(v.strip()) for v in raw.split(",") if v.strip())
+    if tag == "const":
+        expr = parse_coefficient(raw)
+        if expr.depends_on_t or expr.depends_on_x:
+            raise ValueError("must be a constant expression")
+        return float(expr.eval(0.0, 0.0))
+    if tag == "expr":
+        parse_coefficient(raw)  # validated here, parsed again at build
+        return raw
+    if tag.startswith("choice:"):
+        choices = tag.split(":", 1)[1].split(",")
+        if raw.strip() not in choices:
+            raise ValueError(f"must be one of {choices}")
+        return raw.strip()
+    raise RuntimeError(f"bad schema tag {tag}")  # pragma: no cover
+
 
 def _convert(tag: str, raw: str, where: str, violations: list):
+    """`raw` as a value of `tag`, else None and the reason in `violations`.  A
+    float, a constant and each entry of a ruled value must be finite and keep the rule."""
+    rule, _, tag = tag.rpartition(" ")
     try:
-        if tag == "int":
-            return int(raw)
-        if tag == "float":
-            value = float(raw)
-            if not np.isfinite(value):
-                raise ValueError(f"must be finite, got {value:g}")
-            return value
-        if tag == "bool":
-            low = raw.strip().lower()
-            if low in ("true", "yes", "on", "1"):
-                return True
-            if low in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if tag == "positive_or_auto" and raw.strip().lower() == "auto":
-            return "auto"
-        if tag.startswith("positive"):
-            value = float(raw)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"must be positive and finite, got {value:g}")
-            return value
-        if tag == "int_list":
-            return tuple(int(v.strip()) for v in raw.split(",") if v.strip())
-        if tag == "float_list":
-            return tuple(float(v.strip()) for v in raw.split(",") if v.strip())
-        if tag == "const":
-            expr = parse_coefficient(raw)
-            if expr.depends_on_t or expr.depends_on_x:
-                raise ValueError("must be a constant expression")
-            value = float(expr.eval(0.0, 0.0))
-            if not np.isfinite(value):
-                raise ValueError(f"must be finite, got {value}")
-            return value
-        if tag == "expr":
-            parse_coefficient(raw)  # validated here, parsed again at build
-            return raw
-        if tag.startswith("choice:"):
-            choices = tag.split(":", 1)[1].split(",")
-            if raw.strip() not in choices:
-                raise ValueError(f"must be one of {choices}")
-            return raw.strip()
-        raise RuntimeError(f"bad schema tag {tag}")  # pragma: no cover
+        value = _value(tag, raw)
+        if value != "auto" and (rule or tag in ("float", "const")):
+            for v in value if isinstance(value, tuple) else (value,):
+                if not (np.isfinite(v) and (not rule or _RULES[rule](v))):
+                    need = f"{rule} and finite" if rule else "finite"
+                    raise ValueError(f"must be {need}, got {v:g}")
+        return value
     except ExpressionError as exc:
         violations.append(f"{where}: expression error: {exc}")
     except (ValueError, TypeError) as exc:
@@ -135,9 +141,13 @@ def _convert(tag: str, raw: str, where: str, violations: list):
 
 def _experiment_schema(kind: str) -> dict:
     """kind, seed, and the knobs of `kind`, which have no schema default: the
-    spec holds it, so a default never enters the hashed values."""
-    knobs = EXPERIMENTS[kind].knobs() if kind in EXPERIMENTS else {}
-    return {**_SCHEMA["experiment"], **{k: (_TAGS[t], None) for k, t in knobs.items()}}
+    spec holds it, so a default never enters the hashed values.  A knob's tag
+    starts with the rule its annotation declares (`Annotated[float,
+    "positive"]` gives "positive float")."""
+    knobs = EXPERIMENTS[kind].knob_rules() if kind in EXPERIMENTS else {}
+    return {**_SCHEMA["experiment"], **{
+        k: (f"{rule} {_TAGS[t]}" if rule else _TAGS[t], None) for k, (t, rule) in knobs.items()
+    }}
 
 
 @dataclass
@@ -161,8 +171,8 @@ def parse_config(path) -> RunConfig:
 
     Raises ConfigError listing every violation: unknown sections/keys (with
     a spelling suggestion), [experiment] keys of another kind (with the
-    kinds that own them), type failures and base values out of range (each
-    naming its key), expression errors with their source column, an
+    kinds that own them), type failures and values that break their key's
+    rule (each naming its key), expression errors with their source column, an
     explicit [solver] dt that would take more than STEP_BUDGET steps to
     t_final, a grid that cannot be built, and the spec's own `violations` on
     the run's grid.

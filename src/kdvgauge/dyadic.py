@@ -185,7 +185,9 @@ def _b_energy(
         np.abs(piece, out=piece)
         np.multiply(b, piece, out=weighted)
         weighted *= piece
-        total += (1.0 + N) ** (2.0 * s) * grid.dx * np.sum(weighted, axis=-1)
+        # a numpy power: a weight past the float range is inf, not an OverflowError
+        with np.errstate(over="ignore", invalid="ignore"):
+            total += np.float64(1.0 + N) ** (2.0 * s) * grid.dx * np.sum(weighted, axis=-1)
     return total
 
 

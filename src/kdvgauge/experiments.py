@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field, fields, replace
 from pathlib import Path
-from typing import ClassVar, get_type_hints
+from typing import Annotated, ClassVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -108,7 +108,9 @@ class ExperimentSpec:
     defaults are those of the config.  Each kind is a subclass that adds its
     own [experiment] knobs with their defaults and its study, `run`, which
     passes `solver` to each solve unchanged or replaces only what its study
-    fixes; it may override `violations` and `integrated_cset`.
+    fixes; it may override `violations` and `integrated_cset`.  A knob that
+    must be positive or nonzero (each entry of a list) declares that rule with
+    its type, `Annotated[float, "positive"]`, which the parser enforces.
     """
 
     kind: ClassVar[str]
@@ -120,10 +122,17 @@ class ExperimentSpec:
 
     @classmethod
     def knobs(cls) -> dict:
-        """The kind's own [experiment] keys -> their annotated types."""
-        hints = get_type_hints(cls)
+        """The kind's own [experiment] keys -> their types."""
+        return {name: typ for name, (typ, _rule) in cls.knob_rules().items()}
+
+    @classmethod
+    def knob_rules(cls) -> dict:
+        """The kind's own [experiment] keys -> (type, the rule its annotation
+        declares or None), from one evaluation of the annotations."""
+        hints = get_type_hints(cls, include_extras=True)
         shared = {f.name for f in fields(ExperimentSpec)}
-        return {f.name: hints[f.name] for f in fields(cls) if f.name not in shared}
+        return {f.name: get_args(hints[f.name]) if get_origin(hints[f.name]) is Annotated
+                else (hints[f.name], None) for f in fields(cls) if f.name not in shared}
 
     def violations(self) -> list[str]:
         """Parse-time reasons, each naming its key, why the run cannot go on its grid."""
@@ -238,9 +247,10 @@ def spectrum_state(grid, s, decay_offset, rng, target_hs=1.0) -> SpectralState:
     c = np.zeros(grid.wavenumbers.size, dtype=complex)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=k.size)
     c[1:-1] = (1.0 + k) ** (-(s + decay_offset)) * np.exp(1j * phases)
-    state = SpectralState(grid, c)
-    norm = sobolev_norm(state, s)
-    return SpectralState(grid, c * (target_hs / norm))
+    norm = sobolev_norm(SpectralState(grid, c), s)
+    # a numpy quotient: a zero norm gives a datum that is not finite, which
+    # bona_smith's parse-time check refuses, instead of ZeroDivisionError
+    return SpectralState(grid, c * np.divide(target_hs, norm))
 
 
 def random_smooth_field(grid, rng, decay=1.0, amplitude=1.0) -> SpectralState:
@@ -254,15 +264,6 @@ def envelope_peak(state: SpectralState) -> float:
     z = grid.multiplicity[:-1] * state.coefficients[:-1]
     analytic = np.fft.ifft(z, grid.num_points, norm="forward")
     return float(np.abs(analytic).max())
-
-
-def _refused(spec: ExperimentSpec, keys: tuple, ok=lambda v: v > 0, need="positive") -> list:
-    """One refusal, naming its key, per knob of `keys` not finite or failing `ok`."""
-    return [
-        f"[experiment] {key}: must be {need} and finite, got {value:g}"
-        for key, value in ((key, getattr(spec, key)) for key in keys)
-        if not (np.isfinite(value) and ok(value))
-    ]
 
 
 @dataclass(frozen=True)
@@ -311,14 +312,14 @@ class _ConstantKdVSpec(ExperimentSpec):
 class TransformConsistencySpec(ExperimentSpec):
     kind: ClassVar[str] = "transform_consistency"
     refine_sweep: tuple[int, ...] = (256, 512, 1024)
-    gaussian_width: float = 2.0
-    gaussian_amplitude: float = 1.0
+    gaussian_width: Annotated[float, "positive"] = 2.0
+    gaussian_amplitude: Annotated[float, "nonzero"] = 1.0
 
     def violations(self) -> list[str]:
         """Sweeps and data that leave the comparison nothing to measure: every
-        size must build a grid of the run's width, and the Gaussian datum needs
-        a positive width and a nonzero amplitude (a zero datum has zero
-        discrepancy).  Once those pass, the datum must keep its edge mass
+        size must build a grid of the run's width.  Once that passes, the
+        Gaussian datum (of positive width and nonzero amplitude, the rules of
+        its knobs: a zero datum has zero discrepancy) must keep its edge mass
         (`spectral.edge_mass_fraction`) at most `spectral.EDGE_MASS_LIMIT` on
         every grid of the sweep: a datum that reaches the periodic wrap ends
         the run at the transports' edge check, or, with a width whose square
@@ -331,8 +332,6 @@ class TransformConsistencySpec(ExperimentSpec):
                 make_grid(self.grid.half_width, n)
             except GridSizeError as exc:
                 violations.append(f"[experiment] refine_sweep: size {n}: {exc}")
-        violations += (_refused(self, ("gaussian_width",))
-                       + _refused(self, ("gaussian_amplitude",), lambda v: v != 0, "nonzero"))
         if violations:
             return violations
         reached = []
@@ -428,7 +427,9 @@ class BonaSmithSpec(_ConstantKdVSpec):
         wavenumber the solves keep gives zero datum tail and zero difference
         (the structure ratio would divide by zero), and a reference no finer
         than a cutoff gives zero difference. The rate fit needs two distinct
-        cutoffs.
+        cutoffs, and the datum, scaled to unit H^s norm, must be finite and
+        nonzero: with s and spectrum_decay_offset far from the float range its
+        spectrum or its norm overflows or underflows.
         """
         grid = self.grid
         k = grid.wavenumbers[:-1]  # the solver drops the unpaired Nyquist mode
@@ -449,6 +450,15 @@ class BonaSmithSpec(_ConstantKdVSpec):
             violations.append(
                 f"[experiment] reference_n = {self.reference_n} must exceed every "
                 f"n_sweep cutoff (largest {max(self.n_sweep)}; k_max = {grid.k_max:g})"
+            )
+        s, offset = self.solver.s, self.spectrum_decay_offset
+        with np.errstate(all="ignore"):  # a datum out of scale is refused here
+            c = spectrum_state(grid, s, offset, np.random.default_rng(self.seed)).coefficients
+        if not (np.all(np.isfinite(c)) and np.any(c)):
+            violations.append(
+                f"[experiment] spectrum_decay_offset, [solver] s: the datum scaled to unit "
+                f"H^s norm must be finite and nonzero on this grid; got "
+                f"spectrum_decay_offset = {offset:g} with s = {s:g}"
             )
         return violations
 
@@ -512,9 +522,9 @@ class WavepacketSpec(ExperimentSpec):
     xi0_sweep: tuple[float, ...] = (10.0, 15.0, 20.0)
     region_half_width: float = 2.0
     region_beta0: float = 0.225
-    region_smoothing: float = 0.3
-    packet_width: float = 1.5
-    packet_launch: float = 8.0
+    region_smoothing: Annotated[float, "positive"] = 0.3
+    packet_width: Annotated[float, "positive"] = 1.5
+    packet_launch: Annotated[float, "positive"] = 8.0
 
     def _alpha(self) -> float | None:
         """The config's alpha when it is a positive finite constant, else None."""
@@ -528,8 +538,8 @@ class WavepacketSpec(ExperimentSpec):
         """Carrier sweeps and packets the study cannot run on the run's grid.
 
         The traversal time is 2 launch / (3 alpha xi0^2), so alpha must be a
-        positive constant and xi0 and packet_launch positive; the Gaussian
-        envelope needs a positive packet_width. The study is linear (epsilon = 0),
+        positive constant and xi0 positive (packet_launch and packet_width
+        are positive by their rules). The study is linear (epsilon = 0),
         so a carrier is resolved up to k_max; the bound of two thirds of k_max
         is a margin for the packet's Gaussian band around xi0 and the spread
         added by the pointwise product with beta, which the undealiased runs
@@ -566,7 +576,6 @@ class WavepacketSpec(ExperimentSpec):
                 f"lie outside (0, {k_top:g}); each must be positive and below two "
                 f"thirds of k_max = {grid.k_max:g} on this grid"
             )
-        violations += _refused(self, ("packet_width", "packet_launch"))
         if violations:
             return violations
         times = {xi0: self._traversal_time(xi0) for xi0 in self.xi0_sweep}
@@ -702,18 +711,18 @@ class WavepacketSpec(ExperimentSpec):
 class ContinuitySpec(_ConstantKdVSpec):
     kind: ClassVar[str] = "continuity"
     kappa: float = 1.0
-    perturbation_sizes: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
+    perturbation_sizes: Annotated[tuple[float, ...], "positive"] = (1e-2, 1e-3, 1e-4)
 
     def violations(self) -> list[str]:
         """Size sweeps the sensitivity verdict cannot use: each ratio divides
-        the difference by its size, and the verdict compares ratios, so it
-        needs two distinct sizes, each positive and finite."""
+        the difference by its (positive) size, and the verdict compares
+        ratios, so it needs two distinct sizes."""
         violations = super().violations()
         sizes = self.perturbation_sizes
-        if len(set(sizes)) < 2 or not all(np.isfinite(e) and e > 0 for e in sizes):
+        if len(set(sizes)) < 2:
             violations.append(
-                f"[experiment] perturbation_sizes: needs two or more distinct sizes, each "
-                f"positive and finite, got {', '.join(f'{e:g}' for e in sizes)}"
+                f"[experiment] perturbation_sizes: needs two or more distinct sizes, "
+                f"got {', '.join(f'{e:g}' for e in sizes)}"
             )
         return violations
 
@@ -758,10 +767,10 @@ class ContinuitySpec(_ConstantKdVSpec):
 @dataclass(frozen=True)
 class CommutatorSurveySpec(ExperimentSpec):
     kind: ClassVar[str] = "commutator_survey"
-    band_sweep: tuple[int, ...] = (4, 8, 16, 32, 64, 128, 256)
-    draws: int = 50
-    identity_draws: int = 100
-    resonance_draws: int = 1000
+    band_sweep: Annotated[tuple[int, ...], "positive"] = (4, 8, 16, 32, 64, 128, 256)
+    draws: Annotated[int, "positive"] = 50
+    identity_draws: Annotated[int, "positive"] = 100
+    resonance_draws: Annotated[int, "positive"] = 1000
 
     def violations(self) -> list[str]:
         """Band sweeps the commutator survey cannot run.
@@ -770,13 +779,7 @@ class CommutatorSurveySpec(ExperimentSpec):
         points, which must be a power of two; the double-bracket slope fit and
         the identity draws use the bands >= 8, and the fit needs two of them.
         """
-        sweep = self.band_sweep
-        violations = []
-        bad = [n for n in sweep if n <= 0]
-        if bad:
-            violations.append(
-                f"[experiment] band_sweep: bands {', '.join(map(str, bad))} are not positive"
-            )
+        sweep, violations = self.band_sweep, []
         if len({n for n in sweep if n >= 8}) < 2:
             violations.append(
                 "[experiment] band_sweep: needs at least two distinct bands >= 8 "
@@ -788,7 +791,7 @@ class CommutatorSurveySpec(ExperimentSpec):
                 f"[experiment] band_sweep: the survey grid has max(num_points, "
                 f"8 * max(band_sweep)) = {size} points, which is not a power of two"
             )
-        return violations + _refused(self, ("draws", "identity_draws", "resonance_draws"))
+        return violations
 
     def run(self, report: ExperimentReport) -> None:
         """Empirical commutator constants, identity residual, resonance check."""
@@ -886,28 +889,27 @@ class CommutatorSurveySpec(ExperimentSpec):
 class SolitonBenchmarkSpec(_ConstantKdVSpec):
     kind: ClassVar[str] = "soliton_benchmark"
     auto_step: ClassVar[float] = 1e-4  # the monitored run's dt under [solver] dt = auto
-    kappa: float = 1.0
-    order_kappa: float = 2.0
-    dt_sweep: tuple[float, ...] = tuple(4e-4 * 10 ** (-j / 4) for j in range(5))
-    order_t_final: float = 0.1
+    kappa: Annotated[float, "nonzero"] = 1.0
+    order_kappa: Annotated[float, "nonzero"] = 2.0
+    dt_sweep: Annotated[tuple[float, ...], "positive"] = tuple(
+        4e-4 * 10 ** (-j / 4) for j in range(5)
+    )
+    order_t_final: Annotated[float, "positive"] = 0.1
 
     def violations(self) -> list[str]:
         """Coefficients, waves and step-size sweeps the verdicts cannot use.
 
         The soliton's amplitude is -12 kappa^2 / epsilon, so epsilon must be
-        a nonzero constant, and a zero kappa or order_kappa gives a zero
-        datum, with nothing to measure.  The order fit takes the differences
-        of runs at successive step sizes, which scale as C (1 - r^p) dt_j^p
-        only when every dt_{j+1} / dt_j is the one ratio r < 1; a slope needs
-        two differences, so three step sizes.  The sweep's runs step to a
-        positive order_t_final, in at most `solver.STEP_BUDGET` steps of the
-        smallest dt, and under dt = auto the monitored run steps at auto_step,
-        in at most that many steps to t_final.
+        a nonzero constant (as kappa and order_kappa are by their rules: a
+        zero one gives a zero datum, with nothing to measure).  The order fit
+        takes the differences of runs at successive (positive) step sizes,
+        which scale as C (1 - r^p) dt_j^p only when every dt_{j+1} / dt_j is
+        the one ratio r < 1; a slope needs two differences, so three step
+        sizes.  The sweep's runs step to order_t_final, in at most
+        `solver.STEP_BUDGET` steps of the smallest dt, and under dt = auto the
+        monitored run steps at auto_step, in at most that many steps to t_final.
         """
-        sweep = self.dt_sweep
-        violations = super().violations() + _refused(
-            self, ("kappa", "order_kappa"), lambda v: v != 0, "nonzero"
-        )
+        sweep, violations = self.dt_sweep, super().violations()
         eps = self.cset.epsilon
         e = np.asarray(eps.eval(0.0, self.grid.x), dtype=float)
         if not eps.depends_on_t and np.all(np.isfinite(e)) and (
@@ -922,13 +924,7 @@ class SolitonBenchmarkSpec(_ConstantKdVSpec):
                 "[experiment] dt_sweep: needs at least three step sizes (the order "
                 "fit takes the differences of successive runs, and a slope needs two)"
             )
-        bad = [dt for dt in sweep if not (np.isfinite(dt) and dt > 0)]
-        if bad:
-            violations.append(
-                f"[experiment] dt_sweep: step sizes {', '.join(f'{dt:g}' for dt in bad)} "
-                f"are not positive and finite"
-            )
-        elif len(sweep) >= 2:
+        if len(sweep) >= 2:
             ratios = [b / a for a, b in zip(sweep, sweep[1:])]
             r = ratios[0]
             if not all(q < 1.0 and abs(q - r) <= 1e-9 * r for q in ratios):
@@ -937,9 +933,8 @@ class SolitonBenchmarkSpec(_ConstantKdVSpec):
                     f"dt_{{j+1}} / dt_j below 1, all equal to within 1e-9 relative); "
                     f"the ratios are {', '.join(f'{q:.10g}' for q in ratios)}"
                 )
-        budget = _refused(self, ("order_t_final",))
-        if not (budget or bad) and sweep and self.order_t_final / min(sweep) > STEP_BUDGET:
-            budget.append(
+        if sweep and self.order_t_final / min(sweep) > STEP_BUDGET:
+            violations.append(
                 f"[experiment] order_t_final: order_t_final / min(dt_sweep) = "
                 f"{self.order_t_final / min(sweep):.3g} steps exceeds the step budget of "
                 f"{STEP_BUDGET:g}; got order_t_final = {self.order_t_final:g} with "
@@ -947,13 +942,13 @@ class SolitonBenchmarkSpec(_ConstantKdVSpec):
             )
         steps = self.solver.t_final / self.auto_step
         if self.solver.dt == "auto" and steps > STEP_BUDGET:
-            budget.append(
+            violations.append(
                 f"[solver] t_final: under dt = auto the soliton run steps at "
                 f"{self.auto_step:g}, so t_final / {self.auto_step:g} = {steps:.3g} steps "
                 f"exceeds the step budget of {STEP_BUDGET:g}; got t_final = "
                 f"{self.solver.t_final:g}"
             )
-        return violations + budget
+        return violations
 
     def run(self, report: ExperimentReport) -> None:
         """Travelling-wave accuracy, conservation, and temporal order."""

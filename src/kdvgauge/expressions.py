@@ -156,7 +156,7 @@ def _mul(a: _Node, b: _Node) -> _Node:
 
 
 def _div(a: _Node, b: _Node) -> _Node:
-    if _is_const(a, 0.0):
+    if _is_const(a, 0.0) and not _is_const(b, 0.0):  # 0/0 stays, a nan
         return _ZERO
     if _is_const(b, 1.0):
         return a
@@ -239,13 +239,22 @@ def _sech(u):
     return 1.0 / np.cosh(u)
 
 
+def _divide(a, b):
+    """a / b, and IEEE's +-inf or nan where Python floats raise on a zero divisor."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        return np.divide(a, b)
+
+
 # the float operation of each node kind; Python operators on the operands,
-# so a scalar (t, x) keeps Python-float semantics
+# so a scalar (t, x) keeps Python-float semantics, except that a zero divisor
+# gives inf or nan as it does in an array
 _OPERATIONS = {
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
-    "/": operator.truediv,
+    "/": _divide,
     "^": np.power,
     "exp": np.exp,
     "log": np.log,

@@ -1,15 +1,17 @@
 """Config ingestion, schema diagnostics, run orchestration, determinism."""
 
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kdvgauge
@@ -19,6 +21,7 @@ from kdvgauge.coefficients import CoefficientSet, check_hypotheses
 from kdvgauge.experiments import EXPERIMENTS, SolitonBenchmarkSpec
 from kdvgauge.solver import STEP_BUDGET, SolverConfig
 from kdvgauge.spectral import make_grid
+from test_expressions import _TREES, _text
 
 MINIMAL = """
 [coefficients]
@@ -374,6 +377,22 @@ REFUSED_VALUES = {
         _with_line(KIND_CONFIGS["bona_smith"], "coefficients", "gamma = 0.3*sech(x)^2"),
         "[coefficients] gamma: bona_smith needs gamma identically 0",
     ),
+    # the datum's spectrum or its H^s norm leaves the float range: offset 1000
+    # used to end run in a bare "float division by zero", and -300 and s = 400
+    # in nan verdicts (exit 1)
+    **{
+        f"bona_smith datum at {where}": (
+            _with_line(KIND_CONFIGS["bona_smith"], section, line),
+            "[experiment] spectrum_decay_offset, [solver] s: the datum scaled to unit H^s "
+            "norm must be finite and nonzero on this grid; got spectrum_decay_offset = "
+            f"{offset} with s = {s}",
+        )
+        for where, section, line, offset, s in [
+            ("offset 1000", "experiment", "spectrum_decay_offset = 1000", "1000", "1"),
+            ("offset -300", "experiment", "spectrum_decay_offset = -300", "-300", "1"),
+            ("s 400", "solver", "s = 400", "0.6", "400"),
+        ]
+    },
     "continuity epsilon(t)": (
         KIND_CONFIGS["continuity"].replace("epsilon = -6", "epsilon = -6*cos(t)"),
         "[coefficients] epsilon: continuity needs time-independent coefficients",
@@ -437,8 +456,7 @@ REFUSED_VALUES = {
     ),
     "perturbation_sizes": (
         KIND_CONFIGS["continuity"] + "perturbation_sizes = 0.01, 0\n",
-        "[experiment] perturbation_sizes: needs two or more distinct sizes, each "
-        "positive and finite, got 0.01, 0",
+        "[experiment] perturbation_sizes: must be positive and finite, got 0",
     ),
     "soliton kappa": (
         MINIMAL + "kappa = 0\n",
@@ -471,6 +489,12 @@ REFUSED_VALUES = {
     "packet_width": (
         KIND_CONFIGS["wavepacket"] + "packet_width = 0\n",
         "[experiment] packet_width: must be positive and finite, got 0",
+    ),
+    # it divides in the region's beta: -0.3 flipped the region (a FAIL), and 0
+    # gave a step (a PASS)
+    "region_smoothing": (
+        KIND_CONFIGS["wavepacket"] + "region_smoothing = 0\n",
+        "[experiment] region_smoothing: must be positive and finite, got 0",
     ),
     "packet_launch": (
         KIND_CONFIGS["wavepacket"].replace("packet_launch = 6", "packet_launch = 0"),
@@ -535,7 +559,7 @@ NONFINITE_VALUES = {
     ),
     "soliton order_t_final": (
         MINIMAL + "order_t_final = inf\n",
-        "[experiment] order_t_final: must be finite, got inf",
+        "[experiment] order_t_final: must be positive and finite, got inf",
     ),
     "solver s": (
         _with_line(MINIMAL, "solver", "s = nan"),
@@ -702,6 +726,11 @@ packet_launch = 6
         # the accepted sweep itself parses
         parse_config(write_cfg(tmp_path, KIND_CONFIGS["bona_smith"], "ok.cfg"))
 
+    @pytest.mark.parametrize("line", ["s = 52", "spectrum_decay_offset = 300"])
+    def test_bona_smith_datum_in_the_float_range_parses(self, tmp_path, line):
+        section = "solver" if line.startswith("s ") else "experiment"
+        parse_config(write_cfg(tmp_path, _with_line(KIND_CONFIGS["bona_smith"], section, line)))
+
     @pytest.mark.parametrize("sweep", ["8", "8, 8"])
     def test_bona_smith_sweep_needs_two_cutoffs(self, tmp_path, sweep):
         # one cutoff used to end in a bare "slope fit needs at least two
@@ -748,8 +777,8 @@ packet_launch = 6
         "sweep, reason",
         [
             ("", "at least two distinct bands >= 8"),
-            ("0, 8, 16", "bands 0 are not positive"),
-            ("-8, 8, 16", "bands -8 are not positive"),
+            ("0, 8, 16", "[experiment] band_sweep: must be positive and finite, got 0\n"),
+            ("-8, 8, 16", "[experiment] band_sweep: must be positive and finite, got -8\n"),
             ("4", "at least two distinct bands >= 8"),
             ("4, 8", "at least two distinct bands >= 8"),
             ("8, 100", "= 800 points, which is not a power of two"),
@@ -786,9 +815,9 @@ packet_launch = 6
         "sweep, reason",
         [
             ("1e-4", "needs at least three step sizes"),
-            ("-1e-4, 1e-4", "step sizes -0.0001 are not positive and finite"),
+            ("-1e-4, 1e-4", "[experiment] dt_sweep: must be positive and finite, got -0.0001\n"),
             ("1e-4, 1e-4", "the ratios are 1\n"),
-            ("4e-4, nan, 1e-4", "step sizes nan are not positive and finite"),
+            ("4e-4, nan, 1e-4", "[experiment] dt_sweep: must be positive and finite, got nan\n"),
             ("4e-4, 2e-4, 1.5e-4", "must decrease by one common ratio"),
             ("1e-4, 2e-4, 4e-4", "the ratios are 2, 2\n"),
         ],
@@ -840,6 +869,8 @@ packet_launch = 6
         [
             "0^(-1)*x",  # used to escape parse_config as a ZeroDivisionError
             "log(0-1)*sech(x)^2",  # NaN everywhere: check printed PASS, exit 0
+            "1/0",  # escaped parse_config as a ZeroDivisionError
+            "0/0",  # folded to 0: check printed PASS, exit 0
         ],
     )
     def test_singular_coefficient_refused_by_check_and_run(self, tmp_path, capsys, beta):
@@ -855,6 +886,25 @@ packet_launch = 6
         assert captured.out.startswith(named)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            # 1/t at t = 0 ended check in a bare "error: float division by zero"
+            (SURVEY.replace("alpha = 1", "alpha = 1\ngamma = 1/t"), "gamma"),
+            # the region's w^2 in beta's derivative underflows to the constant 0
+            (KIND_CONFIGS["wavepacket"] + "region_smoothing = 1e-300\n", "beta"),
+        ],
+        ids=["survey gamma = 1/t", "wavepacket region_smoothing = 1e-300"],
+    )
+    def test_zero_divisor_at_a_scalar_point_refused(self, tmp_path, capsys, text, field):
+        cfg_path = write_cfg(tmp_path, text)
+        assert main(["check", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line = captured.err.splitlines()[-1]
+        assert line.startswith(f"error: {field}: expression '") and "is singular" in line
+        assert "division" not in captured.err
+
     def test_singular_built_field_named_without_empty_quote(self, tmp_path, capsys):
         # kappa = 5e-324 parses (positive, finite) but log(2) / kappa is inf:
         # the softplus beta1 has no source text, so the refusal names the field
@@ -869,7 +919,7 @@ packet_launch = 6
         assert "''" not in line
 
 
-    @pytest.mark.parametrize("half_width", ["0^(-1)", "(-8)^(1/3)"])
+    @pytest.mark.parametrize("half_width", ["0^(-1)", "(-8)^(1/3)", "1/0"])
     def test_nonfinite_constant_refused(self, tmp_path, capsys, half_width):
         # unfolded powers evaluate to inf and nan; a grid of infinite width
         # would pass check with -inf extremals, and nan would reach make_grid
@@ -1037,7 +1087,8 @@ def _readme_default(cell: str, typ):
 
 
 def readme_knobs() -> dict:
-    """kind -> knob -> (type, default), read from README's knob table."""
+    """kind -> knob -> (type, default, the rules its last cell names), read
+    from README's knob table."""
     lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
     start = lines.index("| kind | knob | type | default | checked when parsed |")
     table, kind = {}, None
@@ -1047,7 +1098,10 @@ def readme_knobs() -> dict:
         cells = [cell.strip() for cell in line.strip("|").split("|")]
         kind = cells[0].strip("`") or kind
         typ = README_TYPES[cells[2]]
-        table.setdefault(kind, {})[cells[1].strip("`")] = (typ, _readme_default(cells[3], typ))
+        rules = tuple(re.findall(r"\b(?:positive|nonzero)\b", cells[4]))
+        table.setdefault(kind, {})[cells[1].strip("`")] = (
+            typ, _readme_default(cells[3], typ), rules
+        )
     return table
 
 
@@ -1069,8 +1123,13 @@ class TestKindSchemas:
             assert type(cfg.spec) is spec and cfg.kind == kind
 
     def test_readme_knob_table_matches_the_specs(self):
+        # the last cell names `positive` or `nonzero` once, exactly where the
+        # spec field declares that rule (Annotated[float, "positive"])
         declared = {
-            kind: {name: (typ, getattr(spec, name)) for name, typ in spec.knobs().items()}
+            kind: {
+                name: (typ, getattr(spec, name), (rule,) if rule else ())
+                for name, (typ, rule) in spec.knob_rules().items()
+            }
             for kind, spec in EXPERIMENTS.items()
         }
         assert readme_knobs() == declared
@@ -1162,6 +1221,43 @@ class TestKindSchemas:
                 assert refused.startswith("[solver] t_final: under dt = auto"), refused
             return
         assert not invalid and not over_budget and not auto_over
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=st.sampled_from([MINIMAL, SURVEY]),
+        # a tree, or a positive constant, so that the gate is reached
+        half_width=_TREES | st.floats(0.5, 40.0).map(lambda v: ("const", v)),
+        fields=st.dictionaries(st.sampled_from(["alpha", "beta", "gamma", "delta", "epsilon"]),
+                               _TREES, max_size=3),
+        num_points=st.sampled_from([16, 64, 100, 0, -8]),
+    )
+    @example(base=MINIMAL, half_width=("/", ("const", 1.0), ("const", 0.0)), fields={},
+             num_points=16)
+    @example(base=SURVEY, half_width=("const", 3.0),
+             fields={"gamma": ("/", ("const", 1.0), ("var", "t"))}, num_points=64)
+    def test_random_coefficients_check_or_name_the_reason(
+        self, tmp_path_factory, base, half_width, fields, num_points
+    ):
+        # check on any grid and coefficient expressions exits 0, 1 or 2, and an
+        # exit 2 ends in a config error or a named singular field; a zero
+        # divisor (half_width = 1/0) used to escape as ZeroDivisionError
+        lines = {"half_width": ("grid", _text(half_width)), "num_points": ("grid", num_points)}
+        lines.update((name, ("coefficients", _text(tree))) for name, tree in fields.items())
+        text = base
+        for key, (section, value) in lines.items():
+            text = "\n".join(ln for ln in text.split("\n") if not ln.startswith(f"{key} = "))
+            text = _with_line(text, section, f"{key} = {value}")
+        cfg_path = tmp_path_factory.getbasetemp() / "coefficients.cfg"
+        cfg_path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["check", str(cfg_path)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            last = err.getvalue().splitlines()[-1]
+            assert last.startswith("config error: ") or re.fullmatch(
+                r"error: \w+: expression '.*' is singular on the requested domain .*", last
+            ), text + "\n" + last
 
     def test_wavepacket_needs_constant_alpha(self, tmp_path):
         cfg_text = KIND_CONFIGS["wavepacket"].replace(

@@ -151,6 +151,21 @@ class TestWeightedSeminorm:
         )
         assert got == pytest.approx(want, rel=1e-10)
 
+    def test_weight_past_the_float_range_is_inf(self):
+        # (1 + 32)^(2 s) passes the float range at s = 110 while (1 + 1)^(2 s)
+        # does not; the Python-float power used to raise OverflowError, which
+        # ended a bona_smith run at [solver] s = 52.  The empty band N = 64
+        # then adds inf * 0, so the sum is nan.
+        g = make_grid(np.pi, 64)
+        bank = ProjectorBank(g)
+        rng = np.random.default_rng(0)
+        fields = np.stack([
+            SpectralState.from_physical(g, rng.standard_normal(64)).coefficients
+            for _ in range(2)
+        ])
+        assert np.all(np.isnan(_b_energy(fields, np.ones(64), 110.0, bank)))
+        assert np.all(np.isfinite(_b_energy(fields, np.ones(64), 60.0, bank)))
+
 
 class TestTruncatedProduct:
     def test_matches_product_of_interpolants_with_nyquist_content(self):
