@@ -35,7 +35,13 @@ __all__ = [
 
 # 5-point Gauss-Legendre rule on [-1, 1]; degree-9 exactness keeps the
 # anchored integrals far below the gauge tolerances on desk-scale cells.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
+# The values of np.polynomial.legendre.leggauss(5), bit for bit (a test
+# checks them), written out: importing numpy.polynomial for them took
+# about 0.9 MB of every run's peak RSS.
+_GL_NODES = np.array([-0.906179845938664, -0.5384693101056831, 0.0,
+                      0.5384693101056831, 0.906179845938664])
+_GL_WEIGHTS = np.array([0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
+                        0.4786286704993663, 0.23692688505618928])
 
 
 class _AnchoredRule:
@@ -46,36 +52,52 @@ class _AnchoredRule:
     there wherever the points fall), flattened; `integrate` turns an
     integrand sampled there into int_0^p for each point p.  One rule serves
     every integrand wanted on the same points.
+
+    A (K, n) stack of point rows gives one rule per row: `nodes` is then
+    (K, 5 n) and `integrate` takes one row of integrand values per row.  A
+    rule on one row of points integrates a (K, 5 n) stack of integrands
+    (say, one per time) row by row.  Each row equals the one-row rule's
+    result bit for bit.
     """
 
     def __init__(self, points: np.ndarray):
         pts = np.asarray(points, dtype=float)
-        if pts.ndim != 1:
-            raise ValueError("points must be one-dimensional")
-        if np.any(np.diff(pts) < 0):
+        if pts.ndim not in (1, 2):
+            raise ValueError("points must be one row or a stack of rows")
+        if np.any(np.diff(pts, axis=-1) < 0):
             raise ValueError("points must be sorted ascending")
-        self.size = pts.size
-        grid = np.concatenate([pts, [0.0]])
-        self._order = np.argsort(grid, kind="stable")
-        sorted_pts = grid[self._order]
-        a = sorted_pts[:-1]
-        b = sorted_pts[1:]
+        self.size = pts.shape[-1]
+        grid = np.concatenate([pts, np.zeros(pts.shape[:-1] + (1,))], axis=-1)
+        order = np.argsort(grid, axis=-1, kind="stable")
+        sorted_pts = np.take_along_axis(grid, order, axis=-1)
+        a = sorted_pts[..., :-1]
+        b = sorted_pts[..., 1:]
         self._halves = 0.5 * (b - a)
         mids = 0.5 * (a + b)
-        self.nodes = (mids[:, None] + self._halves[:, None] * _GL_NODES[None, :]).ravel()
-        self._anchor = int(np.searchsorted(sorted_pts, 0.0, side="left"))
+        self.nodes = (mids[..., None] + self._halves[..., None] * _GL_NODES).reshape(
+            pts.shape[:-1] + (-1,)
+        )
+        # the slot of x = 0 among the sorted points, and where each sorted
+        # slot goes, as indices into a row or into each row of a stack
+        anchor = (sorted_pts < 0.0).sum(axis=-1, keepdims=True)
+        if pts.ndim == 1:
+            self._anchor, self._scatter = (..., slice(anchor[0], anchor[0] + 1)), (..., order)
+        else:
+            rows = np.arange(pts.shape[0])[:, None]
+            self._anchor, self._scatter = (rows, anchor), (rows, order)
 
     def integrate(self, values) -> np.ndarray:
+        vals = np.asarray(values)
+        lead = vals.shape[:-1]
         if self.size == 0:
-            return np.zeros(0)
-        vals = np.asarray(values).reshape(-1, _GL_NODES.size)
-        seg = self._halves * (vals @ _GL_WEIGHTS)
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
+            return np.zeros(lead + (0,))
+        seg = self._halves * (vals.reshape(lead + (-1, _GL_NODES.size)) @ _GL_WEIGHTS)
+        cum = np.concatenate([np.zeros(lead + (1,)), np.cumsum(seg, axis=-1)], axis=-1)
         # exact: the anchor slot holds int_{sorted_pts[0]}^{0}
         cum = cum - cum[self._anchor]
-        out = np.empty(self.size + 1)
-        out[self._order] = cum
-        return out[: self.size]
+        out = np.empty(lead + (self.size + 1,))
+        out[self._scatter] = cum
+        return out[..., : self.size]
 
 
 _FIELDS = ("alpha", "beta", "gamma", "delta", "epsilon", "beta1", "beta2")

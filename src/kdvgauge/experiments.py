@@ -291,6 +291,23 @@ class _ConstantKdVSpec(ExperimentSpec):
             violations.append(f"[coefficients] {name}: {self.kind} needs {need}, got {expr.text!r}")
         return violations
 
+    def _auto_step_violations(self, u0: SpectralState) -> list[str]:
+        """Under dt = auto, the refusal of a first solve from `u0` that
+        `solve` would end at its STEP_BUDGET check; to call once the
+        coefficients pass `_ConstantKdVSpec.violations`."""
+        if self.solver.dt != "auto":
+            return []
+        dt = auto_dt(self.solver, self.grid, self.constant_kdv(), u0)
+        steps = self.solver.t_final / dt if dt > 0 else np.inf
+        if not steps <= STEP_BUDGET:
+            return [
+                f"[solver] dt: under dt = auto the first solve steps at {dt:g} on this "
+                f"grid (half_width = {self.grid.half_width:g}, num_points = "
+                f"{self.grid.num_points}), so t_final / dt = {steps:.3g} steps exceeds the "
+                f"step budget of {STEP_BUDGET:g}; got t_final = {self.solver.t_final:g}"
+            ]
+        return []
+
     def constant_kdv(self) -> TransformedCoefficients:
         """The run's coefficients b = c = d = f = 0 and e = epsilon on the
         grid; a set the path would not integrate is refused."""
@@ -429,7 +446,11 @@ class BonaSmithSpec(_ConstantKdVSpec):
         than a cutoff gives zero difference. The rate fit needs two distinct
         cutoffs, and the datum, scaled to unit H^s norm, must be finite and
         nonzero: with s and spectrum_decay_offset far from the float range its
-        spectrum or its norm overflows or underflows.
+        spectrum or its norm overflows or underflows.  Its H^s tail past the
+        largest cutoff, the smallest tail of the sweep, must be nonzero: the
+        structure ratio divides by the tail plus n times a difference that
+        vanishes with it.  Under dt = auto, the reference solve must take at
+        most `solver.STEP_BUDGET` steps.
         """
         grid = self.grid
         k = grid.wavenumbers[:-1]  # the solver drops the unpaired Nyquist mode
@@ -453,21 +474,39 @@ class BonaSmithSpec(_ConstantKdVSpec):
             )
         s, offset = self.solver.s, self.spectrum_decay_offset
         with np.errstate(all="ignore"):  # a datum out of scale is refused here
-            c = spectrum_state(grid, s, offset, np.random.default_rng(self.seed)).coefficients
-        if not (np.all(np.isfinite(c)) and np.any(c)):
+            u0 = self._datum()
+        if not (np.all(np.isfinite(u0.coefficients)) and np.any(u0.coefficients)):
             violations.append(
                 f"[experiment] spectrum_decay_offset, [solver] s: the datum scaled to unit "
                 f"H^s norm must be finite and nonzero on this grid; got "
                 f"spectrum_decay_offset = {offset:g} with s = {s:g}"
             )
-        return violations
+        if violations:
+            return violations
+        bank = ProjectorBank(grid)
+        top = max(self.n_sweep)
+        with np.errstate(all="ignore"):
+            tail = sobolev_norm(u0 - project(u0, bank.p_leq(top)), s)
+        if not tail > 0.0:
+            violations.append(
+                f"[experiment] spectrum_decay_offset, [solver] s: the datum's H^s tail "
+                f"past the largest cutoff ({top}) must be nonzero, since the structure "
+                f"ratio divides by it; got {tail:g} with spectrum_decay_offset = "
+                f"{offset:g} and s = {s:g}"
+            )
+            return violations
+        return self._auto_step_violations(project(u0, bank.p_leq(self.reference_n)))
+
+    def _datum(self) -> SpectralState:
+        """The seeded datum of spectrum_decay_offset, scaled to unit H^s norm."""
+        rng = np.random.default_rng(self.seed)
+        return spectrum_state(self.grid, self.solver.s, self.spectrum_decay_offset, rng)
 
     def run(self, report: ExperimentReport) -> None:
         """Rate of convergence from frequency-truncated data."""
         grid, s = self.grid, self.solver.s
         tc = self.constant_kdv()
-        rng = np.random.default_rng(self.seed)
-        u0 = spectrum_state(grid, s, self.spectrum_decay_offset, rng, target_hs=1.0)
+        u0 = self._datum()
         bank = ProjectorBank(grid)
         monitor = np.linspace(0.0, self.solver.t_final, 9)[1:]
         cfg = replace(self.solver, warn_domain_edge=False)  # datum fills the torus
@@ -716,26 +755,58 @@ class ContinuitySpec(_ConstantKdVSpec):
     def violations(self) -> list[str]:
         """Size sweeps the sensitivity verdict cannot use: each ratio divides
         the difference by its (positive) size, and the verdict compares
-        ratios, so it needs two distinct sizes."""
+        ratios, so it needs two distinct sizes.  Once the coefficients pass,
+        the perturbation direction's H^s norm, by which the study scales it,
+        must be finite and positive (at a large [solver] s its weight
+        (1 + k^2)^s overflows), the base datum must be finite (a soliton's
+        height grows as kappa^2), and under dt = auto the base solve must
+        take at most `solver.STEP_BUDGET` steps."""
         violations = super().violations()
+        coefficients_pass = not violations
         sizes = self.perturbation_sizes
         if len(set(sizes)) < 2:
             violations.append(
                 f"[experiment] perturbation_sizes: needs two or more distinct sizes, "
                 f"got {', '.join(f'{e:g}' for e in sizes)}"
             )
-        return violations
+        if not coefficients_pass:
+            return violations
+        s = self.solver.s
+        with np.errstate(all="ignore"):  # values out of the float range are refused here
+            norm = sobolev_norm(self._direction(), s)
+            try:
+                base = self._base(self.constant_kdv())
+            except OverflowError:  # kappa^2 past the float range
+                base = None
+        if not (np.isfinite(norm) and norm > 0.0):
+            violations.append(
+                f"[solver] s: the perturbation direction's H^s norm must be finite and "
+                f"positive on this grid; got {norm:g} with s = {s:g}"
+            )
+        if base is None or not np.all(np.isfinite(base.coefficients)):
+            violations.append(
+                f"[experiment] kappa: the soliton datum must be finite on this grid; got "
+                f"kappa = {self.kappa:g}"
+            )
+            return violations
+        return violations + self._auto_step_violations(base)
+
+    def _base(self, tc: TransformedCoefficients) -> SpectralState:
+        """The unperturbed datum: a Gaussian when epsilon is 0, else a soliton."""
+        if np.abs(tc.e).max() == 0.0:
+            return gaussian_state(self.grid, 1.0, 1.0)
+        return soliton_state(self.grid, self.kappa, e=float(tc.e[0]))
+
+    def _direction(self) -> SpectralState:
+        return gaussian_state(self.grid, 1.0, 1.0, center=1.0)
 
     def run(self, report: ExperimentReport) -> None:
         """Flow-map stability under initial perturbations of shrinking size."""
         grid, s = self.grid, self.solver.s
         tc = self.constant_kdv()
         linear = bool(np.abs(tc.e).max() == 0.0)
-        if linear:
-            base = gaussian_state(grid, 1.0, 1.0)
-        else:
-            base = soliton_state(grid, self.kappa, e=float(tc.e[0]))
-        direction = gaussian_state(grid, 1.0, 1.0, center=1.0)
+        base = self._base(tc)
+        direction = self._direction()
         direction = (1.0 / sobolev_norm(direction, s)) * direction
         monitor = np.linspace(0.0, self.solver.t_final, 9)[1:]
         traj_base = report.solved(solve(base, self.solver, tc, monitor_times=monitor))

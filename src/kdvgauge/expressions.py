@@ -298,13 +298,17 @@ class Program:
     one per distinct operation node, in topological order, so a subexpression
     shared by several roots (or repeated within one) is evaluated once per
     call.  Each instruction applies its node's float operation to the slots
-    of its operands; one np.errstate ignores divide, invalid and overflow
-    for the whole pass, and poles come out as inf or nan for screening.
-    Calling the program returns one value per root: an array shaped like x
-    when x is an array (a constant root is broadcast), else a scalar.
+    of its operands and then drops the operation slots it read for the last
+    time, so a call holds only the intermediates still to be read; one
+    np.errstate ignores divide, invalid and overflow for the whole pass, and
+    poles come out as inf or nan for screening.  Calling the program returns
+    one value per root: when x is an array, an array of the call's shape,
+    the broadcast of t's and x's (a root that does not read x is broadcast
+    to it: a constant, or a t-only root under a column of times), else a
+    scalar.
     """
 
-    __slots__ = ("_constants", "_code", "_outputs")
+    __slots__ = ("_constants", "_code", "_outputs", "_flat")
 
     def __init__(self, roots):
         order = _topological(roots)
@@ -312,15 +316,25 @@ class Program:
         operations = [n for n in order if isinstance(n, (_BinOp, _Call))]
         slot = {n: (0 if n.name == "t" else 1) for n in order if isinstance(n, _Var)}
         slot.update((n, 2 + i) for i, n in enumerate(constants))
-        slot.update((n, 2 + len(constants) + i) for i, n in enumerate(operations))
-        self._constants = [n.value for n in constants]
-        self._code = [
-            (_OPERATIONS[n.op], slot[n.left], slot[n.right])
-            if isinstance(n, _BinOp)
-            else (_OPERATIONS[n.func], slot[n.arg], -1)
+        first = 2 + len(constants)
+        slot.update((n, first + i) for i, n in enumerate(operations))
+        operands = [
+            (slot[n.left], slot[n.right]) if isinstance(n, _BinOp) else (slot[n.arg],)
             for n in operations
         ]
         self._outputs = [slot[root] for root in roots]
+        last_read = {s: i for i, reads in enumerate(operands) for s in reads}
+        frees = [[] for _ in operations]
+        for s, i in last_read.items():
+            if s >= first and s not in self._outputs:
+                frees[i].append(s)
+        self._constants = [n.value for n in constants]
+        self._code = [
+            (_OPERATIONS[n.op if isinstance(n, _BinOp) else n.func],
+             reads[0], reads[1] if len(reads) == 2 else -1, tuple(free))
+            for n, reads, free in zip(operations, operands, frees)
+        ]
+        self._flat = [i for i, root in enumerate(roots) if not root.depends_on_x]
 
     def __len__(self) -> int:
         """Instructions per call: the distinct operation nodes of the roots."""
@@ -330,12 +344,16 @@ class Program:
         values = [t, x, *self._constants]
         push = values.append
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for operation, a, b in self._code:
+            for operation, a, b, free in self._code:
                 push(operation(values[a]) if b < 0 else operation(values[a], values[b]))
+                for s in free:
+                    values[s] = None
         out = [values[i] for i in self._outputs]
-        if np.ndim(x) > 0:
-            shape = np.shape(x)
-            out = [np.full(shape, float(v)) if np.ndim(v) == 0 else v for v in out]
+        if self._flat and np.ndim(x) > 0:
+            shape = np.broadcast_shapes(np.shape(t), np.shape(x))
+            for i in self._flat:
+                if np.shape(out[i]) != shape:
+                    out[i] = np.full(shape, out[i], dtype=float)
         return out
 
 

@@ -24,22 +24,30 @@ beta2 <= 0.
 A slice samples only what the solvers and transports read: A on the
 source grid, and at the pullback points A^-1(image nodes) h (forward
 transport) and b..f; h on the source grid (inverse transport) is built
-when first read.  Per slice, three programs sample the coefficient set,
-each once: the pullback fields at the pullback points, beta1/alpha (for h)
-and the two time integrands of the drift terms A_t and h_t/h at the Gauss
-nodes of one anchored rule on those points, and alpha, alpha_t at x = 0.
+when first read.  Per slice, or per block of slices, three programs sample
+the coefficient set, each once: beta1/alpha (for h) and the two time
+integrands of the drift terms A_t and h_t/h at the Gauss nodes of one
+anchored rule on the pullback points, the pullback fields at the points,
+and alpha, alpha_t at x = 0.
 h comes from the one closed form of `gauge_weight`.  The h-derivatives
 enter only b..f, through the cached derived forms of the coefficient set.
 
+Slices are built in blocks: `build_gauge_maps` builds the slices at K
+times by one call chain on (K, n) stacks with a (K, 1) column of times,
+each equal to its one-time build bit for bit, and `build_gauge_map` (like
+`invert_A`, `_pullback` and `_straighten`) is its one-row case.
+
 `GaugeSystem` serves slices by time through one `TimeSlices` cache, which
-keeps the times it is told to keep and the newest few others; a slice is
-one `GaugeMap`, which holds its b..f.
+keeps the times it is told to keep and the newest few others, and builds a
+time a solve has announced together with the next announced times; a
+slice is one `GaugeMap`, which holds its b..f.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -60,6 +68,7 @@ __all__ = [
     "invert_A",
     "gauge_weight",
     "build_gauge_map",
+    "build_gauge_maps",
     "image_grid_for",
     "forward_transform",
     "forward_transforms",
@@ -92,19 +101,19 @@ def gauge_weight(cset: CoefficientSet, t: float, points: np.ndarray) -> np.ndarr
     t = float(t)
     pts = np.asarray(points, dtype=float)
     rule = _AnchoredRule(pts)
-    ratio1 = cset.derived("ratio1").eval(t, rule.nodes)
+    gauge = rule.integrate(cset.derived("ratio1").eval(t, rule.nodes))
     a_vals = np.asarray(cset.alpha.eval(t, pts), dtype=float)
-    return _weight(float(cset.alpha.eval(t, 0.0)), a_vals, rule, ratio1)
+    return _weight(float(cset.alpha.eval(t, 0.0)), a_vals, gauge)
 
 
-def _weight(a0: float, a_vals: np.ndarray, rule: _AnchoredRule, ratio1) -> np.ndarray:
-    """h from alpha at 0 and at the points, and beta1/alpha at the Gauss
-    nodes of `rule`."""
-    if a0 <= 0.0:
+def _weight(a0, a_vals: np.ndarray, gauge: np.ndarray) -> np.ndarray:
+    """h from alpha at 0 and at the points, and int_0^p beta1/alpha at each
+    point p; a stack of rows takes a0 as a (K, 1) column."""
+    if np.min(a0) <= 0.0:
         raise ValueError("alpha(t, 0) must be positive")
     if a_vals.min() <= 0.0:
         raise ValueError("alpha must be strictly positive at the sample points")
-    return (a0 / a_vals) ** (1.0 / 3.0) * np.exp(rule.integrate(ratio1) / 3.0)
+    return (a0 / a_vals) ** (1.0 / 3.0) * np.exp(gauge / 3.0)
 
 
 @dataclass
@@ -123,72 +132,108 @@ class GaugeMap:
 
     def a_of(self, points: np.ndarray) -> np.ndarray:
         """Evaluate A at arbitrary source points (node anchor + one cell)."""
-        return self._a_and_slope(points, with_slope=False)
-
-    def _a_and_slope(self, points: np.ndarray, with_slope: bool = True):
-        """A at the points from alpha^(-1/3) at the Gauss nodes of each
-        point's cell; with `with_slope`, (A, A') with A' = alpha^(-1/3) at the
-        points from the same program call."""
         pts = np.atleast_1d(np.asarray(points, dtype=float))
-        gx = self.source_grid.x
-        idx = np.clip(np.searchsorted(gx, pts, side="right") - 1, 0, gx.size - 1)
-        inv_cbrt = self.cset.derived("alpha_inv_cbrt")
-        a = gx[idx]
-        halves = 0.5 * (pts - a)
-        mids = 0.5 * (pts + a)
-        nodes = (mids[:, None] + halves[:, None] * _GL_NODES[None, :]).ravel()
-        if with_slope:
-            nodes = np.concatenate([nodes, pts])
-        vals = np.asarray(inv_cbrt.eval(self.t, nodes))
-        m = _GL_NODES.size * pts.size
-        seg = halves * (vals[:m].reshape(-1, _GL_NODES.size) @ _GL_WEIGHTS)
-        A = self.A_samples[idx] + seg
-        return (A, vals[m:]) if with_slope else A
+        return _anchored_A(self.cset, self.t, self.A_samples, self.source_grid.x, pts)
 
     @cached_property
     def h_samples(self) -> np.ndarray:
         """h on the source grid, built when the inverse transport first reads it."""
         return gauge_weight(self.cset, self.t, self.source_grid.x)
 
-    @property
-    def a_range(self) -> tuple[float, float]:
-        return float(self.A_samples[0]), float(self.A_samples[-1])
+
+def _anchored_A(cset, t, A_samples, gx, points, with_slope: bool = False):
+    """A at the points from alpha^(-1/3) at the Gauss nodes of each point's
+    cell, anchored at the node below; with `with_slope`, (A, A') with
+    A' = alpha^(-1/3) at the points from the same program call.
+
+    One row: t a scalar, A_samples on the grid gx and 1-D points.  A stack:
+    t a (K, 1) column, A_samples (K, n) and points (K, m), one row per time.
+    """
+    idx = np.clip(np.searchsorted(gx, points, side="right") - 1, 0, gx.size - 1)
+    a = gx[idx]
+    halves = 0.5 * (points - a)
+    mids = 0.5 * (points + a)
+    lead = points.shape[:-1]
+    nodes = (mids[..., None] + halves[..., None] * _GL_NODES).reshape(lead + (-1,))
+    if with_slope:
+        nodes = np.concatenate([nodes, points], axis=-1)
+    del a, mids  # a block's stacks are large: hold only what is read below
+    vals = np.asarray(cset.derived("alpha_inv_cbrt").eval(t, nodes))
+    del nodes
+    m = _GL_NODES.size * points.shape[-1]
+    seg = halves * (vals[..., :m].reshape(lead + (-1, _GL_NODES.size)) @ _GL_WEIGHTS)
+    A = np.take_along_axis(A_samples, idx, axis=-1) + seg
+    return (A, vals[..., m:]) if with_slope else A
 
 
 def invert_A(gmap: GaugeMap, y) -> np.ndarray | float:
-    """Solve A(t, x) = y by monotone bracketing plus Newton.
+    """Solve A(t, x) = y by monotone bracketing plus Newton (see `_invert`).
 
-    A' = alpha^(-1/3) supplies the exact Newton slope; each iteration takes
-    the residual and the slope from one program call.  Convergence to
-    |A(x) - y| < 1e-11 is verified on the last residual.  Raises for y
-    outside the sampled range (solution mass touching the domain edge).
+    Raises for y outside the sampled range (solution mass touching the
+    domain edge).
     """
     scalar = np.isscalar(y) or np.ndim(y) == 0
     yv = np.atleast_1d(np.asarray(y, dtype=float))
-    lo, hi = gmap.a_range
-    span = max(hi - lo, 1.0)
-    if yv.min() < lo - 1e-12 * span or yv.max() > hi + 1e-12 * span:
+    x, _ = _invert(gmap.cset, gmap.t, gmap.A_samples[None], gmap.source_grid.x, yv[None])
+    return float(x[0, 0]) if scalar else x[0]
+
+
+def _invert(cset, t, A_samples: np.ndarray, gx: np.ndarray, y: np.ndarray) -> tuple:
+    """(x, Newton updates per row) solving A(t, x) = y row by row, for a
+    (K, n) stack of A rows on the grid gx, (K, m) targets and t a scalar
+    (K = 1) or a (K, 1) column.
+
+    A' = alpha^(-1/3) supplies the exact Newton slope; each iteration takes
+    the residual and the slope from one program call over the rows still
+    iterating.  A row stops once its residual is below 0.1 INVERSION_TOL or
+    after eight updates, so it takes the updates of its one-row solve, and
+    convergence to |A(x) - y| < INVERSION_TOL is verified on its last
+    residual.  Raises for targets outside a row's sampled range.
+    """
+    lo, hi = A_samples[:, :1], A_samples[:, -1:]
+    span = np.maximum(hi - lo, 1.0)
+    outside = (y.min(axis=-1, keepdims=True) < lo - 1e-12 * span) | (
+        y.max(axis=-1, keepdims=True) > hi + 1e-12 * span
+    )
+    if outside.any():
+        row = int(np.argmax(outside))
         raise ValueError(
-            f"inversion target outside sampled range [{lo:.6g}, {hi:.6g}]"
+            f"inversion target outside sampled range [{lo[row, 0]:.6g}, {hi[row, 0]:.6g}]"
         )
-    yv = np.clip(yv, lo, hi)
-    gx = gmap.source_grid.x
-    x = np.interp(yv, gmap.A_samples, gx)
+    y = np.clip(y, lo, hi)
+    x = np.stack([np.interp(yr, Ar, gx) for yr, Ar in zip(y, A_samples)])
+    res = np.empty_like(x)
+    updates = np.zeros(len(x), dtype=int)
+    left = np.arange(len(x))  # the rows still iterating
     for update in range(9):  # at most eight Newton updates, each one checked
-        A, slope = gmap._a_and_slope(x)
-        res = A - yv
-        if update == 8 or np.abs(res).max() < 0.1 * INVERSION_TOL:
+        pick = slice(None) if left.size == len(x) else left
+        A, slope = _anchored_A(
+            cset, t if np.ndim(t) == 0 else t[pick], A_samples[pick], gx, x[pick], True
+        )
+        r = res[pick] = A - y[pick]
+        going = ~(np.abs(r).max(axis=-1) < 0.1 * INVERSION_TOL)
+        if update == 8 or not going.any():
             break
-        x = np.clip(x - res / slope, gx[0], gx[-1])
-    res = np.abs(res).max()
-    if res > INVERSION_TOL:
-        raise RuntimeError(f"inversion stalled: residual {res:.3e}")
-    return float(x[0]) if scalar else x
+        left = left[going]
+        x[left] = np.clip(x[left] - r[going] / slope[going], gx[0], gx[-1])
+        updates[left] += 1
+    worst = np.abs(res).max(axis=-1)
+    stalled = worst > INVERSION_TOL
+    if stalled.any():
+        raise RuntimeError(f"inversion stalled: residual {worst[stalled].max():.3e}")
+    return x, updates
 
 
-def _straighten(cset: CoefficientSet, t: float, grid: Grid) -> np.ndarray:
-    """A = int_0^x alpha^(-1/3) on the grid, over the Gauss nodes of one
-    anchored rule.
+@lru_cache(maxsize=8)
+def _grid_rule(grid: Grid) -> _AnchoredRule:
+    """The anchored rule on a grid's nodes, built once per grid sizing."""
+    return _AnchoredRule(grid.x)
+
+
+def _straighten(cset: CoefficientSet, t, grid: Grid) -> np.ndarray:
+    """A = int_0^x alpha^(-1/3) on the grid, over the Gauss nodes of the
+    grid's anchored rule: one row for a scalar t, a (K, n) stack for a
+    (K, 1) column of times.
 
     Rejects alpha that is not positive on the grid and an A that is not
     strictly increasing.
@@ -198,9 +243,11 @@ def _straighten(cset: CoefficientSet, t: float, grid: Grid) -> np.ndarray:
         raise ValueError(
             f"alpha must be strictly positive; min sampled value {a_vals.min():.3e}"
         )
-    rule = _AnchoredRule(grid.x)
-    A = rule.integrate(cset.derived("alpha_inv_cbrt").eval(t, rule.nodes))
-    if np.any(np.diff(A) <= 0.0):
+    rule = _grid_rule(grid)
+    integrand = cset.derived("alpha_inv_cbrt").eval(t, rule.nodes)
+    # a column of times gives every row, also where alpha does not drift
+    A = rule.integrate(np.broadcast_to(integrand, np.shape(t)[:-1] + rule.nodes.shape))
+    if np.any(np.diff(A, axis=-1) <= 0.0):
         raise ValueError("straightening map is not strictly increasing")
     return A
 
@@ -228,61 +275,90 @@ def image_grid_for(
 def build_gauge_map(
     cset: CoefficientSet, t: float, source_grid: Grid, image_grid: Grid
 ) -> GaugeMap:
-    """The slice at t: A, its inverse at the image nodes, h there, and b..f.
+    """The slice at t: the one-row case of `build_gauge_maps`."""
+    return build_gauge_maps(cset, (t,), source_grid, image_grid)[0]
 
-    Image nodes outside the sampled A-range (the 5% padding collar) reuse
-    the boundary pullback point: b..f extend by their edge values there.
+
+def build_gauge_maps(
+    cset: CoefficientSet, times, source_grid: Grid, image_grid: Grid
+) -> list:
+    """The slices at `times`: A, its inverse at the image nodes, h there,
+    and b..f, each a `GaugeMap`.
+
+    One call chain builds them all, on (K, n) stacks with a (K, 1) column of
+    times: `_straighten`, the row-wise Newton of `_invert`, `_pullback` with
+    one anchored rule per row, and `_transformed`.  Every entry equals the
+    slice's one-row build (one time, 1-D arrays) bit for bit, and each map
+    holds copies of its own rows, so a kept map does not keep its block
+    alive.  Image nodes outside the sampled A-range (the 5% padding collar)
+    reuse the boundary pullback point: b..f extend by their edge values there.
     """
-    t = float(t)
+    times = [float(t) for t in times]
+    one = len(times) == 1
+    t = times[0] if one else np.array(times)[:, None]
     A = _straighten(cset, t, source_grid)
-    n = image_grid.num_points
-    gmap = GaugeMap(
-        t=t,
-        source_grid=source_grid,
-        image_grid=image_grid,
-        cset=cset,
-        A_samples=A,
-        A_inverse_samples=np.zeros(n),
-        inverse_clamped=np.zeros(n, dtype=bool),
-        h_at_inverse=np.ones(n),
-        coefficients=None,
-    )
-    lo, hi = gmap.a_range
+    lo, hi = A[..., :1], A[..., -1:]
     xi = image_grid.x
-    gmap.inverse_clamped = (xi < lo) | (xi > hi)
-    gmap.A_inverse_samples = np.asarray(invert_A(gmap, np.clip(xi, lo, hi)))
-    pulled = _pullback(cset, t, gmap.A_inverse_samples)
-    gmap.h_at_inverse = pulled[0]
-    gmap.coefficients = _transformed(t, image_grid, *pulled)
-    return gmap
+    clamped = (xi < lo) | (xi > hi)
+    targets = np.clip(xi, lo, hi)
+    pts, _ = _invert(cset, t, np.atleast_2d(A), source_grid.x, np.atleast_2d(targets))
+    pts = pts.reshape(targets.shape)
+    h, *pulled = _pullback(cset, t, pts)
+    b_to_f = _transformed(h, *pulled)
+
+    def row(a, i):
+        return a if one else a[i].copy()
+
+    maps = []
+    for i, ti in enumerate(times):
+        coefficients = TransformedCoefficients(ti, image_grid, *(row(v, i) for v in b_to_f))
+        coefficients.validate()
+        maps.append(GaugeMap(
+            t=ti,
+            source_grid=source_grid,
+            image_grid=image_grid,
+            cset=cset,
+            A_samples=row(A, i),
+            A_inverse_samples=row(pts, i),
+            inverse_clamped=row(clamped, i),
+            h_at_inverse=row(h, i),
+            coefficients=coefficients,
+        ))
+    return maps
 
 
-def _pullback(cset: CoefficientSet, t: float, points: np.ndarray) -> tuple:
-    """(h, A_t, h_t/h, the `_PULLBACK_FIELDS`) at ascending points.
+def _pullback(cset: CoefficientSet, t, points: np.ndarray) -> tuple:
+    """(h, A_t, h_t/h, the `_PULLBACK_FIELDS`) at ascending points: one row
+    for a scalar t, or a (K, n) stack of rows, each ascending, for a (K, 1)
+    column of times.
 
-    Three programs sample, each once: the pullback fields and alpha_t at
-    the points; beta1/alpha (for h) and, when the set depends on t, the two
-    drift integrands d/dt alpha^(-1/3) and d/dt(beta1/alpha) at the Gauss
-    nodes of one anchored rule; alpha and alpha_t at 0.  Coefficients
+    Three programs sample, each once: beta1/alpha (for h) and, when the set
+    depends on t, the two drift integrands d/dt alpha^(-1/3) and
+    d/dt(beta1/alpha) at the Gauss nodes of one anchored rule per row; the
+    pullback fields and alpha_t at the points; alpha and alpha_t at 0.  The
+    node samples are integrated and dropped before the fields are sampled,
+    so a block holds one of the two stacks at a time.  Coefficients
     independent of t have no drift.
     """
     pts = np.asarray(points, dtype=float)
+    drifting = cset.is_time_dependent
+    rule = _AnchoredRule(pts)
+    gauge, *drift = (
+        rule.integrate(v)
+        for v in cset.sample(("ratio1",) + (_TIME_INTEGRANDS if drifting else ()), t, rule.nodes)
+    )
+    del rule
     *fields, al_t = (
         np.asarray(v, dtype=float) for v in cset.sample(_PULLBACK_FIELDS + ("alpha_t",), t, pts)
     )
-    drifting = cset.is_time_dependent
-    rule = _AnchoredRule(pts)
-    ratio1, *drift = cset.sample(
-        ("ratio1",) + (_TIME_INTEGRANDS if drifting else ()), t, rule.nodes
-    )
-    al0, al_t0 = (float(v) for v in cset.sample(("alpha", "alpha_t"), t, 0.0))
-    h = _weight(al0, fields[0], rule, ratio1)
+    al0, al_t0 = (np.asarray(v, dtype=float) for v in cset.sample(("alpha", "alpha_t"), t, 0.0))
+    h = _weight(al0, fields[0], gauge)
     zeros = np.zeros_like(pts)
     if not drifting:
         return h, zeros, zeros, fields
-    inv_cbrt_t, ratio1_t = drift
-    A_t = rule.integrate(inv_cbrt_t) if cset.alpha.depends_on_t else zeros
-    ht_h = (al_t0 / al0 - al_t / fields[0]) / 3.0 + rule.integrate(ratio1_t) / 3.0
+    A_t_integral, ratio1_t_integral = drift
+    A_t = A_t_integral if cset.alpha.depends_on_t else zeros
+    ht_h = (al_t0 / al0 - al_t / fields[0]) / 3.0 + ratio1_t_integral / 3.0
     return h, A_t, ht_h, fields
 
 
@@ -315,10 +391,9 @@ class TransformedCoefficients:
             )
 
 
-def _transformed(
-    t: float, grid: Grid, h: np.ndarray, A_t: np.ndarray, ht_h: np.ndarray, fields
-) -> TransformedCoefficients:
-    """b..f on the image grid from `_pullback`'s h, drift terms and fields."""
+def _transformed(h, A_t, ht_h, fields) -> tuple:
+    """(b, c, d, e, f) from `_pullback`'s h, drift terms and fields, on one
+    row or a stack of rows."""
     al, al_x, al_2x, be, ga, de, ep, r, rx, rxx = fields
     hx_h = r
     h2x_h = r * r + rx
@@ -345,10 +420,7 @@ def _transformed(
     )
     e = ep / (cbrt * h)
     f = -ep * hx_h / h
-
-    out = TransformedCoefficients(t=t, grid=grid, b=b, c=c, d=d, e=e, f=f)
-    out.validate()
-    return out
+    return b, c, d, e, f
 
 
 def forward_transform(u: SpectralState, gmap: GaugeMap) -> SpectralState:
@@ -401,6 +473,12 @@ def inverse_transform(v: SpectralState, gmap: GaugeMap) -> SpectralState:
 
 
 SLICE_CACHE = 8  # other slices a TimeSlices keeps; one RK4 step reads three stage times
+# pullback points per block of announced slices: a GaugeSystem on n-point
+# grids builds clip(BLOCK_POINTS // n, 1, SLICE_CACHE) slices per block, few
+# enough that the block's (K, n) stacks of every intermediate stay small
+# (a traced peak below 0.7 MB at K = 4, n = 512) and that none of its
+# slices is evicted before it is read
+BLOCK_POINTS = 2048
 
 
 class TimeSlices:
@@ -412,24 +490,77 @@ class TimeSlices:
     times (keyed the same way) are never evicted; of the others the newest
     SLICE_CACHE are kept, oldest evicted first.  A hit returns the same
     object.
+
+    With `build_block`, a caller may `announce` the times it will ask for
+    next.  A miss at an announced time then builds that time together with
+    the next announced times not yet built, at most `block_size` in all, by
+    one `build_block(keys)` call; a miss at any other time calls `build`.
+    Should the block fail, the missed time is built alone, so an error
+    surfaces at the time it belongs to.
     """
 
-    def __init__(self, build, frozen: bool, keep=()):
+    def __init__(self, build, frozen: bool, keep=(), build_block=None, block_size: int = 1):
         self._build = build
         self._frozen = frozen
         self._keep = frozenset(round(float(t), 14) for t in keep)
         self._kept: dict = {}
         self._recent: dict = {}
+        self._build_block = build_block
+        self._block_size = block_size
+        self._announced = iter(())
+        self._ahead: deque = deque()  # announced keys read from `_announced`, not yet passed
+
+    def announce(self, times) -> None:
+        """The times to be asked for next, in nondecreasing order and read
+        lazily; replaces any earlier announcement, and `announce(())`
+        withdraws it."""
+        self._announced = (round(float(t), 14) for t in times)
+        self._ahead.clear()
+
+    def _upcoming(self, key: float) -> list:
+        """`key` and the announced keys after it that are not yet built, at
+        most `block_size`; empty when `key` is not the next announced key."""
+        ahead = self._ahead
+
+        def read() -> bool:
+            nxt = next(self._announced, None)
+            if nxt is not None:
+                ahead.append(nxt)
+            return nxt is not None
+
+        while (ahead or read()) and ahead[0] < key:
+            ahead.popleft()
+        if not ahead or ahead[0] != key:
+            return []
+        keys, i = [key], 1
+        while len(keys) < self._block_size and (i < len(ahead) or read()):
+            k = ahead[i]
+            i += 1
+            if k > keys[-1] and k not in self._kept and k not in self._recent:
+                keys.append(k)
+        return keys
 
     def __call__(self, t: float):
         key = 0.0 if self._frozen else round(float(t), 14)
-        store = self._kept if key in self._keep else self._recent
-        hit = store.get(key)
-        if hit is None:
+        hit = (self._kept if key in self._keep else self._recent).get(key)
+        if hit is not None:
+            return hit
+        keys = [] if self._frozen or self._build_block is None else self._upcoming(key)
+        if not keys:
+            keys, built = [key], [self._build(key)]
+        else:
+            try:
+                built = self._build_block(keys)
+            except (ValueError, RuntimeError):
+                if len(keys) == 1:
+                    raise
+                keys, built = [key], self._build_block([key])
+        for k, value in zip(keys, built):
+            store = self._kept if k in self._keep else self._recent
             if store is self._recent and len(store) >= SLICE_CACHE:
                 store.pop(next(iter(store)))
-            hit = store[key] = self._build(key)
-        return hit
+            store[k] = value
+        return built[0]
 
 
 class GaugeSystem:
@@ -440,9 +571,12 @@ class GaugeSystem:
     build one slice for all times, time-dependent ones a slice per 14-decimal
     time key, and the slices at the `keep` times (times a caller revisits
     after a solve, such as its monitor times) are kept for the life of the
-    system.  `times` only sizes the image grid.  The cache's builder holds no
-    reference to the system, so a dropped system is freed without the
-    cyclic collector.
+    system.  Times announced to `map_at` (a solve's stage times) are built
+    in blocks by `build_gauge_maps`, clip(BLOCK_POINTS // n, 1, SLICE_CACHE)
+    slices per block on n-point grids; other times one by one by
+    `build_gauge_map`.  `times` only sizes the image grid.  The cache's
+    builders hold no reference to the system, so a dropped system is freed
+    without the cyclic collector.
     """
 
     def __init__(
@@ -462,6 +596,8 @@ class GaugeSystem:
             lambda t: build_gauge_map(cset, t, source_grid, image_grid),
             not cset.is_time_dependent,
             keep,
+            build_block=lambda times: build_gauge_maps(cset, times, source_grid, image_grid),
+            block_size=min(max(BLOCK_POINTS // image_grid.num_points, 1), SLICE_CACHE),
         )
 
     def coefficients_at(self, t: float) -> TransformedCoefficients:

@@ -27,7 +27,10 @@ work arrays allocated once per solve, with every complex product's operands
 in a fixed order, since numpy's complex multiply is not bitwise commutative
 (see `_RK4`).  Time-dependent coefficients are re-sampled at the RK stage
 times, which preserves fourth order; `_sampler` serves them through a
-`gauge.TimeSlices` cache keyed by time to 14 decimals.  Blow-up is detected
+`gauge.TimeSlices` cache keyed by time to 14 decimals.  `solve` walks one
+lazily computed list of (t, step) pairs, `_steps`, and announces the stage
+times of a second walk to a gauge system, which builds its slices in
+blocks.  Blow-up is detected
 from the sup-norm against a configurable cap, at the monitor times or every
 CAP_CHECK_STRIDE steps when none are given, and is deterministic for a fixed
 configuration.  After the loop, the energy ledger (H^s norms and dyadic
@@ -39,6 +42,7 @@ equal to the one-state computation bit for bit.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -226,12 +230,14 @@ class _RK4:
     i k^3 for the transformed form (integrating-factor RK4, the dispersion
     applied exactly).  N reads the form's term table; terms whose sampled
     coefficient is identically zero are dropped once per coefficient sample,
-    and every derivative order N needs comes from one batched inverse FFT.
-    When the one term left is a quadratic u u_x whose coefficient e is
-    constant in x and products are dealiased, the plan is the flux row
-    (sign e / 2) (ik) keep instead: N = row * F[u^2] costs one inverse and
-    one forward transform of a single field.  The aliased modes of u^2 land
-    outside the 2/3 band, so this equals the product form up to round-off.
+    and every derivative order N needs comes from one batched inverse FFT;
+    a coefficient array that the previous plan also read (a field that does
+    not depend on t) keeps its signed term.  When the one term left is a
+    quadratic u u_x whose coefficient e is constant in x and products are
+    dealiased, the plan is the flux row (sign e / 2) (ik) keep instead:
+    N = row * F[u^2] costs one inverse and one forward transform of a single
+    field.  The aliased modes of u^2 land outside the 2/3 band, so this
+    equals the product form up to round-off.
 
     The step runs in place: one set of work arrays is allocated with the
     integrator (the stage input, exp(L dt/2) c, exp(L dt) c, n1..n4, four
@@ -258,6 +264,7 @@ class _RK4:
         self._factors: dict[float, tuple] = {}
         self._plan_source = None
         self._plan = None
+        self._signed: dict = {}  # (id, sign) -> (coefficient, signed term) of the last plan
         size, n = spectrum.k.size, spectrum.n
         # stage input, exp(L dt/2) c, exp(L dt) c, n1..n4
         self._stages = np.empty((7, size), dtype=complex)
@@ -292,11 +299,17 @@ class _RK4:
                 orders.append(order)
             return orders.index(order)
 
-        linear, quadratic = [], []
+        linear, quadratic, signed = [], [], {}
         for name, (order, sign, is_quadratic) in self.terms.items():
             coef = getattr(co, name)
-            if np.any(coef):
-                (quadratic if is_quadratic else linear).append((sign * coef, slot(order)))
+            if coef.any():
+                # a coefficient array shared by successive slices (a field
+                # that does not depend on t) keeps its signed term
+                key = (id(coef), sign)
+                seen = self._signed.get(key)
+                signed[key] = seen if seen is not None and seen[0] is coef else (coef, sign * coef)
+                (quadratic if is_quadratic else linear).append((signed[key][1], slot(order)))
+        self._signed = signed
         field_slot = slot(0) if quadratic else None
         plan = None
         if orders:
@@ -340,9 +353,16 @@ class _RK4:
         self.spectrum.forward(total, out=out)
         out *= self.spectrum.keep
 
+    @staticmethod
+    def stage_times(t: float, dt: float) -> tuple:
+        """The times at which a step from t by dt evaluates N, in order."""
+        half = 0.5 * dt
+        return t, t + half, t + half, t + dt
+
     def step(self, chat: np.ndarray, t: float, dt: float) -> np.ndarray:
         e_half, e_full = self._integrating_factors(dt)
         half = 0.5 * dt
+        t1, t2, t3, t4 = self.stage_times(t, dt)
         stage, shifted, full, n1, n2, n3, n4 = self._stages
         transformed = self.symbol is not None
         if transformed:
@@ -351,18 +371,18 @@ class _RK4:
         else:
             shifted = full = chat
 
-        self.rhs(chat, t, n1)
+        self.rhs(chat, t1, n1)
         # shifted + half * (e_half * n1)
         lead = np.multiply(e_half, n1, out=stage) if transformed else n1
         np.add(shifted, np.multiply(half, lead, out=stage), out=stage)
-        self.rhs(stage, t + half, n2)
+        self.rhs(stage, t2, n2)
         # shifted + half * n2
         np.add(shifted, np.multiply(half, n2, out=stage), out=stage)
-        self.rhs(stage, t + half, n3)
+        self.rhs(stage, t3, n3)
         # full + dt * (e_half * n3)
         lead = np.multiply(e_half, n3, out=stage) if transformed else n3
         np.add(full, np.multiply(dt, lead, out=stage), out=stage)
-        self.rhs(stage, t + dt, n4)
+        self.rhs(stage, t4, n4)
 
         # full + (dt / 6) * (e_full * n1 + 2 * (e_half * (n2 + n3)) + n4)
         np.add(n2, n3, out=n2)
@@ -374,13 +394,12 @@ class _RK4:
         return np.add(full, np.multiply(dt / 6.0, n1, out=n1))
 
 
-def _original_slice(cset: CoefficientSet, grid: Grid, t: float) -> SimpleNamespace:
-    """The original form's coefficients sampled on the grid at time t."""
-    names = tuple(_TERMS["original"])
-    return SimpleNamespace(**{
+def _original_fields(cset: CoefficientSet, names: tuple, grid: Grid, t: float) -> dict:
+    """The named original-form coefficients sampled on the grid at time t."""
+    return {
         name: np.asarray(value, dtype=float)
         for name, value in zip(names, cset.sample(names, t, grid.x))
-    })
+    }
 
 
 def _sampler(problem, grid: Grid) -> tuple:
@@ -390,11 +409,23 @@ def _sampler(problem, grid: Grid) -> tuple:
 
     Time-dependent slices come from a TimeSlices, so a hit returns the same
     object and the RK4 term plan is reused (fields named as in _TERMS);
-    frozen coefficients give one slice for every t.
+    frozen coefficients give one slice for every t.  An original-form slice
+    samples only the fields that depend on t; the others are sampled once
+    per sampler and shared, read-only, by every slice.
     """
     if isinstance(problem, CoefficientSet):
+        names = tuple(_TERMS["original"])
+        moving = tuple(name for name in names if getattr(problem, name).depends_on_t)
+        fixed = _original_fields(
+            problem, tuple(name for name in names if name not in moving), grid, 0.0
+        )
+        for name, values in fixed.items():
+            # a copy: a field that is x itself would otherwise lock the grid's nodes
+            fixed[name] = values = values.copy()
+            values.flags.writeable = False
         return "original", TimeSlices(
-            lambda t: _original_slice(problem, grid, t), not problem.is_time_dependent
+            lambda t: SimpleNamespace(**fixed, **_original_fields(problem, moving, grid, t)),
+            not problem.is_time_dependent,
         )
     if isinstance(problem, TransformedCoefficients):
         problem_grid, sampler = problem.grid, lambda t: problem
@@ -440,6 +471,29 @@ def auto_dt(
     if rate > 0:
         candidates.append(0.5 / rate)
     return min(candidates)
+
+
+def _steps(t_final: float, dt: float, targets) -> Iterator[tuple]:
+    """The (t, step, stored) of each step of a solve, lazily: steps of dt
+    from t = 0, each shortened to land on the next of the ascending positive
+    `targets` and on t_final, where `stored` marks a step that lands on a
+    target or on t_final.  The one place of a solve's time arithmetic: the
+    loop walks it, and the stage times announced to a gauge system come
+    from a second walk.
+    """
+    eps_t = 1e-12 * t_final
+    pending = iter(targets)
+    target = next(pending, None)
+    t = 0.0
+    while t < t_final - eps_t:
+        upper = t_final if target is None else min(target, t_final)
+        step = min(dt, upper - t)
+        landed = t + step
+        at_target = target is not None and landed >= target - eps_t
+        yield t, step, at_target or landed >= t_final - eps_t
+        if at_target:
+            target = next(pending, None)
+        t = landed
 
 
 def _seminorm_cumulative(dissipation: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -509,7 +563,6 @@ def solve(
         {float(tm) for tm in np.asarray(monitor_times) if tm > 0}
     )
 
-    t = 0.0
     blowup = False
     blowup_time = None
     steps = 0
@@ -538,33 +591,35 @@ def solve(
     else:
         cap = float(config.blowup_threshold)
 
-    eps_t = 1e-12 * config.t_final
-    target_iter = iter(targets) if targets is not None else None
-    next_target = next(target_iter, None) if target_iter is not None else None
+    # a gauge system builds the announced stage times in blocks
+    slices = problem.map_at if isinstance(problem, GaugeSystem) else None
+    if slices is not None:
+        slices.announce(
+            stage
+            for t, step, _ in _steps(config.t_final, dt, targets or ())
+            for stage in _RK4.stage_times(t, step)
+        )
+    try:
+        for t, step, stored in _steps(config.t_final, dt, targets or ()):
+            chat = integrator.step(chat, t, step)
+            t += step
+            steps += 1
 
-    while t < config.t_final - eps_t:
-        upper = config.t_final if next_target is None else min(next_target, config.t_final)
-        step = min(dt, upper - t)
-        chat = integrator.step(chat, t, step)
-        t += step
-        steps += 1
-
-        if not np.isfinite(chat).all():
-            blowup, blowup_time = True, t
-            break
-
-        at_target = next_target is not None and t >= next_target - eps_t
-        at_end = t >= config.t_final - eps_t
-        if at_target or at_end or (targets is None and steps % CAP_CHECK_STRIDE == 0):
-            state = SpectralState(grid, chat)
-            sup = measure(state)
-            if at_target or at_end or sup > cap:
-                record(state, t, sup)
-            if at_target:
-                next_target = next(target_iter, None)
-            if sup > cap:
+            if not np.isfinite(chat).all():
                 blowup, blowup_time = True, t
                 break
+
+            if stored or (targets is None and steps % CAP_CHECK_STRIDE == 0):
+                state = SpectralState(grid, chat)
+                sup = measure(state)
+                if stored or sup > cap:
+                    record(state, t, sup)
+                if sup > cap:
+                    blowup, blowup_time = True, t
+                    break
+    finally:
+        if slices is not None:
+            slices.announce(())
 
     times_arr = np.asarray(times)
     hs, diss_arr = _ledger(grid, states, weights, config.s)

@@ -393,6 +393,33 @@ REFUSED_VALUES = {
             ("s 400", "solver", "s = 400", "0.6", "400"),
         ]
     },
+    # the datum's tail past the largest cutoff underflows to 0: check passed,
+    # and run ended in a bare "float division by zero" at the structure ratio
+    "bona_smith datum tail at offset 300": (
+        _with_line(KIND_CONFIGS["bona_smith"], "experiment", "spectrum_decay_offset = 300"),
+        "[experiment] spectrum_decay_offset, [solver] s: the datum's H^s tail past the "
+        "largest cutoff (64) must be nonzero, since the structure ratio divides by it; got "
+        "0 with spectrum_decay_offset = 300 and s = 1",
+    ),
+    "bona_smith auto dt beyond the step budget": (
+        KIND_CONFIGS["bona_smith"].replace("t_final = 0.05", "t_final = 1e4"),
+        "[solver] dt: under dt = auto the first solve steps at 0.000633184 on this grid "
+        "(half_width = 3.14159, num_points = 1024), so t_final / dt = 1.58e+07 steps "
+        "exceeds the step budget of 1e+07; got t_final = 10000",
+    ),
+    # the weight (1 + k^2)^s of the direction's norm overflows: check passed,
+    # and run ended with "FAIL ratio_bounded: value nan"
+    "continuity s 200": (
+        _with_line(KIND_CONFIGS["continuity"], "solver", "s = 200"),
+        "[solver] s: the perturbation direction's H^s norm must be finite and positive "
+        "on this grid; got inf with s = 200",
+    ),
+    # kappa^2 overflows: parsed, then run ended in a bare OverflowError
+    "continuity kappa past the float range": (
+        KIND_CONFIGS["continuity"] + "kappa = 1e155\n",
+        "[experiment] kappa: the soliton datum must be finite on this grid; got "
+        "kappa = 1e+155",
+    ),
     "continuity epsilon(t)": (
         KIND_CONFIGS["continuity"].replace("epsilon = -6", "epsilon = -6*cos(t)"),
         "[coefficients] epsilon: continuity needs time-independent coefficients",
@@ -645,18 +672,20 @@ packet_launch = 6
         assert not (tmp_path / "out").exists()
 
     def test_auto_dt_beyond_the_step_budget_ends_the_run(self, tmp_path, capsys):
-        # auto_dt gives 7.8e-10 on this grid, 2.6e8 steps per solve: the parser
-        # cannot see it, and the run used to go on for hours
+        # auto_dt gives 7.8e-10 on this grid, 2.6e8 steps per solve; the run
+        # used to go on for hours, then ended at solve's budget check after
+        # `check` had passed; the parser now computes the first solve's step
         cfg_text = KIND_CONFIGS["continuity"].replace("half_width = 8*pi", "half_width = 1e-5")
         cfg_path = write_cfg(tmp_path, cfg_text)
-        assert main(["check", str(cfg_path)]) == 0
-        capsys.readouterr()
-        assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 2
-        out = capsys.readouterr().out
-        assert out == (
-            "error: t_final / dt = 2.57e+08 steps exceeds the step budget of 1e+07; "
-            "got dt = 7.77124e-10 with t_final = 0.2\n"
+        refusal = (
+            "config error: [solver] dt: under dt = auto the first solve steps at "
+            "7.77124e-10 on this grid (half_width = 1e-05, num_points = 256), so t_final / "
+            "dt = 2.57e+08 steps exceeds the step budget of 1e+07; got t_final = 0.2\n"
         )
+        for argv in (["check", str(cfg_path)], ["run", str(cfg_path), "-o", str(tmp_path / "out")]):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", refusal)
+        assert not (tmp_path / "out").exists()
 
     def test_blown_up_solve_fails_the_run(self, tmp_path):
         # a sup-norm cap below the soliton's height stops every solve at its
@@ -726,7 +755,9 @@ packet_launch = 6
         # the accepted sweep itself parses
         parse_config(write_cfg(tmp_path, KIND_CONFIGS["bona_smith"], "ok.cfg"))
 
-    @pytest.mark.parametrize("line", ["s = 52", "spectrum_decay_offset = 300"])
+    # offset 100 is about the largest whose H^s tail past the cutoff 64 stays
+    # nonzero (at 150 it underflows to 0, which is refused)
+    @pytest.mark.parametrize("line", ["s = 52", "spectrum_decay_offset = 100"])
     def test_bona_smith_datum_in_the_float_range_parses(self, tmp_path, line):
         section = "solver" if line.startswith("s ") else "experiment"
         parse_config(write_cfg(tmp_path, _with_line(KIND_CONFIGS["bona_smith"], section, line)))

@@ -5,6 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from kdvgauge.coefficients import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     CoefficientSet,
     _AnchoredRule,
     check_hypotheses,
@@ -21,6 +23,11 @@ def anchored(fn, points):
 
 
 class TestAnchoredCumulative:
+    def test_gauss_legendre_rule_is_numpys(self):
+        nodes, weights = np.polynomial.legendre.leggauss(5)
+        assert _GL_NODES.tobytes() == nodes.tobytes()
+        assert _GL_WEIGHTS.tobytes() == weights.tobytes()
+
     def test_identity_integrand(self):
         pts = np.linspace(-3, 5, 41)
         got = anchored(lambda y: np.ones_like(y), pts)

@@ -351,14 +351,21 @@ class TestTimeDependentGaugePath:
         # every coefficient depends on t; the transformed path rebuilds the
         # gauge at the RK stage times, so agreement with the original-form
         # discretization validates the drift terms (A_t and h_t/h) end to end
-        built = []
-        build_map = gauge.build_gauge_map
+        built, blocks, unannounced = [], [], []
+        build_map, build_maps = gauge.build_gauge_map, gauge.build_gauge_maps
 
         def counted_map(cset, t, source_grid, image_grid):
-            built.append((source_grid.num_points, t))
+            unannounced.append((source_grid.num_points, t))
             return build_map(cset, t, source_grid, image_grid)
 
+        def counted_maps(cset, times, source_grid, image_grid):
+            # every slice is built here, one row per time
+            built.extend((source_grid.num_points, t) for t in times)
+            blocks.append(len(times))
+            return build_maps(cset, times, source_grid, image_grid)
+
         monkeypatch.setattr(gauge, "build_gauge_map", counted_map)
+        monkeypatch.setattr(gauge, "build_gauge_maps", counted_maps)
         cs = CoefficientSet.from_strings(
             alpha="2+0.5*cos(t)*sech(x/4)^2",
             beta="0.2*sech(x/4)^2-0.1*sech(x/8)^2",
@@ -381,6 +388,10 @@ class TestTimeDependentGaugePath:
         # kept times 0 and the monitor times plus the 80 half steps, on each
         # of the two grids
         assert len(built) == len(set(built)) == 2 * (81 + 80)
+        # the solves' stage times come in blocks; only the t = 0 slice of
+        # each grid, asked for before its solve announces, is built alone
+        assert max(blocks) > 1
+        assert sorted(unannounced) == [(256, 0.0), (512, 0.0)]
 
 
 class TestSingleLevelSweep:

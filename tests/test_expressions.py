@@ -377,3 +377,40 @@ class TestProgramMatchesWalker:
                 _assert_bit_equal(Program([root])(t, point)[0], expected)
             for got, expected in zip(Program(roots)(t, point), want):
                 _assert_bit_equal(got, expected)
+
+
+class TestProgramSlots:
+    def test_slot_freeing_leaves_every_output_unchanged(self):
+        # the gauge slice's pullback fields in one program: roots that are
+        # operands of later instructions and roots shared by two names must
+        # come back intact while the intermediates are dropped
+        cs = CoefficientSet.from_strings(
+            alpha="2+0.5*cos(t)*sech(x/4)^2", beta="0.2*sech(x/4)^2",
+            beta1="0.2*sech(x/4)^2", gamma="0.2*sech(x/4)^2", alpha0=0.4,
+        )
+        names = ("alpha", "alpha_x", "alpha_xx", "beta", "gamma", "gauge_ratio",
+                 "gauge_ratio_x", "gauge_ratio_xx", "alpha_t", "ratio1")
+        roots = [(getattr(cs, n) if n in ("alpha", "beta", "gamma") else cs.derived(n)).root
+                 for n in names]
+        program = Program(roots)
+        assert any(free for *_, free in program._code)  # intermediates are dropped
+        x = np.linspace(-6.0, 6.0, 33)
+        for t in (0.0, 0.7):
+            together = program(t, x)
+            for root, got in zip(roots, together):
+                assert got.tobytes() == Program([root])(t, x)[0].tobytes()
+            assert together[3] is together[4]  # beta and gamma: one node, one slot
+
+    @pytest.mark.parametrize("shape", [(9,), (4, 9)])
+    def test_root_without_x_under_a_column_of_times_keeps_the_call_shape(self, shape):
+        roots = [parse_coefficient(text).root for text in ("0.5*cos(t)^2", "3", "sech(x/4)*t")]
+        program = Program(roots)
+        times = np.array([0.0, 0.3, 1.1, 2.5])
+        x = np.broadcast_to(np.linspace(-3.0, 3.0, 9), shape).copy()
+        got = program(times[:, None], x)
+        for value in got:
+            assert value.shape == (4, 9)
+        for i, t in enumerate(times):
+            row = x if x.ndim == 1 else x[i]
+            for value, want in zip(got, program(float(t), row)):
+                assert value[i].tobytes() == want.tobytes()

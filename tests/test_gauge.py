@@ -13,11 +13,14 @@ from kdvgauge import gauge
 from kdvgauge.coefficients import CoefficientSet
 from kdvgauge.expressions import parse_coefficient
 from kdvgauge.gauge import (
+    BLOCK_POINTS,
     SLICE_CACHE,
     GaugeSystem,
     TimeSlices,
+    _invert,
     _pullback,
     build_gauge_map,
+    build_gauge_maps,
     forward_transform,
     forward_transforms,
     gauge_weight,
@@ -641,3 +644,170 @@ class TestTimeSlices:
         pulled = [x for x in points if np.array_equal(x, gm.A_inverse_samples)]
         assert len(pulled) == 1
         assert len(points) == 3  # the points, their rule's Gauss nodes, and x = 0
+
+
+# the all-time-dependent set of the drift_oracle workload
+DRIFTING_SET = dict(
+    alpha="2+0.5*cos(t)*sech(x/4)^2",
+    beta="0.2*sech(x/4)^2-0.1*sech(x/8)^2",
+    beta1="0.2*sech(x/4)^2",
+    beta2="-0.1*sech(x/8)^2",
+    gamma="0.1*sech(x/4)^2",
+    delta="0.05",
+    epsilon="1",
+    alpha0=0.4,
+)
+_SLICE_ARRAYS = ("A_samples", "A_inverse_samples", "inverse_clamped", "h_at_inverse")
+
+
+def _assert_same_slice(got, want):
+    assert (got.t, got.source_grid, got.image_grid) == (want.t, want.source_grid, want.image_grid)
+    assert got.cset is want.cset
+    pairs = [(getattr(got, name), getattr(want, name)) for name in _SLICE_ARRAYS]
+    pairs += [(getattr(got.coefficients, name), getattr(want.coefficients, name)) for name in "bcdef"]
+    for a, b in pairs:
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+    assert (got.coefficients.t, got.coefficients.grid) == (want.t, want.image_grid)
+
+
+class TestStackedSlices:
+    @pytest.mark.parametrize("n", [256, 512])
+    @pytest.mark.parametrize("name", ["drifting", "tanh"])
+    def test_blocks_equal_one_row_builds(self, n, name):
+        cs = CoefficientSet.from_strings(**(DRIFTING_SET if name == "drifting" else TANH_SET))
+        g = make_grid(16 * np.pi, n)
+        image = image_grid_for(cs, g, times=(0.0, 0.5, 1.0))
+        times = [0.0, 0.0125, 0.025, 0.1 + 0.2, 0.5, 0.7, 0.95, 1.0]
+        alone = [build_gauge_map(cs, t, g, image) for t in times]
+        for K in range(1, 9):
+            block = build_gauge_maps(cs, times[:K], g, image)
+            assert len(block) == K
+            for got, want in zip(block, alone):
+                _assert_same_slice(got, want)
+                if K > 1:  # each map owns its rows, not views of the block
+                    assert all(getattr(got, a).base is None for a in _SLICE_ARRAYS)
+                    assert all(getattr(got.coefficients, f).base is None for f in "bcdef")
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_rows_take_the_newton_updates_of_their_one_row_solve(self, n):
+        cs = CoefficientSet.from_strings(**DRIFTING_SET)
+        g = make_grid(16 * np.pi, n)
+        times = [0.0, 0.3, 0.6, 0.9, 1.2, 1.5]
+        A = np.stack([build_gauge_map(cs, t, g, g).A_samples for t in times])
+        y = np.clip(np.linspace(-40.0, 40.0, n), A[:, :1], A[:, -1:])
+        y[1] = A[1]  # targets at the nodes: the bracket is exact, no update
+        y[4, ::2] = A[4, ::2]
+        x, updates = _invert(cs, np.array(times)[:, None], A, g.x, y)
+        assert len(set(updates.tolist())) > 1  # the rows leave at different updates
+        for i, t in enumerate(times):
+            x_one, updates_one = _invert(cs, t, A[i][None], g.x, y[i][None])
+            assert updates_one.tolist() == [updates[i]]
+            assert x_one[0].tobytes() == x[i].tobytes()
+
+    def test_block_size_follows_the_grid(self):
+        cs = CoefficientSet.from_strings(**DRIFTING_SET)
+        for n, K in ((64, SLICE_CACHE), (256, 8), (512, 4), (4096, 1)):
+            g = make_grid(16 * np.pi, n)
+            assert GaugeSystem(cs, g, image_grid=g).map_at._block_size == K
+            assert K == min(max(BLOCK_POINTS // n, 1), SLICE_CACHE)
+
+
+class TestAnnouncedSlices:
+    @staticmethod
+    def _recording(keep=(), block_size=3):
+        built, blocks = [], []
+
+        def build(t):
+            built.append(t)
+            return [t]
+
+        def build_block(keys):
+            blocks.append(list(keys))
+            return [[k] for k in keys]
+
+        slices = TimeSlices(build, False, keep, build_block=build_block, block_size=block_size)
+        return slices, built, blocks
+
+    def test_a_miss_builds_the_next_announced_times_together(self):
+        slices, built, blocks = self._recording()
+        stages = [0.0, 0.5, 0.5, 1.0, 1.0, 1.5, 1.5, 2.0, 2.0, 2.5, 2.5, 3.0]
+        slices.announce(iter(stages))  # read lazily
+        got = [slices(t) for t in stages]
+        assert blocks == [[0.0, 0.5, 1.0], [1.5, 2.0, 2.5], [3.0]]
+        assert built == []
+        assert all(g == [t] for g, t in zip(got, stages))
+        assert got[1] is got[2]  # one slice per key
+
+    def test_built_and_kept_keys_are_skipped(self):
+        slices, built, blocks = self._recording(keep=(1.0,))
+        kept = slices(1.0)  # not yet announced: built alone
+        slices.announce([0.0, 0.5, 1.0, 1.5, 2.0])
+        slices(0.0)
+        assert built == [1.0] and blocks == [[0.0, 0.5, 1.5]]
+        assert slices(1.0) is kept
+        slices(2.0)
+        assert blocks[-1] == [2.0]
+
+    def test_unannounced_and_withdrawn_times_are_built_alone(self):
+        slices, built, blocks = self._recording()
+        slices.announce([1.0, 2.0, 3.0])
+        slices(0.5)  # not announced: the announcement stays
+        slices(2.0)  # 1.0 is passed over
+        assert built == [0.5] and blocks == [[2.0, 3.0]]
+        slices.announce(())
+        slices(4.0)
+        assert built == [0.5, 4.0]
+
+    def test_a_failing_block_builds_the_missed_time_alone(self):
+        calls = []
+
+        def build_block(keys):
+            calls.append(list(keys))
+            if 2.0 in keys:
+                raise ValueError("bad slice at 2.0")
+            return [[k] for k in keys]
+
+        slices = TimeSlices(None, False, build_block=build_block, block_size=3)
+        slices.announce([1.0, 2.0, 3.0])
+        assert slices(1.0) == [1.0]
+        assert calls == [[1.0, 2.0, 3.0], [1.0]]
+        with pytest.raises(ValueError, match="at 2.0"):
+            slices(2.0)
+
+    def test_a_block_evicts_no_row_before_it_is_read(self):
+        slices, _, blocks = self._recording(block_size=SLICE_CACHE)
+        stages = [0.1 * i for i in range(3 * SLICE_CACHE)]
+        slices.announce(stages)
+        for t in stages:
+            slices(t)
+        assert [len(b) for b in blocks] == [SLICE_CACHE] * 3
+
+    def test_solve_announces_its_stage_times(self, monkeypatch):
+        # a drifting solve builds every stage-time slice in blocks; the t = 0
+        # slice that the solve stores before it announces is built alone, by
+        # build_gauge_map as the one-row case of build_gauge_maps
+        g = make_grid(16 * np.pi, 256)
+        system = GaugeSystem(CoefficientSet.from_strings(**DRIFTING_SET), g, image_grid=g)
+        rows, alone = [], []
+        build_map, build_maps = gauge.build_gauge_map, gauge.build_gauge_maps
+
+        def counted_maps(cset, times, source_grid, image_grid):
+            rows.append(list(times))
+            return build_maps(cset, times, source_grid, image_grid)
+
+        def counted_map(cset, t, source_grid, image_grid):
+            alone.append(t)
+            return build_map(cset, t, source_grid, image_grid)
+
+        monkeypatch.setattr(gauge, "build_gauge_maps", counted_maps)
+        monkeypatch.setattr(gauge, "build_gauge_map", counted_map)
+        from kdvgauge.solver import SolverConfig, solve
+
+        u0 = gaussian_state(g, 0.5, 1.5)
+        solve(u0, SolverConfig(t_final=0.01, dt=1e-3), system)
+        assert alone == [0.0]
+        assert [len(r) for r in rows] == [1, 8, 8, 4]  # 0, then the 20 stage times after it
+        flat = [t for r in rows for t in r]
+        assert flat == sorted(set(flat)) and len(flat) == 21
+        assert not system.map_at._ahead  # the announcement is withdrawn

@@ -1145,3 +1145,48 @@ class TestTransformPair:
         traj = solve(u0, SolverConfig(t_final=steps * dt, dt=dt, dealias=dealias), problem)
         assert traj.times.tolist() == [0.0, steps * dt]
         assert calls == {"forward": 4 * steps, "inverse": 4 * steps}
+
+
+class TestSharedOriginalFields:
+    def test_fields_fixed_in_t_are_sampled_once_and_read_only(self):
+        g = make_grid(16 * np.pi, 128)
+        # alpha drifts; beta and gamma are one node, so one slot of the program
+        cs = CoefficientSet.from_strings(**dict(_DRIFTING, gamma="0.2*sech(x/4)^2-0.1*sech(x/8)^2"))
+        names = tuple(solver_module._TERMS["original"])
+        form, sampler = solver_module._sampler(cs, g)
+        assert form == "original"
+        early, late = sampler(0.1), sampler(0.35)
+        for t, co in ((0.1, early), (0.35, late)):
+            for name, want in zip(names, cs.sample(names, t, g.x)):
+                got = getattr(co, name)
+                assert got.tobytes() == np.asarray(want, dtype=float).tobytes()
+        for name in names:
+            a, b = getattr(early, name), getattr(late, name)
+            if getattr(cs, name).depends_on_t:
+                assert a is not b
+            else:
+                assert a is b and not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 1.0
+        assert early.beta is not early.gamma  # each field its own array
+
+    def test_plan_keeps_the_signed_term_of_a_shared_field(self):
+        g = make_grid(16 * np.pi, 128)
+        cs = CoefficientSet.from_strings(**_DRIFTING)
+        _, sampler = solver_module._sampler(cs, g)
+        rk = solver_module._RK4(solver_module._Spectrum(g, True), "original", sampler)
+        first = rk._plan_for(sampler(0.1))
+        second = rk._plan_for(sampler(0.2))
+        # linear terms in table order: alpha (drifts), beta, gamma, delta
+        assert first[1][0][0] is not second[1][0][0]
+        assert all(a[0] is b[0] for a, b in zip(first[1][1:], second[1][1:]))
+        assert first[2][0][0] is second[2][0][0]  # epsilon
+
+
+def test_auto_dt_beyond_the_step_budget_is_refused_by_solve():
+    # auto_dt gives 7.8e-10 on this grid: solve refuses before its first step
+    g = make_grid(1e-5, 256)
+    u0 = soliton_state(g, 1.0, e=-6.0)
+    problem = TransformedCoefficients.constant_kdv(g, -6.0)
+    with pytest.raises(ValueError, match="exceeds the step budget of 1e"):
+        solve(u0, SolverConfig(t_final=0.2), problem)
