@@ -44,15 +44,7 @@ from .dyadic import (
     resonance_omega3,
 )
 from .gauge import GaugeSystem, TransformedCoefficients, forward_transform, forward_transforms
-from .solver import (
-    STEP_BUDGET,
-    SolverConfig,
-    SpaceTimeBump,
-    Trajectory,
-    auto_dt,
-    solve,
-    weak_residual,
-)
+from .solver import SolverConfig, SpaceTimeBump, Trajectory, _step_size, solve, weak_residual
 from .spectral import (
     EDGE_MASS_LIMIT,
     Grid,
@@ -136,6 +128,16 @@ class ExperimentSpec:
 
     def violations(self) -> list[str]:
         """Parse-time reasons, each naming its key, why the run cannot go on its grid."""
+        return []
+
+    @staticmethod
+    def _step_violations(key: str, config: SolverConfig, problem, u0: SpectralState) -> list[str]:
+        """`solve`'s refusal, after `key`, of the step size of a solve of `u0`
+        on `problem` under `config`; none when that solve may go on."""
+        try:
+            _step_size(config, problem, u0)
+        except ValueError as exc:
+            return [f"{key}: {exc}"]
         return []
 
     def integrated_cset(self) -> CoefficientSet:
@@ -291,23 +293,6 @@ class _ConstantKdVSpec(ExperimentSpec):
             violations.append(f"[coefficients] {name}: {self.kind} needs {need}, got {expr.text!r}")
         return violations
 
-    def _auto_step_violations(self, u0: SpectralState) -> list[str]:
-        """Under dt = auto, the refusal of a first solve from `u0` that
-        `solve` would end at its STEP_BUDGET check; to call once the
-        coefficients pass `_ConstantKdVSpec.violations`."""
-        if self.solver.dt != "auto":
-            return []
-        dt = auto_dt(self.solver, self.grid, self.constant_kdv(), u0)
-        steps = self.solver.t_final / dt if dt > 0 else np.inf
-        if not steps <= STEP_BUDGET:
-            return [
-                f"[solver] dt: under dt = auto the first solve steps at {dt:g} on this "
-                f"grid (half_width = {self.grid.half_width:g}, num_points = "
-                f"{self.grid.num_points}), so t_final / dt = {steps:.3g} steps exceeds the "
-                f"step budget of {STEP_BUDGET:g}; got t_final = {self.solver.t_final:g}"
-            ]
-        return []
-
     def constant_kdv(self) -> TransformedCoefficients:
         """The run's coefficients b = c = d = f = 0 and e = epsilon on the
         grid; a set the path would not integrate is refused."""
@@ -340,7 +325,9 @@ class TransformConsistencySpec(ExperimentSpec):
         (`spectral.edge_mass_fraction`) at most `spectral.EDGE_MASS_LIMIT` on
         every grid of the sweep: a datum that reaches the periodic wrap ends
         the run at the transports' edge check, or, with a width whose square
-        overflows, is flat."""
+        overflows, is flat.  Then each grid's original-form solve must pass
+        `solve`'s step budget; the transformed-form solve's `auto` step needs
+        the gauge system, so that solve is checked when it runs."""
         violations = []
         if not self.refine_sweep:
             violations.append("[experiment] refine_sweep: needs at least one grid size")
@@ -365,6 +352,17 @@ class TransformConsistencySpec(ExperimentSpec):
                 f"off the outer 10% of the domain (edge mass <= {EDGE_MASS_LIMIT:g}); "
                 f"width {self.gaussian_width:g} on half_width {self.grid.half_width:g}: "
                 f"{'; '.join(reached)}"
+            )
+            return violations
+        for n in self.refine_sweep:
+            grid = make_grid(self.grid.half_width, n)
+            fields = self.cset.sample(("alpha", "beta", "gamma", "delta", "epsilon"), 0.0, grid.x)
+            if not np.all(np.isfinite(fields)):  # a field with a pole is left to the gate's screen
+                continue
+            u0 = gaussian_state(grid, self.gaussian_amplitude, self.gaussian_width)
+            violations += self._step_violations(
+                f"[solver] dt: the original-form solve on n = {n} points", self.solver,
+                self.cset, u0,
             )
         return violations
 
@@ -449,8 +447,7 @@ class BonaSmithSpec(_ConstantKdVSpec):
         spectrum or its norm overflows or underflows.  Its H^s tail past the
         largest cutoff, the smallest tail of the sweep, must be nonzero: the
         structure ratio divides by the tail plus n times a difference that
-        vanishes with it.  Under dt = auto, the reference solve must take at
-        most `solver.STEP_BUDGET` steps.
+        vanishes with it.  The reference solve must pass `solve`'s step budget.
         """
         grid = self.grid
         k = grid.wavenumbers[:-1]  # the solver drops the unpaired Nyquist mode
@@ -495,7 +492,8 @@ class BonaSmithSpec(_ConstantKdVSpec):
                 f"{offset:g} and s = {s:g}"
             )
             return violations
-        return self._auto_step_violations(project(u0, bank.p_leq(self.reference_n)))
+        u0_ref = project(u0, bank.p_leq(self.reference_n))
+        return self._step_violations("[solver] dt", self.solver, self.constant_kdv(), u0_ref)
 
     def _datum(self) -> SpectralState:
         """The seeded datum of spectrum_decay_offset, scaled to unit H^s norm."""
@@ -512,9 +510,8 @@ class BonaSmithSpec(_ConstantKdVSpec):
         cfg = replace(self.solver, warn_domain_edge=False)  # datum fills the torus
 
         u0_ref = project(u0, bank.p_leq(self.reference_n))
-        if cfg.dt == "auto":
-            # one shared step size so the runs are discretization-consistent
-            cfg = replace(cfg, dt=auto_dt(cfg, grid, tc, u0_ref))
+        # one shared step size so the runs are discretization-consistent
+        cfg = replace(cfg, dt=_step_size(cfg, tc, u0_ref))
         traj_ref = report.solved(solve(u0_ref, cfg, tc, monitor_times=monitor))
 
         rows = []
@@ -588,13 +585,14 @@ class WavepacketSpec(ExperimentSpec):
 
         Once those checks pass, each carrier's traversal time must be finite
         and positive (with the default launch, a carrier below about 1e-154
-        overflows it to inf), an explicit [solver] dt must reach the longest
-        in at most `solver.STEP_BUDGET` steps, and each carrier's packet must
-        be nonzero and keep its edge mass (`spectral.edge_mass_fraction`) at most
+        overflows it to inf), and each carrier's packet must be nonzero and
+        keep its edge mass (`spectral.edge_mass_fraction`) at most
         `spectral.EDGE_MASS_LIMIT`, both as the datum and as its
         dispersion-only image at the traversal time; a packet that reaches
         the periodic wrap would make the gains meaningless (launched at 30 on the default grid, the
-        spread across the default sweep reads 0.43).
+        spread across the default sweep reads 0.43).  Then each carrier's
+        solve, which steps to its traversal time and not to [solver] t_final,
+        must pass `solve`'s step budget.
         """
         grid, violations = self.grid, []
         if self._alpha() is None:
@@ -629,14 +627,6 @@ class WavepacketSpec(ExperimentSpec):
                 f"2 packet_launch / (3 alpha xi0^2) must be finite and positive; "
                 f"{'; '.join(untimed)}"
             ]
-        # each solve steps to its traversal time, not to [solver] t_final
-        longest, dt = max(times.values()), self.solver.dt
-        if dt != "auto" and longest / dt > STEP_BUDGET:
-            return [
-                f"[solver] dt: the longest traversal time / dt = {longest / dt:.3g} steps "
-                f"exceeds the step budget of {STEP_BUDGET:g}; got dt = {dt:g} with "
-                f"traversal time {longest:g}"
-            ]
         reached = []
         with np.errstate(all="ignore"):  # a packet out of scale is refused below
             for xi0 in self.xi0_sweep:
@@ -656,6 +646,15 @@ class WavepacketSpec(ExperimentSpec):
                 f"mass <= {EDGE_MASS_LIMIT:g}) from launch to the traversal time; "
                 f"launched at {self.packet_launch:g} with width {self.packet_width:g} "
                 f"on half_width {grid.half_width:g}, {'; '.join(reached)}"
+            )
+            return violations
+        cset = self.integrated_cset()
+        for xi0 in self.xi0_sweep:
+            u0, _, T = self._packet(xi0)
+            violations += self._step_violations(
+                f"[solver] dt: the solve of xi0 = {xi0:g} steps to its traversal time "
+                f"{T:.4g}, not to [solver] t_final",
+                replace(self.solver, t_final=T, dealias=False), cset, u0,
             )
         return violations
 
@@ -759,8 +758,8 @@ class ContinuitySpec(_ConstantKdVSpec):
         the perturbation direction's H^s norm, by which the study scales it,
         must be finite and positive (at a large [solver] s its weight
         (1 + k^2)^s overflows), the base datum must be finite (a soliton's
-        height grows as kappa^2), and under dt = auto the base solve must
-        take at most `solver.STEP_BUDGET` steps."""
+        height grows as kappa^2), and the base solve must pass `solve`'s step
+        budget."""
         violations = super().violations()
         coefficients_pass = not violations
         sizes = self.perturbation_sizes
@@ -771,11 +770,11 @@ class ContinuitySpec(_ConstantKdVSpec):
             )
         if not coefficients_pass:
             return violations
-        s = self.solver.s
+        s, tc = self.solver.s, self.constant_kdv()
         with np.errstate(all="ignore"):  # values out of the float range are refused here
             norm = sobolev_norm(self._direction(), s)
             try:
-                base = self._base(self.constant_kdv())
+                base = self._base(tc)
             except OverflowError:  # kappa^2 past the float range
                 base = None
         if not (np.isfinite(norm) and norm > 0.0):
@@ -789,7 +788,7 @@ class ContinuitySpec(_ConstantKdVSpec):
                 f"kappa = {self.kappa:g}"
             )
             return violations
-        return violations + self._auto_step_violations(base)
+        return violations + self._step_violations("[solver] dt", self.solver, tc, base)
 
     def _base(self, tc: TransformedCoefficients) -> SpectralState:
         """The unperturbed datum: a Gaussian when epsilon is 0, else a soliton."""
@@ -976,9 +975,12 @@ class SolitonBenchmarkSpec(_ConstantKdVSpec):
         takes the differences of runs at successive (positive) step sizes,
         which scale as C (1 - r^p) dt_j^p only when every dt_{j+1} / dt_j is
         the one ratio r < 1; a slope needs two differences, so three step
-        sizes.  The sweep's runs step to order_t_final, in at most
-        `solver.STEP_BUDGET` steps of the smallest dt, and under dt = auto the
-        monitored run steps at auto_step, in at most that many steps to t_final.
+        sizes.  Once those pass, the waves of kappa and order_kappa must be
+        finite and nonzero on the grid (the height -12 kappa^2 / epsilon
+        overflows, and a narrow wave falls to zero between the nodes), and
+        the monitored run (at auto_step under dt = auto) and the sweep's
+        finest run, to order_t_final, must pass `solve`'s step budget.  An
+        epsilon that is not finite on the grid is left to the pole screen.
         """
         sweep, violations = self.dt_sweep, super().violations()
         eps = self.cset.epsilon
@@ -1004,22 +1006,28 @@ class SolitonBenchmarkSpec(_ConstantKdVSpec):
                     f"dt_{{j+1}} / dt_j below 1, all equal to within 1e-9 relative); "
                     f"the ratios are {', '.join(f'{q:.10g}' for q in ratios)}"
                 )
-        if sweep and self.order_t_final / min(sweep) > STEP_BUDGET:
-            violations.append(
-                f"[experiment] order_t_final: order_t_final / min(dt_sweep) = "
-                f"{self.order_t_final / min(sweep):.3g} steps exceeds the step budget of "
-                f"{STEP_BUDGET:g}; got order_t_final = {self.order_t_final:g} with "
-                f"min(dt_sweep) = {min(sweep):g}"
-            )
-        steps = self.solver.t_final / self.auto_step
-        if self.solver.dt == "auto" and steps > STEP_BUDGET:
-            violations.append(
-                f"[solver] t_final: under dt = auto the soliton run steps at "
-                f"{self.auto_step:g}, so t_final / {self.auto_step:g} = {steps:.3g} steps "
-                f"exceeds the step budget of {STEP_BUDGET:g}; got t_final = "
-                f"{self.solver.t_final:g}"
-            )
-        return violations
+        if violations or not np.all(np.isfinite(e)):
+            return violations
+        tc, waves = self.constant_kdv(), {}
+        for name in ("kappa", "order_kappa"):
+            kappa = getattr(self, name)
+            # a numpy kappa: a square past the float range gives inf, not OverflowError
+            with np.errstate(all="ignore"):
+                waves[name] = soliton_state(self.grid, np.float64(kappa), e=e[0], center=-1.0)
+            wave = waves[name].coefficients
+            if not (np.all(np.isfinite(wave)) and np.any(wave)):
+                violations.append(
+                    f"[experiment] {name}: the soliton datum must be finite and nonzero "
+                    f"on this grid; got {name} = {kappa:g}"
+                )
+        key, monitored = "[solver] dt", self.solver
+        if self.solver.dt == "auto":  # the monitored run steps at auto_step
+            key, monitored = "[solver] t_final", replace(self.solver, dt=self.auto_step)
+        violations += self._step_violations(key, monitored, tc, waves["kappa"])
+        order = replace(self.solver, t_final=self.order_t_final, dt=min(sweep))
+        return violations + self._step_violations(
+            "[experiment] order_t_final", order, tc, waves["order_kappa"]
+        )
 
     def run(self, report: ExperimentReport) -> None:
         """Travelling-wave accuracy, conservation, and temporal order."""

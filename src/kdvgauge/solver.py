@@ -473,6 +473,25 @@ def auto_dt(
     return min(candidates)
 
 
+def _step_size(config: SolverConfig, problem, u0: SpectralState) -> float:
+    """config.dt, or `auto_dt` under "auto", for a solve of `u0` on `problem`.
+    A dt that is not positive or takes more than STEP_BUDGET steps to t_final
+    raises ValueError, whose step count has the digits to read above the budget."""
+    dt = auto_dt(config, u0.grid, problem, u0) if config.dt == "auto" else float(config.dt)
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    steps = config.t_final / dt
+    if steps > STEP_BUDGET:
+        digits = 3
+        while float(f"{steps:.{digits}g}") <= STEP_BUDGET:
+            digits += 1
+        raise ValueError(
+            f"t_final / dt = {steps:.{digits}g} steps exceeds the step budget of "
+            f"{STEP_BUDGET:g}; got dt = {dt:g} with t_final = {config.t_final:g}"
+        )
+    return dt
+
+
 def _steps(t_final: float, dt: float, targets) -> Iterator[tuple]:
     """The (t, step, stored) of each step of a solve, lazily: steps of dt
     from t = 0, each shortened to land on the next of the ascending positive
@@ -540,14 +559,7 @@ def solve(
     """
     grid = u0.grid
     form, sampler = _sampler(problem, grid)
-    dt = auto_dt(config, grid, problem, u0) if config.dt == "auto" else float(config.dt)
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    if config.t_final / dt > STEP_BUDGET:
-        raise ValueError(
-            f"t_final / dt = {config.t_final / dt:.3g} steps exceeds the step budget of "
-            f"{STEP_BUDGET:g}; got dt = {dt:g} with t_final = {config.t_final:g}"
-        )
+    dt = _step_size(config, problem, u0)
 
     spectrum = _Spectrum(grid, config.dealias)
     integrator = _RK4(spectrum, form, sampler)

@@ -403,9 +403,8 @@ REFUSED_VALUES = {
     ),
     "bona_smith auto dt beyond the step budget": (
         KIND_CONFIGS["bona_smith"].replace("t_final = 0.05", "t_final = 1e4"),
-        "[solver] dt: under dt = auto the first solve steps at 0.000633184 on this grid "
-        "(half_width = 3.14159, num_points = 1024), so t_final / dt = 1.58e+07 steps "
-        "exceeds the step budget of 1e+07; got t_final = 10000",
+        "[solver] dt: t_final / dt = 1.58e+07 steps exceeds the step budget of 1e+07; "
+        "got dt = 0.000633184 with t_final = 10000",
     ),
     # the weight (1 + k^2)^s of the direction's norm overflows: check passed,
     # and run ended with "FAIL ratio_bounded: value nan"
@@ -458,8 +457,9 @@ REFUSED_VALUES = {
             KIND_CONFIGS["wavepacket"].replace("xi0_sweep = 8", "xi0_sweep = 4"),
             "solver", "t_final = 1e-9\ndt = 1e-16",
         ),
-        "[solver] dt: the longest traversal time / dt = 2.5e+15 steps exceeds the step "
-        "budget of 1e+07; got dt = 1e-16 with traversal time 0.25",
+        "[solver] dt: the solve of xi0 = 4 steps to its traversal time 0.25, not to "
+        "[solver] t_final: t_final / dt = 2.5e+15 steps exceeds the step budget of 1e+07; "
+        "got dt = 1e-16 with t_final = 0.25",
     ),
     "blowup_threshold": (
         _with_line(MINIMAL, "solver", "blowup_threshold = -1"),
@@ -534,16 +534,50 @@ REFUSED_VALUES = {
     ),
     "order sweep beyond the step budget": (
         _with_line(MINIMAL, "experiment", "order_t_final = 1e9"),
-        "[experiment] order_t_final: order_t_final / min(dt_sweep) = 2.5e+13 steps "
-        "exceeds the step budget of 1e+07; got order_t_final = 1e+09 with "
-        "min(dt_sweep) = 4e-05",
+        "[experiment] order_t_final: t_final / dt = 2.5e+13 steps exceeds the step budget "
+        "of 1e+07; got dt = 4e-05 with t_final = 1e+09",
     ),
     # under dt = auto the soliton study's monitored run steps at 1e-4
     "auto soliton run beyond the step budget": (
         _with_line(MINIMAL, "solver", "t_final = 1e4"),
-        "[solver] t_final: under dt = auto the soliton run steps at 0.0001, so "
-        "t_final / 0.0001 = 1e+08 steps exceeds the step budget of 1e+07; got "
-        "t_final = 10000",
+        "[solver] t_final: t_final / dt = 1e+08 steps exceeds the step budget of 1e+07; "
+        "got dt = 0.0001 with t_final = 10000",
+    ),
+    # a count just above the budget used to print as "1e+07"
+    "dt just beyond the step budget": (
+        _with_line(MINIMAL, "solver", "dt = 4.99e-8"),
+        "[solver] dt: t_final / dt = 1.002e+07 steps exceeds the step budget of 1e+07; "
+        "got dt = 4.99e-08 with t_final = 0.5",
+    ),
+    "auto soliton run just beyond the step budget": (
+        _with_line(MINIMAL, "solver", "t_final = 1001"),
+        "[solver] t_final: t_final / dt = 1.001e+07 steps exceeds the step budget of 1e+07; "
+        "got dt = 0.0001 with t_final = 1001",
+    ),
+    # the original-form solves step at 2.6e-14 and 3.2e-15 under dt = auto:
+    # check passed, and run ended at solve's budget check (exit 2)
+    "transform_consistency auto dt beyond the step budget": (
+        KIND_CONFIGS["transform_consistency"].replace("half_width = 32*pi", "half_width = 0.01")
+        + "gaussian_width = 0.0005\n",
+        "[solver] dt: the original-form solve on n = 256 points: t_final / dt = 3.86e+12 "
+        "steps exceeds the step budget of 1e+07; got dt = 2.59355e-14 with t_final = 0.1",
+    ),
+    # the soliton's height -12 kappa^2 / epsilon overflows: run ended in
+    # "error: (34, 'Numerical result out of range')"
+    **{
+        f"soliton {name} past the float range": (
+            MINIMAL + f"{name} = 1e155\n",
+            f"[experiment] {name}: the soliton datum must be finite and nonzero on this "
+            f"grid; got {name} = 1e+155",
+        )
+        for name in ("kappa", "order_kappa")
+    },
+    # the wave falls to zero between the nodes: run exited 1 with nan
+    # l2_conservation and mass_conservation
+    "soliton kappa zero on the grid": (
+        MINIMAL + "kappa = 1e10\n",
+        "[experiment] kappa: the soliton datum must be finite and nonzero on this grid; "
+        "got kappa = 1e+10",
     ),
     # width^2 overflows: the flat envelope reaches the edge (it used to end
     # check in an OverflowError traceback)
@@ -561,6 +595,17 @@ REFUSED_VALUES = {
         "launch to the traversal time; launched at 30 with width 1.5 on half_width "
         "25.1327, xi0 = 10 has edge mass 1 at launch",
     ),
+}
+
+
+# case -> a config whose [solver] t_final / dt exceeds the step budget while
+# every solve its kind makes stays within it; each used to be refused, naming
+# [solver] dt
+WITHIN_THE_STEP_BUDGET = {
+    # the survey never solves
+    "survey dt 1e-9": _with_line(SURVEY, "solver", "dt = 1e-9"),
+    # each solve steps to the traversal time 0.0625, in 6.25e6 steps
+    "wavepacket dt 1e-8": _with_line(KIND_CONFIGS["wavepacket"], "solver", "dt = 1e-8"),
 }
 
 
@@ -674,18 +719,34 @@ packet_launch = 6
     def test_auto_dt_beyond_the_step_budget_ends_the_run(self, tmp_path, capsys):
         # auto_dt gives 7.8e-10 on this grid, 2.6e8 steps per solve; the run
         # used to go on for hours, then ended at solve's budget check after
-        # `check` had passed; the parser now computes the first solve's step
+        # `check` had passed; the parser now checks the base solve's step
         cfg_text = KIND_CONFIGS["continuity"].replace("half_width = 8*pi", "half_width = 1e-5")
         cfg_path = write_cfg(tmp_path, cfg_text)
         refusal = (
-            "config error: [solver] dt: under dt = auto the first solve steps at "
-            "7.77124e-10 on this grid (half_width = 1e-05, num_points = 256), so t_final / "
-            "dt = 2.57e+08 steps exceeds the step budget of 1e+07; got t_final = 0.2\n"
+            "config error: [solver] dt: t_final / dt = 2.57e+08 steps exceeds the step "
+            "budget of 1e+07; got dt = 7.77124e-10 with t_final = 0.2\n"
         )
         for argv in (["check", str(cfg_path)], ["run", str(cfg_path), "-o", str(tmp_path / "out")]):
             assert main(argv) == 2
             assert capsys.readouterr() == ("", refusal)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", sorted(WITHIN_THE_STEP_BUDGET))
+    def test_step_budget_reads_the_kinds_own_solves(self, tmp_path, capsys, case):
+        assert main(["check", str(write_cfg(tmp_path, WITHIN_THE_STEP_BUDGET[case]))]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_pole_on_the_grid_is_named_by_the_screen(self, tmp_path, capsys):
+        # auto_dt reads the infinite alpha at x = 0 as a zero step; the parse-time
+        # step check leaves the field to the gate's screen, which names it
+        cfg_text = KIND_CONFIGS["transform_consistency"].replace(
+            "alpha = 2+0.5*tanh(x/4)", "alpha = 2+1/x"
+        )
+        assert main(["check", str(write_cfg(tmp_path, cfg_text))]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: alpha: expression '2+1/x' is singular on the requested domain "
+            "(non-finite at t=0, derivative orders (0, 0))"
+        )
 
     def test_blown_up_solve_fails_the_run(self, tmp_path):
         # a sup-norm cap below the soliton's height stops every solve at its
@@ -1218,7 +1279,8 @@ class TestKindSchemas:
         # every drawn value either parses or is refused by a ConfigError that
         # names its key; a value is valid when positive and finite (or auto),
         # and valid values are refused, naming dt, when an explicit dt would
-        # take more than STEP_BUDGET steps to t_final
+        # take the soliton study's monitored run more than STEP_BUDGET steps to
+        # t_final (the survey never solves)
         keys = draw.draw(st.lists(st.sampled_from(sorted(BASE_KEYS)), unique=True, max_size=5))
         values = {key: draw.draw(BASE_KEYS[key][1]) for key in keys}
         text = base
@@ -1232,7 +1294,9 @@ class TestKindSchemas:
             if value != "auto" and not (np.isfinite(value) and value > 0)
         ]
         dt, t_final = values.get("dt", "auto"), values.get("t_final", SolverConfig.t_final)
-        over_budget = not invalid and dt != "auto" and t_final / dt > STEP_BUDGET
+        over_budget = not invalid and dt != "auto" and base == MINIMAL and (
+            t_final / dt > STEP_BUDGET
+        )
         # the soliton study's monitored run steps at auto_step under dt = auto
         auto_over = not invalid and dt == "auto" and base == MINIMAL and (
             t_final / SolitonBenchmarkSpec.auto_step > STEP_BUDGET
@@ -1249,7 +1313,7 @@ class TestKindSchemas:
             if over_budget:
                 assert refused.startswith("[solver] dt: t_final / dt = "), refused
             if auto_over:
-                assert refused.startswith("[solver] t_final: under dt = auto"), refused
+                assert refused.startswith("[solver] t_final: t_final / dt = "), refused
             return
         assert not invalid and not over_budget and not auto_over
 
