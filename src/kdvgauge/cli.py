@@ -173,8 +173,9 @@ def parse_config(path) -> RunConfig:
     a spelling suggestion), [experiment] keys of another kind (with the
     kinds that own them), type failures and values that break their key's
     rule (each naming its key), expression errors with their source column,
-    a grid that cannot be built, and the spec's own `violations` on the
-    run's grid, which include each solve that `solve`'s step budget refuses.
+    a grid that cannot be built, and the spec's `refusals` on the run's
+    grid: its checks of knobs taken together, then each planned solve whose
+    datum or step it could not run.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -255,7 +256,7 @@ def parse_config(path) -> RunConfig:
     knobs = {k: v for k, v in values["experiment"].items() if k != "kind"}
     solver = SolverConfig(**values["solver"])
     spec = EXPERIMENTS[kind](cset=cset, grid=grid, solver=solver, **knobs)
-    violations = spec.violations()
+    violations = spec.refusals()
     if violations:
         raise ConfigError(violations)
 

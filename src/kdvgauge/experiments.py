@@ -44,7 +44,9 @@ from .dyadic import (
     resonance_omega3,
 )
 from .gauge import GaugeSystem, TransformedCoefficients, forward_transform, forward_transforms
-from .solver import SolverConfig, SpaceTimeBump, Trajectory, _step_size, solve, weak_residual
+from .solver import (
+    SolverConfig, SpaceTimeBump, Trajectory, _keep, _step_size, auto_dt, solve, weak_residual,
+)
 from .spectral import (
     EDGE_MASS_LIMIT,
     Grid,
@@ -92,17 +94,72 @@ class Verdict:
 
 
 @dataclass(frozen=True)
+class _Solve:
+    """One solve of a study's run: the datum `u0`, the `config` and `problem`
+    that `run` passes to `solve`, and its monitor times.  A refusal of the
+    datum names `datum_key` and describes the datum as `label`; a refusal of
+    the step names `step_key`, then `step_label`, which says which solve it
+    is, then `solve`'s message.  `image` is a state the study compares the
+    solve's end with."""
+
+    datum_key: str
+    label: str
+    u0: SpectralState
+    config: SolverConfig
+    problem: object
+    monitor: np.ndarray | None = None
+    step_key: str = "[solver] dt"
+    step_label: str = ""
+    image: SpectralState | None = None
+
+    def run(self) -> Trajectory:
+        return solve(self.u0, self.config, self.problem, monitor_times=self.monitor)
+
+    def refusal(self) -> tuple | None:
+        """(key, rank, reason) of the first check this solve fails, else None:
+        the datum, then the image, on the modes the solve keeps, must be finite
+        with a nonzero L2 norm, and keep its edge mass at most `EDGE_MASS_LIMIT`
+        if the solve warns at the edge (rank inf); then the step must pass
+        `solve`'s step budget (rank: its steps, inf for a step that is not
+        positive)."""
+        image = f"{self.label}'s image at t = {self.config.t_final:.4g}"
+        for what, state in ((self.label, self.u0), (image, self.image)):
+            if state is None:
+                continue
+            c = state.coefficients * _keep(state.grid, self.config.dealias)  # as solve stores it
+            state = SpectralState(state.grid, c)
+            if not np.all(np.isfinite(c)):
+                why = "is not finite on this grid"
+            elif not l2_norm(state) > 0.0:  # squares that underflow leave no norm to measure
+                why = "is zero on this grid"
+            elif self.config.warn_domain_edge and not (
+                (edge := edge_mass_fraction(state)) <= EDGE_MASS_LIMIT
+            ):
+                why = (f"has edge mass {edge:.2g} > {EDGE_MASS_LIMIT:g} (the outer 10% of the "
+                       f"domain of half_width {state.grid.half_width:g})")
+            else:
+                continue
+            return self.datum_key, np.inf, f"{what} {why}"
+        try:
+            _step_size(self.config, self.problem, self.u0)
+        except ValueError as exc:
+            return self.step_key, getattr(exc, "steps", np.inf), f"{self.step_label}{exc}"
+        return None
+
+
+@dataclass(frozen=True)
 class ExperimentSpec:
     """What every experiment kind reads: the coefficient set, the run's grid
     and solver settings, the seed and the hypothesis watermark.
 
     `grid` and `solver` are the [grid] and [solver] sections, and their
     defaults are those of the config.  Each kind is a subclass that adds its
-    own [experiment] knobs with their defaults and its study, `run`, which
-    passes `solver` to each solve unchanged or replaces only what its study
-    fixes; it may override `violations` and `integrated_cset`.  A knob that
-    must be positive or nonzero (each entry of a list) declares that rule with
-    its type, `Annotated[float, "positive"]`, which the parser enforces.
+    own [experiment] knobs with their defaults, lists its study's solves,
+    `solves`, each with `solver` unchanged or only what the study fixes
+    replaced, and runs the study from that list, `run`; it may override
+    `violations` and `integrated_cset`.  A knob that must be positive or
+    nonzero (each entry of a list) declares that rule with its type,
+    `Annotated[float, "positive"]`, which the parser enforces.
     """
 
     kind: ClassVar[str]
@@ -126,19 +183,34 @@ class ExperimentSpec:
         return {f.name: get_args(hints[f.name]) if get_origin(hints[f.name]) is Annotated
                 else (hints[f.name], None) for f in fields(cls) if f.name not in shared}
 
+    def refusals(self) -> list[str]:
+        """Parse-time reasons, each naming its key, why the run cannot go on
+        its grid: the kind's `violations`, then, once they pass, its plan's."""
+        return self.violations() or self._plan_violations()
+
     def violations(self) -> list[str]:
-        """Parse-time reasons, each naming its key, why the run cannot go on its grid."""
+        """The kind's checks of knobs taken together, such as a sweep's shape."""
         return []
 
-    @staticmethod
-    def _step_violations(key: str, config: SolverConfig, problem, u0: SpectralState) -> list[str]:
-        """`solve`'s refusal, after `key`, of the step size of a solve of `u0`
-        on `problem` under `config`; none when that solve may go on."""
-        try:
-            _step_size(config, problem, u0)
-        except ValueError as exc:
-            return [f"{key}: {exc}"]
+    def solves(self) -> list[_Solve]:
+        """The solves that `run` makes, in order; none by default."""
         return []
+
+    def _plan_violations(self) -> list[str]:
+        """The one check of the planned solves (`_Solve.refusal`), which names
+        each key once: by its first refused datum, else by its longest refused
+        solve.  A solve whose integrated coefficients are not finite on its
+        grid at t = 0 is left to the gate's pole screen."""
+        cset, named = self.integrated_cset(), {}
+        names = ("alpha", "beta", "gamma", "delta", "epsilon")
+        with np.errstate(all="ignore"):  # data out of the float range are refused here
+            for plan in self.solves():
+                if not np.all(np.isfinite(cset.sample(names, 0.0, plan.u0.grid.x))):
+                    continue
+                refused = plan.refusal()
+                if refused and refused[1] > named.get(refused[0], (-1.0,))[0]:
+                    named[refused[0]] = refused[1:]
+        return [f"{key}: {reason}" for key, (_rank, reason) in named.items()]
 
     def integrated_cset(self) -> CoefficientSet:
         """The coefficient set the run integrates, which the hypothesis gate checks."""
@@ -187,7 +259,7 @@ def fit_loglog(xs, ys) -> tuple[float, float, float]:
     """
     lx = np.log10(np.asarray(xs, dtype=float))
     ly = np.log10(np.clip(np.asarray(ys, dtype=float), 1e-300, None))
-    if np.unique(lx).size < 2:
+    if len(set(lx.tolist())) < 2:  # np.unique would import numpy.ma
         raise ValueError("slope fit needs at least two points with distinct abscissae")
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
@@ -318,16 +390,7 @@ class TransformConsistencySpec(ExperimentSpec):
     gaussian_amplitude: Annotated[float, "nonzero"] = 1.0
 
     def violations(self) -> list[str]:
-        """Sweeps and data that leave the comparison nothing to measure: every
-        size must build a grid of the run's width.  Once that passes, the
-        Gaussian datum (of positive width and nonzero amplitude, the rules of
-        its knobs: a zero datum has zero discrepancy) must keep its edge mass
-        (`spectral.edge_mass_fraction`) at most `spectral.EDGE_MASS_LIMIT` on
-        every grid of the sweep: a datum that reaches the periodic wrap ends
-        the run at the transports' edge check, or, with a width whose square
-        overflows, is flat.  Then each grid's original-form solve must pass
-        `solve`'s step budget; the transformed-form solve's `auto` step needs
-        the gauge system, so that solve is checked when it runs."""
+        """Every size of the sweep must build a grid of the run's width."""
         violations = []
         if not self.refine_sweep:
             violations.append("[experiment] refine_sweep: needs at least one grid size")
@@ -336,42 +399,30 @@ class TransformConsistencySpec(ExperimentSpec):
                 make_grid(self.grid.half_width, n)
             except GridSizeError as exc:
                 violations.append(f"[experiment] refine_sweep: size {n}: {exc}")
-        if violations:
-            return violations
-        reached = []
-        with np.errstate(all="ignore"):  # a width out of scale is refused below
-            for n in self.refine_sweep:
-                grid = make_grid(self.grid.half_width, n)
-                # the fraction does not depend on the amplitude
-                edge = edge_mass_fraction(gaussian_state(grid, 1.0, self.gaussian_width))
-                if not edge <= EDGE_MASS_LIMIT:
-                    reached.append(f"n = {n} has edge mass {edge:.2g}")
-        if reached:
-            violations.append(
-                f"[experiment] gaussian_width: the Gaussian datum must keep its mass "
-                f"off the outer 10% of the domain (edge mass <= {EDGE_MASS_LIMIT:g}); "
-                f"width {self.gaussian_width:g} on half_width {self.grid.half_width:g}: "
-                f"{'; '.join(reached)}"
-            )
-            return violations
-        for n in self.refine_sweep:
-            grid = make_grid(self.grid.half_width, n)
-            fields = self.cset.sample(("alpha", "beta", "gamma", "delta", "epsilon"), 0.0, grid.x)
-            if not np.all(np.isfinite(fields)):  # a field with a pole is left to the gate's screen
-                continue
-            u0 = gaussian_state(grid, self.gaussian_amplitude, self.gaussian_width)
-            violations += self._step_violations(
-                f"[solver] dt: the original-form solve on n = {n} points", self.solver,
-                self.cset, u0,
-            )
         return violations
+
+    def solves(self) -> list[_Solve]:
+        """The original-form solve of the Gaussian datum on each grid of the
+        sweep, with dense monitors: the weak residual's time quadrature must
+        resolve the test bump's transition.  Each grid's transformed-form
+        solve is not planned, since its problem is the gauge system that
+        `_consistency_row` builds; `solve` checks its step when it runs."""
+        monitor = np.linspace(0.0, self.solver.t_final, 81)[1:]
+        return [
+            _Solve(
+                "[experiment] gaussian_width",
+                f"the Gaussian of width {self.gaussian_width:g} on n = {n} points",
+                gaussian_state(make_grid(self.grid.half_width, n), self.gaussian_amplitude,
+                               self.gaussian_width),
+                self.solver, self.cset, monitor,
+                step_label=f"the original-form solve on n = {n} points: ",
+            )
+            for n in self.refine_sweep
+        ]
 
     def run(self, report: ExperimentReport) -> None:
         """Mutual-oracle comparison of the two solution paths."""
-        # dense monitors: the weak-residual time quadrature needs to resolve the
-        # test bump's transition
-        monitor = np.linspace(0.0, self.solver.t_final, 81)[1:]
-        rows = [self._consistency_row(report, n, monitor) for n in self.refine_sweep]
+        rows = [self._consistency_row(report, plan) for plan in self.solves()]
         report.add_table(
             "discrepancy", ["n", "sup_t_l2_discrepancy", "weak_residual_original",
                             "weak_residual_transformed"], rows
@@ -399,21 +450,21 @@ class TransformConsistencySpec(ExperimentSpec):
         else:
             report.notes.append("single-level sweep: no refinement fit")
 
-    def _consistency_row(self, report: ExperimentReport, n: int, monitor: np.ndarray) -> list:
-        """[n, sup_t L2 discrepancy, weak residual of each form] on the n-point grid.
+    def _consistency_row(self, report: ExperimentReport, plan: _Solve) -> list:
+        """[n, sup_t L2 discrepancy, weak residual of each form] on the grid of
+        the original-form solve `plan`.
 
         The gauge system keeps its slices at 0 and the monitor times, which the
         discrepancy loop and the transformed weak residual revisit after the
         solve, so each is built once.  The grid's trajectories and system are
         released on return, before the next grid is solved.
         """
-        T = self.solver.t_final
-        grid = make_grid(self.grid.half_width, n)
-        u0 = gaussian_state(grid, self.gaussian_amplitude, self.gaussian_width)
+        T, grid, monitor = self.solver.t_final, plan.u0.grid, plan.monitor
+        n = grid.num_points
         system = GaugeSystem(self.cset, grid, times=np.linspace(0.0, T, 3),
                              keep=np.concatenate([[0.0], monitor]))
-        traj_o = report.solved(solve(u0, self.solver, self.cset, monitor_times=monitor))
-        v0 = forward_transform(u0, system.map_at(0.0))
+        traj_o = report.solved(plan.run())
+        v0 = forward_transform(plan.u0, system.map_at(0.0))
         traj_t = report.solved(solve(v0, self.solver, system, monitor_times=monitor))
         moved = forward_transforms(traj_o.states, (system.map_at(float(t)) for t in traj_o.times))
         disc = 0.0
@@ -442,12 +493,7 @@ class BonaSmithSpec(_ConstantKdVSpec):
         wavenumber the solves keep gives zero datum tail and zero difference
         (the structure ratio would divide by zero), and a reference no finer
         than a cutoff gives zero difference. The rate fit needs two distinct
-        cutoffs, and the datum, scaled to unit H^s norm, must be finite and
-        nonzero: with s and spectrum_decay_offset far from the float range its
-        spectrum or its norm overflows or underflows.  Its H^s tail past the
-        largest cutoff, the smallest tail of the sweep, must be nonzero: the
-        structure ratio divides by the tail plus n times a difference that
-        vanishes with it.  The reference solve must pass `solve`'s step budget.
+        cutoffs.
         """
         grid = self.grid
         k = grid.wavenumbers[:-1]  # the solver drops the unpaired Nyquist mode
@@ -469,55 +515,55 @@ class BonaSmithSpec(_ConstantKdVSpec):
                 f"[experiment] reference_n = {self.reference_n} must exceed every "
                 f"n_sweep cutoff (largest {max(self.n_sweep)}; k_max = {grid.k_max:g})"
             )
-        s, offset = self.solver.s, self.spectrum_decay_offset
-        with np.errstate(all="ignore"):  # a datum out of scale is refused here
-            u0 = self._datum()
-        if not (np.all(np.isfinite(u0.coefficients)) and np.any(u0.coefficients)):
-            violations.append(
-                f"[experiment] spectrum_decay_offset, [solver] s: the datum scaled to unit "
-                f"H^s norm must be finite and nonzero on this grid; got "
-                f"spectrum_decay_offset = {offset:g} with s = {s:g}"
-            )
-        if violations:
-            return violations
-        bank = ProjectorBank(grid)
-        top = max(self.n_sweep)
+        return violations
+
+    def refusals(self) -> list[str]:
+        """The spec's refusals, then, once they pass, the datum's H^s tail
+        past the largest cutoff, the smallest tail of the sweep, which must be
+        nonzero: the structure ratio divides by the tail plus n times a
+        difference that vanishes with it."""
+        refused = super().refusals()
+        if refused:
+            return refused
+        s, top, u0 = self.solver.s, max(self.n_sweep), self._datum()
         with np.errstate(all="ignore"):
-            tail = sobolev_norm(u0 - project(u0, bank.p_leq(top)), s)
-        if not tail > 0.0:
-            violations.append(
-                f"[experiment] spectrum_decay_offset, [solver] s: the datum's H^s tail "
-                f"past the largest cutoff ({top}) must be nonzero, since the structure "
-                f"ratio divides by it; got {tail:g} with spectrum_decay_offset = "
-                f"{offset:g} and s = {s:g}"
-            )
-            return violations
-        u0_ref = project(u0, bank.p_leq(self.reference_n))
-        return self._step_violations("[solver] dt", self.solver, self.constant_kdv(), u0_ref)
+            tail = sobolev_norm(u0 - project(u0, ProjectorBank(self.grid).p_leq(top)), s)
+        return [] if tail > 0.0 else [
+            f"[experiment] spectrum_decay_offset, [solver] s: the datum's H^s tail "
+            f"past the largest cutoff ({top}) must be nonzero, since the structure "
+            f"ratio divides by it; got {tail:g} with spectrum_decay_offset = "
+            f"{self.spectrum_decay_offset:g} and s = {s:g}"
+        ]
 
     def _datum(self) -> SpectralState:
         """The seeded datum of spectrum_decay_offset, scaled to unit H^s norm."""
         rng = np.random.default_rng(self.seed)
         return spectrum_state(self.grid, self.solver.s, self.spectrum_decay_offset, rng)
 
+    def solves(self) -> list[_Solve]:
+        """The reference solve, then one per cutoff, of the datum truncated
+        there, with 8 monitor times and without the edge warning (the datum
+        fills the torus), all at the reference's step so that the runs are
+        discretization-consistent."""
+        tc, u0, bank = self.constant_kdv(), self._datum(), ProjectorBank(self.grid)
+        data = [project(u0, bank.p_leq(n)) for n in (self.reference_n, *self.n_sweep)]
+        cfg = replace(self.solver, warn_domain_edge=False)
+        if cfg.dt == "auto":
+            cfg = replace(cfg, dt=auto_dt(cfg, self.grid, tc, data[0]))
+        monitor = np.linspace(0.0, self.solver.t_final, 9)[1:]
+        label = (f"the datum of spectrum_decay_offset = {self.spectrum_decay_offset:g} "
+                 f"scaled to unit H^s norm at s = {self.solver.s:g}")
+        key = "[experiment] spectrum_decay_offset, [solver] s"
+        return [_Solve(key, label, datum, cfg, tc, monitor) for datum in data]
+
     def run(self, report: ExperimentReport) -> None:
         """Rate of convergence from frequency-truncated data."""
-        grid, s = self.grid, self.solver.s
-        tc = self.constant_kdv()
-        u0 = self._datum()
-        bank = ProjectorBank(grid)
-        monitor = np.linspace(0.0, self.solver.t_final, 9)[1:]
-        cfg = replace(self.solver, warn_domain_edge=False)  # datum fills the torus
-
-        u0_ref = project(u0, bank.p_leq(self.reference_n))
-        # one shared step size so the runs are discretization-consistent
-        cfg = replace(cfg, dt=_step_size(cfg, tc, u0_ref))
-        traj_ref = report.solved(solve(u0_ref, cfg, tc, monitor_times=monitor))
-
+        s, u0 = self.solver.s, self._datum()
+        reference, *cut = self.solves()
+        traj_ref = report.solved(reference.run())
         rows = []
-        for n in self.n_sweep:
-            u0_n = project(u0, bank.p_leq(n))
-            traj_n = report.solved(solve(u0_n, cfg, tc, monitor_times=monitor))
+        for n, plan in zip(self.n_sweep, cut):
+            traj_n = report.solved(plan.run())
             diff = max(
                 sobolev_norm(a - b, s - 1.0)
                 for a, b in zip(traj_n.states, traj_ref.states)
@@ -526,7 +572,7 @@ class BonaSmithSpec(_ConstantKdVSpec):
                 sobolev_norm(a - b, s)
                 for a, b in zip(traj_n.states, traj_ref.states)
             )
-            tail = sobolev_norm(u0 - u0_n, s)
+            tail = sobolev_norm(u0 - plan.u0, s)
             # structure of the smoothing-for-rate trade: the top-norm difference
             # is controlled by the datum tail plus n times the lower-norm one
             structure_ratio = diff_hs / (tail + n * diff)
@@ -571,7 +617,7 @@ class WavepacketSpec(ExperimentSpec):
         return a0 if np.isfinite(a0) and a0 > 0 else None
 
     def violations(self) -> list[str]:
-        """Carrier sweeps and packets the study cannot run on the run's grid.
+        """Carrier sweeps the study cannot run on the run's grid.
 
         The traversal time is 2 launch / (3 alpha xi0^2), so alpha must be a
         positive constant and xi0 positive (packet_launch and packet_width
@@ -581,18 +627,9 @@ class WavepacketSpec(ExperimentSpec):
         added by the pointwise product with beta, which the undealiased runs
         fold back near k_max. On the default grid (k_max = 32) the gains at
         xi0 = 21 and 25 stay within 3% of the gain at 10, and the gain at 30
-        falls by a third.
-
-        Once those checks pass, each carrier's traversal time must be finite
-        and positive (with the default launch, a carrier below about 1e-154
-        overflows it to inf), and each carrier's packet must be nonzero and
-        keep its edge mass (`spectral.edge_mass_fraction`) at most
-        `spectral.EDGE_MASS_LIMIT`, both as the datum and as its
-        dispersion-only image at the traversal time; a packet that reaches
-        the periodic wrap would make the gains meaningless (launched at 30 on the default grid, the
-        spread across the default sweep reads 0.43).  Then each carrier's
-        solve, which steps to its traversal time and not to [solver] t_final,
-        must pass `solve`'s step budget.
+        falls by a third.  Once those checks pass, each carrier's traversal
+        time must be finite and positive (with the default launch, a carrier
+        below about 1e-154 overflows it to inf).
         """
         grid, violations = self.grid, []
         if self._alpha() is None:
@@ -615,48 +652,29 @@ class WavepacketSpec(ExperimentSpec):
             )
         if violations:
             return violations
-        times = {xi0: self._traversal_time(xi0) for xi0 in self.xi0_sweep}
-        untimed = [
-            f"xi0 = {xi0:g} gives {T:g}"
-            for xi0, T in times.items()
-            if not (np.isfinite(T) and T > 0)
-        ]
-        if untimed:
-            return [
-                f"[experiment] xi0_sweep: each carrier's traversal time "
-                f"2 packet_launch / (3 alpha xi0^2) must be finite and positive; "
-                f"{'; '.join(untimed)}"
-            ]
-        reached = []
-        with np.errstate(all="ignore"):  # a packet out of scale is refused below
-            for xi0 in self.xi0_sweep:
-                datum, image, T = self._packet(xi0)
-                for when, state in (("at launch", datum), (f"at t = {T:.4g}", image)):
-                    edge = edge_mass_fraction(state)
-                    if not np.any(state.coefficients):
-                        reached.append(f"xi0 = {xi0:g} is zero on the grid {when}")
-                        break
-                    if not edge <= EDGE_MASS_LIMIT:
-                        reached.append(f"xi0 = {xi0:g} has edge mass {edge:.2g} {when}")
-                        break
-        if reached:
-            violations.append(
-                f"[experiment] packet_launch, packet_width: each packet must be "
-                f"nonzero and keep its mass off the outer 10% of the domain (edge "
-                f"mass <= {EDGE_MASS_LIMIT:g}) from launch to the traversal time; "
-                f"launched at {self.packet_launch:g} with width {self.packet_width:g} "
-                f"on half_width {grid.half_width:g}, {'; '.join(reached)}"
-            )
-            return violations
-        cset = self.integrated_cset()
+        untimed = [f"xi0 = {xi0:g} gives {T:g}" for xi0 in self.xi0_sweep
+                   if not (np.isfinite(T := self._traversal_time(xi0)) and T > 0)]
+        return [
+            f"[experiment] xi0_sweep: each carrier's traversal time "
+            f"2 packet_launch / (3 alpha xi0^2) must be finite and positive; "
+            f"{'; '.join(untimed)}"
+        ] if untimed else []
+
+    def solves(self) -> list[_Solve]:
+        """One undealiased solve per carrier, of its packet to its traversal
+        time and not to [solver] t_final, with the packet's dispersion-only
+        image at that time.  A packet at the periodic wrap makes the gains
+        meaningless: launched at 30 on the default grid, their spread reads 0.43."""
+        cset, plans = self.integrated_cset(), []
         for xi0 in self.xi0_sweep:
-            u0, _, T = self._packet(xi0)
-            violations += self._step_violations(
-                f"[solver] dt: the solve of xi0 = {xi0:g} steps to its traversal time "
-                f"{T:.4g}, not to [solver] t_final",
-                replace(self.solver, t_final=T, dealias=False), cset, u0,
-            )
-        return violations
+            u0, image, T = self._packet(xi0)
+            plans.append(_Solve(
+                "[experiment] packet_launch, packet_width", f"the packet of xi0 = {xi0:g}", u0,
+                replace(self.solver, t_final=T, dealias=False), cset, image=image,
+                step_label=f"the solve of xi0 = {xi0:g} steps to its traversal time {T:.4g}, "
+                           f"not to [solver] t_final: ",
+            ))
+        return plans
 
     def _packet(self, xi0: float) -> tuple:
         """(datum, its dispersion-only image, traversal time) of carrier xi0.
@@ -707,18 +725,17 @@ class WavepacketSpec(ExperimentSpec):
         evolution of the same datum (exact Fourier multiplier), which removes
         spreading from the bookkeeping.
         """
-        cset = self.integrated_cset()
-        a0 = float(cset.alpha.eval(0.0, 0.0))
+        plans = self.solves()
+        a0 = float(plans[0].problem.alpha.eval(0.0, 0.0))
         R = self.region_half_width
         beta0 = self.region_beta0
         heuristic = float(np.exp(2.0 * R * beta0 / a0))
         rows = []
         gains = []
-        for xi0 in self.xi0_sweep:
-            u0, ref, T = self._packet(xi0)
-            cfg = replace(self.solver, t_final=T, dealias=False)
-            traj = report.solved(solve(u0, cfg, cset))
-            gain = envelope_peak(traj.final_state) / envelope_peak(ref)
+        for xi0, plan in zip(self.xi0_sweep, plans):
+            T = plan.config.t_final
+            traj = report.solved(plan.run())
+            gain = envelope_peak(traj.final_state) / envelope_peak(plan.image)
             gains.append(gain)
             rows.append([xi0, T, gain, heuristic, gain / heuristic])
         report.add_table(
@@ -754,66 +771,59 @@ class ContinuitySpec(_ConstantKdVSpec):
     def violations(self) -> list[str]:
         """Size sweeps the sensitivity verdict cannot use: each ratio divides
         the difference by its (positive) size, and the verdict compares
-        ratios, so it needs two distinct sizes.  Once the coefficients pass,
-        the perturbation direction's H^s norm, by which the study scales it,
-        must be finite and positive (at a large [solver] s its weight
-        (1 + k^2)^s overflows), the base datum must be finite (a soliton's
-        height grows as kappa^2), and the base solve must pass `solve`'s step
-        budget."""
-        violations = super().violations()
-        coefficients_pass = not violations
+        ratios, so it needs two distinct sizes.  The perturbation direction's
+        H^s norm, by which the study scales it, must be finite and positive
+        (at a large [solver] s its weight (1 + k^2)^s overflows)."""
+        violations, s = super().violations(), self.solver.s
         sizes = self.perturbation_sizes
         if len(set(sizes)) < 2:
             violations.append(
                 f"[experiment] perturbation_sizes: needs two or more distinct sizes, "
                 f"got {', '.join(f'{e:g}' for e in sizes)}"
             )
-        if not coefficients_pass:
-            return violations
-        s, tc = self.solver.s, self.constant_kdv()
-        with np.errstate(all="ignore"):  # values out of the float range are refused here
+        with np.errstate(all="ignore"):  # a norm out of the float range is refused here
             norm = sobolev_norm(self._direction(), s)
-            try:
-                base = self._base(tc)
-            except OverflowError:  # kappa^2 past the float range
-                base = None
         if not (np.isfinite(norm) and norm > 0.0):
             violations.append(
                 f"[solver] s: the perturbation direction's H^s norm must be finite and "
                 f"positive on this grid; got {norm:g} with s = {s:g}"
             )
-        if base is None or not np.all(np.isfinite(base.coefficients)):
-            violations.append(
-                f"[experiment] kappa: the soliton datum must be finite on this grid; got "
-                f"kappa = {self.kappa:g}"
-            )
-            return violations
-        return violations + self._step_violations("[solver] dt", self.solver, tc, base)
-
-    def _base(self, tc: TransformedCoefficients) -> SpectralState:
-        """The unperturbed datum: a Gaussian when epsilon is 0, else a soliton."""
-        if np.abs(tc.e).max() == 0.0:
-            return gaussian_state(self.grid, 1.0, 1.0)
-        return soliton_state(self.grid, self.kappa, e=float(tc.e[0]))
+        return violations
 
     def _direction(self) -> SpectralState:
         return gaussian_state(self.grid, 1.0, 1.0, center=1.0)
 
-    def run(self, report: ExperimentReport) -> None:
-        """Flow-map stability under initial perturbations of shrinking size."""
-        grid, s = self.grid, self.solver.s
-        tc = self.constant_kdv()
-        linear = bool(np.abs(tc.e).max() == 0.0)
-        base = self._base(tc)
+    def solves(self) -> list[_Solve]:
+        """The base solve, then one per size, of the base perturbed by that
+        size times the direction scaled to unit H^s norm, with 8 monitor
+        times.  The base is a Gaussian of fixed width when epsilon is 0, else
+        the soliton of kappa, whose height grows as kappa^2."""
+        tc, s = self.constant_kdv(), self.solver.s
+        if np.abs(tc.e).max() == 0.0:
+            key, label = "[grid] half_width", "the Gaussian base datum of width 1"
+            base = gaussian_state(self.grid, 1.0, 1.0)
+        else:
+            key, label = "[experiment] kappa", f"the soliton of kappa = {self.kappa:g}"
+            # a numpy kappa: a square past the float range gives inf, not OverflowError
+            base = soliton_state(self.grid, np.float64(self.kappa), e=float(tc.e[0]))
         direction = self._direction()
         direction = (1.0 / sobolev_norm(direction, s)) * direction
         monitor = np.linspace(0.0, self.solver.t_final, 9)[1:]
-        traj_base = report.solved(solve(base, self.solver, tc, monitor_times=monitor))
+        return [_Solve(key, label, base, self.solver, tc, monitor)] + [
+            _Solve(key, f"{label} perturbed by {eps:g}", base + eps * direction,
+                   self.solver, tc, monitor) for eps in self.perturbation_sizes
+        ]
+
+    def run(self, report: ExperimentReport) -> None:
+        """Flow-map stability under initial perturbations of shrinking size."""
+        s = self.solver.s
+        base, *perturbed = self.solves()
+        linear = bool(np.abs(base.problem.e).max() == 0.0)
+        traj_base = report.solved(base.run())
         rows = []
         ratios = []
-        for eps in self.perturbation_sizes:
-            pert = base + eps * direction
-            traj_p = report.solved(solve(pert, self.solver, tc, monitor_times=monitor))
+        for eps, plan in zip(self.perturbation_sizes, perturbed):
+            traj_p = report.solved(plan.run())
             diff = max(
                 sobolev_norm(a - b, s)
                 for a, b in zip(traj_p.states, traj_base.states)
@@ -967,7 +977,7 @@ class SolitonBenchmarkSpec(_ConstantKdVSpec):
     order_t_final: Annotated[float, "positive"] = 0.1
 
     def violations(self) -> list[str]:
-        """Coefficients, waves and step-size sweeps the verdicts cannot use.
+        """Coefficients and step-size sweeps the verdicts cannot use.
 
         The soliton's amplitude is -12 kappa^2 / epsilon, so epsilon must be
         a nonzero constant (as kappa and order_kappa are by their rules: a
@@ -975,12 +985,8 @@ class SolitonBenchmarkSpec(_ConstantKdVSpec):
         takes the differences of runs at successive (positive) step sizes,
         which scale as C (1 - r^p) dt_j^p only when every dt_{j+1} / dt_j is
         the one ratio r < 1; a slope needs two differences, so three step
-        sizes.  Once those pass, the waves of kappa and order_kappa must be
-        finite and nonzero on the grid (the height -12 kappa^2 / epsilon
-        overflows, and a narrow wave falls to zero between the nodes), and
-        the monitored run (at auto_step under dt = auto) and the sweep's
-        finest run, to order_t_final, must pass `solve`'s step budget.  An
-        epsilon that is not finite on the grid is left to the pole screen.
+        sizes.  An epsilon that is not finite on the grid is left to the pole
+        screen.
         """
         sweep, violations = self.dt_sweep, super().violations()
         eps = self.cset.epsilon
@@ -1006,40 +1012,32 @@ class SolitonBenchmarkSpec(_ConstantKdVSpec):
                     f"dt_{{j+1}} / dt_j below 1, all equal to within 1e-9 relative); "
                     f"the ratios are {', '.join(f'{q:.10g}' for q in ratios)}"
                 )
-        if violations or not np.all(np.isfinite(e)):
-            return violations
-        tc, waves = self.constant_kdv(), {}
-        for name in ("kappa", "order_kappa"):
-            kappa = getattr(self, name)
-            # a numpy kappa: a square past the float range gives inf, not OverflowError
-            with np.errstate(all="ignore"):
-                waves[name] = soliton_state(self.grid, np.float64(kappa), e=e[0], center=-1.0)
-            wave = waves[name].coefficients
-            if not (np.all(np.isfinite(wave)) and np.any(wave)):
-                violations.append(
-                    f"[experiment] {name}: the soliton datum must be finite and nonzero "
-                    f"on this grid; got {name} = {kappa:g}"
-                )
-        key, monitored = "[solver] dt", self.solver
-        if self.solver.dt == "auto":  # the monitored run steps at auto_step
-            key, monitored = "[solver] t_final", replace(self.solver, dt=self.auto_step)
-        violations += self._step_violations(key, monitored, tc, waves["kappa"])
-        order = replace(self.solver, t_final=self.order_t_final, dt=min(sweep))
-        return violations + self._step_violations(
-            "[experiment] order_t_final", order, tc, waves["order_kappa"]
-        )
+        return violations
+
+    def solves(self) -> list[_Solve]:
+        """The monitored run of the kappa wave, at auto_step under [solver]
+        dt = auto, with 5 monitor times; then the order sweep, of the
+        order_kappa wave to order_t_final at each step of dt_sweep."""
+        tc = self.constant_kdv()
+        monitored, step_key = self.solver, "[solver] dt"
+        if self.solver.dt == "auto":
+            monitored, step_key = replace(self.solver, dt=self.auto_step), "[solver] t_final"
+        # a numpy kappa: a square past the float range gives inf, not OverflowError
+        wave, order_wave = (soliton_state(self.grid, np.float64(k), e=float(tc.e[0]), center=-1.0)
+                            for k in (self.kappa, self.order_kappa))
+        return [_Solve("[experiment] kappa", f"the soliton of kappa = {self.kappa:g}", wave,
+                       monitored, tc, np.linspace(0.0, monitored.t_final, 6)[1:], step_key)] + [
+            _Solve("[experiment] order_kappa", f"the soliton of order_kappa = {self.order_kappa:g}",
+                   order_wave, replace(self.solver, t_final=self.order_t_final, dt=dt),
+                   tc, step_key="[experiment] order_t_final") for dt in self.dt_sweep
+        ]
 
     def run(self, report: ExperimentReport) -> None:
         """Travelling-wave accuracy, conservation, and temporal order."""
-        grid = self.grid
-        tc = self.constant_kdv()
-        e_val = float(tc.e[0])
-        kappa = self.kappa
-        center = -1.0
-        u0 = soliton_state(grid, kappa, e=e_val, center=center)
-        cfg = replace(self.solver, dt=self.auto_step) if self.solver.dt == "auto" else self.solver
-        monitor = np.linspace(0.0, cfg.t_final, 6)[1:]
-        traj = report.solved(solve(u0, cfg, tc, monitor_times=monitor))
+        grid, kappa, center = self.grid, self.kappa, -1.0
+        monitored, *sweep = self.solves()
+        e_val = float(monitored.problem.e[0])
+        traj = report.solved(monitored.run())
         report.add_table(
             "norms",
             ["t", "hs_norm", "seminorm_cumulative", "sup_norm", "dissipation"],
@@ -1082,11 +1080,7 @@ class SolitonBenchmarkSpec(_ConstantKdVSpec):
         # temporal order from successive differences over the dt sweep; a
         # faster wave strengthens the signal
         kap_ord = self.order_kappa
-        u0_ord = soliton_state(grid, kap_ord, e=e_val, center=-1.0)
-        finals = []
-        for dt_k in self.dt_sweep:
-            cfg_k = replace(self.solver, t_final=self.order_t_final, dt=dt_k)
-            finals.append(report.solved(solve(u0_ord, cfg_k, tc)).final_state)
+        finals = [report.solved(plan.run()).final_state for plan in sweep]
         order_rows, slope, resid = successive_difference_order(self.dt_sweep, finals)
         report.add_table("temporal_order", ["dt", "l2_successive_difference"], order_rows)
         report.slopes["temporal_order"] = {"slope": slope, "residual": resid}

@@ -160,6 +160,17 @@ except ImportError:  # a numpy without the private module: np.fft, same signatur
 _LAST_AXIS = [(-1,), (), (-1,)]  # the transform's axes, as np.fft passes them
 
 
+def _keep(grid: Grid, dealias: bool) -> np.ndarray:
+    """The 0/1 row of the modes a solve keeps: the 2/3 mask when dealiasing,
+    and always without the unpaired Nyquist mode, which cannot stay real
+    under the phase rotation.  Complex: numpy multiplies a complex by a real
+    array in complex arithmetic, so this gives the same bits without a cast
+    per call."""
+    keep = grid.dealias_mask.copy() if dealias else np.ones(grid.wavenumbers.size, bool)
+    keep[-1] = False
+    return keep.astype(complex)
+
+
 class _Spectrum:
     """The real-field transform pair of one grid, with its (ik)^p rows.
 
@@ -185,11 +196,7 @@ class _Spectrum:
         self.k = k = grid.wavenumbers
         self.rows = np.stack([(1j * k) ** p for p in range(4)])
         self.dealiased = dealias_products
-        keep = grid.dealias_mask.copy() if dealias_products else np.ones(k.size, bool)
-        keep[-1] = False
-        # complex: numpy multiplies a complex by a real array in complex
-        # arithmetic, so this gives the same bits without a cast per call
-        self.keep = keep.astype(complex)
+        self.keep = _keep(grid, dealias_products)
 
     def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Half spectra of real values along the last axis."""
@@ -473,10 +480,19 @@ def auto_dt(
     return min(candidates)
 
 
+class _OverBudget(ValueError):
+    """`_step_size`'s refusal of a solve of `steps` > STEP_BUDGET steps."""
+
+    def __init__(self, message: str, steps: float):
+        super().__init__(message)
+        self.steps = steps
+
+
 def _step_size(config: SolverConfig, problem, u0: SpectralState) -> float:
     """config.dt, or `auto_dt` under "auto", for a solve of `u0` on `problem`.
-    A dt that is not positive or takes more than STEP_BUDGET steps to t_final
-    raises ValueError, whose step count has the digits to read above the budget."""
+    A dt that is not positive raises ValueError, and one that takes more than
+    STEP_BUDGET steps to t_final raises `_OverBudget`, whose step count has
+    the digits to read above the budget."""
     dt = auto_dt(config, u0.grid, problem, u0) if config.dt == "auto" else float(config.dt)
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -485,9 +501,10 @@ def _step_size(config: SolverConfig, problem, u0: SpectralState) -> float:
         digits = 3
         while float(f"{steps:.{digits}g}") <= STEP_BUDGET:
             digits += 1
-        raise ValueError(
+        raise _OverBudget(
             f"t_final / dt = {steps:.{digits}g} steps exceeds the step budget of "
-            f"{STEP_BUDGET:g}; got dt = {dt:g} with t_final = {config.t_final:g}"
+            f"{STEP_BUDGET:g}; got dt = {dt:g} with t_final = {config.t_final:g}",
+            steps,
         )
     return dt
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from kdvgauge import solver as solver_module
 from kdvgauge.cli import ConfigError, main, parse_config, run
 from kdvgauge.coefficients import CoefficientSet, check_hypotheses
 from kdvgauge.experiments import EXPERIMENTS, SolitonBenchmarkSpec
-from kdvgauge.solver import STEP_BUDGET, SolverConfig
+from kdvgauge.solver import STEP_BUDGET, SolverConfig, _step_size, solve
 from kdvgauge.spectral import make_grid
 from test_expressions import _TREES, _text
 
@@ -383,9 +384,9 @@ REFUSED_VALUES = {
     **{
         f"bona_smith datum at {where}": (
             _with_line(KIND_CONFIGS["bona_smith"], section, line),
-            "[experiment] spectrum_decay_offset, [solver] s: the datum scaled to unit H^s "
-            "norm must be finite and nonzero on this grid; got spectrum_decay_offset = "
-            f"{offset} with s = {s}",
+            "[experiment] spectrum_decay_offset, [solver] s: the datum of "
+            f"spectrum_decay_offset = {offset} scaled to unit H^s norm at s = {s} is not "
+            "finite on this grid",
         )
         for where, section, line, offset, s in [
             ("offset 1000", "experiment", "spectrum_decay_offset = 1000", "1000", "1"),
@@ -416,8 +417,7 @@ REFUSED_VALUES = {
     # kappa^2 overflows: parsed, then run ended in a bare OverflowError
     "continuity kappa past the float range": (
         KIND_CONFIGS["continuity"] + "kappa = 1e155\n",
-        "[experiment] kappa: the soliton datum must be finite on this grid; got "
-        "kappa = 1e+155",
+        "[experiment] kappa: the soliton of kappa = 1e+155 is not finite on this grid",
     ),
     "continuity epsilon(t)": (
         KIND_CONFIGS["continuity"].replace("epsilon = -6", "epsilon = -6*cos(t)"),
@@ -501,17 +501,15 @@ REFUSED_VALUES = {
     # with "error: (34, 'Numerical result out of range')" and a traceback)
     "gaussian_width out of scale": (
         KIND_CONFIGS["transform_consistency"] + "gaussian_width = 1e200\n",
-        "[experiment] gaussian_width: the Gaussian datum must keep its mass off the "
-        "outer 10% of the domain (edge mass <= 1e-06); width 1e+200 on half_width "
-        "100.531: n = 256 has edge mass 0.098; n = 512 has edge mass 0.1",
+        "[experiment] gaussian_width: the Gaussian of width 1e+200 on n = 256 points has "
+        "edge mass 0.098 > 1e-06 (the outer 10% of the domain of half_width 100.531)",
     ),
     # wide enough to reach the edge of the half_width 32 pi grid, where the run
     # used to end (exit 2) at the transports' source-domain edge check
     "gaussian at the edge": (
         KIND_CONFIGS["transform_consistency"] + "gaussian_width = 100\n",
-        "[experiment] gaussian_width: the Gaussian datum must keep its mass off the "
-        "outer 10% of the domain (edge mass <= 1e-06); width 100 on half_width "
-        "100.531: n = 256 has edge mass 0.053; n = 512 has edge mass 0.054",
+        "[experiment] gaussian_width: the Gaussian of width 100 on n = 256 points has "
+        "edge mass 0.053 > 1e-06 (the outer 10% of the domain of half_width 100.531)",
     ),
     "packet_width": (
         KIND_CONFIGS["wavepacket"] + "packet_width = 0\n",
@@ -555,20 +553,20 @@ REFUSED_VALUES = {
         "got dt = 0.0001 with t_final = 1001",
     ),
     # the original-form solves step at 2.6e-14 and 3.2e-15 under dt = auto:
-    # check passed, and run ended at solve's budget check (exit 2)
+    # check passed, and run ended at solve's budget check (exit 2); the key
+    # is named once, by its longest refused solve
     "transform_consistency auto dt beyond the step budget": (
         KIND_CONFIGS["transform_consistency"].replace("half_width = 32*pi", "half_width = 0.01")
         + "gaussian_width = 0.0005\n",
-        "[solver] dt: the original-form solve on n = 256 points: t_final / dt = 3.86e+12 "
-        "steps exceeds the step budget of 1e+07; got dt = 2.59355e-14 with t_final = 0.1",
+        "[solver] dt: the original-form solve on n = 512 points: t_final / dt = 3.08e+13 "
+        "steps exceeds the step budget of 1e+07; got dt = 3.24193e-15 with t_final = 0.1",
     ),
     # the soliton's height -12 kappa^2 / epsilon overflows: run ended in
     # "error: (34, 'Numerical result out of range')"
     **{
         f"soliton {name} past the float range": (
             MINIMAL + f"{name} = 1e155\n",
-            f"[experiment] {name}: the soliton datum must be finite and nonzero on this "
-            f"grid; got {name} = 1e+155",
+            f"[experiment] {name}: the soliton of {name} = 1e+155 is not finite on this grid",
         )
         for name in ("kappa", "order_kappa")
     },
@@ -576,24 +574,56 @@ REFUSED_VALUES = {
     # l2_conservation and mass_conservation
     "soliton kappa zero on the grid": (
         MINIMAL + "kappa = 1e10\n",
-        "[experiment] kappa: the soliton datum must be finite and nonzero on this grid; "
-        "got kappa = 1e+10",
+        "[experiment] kappa: the soliton of kappa = 1e+10 is zero on this grid",
+    ),
+    # a few nodes hold values near 1e-240, whose squares underflow: run exited
+    # 1 with a nan l2_conservation
+    "soliton kappa without an L2 norm on the grid": (
+        MINIMAL + "kappa = 15717\n",
+        "[experiment] kappa: the soliton of kappa = 15717 is zero on this grid",
     ),
     # width^2 overflows: the flat envelope reaches the edge (it used to end
     # check in an OverflowError traceback)
     "packet_width out of scale": (
         "[experiment]\nkind = wavepacket\npacket_width = 1e200\n",
-        "[experiment] packet_launch, packet_width: each packet must be nonzero and "
-        "keep its mass off the outer 10% of the domain",
+        "[experiment] packet_launch, packet_width: the packet of xi0 = 10 has edge mass "
+        "0.1 > 1e-06",
     ),
     # launched at 30 on the default grid (half_width 8 pi) the packet sits at
     # the edge, where the gains measure the periodic wrap
     "packet at the edge": (
         "[experiment]\nkind = wavepacket\npacket_launch = 30\n",
-        "[experiment] packet_launch, packet_width: each packet must be nonzero and "
-        "keep its mass off the outer 10% of the domain (edge mass <= 1e-06) from "
-        "launch to the traversal time; launched at 30 with width 1.5 on half_width "
-        "25.1327, xi0 = 10 has edge mass 1 at launch",
+        "[experiment] packet_launch, packet_width: the packet of xi0 = 10 has edge mass "
+        "1 > 1e-06 (the outer 10% of the domain of half_width 25.1327)",
+    ),
+    # the check read only the base solve: run would take about 1e7 base steps
+    # before solve refused the first perturbed one, of 1.0003e7 steps
+    "continuity perturbed solve beyond the step budget": (
+        KIND_CONFIGS["continuity"].replace("t_final = 0.2", "t_final = 19500"),
+        "[solver] dt: t_final / dt = 1.0003e+07 steps exceeds the step budget of 1e+07; "
+        "got dt = 0.0019495 with t_final = 19500",
+    ),
+    # run warned that the solution reached the outer 10% (4.65e-4) and exited 1
+    # with FAIL soliton_l2_error
+    "soliton kappa at the edge": (
+        MINIMAL + "kappa = 0.1\n",
+        "[experiment] kappa: the soliton of kappa = 0.1 has edge mass 0.00046 > 1e-06 "
+        "(the outer 10% of the domain of half_width 25.1327)",
+    ),
+    # the solve keeps the dealiased band of the wave, which rings out to the
+    # edge on 32 points: run warned "enlarge half_width" and exited 1
+    "soliton unresolved on the grid": (
+        _with_line(MINIMAL, "grid", "num_points = 32"),
+        "[experiment] kappa: the soliton of kappa = 1 has edge mass 0.00079 > 1e-06 "
+        "(the outer 10% of the domain of half_width 25.1327)",
+    ),
+    # the linear study's base is a Gaussian of fixed width, so the key is the
+    # grid's; run warned "enlarge half_width" three times
+    "continuity Gaussian at the edge": (
+        KIND_CONFIGS["continuity"].replace("epsilon = -6", "epsilon = 0")
+        .replace("half_width = 8*pi", "half_width = 2"),
+        "[grid] half_width: the Gaussian base datum of width 1 has edge mass 0.0061 > 1e-06 "
+        "(the outer 10% of the domain of half_width 2)",
     ),
 }
 
@@ -717,14 +747,15 @@ packet_launch = 6
         assert not (tmp_path / "out").exists()
 
     def test_auto_dt_beyond_the_step_budget_ends_the_run(self, tmp_path, capsys):
-        # auto_dt gives 7.8e-10 on this grid, 2.6e8 steps per solve; the run
-        # used to go on for hours, then ended at solve's budget check after
-        # `check` had passed; the parser now checks the base solve's step
-        cfg_text = KIND_CONFIGS["continuity"].replace("half_width = 8*pi", "half_width = 1e-5")
+        # on the kind grid each solve takes about 5.1e7 steps to t_final = 1e5;
+        # a run like this used to go on for hours, then end at solve's budget
+        # check after `check` had passed; the parser checks each planned solve's
+        # step, and names the key once, by its longest solve
+        cfg_text = KIND_CONFIGS["continuity"].replace("t_final = 0.2", "t_final = 1e5")
         cfg_path = write_cfg(tmp_path, cfg_text)
         refusal = (
-            "config error: [solver] dt: t_final / dt = 2.57e+08 steps exceeds the step "
-            "budget of 1e+07; got dt = 7.77124e-10 with t_final = 0.2\n"
+            "config error: [solver] dt: t_final / dt = 5.13e+07 steps exceeds the step "
+            "budget of 1e+07; got dt = 0.0019495 with t_final = 100000\n"
         )
         for argv in (["check", str(cfg_path)], ["run", str(cfg_path), "-o", str(tmp_path / "out")]):
             assert main(argv) == 2
@@ -1272,6 +1303,11 @@ class TestKindSchemas:
         assert not foreign
         assert type(cfg.spec) is spec
         assert {key: getattr(cfg.spec, key) for key in keys} == knobs
+        # each solve the accepted study plans takes one step to a finite state
+        for plan in cfg.spec.solves():
+            dt = _step_size(plan.config, plan.problem, plan.u0)
+            traj = solve(plan.u0, replace(plan.config, t_final=dt, dt=dt), plan.problem)
+            assert not traj.blowup and np.all(np.isfinite(traj.final_state.coefficients)), text
 
     @settings(max_examples=200, deadline=None)
     @given(base=st.sampled_from([MINIMAL, SURVEY]), draw=st.data())

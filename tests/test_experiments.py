@@ -1,11 +1,16 @@
 """Experiment studies, fits, initial data, and report emission."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kdvgauge
 from kdvgauge import gauge
 from kdvgauge.coefficients import CoefficientSet
 from kdvgauge.dyadic import ProjectorBank, project
@@ -48,6 +53,24 @@ class TestFitLoglog:
         # polyfit on one distinct abscissa returns a slope that means nothing
         with pytest.raises(ValueError, match="distinct abscissae"):
             fit_loglog(xs, np.arange(1.0, len(xs) + 1.0))
+
+    def test_fit_does_not_import_numpy_ma(self):
+        # np.unique imported numpy.ma (about 14 ms) on the first fit only to
+        # count the distinct abscissae.  A subprocess, because other test
+        # modules may have imported numpy.ma into this interpreter already.
+        program = (
+            "import sys\n"
+            "from kdvgauge.experiments import fit_loglog\n"
+            "fit_loglog([1.0, 2.0, 4.0], [1.0, 4.0, 16.0])\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        path = [str(Path(kdvgauge.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        done = subprocess.run(
+            [sys.executable, "-c", program], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["False"]
 
 
 class TestSuccessiveDifferenceOrder:
