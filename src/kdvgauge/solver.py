@@ -219,15 +219,22 @@ class _Spectrum:
 
 
 def _sum_terms(terms: list, fields: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """sum(coef * fields[i] for coef, i in terms) into `out`, in table order.
+    """sum(sign * coef * fields[i] for coef, sign, i in terms) into `out`, in
+    table order, each sign applied by negating, adding or subtracting the
+    product coef * fields[i]: IEEE rounding is symmetric in sign, so this
+    gives the bits of the product with the signed coefficient.
 
     Unlike `sum`, it starts from the first term rather than from 0, which
     can differ only in the sign of a zero.
     """
-    (coef, i), *rest = terms
+    (coef, sign, i), *rest = terms
     np.multiply(coef, fields[i], out=out)
-    for coef, i in rest:
-        np.add(out, np.multiply(coef, fields[i], out=scratch), out=out)
+    if sign < 0:
+        np.negative(out, out=out)
+    for coef, sign, i in rest:
+        (np.add if sign > 0 else np.subtract)(
+            out, np.multiply(coef, fields[i], out=scratch), out=out
+        )
 
 
 class _RK4:
@@ -237,9 +244,9 @@ class _RK4:
     i k^3 for the transformed form (integrating-factor RK4, the dispersion
     applied exactly).  N reads the form's term table; terms whose sampled
     coefficient is identically zero are dropped once per coefficient sample,
-    and every derivative order N needs comes from one batched inverse FFT;
-    a coefficient array that the previous plan also read (a field that does
-    not depend on t) keeps its signed term.  When the one term left is a
+    and every derivative order N needs comes from one batched inverse FFT.
+    A plan holds each term's coefficient array as sampled, with its sign.
+    When the one term left is a
     quadratic u u_x whose coefficient e is constant in x and products are
     dealiased, the plan is the flux row (sign e / 2) (ik) keep instead:
     N = row * F[u^2] costs one inverse and one forward transform of a single
@@ -271,7 +278,6 @@ class _RK4:
         self._factors: dict[float, tuple] = {}
         self._plan_source = None
         self._plan = None
-        self._signed: dict = {}  # (id, sign) -> (coefficient, signed term) of the last plan
         size, n = spectrum.k.size, spectrum.n
         # stage input, exp(L dt/2) c, exp(L dt) c, n1..n4
         self._stages = np.empty((7, size), dtype=complex)
@@ -306,26 +312,21 @@ class _RK4:
                 orders.append(order)
             return orders.index(order)
 
-        linear, quadratic, signed = [], [], {}
+        linear, quadratic = [], []
         for name, (order, sign, is_quadratic) in self.terms.items():
             coef = getattr(co, name)
             if coef.any():
-                # a coefficient array shared by successive slices (a field
-                # that does not depend on t) keeps its signed term
-                key = (id(coef), sign)
-                seen = self._signed.get(key)
-                signed[key] = seen if seen is not None and seen[0] is coef else (coef, sign * coef)
-                (quadratic if is_quadratic else linear).append((signed[key][1], slot(order)))
-        self._signed = signed
+                (quadratic if is_quadratic else linear).append((coef, sign, slot(order)))
         field_slot = slot(0) if quadratic else None
         plan = None
         if orders:
             plan = (self.spectrum.rows[orders], linear, quadratic, field_slot)
         # plain KdV: the one term is u u_x, read from u_x and u (orders 1, 0)
         if self.spectrum.dealiased and not linear and len(quadratic) == 1 and orders == [1, 0]:
-            e = np.ravel(quadratic[0][0])  # sign * coefficient
+            coef, sign, _ = quadratic[0]
+            e = np.ravel(coef)
             if np.all(e == e[0]):
-                plan = (0.5 * e[0]) * self.spectrum.rows[1] * self.spectrum.keep
+                plan = (0.5 * (sign * e[0])) * self.spectrum.rows[1] * self.spectrum.keep
         self._plan_source, self._plan = co, plan
         return plan
 

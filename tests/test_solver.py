@@ -666,9 +666,11 @@ def _allocating_rhs(rk, chat, t):
         return plan * rk.spectrum.forward(rk.spectrum.inverse(chat) ** 2)
     rows, linear, quadratic, field_slot = plan
     fields = rk.spectrum.inverse(rows * chat)
-    total = sum(coef * fields[i] for coef, i in linear)
+    total = sum((sign * coef) * fields[i] for coef, sign, i in linear)
     if quadratic:
-        total = total + fields[field_slot] * sum(coef * fields[i] for coef, i in quadratic)
+        total = total + fields[field_slot] * sum(
+            (sign * coef) * fields[i] for coef, sign, i in quadratic
+        )
     out = rk.spectrum.forward(total)
     out *= rk.spectrum.keep.real
     return out
@@ -1170,17 +1172,19 @@ class TestSharedOriginalFields:
                     a[0] = 1.0
         assert early.beta is not early.gamma  # each field its own array
 
-    def test_plan_keeps_the_signed_term_of_a_shared_field(self):
+    def test_plan_holds_the_shared_array_of_a_shared_field(self):
         g = make_grid(16 * np.pi, 128)
         cs = CoefficientSet.from_strings(**_DRIFTING)
         _, sampler = solver_module._sampler(cs, g)
         rk = solver_module._RK4(solver_module._Spectrum(g, True), "original", sampler)
-        first = rk._plan_for(sampler(0.1))
-        second = rk._plan_for(sampler(0.2))
+        early, late = sampler(0.1), sampler(0.2)
+        first, second = rk._plan_for(early), rk._plan_for(late)
         # linear terms in table order: alpha (drifts), beta, gamma, delta
-        assert first[1][0][0] is not second[1][0][0]
-        assert all(a[0] is b[0] for a, b in zip(first[1][1:], second[1][1:]))
-        assert first[2][0][0] is second[2][0][0]  # epsilon
+        assert first[1][0][0] is early.alpha and second[1][0][0] is late.alpha
+        assert early.alpha is not late.alpha
+        for a, b, name in zip(first[1][1:], second[1][1:], ("beta", "gamma", "delta")):
+            assert a[0] is b[0] is getattr(early, name) is getattr(late, name)
+        assert first[2][0][0] is second[2][0][0] is early.epsilon  # shared by both slices
 
 
 def test_auto_dt_beyond_the_step_budget_is_refused_by_solve():
