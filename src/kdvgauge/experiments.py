@@ -968,7 +968,6 @@ class CommutatorSurveySpec(ExperimentSpec):
 @dataclass(frozen=True)
 class SolitonBenchmarkSpec(_ConstantKdVSpec):
     kind: ClassVar[str] = "soliton_benchmark"
-    auto_step: ClassVar[float] = 1e-4  # the monitored run's dt under [solver] dt = auto
     kappa: Annotated[float, "nonzero"] = 1.0
     order_kappa: Annotated[float, "nonzero"] = 2.0
     dt_sweep: Annotated[tuple[float, ...], "positive"] = tuple(
@@ -1015,18 +1014,15 @@ class SolitonBenchmarkSpec(_ConstantKdVSpec):
         return violations
 
     def solves(self) -> list[_Solve]:
-        """The monitored run of the kappa wave, at auto_step under [solver]
-        dt = auto, with 5 monitor times; then the order sweep, of the
-        order_kappa wave to order_t_final at each step of dt_sweep."""
+        """The monitored run of the kappa wave, with 5 monitor times; then the
+        order sweep, of the order_kappa wave to order_t_final at each step of
+        dt_sweep."""
         tc = self.constant_kdv()
-        monitored, step_key = self.solver, "[solver] dt"
-        if self.solver.dt == "auto":
-            monitored, step_key = replace(self.solver, dt=self.auto_step), "[solver] t_final"
         # a numpy kappa: a square past the float range gives inf, not OverflowError
         wave, order_wave = (soliton_state(self.grid, np.float64(k), e=float(tc.e[0]), center=-1.0)
                             for k in (self.kappa, self.order_kappa))
         return [_Solve("[experiment] kappa", f"the soliton of kappa = {self.kappa:g}", wave,
-                       monitored, tc, np.linspace(0.0, monitored.t_final, 6)[1:], step_key)] + [
+                       self.solver, tc, np.linspace(0.0, self.solver.t_final, 6)[1:])] + [
             _Solve("[experiment] order_kappa", f"the soliton of order_kappa = {self.order_kappa:g}",
                    order_wave, replace(self.solver, t_final=self.order_t_final, dt=dt),
                    tc, step_key="[experiment] order_t_final") for dt in self.dt_sweep

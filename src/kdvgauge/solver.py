@@ -67,9 +67,10 @@ CAP_CHECK_STRIDE = 10  # steps between cap checks of a solve without monitor tim
 STACK_ROWS = 16  # stored states per block of the energy ledger and the weak residual
 # most steps a solve may take to its t_final, which `solve` checks once dt is
 # resolved and the parser checks for every dt a config states: far above the
-# solves of the test and benchmark configs (at most 5000, the soliton study's
-# monitored run), and far below the ratio near 2^53 at which t += dt stops
-# advancing t in floating point, where a solve never ends
+# solves of the tests and benchmark configs (a few thousand, such as the 5000
+# of the soliton run to t = 0.5 at dt = 1e-4 in acceptance criterion 5), and
+# far below the ratio near 2^53 at which t += dt stops advancing t in
+# floating point, where a solve never ends
 STEP_BUDGET = 10**7
 
 

@@ -177,7 +177,7 @@ def test_criterion_5_soliton_benchmark():
     cset = CoefficientSet.constant_kdv(-6.0)
     spec = SolitonBenchmarkSpec(
         cset=cset, grid=make_grid(8 * np.pi, 512),
-        solver=SolverConfig(t_final=0.5, dt="auto"), kappa=1.0,
+        solver=SolverConfig(t_final=0.5, dt=1e-4), kappa=1.0,
     )
     report = run_experiment(spec)
     vals = {v.name: v for v in report.verdicts}

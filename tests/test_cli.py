@@ -20,7 +20,7 @@ from kdvgauge import solver as solver_module
 from kdvgauge.cli import ConfigError, main, parse_config, run
 from kdvgauge.coefficients import CoefficientSet, check_hypotheses
 from kdvgauge.experiments import EXPERIMENTS, SolitonBenchmarkSpec
-from kdvgauge.solver import STEP_BUDGET, SolverConfig, _step_size, solve
+from kdvgauge.solver import STEP_BUDGET, SolverConfig, _step_size, auto_dt, solve
 from kdvgauge.spectral import make_grid
 from test_expressions import _TREES, _text
 
@@ -535,11 +535,12 @@ REFUSED_VALUES = {
         "[experiment] order_t_final: t_final / dt = 2.5e+13 steps exceeds the step budget "
         "of 1e+07; got dt = 4e-05 with t_final = 1e+09",
     ),
-    # under dt = auto the soliton study's monitored run steps at 1e-4
+    # under dt = auto the soliton study's monitored run steps at auto_dt,
+    # 9.77e-4 on the default grid
     "auto soliton run beyond the step budget": (
         _with_line(MINIMAL, "solver", "t_final = 1e4"),
-        "[solver] t_final: t_final / dt = 1e+08 steps exceeds the step budget of 1e+07; "
-        "got dt = 0.0001 with t_final = 10000",
+        "[solver] dt: t_final / dt = 1.02e+07 steps exceeds the step budget of 1e+07; "
+        "got dt = 0.000976888 with t_final = 10000",
     ),
     # a count just above the budget used to print as "1e+07"
     "dt just beyond the step budget": (
@@ -548,9 +549,9 @@ REFUSED_VALUES = {
         "got dt = 4.99e-08 with t_final = 0.5",
     ),
     "auto soliton run just beyond the step budget": (
-        _with_line(MINIMAL, "solver", "t_final = 1001"),
-        "[solver] t_final: t_final / dt = 1.001e+07 steps exceeds the step budget of 1e+07; "
-        "got dt = 0.0001 with t_final = 1001",
+        _with_line(MINIMAL, "solver", "t_final = 9769"),
+        "[solver] dt: t_final / dt = 1.00001e+07 steps exceeds the step budget of 1e+07; "
+        "got dt = 0.000976888 with t_final = 9769",
     ),
     # the original-form solves step at 2.6e-14 and 3.2e-15 under dt = auto:
     # check passed, and run ended at solve's budget check (exit 2); the key
@@ -1178,6 +1179,17 @@ KNOB_VALUES = {
 }
 
 
+def _planned_step(plan) -> float:
+    """The step that `solve` takes for a planned solve."""
+    return _step_size(plan.config, plan.problem, plan.u0)
+
+
+# the step of MINIMAL's monitored run under dt = auto, at its default t_final
+# (auto_dt is capped by t_final, so a smaller t_final is one step)
+MINIMAL_AUTO_DT = _planned_step(
+    SolitonBenchmarkSpec(cset=CoefficientSet.constant_kdv(-6.0)).solves()[0]
+)
+
 # base key -> (section, values to draw); any float, and "auto" where accepted
 _BASE_FLOATS = st.floats() | st.sampled_from([0.0, -1.0, 1e-300, 1e300])
 BASE_KEYS = {
@@ -1305,18 +1317,35 @@ class TestKindSchemas:
         assert {key: getattr(cfg.spec, key) for key in keys} == knobs
         # each solve the accepted study plans takes one step to a finite state
         for plan in cfg.spec.solves():
-            dt = _step_size(plan.config, plan.problem, plan.u0)
+            dt = _planned_step(plan)
             traj = solve(plan.u0, replace(plan.config, t_final=dt, dt=dt), plan.problem)
             assert not traj.blowup and np.all(np.isfinite(traj.final_state.coefficients)), text
+
+    @pytest.mark.parametrize("kind", sorted(set(KIND_BASES) - {"commutator_survey"}))
+    def test_dt_auto_means_auto_dt_of_each_datum(self, tmp_path, kind):
+        # under dt = auto each planned solve steps at auto_dt of its own datum,
+        # and bona_smith's runs at auto_dt of the reference datum, which they
+        # share; the soliton order sweep steps at dt_sweep, whatever dt is
+        spec = parse_config(write_cfg(tmp_path, KIND_BASES[kind])).spec
+        assert spec.solver.dt == "auto"
+        plans = spec.solves()
+        assert plans
+        for plan in plans:
+            if plan.config.dt in getattr(spec, "dt_sweep", ()):
+                continue
+            datum = plans[0].u0 if kind == "bona_smith" else plan.u0
+            want = auto_dt(replace(plan.config, dt="auto"), datum.grid, plan.problem, datum)
+            assert _planned_step(plan) == want, plan.label
 
     @settings(max_examples=200, deadline=None)
     @given(base=st.sampled_from([MINIMAL, SURVEY]), draw=st.data())
     def test_random_base_values_parse_or_name_the_key(self, tmp_path_factory, base, draw):
         # every drawn value either parses or is refused by a ConfigError that
         # names its key; a value is valid when positive and finite (or auto),
-        # and valid values are refused, naming dt, when an explicit dt would
-        # take the soliton study's monitored run more than STEP_BUDGET steps to
-        # t_final (the survey never solves)
+        # and valid values are refused, naming dt, when dt (under auto, the
+        # monitored run's auto_dt, which t_final caps) would take the soliton
+        # study's monitored run more than STEP_BUDGET steps to t_final (the
+        # survey never solves)
         keys = draw.draw(st.lists(st.sampled_from(sorted(BASE_KEYS)), unique=True, max_size=5))
         values = {key: draw.draw(BASE_KEYS[key][1]) for key in keys}
         text = base
@@ -1330,28 +1359,22 @@ class TestKindSchemas:
             if value != "auto" and not (np.isfinite(value) and value > 0)
         ]
         dt, t_final = values.get("dt", "auto"), values.get("t_final", SolverConfig.t_final)
-        over_budget = not invalid and dt != "auto" and base == MINIMAL and (
-            t_final / dt > STEP_BUDGET
-        )
-        # the soliton study's monitored run steps at auto_step under dt = auto
-        auto_over = not invalid and dt == "auto" and base == MINIMAL and (
-            t_final / SolitonBenchmarkSpec.auto_step > STEP_BUDGET
-        )
+        if dt == "auto":
+            dt = min(t_final, MINIMAL_AUTO_DT)
+        over_budget = not invalid and base == MINIMAL and t_final / dt > STEP_BUDGET
         cfg_path = tmp_path_factory.getbasetemp() / "base.cfg"
         cfg_path.write_text(text)
         try:
             parse_config(cfg_path)
         except ConfigError as err:
             refused = "\n".join(err.violations)
-            assert invalid or over_budget or auto_over, refused
+            assert invalid or over_budget, refused
             for key in invalid:
                 assert f"[{BASE_KEYS[key][0]}] {key}: must be positive and finite" in refused
             if over_budget:
                 assert refused.startswith("[solver] dt: t_final / dt = "), refused
-            if auto_over:
-                assert refused.startswith("[solver] t_final: t_final / dt = "), refused
             return
-        assert not invalid and not over_budget and not auto_over
+        assert not invalid and not over_budget
 
     @settings(max_examples=200, deadline=None)
     @given(

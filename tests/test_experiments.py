@@ -30,7 +30,7 @@ from kdvgauge.experiments import (
     successive_difference_order,
     write_report,
 )
-from kdvgauge.solver import SolverConfig
+from kdvgauge.solver import SolverConfig, auto_dt
 from kdvgauge.spectral import SpectralState, l2_norm, make_grid, sobolev_norm
 
 
@@ -290,8 +290,8 @@ class TestReportEmission:
 class TestSolverSettingsReachEverySolve:
     """Each solve gets the spec's `solver`, apart from the fields its kind
     replaces: bona_smith's edge warning and shared auto step, the
-    wavepacket's traversal time and undealiased runs, the soliton run's
-    auto step and the order sweep's time and steps."""
+    wavepacket's traversal time and undealiased runs, and the order sweep's
+    time and steps."""
 
     SOLVER = SolverConfig(t_final=0.01, dt=1e-3, s=2.0, dealias=False, blowup_threshold=50.0)
 
@@ -322,14 +322,27 @@ class TestSolverSettingsReachEverySolve:
             replace(spec.solver, t_final=0.004, dt=dt) for dt in spec.dt_sweep
         ]
 
-    def test_soliton_benchmark_auto_step(self, monkeypatch):
+    def test_soliton_benchmark_steps_at_auto_dt(self, monkeypatch):
+        # the monitored run keeps dt = "auto", which solve resolves by auto_dt
+        import kdvgauge.solver as solver
+
         spec = SolitonBenchmarkSpec(
             cset=CoefficientSet.constant_kdv(-6.0), grid=make_grid(8 * np.pi, 256),
             solver=replace(self.SOLVER, dt="auto"), order_t_final=0.004,
             dt_sweep=(1e-3, 5e-4, 2.5e-4),
         )
+        steps, step_size = [], solver._step_size
+
+        def recording(*args):
+            steps.append(step_size(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(solver, "_step_size", recording)
         configs = self._recorded_configs(monkeypatch, spec)
-        assert configs[0] == replace(spec.solver, dt=1e-4)
+        assert configs[0] == spec.solver
+        monitored = spec.solves()[0]
+        assert steps == [auto_dt(spec.solver, spec.grid, monitored.problem, monitored.u0),
+                         *spec.dt_sweep]
 
     def test_wavepacket_keeps_its_undealiased_runs(self, monkeypatch):
         spec = WavepacketSpec(
@@ -341,7 +354,7 @@ class TestSolverSettingsReachEverySolve:
         T = 2.0 * 6.0 / (3.0 * 4.0**2)
         assert configs == [replace(spec.solver, t_final=T, dealias=False)]
 
-    def test_bona_smith_shares_one_auto_step(self, monkeypatch):
+    def test_bona_smith_shares_one_auto_dt(self, monkeypatch):
         spec = BonaSmithSpec(
             cset=CoefficientSet.constant_kdv(-6.0), grid=make_grid(np.pi, 256),
             solver=replace(self.SOLVER, dt="auto"), n_sweep=(16, 32), reference_n=64,
