@@ -97,10 +97,11 @@ class Verdict:
 class _Solve:
     """One solve of a study's run: the datum `u0`, the `config` and `problem`
     that `run` passes to `solve`, and its monitor times.  A refusal of the
-    datum names `datum_key` and describes the datum as `label`; a refusal of
-    the step names `step_key`, then `step_label`, which says which solve it
-    is, then `solve`'s message.  `image` is a state the study compares the
-    solve's end with."""
+    datum names `datum_key` and describes the datum as `label`, or names
+    `grid_key`, the knob that sets the solve's number of points, when the
+    grid does not resolve the datum; a refusal of the step names `step_key`,
+    then `step_label`, which says which solve it is, then `solve`'s message.
+    `image` is a state the study compares the solve's end with."""
 
     datum_key: str
     label: str
@@ -111,39 +112,63 @@ class _Solve:
     step_key: str = "[solver] dt"
     step_label: str = ""
     image: SpectralState | None = None
+    grid_key: str = "[grid] num_points"
 
     def run(self) -> Trajectory:
         return solve(self.u0, self.config, self.problem, monitor_times=self.monitor)
 
     def refusal(self) -> tuple | None:
-        """(key, rank, reason) of the first check this solve fails, else None:
-        the datum, then the image, on the modes the solve keeps, must be finite
-        with a nonzero L2 norm, and keep its edge mass at most `EDGE_MASS_LIMIT`
-        if the solve warns at the edge (rank inf); then the step must pass
-        `solve`'s step budget (rank: its steps, inf for a step that is not
-        positive)."""
+        """(key, rank, reason) of the first check this solve fails, else None.
+
+        The datum, then the image, on the modes the solve keeps, must be
+        finite with a nonzero L2 norm, and keep its edge mass at most
+        `EDGE_MASS_LIMIT` if the solve warns at the edge (rank inf).  The grid
+        does not resolve a state that fails only once cut to those modes, nor,
+        if the solve warns at the edge, one whose dropped modes hold more than
+        `EDGE_MASS_LIMIT` of its squared L2 norm: the kept modes next to the
+        cut hold about as much, and dispersion carries them across the domain
+        at group speed 3 alpha k^2.  Then the step must pass `solve`'s step
+        budget (rank: its steps, inf for a step that is not positive)."""
         image = f"{self.label}'s image at t = {self.config.t_final:.4g}"
         for what, state in ((self.label, self.u0), (image, self.image)):
             if state is None:
                 continue
-            c = state.coefficients * _keep(state.grid, self.config.dealias)  # as solve stores it
-            state = SpectralState(state.grid, c)
-            if not np.all(np.isfinite(c)):
-                why = "is not finite on this grid"
-            elif not l2_norm(state) > 0.0:  # squares that underflow leave no norm to measure
-                why = "is zero on this grid"
+            kept = SpectralState(  # as solve stores it
+                state.grid, state.coefficients * _keep(state.grid, self.config.dealias)
+            )
+            why = self._fault(kept)
+            if why is not None and self._fault(state) is not None:
+                return self.datum_key, np.inf, f"{what} {why}"
+            if why is not None:
+                why = f"cut to the modes a solve keeps, it {why}"
             elif self.config.warn_domain_edge and not (
-                (edge := edge_mass_fraction(state)) <= EDGE_MASS_LIMIT
+                (dropped := (l2_norm(state - kept) / l2_norm(state)) ** 2) <= EDGE_MASS_LIMIT
             ):
-                why = (f"has edge mass {edge:.2g} > {EDGE_MASS_LIMIT:g} (the outer 10% of the "
-                       f"domain of half_width {state.grid.half_width:g})")
+                why = (f"the modes a solve drops hold {dropped:.2g} > {EDGE_MASS_LIMIT:g} of "
+                       f"its squared L2 norm")
             else:
                 continue
-            return self.datum_key, np.inf, f"{what} {why}"
+            return self.grid_key, np.inf, (
+                f"{what} is not resolved on n = {state.grid.num_points} points: {why}"
+            )
         try:
             _step_size(self.config, self.problem, self.u0)
         except ValueError as exc:
             return self.step_key, getattr(exc, "steps", np.inf), f"{self.step_label}{exc}"
+        return None
+
+    def _fault(self, state: SpectralState) -> str | None:
+        """Why the solve cannot take `state`, or None: it must be finite with a
+        nonzero L2 norm, and off the edge if the solve warns there."""
+        if not np.all(np.isfinite(state.coefficients)):
+            return "is not finite on this grid"
+        if not l2_norm(state) > 0.0:  # squares that underflow leave no norm to measure
+            return "is zero on this grid"
+        if self.config.warn_domain_edge and not (
+            (edge := edge_mass_fraction(state)) <= EDGE_MASS_LIMIT
+        ):
+            return (f"has edge mass {edge:.2g} > {EDGE_MASS_LIMIT:g} (the outer 10% of the "
+                    f"domain of half_width {state.grid.half_width:g})")
         return None
 
 
@@ -416,6 +441,7 @@ class TransformConsistencySpec(ExperimentSpec):
                                self.gaussian_width),
                 self.solver, self.cset, monitor,
                 step_label=f"the original-form solve on n = {n} points: ",
+                grid_key="[experiment] refine_sweep",
             )
             for n in self.refine_sweep
         ]

@@ -612,11 +612,28 @@ REFUSED_VALUES = {
         "(the outer 10% of the domain of half_width 25.1327)",
     ),
     # the solve keeps the dealiased band of the wave, which rings out to the
-    # edge on 32 points: run warned "enlarge half_width" and exited 1
+    # edge on 32 points: run warned "enlarge half_width" and exited 1; the
+    # wave itself is off the edge, so the grid's key is named, once
     "soliton unresolved on the grid": (
         _with_line(MINIMAL, "grid", "num_points = 32"),
-        "[experiment] kappa: the soliton of kappa = 1 has edge mass 0.00079 > 1e-06 "
-        "(the outer 10% of the domain of half_width 25.1327)",
+        "[grid] num_points: the soliton of kappa = 1 is not resolved on n = 32 points: "
+        "cut to the modes a solve keeps, it has edge mass 0.00079 > 1e-06 "
+        "(the outer 10% of the domain of half_width 25.1327)\n",
+    ),
+    # the same on a grid of the sweep, whose size is a knob of the kind
+    "gaussian unresolved on a grid of the sweep": (
+        KIND_CONFIGS["transform_consistency"].replace("refine_sweep = 256, 512", "refine_sweep = 16"),
+        "[experiment] refine_sweep: the Gaussian of width 2 on n = 16 points is not resolved "
+        "on n = 16 points: cut to the modes a solve keeps, it has edge mass 0.0057 > 1e-06 "
+        "(the outer 10% of the domain of half_width 100.531)",
+    ),
+    # the kept Gaussian is off the edge, but its band reaches the cut, and
+    # dispersion carries the modes next to it across the domain: run warned
+    # "enlarge half_width" twice and ended in the transport's edge error (exit 2)
+    "gaussian cut by the solve's truncation": (
+        KIND_CONFIGS["transform_consistency"] + "gaussian_width = 1\n",
+        "[experiment] refine_sweep: the Gaussian of width 1 on n = 256 points is not resolved "
+        "on n = 256 points: the modes a solve drops hold 0.00016 > 1e-06 of its squared L2 norm",
     ),
     # the linear study's base is a Gaussian of fixed width, so the key is the
     # grid's; run warned "enlarge half_width" three times
@@ -746,6 +763,12 @@ packet_launch = 6
             assert f"config error: {named}\n" in captured.err
             assert all(line.startswith("config error: ") for line in captured.err.splitlines())
         assert not (tmp_path / "out").exists()
+
+    def test_unresolved_waves_name_the_grid_once(self, tmp_path, capsys):
+        # both waves of the soliton study ring out to the edge on 32 points
+        cfg_text, named = REFUSED_VALUES["soliton unresolved on the grid"]
+        assert main(["check", str(write_cfg(tmp_path, cfg_text))]) == 2
+        assert capsys.readouterr().err == f"config error: {named}"
 
     def test_auto_dt_beyond_the_step_budget_ends_the_run(self, tmp_path, capsys):
         # on the kind grid each solve takes about 5.1e7 steps to t_final = 1e5;
@@ -1179,6 +1202,24 @@ KNOB_VALUES = {
 }
 
 
+def _knob_values(spec, key):
+    """Values of a knob: any value of its type, or, three draws in four for
+    the spec's own knobs, its default with each entry scaled by one power of
+    two, which keeps sizes powers of two and a geometric sweep geometric, so
+    that many draws parse and run."""
+    typ, default = KNOB_TYPES[key], getattr(spec, key, None)
+    if default is None:  # a knob of another kind
+        return KNOB_VALUES[typ]
+    entry = typ.__args__[0] if isinstance(default, tuple) else typ
+    scaled = st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]).map(
+        lambda f: tuple(entry(v * f) for v in default) if isinstance(default, tuple)
+        else entry(default * f)
+    )
+    return st.sampled_from([True, True, True, False]).flatmap(
+        lambda near: scaled if near else KNOB_VALUES[typ]
+    )
+
+
 def _planned_step(plan) -> float:
     """The step that `solve` takes for a planned solve."""
     return _step_size(plan.config, plan.problem, plan.u0)
@@ -1292,14 +1333,26 @@ class TestKindSchemas:
             parse_config(write_cfg(tmp_path, MINIMAL + "dt_swep = 1e-4\n"))
 
     @settings(max_examples=200, deadline=None)
-    @given(kind=st.sampled_from(sorted(EXPERIMENTS)), draw=st.data())
-    def test_random_knobs_parse_or_name_every_foreign_key(self, tmp_path_factory, kind, draw):
-        keys = draw.draw(st.lists(st.sampled_from(sorted(KNOB_TYPES)), unique=True, max_size=6))
-        knobs = {key: draw.draw(KNOB_VALUES[KNOB_TYPES[key]]) for key in keys}
-        text = f"[experiment]\nkind = {kind}\n" + "".join(
-            f"{key} = {_knob_text(value)}\n" for key, value in knobs.items()
-        )
+    @given(kind=st.sampled_from(sorted(EXPERIMENTS)), on_test_config=st.booleans(),
+           draw=st.data())
+    def test_random_knobs_parse_or_name_every_foreign_key(
+        self, tmp_path_factory, kind, on_test_config, draw
+    ):
+        # up to four of the kind's knobs and, one draw in three, a knob of
+        # another kind, set on a bare [experiment] config or on the kind's
+        # test config, where a drawn knob replaces the knob's line if it has one
         spec = EXPERIMENTS[kind]
+        own = sorted(spec.knobs())
+        foreign_keys = st.sampled_from([0, 0, 1]).flatmap(lambda count: st.lists(
+            st.sampled_from(sorted(set(KNOB_TYPES) - set(own))), min_size=count, max_size=count
+        ))
+        keys = draw.draw(st.lists(st.sampled_from(own), unique=True, max_size=4))
+        keys += draw.draw(foreign_keys)
+        knobs = {key: draw.draw(_knob_values(spec, key)) for key in keys}
+        text = KIND_BASES[kind] if on_test_config else f"[experiment]\nkind = {kind}\n"
+        for key, value in knobs.items():
+            text = "\n".join(ln for ln in text.split("\n") if not ln.startswith(f"{key} = "))
+            text = _with_line(text, "experiment", f"{key} = {_knob_text(value)}")
         foreign = [key for key in keys if key not in spec.knobs()]
         cfg_path = tmp_path_factory.getbasetemp() / "knobs.cfg"
         cfg_path.write_text(text)
