@@ -247,9 +247,9 @@ class _RK4:
     coefficient is identically zero are dropped once per coefficient sample,
     and every derivative order N needs comes from one batched inverse FFT.
     A plan holds each term's coefficient array as sampled, with its sign.
-    When the one term left is a
-    quadratic u u_x whose coefficient e is constant in x and products are
-    dealiased, the plan is the flux row (sign e / 2) (ik) keep instead:
+    When the one term left is a quadratic u u_x whose coefficient e is
+    constant in x and products are dealiased, the plan is the flux row
+    (sign e / 2) (ik) keep instead:
     N = row * F[u^2] costs one inverse and one forward transform of a single
     field.  The aliased modes of u^2 land outside the 2/3 band, so this
     equals the product form up to round-off.
