@@ -126,9 +126,11 @@ class _Solve:
         does not resolve a state that fails only once cut to those modes, nor,
         if the solve warns at the edge, one whose dropped modes hold more than
         `EDGE_MASS_LIMIT` of its squared L2 norm: the kept modes next to the
-        cut hold about as much, and dispersion carries them across the domain
-        at group speed 3 alpha k^2.  Then the step must pass `solve`'s step
-        budget (rank: its steps, inf for a step that is not positive)."""
+        cut hold about as much, and a solve carries them to the edge.  This
+        screen does not read t_final, so it refuses some data whose run stays
+        off the edge and passes some whose run reaches it late (README,
+        "Domain sizing").  Then the step must pass `solve`'s step budget
+        (rank: its steps, inf for a step that is not positive)."""
         image = f"{self.label}'s image at t = {self.config.t_final:.4g}"
         for what, state in ((self.label, self.u0), (image, self.image)):
             if state is None:
@@ -436,7 +438,7 @@ class TransformConsistencySpec(ExperimentSpec):
         return [
             _Solve(
                 "[experiment] gaussian_width",
-                f"the Gaussian of width {self.gaussian_width:g} on n = {n} points",
+                f"the Gaussian of width {self.gaussian_width:g}",
                 gaussian_state(make_grid(self.grid.half_width, n), self.gaussian_amplitude,
                                self.gaussian_width),
                 self.solver, self.cset, monitor,

@@ -501,15 +501,15 @@ REFUSED_VALUES = {
     # with "error: (34, 'Numerical result out of range')" and a traceback)
     "gaussian_width out of scale": (
         KIND_CONFIGS["transform_consistency"] + "gaussian_width = 1e200\n",
-        "[experiment] gaussian_width: the Gaussian of width 1e+200 on n = 256 points has "
-        "edge mass 0.098 > 1e-06 (the outer 10% of the domain of half_width 100.531)",
+        "[experiment] gaussian_width: the Gaussian of width 1e+200 has edge mass 0.098 "
+        "> 1e-06 (the outer 10% of the domain of half_width 100.531)",
     ),
     # wide enough to reach the edge of the half_width 32 pi grid, where the run
     # used to end (exit 2) at the transports' source-domain edge check
     "gaussian at the edge": (
         KIND_CONFIGS["transform_consistency"] + "gaussian_width = 100\n",
-        "[experiment] gaussian_width: the Gaussian of width 100 on n = 256 points has "
-        "edge mass 0.053 > 1e-06 (the outer 10% of the domain of half_width 100.531)",
+        "[experiment] gaussian_width: the Gaussian of width 100 has edge mass 0.053 "
+        "> 1e-06 (the outer 10% of the domain of half_width 100.531)",
     ),
     "packet_width": (
         KIND_CONFIGS["wavepacket"] + "packet_width = 0\n",
@@ -623,8 +623,8 @@ REFUSED_VALUES = {
     # the same on a grid of the sweep, whose size is a knob of the kind
     "gaussian unresolved on a grid of the sweep": (
         KIND_CONFIGS["transform_consistency"].replace("refine_sweep = 256, 512", "refine_sweep = 16"),
-        "[experiment] refine_sweep: the Gaussian of width 2 on n = 16 points is not resolved "
-        "on n = 16 points: cut to the modes a solve keeps, it has edge mass 0.0057 > 1e-06 "
+        "[experiment] refine_sweep: the Gaussian of width 2 is not resolved on n = 16 points: "
+        "cut to the modes a solve keeps, it has edge mass 0.0057 > 1e-06 "
         "(the outer 10% of the domain of half_width 100.531)",
     ),
     # the kept Gaussian is off the edge, but its band reaches the cut, and
@@ -632,8 +632,8 @@ REFUSED_VALUES = {
     # "enlarge half_width" twice and ended in the transport's edge error (exit 2)
     "gaussian cut by the solve's truncation": (
         KIND_CONFIGS["transform_consistency"] + "gaussian_width = 1\n",
-        "[experiment] refine_sweep: the Gaussian of width 1 on n = 256 points is not resolved "
-        "on n = 256 points: the modes a solve drops hold 0.00016 > 1e-06 of its squared L2 norm",
+        "[experiment] refine_sweep: the Gaussian of width 1 is not resolved on n = 256 points: "
+        "the modes a solve drops hold 0.00016 > 1e-06 of its squared L2 norm",
     ),
     # the linear study's base is a Gaussian of fixed width, so the key is the
     # grid's; run warned "enlarge half_width" three times
@@ -769,6 +769,23 @@ packet_launch = 6
         cfg_text, named = REFUSED_VALUES["soliton unresolved on the grid"]
         assert main(["check", str(write_cfg(tmp_path, cfg_text))]) == 2
         assert capsys.readouterr().err == f"config error: {named}"
+
+    @pytest.mark.parametrize("t_final", ["0.001", "0.1"])
+    def test_dropped_mode_screen_does_not_read_t_final(self, tmp_path, capsys, t_final):
+        # on 256 points the Gaussian of width 1.25 holds 2.3e-6 of its squared
+        # L2 norm in the modes a solve drops and is refused, though its run to
+        # t_final = 0.1 stays off the edge; width 1.3 holds 9.0e-7 and passes,
+        # though its run to t_final = 0.5 reaches the edge (README, Domain sizing)
+        base = KIND_CONFIGS["transform_consistency"].replace(
+            "t_final = 0.1", f"t_final = {t_final}"
+        )
+        assert main(["check", str(write_cfg(tmp_path, base + "gaussian_width = 1.25\n"))]) == 2
+        assert capsys.readouterr().err == (
+            "config error: [experiment] refine_sweep: the Gaussian of width 1.25 is not "
+            "resolved on n = 256 points: the modes a solve drops hold 2.3e-06 > 1e-06 of its "
+            "squared L2 norm\n"
+        )
+        assert main(["check", str(write_cfg(tmp_path, base + "gaussian_width = 1.3\n"))]) == 0
 
     def test_auto_dt_beyond_the_step_budget_ends_the_run(self, tmp_path, capsys):
         # on the kind grid each solve takes about 5.1e7 steps to t_final = 1e5;
@@ -1338,13 +1355,15 @@ class TestKindSchemas:
     def test_random_knobs_parse_or_name_every_foreign_key(
         self, tmp_path_factory, kind, on_test_config, draw
     ):
-        # up to four of the kind's knobs and, one draw in three, a knob of
-        # another kind, set on a bare [experiment] config or on the kind's
-        # test config, where a drawn knob replaces the knob's line if it has one
+        # up to four of the kind's knobs and, one draw in three, one to three
+        # knobs of other kinds, set on a bare [experiment] config or on the
+        # kind's test config, where a drawn knob replaces the knob's line if it
+        # has one
         spec = EXPERIMENTS[kind]
         own = sorted(spec.knobs())
-        foreign_keys = st.sampled_from([0, 0, 1]).flatmap(lambda count: st.lists(
-            st.sampled_from(sorted(set(KNOB_TYPES) - set(own))), min_size=count, max_size=count
+        foreign_keys = st.sampled_from([0, 0, 1]).flatmap(lambda some: st.lists(
+            st.sampled_from(sorted(set(KNOB_TYPES) - set(own))),
+            unique=True, min_size=some, max_size=3 * some,
         ))
         keys = draw.draw(st.lists(st.sampled_from(own), unique=True, max_size=4))
         keys += draw.draw(foreign_keys)

@@ -713,12 +713,15 @@ class TestInPlaceStep:
             for dealias in (True, False)
             for form in ("original", "transformed")
         ]
-        + [(False, True, "constant_kdv")],  # the flux plan
+        + [(False, True, "constant_kdv")]  # the flux plan
+        + [(True, True, "linear_original")],  # every term linear, each of sign -1
     )
     def test_matches_allocating_step_bit_for_bit(self, setting, form, dealias, drifting):
         g, problems = setting
         if form == "constant_kdv":
             problem = TransformedCoefficients.constant_kdv(g, -6.0)
+        elif form == "linear_original":
+            problem = CoefficientSet.from_strings(**dict(_DRIFTING, epsilon="0"))
         else:
             problem = problems[form][0] if drifting else _frozen(setting, form)
         rk, chat = _integrator(problem, g, dealias)
