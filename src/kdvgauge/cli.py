@@ -157,14 +157,6 @@ class RunConfig:
     run_id: str
     config_hash: str
 
-    @property
-    def kind(self) -> str:
-        return self.spec.kind
-
-    @property
-    def cset(self) -> CoefficientSet:
-        return self.spec.cset
-
 
 def parse_config(path) -> RunConfig:
     """Read, validate and canonicalize a config file.
@@ -199,7 +191,7 @@ def parse_config(path) -> RunConfig:
         known = schema[section]
         for key, raw in parser.items(section):
             if key not in known:
-                owners = [k for k, spec in EXPERIMENTS.items() if key in spec.knobs()]
+                owners = [k for k, spec in EXPERIMENTS.items() if key in spec.knob_rules()]
                 if section != "experiment" or not owners:
                     hint = difflib.get_close_matches(key, known.keys(), n=1)
                     extra = f"; did you mean {hint[0]!r}?" if hint else ""
@@ -305,10 +297,11 @@ def run(
             )
             return 2
 
-        spec = replace(config.spec, hypothesis_violating=violating)
+        spec = config.spec
         if seed_override is not None:
             spec = replace(spec, seed=int(seed_override))
         report = run_experiment(spec)
+        report.watermark = violating
         run_id = config.run_id if seed_override is None else (
             hashlib.sha256(
                 (config.config_hash + f":seed={seed_override}").encode()
@@ -321,8 +314,6 @@ def run(
                 f"({v.threshold})\n"
             )
         return 0 if report.passed else 1
-    except ConfigError:
-        raise
     except Exception as exc:  # noqa: BLE001 -- boundary: report and signal exit 2
         traceback.print_exc(file=sys.stderr)
         out.write(f"error: {exc}\n")

@@ -342,46 +342,25 @@ def check_hypotheses(
         )
     )
 
-    # H2: | int_0^x d/dt alpha^(-1/3) |
-    if cset.alpha.depends_on_t:
-        ext, loc, grow = _track(times, x, [np.abs(rule.integrate(v[0])) for v in integrands])
-        note = "equivalent to -(1/3) int alpha^(-4/3) alpha_t"
-    else:
-        ext, loc, grow = 0.0, (0.0, 0.0), False
-        note = "alpha time-independent: integrand identically 0"
-    entries.append(HypothesisEntry("H2 drift of straightening", not grow, ext, loc, grow, note))
-
-    # H3a: | int_0^x d/dt (beta1/alpha) |
-    if cset.beta1.depends_on_t or cset.alpha.depends_on_t:
-        ext, loc, grow = _track(times, x, [np.abs(rule.integrate(v[1])) for v in integrands])
-        note = ""
-    else:
-        ext, loc, grow = 0.0, (0.0, 0.0), False
-        note = "ratio time-independent: integrand identically 0"
-    entries.append(HypothesisEntry("H3a gauge drift", not grow, ext, loc, grow, note))
-
+    # the sup-type entries, with no objectives where the integrand vanishes
+    # identically: H2 | int_0^x d/dt alpha^(-1/3) |, H3a | int_0^x d/dt
+    # (beta1/alpha) |, H3b - int_0^x beta1/alpha bounded above, H4
+    # | int_0^x beta1/alpha |
+    alpha_moves = cset.alpha.depends_on_t
+    ratio_moves = alpha_moves or cset.beta1.depends_on_t
     gauge = [rule.integrate(v[2]) for v in integrands]  # int_0^x beta1/alpha
-
-    # H3b: - int_0^x beta1/alpha bounded above
-    ext, loc, grow = _track(times, x, [-g for g in gauge])
-    entries.append(
-        HypothesisEntry(
-            "H3b gauge bounded below",
-            not grow,
-            ext,
-            loc,
-            grow,
-            "sup of - int_0^x beta1/alpha",
-        )
-    )
-
-    # H4: | int_0^x beta1/alpha | bounded (classical two-sided gauge)
-    ext, loc, grow = _track(times, x, [np.abs(g) for g in gauge])
-    entries.append(
-        HypothesisEntry(
-            "H4 two-sided gauge", not grow, ext, loc, grow, "needed for Hadamard well-posedness"
-        )
-    )
+    for name, objectives, note in (
+        ("H2 drift of straightening",
+         alpha_moves and [np.abs(rule.integrate(v[0])) for v in integrands],
+         "equivalent to -(1/3) int alpha^(-4/3) alpha_t" if alpha_moves
+         else "alpha time-independent: integrand identically 0"),
+        ("H3a gauge drift", ratio_moves and [np.abs(rule.integrate(v[1])) for v in integrands],
+         "" if ratio_moves else "ratio time-independent: integrand identically 0"),
+        ("H3b gauge bounded below", [-g for g in gauge], "sup of - int_0^x beta1/alpha"),
+        ("H4 two-sided gauge", [np.abs(g) for g in gauge], "needed for Hadamard well-posedness"),
+    ):
+        ext, loc, grow = _track(times, x, objectives) if objectives else (0.0, (0.0, 0.0), False)
+        entries.append(HypothesisEntry(name, not grow, ext, loc, grow, note))
 
     # split validity
     split_ok = True

@@ -177,7 +177,7 @@ class _Solve:
 @dataclass(frozen=True)
 class ExperimentSpec:
     """What every experiment kind reads: the coefficient set, the run's grid
-    and solver settings, the seed and the hypothesis watermark.
+    and solver settings, and the seed.
 
     `grid` and `solver` are the [grid] and [solver] sections, and their
     defaults are those of the config.  Each kind is a subclass that adds its
@@ -194,12 +194,6 @@ class ExperimentSpec:
     grid: Grid = make_grid(8.0 * np.pi, 512)
     solver: SolverConfig = SolverConfig()
     seed: int = 0
-    hypothesis_violating: bool = False
-
-    @classmethod
-    def knobs(cls) -> dict:
-        """The kind's own [experiment] keys -> their types."""
-        return {name: typ for name, (typ, _rule) in cls.knob_rules().items()}
 
     @classmethod
     def knob_rules(cls) -> dict:
@@ -521,11 +515,14 @@ class BonaSmithSpec(_ConstantKdVSpec):
         wavenumber the solves keep gives zero datum tail and zero difference
         (the structure ratio would divide by zero), and a reference no finer
         than a cutoff gives zero difference. The rate fit needs two distinct
-        cutoffs.
+        cutoffs.  Once those pass, the datum's H^s tail past the largest
+        cutoff, the smallest tail of the sweep, must be nonzero: the structure
+        ratio divides by the tail plus n times a difference that vanishes with
+        it.  A datum that is not finite or has no L2 norm is left to the plan's
+        check, which names it.
         """
         grid = self.grid
-        k = grid.wavenumbers[:-1]  # the solver drops the unpaired Nyquist mode
-        k_top = float(k[grid.dealias_mask[:-1]].max() if self.solver.dealias else k.max())
+        k_top = float(grid.wavenumbers[_keep(grid, self.solver.dealias) != 0].max())
         violations = super().violations()
         if len(set(self.n_sweep)) < 2:
             violations.append(
@@ -543,19 +540,14 @@ class BonaSmithSpec(_ConstantKdVSpec):
                 f"[experiment] reference_n = {self.reference_n} must exceed every "
                 f"n_sweep cutoff (largest {max(self.n_sweep)}; k_max = {grid.k_max:g})"
             )
-        return violations
-
-    def refusals(self) -> list[str]:
-        """The spec's refusals, then, once they pass, the datum's H^s tail
-        past the largest cutoff, the smallest tail of the sweep, which must be
-        nonzero: the structure ratio divides by the tail plus n times a
-        difference that vanishes with it."""
-        refused = super().refusals()
-        if refused:
-            return refused
-        s, top, u0 = self.solver.s, max(self.n_sweep), self._datum()
-        with np.errstate(all="ignore"):
-            tail = sobolev_norm(u0 - project(u0, ProjectorBank(self.grid).p_leq(top)), s)
+        if violations:
+            return violations
+        s, top = self.solver.s, max(self.n_sweep)
+        with np.errstate(all="ignore"):  # a datum out of the float range is the plan's
+            u0 = self._datum()
+            if not (np.all(np.isfinite(u0.coefficients)) and l2_norm(u0) > 0.0):
+                return []
+            tail = sobolev_norm(u0 - project(u0, ProjectorBank(grid).p_leq(top)), s)
         return [] if tail > 0.0 else [
             f"[experiment] spectrum_decay_offset, [solver] s: the datum's H^s tail "
             f"past the largest cutoff ({top}) must be nonzero, since the structure "
@@ -1136,7 +1128,7 @@ EXPERIMENTS = {spec.kind: spec for spec in (
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """The report of the spec's study."""
-    report = ExperimentReport(kind=spec.kind, watermark=spec.hypothesis_violating)
+    report = ExperimentReport(kind=spec.kind)
     spec.run(report)
     return report
 

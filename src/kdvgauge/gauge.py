@@ -29,8 +29,9 @@ the coefficient set, each once: beta1/alpha (for h) and the two time
 integrands of the drift terms A_t and h_t/h at the Gauss nodes of one
 anchored rule on the pullback points, the pullback fields at the points,
 and alpha, alpha_t at x = 0.
-h comes from the one closed form of `gauge_weight`.  The h-derivatives
-enter only b..f, through the cached derived forms of the coefficient set.
+h has one computation, `_pullback`'s, which `gauge_weight` returns.  The
+h-derivatives enter only b..f, through the cached derived forms of the
+coefficient set.
 
 Slices are built in blocks: `build_gauge_maps` builds the slices at K
 times by one call chain on (K, n) stacks with a (K, 1) column of times,
@@ -92,28 +93,12 @@ INVERSION_TOL = 1e-11
 
 
 def gauge_weight(cset: CoefficientSet, t: float, points: np.ndarray) -> np.ndarray:
-    """The gauge weight h(t, p) at ascending points p, from the closed form.
-
-    h = [alpha(t,0)/alpha(t,p)]^(1/3) exp((1/3) int_0^p beta1/alpha); its
-    x-derivatives follow from r = h_x/h (`cset.derived("gauge_ratio")`), so
-    no sampled differentiation is involved.
+    """The gauge weight h(t, p) at ascending points p: the h of `_pullback`,
+    the one computation of h = [alpha(t,0)/alpha(t,p)]^(1/3)
+    exp((1/3) int_0^p beta1/alpha).  Its x-derivatives follow from r = h_x/h
+    (`cset.derived("gauge_ratio")`), so no sampled differentiation is involved.
     """
-    t = float(t)
-    pts = np.asarray(points, dtype=float)
-    rule = _AnchoredRule(pts)
-    gauge = rule.integrate(cset.derived("ratio1").eval(t, rule.nodes))
-    a_vals = np.asarray(cset.alpha.eval(t, pts), dtype=float)
-    return _weight(float(cset.alpha.eval(t, 0.0)), a_vals, gauge)
-
-
-def _weight(a0, a_vals: np.ndarray, gauge: np.ndarray) -> np.ndarray:
-    """h from alpha at 0 and at the points, and int_0^p beta1/alpha at each
-    point p; a stack of rows takes a0 as a (K, 1) column."""
-    if np.min(a0) <= 0.0:
-        raise ValueError("alpha(t, 0) must be positive")
-    if a_vals.min() <= 0.0:
-        raise ValueError("alpha must be strictly positive at the sample points")
-    return (a0 / a_vals) ** (1.0 / 3.0) * np.exp(gauge / 3.0)
+    return _pullback(cset, float(t), np.asarray(points, dtype=float))[0]
 
 
 @dataclass
@@ -133,7 +118,7 @@ class GaugeMap:
     def a_of(self, points: np.ndarray) -> np.ndarray:
         """Evaluate A at arbitrary source points (node anchor + one cell)."""
         pts = np.atleast_1d(np.asarray(points, dtype=float))
-        return _anchored_A(self.cset, self.t, self.A_samples, self.source_grid.x, pts)
+        return _anchored_A(self.cset, self.t, self.A_samples, self.source_grid.x, pts)[0]
 
     @cached_property
     def h_samples(self) -> np.ndarray:
@@ -141,10 +126,10 @@ class GaugeMap:
         return gauge_weight(self.cset, self.t, self.source_grid.x)
 
 
-def _anchored_A(cset, t, A_samples, gx, points, with_slope: bool = False):
-    """A at the points from alpha^(-1/3) at the Gauss nodes of each point's
-    cell, anchored at the node below; with `with_slope`, (A, A') with
-    A' = alpha^(-1/3) at the points from the same program call.
+def _anchored_A(cset, t, A_samples, gx, points) -> tuple:
+    """(A, A') at the points: A from alpha^(-1/3) at the Gauss nodes of each
+    point's cell, anchored at the node below, and A' = alpha^(-1/3) at the
+    points, from one program call.
 
     One row: t a scalar, A_samples on the grid gx and 1-D points.  A stack:
     t a (K, 1) column, A_samples (K, n) and points (K, m), one row per time.
@@ -155,15 +140,14 @@ def _anchored_A(cset, t, A_samples, gx, points, with_slope: bool = False):
     mids = 0.5 * (points + a)
     lead = points.shape[:-1]
     nodes = (mids[..., None] + halves[..., None] * _GL_NODES).reshape(lead + (-1,))
-    if with_slope:
-        nodes = np.concatenate([nodes, points], axis=-1)
+    nodes = np.concatenate([nodes, points], axis=-1)
     del a, mids  # a block's stacks are large: hold only what is read below
     vals = np.asarray(cset.derived("alpha_inv_cbrt").eval(t, nodes))
     del nodes
     m = _GL_NODES.size * points.shape[-1]
     seg = halves * (vals[..., :m].reshape(lead + (-1, _GL_NODES.size)) @ _GL_WEIGHTS)
     A = np.take_along_axis(A_samples, idx, axis=-1) + seg
-    return (A, vals[..., m:]) if with_slope else A
+    return A, vals[..., m:]
 
 
 def invert_A(gmap: GaugeMap, y) -> np.ndarray | float:
@@ -208,7 +192,7 @@ def _invert(cset, t, A_samples: np.ndarray, gx: np.ndarray, y: np.ndarray) -> tu
     for update in range(9):  # at most eight Newton updates, each one checked
         pick = slice(None) if left.size == len(x) else left
         A, slope = _anchored_A(
-            cset, t if np.ndim(t) == 0 else t[pick], A_samples[pick], gx, x[pick], True
+            cset, t if np.ndim(t) == 0 else t[pick], A_samples[pick], gx, x[pick]
         )
         r = res[pick] = A - y[pick]
         going = ~(np.abs(r).max(axis=-1) < 0.1 * INVERSION_TOL)
@@ -352,7 +336,11 @@ def _pullback(cset: CoefficientSet, t, points: np.ndarray) -> tuple:
         np.asarray(v, dtype=float) for v in cset.sample(_PULLBACK_FIELDS + ("alpha_t",), t, pts)
     )
     al0, al_t0 = (np.asarray(v, dtype=float) for v in cset.sample(("alpha", "alpha_t"), t, 0.0))
-    h = _weight(al0, fields[0], gauge)
+    if np.min(al0) <= 0.0:
+        raise ValueError("alpha(t, 0) must be positive")
+    if fields[0].min() <= 0.0:
+        raise ValueError("alpha must be strictly positive at the sample points")
+    h = (al0 / fields[0]) ** (1.0 / 3.0) * np.exp(gauge / 3.0)
     zeros = np.zeros_like(pts)
     if not drifting:
         return h, zeros, zeros, fields

@@ -82,7 +82,7 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 class TestParseConfig:
     def test_minimal_valid(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, MINIMAL))
-        assert cfg.kind == "soliton_benchmark"
+        assert cfg.spec.kind == "soliton_benchmark"
         assert cfg.values["grid"]["half_width"] == pytest.approx(8 * np.pi)
         assert len(cfg.run_id) == 12
         assert len(cfg.config_hash) == 64
@@ -972,7 +972,7 @@ packet_launch = 6
             ("default", "[experiment]\nkind = commutator_survey\n"),
         ]:
             cfg = parse_config(write_cfg(tmp_path, text, f"{name}.cfg"))
-            assert cfg.kind == "commutator_survey"
+            assert cfg.spec.kind == "commutator_survey"
 
 
     @pytest.mark.parametrize(
@@ -1008,7 +1008,7 @@ packet_launch = 6
             ("halving", MINIMAL + "dt_sweep = 4e-4, 2e-4, 1e-4, 5e-5\n"),
         ]:
             cfg = parse_config(write_cfg(tmp_path, text, f"{name}.cfg"))
-            assert cfg.kind == "soliton_benchmark"
+            assert cfg.spec.kind == "soliton_benchmark"
 
     @pytest.mark.parametrize("alpha", ["0", "-1"])
     def test_nonpositive_alpha_fails_coercivity(self, tmp_path, capsys, alpha):
@@ -1145,7 +1145,7 @@ identity_draws = 2
 resonance_draws = 10
 """
         cfg = parse_config(write_cfg(tmp_path, cfg_text, "sp.cfg"))
-        rep = check_hypotheses(cfg.cset, cfg.spec.grid, cfg.spec.solver.t_final)
+        rep = check_hypotheses(cfg.spec.cset, cfg.spec.grid, cfg.spec.solver.t_final)
         assert rep.entry("split validity").passed
 
     def test_beta2_alone_keeps_beta_as_beta1(self, tmp_path):
@@ -1155,7 +1155,7 @@ resonance_draws = 10
         cfg_text = _with_line(cfg_text, "split", "beta2 = -0.1*sech(x)^2")
         cfg = parse_config(write_cfg(tmp_path, cfg_text))
         built = CoefficientSet.from_strings(beta="0.2*sech(x)^2", beta2="-0.1*sech(x)^2")
-        for cset in (cfg.cset, built):
+        for cset in (cfg.spec.cset, built):
             assert (cset.beta1.text, cset.beta2.text) == ("0.2*sech(x)^2", "-0.1*sech(x)^2")
         assert cfg.values["split"]["beta1"] == "0.2*sech(x)^2"
 
@@ -1206,7 +1206,8 @@ FOREIGN_KNOBS = {
 }
 
 KNOB_TYPES = {
-    name: typ for spec in EXPERIMENTS.values() for name, typ in spec.knobs().items()
+    name: typ
+    for spec in EXPERIMENTS.values() for name, (typ, _rule) in spec.knob_rules().items()
 }
 
 _INTS = st.integers(-(10**6), 10**6)
@@ -1313,7 +1314,7 @@ class TestKindSchemas:
         for kind, spec in EXPERIMENTS.items():
             assert spec.kind == kind
             cfg = parse_config(write_cfg(tmp_path, KIND_BASES[kind], f"{kind}.cfg"))
-            assert type(cfg.spec) is spec and cfg.kind == kind
+            assert type(cfg.spec) is spec and cfg.spec.kind == kind
 
     def test_readme_knob_table_matches_the_specs(self):
         # the last cell names `positive` or `nonzero` once, exactly where the
@@ -1360,7 +1361,7 @@ class TestKindSchemas:
         # kind's test config, where a drawn knob replaces the knob's line if it
         # has one
         spec = EXPERIMENTS[kind]
-        own = sorted(spec.knobs())
+        own = sorted(spec.knob_rules())
         foreign_keys = st.sampled_from([0, 0, 1]).flatmap(lambda some: st.lists(
             st.sampled_from(sorted(set(KNOB_TYPES) - set(own))),
             unique=True, min_size=some, max_size=3 * some,
@@ -1372,7 +1373,7 @@ class TestKindSchemas:
         for key, value in knobs.items():
             text = "\n".join(ln for ln in text.split("\n") if not ln.startswith(f"{key} = "))
             text = _with_line(text, "experiment", f"{key} = {_knob_text(value)}")
-        foreign = [key for key in keys if key not in spec.knobs()]
+        foreign = [key for key in keys if key not in spec.knob_rules()]
         cfg_path = tmp_path_factory.getbasetemp() / "knobs.cfg"
         cfg_path.write_text(text)
         try:

@@ -671,6 +671,22 @@ def _assert_same_slice(got, want):
     assert (got.coefficients.t, got.coefficients.grid) == (want.t, want.image_grid)
 
 
+class TestSingleHomes:
+    """h and A each have one computation: a slice's samples equal the public
+    `gauge_weight` and `GaugeMap.a_of` bit for bit, so a second computation
+    that drifts by one bit fails here."""
+
+    @pytest.mark.parametrize("t", [0.0, 0.05])
+    @pytest.mark.parametrize("n", [256, 512])
+    @pytest.mark.parametrize("name", ["drifting", "tanh"])
+    def test_slice_samples_are_gauge_weight_and_a_of(self, name, n, t):
+        cs = CoefficientSet.from_strings(**(DRIFTING_SET if name == "drifting" else TANH_SET))
+        g = make_grid(16 * np.pi, n)
+        gm = build_gauge_map(cs, t, g, image_grid_for(cs, g, times=(0.0, 0.05)))
+        assert np.array_equal(gm.h_at_inverse, gauge_weight(cs, t, gm.A_inverse_samples))
+        assert np.array_equal(gm.a_of(g.x), gm.A_samples)
+
+
 class TestStackedSlices:
     @pytest.mark.parametrize("n", [256, 512])
     @pytest.mark.parametrize("name", ["drifting", "tanh"])
