@@ -83,7 +83,8 @@ _SCHEMA = {
 _TAGS = {int: "int", float: "float", tuple[int, ...]: "int_list", tuple[float, ...]: "float_list"}
 
 # value rule -> what a value, or each entry of a list, must be besides finite
-_RULES = {"positive": lambda v: v > 0, "nonzero": lambda v: v != 0}
+_RULES = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0,
+          "nonzero": lambda v: v != 0}
 
 
 def _value(tag: str, raw: str):

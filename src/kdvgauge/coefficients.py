@@ -285,9 +285,13 @@ def _boundary_trend(objective: np.ndarray) -> bool:
 
 def _track(times, x, objectives) -> tuple[float, tuple[float, float], bool]:
     """The sup over (t, x) of one objective given per sample time, the (t, x)
-    where it is attained, and whether it keeps growing at an edge at any time."""
+    where it is attained, and whether it keeps growing at an edge at any time;
+    NaN at the first sample that is not finite, with its (t, x)."""
     best, loc, growing = -np.inf, (0.0, 0.0), False
     for t, obj in zip(times, objectives):
+        bad = ~np.isfinite(obj)
+        if bad.any():
+            return np.nan, (t, float(x[int(np.argmax(bad))])), False
         i = int(np.argmax(obj))
         if obj[i] > best:
             best, loc = float(obj[i]), (t, float(x[i]))
@@ -311,7 +315,8 @@ def check_hypotheses(
     grid and one the integrands at the rule's nodes, and int_0^x beta1/alpha
     serves both H3b and H4.  The H2 integrand is taken in the
     d/dt(alpha^(-1/3)) form, which equals -(1/3) alpha^(-4/3) alpha_t, so
-    both stated variants are covered up to the constant factor.
+    both stated variants are covered up to the constant factor.  A sup-type
+    entry fails at its first sample that is not finite, reading NaN there.
     """
     x = grid.x
     times = [float(t) for t in np.linspace(0.0, T, max(2, int(t_samples)))]
@@ -348,19 +353,23 @@ def check_hypotheses(
     # | int_0^x beta1/alpha |
     alpha_moves = cset.alpha.depends_on_t
     ratio_moves = alpha_moves or cset.beta1.depends_on_t
-    gauge = [rule.integrate(v[2]) for v in integrands]  # int_0^x beta1/alpha
-    for name, objectives, note in (
-        ("H2 drift of straightening",
-         alpha_moves and [np.abs(rule.integrate(v[0])) for v in integrands],
-         "equivalent to -(1/3) int alpha^(-4/3) alpha_t" if alpha_moves
-         else "alpha time-independent: integrand identically 0"),
-        ("H3a gauge drift", ratio_moves and [np.abs(rule.integrate(v[1])) for v in integrands],
-         "" if ratio_moves else "ratio time-independent: integrand identically 0"),
-        ("H3b gauge bounded below", [-g for g in gauge], "sup of - int_0^x beta1/alpha"),
-        ("H4 two-sided gauge", [np.abs(g) for g in gauge], "needed for Hadamard well-posedness"),
-    ):
-        ext, loc, grow = _track(times, x, objectives) if objectives else (0.0, (0.0, 0.0), False)
-        entries.append(HypothesisEntry(name, not grow, ext, loc, grow, note))
+    with np.errstate(all="ignore"):  # a sample that is not finite fails its entry
+        gauge = [rule.integrate(v[2]) for v in integrands]  # int_0^x beta1/alpha
+        for name, objectives, note in (
+            ("H2 drift of straightening",
+             alpha_moves and [np.abs(rule.integrate(v[0])) for v in integrands],
+             "equivalent to -(1/3) int alpha^(-4/3) alpha_t" if alpha_moves
+             else "alpha time-independent: integrand identically 0"),
+            ("H3a gauge drift", ratio_moves and [np.abs(rule.integrate(v[1])) for v in integrands],
+             "" if ratio_moves else "ratio time-independent: integrand identically 0"),
+            ("H3b gauge bounded below", [-g for g in gauge], "sup of - int_0^x beta1/alpha"),
+            ("H4 two-sided gauge", [np.abs(g) for g in gauge],
+             "needed for Hadamard well-posedness"),
+        ):
+            ext, loc, grow = (
+                _track(times, x, objectives) if objectives else (0.0, (0.0, 0.0), False)
+            )
+            entries.append(HypothesisEntry(name, not (grow or np.isnan(ext)), ext, loc, grow, note))
 
     # split validity
     split_ok = True

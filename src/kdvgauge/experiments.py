@@ -424,10 +424,11 @@ class TransformConsistencySpec(ExperimentSpec):
 
     def solves(self) -> list[_Solve]:
         """The original-form solve of the Gaussian datum on each grid of the
-        sweep, with dense monitors: the weak residual's time quadrature must
-        resolve the test bump's transition.  Each grid's transformed-form
-        solve is not planned, since its problem is the gauge system that
-        `_consistency_row` builds; `solve` checks its step when it runs."""
+        sweep, a set walked in ascending order, with dense monitors: the weak
+        residual's time quadrature must resolve the test bump's transition.
+        Each grid's transformed-form solve is not planned, since its problem
+        is the gauge system that `_consistency_row` builds; `solve` checks its
+        step when it runs."""
         monitor = np.linspace(0.0, self.solver.t_final, 81)[1:]
         return [
             _Solve(
@@ -439,7 +440,7 @@ class TransformConsistencySpec(ExperimentSpec):
                 step_label=f"the original-form solve on n = {n} points: ",
                 grid_key="[experiment] refine_sweep",
             )
-            for n in self.refine_sweep
+            for n in sorted(set(self.refine_sweep))
         ]
 
     def run(self, report: ExperimentReport) -> None:
@@ -456,7 +457,7 @@ class TransformConsistencySpec(ExperimentSpec):
             "discrepancy_at_finest", final_disc < 1e-4, final_disc,
             "sup_t L2 discrepancy < 1e-4 at the finest grid",
         )
-        if len(set(ns)) >= 2:
+        if len(ns) >= 2:
             slope, _, resid = fit_loglog(ns, ds)
             order = -slope
             report.slopes["refinement_order"] = {"slope": slope, "residual": resid}
@@ -623,7 +624,7 @@ class WavepacketSpec(ExperimentSpec):
     kind: ClassVar[str] = "wavepacket"
     xi0_sweep: tuple[float, ...] = (10.0, 15.0, 20.0)
     region_half_width: float = 2.0
-    region_beta0: float = 0.225
+    region_beta0: Annotated[float, "nonnegative"] = 0.225
     region_smoothing: Annotated[float, "positive"] = 0.3
     packet_width: Annotated[float, "positive"] = 1.5
     packet_launch: Annotated[float, "positive"] = 8.0
@@ -726,12 +727,7 @@ class WavepacketSpec(ExperimentSpec):
         if a0 is None:
             raise ValueError("wavepacket study needs a positive constant alpha")
         R, beta0, w = self.region_half_width, self.region_beta0, self.region_smoothing
-        if beta0 > 0:
-            beta_text = (
-                f"{0.5 * beta0!r}*(tanh((x+{R!r})/{w!r}) - tanh((x-{R!r})/{w!r}))"
-            )
-        else:
-            beta_text = "0"
+        beta_text = f"{0.5 * beta0!r}*(tanh((x+{R!r})/{w!r}) - tanh((x-{R!r})/{w!r}))"
         return CoefficientSet.from_strings(
             alpha=repr(a0), beta=beta_text, epsilon="0",
             alpha0=min(a0, 1.0 / a0),
@@ -1004,8 +1000,9 @@ class SolitonBenchmarkSpec(_ConstantKdVSpec):
         takes the differences of runs at successive (positive) step sizes,
         which scale as C (1 - r^p) dt_j^p only when every dt_{j+1} / dt_j is
         the one ratio r < 1; a slope needs two differences, so three step
-        sizes.  An epsilon that is not finite on the grid is left to the pole
-        screen.
+        sizes.  A window order_t_final shorter than a step of the sweep cuts
+        that run to one landing step, so the fit would measure nothing.  An
+        epsilon that is not finite on the grid is left to the pole screen.
         """
         sweep, violations = self.dt_sweep, super().violations()
         eps = self.cset.epsilon
@@ -1031,6 +1028,12 @@ class SolitonBenchmarkSpec(_ConstantKdVSpec):
                     f"dt_{{j+1}} / dt_j below 1, all equal to within 1e-9 relative); "
                     f"the ratios are {', '.join(f'{q:.10g}' for q in ratios)}"
                 )
+        if sweep and self.order_t_final < max(sweep):
+            violations.append(
+                f"[experiment] order_t_final: must be at least the largest step of "
+                f"dt_sweep ({max(sweep):g}), since a shorter window cuts that run to "
+                f"one landing step; got {self.order_t_final:g}"
+            )
         return violations
 
     def solves(self) -> list[_Solve]:

@@ -635,6 +635,19 @@ REFUSED_VALUES = {
         "[experiment] refine_sweep: the Gaussian of width 1 is not resolved on n = 256 points: "
         "the modes a solve drops hold 0.00016 > 1e-06 of its squared L2 norm",
     ),
+    # the region is beta >= 0: run integrated beta = 0 but reported the
+    # heuristic of the negative value (0.4066) and passed no_antidiffusion_gain
+    "wavepacket negative region_beta0": (
+        KIND_CONFIGS["wavepacket"].replace("region_beta0 = 0.3", "region_beta0 = -0.225"),
+        "[experiment] region_beta0: must be nonnegative and finite, got -0.225",
+    ),
+    # a window below the sweep's largest step cuts those runs to one landing
+    # step: run fitted a temporal order of -465 from runs that measure nothing
+    "order window shorter than the largest step": (
+        _with_line(MINIMAL, "experiment", "order_t_final = 1e-4"),
+        "[experiment] order_t_final: must be at least the largest step of dt_sweep "
+        "(0.0004), since a shorter window cuts that run to one landing step; got 0.0001",
+    ),
     # the linear study's base is a Gaussian of fixed width, so the key is the
     # grid's; run warned "enlarge half_width" three times
     "continuity Gaussian at the edge": (
@@ -667,7 +680,7 @@ NONFINITE_VALUES = {
     ),
     "wavepacket region_beta0": (
         KIND_CONFIGS["wavepacket"].replace("region_beta0 = 0.3", "region_beta0 = inf"),
-        "[experiment] region_beta0: must be finite, got inf",
+        "[experiment] region_beta0: must be nonnegative and finite, got inf",
     ),
     "wavepacket region_half_width": (
         KIND_CONFIGS["wavepacket"].replace("region_half_width = 1.5", "region_half_width = nan"),
@@ -786,6 +799,38 @@ packet_launch = 6
             "squared L2 norm\n"
         )
         assert main(["check", str(write_cfg(tmp_path, base + "gaussian_width = 1.3\n"))]) == 0
+
+    def test_refine_sweep_is_a_set(self, tmp_path):
+        # the sweep is solved in ascending order, once per size: run used to
+        # read its last entry as the finest grid, so 512, 256 failed both
+        # verdicts (2.44e-4 at n = 256, and a fitted order of 17.35 that was
+        # not monotone in list order)
+        runs = {}
+        for name in ("256, 512", "512, 256", "256, 512, 256"):
+            cfg_path = write_cfg(tmp_path, KIND_CONFIGS["transform_consistency"].replace(
+                "refine_sweep = 256, 512", f"refine_sweep = {name}"
+            ))
+            out = tmp_path / name.replace(", ", "_")
+            assert main(["run", str(cfg_path), "-o", str(out)]) == 0
+            lines = (out / "discrepancy.csv").read_text().splitlines()
+            summary = json.loads((out / "summary.json").read_text())
+            runs[name] = ([ln for ln in lines if not ln.startswith("#")],
+                          summary["verdicts"], summary["slopes"])
+        assert runs["512, 256"] == runs["256, 512"] == runs["256, 512, 256"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_check_reads_a_vanishing_alpha_without_numpy_warnings(self, tmp_path, capsys):
+        # alpha = t vanishes at t = 0, where d/dt alpha^(-1/3) is not finite:
+        # check printed two numpy RuntimeWarnings and read H2 at t = 0.125,
+        # past the sample it skipped; now that sample fails the entry
+        cfg_text = (
+            SURVEY.replace("half_width = pi", "half_width = 1")
+            .replace("num_points = 256", "num_points = 16").replace("alpha = 1", "alpha = t")
+        )
+        assert main(["check", str(write_cfg(tmp_path, cfg_text))]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "  H2 drift of straightening  FAIL extremal +nan at (t=0, x=-1)" in captured.out
 
     def test_auto_dt_beyond_the_step_budget_ends_the_run(self, tmp_path, capsys):
         # on the kind grid each solve takes about 5.1e7 steps to t_final = 1e5;
@@ -1292,7 +1337,7 @@ def readme_knobs() -> dict:
         cells = [cell.strip() for cell in line.strip("|").split("|")]
         kind = cells[0].strip("`") or kind
         typ = README_TYPES[cells[2]]
-        rules = tuple(re.findall(r"\b(?:positive|nonzero)\b", cells[4]))
+        rules = tuple(re.findall(r"\b(?:positive|nonnegative|nonzero)\b", cells[4]))
         table.setdefault(kind, {})[cells[1].strip("`")] = (
             typ, _readme_default(cells[3], typ), rules
         )
@@ -1317,8 +1362,8 @@ class TestKindSchemas:
             assert type(cfg.spec) is spec and cfg.spec.kind == kind
 
     def test_readme_knob_table_matches_the_specs(self):
-        # the last cell names `positive` or `nonzero` once, exactly where the
-        # spec field declares that rule (Annotated[float, "positive"])
+        # the last cell names `positive`, `nonnegative` or `nonzero` once,
+        # exactly where the spec field declares that rule (Annotated[float, "positive"])
         declared = {
             kind: {
                 name: (typ, getattr(spec, name), (rule,) if rule else ())
@@ -1449,6 +1494,7 @@ class TestKindSchemas:
             return
         assert not invalid and not over_budget
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @given(
         base=st.sampled_from([MINIMAL, SURVEY]),
@@ -1467,7 +1513,8 @@ class TestKindSchemas:
     ):
         # check on any grid and coefficient expressions exits 0, 1 or 2, and an
         # exit 2 ends in a config error or a named singular field; a zero
-        # divisor (half_width = 1/0) used to escape as ZeroDivisionError
+        # divisor (half_width = 1/0) used to escape as ZeroDivisionError, and
+        # a numpy RuntimeWarning is an error
         lines = {"half_width": ("grid", _text(half_width)), "num_points": ("grid", num_points)}
         lines.update((name, ("coefficients", _text(tree))) for name, tree in fields.items())
         text = base
