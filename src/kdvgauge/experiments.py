@@ -411,11 +411,11 @@ class TransformConsistencySpec(ExperimentSpec):
     gaussian_amplitude: Annotated[float, "nonzero"] = 1.0
 
     def violations(self) -> list[str]:
-        """Every size of the sweep must build a grid of the run's width."""
+        """Every size of the sweep, a set, must build a grid of the run's width."""
         violations = []
         if not self.refine_sweep:
             violations.append("[experiment] refine_sweep: needs at least one grid size")
-        for n in self.refine_sweep:
+        for n in sorted(set(self.refine_sweep)):
             try:
                 make_grid(self.grid.half_width, n)
             except GridSizeError as exc:

@@ -817,6 +817,15 @@ packet_launch = 6
             runs[name] = ([ln for ln in lines if not ln.startswith("#")],
                           summary["verdicts"], summary["slopes"])
         assert runs["512, 256"] == runs["256, 512"] == runs["256, 512, 256"]
+        # a size given twice is refused once
+        cfg_path = write_cfg(tmp_path, KIND_CONFIGS["transform_consistency"].replace(
+            "refine_sweep = 256, 512", "refine_sweep = 100, 256, 100"
+        ))
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg_path)
+        assert err.value.violations == [
+            "[experiment] refine_sweep: size 100: num_points must be a power of two >= 16, got 100"
+        ]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_check_reads_a_vanishing_alpha_without_numpy_warnings(self, tmp_path, capsys):
