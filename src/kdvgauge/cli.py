@@ -265,12 +265,12 @@ def _gate(config: RunConfig) -> HypothesisReport:
     Each field and its derivatives of orders x, xx and t must be finite on
     the grid at t = 0, t_final/2 and t_final; the first that is not raises an
     ExpressionError naming it.  `run` and `check` both gate through here, so
-    both screen and check the same set, with the same 5 sample times.
+    both screen and check the same set at the same sample times.
     """
     spec, t_final = config.spec, config.spec.solver.t_final
     cset = spec.integrated_cset()
     cset.screen(np.linspace(0.0, t_final, 3), spec.grid.x)
-    return check_hypotheses(cset, spec.grid, t_final, t_samples=5)
+    return check_hypotheses(cset, spec.grid, t_final)
 
 
 def run(
@@ -279,22 +279,20 @@ def run(
     seed_override: int | None = None,
     allow_hypothesis_violation: bool = False,
     gnuplot: bool = False,
-    stream=None,
 ) -> int:
     """Hypothesis gate, experiment dispatch, output emission.
 
     An unexpected exception is reported as one `error: ...` line on the
-    output stream (exit 2), its full traceback on stderr.
+    standard output (exit 2), its full traceback on stderr.
     """
-    out = stream or sys.stdout
     try:
         hyp = _gate(config)
         violating = not hyp.passed
         if violating and not allow_hypothesis_violation:
-            out.write(hyp.format_text() + "\n")
-            out.write(
+            print(hyp.format_text())
+            print(
                 "hypothesis check failed; rerun with --allow-hypothesis-violation "
-                "to proceed (outputs will be watermarked)\n"
+                "to proceed (outputs will be watermarked)"
             )
             return 2
 
@@ -310,14 +308,14 @@ def run(
         )
         write_report(report, output_dir, run_id, config.config_hash, gnuplot=gnuplot)
         for v in report.verdicts:
-            out.write(
+            print(
                 f"{'PASS' if v.passed else 'FAIL'} {v.name}: value {v.value:.6g} "
-                f"({v.threshold})\n"
+                f"({v.threshold})"
             )
         return 0 if report.passed else 1
     except Exception as exc:  # noqa: BLE001 -- boundary: report and signal exit 2
         traceback.print_exc(file=sys.stderr)
-        out.write(f"error: {exc}\n")
+        print(f"error: {exc}")
         return 2
 
 

@@ -212,7 +212,7 @@ class CoefficientSet:
 
 
 def softplus_split(
-    beta: CoefficientExpr, kappa: float = 10.0
+    beta: CoefficientExpr, kappa: float
 ) -> tuple[CoefficientExpr, CoefficientExpr]:
     """Smooth split beta = beta1 + beta2 with beta2 <= 0, for `strategy = softplus`.
 

@@ -93,8 +93,6 @@ class DyadicProjector:
     """Fourier multiplier with symbol sampled on a grid's half-band
     wavenumbers (every symbol is even in k)."""
 
-    N: int
-    kind: str
     grid: Grid
     symbol: np.ndarray
 
@@ -137,7 +135,7 @@ class ProjectorBank:
                 K *= 2
         else:
             raise ValueError(f"unknown projector kind {kind!r}")
-        proj = DyadicProjector(N=N, kind=kind, grid=self.grid, symbol=sym)
+        proj = DyadicProjector(grid=self.grid, symbol=sym)
         self._cache[key] = proj
         return proj
 
@@ -224,29 +222,23 @@ def _commutator_low(f_low: SpectralState, g: SpectralState, pn: DyadicProjector)
     return t1 - t2
 
 
-def commutator(
-    f: SpectralState, g: SpectralState, N: int, bank: ProjectorBank | None = None
-) -> SpectralState:
+def commutator(f: SpectralState, g: SpectralState, N: int, bank: ProjectorBank) -> SpectralState:
     """[P_N, P_{<<N} f] g, products dealiased consistently."""
-    bank = bank or ProjectorBank(f.grid)
     f_low = project(f, bank.p_ll(N))
     return _commutator_low(f_low, g, bank.p_n(N))
 
 
 def double_commutator(
-    f: SpectralState, g: SpectralState, N: int, bank: ProjectorBank | None = None
+    f: SpectralState, g: SpectralState, N: int, bank: ProjectorBank
 ) -> SpectralState:
     """[P_N, [P_N, P_{<<N} f]] g."""
-    bank = bank or ProjectorBank(f.grid)
     f_low = project(f, bank.p_ll(N))
     pn = bank.p_n(N)
     inner = _commutator_low(f_low, g, pn)
     return project(inner, pn) - _commutator_low(f_low, project(g, pn), pn)
 
 
-def comcom_residual(
-    f: SpectralState, g: SpectralState, N: int, bank: ProjectorBank | None = None
-) -> float:
+def comcom_residual(f: SpectralState, g: SpectralState, N: int, bank: ProjectorBank) -> float:
     """Relative defect of the exact quadratic commutator identity.
 
     int [P_N, P_{<<N}f] g . P_N g  ==  (1/2) int [P_N,[P_N,P_{<<N}f]] gt . gt
@@ -256,7 +248,6 @@ def comcom_residual(
     noise.  The identity is exact on the discrete torus, hence the residual
     is round-off only.
     """
-    bank = bank or ProjectorBank(f.grid)
     lhs = inner_product(commutator(f, g, N, bank), project(g, bank.p_n(N)))
     gt = project(g, bank.p_tilde(N))
     rhs = 0.5 * inner_product(double_commutator(f, gt, N, bank), gt)

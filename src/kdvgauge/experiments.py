@@ -348,8 +348,8 @@ def spectrum_state(grid, s, decay_offset, rng, target_hs=1.0) -> SpectralState:
     return SpectralState(grid, c * np.divide(target_hs, norm))
 
 
-def random_smooth_field(grid, rng, decay=1.0, amplitude=1.0) -> SpectralState:
-    return spectrum_state(grid, 0.0, decay, rng, target_hs=amplitude)
+def random_smooth_field(grid, rng, decay=1.0) -> SpectralState:
+    return spectrum_state(grid, 0.0, decay, rng)
 
 
 def envelope_peak(state: SpectralState) -> float:
@@ -494,11 +494,11 @@ class TransformConsistencySpec(ExperimentSpec):
         for vm, vt in zip(moved, traj_t.states):
             disc = max(disc, l2_norm(vm - vt))
         bump_o = SpaceTimeBump(x0=0.0, x_width=0.2 * grid.half_width, t_width=0.4 * T)
-        res_o = weak_residual(traj_o, bump_o, self.cset)
+        res_o = weak_residual(traj_o, bump_o)
         bump_t = SpaceTimeBump(
             x0=0.0, x_width=0.2 * system.image_grid.half_width, t_width=0.4 * T
         )
-        res_t = weak_residual(traj_t, bump_t, system)
+        res_t = weak_residual(traj_t, bump_t)
         return [n, disc, res_o, res_t]
 
 
@@ -570,7 +570,7 @@ class BonaSmithSpec(_ConstantKdVSpec):
         data = [project(u0, bank.p_leq(n)) for n in (self.reference_n, *self.n_sweep)]
         cfg = replace(self.solver, warn_domain_edge=False)
         if cfg.dt == "auto":
-            cfg = replace(cfg, dt=auto_dt(cfg, self.grid, tc, data[0]))
+            cfg = replace(cfg, dt=auto_dt(cfg, tc, data[0]))
         monitor = np.linspace(0.0, self.solver.t_final, 9)[1:]
         label = (f"the datum of spectrum_decay_offset = {self.spectrum_decay_offset:g} "
                  f"scaled to unit H^s norm at s = {self.solver.s:g}")
@@ -984,6 +984,7 @@ class CommutatorSurveySpec(ExperimentSpec):
 @dataclass(frozen=True)
 class SolitonBenchmarkSpec(_ConstantKdVSpec):
     kind: ClassVar[str] = "soliton_benchmark"
+    center: ClassVar[float] = -1.0  # where both waves start
     kappa: Annotated[float, "nonzero"] = 1.0
     order_kappa: Annotated[float, "nonzero"] = 2.0
     dt_sweep: Annotated[tuple[float, ...], "positive"] = tuple(
@@ -1042,7 +1043,7 @@ class SolitonBenchmarkSpec(_ConstantKdVSpec):
         dt_sweep."""
         tc = self.constant_kdv()
         # a numpy kappa: a square past the float range gives inf, not OverflowError
-        wave, order_wave = (soliton_state(self.grid, np.float64(k), e=float(tc.e[0]), center=-1.0)
+        wave, order_wave = (soliton_state(self.grid, np.float64(k), float(tc.e[0]), self.center)
                             for k in (self.kappa, self.order_kappa))
         return [_Solve("[experiment] kappa", f"the soliton of kappa = {self.kappa:g}", wave,
                        self.solver, tc, np.linspace(0.0, self.solver.t_final, 6)[1:])] + [
@@ -1053,7 +1054,7 @@ class SolitonBenchmarkSpec(_ConstantKdVSpec):
 
     def run(self, report: ExperimentReport) -> None:
         """Travelling-wave accuracy, conservation, and temporal order."""
-        grid, kappa, center = self.grid, self.kappa, -1.0
+        grid, kappa, center = self.grid, self.kappa, self.center
         monitored, *sweep = self.solves()
         e_val = float(monitored.problem.e[0])
         traj = report.solved(monitored.run())

@@ -605,8 +605,8 @@ class CoefficientExpr:
     def dx(self, order: int = 1) -> "CoefficientExpr":
         return CoefficientExpr(self._tree(0, order))
 
-    def dt(self, order: int = 1) -> "CoefficientExpr":
-        return CoefficientExpr(self._tree(order, 0))
+    def dt(self) -> "CoefficientExpr":
+        return CoefficientExpr(self._tree(1, 0))
 
     # evaluation ------------------------------------------------------------
 

@@ -363,11 +363,11 @@ class TransformedCoefficients:
     f: np.ndarray
 
     @classmethod
-    def constant_kdv(cls, grid: Grid, epsilon: float = -6.0, t: float = 0.0):
-        """b = c = d = f = 0, e = epsilon: plain KdV in the image frame."""
+    def constant_kdv(cls, grid: Grid, epsilon: float = -6.0):
+        """b = c = d = f = 0, e = epsilon at t = 0: plain KdV in the image frame."""
         z = np.zeros(grid.num_points)
         return cls(
-            t=t, grid=grid, b=z.copy(), c=z.copy(), d=z.copy(),
+            t=0.0, grid=grid, b=z.copy(), c=z.copy(), d=z.copy(),
             e=np.full(grid.num_points, float(epsilon)), f=z.copy(),
         )
 

@@ -102,21 +102,25 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """A solve's record at each stored time: the state, its H^s and sup
-    norms, and the dyadic dissipation the energy estimate pairs with H^s.
+    """A solve's record: the problem it integrated and, at each stored time,
+    the state, its H^s and sup norms, and the dyadic dissipation the energy
+    estimate pairs with H^s.
     """
 
     grid: Grid
-    equation_form: str
+    problem: object  # what `solve` integrated; its type is the form
     times: np.ndarray
     states: list
     hs_norms: np.ndarray
     sup_norms: np.ndarray
     dissipation: np.ndarray  # -sum_N (1+N)^{2s} int b |P_N u_x|^2, per sample
     seminorm_cumulative: np.ndarray  # running weighted seminorm squared
-    blowup: bool = False
     blowup_time: float | None = None
     edge_mass_max: float = 0.0  # above EDGE_MASS_LIMIT the domain is too small
+
+    @property
+    def blowup(self) -> bool:
+        return self.blowup_time is not None
 
     @property
     def final_state(self) -> SpectralState:
@@ -450,18 +454,17 @@ def _sampler(problem, grid: Grid) -> tuple:
     return "transformed", sampler
 
 
-def auto_dt(
-    config: SolverConfig, grid: Grid, problem, u0: SpectralState
-) -> float:
+def auto_dt(config: SolverConfig, problem, u0: SpectralState) -> float:
     """Step size from the explicit stability rules of the problem's form.
 
     Each term of `_TERMS[form]` with a nonzero coefficient caps dt: a linear
     term of order p >= 1 at 1/(max|coef| kb^p), the quadratic u u_x at
     1/(4 max|coef| sup|u0| kb); the order-0 rates (u^2 weighted by
     max(sup|u0|, 1)) add up, and their sum caps dt at 0.5/rate.  kb is the
-    retained (dealiased) band's largest wavenumber; modes beyond it are
-    identically zero during the run.
+    retained (dealiased) band's largest wavenumber on u0's grid; modes beyond
+    it are identically zero during the run.
     """
+    grid = u0.grid
     kb = (2.0 / 3.0) * grid.k_max if config.dealias else grid.k_max
     sup0 = float(np.abs(u0.physical()).max())
     candidates = [config.t_final]
@@ -495,7 +498,7 @@ def _step_size(config: SolverConfig, problem, u0: SpectralState) -> float:
     A dt that is not positive raises ValueError, and one that takes more than
     STEP_BUDGET steps to t_final raises `_OverBudget`, whose step count has
     the digits to read above the budget."""
-    dt = auto_dt(config, u0.grid, problem, u0) if config.dt == "auto" else float(config.dt)
+    dt = auto_dt(config, problem, u0) if config.dt == "auto" else float(config.dt)
     if not dt > 0:
         raise ValueError("dt must be positive")
     steps = config.t_final / dt
@@ -594,7 +597,6 @@ def solve(
         {float(tm) for tm in np.asarray(monitor_times) if tm > 0}
     )
 
-    blowup = False
     blowup_time = None
     steps = 0
 
@@ -637,7 +639,7 @@ def solve(
             steps += 1
 
             if not np.isfinite(chat).all():
-                blowup, blowup_time = True, t
+                blowup_time = t
                 break
 
             if stored or (targets is None and steps % CAP_CHECK_STRIDE == 0):
@@ -646,7 +648,7 @@ def solve(
                 if stored or sup > cap:
                     record(state, t, sup)
                 if sup > cap:
-                    blowup, blowup_time = True, t
+                    blowup_time = t
                     break
     finally:
         if slices is not None:
@@ -659,7 +661,7 @@ def solve(
         # unstable step, not from a domain that is too small
         advice = (
             f"the solve blew up at t = {blowup_time:.6g}, so the step may be unstable"
-            if blowup else "enlarge half_width"
+            if blowup_time is not None else "enlarge half_width"
         )
         warnings.warn(
             f"solution mass in the outer 10% of the domain reached "
@@ -669,14 +671,13 @@ def solve(
         )
     return Trajectory(
         grid=grid,
-        equation_form=form,
+        problem=problem,
         times=times_arr,
         states=states,
         hs_norms=hs,
         sup_norms=np.asarray(sups),
         dissipation=diss_arr,
         seminorm_cumulative=_seminorm_cumulative(diss_arr, times_arr),
-        blowup=blowup,
         blowup_time=blowup_time,
         edge_mass_max=edge_max,
     )
@@ -744,7 +745,7 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
     return total + (alpha * y[-1] + beta * y[-2] - eta * y[-3])
 
 
-def weak_residual(traj: Trajectory, phi, problem) -> float:
+def weak_residual(traj: Trajectory, phi) -> float:
     """Space-time residual of the weak formulation against a test field.
 
     phi needs .on(x_array), returning phi(t, x_array) and phi_t(t, x_array)
@@ -752,12 +753,11 @@ def weak_residual(traj: Trajectory, phi, problem) -> float:
     functions take a scalar t or a column of times t[:, None], and give one
     row per time, equal to the scalar call's row.  The
     residual includes the initial-datum term and is near zero (quadrature
-    floor) for genuine solutions.  `problem` is what `solve` integrated, or
-    one of the same form; a problem of the other form is refused with a
-    TypeError.
+    floor) for genuine solutions.
 
-    The equation is read from the form's term table, sampled at every
-    monitor time.  Each term sign * coef * D^p u is moved onto phi by parts:
+    The equation is the one `solve` integrated, `traj.problem`, read from its
+    form's term table and sampled at every monitor time.  Each term
+    sign * coef * D^p u is moved onto phi by parts:
     a linear term gives -sign (-1)^p u D^p(coef phi), a quadratic term
     (p <= 1, with u u_x = (u^2)_x / 2) gives -sign (-1/2)^p u^2 D^p(coef phi),
     and the transformed form adds -u phi_xxx for its dispersion.
@@ -771,12 +771,7 @@ def weak_residual(traj: Trajectory, phi, problem) -> float:
     grid = traj.grid
     x = grid.x
     T = float(traj.times[-1])
-    form, sampler = _sampler(problem, grid)
-    if form != traj.equation_form:
-        raise TypeError(
-            f"a {traj.equation_form}-form trajectory needs a problem of that form, "
-            f"not a {type(problem).__name__}"
-        )
+    form, sampler = _sampler(traj.problem, grid)
 
     times = np.asarray(traj.times, dtype=float)
     value, dt_value = phi.on(x)

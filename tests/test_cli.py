@@ -1461,7 +1461,7 @@ class TestKindSchemas:
             if plan.config.dt in getattr(spec, "dt_sweep", ()):
                 continue
             datum = plans[0].u0 if kind == "bona_smith" else plan.u0
-            want = auto_dt(replace(plan.config, dt="auto"), datum.grid, plan.problem, datum)
+            want = auto_dt(replace(plan.config, dt="auto"), plan.problem, datum)
             assert _planned_step(plan) == want, plan.label
 
     @settings(max_examples=200, deadline=None)

@@ -341,7 +341,7 @@ class TestSolverSettingsReachEverySolve:
         configs = self._recorded_configs(monkeypatch, spec)
         assert configs[0] == spec.solver
         monitored = spec.solves()[0]
-        assert steps == [auto_dt(spec.solver, spec.grid, monitored.problem, monitored.u0),
+        assert steps == [auto_dt(spec.solver, monitored.problem, monitored.u0),
                          *spec.dt_sweep]
 
     def test_wavepacket_keeps_its_undealiased_runs(self, monkeypatch):
