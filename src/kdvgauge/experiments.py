@@ -480,15 +480,30 @@ class TransformConsistencySpec(ExperimentSpec):
         The gauge system keeps its slices at 0 and the monitor times, which the
         discrepancy loop and the transformed weak residual revisit after the
         solve, so each is built once.  The grid's trajectories and system are
-        released on return, before the next grid is solved.
+        released on return, before the next grid is solved.  A solve that
+        blows up, or an original-form solve whose states the transport would
+        refuse for their edge mass, ends the grid: its row reads nan, a note
+        names it, and its remaining solves are skipped.
         """
         T, grid, monitor = self.solver.t_final, plan.u0.grid, plan.monitor
         n = grid.num_points
+
+        def failed(why: str) -> list:
+            report.notes.append(f"n = {n}: {why}; the grid's row reads nan")
+            return [n, np.nan, np.nan, np.nan]
+
+        traj_o = report.solved(plan.run())
+        if traj_o.blowup:
+            return failed(f"the original-form solve blew up at t = {traj_o.blowup_time:g}")
+        if traj_o.edge_mass_max > EDGE_MASS_LIMIT:
+            return failed(f"the original-form solve's edge mass {traj_o.edge_mass_max:.2e} "
+                          f"exceeds {EDGE_MASS_LIMIT:g}, which the transport refuses")
         system = GaugeSystem(self.cset, grid, times=np.linspace(0.0, T, 3),
                              keep=np.concatenate([[0.0], monitor]))
-        traj_o = report.solved(plan.run())
         v0 = forward_transform(plan.u0, system.map_at(0.0))
         traj_t = report.solved(solve(v0, self.solver, system, monitor_times=monitor))
+        if traj_t.blowup:
+            return failed(f"the transformed-form solve blew up at t = {traj_t.blowup_time:g}")
         moved = forward_transforms(traj_o.states, (system.map_at(float(t)) for t in traj_o.times))
         disc = 0.0
         for vm, vt in zip(moved, traj_t.states):

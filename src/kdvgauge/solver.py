@@ -632,30 +632,33 @@ def solve(
             for t, step, _ in _steps(config.t_final, dt, targets or ())
             for stage in _RK4.stage_times(t, step)
         )
-    try:
-        for t, step, stored in _steps(config.t_final, dt, targets or ()):
-            chat = integrator.step(chat, t, step)
-            t += step
-            steps += 1
+    # a blow-up overflows the step, the edge mass and the ledger; isfinite
+    # and the cap report it, so numpy's warnings would only repeat them
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for t, step, stored in _steps(config.t_final, dt, targets or ()):
+                chat = integrator.step(chat, t, step)
+                t += step
+                steps += 1
 
-            if not np.isfinite(chat).all():
-                blowup_time = t
-                break
-
-            if stored or (targets is None and steps % CAP_CHECK_STRIDE == 0):
-                state = SpectralState(grid, chat)
-                sup = measure(state)
-                if stored or sup > cap:
-                    record(state, t, sup)
-                if sup > cap:
+                if not np.isfinite(chat).all():
                     blowup_time = t
                     break
-    finally:
-        if slices is not None:
-            slices.announce(())
 
+                if stored or (targets is None and steps % CAP_CHECK_STRIDE == 0):
+                    state = SpectralState(grid, chat)
+                    sup = measure(state)
+                    if stored or sup > cap:
+                        record(state, t, sup)
+                    if sup > cap:
+                        blowup_time = t
+                        break
+        finally:
+            if slices is not None:
+                slices.announce(())
+
+        hs, diss_arr = _ledger(grid, states, weights, config.s)
     times_arr = np.asarray(times)
-    hs, diss_arr = _ledger(grid, states, weights, config.s)
     if config.warn_domain_edge and edge_max > EDGE_MASS_LIMIT:
         # mass that reaches the edge of a blown-up solve comes from the
         # unstable step, not from a domain that is too small

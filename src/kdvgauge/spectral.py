@@ -189,11 +189,14 @@ def sobolev_norm(state: SpectralState, s: float) -> float:
 
 def _sobolev_norms(grid: Grid, coefficients: np.ndarray, s: float) -> np.ndarray:
     """`sobolev_norm` of each half spectrum along the last axis of
-    `coefficients`; each row's sum is the one-row sum bit for bit."""
+    `coefficients`; each row's sum is the one-row sum bit for bit.  The norm
+    of a blown-up state is inf or nan without a numpy warning: the solve that
+    made it reports the blow-up."""
     k = grid.wavenumbers
     weights = grid.multiplicity * (1.0 + k * k) ** s
-    total = np.sum(weights * np.abs(coefficients) ** 2, axis=-1)
-    return np.sqrt(total * 2.0 * grid.half_width)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum(weights * np.abs(coefficients) ** 2, axis=-1)
+        return np.sqrt(total * 2.0 * grid.half_width)
 
 
 def l2_norm(state: SpectralState) -> float:
