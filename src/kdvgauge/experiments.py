@@ -1099,6 +1099,13 @@ class SolitonBenchmarkSpec(_ConstantKdVSpec):
             "conservation", ["t", "l2_norm", "mass"],
             [[float(t), float(a), float(m)] for t, a, m in zip(traj.times, l2s, masses)],
         )
+        if traj.blowup:  # the last stored state is not the final time's
+            final_err = l2_drift = mass_drift = float("nan")
+            report.notes.append(
+                f"the monitored run blew up at t = {traj.blowup_time:g} of t_final = "
+                f"{self.solver.t_final:g}; soliton_l2_error, l2_conservation and "
+                f"mass_conservation read nan, and their tables end at the last stored time"
+            )
         report.verdict(
             "soliton_l2_error", final_err < 1e-6, final_err,
             "L2 error below 1e-6 at the final time",

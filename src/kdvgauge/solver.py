@@ -5,14 +5,19 @@ with a diagonal Fourier symbol L:
 
 * original form   u_t + alpha u_xxx + beta u_xx + gamma u_x + delta u
                   = epsilon u u_x
-  L = 0, so the step is classical explicit RK4; the step-size rule is
-  dt <= 1 / (max|alpha| k_max^3) with the dealiased band's k_max.
+  L = i a k^3 with a constant a (`_dispersion`): for an alpha that does not
+  depend on t, a is its midrange on the grid, the integrating factor applies
+  a u_xxx exactly and the remainder (alpha - a) u_xxx is explicit, so the
+  step-size rule is dt <= 1 / (max|alpha - a| k_max^3) with the dealiased
+  band's k_max, and no cap when alpha is constant.  For an alpha that
+  depends on t, a = 0: L = 0, classical explicit RK4 at
+  dt <= 1 / (max|alpha| k_max^3).
 
 * transformed form  v_t + v_xxx - b v_xx + c v_x + d v = e v v_x + f v^2
-  L = i k^3, so the step is integrating-factor RK4: the third-derivative
-  semigroup is applied exactly through the multiplier exp(i k^3 dt); the
-  remaining terms (b v_xx enters with the dissipative sign for b >= 0) are
-  explicit, with quadratic products dealiased.
+  L = i k^3 (a = 1), so the step is integrating-factor RK4: the
+  third-derivative semigroup is applied exactly through the multiplier
+  exp(i k^3 dt); the remaining terms (b v_xx enters with the dissipative
+  sign for b >= 0) are explicit, with quadratic products dealiased.
 
 N is read from a per-form table of coefficient -> (derivative order, sign),
 and the weak residual reads the same table.  Fields are real and step on
@@ -133,6 +138,8 @@ class Trajectory:
 # the explicit right-hand side is the sum of  sign * coef * D^p u, times u
 # for the quadratic terms.  The transformed form's -v_xxx is not listed: it
 # is the linear symbol i k^3 that the integrating factor applies exactly.
+# The original form's alpha term is read as alpha - a, the part of alpha
+# u_xxx that the symbol i a k^3 leaves explicit (see `_dispersion`).
 _TERMS = {
     "original": {
         "alpha": (3, -1.0, False),
@@ -245,12 +252,16 @@ def _sum_terms(terms: list, fields: np.ndarray, out: np.ndarray, scratch: np.nda
 class _RK4:
     """One RK4 for both forms: c' = L c + N(c, t) with a diagonal symbol L.
 
-    L is None for the original form (classical RK4, every term explicit) and
-    i k^3 for the transformed form (integrating-factor RK4, the dispersion
-    applied exactly).  N reads the form's term table; terms whose sampled
-    coefficient is identically zero are dropped once per coefficient sample,
-    and every derivative order N needs comes from one batched inverse FFT.
-    A plan holds each term's coefficient array as sampled, with its sign.
+    L is i a k^3 with the solve's dispersion reference a (`_dispersion`):
+    integrating-factor RK4, the part a u_xxx of the dispersion applied
+    exactly, and None when a = 0 (classical RK4, every term explicit).  N
+    reads the form's term table, the original form's alpha term as
+    alpha - a; terms whose sampled coefficient is identically zero are
+    dropped once per coefficient sample, so a constant alpha leaves no alpha
+    term, and every derivative order N needs comes from one batched inverse
+    FFT.  A plan holds each term's coefficient array as sampled, with its
+    sign; the remainder alpha - a of an alpha array shared by the slices is
+    formed once per integrator and shared by its plans.
     When the one term left is a quadratic u u_x whose coefficient e is
     constant in x and products are dealiased, the plan is the flux row
     (sign e / 2) (ik) keep instead:
@@ -269,17 +280,19 @@ class _RK4:
     bitwise commutative in numpy (measured with numpy 2.4:
     swapped operands differ in the last bit in about a third of the entries
     of a 257-mode half spectrum), and one swapped product moves the solution
-    in the 16th digit.  The original form's factors are 1.0, so it skips
-    their multiplies.  `step` returns a fresh array; no work array escapes.
+    in the 16th digit.  Without a symbol the factors are 1.0, so the step
+    skips their multiplies.  `step` returns a fresh array; no work array escapes.
     """
 
     _FACTOR_CACHE = 4  # regular step plus a few shortened landing steps
 
-    def __init__(self, spectrum: _Spectrum, form: str, sampler):
+    def __init__(self, spectrum: _Spectrum, form: str, sampler, a: float):
         self.spectrum = spectrum
         self.sampler = sampler
         self.terms = _TERMS[form]
-        self.symbol = 1j * spectrum.k**3 if form == "transformed" else None
+        self.a = a
+        self.symbol = 1j * a * spectrum.k**3 if a else None
+        self._remainder = (None, None)  # (an alpha as sampled, alpha - a)
         self._factors: dict[float, tuple] = {}
         self._plan_source = None
         self._plan = None
@@ -320,6 +333,10 @@ class _RK4:
         linear, quadratic = [], []
         for name, (order, sign, is_quadratic) in self.terms.items():
             coef = getattr(co, name)
+            if name == "alpha" and self.a:
+                if coef is not self._remainder[0]:
+                    self._remainder = (coef, coef - self.a)
+                coef = self._remainder[1]
             if coef.any():
                 (quadratic if is_quadratic else linear).append((coef, sign, slot(order)))
         field_slot = slot(0) if quadratic else None
@@ -377,8 +394,8 @@ class _RK4:
         half = 0.5 * dt
         t1, t2, t3, t4 = self.stage_times(t, dt)
         stage, shifted, full, n1, n2, n3, n4 = self._stages
-        transformed = self.symbol is not None
-        if transformed:
+        exact = self.symbol is not None
+        if exact:
             np.multiply(e_half, chat, out=shifted)
             np.multiply(e_full, chat, out=full)
         else:
@@ -386,20 +403,20 @@ class _RK4:
 
         self.rhs(chat, t1, n1)
         # shifted + half * (e_half * n1)
-        lead = np.multiply(e_half, n1, out=stage) if transformed else n1
+        lead = np.multiply(e_half, n1, out=stage) if exact else n1
         np.add(shifted, np.multiply(half, lead, out=stage), out=stage)
         self.rhs(stage, t2, n2)
         # shifted + half * n2
         np.add(shifted, np.multiply(half, n2, out=stage), out=stage)
         self.rhs(stage, t3, n3)
         # full + dt * (e_half * n3)
-        lead = np.multiply(e_half, n3, out=stage) if transformed else n3
+        lead = np.multiply(e_half, n3, out=stage) if exact else n3
         np.add(full, np.multiply(dt, lead, out=stage), out=stage)
         self.rhs(stage, t4, n4)
 
         # full + (dt / 6) * (e_full * n1 + 2 * (e_half * (n2 + n3)) + n4)
         np.add(n2, n3, out=n2)
-        if transformed:
+        if exact:
             np.multiply(e_half, n2, out=n2)
             np.multiply(e_full, n1, out=n1)
         np.add(n1, np.multiply(2.0, n2, out=n2), out=n1)
@@ -454,15 +471,40 @@ def _sampler(problem, grid: Grid) -> tuple:
     return "transformed", sampler
 
 
+def _dispersion(problem, sampler) -> float:
+    """The constant a of a solve's symbol L = i a k^3, which the integrating
+    factor applies exactly, leaving (alpha - a) u_xxx explicit.
+
+    The transformed form's dispersion is v_xxx, so a = 1.  In the original
+    form a is the midrange (max + min) / 2 of alpha on the grid of
+    `sampler`, when alpha does not depend on t; that halves the largest
+    remainder, max|alpha - a|, which caps dt.  An alpha that depends on t
+    gets a = 0 (classical RK4): the symbol is fixed for a solve and
+    `auto_dt` samples only t = 0, so a drifting remainder would be unbounded.
+    An alpha that is not finite on the grid (a pole on a node) gets a = 0
+    too, so that `auto_dt` reads it as a zero step.
+    """
+    if not isinstance(problem, CoefficientSet):
+        return 1.0
+    if problem.alpha.depends_on_t:
+        return 0.0
+    alpha = sampler(0.0).alpha
+    a = (float(alpha.max()) + float(alpha.min())) / 2
+    return a if np.isfinite(a) else 0.0
+
+
 def auto_dt(config: SolverConfig, problem, u0: SpectralState) -> float:
     """Step size from the explicit stability rules of the problem's form.
 
     Each term of `_TERMS[form]` with a nonzero coefficient caps dt: a linear
     term of order p >= 1 at 1/(max|coef| kb^p), the quadratic u u_x at
     1/(4 max|coef| sup|u0| kb); the order-0 rates (u^2 weighted by
-    max(sup|u0|, 1)) add up, and their sum caps dt at 0.5/rate.  kb is the
-    retained (dealiased) band's largest wavenumber on u0's grid; modes beyond
-    it are identically zero during the run.
+    max(sup|u0|, 1)) add up, and their sum caps dt at 0.5/rate.  The
+    original form's alpha term is its explicit remainder alpha - a (see
+    `_dispersion`), so it caps dt at 1/(max|alpha - a| kb^3), and not at
+    all when alpha is constant.  kb is the retained (dealiased) band's
+    largest wavenumber on u0's grid; modes beyond it are identically zero
+    during the run.
     """
     grid = u0.grid
     kb = (2.0 / 3.0) * grid.k_max if config.dealias else grid.k_max
@@ -470,9 +512,11 @@ def auto_dt(config: SolverConfig, problem, u0: SpectralState) -> float:
     candidates = [config.t_final]
     form, sampler = _sampler(problem, grid)
     co = sampler(0.0)
+    a = _dispersion(problem, sampler)
     rate = 0.0
     for name, (order, _, is_quadratic) in _TERMS[form].items():
-        cmax = float(np.abs(getattr(co, name)).max())
+        coef = getattr(co, name)
+        cmax = float(np.abs(coef - a if name == "alpha" else coef).max())
         if order == 0:
             rate += cmax * max(sup0, 1.0) if is_quadratic else cmax
         elif is_quadratic:
@@ -584,7 +628,7 @@ def solve(
     dt = _step_size(config, problem, u0)
 
     spectrum = _Spectrum(grid, config.dealias)
-    integrator = _RK4(spectrum, form, sampler)
+    integrator = _RK4(spectrum, form, sampler, _dispersion(problem, sampler))
     # the unpaired Nyquist mode cannot stay real under the phase rotation,
     # and with dealiasing the resolved band is 2/3 of Nyquist; data beyond it
     # would be frozen by the masked right-hand side, so drop both up front

@@ -367,13 +367,14 @@ def _with_line(text: str, section: str, line: str) -> str:
 # case -> a config whose solves blow up or carry mass to the domain edge:
 # each solving kind under a sup-norm cap below its datum's height, and
 # transform_consistency run long enough to blow up at dt = 0.01 on n = 512
-# and to reach the edge of its domain
+# and to reach the edge of its domain; the first on half the domain, where
+# n = 512's explicit (alpha - a) u_xxx caps dt at 1.6e-3
 BLOWN_UP = {
     **{kind: _with_line(text, "solver", "blowup_threshold = 1e-3")
        for kind, text in [("soliton_benchmark", MINIMAL), *KIND_CONFIGS.items()]},
     "transform_consistency t_final = 1": KIND_CONFIGS["transform_consistency"].replace(
         "t_final = 0.1", "t_final = 1\ndt = 0.01"
-    ),
+    ).replace("half_width = 32*pi", "half_width = 16*pi"),
     "transform_consistency t_final = 10": KIND_CONFIGS["transform_consistency"].replace(
         "t_final = 0.1", "t_final = 10"
     ),
@@ -570,14 +571,15 @@ REFUSED_VALUES = {
         "[solver] dt: t_final / dt = 1.00001e+07 steps exceeds the step budget of 1e+07; "
         "got dt = 0.000976888 with t_final = 9769",
     ),
-    # the original-form solves step at 2.6e-14 and 3.2e-15 under dt = auto:
-    # check passed, and run ended at solve's budget check (exit 2); the key
-    # is named once, by its longest refused solve
+    # the original-form solves step at 4.2e-11 and 5.2e-12 under dt = auto,
+    # set by the explicit (alpha - a) u_xxx: check passed, and run ended at
+    # solve's budget check (exit 2); the key is named once, by its longest
+    # refused solve
     "transform_consistency auto dt beyond the step budget": (
         KIND_CONFIGS["transform_consistency"].replace("half_width = 32*pi", "half_width = 0.01")
         + "gaussian_width = 0.0005\n",
-        "[solver] dt: the original-form solve on n = 512 points: t_final / dt = 3.08e+13 "
-        "steps exceeds the step budget of 1e+07; got dt = 3.24193e-15 with t_final = 0.1",
+        "[solver] dt: the original-form solve on n = 512 points: t_final / dt = 1.92e+10 "
+        "steps exceeds the step budget of 1e+07; got dt = 5.20049e-12 with t_final = 0.1",
     ),
     # the soliton's height -12 kappa^2 / epsilon overflows: run ended in
     # "error: (34, 'Numerical result out of range')"
@@ -911,6 +913,15 @@ packet_launch = 6
         assert [v["name"] for v in summary["verdicts"]].count("no_blowup") <= 1
         if case == "continuity":  # stopped at its first monitor time, T/8
             assert verdicts["no_blowup"]["value"] == pytest.approx(0.2 / 8, rel=1e-12)
+        if case == "soliton_benchmark":  # stopped at its first monitor time, 0.1 of 0.5
+            # the accuracy verdicts used to PASS on the state at the blow-up
+            for name in ("soliton_l2_error", "l2_conservation", "mass_conservation"):
+                assert verdicts[name]["passed"] is False
+                assert np.isnan(verdicts[name]["value"])
+            assert any("blew up at t = 0.1 of t_final = 0.5" in note for note in summary["notes"])
+            rows = (tmp_path / "out" / "l2_error.csv").read_text().splitlines()
+            times = [float(row.split(",")[0]) for row in rows if row[:1].isdigit()]
+            assert times == pytest.approx([0.0, 0.1], abs=1e-15)  # the rows reached
 
     def test_blown_up_sweep_warns_only_of_the_edge(self, tmp_path):
         # the sweep's long steps blow up; numpy's overflow and invalid-value
@@ -925,17 +936,21 @@ packet_launch = 6
         assert all(Path(w.filename).name == "experiments.py" for w in caught)
 
     def test_unmonitored_blowup_time_pinned(self, tmp_path):
-        # the wavepacket's solves store no monitor times; at dt = 1e-3 the
-        # undealiased run crosses the cap at a step where it is checked, one
-        # of every CAP_CHECK_STRIDE
-        cfg_text = _with_line(KIND_CONFIGS["wavepacket"], "solver", "dt = 1e-3")
+        # the wavepacket's solves store no monitor times; its constant alpha is
+        # the integrating factor's, and at dt = 2e-3 the undealiased run's
+        # explicit beta u_xx of region_beta0 = 10 crosses the cap at a step
+        # where it is checked, one of every CAP_CHECK_STRIDE
+        cfg_text = _with_line(
+            KIND_CONFIGS["wavepacket"].replace("region_beta0 = 0.3", "region_beta0 = 10"),
+            "solver", "dt = 2e-3",
+        )
         cfg_path = write_cfg(tmp_path, cfg_text, "wp.cfg")
         with pytest.warns(RuntimeWarning, match="outer 10%") as caught:
             assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 1
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         verdicts = {v["name"]: v for v in summary["verdicts"]}
         assert verdicts["no_blowup"]["passed"] is False
-        assert verdicts["no_blowup"]["value"] == 0.02000000000000001
+        assert verdicts["no_blowup"]["value"] == 0.020000000000000004
         # the packet stays off the edge until the unstable step blows it up,
         # so the warning names the blow-up and not the domain
         edge = [str(w.message) for w in caught if "outer 10%" in str(w.message)]

@@ -247,18 +247,24 @@ class TestSolve:
             solve(u0, cfg, {"alpha": 1.0})
 
     def test_auto_dt_respects_cfl(self):
+        # the explicit part of a frozen alpha is alpha - a, a its midrange
         g = make_grid(8 * np.pi, 256)
-        cs = CoefficientSet.from_strings(alpha="2.5", epsilon="0", alpha0=0.4)
+        cs = CoefficientSet.from_strings(alpha="2+0.5*tanh(x/4)", epsilon="0", alpha0=0.4)
         u0 = gaussian_state(g, 1.0, 1.0)
         cfg = SolverConfig(t_final=1.0, dt="auto", s=1.0)
         dt = auto_dt(cfg, cs, u0)
         kb = (2.0 / 3.0) * g.k_max
-        assert dt <= 1.0 / (2.5 * kb**3) + 1e-15
+        alpha = 2.0 + 0.5 * np.tanh(g.x / 4)
+        remainder = alpha - (alpha.max() + alpha.min()) / 2
+        assert dt <= 1.0 / (np.abs(remainder).max() * kb**3) + 1e-15
 
     # form, the one term's coefficient, and its cap in (kb, sup|u0|); every
-    # other coefficient is zero, or alpha = 1e-9 in the original form
+    # other coefficient is zero, or alpha = 1e-9 in the original form, a
+    # constant that the integrating factor takes whole.  The alpha row's
+    # coefficient spans [-1.5, 3.5] on the grid: its midrange 1 is applied
+    # exactly and the remainder 2.5 tanh(x) caps dt.
     DT_CAPS = [
-        ("original", "alpha", 2.5, lambda kb, sup0: 1.0 / (2.5 * kb**3)),
+        ("original", "alpha", "1+2.5*tanh(x)", lambda kb, sup0: 1.0 / (2.5 * kb**3)),
         ("original", "beta", 5.0, lambda kb, sup0: 1.0 / (5.0 * kb**2)),
         ("original", "gamma", -3.0, lambda kb, sup0: 1.0 / (3.0 * kb)),
         ("original", "delta", 7.0, lambda kb, sup0: 0.5 / 7.0),
@@ -277,7 +283,7 @@ class TestSolve:
         u0 = gaussian_state(g, height)
         cfg = SolverConfig(t_final=1.0, dt="auto")
         if form == "original":
-            fields = {"alpha": "1e-9", "epsilon": "0", name: repr(value)}
+            fields = {"alpha": "1e-9", "epsilon": "0", name: str(value)}
             problem = CoefficientSet.from_strings(**fields)
         else:
             z = np.zeros(g.num_points)
@@ -286,6 +292,26 @@ class TestSolve:
         kb = (2.0 / 3.0) * g.k_max
         sup0 = float(np.abs(u0.physical()).max())
         assert auto_dt(cfg, problem, u0) == pytest.approx(cap(kb, sup0), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "alpha, explicit",
+        [
+            ("3", lambda alpha: 0.0),  # taken whole by the integrating factor: no cap
+            ("2+tanh(x)", lambda alpha: alpha - (alpha.max() + alpha.min()) / 2),
+            ("2+cos(t)*tanh(x)", lambda alpha: alpha),  # drifts: a = 0
+        ],
+        ids=["constant", "frozen", "drifting"],
+    )
+    def test_auto_dt_caps_only_the_explicit_part_of_alpha(self, alpha, explicit):
+        g = make_grid(8 * np.pi, 256)
+        u0 = gaussian_state(g, 1.0)
+        cs = CoefficientSet.from_strings(alpha=alpha, epsilon="0", alpha0=0.5)
+        kb = (2.0 / 3.0) * g.k_max
+        cmax = np.abs(explicit(np.asarray(cs.alpha.eval(0.0, g.x), dtype=float))).max()
+        want = min(1.0, 1.0 / (cmax * kb**3)) if cmax else 1.0
+        assert auto_dt(SolverConfig(t_final=1.0, dt="auto"), cs, u0) == pytest.approx(
+            want, rel=1e-14
+        )
 
     def test_auto_dt_adds_the_order_zero_rates(self):
         g = make_grid(8 * np.pi, 256)
@@ -517,11 +543,13 @@ class TestStageTimeSampling:
 # -- reference: the complex-FFT RK4 / integrating-factor RK4 ----------------
 
 
-def _reference_rhs(form, chat, k, co, mask):
+def _reference_rhs(form, chat, k, co, mask, a=0.0):
+    """The explicit right-hand side; the original form's dispersion is
+    (alpha - a) u_xxx, its part a u_xxx being the symbol's."""
     n = chat.size
     u, d1, d2, d3 = (np.fft.ifft((1j * k) ** p * chat * n).real for p in range(4))
     if form == "original":
-        rhs = (-co["alpha"] * d3 - co["beta"] * d2 - co["gamma"] * d1
+        rhs = (-(co["alpha"] - a) * d3 - co["beta"] * d2 - co["gamma"] * d1
                - co["delta"] * u + co["epsilon"] * u * d1)
     else:
         rhs = (co["b"] * d2 - co["c"] * d1 - co["d"] * u
@@ -530,18 +558,21 @@ def _reference_rhs(form, chat, k, co, mask):
     return out if mask is None else np.where(mask, out, 0.0)
 
 
-def _reference_step(form, chat, k, coeffs_at, t, dt, mask):
-    def rhs(c, tt):
-        return _reference_rhs(form, c, k, coeffs_at(tt), mask)
+def _reference_step(form, chat, k, coeffs_at, t, dt, mask, a):
+    """One step with the symbol i a k^3: classical RK4 for a = 0, and
+    integrating-factor RK4 through exp(i a k^3 dt) otherwise."""
 
-    if form == "original":  # classical RK4
+    def rhs(c, tt):
+        return _reference_rhs(form, c, k, coeffs_at(tt), mask, a)
+
+    if a == 0:  # classical RK4
         k1 = rhs(chat, t)
         k2 = rhs(chat + 0.5 * dt * k1, t + 0.5 * dt)
         k3 = rhs(chat + 0.5 * dt * k2, t + 0.5 * dt)
         k4 = rhs(chat + dt * k3, t + dt)
         return chat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    E = np.exp(1j * k**3 * dt)
-    E2 = np.exp(1j * k**3 * (0.5 * dt))
+    E = np.exp(1j * a * k**3 * dt)
+    E2 = np.exp(1j * a * k**3 * (0.5 * dt))
     n1 = rhs(chat, t)
     n2 = rhs(E2 * chat + 0.5 * dt * E2 * n1, t + 0.5 * dt)
     n3 = rhs(E2 * chat + 0.5 * dt * n2, t + 0.5 * dt)
@@ -549,7 +580,7 @@ def _reference_step(form, chat, k, coeffs_at, t, dt, mask):
     return E * chat + (dt / 6.0) * (E * n1 + 2.0 * E2 * (n2 + n3) + n4)
 
 
-def _reference_solve(u0, form, coeffs_at, t_final, dt, monitor_times, dealias):
+def _reference_solve(u0, form, coeffs_at, t_final, dt, monitor_times, dealias, a):
     """Final full spectrum after landing on every monitor time, as `solve` does."""
     grid = u0.grid
     k = full_wavenumbers(grid)
@@ -564,7 +595,7 @@ def _reference_solve(u0, form, coeffs_at, t_final, dt, monitor_times, dealias):
     while t < t_final - eps:
         upper = t_final if target is None else min(target, t_final)
         step = min(dt, upper - t)
-        chat = _reference_step(form, chat, k, coeffs_at, t, step, mask)
+        chat = _reference_step(form, chat, k, coeffs_at, t, step, mask, a)
         t += step
         if target is not None and t >= target - eps:
             target = next(targets, None)
@@ -583,24 +614,33 @@ _DRIFTING = dict(
     beta2="-0.1*sech(x/8)^2",
     alpha0=0.4,
 )
+_FROZEN_ALPHA = "2+0.5*sech(x/4)^2"  # the drifting alpha at t = 0
 
 
 @pytest.fixture(scope="module")
 def setting():
-    """(grid, form -> (problem of the _DRIFTING set, t -> its coefficients))."""
+    """(grid, form -> (problem of the _DRIFTING set, t -> its coefficients)),
+    and under "frozen alpha" the original form of that set with alpha frozen."""
     g = make_grid(16 * np.pi, 256)
     cs = CoefficientSet.from_strings(**_DRIFTING)
+    frozen = CoefficientSet.from_strings(**dict(_DRIFTING, alpha=_FROZEN_ALPHA))
     system = GaugeSystem(cs, g, image_grid=g)
 
-    def original_at(t):
-        return {name: np.asarray(getattr(cs, name).eval(t, g.x), dtype=float)
-                for name in ("alpha", "beta", "gamma", "delta", "epsilon")}
+    def original_at(problem):
+        return lambda t: {
+            name: np.asarray(getattr(problem, name).eval(t, g.x), dtype=float)
+            for name in ("alpha", "beta", "gamma", "delta", "epsilon")
+        }
 
     def transformed_at(t):
         tc = system.coefficients_at(t)
         return {"b": tc.b, "c": tc.c, "d": tc.d, "e": tc.e, "f": tc.f}
 
-    return g, {"original": (cs, original_at), "transformed": (system, transformed_at)}
+    return g, {
+        "original": (cs, original_at(cs)),
+        "transformed": (system, transformed_at),
+        "frozen alpha": (frozen, original_at(frozen)),
+    }
 
 
 class TestCoreMatchesReference:
@@ -608,16 +648,21 @@ class TestCoreMatchesReference:
     DT = 5e-4
     MONITOR = (0.0013, 0.0026, 0.0037)  # none on the dt lattice
 
-    @pytest.mark.parametrize("form", ["original", "transformed"])
+    @pytest.mark.parametrize("form", ["original", "transformed", "frozen alpha"])
     @pytest.mark.parametrize("dealias", [True, False])
     def test_final_state_matches(self, setting, form, dealias):
         g, problems = setting
         problem, coeffs_at = problems[form]
+        if form == "frozen alpha":  # a u_xxx exactly, a the midrange of alpha on the grid
+            alpha = coeffs_at(0.0)["alpha"]
+            form, a = "original", (alpha.max() + alpha.min()) / 2
+        else:  # a drifting alpha is stepped by classical RK4
+            a = 0.0 if form == "original" else 1.0
         u0 = SpectralState.from_physical(g, 0.8 * np.exp(-(((g.x - 1.0) / 3.0) ** 2)))
         cfg = SolverConfig(t_final=self.T, dt=self.DT, s=1.0, dealias=dealias)
         traj = solve(u0, cfg, problem, monitor_times=self.MONITOR)
         want = _reference_solve(u0, form, coeffs_at, self.T, self.DT, self.MONITOR,
-                                dealias)
+                                dealias, a)
         got = full_spectrum(traj.final_state.coefficients)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert traj.times[1:-1].tolist() == pytest.approx(list(self.MONITOR), abs=1e-15)
@@ -682,13 +727,14 @@ def _integrator(problem, grid, dealias):
     form, sampler = solver_module._sampler(problem, grid)
     spectrum = solver_module._Spectrum(grid, dealias)
     u0 = SpectralState.from_physical(grid, 0.8 * np.exp(-(((grid.x - 1.0) / 3.0) ** 2)))
-    return solver_module._RK4(spectrum, form, sampler), u0.coefficients * spectrum.keep
+    a = solver_module._dispersion(problem, sampler)
+    return solver_module._RK4(spectrum, form, sampler, a), u0.coefficients * spectrum.keep
 
 
 def _frozen(setting, form):
     """A time-independent problem of `form` on the setting's grid."""
     if form == "original":
-        return CoefficientSet.from_strings(**dict(_DRIFTING, alpha="2+0.5*sech(x/4)^2"))
+        return setting[1]["frozen alpha"][0]
     return setting[1]["transformed"][0].coefficients_at(0.0)
 
 
@@ -753,6 +799,14 @@ class TestFluxPlan:
         keep = solver_module._Spectrum(g, True).keep
         np.testing.assert_allclose(plan, -3.0 * (1j * g.wavenumbers) * keep, rtol=1e-15)
 
+    def test_taken_for_original_kdv_with_constant_alpha(self):
+        # the integrating factor takes alpha whole, leaving epsilon u u_x
+        g = self.GRID
+        plan = _plan(CoefficientSet.constant_kdv(-6.0), g)
+        assert isinstance(plan, np.ndarray)
+        keep = solver_module._Spectrum(g, True).keep
+        np.testing.assert_allclose(plan, -3.0 * (1j * g.wavenumbers) * keep, rtol=1e-15)
+
     @pytest.mark.parametrize(
         "case", ["undealiased", "e varies in x", "c beside e", "f beside e", "original form"]
     )
@@ -765,7 +819,11 @@ class TestFluxPlan:
             "e varies in x": (replace(kdv, e=kdv.e + bump), True),
             "c beside e": (replace(kdv, c=bump), True),
             "f beside e": (replace(kdv, f=bump), True),
-            "original form": (CoefficientSet.constant_kdv(-6.0), True),  # alpha is linear
+            # alpha - a is linear
+            "original form": (
+                CoefficientSet.from_strings(alpha="2+0.5*tanh(x/4)", epsilon="-6", alpha0=0.4),
+                True,
+            ),
         }[case]
         plan = _plan(problem, g, dealias)
         assert isinstance(plan, tuple)  # (rows, linear, quadratic, slot of u)
@@ -1169,7 +1227,8 @@ class TestSharedOriginalFields:
         g = make_grid(16 * np.pi, 128)
         cs = CoefficientSet.from_strings(**_DRIFTING)
         _, sampler = solver_module._sampler(cs, g)
-        rk = solver_module._RK4(solver_module._Spectrum(g, True), "original", sampler)
+        a = solver_module._dispersion(cs, sampler)
+        rk = solver_module._RK4(solver_module._Spectrum(g, True), "original", sampler, a)
         early, late = sampler(0.1), sampler(0.2)
         first, second = rk._plan_for(early), rk._plan_for(late)
         # linear terms in table order: alpha (drifts), beta, gamma, delta
@@ -1178,6 +1237,46 @@ class TestSharedOriginalFields:
         for a, b, name in zip(first[1][1:], second[1][1:], ("beta", "gamma", "delta")):
             assert a[0] is b[0] is getattr(early, name) is getattr(late, name)
         assert first[2][0][0] is second[2][0][0] is early.epsilon  # shared by both slices
+
+
+class TestDispersion:
+    """The constant a of the symbol i a k^3 that a solve applies exactly."""
+
+    GRID = make_grid(8 * np.pi, 256)
+
+    def test_transformed_form_takes_its_whole_dispersion(self):
+        g = self.GRID
+        system = GaugeSystem(CoefficientSet.constant_kdv(-6.0), g, image_grid=g)
+        for problem in (TransformedCoefficients.constant_kdv(g), system):
+            _, sampler = solver_module._sampler(problem, g)
+            assert solver_module._dispersion(problem, sampler) == 1.0
+
+    @pytest.mark.parametrize(
+        "alpha, want",
+        [
+            ("2.5", 2.5),
+            ("2+0.5*tanh(x/4)", None),  # the midrange on the grid
+            ("2+0.5*cos(t)*tanh(x/4)", 0.0),  # drifts: classical RK4
+            ("2+0.5*cos(t)", 0.0),  # constant in x, but not in t
+            ("2+1/x", 0.0),  # infinite at the node x = 0
+        ],
+    )
+    def test_original_form(self, alpha, want):
+        g = self.GRID
+        cs = CoefficientSet.from_strings(alpha=alpha, epsilon="-6", alpha0=0.4)
+        if want is None:
+            values = 2.0 + 0.5 * np.tanh(g.x / 4)
+            want = (values.max() + values.min()) / 2
+            assert want != 0.0
+        _, sampler = solver_module._sampler(cs, g)
+        with np.errstate(divide="ignore"):
+            assert solver_module._dispersion(cs, sampler) == pytest.approx(want, rel=1e-15)
+
+    def test_drifting_alpha_steps_as_classical_rk4(self, setting):
+        g, problems = setting
+        rk, _ = _integrator(problems["original"][0], g, True)
+        assert rk.a == 0.0 and rk.symbol is None
+        assert rk._integrating_factors(5e-4) == (1.0, 1.0)
 
 
 def test_auto_dt_beyond_the_step_budget_is_refused_by_solve():

@@ -18,7 +18,10 @@ Both sides run the working tree's configs.  Prints "identical" per config,
 or every moved CSV/JSON cell with its absolute and relative change and every
 differing `check` line, then the config's largest relative change among the
 numeric cells whose REF value has magnitude >= 1e-6; exits 1 if anything
-moved or an exit code differs.  Runs one process at a time.
+moved or an exit code differs.  Beside each "identical" or "MOVED" it prints
+the wall time of the `run` process on each side, REF first, interpreter
+start-up included: information only, which neither the comparison nor the
+exit code reads.  Runs one process at a time.
 """
 
 import argparse
@@ -33,6 +36,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -92,13 +96,16 @@ def export(ref: str, dest: Path) -> None:
 
 def kdvgauge(src: Path, args: list) -> subprocess.CompletedProcess:
     """One `kdvgauge` process on the package under `src`, one BLAS thread;
-    `src` is written as <src> in its output, where tracebacks name it."""
+    `src` is written as <src> in its output, where tracebacks name it, and
+    the process's wall time in seconds is its `seconds`."""
     env = dict(os.environ, PYTHONPATH=str(src))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
+    start = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-m", "kdvgauge.cli", *args], env=env, capture_output=True, text=True,
     )
+    done.seconds = time.perf_counter() - start
     done.stdout = done.stdout.replace(str(src), "<src>")
     done.stderr = done.stderr.replace(str(src), "<src>")
     return done
@@ -216,7 +223,11 @@ def main(argv=None) -> int:
                 kdvgauge(ROOT / "src", ["check", str(cfg)]),
             )
             moved = moved or bool(lines)
-            print(f"{name}: " + ("identical" if not lines else "MOVED"), flush=True)
+            print(
+                f"{name}: {'identical' if not lines else 'MOVED'} "
+                f"(run {run_ref.seconds:.2f} s -> {run_new.seconds:.2f} s)",
+                flush=True,
+            )
             for line in lines:
                 print(f"  {line}", flush=True)
             if lines:
