@@ -71,6 +71,12 @@ class Grid:
             raise GridSizeError(
                 f"num_points must be a power of two >= 16, got {self.num_points}"
             )
+        if not np.isfinite(self.k_max):  # the wavenumbers would read inf and nan
+            raise GridSizeError(
+                f"half_width must leave the largest wavenumber pi num_points / "
+                f"(2 half_width) finite, got {self.half_width:g} with num_points = "
+                f"{self.num_points}"
+            )
         dx = 2.0 * self.half_width / self.num_points
         object.__setattr__(self, "dx", dx)
         x = -self.half_width + dx * np.arange(self.num_points)

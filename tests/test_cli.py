@@ -560,6 +560,13 @@ REFUSED_VALUES = {
         "[solver] dt: t_final / dt = 1.02e+07 steps exceeds the step budget of 1e+07; "
         "got dt = 0.000976888 with t_final = 10000",
     ),
+    # 2 pi / dx overflows: check ended in numpy's invalid-value warning from
+    # the wavenumbers, inf times 0
+    "grid of subnormal width": (
+        MINIMAL + "\n[grid]\nhalf_width = 2.225073858507203e-309\nnum_points = 16\n",
+        "[grid] half_width must leave the largest wavenumber pi num_points / "
+        "(2 half_width) finite, got 2.22507e-309 with num_points = 16",
+    ),
     # a count just above the budget used to print as "1e+07"
     "dt just beyond the step budget": (
         _with_line(MINIMAL, "solver", "dt = 4.99e-8"),

@@ -1238,6 +1238,23 @@ class TestSharedOriginalFields:
             assert a[0] is b[0] is getattr(early, name) is getattr(late, name)
         assert first[2][0][0] is second[2][0][0] is early.epsilon  # shared by both slices
 
+    def test_plans_share_the_remainder_of_a_frozen_alpha(self):
+        # gamma drifts, so each time has its own slice and plan; alpha - a is
+        # formed once, from the alpha array the slices share
+        g = make_grid(16 * np.pi, 128)
+        cs = CoefficientSet.from_strings(
+            **dict(_DRIFTING, alpha=_FROZEN_ALPHA, gamma="0.1*cos(t)*sech(x/4)^2")
+        )
+        _, sampler = solver_module._sampler(cs, g)
+        a = solver_module._dispersion(cs, sampler)
+        rk = solver_module._RK4(solver_module._Spectrum(g, True), "original", sampler, a)
+        early, late = sampler(0.1), sampler(0.2)
+        first, second = rk._plan_for(early), rk._plan_for(late)
+        assert first is not second and early.alpha is late.alpha
+        remainder = first[1][0][0]  # alpha, the first linear term
+        assert remainder is second[1][0][0]
+        assert np.array_equal(remainder, early.alpha - a)
+
 
 class TestDispersion:
     """The constant a of the symbol i a k^3 that a solve applies exactly."""
