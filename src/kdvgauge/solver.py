@@ -139,7 +139,7 @@ class Trajectory:
 # for the quadratic terms.  The transformed form's -v_xxx is not listed: it
 # is the linear symbol i k^3 that the integrating factor applies exactly.
 # The original form's alpha term is read as alpha - a, the part of alpha
-# u_xxx that the symbol i a k^3 leaves explicit (see `_dispersion`).
+# u_xxx that the symbol i a k^3 leaves explicit (see `_explicit`).
 _TERMS = {
     "original": {
         "alpha": (3, -1.0, False),
@@ -156,6 +156,16 @@ _TERMS = {
         "f": (0, 1.0, True),
     },
 }
+
+
+def _explicit(form: str, co, a: float) -> Iterator[tuple]:
+    """(coefficient, order, sign, quadratic) of each term of `_TERMS[form]`
+    on the slice `co`, as the explicit right-hand side reads it: the original
+    form's alpha as alpha - a, the part that the symbol i a k^3 of the
+    solve's dispersion reference a (`_dispersion`) leaves explicit."""
+    for name, (order, sign, is_quadratic) in _TERMS[form].items():
+        coef = getattr(co, name)
+        yield (coef - a if name == "alpha" and a else coef), order, sign, is_quadratic
 
 
 try:  # the pocketfft ufuncs that np.fft.rfft/irfft call, bound once
@@ -259,9 +269,8 @@ class _RK4:
     alpha - a; terms whose sampled coefficient is identically zero are
     dropped once per coefficient sample, so a constant alpha leaves no alpha
     term, and every derivative order N needs comes from one batched inverse
-    FFT.  A plan holds each term's coefficient array as sampled, with its
-    sign; the remainder alpha - a of an alpha array shared by the slices is
-    formed once per integrator and shared by its plans.
+    FFT.  A plan holds each term's coefficient array as `_explicit` gives
+    it, with its sign.
     When the one term left is a quadratic u u_x whose coefficient e is
     constant in x and products are dealiased, the plan is the flux row
     (sign e / 2) (ik) keep instead:
@@ -289,10 +298,9 @@ class _RK4:
     def __init__(self, spectrum: _Spectrum, form: str, sampler, a: float):
         self.spectrum = spectrum
         self.sampler = sampler
-        self.terms = _TERMS[form]
+        self.form = form
         self.a = a
         self.symbol = 1j * a * spectrum.k**3 if a else None
-        self._remainder = (None, None)  # (an alpha as sampled, alpha - a)
         self._factors: dict[float, tuple] = {}
         self._plan_source = None
         self._plan = None
@@ -331,12 +339,7 @@ class _RK4:
             return orders.index(order)
 
         linear, quadratic = [], []
-        for name, (order, sign, is_quadratic) in self.terms.items():
-            coef = getattr(co, name)
-            if name == "alpha" and self.a:
-                if coef is not self._remainder[0]:
-                    self._remainder = (coef, coef - self.a)
-                coef = self._remainder[1]
+        for coef, order, sign, is_quadratic in _explicit(self.form, co, self.a):
             if coef.any():
                 (quadratic if is_quadratic else linear).append((coef, sign, slot(order)))
         field_slot = slot(0) if quadratic else None
@@ -493,7 +496,7 @@ def _dispersion(problem, sampler) -> float:
     return a if np.isfinite(a) else 0.0
 
 
-def auto_dt(config: SolverConfig, problem, u0: SpectralState) -> float:
+def auto_dt(config: SolverConfig, problem, u0: SpectralState, integrator=None) -> float:
     """Step size from the explicit stability rules of the problem's form.
 
     Each term of `_TERMS[form]` with a nonzero coefficient caps dt: a linear
@@ -504,19 +507,22 @@ def auto_dt(config: SolverConfig, problem, u0: SpectralState) -> float:
     `_dispersion`), so it caps dt at 1/(max|alpha - a| kb^3), and not at
     all when alpha is constant.  kb is the retained (dealiased) band's
     largest wavenumber on u0's grid; modes beyond it are identically zero
-    during the run.
+    during the run.  `solve` passes its `_RK4`, whose form, sampler and a
+    the rule reads, so that a solve samples and splits its coefficients
+    once; without one they come from `_sampler` and `_dispersion`.
     """
     grid = u0.grid
     kb = (2.0 / 3.0) * grid.k_max if config.dealias else grid.k_max
     sup0 = float(np.abs(u0.physical()).max())
     candidates = [config.t_final]
-    form, sampler = _sampler(problem, grid)
-    co = sampler(0.0)
-    a = _dispersion(problem, sampler)
+    if integrator is None:
+        form, sampler = _sampler(problem, grid)
+        a = _dispersion(problem, sampler)
+    else:
+        form, sampler, a = integrator.form, integrator.sampler, integrator.a
     rate = 0.0
-    for name, (order, _, is_quadratic) in _TERMS[form].items():
-        coef = getattr(co, name)
-        cmax = float(np.abs(coef - a if name == "alpha" else coef).max())
+    for coef, order, _, is_quadratic in _explicit(form, sampler(0.0), a):
+        cmax = float(np.abs(coef).max())
         if order == 0:
             rate += cmax * max(sup0, 1.0) if is_quadratic else cmax
         elif is_quadratic:
@@ -537,12 +543,16 @@ class _OverBudget(ValueError):
         self.steps = steps
 
 
-def _step_size(config: SolverConfig, problem, u0: SpectralState) -> float:
-    """config.dt, or `auto_dt` under "auto", for a solve of `u0` on `problem`.
-    A dt that is not positive raises ValueError, and one that takes more than
-    STEP_BUDGET steps to t_final raises `_OverBudget`, whose step count has
-    the digits to read above the budget."""
-    dt = auto_dt(config, problem, u0) if config.dt == "auto" else float(config.dt)
+def _step_size(config: SolverConfig, problem, u0: SpectralState, integrator=None) -> float:
+    """config.dt, or `auto_dt` (given `solve`'s `integrator`) under "auto",
+    for a solve of `u0` on `problem`.  A dt that is not positive raises
+    ValueError, and one that takes more than STEP_BUDGET steps to t_final
+    raises `_OverBudget`, whose step count has the digits to read above the
+    budget."""
+    if config.dt == "auto":
+        dt = auto_dt(config, problem, u0, integrator)
+    else:
+        dt = float(config.dt)
     if not dt > 0:
         raise ValueError("dt must be positive")
     steps = config.t_final / dt
@@ -625,10 +635,10 @@ def solve(
     """
     grid = u0.grid
     form, sampler = _sampler(problem, grid)
-    dt = _step_size(config, problem, u0)
-
     spectrum = _Spectrum(grid, config.dealias)
     integrator = _RK4(spectrum, form, sampler, _dispersion(problem, sampler))
+    dt = _step_size(config, problem, u0, integrator)
+
     # the unpaired Nyquist mode cannot stay real under the phase rotation,
     # and with dealiasing the resolved band is 2/3 of Nyquist; data beyond it
     # would be frozen by the masked right-hand side, so drop both up front

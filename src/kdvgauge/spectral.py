@@ -71,11 +71,13 @@ class Grid:
             raise GridSizeError(
                 f"num_points must be a power of two >= 16, got {self.num_points}"
             )
-        if not np.isfinite(self.k_max):  # the wavenumbers would read inf and nan
+        # an infinite period or wavenumber would put inf and nan in the nodes
+        # or the wavenumbers
+        if not (np.isfinite(2.0 * self.half_width) and np.isfinite(self.k_max)):
             raise GridSizeError(
-                f"half_width must leave the largest wavenumber pi num_points / "
-                f"(2 half_width) finite, got {self.half_width:g} with num_points = "
-                f"{self.num_points}"
+                f"half_width must leave the period 2 half_width and the largest "
+                f"wavenumber pi num_points / (2 half_width) finite, got "
+                f"{self.half_width:g} with num_points = {self.num_points}"
             )
         dx = 2.0 * self.half_width / self.num_points
         object.__setattr__(self, "dx", dx)

@@ -564,8 +564,16 @@ REFUSED_VALUES = {
     # the wavenumbers, inf times 0
     "grid of subnormal width": (
         MINIMAL + "\n[grid]\nhalf_width = 2.225073858507203e-309\nnum_points = 16\n",
-        "[grid] half_width must leave the largest wavenumber pi num_points / "
-        "(2 half_width) finite, got 2.22507e-309 with num_points = 16",
+        "[grid] half_width must leave the period 2 half_width and the largest "
+        "wavenumber pi num_points / (2 half_width) finite, got 2.22507e-309 with "
+        "num_points = 16",
+    ),
+    # 2 half_width overflows: dx is inf and the first node inf * 0, a nan
+    "grid of overflowing width": (
+        MINIMAL + "\n[grid]\nhalf_width = 1e308\nnum_points = 16\n",
+        "[grid] half_width must leave the period 2 half_width and the largest "
+        "wavenumber pi num_points / (2 half_width) finite, got 1e+308 with "
+        "num_points = 16",
     ),
     # a count just above the budget used to print as "1e+07"
     "dt just beyond the step budget": (

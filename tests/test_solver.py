@@ -258,25 +258,31 @@ class TestSolve:
         remainder = alpha - (alpha.max() + alpha.min()) / 2
         assert dt <= 1.0 / (np.abs(remainder).max() * kb**3) + 1e-15
 
-    # form, the one term's coefficient, and its cap in (kb, sup|u0|); every
-    # other coefficient is zero, or alpha = 1e-9 in the original form, a
-    # constant that the integrating factor takes whole.  The alpha row's
+    # id -> form, the one term's coefficient, and its cap in (kb, sup|u0|);
+    # every other coefficient is zero, or alpha = 1e-9 in the original form,
+    # a constant that the integrating factor takes whole.  The alpha row's
     # coefficient spans [-1.5, 3.5] on the grid: its midrange 1 is applied
-    # exactly and the remainder 2.5 tanh(x) caps dt.
-    DT_CAPS = [
-        ("original", "alpha", "1+2.5*tanh(x)", lambda kb, sup0: 1.0 / (2.5 * kb**3)),
-        ("original", "beta", 5.0, lambda kb, sup0: 1.0 / (5.0 * kb**2)),
-        ("original", "gamma", -3.0, lambda kb, sup0: 1.0 / (3.0 * kb)),
-        ("original", "delta", 7.0, lambda kb, sup0: 0.5 / 7.0),
-        ("original", "epsilon", -6.0, lambda kb, sup0: 1.0 / (4.0 * 6.0 * sup0 * kb)),
-        ("transformed", "b", 3.0, lambda kb, sup0: 1.0 / (3.0 * kb**2)),
-        ("transformed", "c", -2.0, lambda kb, sup0: 1.0 / (2.0 * kb)),
-        ("transformed", "d", -7.0, lambda kb, sup0: 0.5 / 7.0),
-        ("transformed", "e", 6.0, lambda kb, sup0: 1.0 / (4.0 * 6.0 * sup0 * kb)),
-        ("transformed", "f", 9.0, lambda kb, sup0: 0.5 / (9.0 * max(sup0, 1.0))),
-    ]
+    # exactly and the remainder 2.5 tanh(x) caps dt.  A constant alpha is
+    # all applied exactly, so only t_final = 1 caps dt; a drifting alpha has
+    # a = 0, so all of it, max|alpha| = 3.5 at t = 0, caps dt.
+    DT_CAPS = {
+        "alpha": ("original", "alpha", "1+2.5*tanh(x)", lambda kb, sup0: 1.0 / (2.5 * kb**3)),
+        "constant alpha": ("original", "alpha", "3", lambda kb, sup0: 1.0),
+        "drifting alpha": (
+            "original", "alpha", "1+2.5*cos(t)*tanh(x)", lambda kb, sup0: 1.0 / (3.5 * kb**3)
+        ),
+        "beta": ("original", "beta", 5.0, lambda kb, sup0: 1.0 / (5.0 * kb**2)),
+        "gamma": ("original", "gamma", -3.0, lambda kb, sup0: 1.0 / (3.0 * kb)),
+        "delta": ("original", "delta", 7.0, lambda kb, sup0: 0.5 / 7.0),
+        "epsilon": ("original", "epsilon", -6.0, lambda kb, sup0: 1.0 / (4.0 * 6.0 * sup0 * kb)),
+        "b": ("transformed", "b", 3.0, lambda kb, sup0: 1.0 / (3.0 * kb**2)),
+        "c": ("transformed", "c", -2.0, lambda kb, sup0: 1.0 / (2.0 * kb)),
+        "d": ("transformed", "d", -7.0, lambda kb, sup0: 0.5 / 7.0),
+        "e": ("transformed", "e", 6.0, lambda kb, sup0: 1.0 / (4.0 * 6.0 * sup0 * kb)),
+        "f": ("transformed", "f", 9.0, lambda kb, sup0: 0.5 / (9.0 * max(sup0, 1.0))),
+    }
 
-    @pytest.mark.parametrize("form, name, value, cap", DT_CAPS, ids=[c[1] for c in DT_CAPS])
+    @pytest.mark.parametrize("form, name, value, cap", DT_CAPS.values(), ids=list(DT_CAPS))
     @pytest.mark.parametrize("height", [0.5, 3.0])
     def test_auto_dt_each_term_alone_sets_dt(self, form, name, value, cap, height):
         g = make_grid(8 * np.pi, 256)
@@ -292,26 +298,6 @@ class TestSolve:
         kb = (2.0 / 3.0) * g.k_max
         sup0 = float(np.abs(u0.physical()).max())
         assert auto_dt(cfg, problem, u0) == pytest.approx(cap(kb, sup0), rel=1e-14)
-
-    @pytest.mark.parametrize(
-        "alpha, explicit",
-        [
-            ("3", lambda alpha: 0.0),  # taken whole by the integrating factor: no cap
-            ("2+tanh(x)", lambda alpha: alpha - (alpha.max() + alpha.min()) / 2),
-            ("2+cos(t)*tanh(x)", lambda alpha: alpha),  # drifts: a = 0
-        ],
-        ids=["constant", "frozen", "drifting"],
-    )
-    def test_auto_dt_caps_only_the_explicit_part_of_alpha(self, alpha, explicit):
-        g = make_grid(8 * np.pi, 256)
-        u0 = gaussian_state(g, 1.0)
-        cs = CoefficientSet.from_strings(alpha=alpha, epsilon="0", alpha0=0.5)
-        kb = (2.0 / 3.0) * g.k_max
-        cmax = np.abs(explicit(np.asarray(cs.alpha.eval(0.0, g.x), dtype=float))).max()
-        want = min(1.0, 1.0 / (cmax * kb**3)) if cmax else 1.0
-        assert auto_dt(SolverConfig(t_final=1.0, dt="auto"), cs, u0) == pytest.approx(
-            want, rel=1e-14
-        )
 
     def test_auto_dt_adds_the_order_zero_rates(self):
         g = make_grid(8 * np.pi, 256)
@@ -1237,23 +1223,6 @@ class TestSharedOriginalFields:
         for a, b, name in zip(first[1][1:], second[1][1:], ("beta", "gamma", "delta")):
             assert a[0] is b[0] is getattr(early, name) is getattr(late, name)
         assert first[2][0][0] is second[2][0][0] is early.epsilon  # shared by both slices
-
-    def test_plans_share_the_remainder_of_a_frozen_alpha(self):
-        # gamma drifts, so each time has its own slice and plan; alpha - a is
-        # formed once, from the alpha array the slices share
-        g = make_grid(16 * np.pi, 128)
-        cs = CoefficientSet.from_strings(
-            **dict(_DRIFTING, alpha=_FROZEN_ALPHA, gamma="0.1*cos(t)*sech(x/4)^2")
-        )
-        _, sampler = solver_module._sampler(cs, g)
-        a = solver_module._dispersion(cs, sampler)
-        rk = solver_module._RK4(solver_module._Spectrum(g, True), "original", sampler, a)
-        early, late = sampler(0.1), sampler(0.2)
-        first, second = rk._plan_for(early), rk._plan_for(late)
-        assert first is not second and early.alpha is late.alpha
-        remainder = first[1][0][0]  # alpha, the first linear term
-        assert remainder is second[1][0][0]
-        assert np.array_equal(remainder, early.alpha - a)
 
 
 class TestDispersion:
