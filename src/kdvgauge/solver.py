@@ -496,7 +496,7 @@ def _dispersion(problem, sampler) -> float:
     return a if np.isfinite(a) else 0.0
 
 
-def auto_dt(config: SolverConfig, problem, u0: SpectralState, integrator=None) -> float:
+def auto_dt(config: SolverConfig, problem, u0: SpectralState, split=None) -> float:
     """Step size from the explicit stability rules of the problem's form.
 
     Each term of `_TERMS[form]` with a nonzero coefficient caps dt: a linear
@@ -507,19 +507,19 @@ def auto_dt(config: SolverConfig, problem, u0: SpectralState, integrator=None) -
     `_dispersion`), so it caps dt at 1/(max|alpha - a| kb^3), and not at
     all when alpha is constant.  kb is the retained (dealiased) band's
     largest wavenumber on u0's grid; modes beyond it are identically zero
-    during the run.  `solve` passes its `_RK4`, whose form, sampler and a
-    the rule reads, so that a solve samples and splits its coefficients
-    once; without one they come from `_sampler` and `_dispersion`.
+    during the run.  `solve` passes its `split`, the (form, sampler, a) that
+    its `_RK4` steps with, so that a solve samples and splits its
+    coefficients once; without one they come from `_sampler` and
+    `_dispersion`.
     """
     grid = u0.grid
     kb = (2.0 / 3.0) * grid.k_max if config.dealias else grid.k_max
     sup0 = float(np.abs(u0.physical()).max())
     candidates = [config.t_final]
-    if integrator is None:
+    if split is None:
         form, sampler = _sampler(problem, grid)
-        a = _dispersion(problem, sampler)
-    else:
-        form, sampler, a = integrator.form, integrator.sampler, integrator.a
+        split = form, sampler, _dispersion(problem, sampler)
+    form, sampler, a = split
     rate = 0.0
     for coef, order, _, is_quadratic in _explicit(form, sampler(0.0), a):
         cmax = float(np.abs(coef).max())
@@ -543,14 +543,14 @@ class _OverBudget(ValueError):
         self.steps = steps
 
 
-def _step_size(config: SolverConfig, problem, u0: SpectralState, integrator=None) -> float:
-    """config.dt, or `auto_dt` (given `solve`'s `integrator`) under "auto",
+def _step_size(config: SolverConfig, problem, u0: SpectralState, split=None) -> float:
+    """config.dt, or `auto_dt` (given `solve`'s `split`) under "auto",
     for a solve of `u0` on `problem`.  A dt that is not positive raises
     ValueError, and one that takes more than STEP_BUDGET steps to t_final
     raises `_OverBudget`, whose step count has the digits to read above the
     budget."""
     if config.dt == "auto":
-        dt = auto_dt(config, problem, u0, integrator)
+        dt = auto_dt(config, problem, u0, split)
     else:
         dt = float(config.dt)
     if not dt > 0:
@@ -635,10 +635,11 @@ def solve(
     """
     grid = u0.grid
     form, sampler = _sampler(problem, grid)
-    spectrum = _Spectrum(grid, config.dealias)
-    integrator = _RK4(spectrum, form, sampler, _dispersion(problem, sampler))
-    dt = _step_size(config, problem, u0, integrator)
+    split = form, sampler, _dispersion(problem, sampler)
+    dt = _step_size(config, problem, u0, split)
 
+    spectrum = _Spectrum(grid, config.dealias)
+    integrator = _RK4(spectrum, *split)
     # the unpaired Nyquist mode cannot stay real under the phase rotation,
     # and with dealiasing the resolved band is 2/3 of Nyquist; data beyond it
     # would be frozen by the masked right-hand side, so drop both up front
