@@ -503,8 +503,8 @@ def auto_dt(config: SolverConfig, problem, u0: SpectralState, split=None) -> flo
     term of order p >= 1 at 1/(max|coef| kb^p), the quadratic u u_x at
     1/(4 max|coef| sup|u0| kb); the order-0 rates (u^2 weighted by
     max(sup|u0|, 1)) add up, and their sum caps dt at 0.5/rate.  The
-    original form's alpha term is its explicit remainder alpha - a (see
-    `_dispersion`), so it caps dt at 1/(max|alpha - a| kb^3), and not at
+    original form's alpha term is its explicit remainder alpha - a
+    (`_explicit`), so it caps dt at 1/(max|alpha - a| kb^3), and not at
     all when alpha is constant.  kb is the retained (dealiased) band's
     largest wavenumber on u0's grid; modes beyond it are identically zero
     during the run.  `solve` passes its `split`, the (form, sampler, a) that
