@@ -43,7 +43,7 @@ from .dyadic import (
     project,
     resonance_omega3,
 )
-from .gauge import GaugeSystem, TransformedCoefficients, forward_transform, forward_transforms
+from .gauge import GaugeSystem, forward_transform, forward_transforms
 from .solver import (
     SolverConfig, SpaceTimeBump, Trajectory, _keep, _step_size, auto_dt, solve, weak_residual,
 )
@@ -363,12 +363,14 @@ def envelope_peak(state: SpectralState) -> float:
 
 @dataclass(frozen=True)
 class _ConstantKdVSpec(ExperimentSpec):
-    """The kinds that integrate u_t + u_xxx = epsilon u u_x with epsilon
-    independent of t, on the transformed form's constant-dispersion path."""
+    """The kinds that integrate plain KdV, u_t + u_xxx = epsilon u u_x with
+    epsilon independent of t.  They solve their own coefficient set in the
+    original form, whose symbol i k^3 (a = 1, the midrange of alpha = 1)
+    applies u_xxx exactly, as the transformed form's does."""
 
     def violations(self) -> list[str]:
-        """Coefficients that path would not integrate: any that depend on t,
-        and alpha other than 1 or beta, gamma, delta other than 0 on the grid.
+        """Coefficients that are not plain KdV: any that depend on t, and alpha
+        other than 1 or beta, gamma, delta other than 0 on the grid.
         A field that is not finite there is left to the pole screen."""
         violations = []
         for name, want in (("alpha", 1.0), ("beta", 0.0), ("gamma", 0.0),
@@ -386,18 +388,13 @@ class _ConstantKdVSpec(ExperimentSpec):
             violations.append(f"[coefficients] {name}: {self.kind} needs {need}, got {expr.text!r}")
         return violations
 
-    def constant_kdv(self) -> TransformedCoefficients:
-        """The run's coefficients b = c = d = f = 0 and e = epsilon on the
-        grid; a set the path would not integrate is refused."""
+    def _epsilon(self) -> np.ndarray:
+        """epsilon on the grid; a set that is not plain KdV is refused."""
         refused = _ConstantKdVSpec.violations(self)  # not the kind's own checks
         if refused:
             raise ValueError("; ".join(refused))
-        grid = self.grid
-        tc = TransformedCoefficients.constant_kdv(grid, epsilon=0.0)
-        tc.e = np.asarray(self.cset.epsilon.eval(0.0, grid.x), dtype=float) * np.ones(
-            grid.num_points
-        )
-        return tc
+        epsilon = self.cset.epsilon.eval(0.0, self.grid.x)
+        return np.asarray(epsilon, dtype=float) * np.ones(self.grid.num_points)
 
 
 # -- experiments ----------------------------------------------------------
@@ -432,7 +429,7 @@ class TransformConsistencySpec(ExperimentSpec):
         monitor = np.linspace(0.0, self.solver.t_final, 81)[1:]
         return [
             _Solve(
-                "[experiment] gaussian_width",
+                "[experiment] gaussian_width, gaussian_amplitude",
                 f"the Gaussian of width {self.gaussian_width:g}",
                 gaussian_state(make_grid(self.grid.half_width, n), self.gaussian_amplitude,
                                self.gaussian_width),
@@ -581,16 +578,17 @@ class BonaSmithSpec(_ConstantKdVSpec):
         there, with 8 monitor times and without the edge warning (the datum
         fills the torus), all at the reference's step so that the runs are
         discretization-consistent."""
-        tc, u0, bank = self.constant_kdv(), self._datum(), ProjectorBank(self.grid)
+        self._epsilon()  # refuses a set that is not plain KdV
+        u0, bank = self._datum(), ProjectorBank(self.grid)
         data = [project(u0, bank.p_leq(n)) for n in (self.reference_n, *self.n_sweep)]
         cfg = replace(self.solver, warn_domain_edge=False)
         if cfg.dt == "auto":
-            cfg = replace(cfg, dt=auto_dt(cfg, tc, data[0]))
+            cfg = replace(cfg, dt=auto_dt(cfg, self.cset, data[0]))
         monitor = np.linspace(0.0, self.solver.t_final, 9)[1:]
         label = (f"the datum of spectrum_decay_offset = {self.spectrum_decay_offset:g} "
                  f"scaled to unit H^s norm at s = {self.solver.s:g}")
         key = "[experiment] spectrum_decay_offset, [solver] s"
-        return [_Solve(key, label, datum, cfg, tc, monitor) for datum in data]
+        return [_Solve(key, label, datum, cfg, self.cset, monitor) for datum in data]
 
     def run(self, report: ExperimentReport) -> None:
         """Rate of convergence from frequency-truncated data."""
@@ -804,7 +802,11 @@ class ContinuitySpec(_ConstantKdVSpec):
         the difference by its (positive) size, and the verdict compares
         ratios, so it needs two distinct sizes.  The perturbation direction's
         H^s norm, by which the study scales it, must be finite and positive
-        (at a large [solver] s its weight (1 + k^2)^s overflows)."""
+        (at a large [solver] s its weight (1 + k^2)^s overflows).  Once those
+        pass, each size must move the base datum in H^s on the modes a solve
+        keeps: a size that rounds away gives a ratio of 0, and the verdict
+        divides by the smallest ratio.  A datum that is not finite, whose
+        difference has a nan norm, is left to the plan's check, which names it."""
         violations, s = super().violations(), self.solver.s
         sizes = self.perturbation_sizes
         if len(set(sizes)) < 2:
@@ -819,7 +821,19 @@ class ContinuitySpec(_ConstantKdVSpec):
                 f"[solver] s: the perturbation direction's H^s norm must be finite and "
                 f"positive on this grid; got {norm:g} with s = {s:g}"
             )
-        return violations
+        if violations:
+            return violations
+        keep = _keep(self.grid, self.solver.dealias)
+        with np.errstate(all="ignore"):  # data out of the float range are the plan's
+            base, *perturbed = self.solves()
+            moved = [SpectralState(self.grid, keep * (plan.u0 - base.u0).coefficients)
+                     for plan in perturbed]
+            return [
+                f"[experiment] perturbation_sizes: size {eps:g} leaves {base.label} unchanged in "
+                f"H^s on the modes a solve keeps, so its sensitivity ratio would be 0, and the "
+                f"verdict divides by the smallest ratio"
+                for eps, diff in zip(sizes, moved) if sobolev_norm(diff, s) == 0.0
+            ]
 
     def _direction(self) -> SpectralState:
         return gaussian_state(self.grid, 1.0, 1.0, center=1.0)
@@ -829,30 +843,29 @@ class ContinuitySpec(_ConstantKdVSpec):
         size times the direction scaled to unit H^s norm, with 8 monitor
         times.  The base is a Gaussian of fixed width when epsilon is 0, else
         the soliton of kappa, whose height grows as kappa^2."""
-        tc, s = self.constant_kdv(), self.solver.s
-        if np.abs(tc.e).max() == 0.0:
+        e, s = self._epsilon(), self.solver.s
+        if np.abs(e).max() == 0.0:
             key, label = "[grid] half_width", "the Gaussian base datum of width 1"
             base = gaussian_state(self.grid, 1.0, 1.0)
         else:
             key, label = "[experiment] kappa", f"the soliton of kappa = {self.kappa:g}"
             # a numpy kappa: a square past the float range gives inf, not OverflowError
-            base = soliton_state(self.grid, np.float64(self.kappa), e=float(tc.e[0]))
+            base = soliton_state(self.grid, np.float64(self.kappa), e=float(e[0]))
         direction = self._direction()
         direction = (1.0 / sobolev_norm(direction, s)) * direction
         monitor = np.linspace(0.0, self.solver.t_final, 9)[1:]
-        return [_Solve(key, label, base, self.solver, tc, monitor)] + [
+        return [_Solve(key, label, base, self.solver, self.cset, monitor)] + [
             _Solve(key, f"{label} perturbed by {eps:g}", base + eps * direction,
-                   self.solver, tc, monitor) for eps in self.perturbation_sizes
+                   self.solver, self.cset, monitor) for eps in self.perturbation_sizes
         ]
 
     def run(self, report: ExperimentReport) -> None:
         """Flow-map stability under initial perturbations of shrinking size."""
         s = self.solver.s
         base, *perturbed = self.solves()
-        linear = bool(np.abs(base.problem.e).max() == 0.0)
+        linear = bool(np.abs(self._epsilon()).max() == 0.0)
         traj_base = report.solved(base.run())
-        rows = []
-        ratios = []
+        rows, ratios = [], []
         for eps, plan in zip(self.perturbation_sizes, perturbed):
             traj_p = report.solved(plan.run())
             diff = max(
@@ -1056,22 +1069,22 @@ class SolitonBenchmarkSpec(_ConstantKdVSpec):
         """The monitored run of the kappa wave, with 5 monitor times; then the
         order sweep, of the order_kappa wave to order_t_final at each step of
         dt_sweep."""
-        tc = self.constant_kdv()
+        e = float(self._epsilon()[0])
         # a numpy kappa: a square past the float range gives inf, not OverflowError
-        wave, order_wave = (soliton_state(self.grid, np.float64(k), float(tc.e[0]), self.center)
+        wave, order_wave = (soliton_state(self.grid, np.float64(k), e, self.center)
                             for k in (self.kappa, self.order_kappa))
         return [_Solve("[experiment] kappa", f"the soliton of kappa = {self.kappa:g}", wave,
-                       self.solver, tc, np.linspace(0.0, self.solver.t_final, 6)[1:])] + [
+                       self.solver, self.cset, np.linspace(0.0, self.solver.t_final, 6)[1:])] + [
             _Solve("[experiment] order_kappa", f"the soliton of order_kappa = {self.order_kappa:g}",
                    order_wave, replace(self.solver, t_final=self.order_t_final, dt=dt),
-                   tc, step_key="[experiment] order_t_final") for dt in self.dt_sweep
+                   self.cset, step_key="[experiment] order_t_final") for dt in self.dt_sweep
         ]
 
     def run(self, report: ExperimentReport) -> None:
         """Travelling-wave accuracy, conservation, and temporal order."""
         grid, kappa, center = self.grid, self.kappa, self.center
         monitored, *sweep = self.solves()
-        e_val = float(monitored.problem.e[0])
+        e_val = float(self._epsilon()[0])
         traj = report.solved(monitored.run())
         report.add_table(
             "norms",
@@ -1137,7 +1150,7 @@ class SolitonBenchmarkSpec(_ConstantKdVSpec):
             f"L2-error verdict"
         )
 
-        # dissipation the benchmark run recorded (b == 0 here)
+        # dissipation the benchmark run recorded (zero: the original form has no b)
         report.verdict(
             "dissipation_sign", bool(np.all(traj.dissipation <= 1e-12)),
             float(np.max(traj.dissipation)),

@@ -264,7 +264,8 @@ class _RK4:
 
     L is i a k^3 with the solve's dispersion reference a (`_dispersion`):
     integrating-factor RK4, the part a u_xxx of the dispersion applied
-    exactly, and None when a = 0 (classical RK4, every term explicit).  N
+    exactly.  For a = 0 the factors exp(L dt/2) and exp(L dt) are exactly 1,
+    and the step is classical RK4 with every term explicit.  N
     reads the form's term table, the original form's alpha term as
     alpha - a; terms whose sampled coefficient is identically zero are
     dropped once per coefficient sample, so a constant alpha leaves no alpha
@@ -289,8 +290,7 @@ class _RK4:
     bitwise commutative in numpy (measured with numpy 2.4:
     swapped operands differ in the last bit in about a third of the entries
     of a 257-mode half spectrum), and one swapped product moves the solution
-    in the 16th digit.  Without a symbol the factors are 1.0, so the step
-    skips their multiplies.  `step` returns a fresh array; no work array escapes.
+    in the 16th digit.  `step` returns a fresh array; no work array escapes.
     """
 
     _FACTOR_CACHE = 4  # regular step plus a few shortened landing steps
@@ -300,7 +300,7 @@ class _RK4:
         self.sampler = sampler
         self.form = form
         self.a = a
-        self.symbol = 1j * a * spectrum.k**3 if a else None
+        self.symbol = 1j * a * spectrum.k**3
         self._factors: dict[float, tuple] = {}
         self._plan_source = None
         self._plan = None
@@ -315,8 +315,6 @@ class _RK4:
 
     def _integrating_factors(self, dt: float) -> tuple:
         """(exp(L dt/2), exp(L dt)), cached per step size."""
-        if self.symbol is None:
-            return 1.0, 1.0
         hit = self._factors.get(dt)
         if hit is None:
             if len(self._factors) >= self._FACTOR_CACHE:
@@ -397,32 +395,23 @@ class _RK4:
         half = 0.5 * dt
         t1, t2, t3, t4 = self.stage_times(t, dt)
         stage, shifted, full, n1, n2, n3, n4 = self._stages
-        exact = self.symbol is not None
-        if exact:
-            np.multiply(e_half, chat, out=shifted)
-            np.multiply(e_full, chat, out=full)
-        else:
-            shifted = full = chat
+        np.multiply(e_half, chat, out=shifted)
+        np.multiply(e_full, chat, out=full)
 
         self.rhs(chat, t1, n1)
         # shifted + half * (e_half * n1)
-        lead = np.multiply(e_half, n1, out=stage) if exact else n1
-        np.add(shifted, np.multiply(half, lead, out=stage), out=stage)
+        np.add(shifted, np.multiply(half, np.multiply(e_half, n1, out=stage), out=stage), out=stage)
         self.rhs(stage, t2, n2)
         # shifted + half * n2
         np.add(shifted, np.multiply(half, n2, out=stage), out=stage)
         self.rhs(stage, t3, n3)
         # full + dt * (e_half * n3)
-        lead = np.multiply(e_half, n3, out=stage) if exact else n3
-        np.add(full, np.multiply(dt, lead, out=stage), out=stage)
+        np.add(full, np.multiply(dt, np.multiply(e_half, n3, out=stage), out=stage), out=stage)
         self.rhs(stage, t4, n4)
 
         # full + (dt / 6) * (e_full * n1 + 2 * (e_half * (n2 + n3)) + n4)
-        np.add(n2, n3, out=n2)
-        if exact:
-            np.multiply(e_half, n2, out=n2)
-            np.multiply(e_full, n1, out=n1)
-        np.add(n1, np.multiply(2.0, n2, out=n2), out=n1)
+        np.multiply(e_half, np.add(n2, n3, out=n2), out=n2)
+        np.add(np.multiply(e_full, n1, out=n1), np.multiply(2.0, n2, out=n2), out=n1)
         np.add(n1, n4, out=n1)
         return np.add(full, np.multiply(dt / 6.0, n1, out=n1))
 
@@ -592,8 +581,9 @@ def _steps(t_final: float, dt: float, targets) -> Iterator[tuple]:
 
 
 def _seminorm_cumulative(dissipation: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Running trapezoid integral of the seminorm integrand -dissipation."""
-    g = -dissipation
+    """Running trapezoid integral of the seminorm integrand -dissipation,
+    taken as 0.0 - dissipation so that a zero ledger integrates to +0."""
+    g = 0.0 - dissipation
     if times.size < 2:
         return np.zeros(1)
     return np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(times))])

@@ -503,6 +503,14 @@ REFUSED_VALUES = {
         KIND_CONFIGS["continuity"] + "perturbation_sizes = 0.01, 0\n",
         "[experiment] perturbation_sizes: must be positive and finite, got 0",
     ),
+    # the size rounds away against the soliton: check passed, and run ended in
+    # a bare "float division by zero" at the ratios' spread
+    "perturbation size that rounds away": (
+        KIND_CONFIGS["continuity"] + "perturbation_sizes = 0.01, 1e-200\n",
+        "[experiment] perturbation_sizes: size 1e-200 leaves the soliton of kappa = 1 "
+        "unchanged in H^s on the modes a solve keeps, so its sensitivity ratio would be 0, "
+        "and the verdict divides by the smallest ratio",
+    ),
     "soliton kappa": (
         MINIMAL + "kappa = 0\n",
         "[experiment] kappa: must be nonzero and finite, got 0",
@@ -519,15 +527,22 @@ REFUSED_VALUES = {
     # with "error: (34, 'Numerical result out of range')" and a traceback)
     "gaussian_width out of scale": (
         KIND_CONFIGS["transform_consistency"] + "gaussian_width = 1e200\n",
-        "[experiment] gaussian_width: the Gaussian of width 1e+200 has edge mass 0.098 "
+        "[experiment] gaussian_width, gaussian_amplitude: the Gaussian of width 1e+200 has edge mass 0.098 "
         "> 1e-06 (the outer 10% of the domain of half_width 100.531)",
     ),
     # wide enough to reach the edge of the half_width 32 pi grid, where the run
     # used to end (exit 2) at the transports' source-domain edge check
     "gaussian at the edge": (
         KIND_CONFIGS["transform_consistency"] + "gaussian_width = 100\n",
-        "[experiment] gaussian_width: the Gaussian of width 100 has edge mass 0.053 "
+        "[experiment] gaussian_width, gaussian_amplitude: the Gaussian of width 100 has edge mass 0.053 "
         "> 1e-06 (the outer 10% of the domain of half_width 100.531)",
+    ),
+    # the datum underflows to zero at every node: its refusal named only
+    # gaussian_width, whose default 2 is not what made it zero
+    "gaussian amplitude underflows": (
+        KIND_CONFIGS["transform_consistency"] + "gaussian_amplitude = 1e-200\n",
+        "[experiment] gaussian_width, gaussian_amplitude: the Gaussian of width 2 is zero "
+        "on this grid",
     ),
     "packet_width": (
         KIND_CONFIGS["wavepacket"] + "packet_width = 0\n",

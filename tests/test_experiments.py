@@ -26,11 +26,12 @@ from kdvgauge.experiments import (
     fit_loglog,
     packet_state,
     run_experiment,
+    soliton_state,
     spectrum_state,
     successive_difference_order,
     write_report,
 )
-from kdvgauge.solver import SolverConfig, auto_dt
+from kdvgauge.solver import SolverConfig, auto_dt, solve
 from kdvgauge.spectral import SpectralState, l2_norm, make_grid, sobolev_norm
 
 
@@ -227,6 +228,42 @@ class TestContinuity:
         )
         rep = run_experiment(spec)
         assert rep.passed
+
+
+class TestPlainKdVSolvesItsOwnSet:
+    """Plain KdV solved as its CoefficientSet (the original form, whose a is
+    the midrange 1 of alpha) is the solve of TransformedCoefficients.constant_kdv
+    (the transformed form, a = 1), bit for bit; the plain-KdV kinds solve
+    their own set."""
+
+    GRID = make_grid(8 * np.pi, 256)
+
+    @pytest.mark.parametrize("epsilon", ["0", "-6", "-6+sech(x)^2"])
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_either_form_gives_the_same_solve(self, dealias, epsilon):
+        g = self.GRID
+        cs = CoefficientSet.from_strings(alpha="1", epsilon=epsilon, alpha0=1.0)
+        tc = gauge.TransformedCoefficients.constant_kdv(g, epsilon=0.0)
+        tc.e = np.asarray(cs.epsilon.eval(0.0, g.x), dtype=float) * np.ones(g.num_points)
+        rng = np.random.default_rng(5)
+        u0 = soliton_state(g, 1.0, -6.0, center=-1.0) + 0.1 * spectrum_state(g, 1.0, 1.0, rng)
+        cfg = SolverConfig(t_final=0.05, dealias=dealias, warn_domain_edge=False)
+        assert auto_dt(cfg, cs, u0) == auto_dt(cfg, tc, u0)
+        monitor = np.linspace(0.0, 0.05, 6)[1:]
+        original, transformed = (solve(u0, cfg, problem, monitor_times=monitor)
+                                 for problem in (cs, tc))
+        assert original.times.tolist() == transformed.times.tolist()
+        assert len(original.states) == len(transformed.states) == 6
+        for a, b in zip(original.states, transformed.states):
+            assert np.array_equal(a.coefficients, b.coefficients)
+        assert np.array_equal(original.hs_norms, transformed.hs_norms)
+        assert np.array_equal(original.sup_norms, transformed.sup_norms)
+
+    @pytest.mark.parametrize("kind", [BonaSmithSpec, ContinuitySpec, SolitonBenchmarkSpec])
+    def test_each_kind_solves_its_own_set(self, kind):
+        spec = kind(cset=CoefficientSet.constant_kdv(-6.0), grid=self.GRID)
+        plans = spec.solves()
+        assert plans and all(plan.problem is spec.cset for plan in plans)
 
 
 class TestReportEmission:

@@ -1259,10 +1259,19 @@ class TestDispersion:
             assert solver_module._dispersion(cs, sampler) == pytest.approx(want, rel=1e-15)
 
     def test_drifting_alpha_steps_as_classical_rk4(self, setting):
+        # a = 0: a zero symbol, factors of exactly 1, and the classical RK4 step
         g, problems = setting
-        rk, _ = _integrator(problems["original"][0], g, True)
-        assert rk.a == 0.0 and rk.symbol is None
-        assert rk._integrating_factors(5e-4) == (1.0, 1.0)
+        problem, coeffs_at = problems["original"]
+        rk, chat = _integrator(problem, g, True)
+        assert rk.a == 0.0 and not rk.symbol.any()
+        dt, t = 5e-4, 0.1
+        for factor in rk._integrating_factors(dt):
+            assert np.array_equal(factor, np.ones_like(factor))
+        k = full_wavenumbers(g)
+        mask = np.abs(k) <= (2.0 / 3.0) * np.abs(k).max()
+        want = _reference_step("original", full_spectrum(chat), k, coeffs_at, t, dt, mask, 0.0)
+        got = full_spectrum(rk.step(chat, t, dt))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_auto_dt_beyond_the_step_budget_is_refused_by_solve():

@@ -15,8 +15,9 @@ config too, since the hypothesis report it prints is in no output file;
 its exit code, stdout and stderr are compared, stderr without the
 indented traceback frames, which move with any edit of the code.
 Both sides run the working tree's configs.  Prints "identical" per config,
-or every moved CSV/JSON cell with its absolute and relative change and every
-differing `check` line, then the config's largest relative change among the
+or every moved CSV cell or JSON leaf (compared as text, so -0.0 and 0.0
+differ) with its absolute and relative change, every file whose bytes
+differ with no moved cell, and every differing `check` line, then the config's largest relative change among the
 numeric cells whose REF value has magnitude >= 1e-6; exits 1 if anything
 moved or an exit code differs.  Beside each "identical" or "MOVED" it prints
 the wall time of the `run` process on each side, REF first, interpreter
@@ -133,7 +134,9 @@ def check_differences(ref: subprocess.CompletedProcess, new: subprocess.Complete
 
 
 def _cells(path: Path) -> dict:
-    """(location) -> value of every CSV cell or JSON leaf of one file."""
+    """(location) -> text of every CSV cell or JSON leaf of one file.  A JSON
+    leaf is its JSON text, so that -0.0 and 0.0, 1 and 1.0, and true and 1,
+    which compare equal in Python, differ as they do in the file."""
     if path.suffix == ".json":
         flat = {}
 
@@ -145,7 +148,7 @@ def _cells(path: Path) -> dict:
                 for i, val in enumerate(node):
                     walk(val, f"{where}[{i}]")
             else:
-                flat[where] = node
+                flat[where] = json.dumps(node)
 
         walk(json.loads(path.read_text(encoding="utf-8")), "")
         return flat
@@ -175,8 +178,9 @@ def _change(old, new) -> str:
 
 
 def moved_cells(ours: Path, theirs: Path) -> tuple[list[str], float | None]:
-    """A line per moved cell, and the largest relative change of a moved
-    numeric cell whose REF value has magnitude >= SUMMARY_FLOOR."""
+    """A line per moved cell, or per file whose bytes differ with no moved
+    cell, and the largest relative change of a moved numeric cell whose REF
+    value has magnitude >= SUMMARY_FLOOR."""
     lines, rels = [], []
     names = sorted({p.name for p in ours.iterdir()} | {p.name for p in theirs.iterdir()})
     for name in names:
@@ -187,12 +191,14 @@ def moved_cells(ours: Path, theirs: Path) -> tuple[list[str], float | None]:
         if a.read_bytes() == b.read_bytes():
             continue
         old, new = _cells(a), _cells(b)
-        for key in sorted(old.keys() | new.keys()):
-            if old.get(key) != new.get(key):
-                lines.append(f"{name} {key}: {_change(old.get(key), new.get(key))}")
-                rel = _relative(old.get(key), new.get(key))
-                if rel is not None and abs(float(old[key])) >= SUMMARY_FLOOR:
-                    rels.append(rel)
+        moved = [key for key in sorted(old.keys() | new.keys()) if old.get(key) != new.get(key)]
+        if not moved:
+            lines.append(f"{name}: bytes differ, no cell moved")
+        for key in moved:
+            lines.append(f"{name} {key}: {_change(old.get(key), new.get(key))}")
+            rel = _relative(old.get(key), new.get(key))
+            if rel is not None and abs(float(old[key])) >= SUMMARY_FLOOR:
+                rels.append(rel)
     return lines, max(rels, default=None)
 
 
