@@ -865,7 +865,8 @@ class ContinuitySpec(_ConstantKdVSpec):
         base, *perturbed = self.solves()
         linear = bool(np.abs(self._epsilon()).max() == 0.0)
         traj_base = report.solved(base.run())
-        rows, ratios = [], []
+        rows = []
+        ratios = []
         for eps, plan in zip(self.perturbation_sizes, perturbed):
             traj_p = report.solved(plan.run())
             diff = max(

@@ -258,6 +258,10 @@ class TestPlainKdVSolvesItsOwnSet:
             assert np.array_equal(a.coefficients, b.coefficients)
         assert np.array_equal(original.hs_norms, transformed.hs_norms)
         assert np.array_equal(original.sup_norms, transformed.sup_norms)
+        # the ledger is zero in both forms (+0 in the original, which has no b;
+        # -0 in the transformed, whose b is 0), and each integrates to +0
+        assert not original.dissipation.any() and not transformed.dissipation.any()
+        assert original.seminorm_cumulative.tobytes() == transformed.seminorm_cumulative.tobytes()
 
     @pytest.mark.parametrize("kind", [BonaSmithSpec, ContinuitySpec, SolitonBenchmarkSpec])
     def test_each_kind_solves_its_own_set(self, kind):

@@ -17,8 +17,9 @@ indented traceback frames, which move with any edit of the code.
 Both sides run the working tree's configs.  Prints "identical" per config,
 or every moved CSV cell or JSON leaf (compared as text, so -0.0 and 0.0
 differ) with its absolute and relative change, every file whose bytes
-differ with no moved cell, and every differing `check` line, then the config's largest relative change among the
-numeric cells whose REF value has magnitude >= 1e-6; exits 1 if anything
+differ with no moved cell, and every differing `check` line, then the
+config's largest relative change among the numeric cells whose REF value
+has magnitude >= 1e-6; exits 1 if anything
 moved or an exit code differs.  Beside each "identical" or "MOVED" it prints
 the wall time of the `run` process on each side, REF first, interpreter
 start-up included: information only, which neither the comparison nor the
