@@ -1532,7 +1532,9 @@ class TestKindSchemas:
     def test_dt_auto_means_auto_dt_of_each_datum(self, tmp_path, kind):
         # under dt = auto each planned solve steps at auto_dt of its own datum,
         # and bona_smith's runs at auto_dt of the reference datum, which they
-        # share; the soliton order sweep steps at dt_sweep, whatever dt is
+        # share; the soliton order sweep steps at dt_sweep, whatever dt is;
+        # the wavepacket's steps are also capped so that each moves the packet
+        # by at most the region's edge width (on its test config, below auto_dt)
         spec = parse_config(write_cfg(tmp_path, KIND_BASES[kind])).spec
         assert spec.solver.dt == "auto"
         plans = spec.solves()
@@ -1542,6 +1544,10 @@ class TestKindSchemas:
                 continue
             datum = plans[0].u0 if kind == "bona_smith" else plan.u0
             want = auto_dt(replace(plan.config, dt="auto"), plan.problem, datum)
+            if kind == "wavepacket":
+                crossing = plan.config.t_final * spec.region_smoothing / (2 * spec.packet_launch)
+                assert crossing < want
+                want = crossing
             assert _planned_step(plan) == want, plan.label
 
     @settings(max_examples=200, deadline=None)
